@@ -1,4 +1,5 @@
-//! Ablation experiments over the design choices DESIGN.md §8 calls out.
+//! Ablation experiments over the design choices docs/PRIVACY.md,
+//! "Ablations", argues for.
 //!
 //! Three sweeps, each a small table the `figures` binary can print:
 //!

@@ -5,9 +5,28 @@
 //! cargo run -p sap-bench --release --bin figures -- --fig 5 --scale full
 //! ```
 
+use sap_bench::fig5_fig6::FigClassifier::{self, Knn, SvmRbf};
 use sap_bench::report::{f2s, f3, render_histogram, render_table};
 use sap_bench::{ablation, fig2, fig3, fig4, fig5_fig6, Scale};
 use sap_datasets::UciDataset;
+
+type Draw = fn(Scale, u64);
+
+/// Every `--fig` value except `all`, in the order `--fig all` draws them.
+const FIGS: [(&str, Draw); 6] = [
+    ("2", figure2),
+    ("3", figure3),
+    ("4", |_, _| figure4()),
+    ("5", |scale, seed| figure56(Knn, scale, seed)),
+    ("6", |scale, seed| figure56(SvmRbf, scale, seed)),
+    ("ablation", |_, seed| ablations(seed)),
+];
+
+/// The `--fig` choices as the usage line spells them.
+fn fig_choices() -> String {
+    FIGS.iter()
+        .fold("all".into(), |s, (name, _)| s + "|" + name)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -19,10 +38,10 @@ fn main() {
         match args[i].as_str() {
             "--fig" => {
                 i += 1;
-                fig = args
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| usage("--fig needs a value"));
+                fig = match args.get(i) {
+                    Some(f) if f == "all" || FIGS.iter().any(|&(name, _)| *f == name) => f.clone(),
+                    _ => usage(&format!("--fig takes {}", fig_choices())),
+                };
             }
             "--scale" => {
                 i += 1;
@@ -45,29 +64,15 @@ fn main() {
         i += 1;
     }
 
-    let run_all = fig == "all";
-    if run_all || fig == "2" {
-        figure2(scale, seed);
-    }
-    if run_all || fig == "3" {
-        figure3(scale, seed);
-    }
-    if run_all || fig == "4" {
-        figure4();
-    }
-    if run_all || fig == "5" {
-        figure56(fig5_fig6::FigClassifier::Knn, scale, seed);
-    }
-    if run_all || fig == "6" {
-        figure56(fig5_fig6::FigClassifier::SvmRbf, scale, seed);
-    }
-    if run_all || fig == "ablation" {
-        ablations(seed);
+    for (name, draw) in FIGS {
+        if fig == "all" || fig == name {
+            draw(scale, seed);
+        }
     }
 }
 
 fn ablations(seed: u64) {
-    println!("== Ablations (DESIGN.md §8) ==\n");
+    println!("== Ablations (docs/PRIVACY.md, \"Ablations\") ==\n");
 
     let rows = ablation::noise_sweep(
         UciDataset::Diabetes,
@@ -131,7 +136,10 @@ fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}");
     }
-    eprintln!("usage: figures [--fig all|2|3|4|5|6|ablation] [--scale quick|full] [--seed N]");
+    eprintln!(
+        "usage: figures [--fig {}] [--scale quick|full] [--seed N]",
+        fig_choices()
+    );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
@@ -224,26 +232,16 @@ fn figure4() {
     );
 }
 
-fn figure56(classifier: fig5_fig6::FigClassifier, scale: Scale, seed: u64) {
+fn figure56(classifier: FigClassifier, scale: Scale, seed: u64) {
     let name = match classifier {
-        fig5_fig6::FigClassifier::Knn => "KNN",
-        fig5_fig6::FigClassifier::SvmRbf => "SVM(RBF)",
+        Knn => "KNN",
+        SvmRbf => "SVM(RBF)",
     };
     println!(
         "== Figure {}: accuracy deviation for the {name} classifier ==\n",
         classifier.figure()
     );
     let rows = fig5_fig6::run(classifier, scale, seed);
-    let mut by_dataset: std::collections::BTreeMap<&str, (Option<f64>, Option<f64>, f64)> =
-        std::collections::BTreeMap::new();
-    for r in &rows {
-        let entry = by_dataset.entry(r.dataset).or_insert((None, None, 0.0));
-        match r.scheme {
-            "Uniform" => entry.0 = Some(r.deviation),
-            _ => entry.1 = Some(r.deviation),
-        }
-        entry.2 = r.baseline_accuracy;
-    }
     let table: Vec<Vec<String>> = rows
         .iter()
         .filter(|r| r.scheme == "Uniform")

@@ -74,7 +74,7 @@ mod tests {
     use super::*;
 
     /// A trimmed single-cell version of the experiment (full Quick run is
-    /// exercised by the `figures` binary / benches).
+    /// exercised by the `figures` binary).
     #[test]
     fn one_cell_produces_sane_rate() {
         let (data, _) = min_max_normalize(&UciDataset::Diabetes.generate(1));

@@ -3,7 +3,8 @@
 //! paper measured (Diabetes 0.95, Shuttle 0.89, Votes 0.98).
 //!
 //! This is an analytic curve over the risk model (`sap_privacy::risk`); the
-//! reconstruction of the bound is documented in DESIGN.md §5.
+//! reconstruction of the bound is argued in docs/PRIVACY.md, "The
+//! party-count bound".
 
 use sap_privacy::risk::min_parties;
 

@@ -1,12 +1,10 @@
 //! Experiment drivers regenerating the evaluation of the PODC'07 brief.
 //!
 //! Each `figN` module reproduces one figure of the paper as a pure library
-//! function returning structured rows, so the same code backs:
-//!
-//! * the `figures` binary (`cargo run -p sap-bench --release --bin figures`),
-//!   which prints paper-style series and is what EXPERIMENTS.md records, and
-//! * the Criterion benches (`cargo bench`), which measure the computational
-//!   kernels behind each figure.
+//! function returning structured rows; the `figures` binary
+//! (`cargo run -p sap-bench --release --bin figures`) prints them as
+//! paper-style series. Performance is measured by `perfbench` (see
+//! `BENCHMARK.json`), not here.
 //!
 //! | Paper figure | Module | Claim being reproduced |
 //! |---|---|---|
@@ -25,13 +23,12 @@ pub mod fig3;
 pub mod fig4;
 pub mod fig5_fig6;
 pub mod report;
-pub mod stats;
 
 /// Shared experiment scale knobs. `quick` keeps everything a few seconds per
 /// figure (CI-friendly); `full` approximates the paper's round counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Reduced rounds/candidates, for smoke runs and benches.
+    /// Reduced rounds/candidates, for smoke runs.
     Quick,
     /// Paper-like rounds (Figure 3's "100 rounds" etc.).
     Full,

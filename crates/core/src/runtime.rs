@@ -23,8 +23,7 @@
 //!   [`SapError::AdmissionShed`] instead of burning workers on a session
 //!   that will die of `DeadlineExceeded` anyway.
 //!   [`SchedPolicy::Fifo`] disables all of this (single queue, no aging,
-//!   no shed) and is kept as the measurable baseline for the
-//!   `load_qos` bench.
+//!   no shed) and is kept as the pre-QoS reference policy.
 //! * **work stealing** across pool workers: admitted tasks land on
 //!   per-worker run queues (round-robin); a worker pops its own queue
 //!   first and steals from siblings when empty, so a finished role's

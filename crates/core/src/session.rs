@@ -38,8 +38,7 @@ use std::time::Duration;
 /// Both planes produce **byte-identical** [`SapOutcome`]s (the property
 /// `tests/stream_equivalence.rs` pins); they differ only in *when* work
 /// happens. `Streaming` is the default — `Buffered` is kept as the
-/// reference implementation and for A/B benchmarking
-/// (`stream_overlap`, `BENCH_stream.json`).
+/// reference implementation the equivalence tests compare against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DataPlane {
     /// Every role buffers a complete dataset stream before touching a

@@ -12,7 +12,8 @@
 //! lands in the ballpark reported for that dataset in the classifier
 //! literature). The SAP experiments measure *relative* quantities — accuracy
 //! deviation against the clean baseline, optimality rates of perturbations —
-//! which this preserves; see DESIGN.md §2 for the substitution argument.
+//! which this preserves; docs/PRIVACY.md, "Synthetic dataset stand-ins",
+//! gives the substitution argument.
 //!
 //! # Layout
 //!

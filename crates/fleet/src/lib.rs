@@ -376,6 +376,14 @@ impl Fleet {
         self.shared.ring().owner_of(id)
     }
 
+    /// The node that admitted `id`, or `None` while its registration is
+    /// still un-acked (or the id is unknown). Unlike [`Fleet::owner_of`],
+    /// this is where the session actually runs, not where the ring would
+    /// put it.
+    pub fn placement(&self, id: SessionId) -> Option<usize> {
+        self.shared.placements.lock().get(&id.0).copied()
+    }
+
     fn node(&self, j: usize) -> Option<Arc<FleetNode>> {
         self.nodes.lock().get(j)?.clone()
     }
@@ -462,7 +470,9 @@ impl Fleet {
     /// session whose owner died surfaces [`FleetError::NodeDown`] (or
     /// the owner's typed abort, [`SapError::Aborted`], if the wait was
     /// already inside the husk) promptly — never hanging until the
-    /// protocol timeout.
+    /// protocol timeout. An un-acked registration whose owner dies is
+    /// re-placed instead (see [`Fleet::kill`]); from then on this
+    /// reports the re-run's own outcome, not `NodeDown`.
     ///
     /// # Errors
     ///
@@ -553,7 +563,11 @@ impl Fleet {
     /// sessions die (clients get typed errors), its heartbeats stop,
     /// and the *survivors* detect the death through the liveness plane
     /// — membership is repaired there, not here. Un-acked registrations
-    /// the dead node owned are re-placed by their origins.
+    /// the dead node owned are re-placed by their origins once the death
+    /// is detected: they were never admitted, so this kill cannot abort
+    /// them, and [`Fleet::wait`] on them reports the re-run's outcome
+    /// (success or its own error), not `NodeDown`. Check
+    /// [`Fleet::placement`] to know whether a session was admitted yet.
     ///
     /// # Errors
     ///

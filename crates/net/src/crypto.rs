@@ -1,9 +1,10 @@
-//! Toy link-encryption envelope.
+//! Channel keys for the toy link-encryption envelope.
 //!
 //! The brief assumes "encryption is applied before data is transmitted on
-//! the network" and treats it as a black box. This module models that black
-//! box: a keyed stream cipher (xorshift keystream) plus a keyed checksum for
-//! tamper detection.
+//! the network" and treats it as a black box. The sealed frame envelope in
+//! [`crate::frame`] models that black box; this module holds what it is
+//! keyed with — per-direction [`ChannelKey`]s derived from a session
+//! secret — and the [`CryptoError`] it reports.
 //!
 //! # Security disclaimer
 //!
@@ -11,8 +12,6 @@
 //! honest seal/open interface, sealed payloads are not readable by the hub,
 //! and tampering is detectable in tests. A production deployment would use
 //! an AEAD (e.g. AES-GCM or ChaCha20-Poly1305) behind the same interface.
-
-use bytes::Bytes;
 
 /// A symmetric channel key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +27,7 @@ impl ChannelKey {
     }
 }
 
-/// Errors from [`open`].
+/// Errors from opening a sealed frame ([`crate::frame::open_frame`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CryptoError {
     /// The payload was too short to contain the tag.
@@ -48,89 +47,6 @@ impl std::fmt::Display for CryptoError {
 
 impl std::error::Error for CryptoError {}
 
-const TAG_LEN: usize = 8;
-
-/// Seals a plaintext under the key with a per-message nonce.
-/// Layout: `nonce (8) ‖ ciphertext ‖ tag (8)`.
-pub fn seal(key: ChannelKey, nonce: u64, plaintext: &[u8]) -> Bytes {
-    let mut out = Vec::with_capacity(8 + plaintext.len() + TAG_LEN);
-    out.extend_from_slice(&nonce.to_le_bytes());
-    let mut ks = Keystream::new(key.0 ^ nonce);
-    for &b in plaintext {
-        out.push(b ^ ks.next_byte());
-    }
-    let tag = mac(key.0, nonce, &out[8..]);
-    out.extend_from_slice(&tag.to_le_bytes());
-    Bytes::from(out)
-}
-
-/// Opens a sealed payload, verifying the tag.
-///
-/// # Errors
-///
-/// * [`CryptoError::Truncated`] when the payload is shorter than the framing.
-/// * [`CryptoError::BadTag`] on corruption or a wrong key.
-pub fn open(key: ChannelKey, sealed: &[u8]) -> Result<Vec<u8>, CryptoError> {
-    if sealed.len() < 8 + TAG_LEN {
-        return Err(CryptoError::Truncated);
-    }
-    let nonce = u64::from_le_bytes(sealed[..8].try_into().expect("8 bytes"));
-    let (body, tag_bytes) = sealed[8..].split_at(sealed.len() - 8 - TAG_LEN);
-    let expected = u64::from_le_bytes(tag_bytes.try_into().expect("8 bytes"));
-    if mac(key.0, nonce, body) != expected {
-        return Err(CryptoError::BadTag);
-    }
-    let mut ks = Keystream::new(key.0 ^ nonce);
-    Ok(body.iter().map(|&b| b ^ ks.next_byte()).collect())
-}
-
-/// Keyed checksum (FNV-1a over key ‖ nonce ‖ data). Toy MAC.
-fn mac(key: u64, nonce: u64, data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in key
-        .to_le_bytes()
-        .iter()
-        .chain(nonce.to_le_bytes().iter())
-        .chain(data.iter())
-    {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Xorshift64* keystream.
-struct Keystream {
-    state: u64,
-    buf: [u8; 8],
-    pos: usize,
-}
-
-impl Keystream {
-    fn new(seed: u64) -> Self {
-        Keystream {
-            state: splitmix(seed).max(1),
-            buf: [0; 8],
-            pos: 8,
-        }
-    }
-
-    fn next_byte(&mut self) -> u8 {
-        if self.pos == 8 {
-            let mut x = self.state;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.state = x;
-            self.buf = x.wrapping_mul(0x2545_F491_4F6C_DD1D).to_le_bytes();
-            self.pos = 0;
-        }
-        let b = self.buf[self.pos];
-        self.pos += 1;
-        b
-    }
-}
-
 fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -141,55 +57,6 @@ fn splitmix(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seal_open_roundtrip() {
-        let key = ChannelKey::derive(42, 1, 2);
-        for msg in [&b""[..], b"x", b"hello multiparty world", &[0u8; 1000]] {
-            let sealed = seal(key, 7, msg);
-            let opened = open(key, &sealed).unwrap();
-            assert_eq!(opened, msg);
-        }
-    }
-
-    #[test]
-    fn ciphertext_differs_from_plaintext() {
-        let key = ChannelKey::derive(1, 2, 3);
-        let msg = b"sensitive dataset bytes";
-        let sealed = seal(key, 9, msg);
-        assert!(!sealed.windows(msg.len()).any(|w| w == msg.as_slice()));
-    }
-
-    #[test]
-    fn different_nonces_different_ciphertexts() {
-        let key = ChannelKey::derive(1, 2, 3);
-        let a = seal(key, 1, b"same message");
-        let b = seal(key, 2, b"same message");
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn tamper_detected() {
-        let key = ChannelKey::derive(5, 1, 2);
-        let sealed = seal(key, 3, b"payload");
-        let mut bad = sealed.to_vec();
-        bad[10] ^= 0x01;
-        assert_eq!(open(key, &bad).unwrap_err(), CryptoError::BadTag);
-    }
-
-    #[test]
-    fn wrong_key_detected() {
-        let k1 = ChannelKey::derive(5, 1, 2);
-        let k2 = ChannelKey::derive(5, 1, 3);
-        let sealed = seal(k1, 3, b"payload");
-        assert_eq!(open(k2, &sealed).unwrap_err(), CryptoError::BadTag);
-    }
-
-    #[test]
-    fn truncated_detected() {
-        let key = ChannelKey::derive(5, 1, 2);
-        assert_eq!(open(key, &[1, 2, 3]).unwrap_err(), CryptoError::Truncated);
-    }
 
     #[test]
     fn key_derivation_is_directional() {

@@ -28,9 +28,9 @@
 //! * [`frame`] — chunked streaming frames with a per-frame sealed
 //!   envelope; datasets travel as row-block streams, never one giant
 //!   allocation.
-//! * [`crypto`] — the legacy byte-wise toy envelope (kept for
-//!   compatibility and comparison benches). **Not real cryptography**,
-//!   and neither is the frame envelope; they model the interface.
+//! * [`crypto`] — per-direction channel keys and the envelope's error
+//!   type. **Not real cryptography**, and neither is the frame envelope;
+//!   they model the interface.
 //! * [`transport`] — the [`transport::Transport`] trait and the in-memory
 //!   hub implementation over channels, one endpoint per party.
 //! * [`tcp`] — a real TCP backend with the same contract: blocking

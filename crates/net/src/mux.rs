@@ -940,6 +940,12 @@ mod tests {
         let (s, frame) = open_frame(key, &bytes).unwrap();
         assert_eq!(s, session);
         assert_eq!(&frame.payload[..], b"fleet");
+        // The relay counts a forward only once its send returned, which
+        // can be after the owner already holds the frame.
+        let deadline = Instant::now() + WAIT;
+        while relay.metrics().frames_forwarded == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
         assert_eq!(relay.metrics().frames_forwarded, 1);
         assert_eq!(relay.metrics().unknown_session_dropped, 0);
 

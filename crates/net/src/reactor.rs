@@ -412,8 +412,8 @@ impl WriteMachine {
 // ---------------------------------------------------------------------------
 
 /// Counters the reactor keeps about its own activity; read them with
-/// [`ReactorTransport::stats`]. The `net_scale` bench uses `wakeups` to
-/// demonstrate that idle lanes cost nothing.
+/// [`ReactorTransport::stats`]. `wakeups` shows that idle lanes cost
+/// nothing (`idle_reactor_barely_wakes` pins it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReactorStats {
     /// Times the poller's wait returned (events or tick).

@@ -603,11 +603,9 @@ mod tests {
 
     #[test]
     fn unreachable_peer_fails_with_typed_connect_error() {
-        // Reserve a port nobody listens on by binding and dropping.
-        let dead_addr = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
+        // Port 1 sits below the kernel's ephemeral range, so no parallel
+        // test's `bind(":0")` can be handed it; nothing listens there.
+        let dead_addr: std::net::SocketAddr = "127.0.0.1:1".parse().unwrap();
         let mut t = TcpTransport::bind(PartyId(1)).unwrap();
         t.set_connect_window(Duration::from_millis(120));
         t.register_peer(PartyId(2), dead_addr);

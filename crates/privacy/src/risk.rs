@@ -91,7 +91,8 @@ pub fn sap_risk(b: f64, rho: f64, s: f64, k: usize) -> f64 {
 ///
 /// The brief plots this bound without restating its derivation; we require
 /// the miner-side identifiability to be no larger than the residual privacy
-/// slack (`π = 1/(k−1) ≤ 1 − s0·O`, see DESIGN.md §5), giving
+/// slack (`π = 1/(k−1) ≤ 1 − s0·O`; the argument is in docs/PRIVACY.md,
+/// "The party-count bound"), giving
 ///
 /// ```text
 /// k_min(s0, O) = 1 + ⌈ 1 / (1 − s0·O) ⌉
@@ -228,7 +229,7 @@ mod tests {
 
     #[test]
     fn min_parties_matches_design_examples() {
-        // DESIGN.md §5 example values.
+        // The example values tabulated in docs/PRIVACY.md, "The party-count bound".
         assert_eq!(min_parties(0.99, 0.98), Some(35));
         assert_eq!(min_parties(0.99, 0.95), Some(18));
         assert_eq!(min_parties(0.99, 0.89), Some(10));

@@ -207,7 +207,7 @@ pub struct ServerConfig {
     /// The shared pool's admission scheduler: QoS class queues with batch
     /// aging and deadline-aware shedding by default;
     /// [`sap_core::runtime::SchedPolicy::Fifo`] restores the pre-QoS
-    /// arrival-order admission (the `load_qos` bench baseline).
+    /// arrival-order admission (kept as the pre-QoS reference).
     pub scheduler: SchedulerConfig,
     /// First session id this server mints
     /// ([`sap_core::placement::IdMinter`] base). Fleet node `j` uses

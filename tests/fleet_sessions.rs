@@ -129,6 +129,24 @@ fn killed_node_fails_fast_and_spares_siblings() {
         })
         .collect();
 
+    // Kill only once the owner has admitted the doomed session. An
+    // un-acked registration is not aborted by the kill: its origin
+    // re-places it on a survivor (see `Fleet::kill`), where total
+    // packet loss would run out the 60 s timeout.
+    let admit_deadline = Instant::now() + Duration::from_secs(5);
+    while fleet.placement(doomed).is_none() {
+        assert!(
+            Instant::now() < admit_deadline,
+            "doomed registration was never admitted"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        fleet.placement(doomed),
+        Some(victim),
+        "the doomed session must be admitted by the node we kill"
+    );
+
     let killed_at = Instant::now();
     fleet.kill(victim).expect("kill the owner");
 

@@ -20,7 +20,7 @@
 # validated at spawn).
 set -euo pipefail
 
-LIMIT="${1:-35}"
+LIMIT="${1:-33}"
 
 cd "$(dirname "$0")/.."
 total=0
