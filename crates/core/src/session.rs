@@ -319,6 +319,17 @@ fn validate_locals(locals: &[Dataset]) -> Result<(usize, usize), SapError> {
                 d.dim()
             )));
         }
+        // A NaN or infinity would poison every attack's estimate and the
+        // privacy score with it (an infinite guarantee, a NaN
+        // satisfaction) instead of failing.
+        for (r, record) in d.records().iter().enumerate() {
+            if let Some(a) = record.iter().position(|v| !v.is_finite()) {
+                return Err(SapError::InconsistentInputs(format!(
+                    "provider {i} record {r} attribute {a} is not finite ({})",
+                    record[a]
+                )));
+            }
+        }
     }
     Ok((dim, num_classes))
 }
@@ -879,6 +890,33 @@ mod tests {
             run_session(locals, &SapConfig::quick_test()),
             Err(SapError::InconsistentInputs(_))
         ));
+    }
+
+    #[test]
+    fn non_finite_attribute_rejected() {
+        let pooled = UciDataset::Iris.generate(9);
+        let mut locals = partition(&pooled, 3, PartitionScheme::Uniform, 10);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut records = locals[1].records().to_vec();
+            records[7][2] = bad;
+            let poisoned = Dataset::with_num_classes(
+                records,
+                locals[1].labels().to_vec(),
+                locals[1].num_classes(),
+            );
+            let original = std::mem::replace(&mut locals[1], poisoned);
+            match run_session(locals.clone(), &SapConfig::quick_test()) {
+                Err(SapError::InconsistentInputs(what)) => assert!(
+                    what.contains("provider 1 record 7 attribute 2"),
+                    "unexpected message: {what}"
+                ),
+                other => panic!(
+                    "{bad} attribute accepted: {:?}",
+                    other.map(|o| o.unified.len())
+                ),
+            }
+            locals[1] = original;
+        }
     }
 
     #[test]

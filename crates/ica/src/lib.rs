@@ -1,4 +1,4 @@
-//! PCA, whitening, and FastICA.
+//! Whitening and FastICA.
 //!
 //! The attack model of Chen & Liu's SDM'07 companion paper (reference \[2\] of
 //! the PODC'07 brief) assumes the adversary runs *independent component
@@ -10,8 +10,6 @@
 //!
 //! Contents:
 //!
-//! * [`pca::Pca`] — principal component analysis via the symmetric eigen
-//!   decomposition of the covariance.
 //! * [`whiten::Whitener`] — zero-mean, unit-covariance transform, the
 //!   standard ICA preprocessing step.
 //! * [`workspace::WhiteningWorkspace`] — a cached eigendecomposition that
@@ -27,12 +25,10 @@
 #![deny(unsafe_code)]
 
 pub mod fastica;
-pub mod pca;
 pub mod whiten;
 pub mod workspace;
 
 pub use fastica::FastIca;
-pub use pca::Pca;
 pub use whiten::Whitener;
 pub use workspace::WhiteningWorkspace;
 

@@ -26,6 +26,9 @@ impl SymmetricEigen {
     /// # Errors
     ///
     /// * [`LinalgError::NotSquare`] for non-square input.
+    /// * [`LinalgError::NonFinite`] when any entry is NaN or infinite
+    ///   (the sweep tolerance scales with the largest entry, so an
+    ///   infinite one would end the sweeps before they start).
     /// * [`LinalgError::NotSymmetric`] when `|aᵢⱼ − aⱼᵢ|` exceeds a small
     ///   tolerance relative to the matrix scale.
     /// * [`LinalgError::NoConvergence`] if the off-diagonal mass does not
@@ -41,6 +44,9 @@ impl SymmetricEigen {
                 reason: "eigendecomposition requires a non-empty matrix",
             });
         }
+        if !a.as_slice().iter().all(|x| x.is_finite()) {
+            return Err(LinalgError::NonFinite);
+        }
         let scale = a.max_abs().max(1.0);
         for i in 0..n {
             for j in i + 1..n {
@@ -50,22 +56,23 @@ impl SymmetricEigen {
             }
         }
 
-        let mut m = a.clone();
+        let mut m = a.as_slice().to_vec();
         // Symmetrize exactly to kill representation noise.
         for i in 0..n {
             for j in i + 1..n {
-                let avg = 0.5 * (m[(i, j)] + m[(j, i)]);
-                m[(i, j)] = avg;
-                m[(j, i)] = avg;
+                let avg = 0.5 * (m[i * n + j] + m[j * n + i]);
+                m[i * n + j] = avg;
+                m[j * n + i] = avg;
             }
         }
-        let mut v = Matrix::identity(n);
+        let mut v = Matrix::identity(n).into_vec();
 
-        let off = |m: &Matrix| -> f64 {
+        // Sum of squares of the strict upper triangle, row by row.
+        let off = |m: &[f64]| -> f64 {
             let mut s = 0.0;
-            for i in 0..n {
-                for j in i + 1..n {
-                    s += m[(i, j)] * m[(i, j)];
+            for (i, row) in m.chunks_exact(n).enumerate() {
+                for &x in &row[i + 1..] {
+                    s += x * x;
                 }
             }
             s
@@ -83,50 +90,40 @@ impl SymmetricEigen {
             }
             for p in 0..n {
                 for q in p + 1..n {
-                    let apq = m[(p, q)];
+                    let apq = m[p * n + q];
                     if apq.abs() < 1e-300 {
                         continue;
                     }
-                    let app = m[(p, p)];
-                    let aqq = m[(q, q)];
+                    let app = m[p * n + p];
+                    let aqq = m[q * n + q];
                     // Stable computation of the Jacobi rotation angle.
                     let theta = (aqq - app) / (2.0 * apq);
                     let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
                     let c = 1.0 / (t * t + 1.0).sqrt();
                     let s = t * c;
 
-                    // Apply the rotation to rows/columns p and q of m.
-                    for k in 0..n {
-                        let mkp = m[(k, p)];
-                        let mkq = m[(k, q)];
-                        m[(k, p)] = c * mkp - s * mkq;
-                        m[(k, q)] = s * mkp + c * mkq;
-                    }
-                    for k in 0..n {
-                        let mpk = m[(p, k)];
-                        let mqk = m[(q, k)];
-                        m[(p, k)] = c * mpk - s * mqk;
-                        m[(q, k)] = s * mpk + c * mqk;
+                    // Apply the rotation to columns p and q of m, then to
+                    // rows p and q (which read the updated columns).
+                    rotate_columns(&mut m, n, p, q, c, s);
+                    let (upper, lower) = m.split_at_mut(q * n);
+                    let row_p = &mut upper[p * n..(p + 1) * n];
+                    let row_q = &mut lower[..n];
+                    for (mpk, mqk) in row_p.iter_mut().zip(row_q.iter_mut()) {
+                        let (a, b) = (*mpk, *mqk);
+                        *mpk = c * a - s * b;
+                        *mqk = s * a + c * b;
                     }
                     // Accumulate eigenvectors.
-                    for k in 0..n {
-                        let vkp = v[(k, p)];
-                        let vkq = v[(k, q)];
-                        v[(k, p)] = c * vkp - s * vkq;
-                        v[(k, q)] = s * vkp + c * vkq;
-                    }
+                    rotate_columns(&mut v, n, p, q, c, s);
                 }
             }
         }
 
         // Sort eigenpairs by descending eigenvalue.
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&i, &j| m[(j, j)].total_cmp(&m[(i, i)]));
-        let eigenvalues: Vec<f64> = order.iter().map(|&i| m[(i, i)]).collect();
-        let mut eigenvectors = Matrix::zeros(n, n);
-        for (new_c, &old_c) in order.iter().enumerate() {
-            eigenvectors.set_column(new_c, &v.column(old_c));
-        }
+        order.sort_by(|&i, &j| m[j * n + j].total_cmp(&m[i * n + i]));
+        let eigenvalues: Vec<f64> = order.iter().map(|&i| m[i * n + i]).collect();
+        let eigenvectors = Matrix::from_fn(n, n, |r, c| v[r * n + order[c]]);
 
         Ok(SymmetricEigen {
             eigenvalues,
@@ -149,6 +146,16 @@ impl SymmetricEigen {
     pub fn reconstruct(&self) -> Matrix {
         let d = Matrix::from_diag(&self.eigenvalues);
         &(&self.eigenvectors * &d) * &self.eigenvectors.transpose()
+    }
+}
+
+/// Applies the Jacobi rotation `(c, s)` to columns `p` and `q` of the
+/// row-major `n × n` matrix `m`, one row at a time.
+fn rotate_columns(m: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
+    for row in m.chunks_exact_mut(n) {
+        let (a, b) = (row[p], row[q]);
+        row[p] = c * a - s * b;
+        row[q] = s * a + c * b;
     }
 }
 
@@ -230,6 +237,21 @@ mod tests {
             SymmetricEigen::new(&a),
             Err(LinalgError::NotSymmetric)
         ));
+    }
+
+    #[test]
+    fn rejects_non_finite_entries() {
+        let nan_diag = Matrix::from_diag(&[f64::NAN, 1.0, 1.0]);
+        assert_eq!(
+            SymmetricEigen::new(&nan_diag).unwrap_err(),
+            LinalgError::NonFinite
+        );
+        for inf in [f64::INFINITY, f64::NEG_INFINITY] {
+            let mut a = Matrix::identity(3);
+            a[(0, 1)] = inf;
+            a[(1, 0)] = inf;
+            assert_eq!(SymmetricEigen::new(&a).unwrap_err(), LinalgError::NonFinite);
+        }
     }
 
     #[test]

@@ -42,6 +42,9 @@ pub enum LinalgError {
         /// Description of the constraint that was violated.
         reason: &'static str,
     },
+    /// An input entry was NaN or infinite where a decomposition needs
+    /// finite values.
+    NonFinite,
 }
 
 impl fmt::Display for LinalgError {
@@ -70,6 +73,7 @@ impl fmt::Display for LinalgError {
             LinalgError::InvalidDimension { reason } => {
                 write!(f, "invalid dimension: {reason}")
             }
+            LinalgError::NonFinite => write!(f, "matrix has a non-finite entry"),
         }
     }
 }
@@ -107,6 +111,7 @@ mod tests {
             LinalgError::InvalidDimension {
                 reason: "dimension must be positive",
             },
+            LinalgError::NonFinite,
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

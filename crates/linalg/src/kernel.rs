@@ -298,21 +298,46 @@ pub fn mul_transpose_rows(lhs: &Matrix, rhs: &Matrix, row0: usize, out: &mut [f6
             }
             j += TNR;
         }
-        // Ragged columns of this 4-row band.
+        // Ragged columns of this 4-row band: the band's four dot products
+        // with one `rhs` row run as independent chains.
         while j < n {
             let br = &b[j * kdim..(j + 1) * kdim];
-            for (ii, ar) in arow.iter().enumerate() {
-                out[(i + ii) * n + j] = dot_skip_zero(ar, br);
+            let mut c = [0.0f64; MR];
+            for (k, &y) in br.iter().enumerate() {
+                for (cv, ar) in c.iter_mut().zip(&arow) {
+                    let x = ar[k];
+                    if x != 0.0 {
+                        *cv += x * y;
+                    }
+                }
+            }
+            for (ii, &cv) in c.iter().enumerate() {
+                out[(i + ii) * n + j] = cv;
             }
             j += 1;
         }
         i += MR;
     }
-    // Ragged rows: plain dot products, same k walk.
+    // Ragged rows: `TNR` dot products at a time as independent chains,
+    // then plain dot products; same k walk.
     while i < rows {
         let ar = &a[(row0 + i) * kdim..(row0 + i + 1) * kdim];
-        for j in 0..n {
+        let mut j = 0;
+        while j + TNR <= n {
+            let mut c = [0.0f64; TNR];
+            for (k, &x) in ar.iter().enumerate() {
+                if x != 0.0 {
+                    for (jj, cv) in c.iter_mut().enumerate() {
+                        *cv += x * b[(j + jj) * kdim + k];
+                    }
+                }
+            }
+            out[i * n + j..i * n + j + TNR].copy_from_slice(&c);
+            j += TNR;
+        }
+        while j < n {
             out[i * n + j] = dot_skip_zero(ar, &b[j * kdim..(j + 1) * kdim]);
+            j += 1;
         }
         i += 1;
     }

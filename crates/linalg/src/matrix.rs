@@ -279,6 +279,30 @@ impl Matrix {
     /// Returns [`LinalgError::ShapeMismatch`] when the inner dimensions
     /// disagree.
     pub fn matmul_with_workers(&self, rhs: &Matrix, workers: usize) -> Result<Matrix> {
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        self.matmul_into_with_workers(rhs, &mut out, workers)?;
+        Ok(out)
+    }
+
+    /// [`Matrix::matmul`] into a caller-owned `out` of shape
+    /// `(self.rows(), rhs.cols())`, which is overwritten — the
+    /// allocation-free form for loops that multiply the same shapes
+    /// repeatedly. Same kernels, same bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] when the inner dimensions
+    /// disagree or `out` has the wrong shape.
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
+        self.matmul_into_with_workers(rhs, out, crate::parallel::threads())
+    }
+
+    fn matmul_into_with_workers(
+        &self,
+        rhs: &Matrix,
+        out: &mut Matrix,
+        workers: usize,
+    ) -> Result<()> {
         if self.cols != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
                 op: "matmul",
@@ -286,9 +310,11 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        check_output("matmul output", out, (self.rows, rhs.cols))?;
+        // The reference kernel accumulates into `out` from 0.0.
+        out.data.fill(0.0);
         if self.rows == 0 || rhs.cols == 0 {
-            return Ok(out);
+            return Ok(());
         }
         let flops = self.rows.saturating_mul(self.cols).saturating_mul(rhs.cols);
         let packed = if crate::kernel::packing_pays(self.rows, self.cols, rhs.cols) {
@@ -311,7 +337,7 @@ impl Matrix {
         } else {
             run(0, &mut out.data);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Matrix product with the transposed right factor, `self * rhsᵀ`,
@@ -331,6 +357,20 @@ impl Matrix {
     /// Returns [`LinalgError::ShapeMismatch`] when the column counts
     /// disagree.
     pub fn mul_transpose(&self, rhs: &Matrix) -> Result<Matrix> {
+        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        self.mul_transpose_into(rhs, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Matrix::mul_transpose`] into a caller-owned `out` of shape
+    /// `(self.rows(), rhs.rows())`, which is overwritten. Same kernel,
+    /// same bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] when the column counts
+    /// disagree or `out` has the wrong shape.
+    pub fn mul_transpose_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.cols != rhs.cols {
             return Err(LinalgError::ShapeMismatch {
                 op: "mul_transpose",
@@ -338,9 +378,9 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        check_output("mul_transpose output", out, (self.rows, rhs.rows))?;
         if self.rows == 0 || rhs.rows == 0 {
-            return Ok(out);
+            return Ok(());
         }
         let flops = self.rows.saturating_mul(self.cols).saturating_mul(rhs.rows);
         let workers = crate::parallel::threads();
@@ -357,7 +397,7 @@ impl Matrix {
         } else {
             crate::kernel::mul_transpose_rows(self, rhs, 0, &mut out.data);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Matrix-vector product `self * v`.
@@ -549,6 +589,19 @@ impl Matrix {
     }
 }
 
+/// Rejects a caller-owned output buffer whose shape is not `expected`.
+fn check_output(op: &'static str, out: &Matrix, expected: (usize, usize)) -> Result<()> {
+    if out.shape() == expected {
+        Ok(())
+    } else {
+        Err(LinalgError::ShapeMismatch {
+            op,
+            lhs: expected,
+            rhs: out.shape(),
+        })
+    }
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f64;
 
@@ -718,6 +771,22 @@ mod tests {
             a.matmul(&b),
             Err(LinalgError::ShapeMismatch { op: "matmul", .. })
         ));
+    }
+
+    #[test]
+    fn into_forms_overwrite_and_check_the_output() {
+        let a = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f64 - 5.0);
+        let b = Matrix::from_fn(4, 2, |r, c| (r + 3 * c) as f64);
+        let mut out = Matrix::filled(3, 2, f64::NAN);
+        a.matmul_into(&b, &mut out).unwrap();
+        assert_eq!(out, a.matmul(&b).unwrap());
+        let bt = b.transpose();
+        let mut out = Matrix::filled(3, 2, f64::NAN);
+        a.mul_transpose_into(&bt, &mut out).unwrap();
+        assert_eq!(out, a.mul_transpose(&bt).unwrap());
+        let mut wrong = Matrix::zeros(2, 3);
+        assert!(a.matmul_into(&b, &mut wrong).is_err());
+        assert!(a.mul_transpose_into(&bt, &mut wrong).is_err());
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! reduce reconstruction quality — which is why the optimizer can find
 //! rotations with high guarantees at all.
 
-use super::{Attack, AttackerKnowledge};
+use super::{skewness, Attack, AttackerKnowledge};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sap_ica::excess_kurtosis;
 use sap_ica::fastica::{FastIca, FastIcaConfig};
-use sap_linalg::{vecops, Matrix};
+use sap_linalg::Matrix;
 
 /// See the module docs.
 #[derive(Debug, Clone)]
@@ -140,16 +140,6 @@ fn match_components(sources: &Matrix, knowledge: &AttackerKnowledge, n_cols: usi
         }
     }
     est
-}
-
-fn skewness(xs: &[f64]) -> f64 {
-    let m = vecops::mean(xs);
-    let s = vecops::std_dev(xs);
-    if s <= 1e-12 {
-        return 0.0;
-    }
-    let n = xs.len() as f64;
-    xs.iter().map(|x| (x - m).powi(3)).sum::<f64>() / n / s.powi(3)
 }
 
 #[cfg(test)]

@@ -75,6 +75,18 @@ impl AttrStats {
     }
 }
 
+/// Sample skewness (third standardized moment); zero for a (near-)constant
+/// sample. The reconstruction attacks use it to resolve sign ambiguity.
+pub(crate) fn skewness(xs: &[f64]) -> f64 {
+    let m = vecops::mean(xs);
+    let s = vecops::std_dev(xs);
+    if s <= 1e-12 {
+        return 0.0;
+    }
+    let n = xs.len() as f64;
+    xs.iter().map(|x| (x - m).powi(3)).sum::<f64>() / n / s.powi(3)
+}
+
 /// Everything the semi-honest adversary knows when attacking a perturbed
 /// dataset.
 #[derive(Debug, Clone, Default)]

@@ -9,10 +9,10 @@
 //! leaves signs ambiguous — a real weakness of the attack that the privacy
 //! evaluation inherits faithfully).
 
-use super::{Attack, AttackerKnowledge};
+use super::{skewness, Attack, AttackerKnowledge};
 use sap_ica::center_columns;
 use sap_linalg::eigen::SymmetricEigen;
-use sap_linalg::{vecops, Matrix};
+use sap_linalg::Matrix;
 
 /// See the module docs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -55,19 +55,21 @@ impl Attack for PcaReconstruction {
         // Greedy sign resolution, axis by axis: flip the axis if flipping
         // reduces the distance between reconstructed and known skewness.
         let mut signs = vec![1.0; d];
-        let ex = eig_x.eigenvectors();
-        let reconstruct = |signs: &[f64]| -> Matrix {
-            let mut xhat = Matrix::zeros(d, perturbed.cols());
-            for r in 0..d {
-                for c in 0..perturbed.cols() {
-                    let mut s = means[r];
-                    for a in 0..d {
-                        s += ex[(r, a)] * signs[a] * scores[(a, c)];
+        let ex = eig_x.eigenvectors().as_slice();
+        let n = perturbed.cols();
+        // Row r of X̂ starts at the mean and adds one scaled score row per
+        // axis `a` ascending — per element the same sum, in the same
+        // order, as `means[r] + Σₐ ex[r][a]·signs[a]·scores[a][c]`.
+        let reconstruct = |signs: &[f64], xhat: &mut Matrix| {
+            for (r, row) in xhat.as_mut_slice().chunks_exact_mut(n).enumerate() {
+                row.fill(means[r]);
+                for (a, score_row) in scores.as_slice().chunks_exact(n).enumerate() {
+                    let coef = ex[r * d + a] * signs[a];
+                    for (x, &sc) in row.iter_mut().zip(score_row) {
+                        *x += coef * sc;
                     }
-                    xhat[(r, c)] = s;
                 }
             }
-            xhat
         };
         let skew_err = |xhat: &Matrix| -> f64 {
             (0..d)
@@ -77,31 +79,23 @@ impl Attack for PcaReconstruction {
                 })
                 .sum()
         };
-        let mut best = reconstruct(&signs);
+        let mut best = Matrix::zeros(d, n);
+        reconstruct(&signs, &mut best);
         let mut best_err = skew_err(&best);
+        let mut cand = Matrix::zeros(d, n);
         for axis in 0..d {
             signs[axis] = -1.0;
-            let cand = reconstruct(&signs);
+            reconstruct(&signs, &mut cand);
             let err = skew_err(&cand);
             if err + 1e-15 < best_err {
                 best_err = err;
-                best = cand;
+                std::mem::swap(&mut best, &mut cand);
             } else {
                 signs[axis] = 1.0;
             }
         }
         Some(best)
     }
-}
-
-fn skewness(xs: &[f64]) -> f64 {
-    let m = vecops::mean(xs);
-    let s = vecops::std_dev(xs);
-    if s <= 1e-12 {
-        return 0.0;
-    }
-    let n = xs.len() as f64;
-    xs.iter().map(|x| (x - m).powi(3)).sum::<f64>() / n / s.powi(3)
 }
 
 #[cfg(test)]

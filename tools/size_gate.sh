@@ -15,7 +15,7 @@
 # that aim into a number each PR must not raise.
 set -euo pipefail
 
-LIMIT=27162
+LIMIT=27160
 
 cd "$(dirname "$0")/.."
 total=0
