@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sap_datasets::Dataset;
 use sap_net::node::Node;
-use sap_net::{Codec, PartyId, Transport};
+use sap_net::{PartyId, Transport};
 use sap_perturb::{GeometricPerturbation, Perturbation, SpaceAdaptor};
 use sap_privacy::engine;
 use sap_privacy::optimize::evaluate_perturbation;
@@ -37,8 +37,8 @@ use std::collections::HashMap;
 /// messaging failure, or protocol violations (duplicate/unknown adaptor
 /// senders, dimension mismatch).
 #[allow(clippy::too_many_lines)]
-pub fn run_coordinator<T: Transport, C: Codec>(
-    node: &Node<T, C>,
+pub fn run_coordinator<T: Transport>(
+    node: &Node<T>,
     data: &Dataset,
     ctx: &RoleCtx<'_>,
 ) -> Result<(ProviderReport, Perturbation), SapError> {

@@ -45,7 +45,7 @@ pub enum SapError {
         /// The protocol phase that exhausted the budget.
         phase: &'static str,
     },
-    /// The messaging layer failed (transport, crypto, or codec).
+    /// The messaging layer failed (transport, crypto, or wire format).
     Messaging(NodeError),
     /// A protocol invariant was violated (unexpected message, wrong
     /// dimensionality, duplicate slot, …).

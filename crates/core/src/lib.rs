@@ -78,8 +78,7 @@ pub use runtime::{
     SessionStatus, SessionTimings, ShedInfo,
 };
 pub use session::{
-    run_session, run_session_over, run_session_over_with_codecs, spawn_session,
-    spawn_session_with_codecs, DataPlane, ProviderReport, RoleCtx, SapConfig, SapOutcome,
-    SessionCodecs,
+    run_session, run_session_over, spawn_session, DataPlane, ProviderReport, RoleCtx, SapConfig,
+    SapOutcome,
 };
 pub use stream::{StreamMonitor, StreamStats};

@@ -1,7 +1,7 @@
 //! The SAP message link: typed protocol messages over the streaming node.
 //!
 //! Control messages ([`SapMessage`] minus the data variants) travel as
-//! ordinary codec frames. Dataset payloads travel as *streams*: a
+//! ordinary wire frames. Dataset payloads travel as *streams*: a
 //! [`DataHeader`] followed by length-prefixed row blocks, so neither
 //! sender nor receiver ever materializes one monolithic serialized
 //! dataset — and the anonymizing relay hop forwards the sealed row blocks
@@ -24,7 +24,7 @@ use crate::session::RoleCtx;
 use bytes::Bytes;
 use sap_datasets::Dataset;
 use sap_net::node::{Node, NodeError, NodeEvent, NodeFlow};
-use sap_net::{Codec, PartyId, SessionId, Transport, TransportError};
+use sap_net::{PartyId, SessionId, Transport, TransportError};
 use sap_perturb::GeometricPerturbation;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -127,9 +127,9 @@ impl DataStream {
 ///
 /// # Errors
 ///
-/// Returns [`SapError::Messaging`] on codec or transport failure.
-pub fn send_message<T: Transport, C: Codec>(
-    node: &Node<T, C>,
+/// Returns [`SapError::Messaging`] on encoding or transport failure.
+pub fn send_message<T: Transport>(
+    node: &Node<T>,
     to: PartyId,
     msg: &SapMessage,
     block_rows: usize,
@@ -149,9 +149,9 @@ pub fn send_message<T: Transport, C: Codec>(
 ///
 /// # Errors
 ///
-/// Returns [`SapError::Messaging`] on codec or transport failure.
-pub fn send_dataset<T: Transport, C: Codec>(
-    node: &Node<T, C>,
+/// Returns [`SapError::Messaging`] on encoding or transport failure.
+pub fn send_dataset<T: Transport>(
+    node: &Node<T>,
     to: PartyId,
     relay: bool,
     slot: SlotTag,
@@ -194,8 +194,8 @@ pub fn send_dataset<T: Transport, C: Codec>(
 /// # Errors
 ///
 /// Returns [`SapError::Messaging`] on transport failure.
-pub fn relay_stream<T: Transport, C: Codec>(
-    node: &Node<T, C>,
+pub fn relay_stream<T: Transport>(
+    node: &Node<T>,
     to: PartyId,
     stream: &DataStream,
 ) -> Result<(), SapError> {
@@ -219,8 +219,8 @@ pub fn relay_stream<T: Transport, C: Codec>(
 /// # Errors
 ///
 /// As [`recv_message`].
-pub fn recv_flow<T: Transport, C: Codec>(
-    node: &Node<T, C>,
+pub fn recv_flow<T: Transport>(
+    node: &Node<T>,
     timeout: Duration,
 ) -> Result<(PartyId, FlowInbound), SapError> {
     let (from, flow) = node
@@ -299,8 +299,8 @@ fn recv_governed<R>(
 /// per-receive expiry, [`SapError::PeerFailure`] when a roster peer dies,
 /// [`SapError::Cancelled`] on cooperative cancellation, and
 /// [`SapError::DeadlineExceeded`] when the session budget runs out.
-pub fn recv_message_ctx<T: Transport, C: Codec>(
-    node: &Node<T, C>,
+pub fn recv_message_ctx<T: Transport>(
+    node: &Node<T>,
     ctx: &RoleCtx<'_>,
     phase: &'static str,
 ) -> Result<(PartyId, Inbound), SapError> {
@@ -313,8 +313,8 @@ pub fn recv_message_ctx<T: Transport, C: Codec>(
 /// # Errors
 ///
 /// As [`recv_message_ctx`].
-pub fn recv_flow_ctx<T: Transport, C: Codec>(
-    node: &Node<T, C>,
+pub fn recv_flow_ctx<T: Transport>(
+    node: &Node<T>,
     ctx: &RoleCtx<'_>,
     phase: &'static str,
 ) -> Result<(PartyId, FlowInbound), SapError> {
@@ -325,10 +325,10 @@ pub fn recv_flow_ctx<T: Transport, C: Codec>(
 ///
 /// # Errors
 ///
-/// Returns [`SapError::Messaging`] on transport/codec failure; framing
+/// Returns [`SapError::Messaging`] on transport/decoding failure; framing
 /// violations surface as [`SapError::Protocol`].
-pub fn recv_message<T: Transport, C: Codec>(
-    node: &Node<T, C>,
+pub fn recv_message<T: Transport>(
+    node: &Node<T>,
     timeout: Duration,
 ) -> Result<(PartyId, Inbound), SapError> {
     let (from, event) = node
@@ -366,15 +366,15 @@ pub fn recv_message<T: Transport, C: Codec>(
 ///
 /// # Errors
 ///
-/// Returns [`SapError::Messaging`] on codec or transport failure, or
+/// Returns [`SapError::Messaging`] on encoding or transport failure, or
 /// [`SapError::Protocol`] on dimension overflow.
 ///
 /// # Panics
 ///
 /// Panics when shapes disagree or `block_rows` is zero.
 #[allow(clippy::too_many_arguments)]
-pub fn send_perturbed_dataset<T: Transport, C: Codec>(
-    node: &Node<T, C>,
+pub fn send_perturbed_dataset<T: Transport>(
+    node: &Node<T>,
     to: PartyId,
     slot: SlotTag,
     g: &GeometricPerturbation,

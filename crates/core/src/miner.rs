@@ -19,7 +19,7 @@ use crate::session::{DataPlane, RoleCtx};
 use crate::stream::{AdaptStage, BlockStage, DatasetSink, StreamPipeline};
 use sap_datasets::Dataset;
 use sap_net::node::Node;
-use sap_net::{Codec, PartyId, Transport};
+use sap_net::{PartyId, Transport};
 use sap_perturb::SpaceAdaptor;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -47,8 +47,8 @@ pub struct MinerOutput {
 /// Returns [`SapError`] on timeout, peer failure, cancellation,
 /// messaging failure, duplicate slots, missing adaptors, or dimension
 /// mismatches.
-pub fn run_miner<T: Transport, C: Codec>(
-    node: &Node<T, C>,
+pub fn run_miner<T: Transport>(
+    node: &Node<T>,
     expected_datasets: usize,
     ctx: &RoleCtx<'_>,
 ) -> Result<MinerOutput, SapError> {
@@ -58,8 +58,8 @@ pub fn run_miner<T: Transport, C: Codec>(
     }
 }
 
-fn run_miner_buffered<T: Transport, C: Codec>(
-    node: &Node<T, C>,
+fn run_miner_buffered<T: Transport>(
+    node: &Node<T>,
     expected_datasets: usize,
     ctx: &RoleCtx<'_>,
 ) -> Result<MinerOutput, SapError> {
@@ -187,8 +187,8 @@ struct CollectedSlot {
 /// Streams whose adaptor arrives later are adapted at unification with
 /// the identical record-major kernel, so both orderings produce the same
 /// bytes as the buffered miner.
-fn run_miner_streaming<T: Transport, C: Codec>(
-    node: &Node<T, C>,
+fn run_miner_streaming<T: Transport>(
+    node: &Node<T>,
     expected_datasets: usize,
     ctx: &RoleCtx<'_>,
 ) -> Result<MinerOutput, SapError> {

@@ -14,7 +14,7 @@
 //! 5. sends its space adaptor `A_it` to the coordinator,
 //! 6. evaluates its satisfaction `sᵢ = ρᵢᴳ / ρᵢ` locally.
 //!
-//! The actor is generic over the transport and codec, so the same code
+//! The actor is generic over the transport, so the same code
 //! runs over the in-memory hub, the fault injector, and real TCP.
 
 use crate::error::SapError;
@@ -28,7 +28,7 @@ use rand::SeedableRng;
 use sap_datasets::Dataset;
 use sap_linalg::Matrix;
 use sap_net::node::{Node, StreamHandle};
-use sap_net::{Codec, PartyId, Transport};
+use sap_net::{PartyId, Transport};
 use sap_perturb::{GeometricPerturbation, Perturbation, SpaceAdaptor};
 use sap_privacy::engine;
 use sap_privacy::optimize::evaluate_perturbation;
@@ -44,8 +44,8 @@ use std::collections::{HashMap, VecDeque};
 /// Returns [`SapError`] on timeout, peer failure, cancellation,
 /// messaging failure, or protocol violation (wrong message kind,
 /// dimension mismatch).
-pub fn run_provider<T: Transport, C: Codec>(
-    node: &Node<T, C>,
+pub fn run_provider<T: Transport>(
+    node: &Node<T>,
     data: &Dataset,
     ctx: &RoleCtx<'_>,
 ) -> Result<ProviderReport, SapError> {
@@ -102,8 +102,8 @@ pub fn run_provider<T: Transport, C: Codec>(
 /// Phases 2–4 on the buffered plane: wait for setup (buffering early
 /// streams whole), perturb and send the entire dataset, then relay each
 /// fully received stream.
-fn exchange_buffered<T: Transport, C: Codec>(
-    node: &Node<T, C>,
+fn exchange_buffered<T: Transport>(
+    node: &Node<T>,
     data: &Dataset,
     x: &Matrix,
     g_local: &GeometricPerturbation,
@@ -214,8 +214,8 @@ fn exchange_buffered<T: Transport, C: Codec>(
 /// perturbs the provider's own data block-by-block while sending, and
 /// accepts setup whenever the coordinator's frame lands — the relay hop
 /// is pipelined instead of store-and-forward.
-fn exchange_streaming<T: Transport, C: Codec>(
-    node: &Node<T, C>,
+fn exchange_streaming<T: Transport>(
+    node: &Node<T>,
     data: &Dataset,
     x: &Matrix,
     g_local: &GeometricPerturbation,
@@ -337,8 +337,8 @@ struct PendingRelay {
 /// time (receivers reassemble per sender), so when several inbound
 /// streams interleave, the first goes through *live* and the rest buffer
 /// until the lane frees — still overlapping their tails once promoted.
-struct RelayPump<'n, T: Transport, C: Codec> {
-    node: &'n Node<T, C>,
+struct RelayPump<'n, T: Transport> {
+    node: &'n Node<T>,
     miner: PartyId,
     monitor: &'n StreamMonitor,
     /// The inbound sender whose blocks are being forwarded live, and the
@@ -350,8 +350,8 @@ struct RelayPump<'n, T: Transport, C: Codec> {
     relayed: u32,
 }
 
-impl<'n, T: Transport, C: Codec> RelayPump<'n, T, C> {
-    fn new(node: &'n Node<T, C>, miner: PartyId, monitor: &'n StreamMonitor) -> Self {
+impl<'n, T: Transport> RelayPump<'n, T> {
+    fn new(node: &'n Node<T>, miner: PartyId, monitor: &'n StreamMonitor) -> Self {
         RelayPump {
             node,
             miner,

@@ -4,8 +4,8 @@
 //! [`run_session`] is the batteries-included entry point over the
 //! in-memory hub (with optional fault injection). [`run_session_over`] is
 //! the generic spine beneath it: hand it any set of [`Transport`]
-//! endpoints (hub, TCP, mux-virtual, fault-wrapped, …) and any [`Codec`],
-//! and the same protocol code runs unchanged. Both are thin wrappers over
+//! endpoints (hub, TCP, mux-virtual, fault-wrapped, …) and the same
+//! protocol code runs unchanged. Both are thin wrappers over
 //! [`spawn_session`], which launches the session's roles as a gang on an
 //! [`ActorPool`] and returns a [`SessionHandle`] — the multi-session
 //! building block `sap-server` drives: `N` concurrent sessions share one
@@ -23,7 +23,6 @@ use crate::runtime::{ActorPool, Gang, QosClass, SessionCollect, SessionHandle, S
 use crate::stream::StreamMonitor;
 use parking_lot::{Condvar, Mutex};
 use sap_datasets::Dataset;
-use sap_net::codec::{Codec, WireCodec};
 use sap_net::node::Node;
 use sap_net::sim::{FaultConfig, FaultyTransport};
 use sap_net::transport::InMemoryHub;
@@ -357,7 +356,7 @@ pub fn run_session(locals: Vec<Dataset>, config: &SapConfig) -> Result<SapOutcom
     let miner_endpoint = hub.endpoint(MINER_ID);
 
     match config.fault_config {
-        None => run_session_over(locals, config, endpoints, miner_endpoint, WireCodec),
+        None => run_session_over(locals, config, endpoints, miner_endpoint),
         Some(faults) => {
             // Same generic path, transports wrapped in the fault injector
             // with a distinct deterministic stream per party.
@@ -370,12 +369,12 @@ pub fn run_session(locals: Vec<Dataset>, config: &SapConfig) -> Result<SapOutcom
                 .collect();
             let miner_wrapped =
                 FaultyTransport::new(miner_endpoint, faults.salted_for(FaultConfig::MINER_SALT));
-            run_session_over(locals, config, wrapped, miner_wrapped, WireCodec)
+            run_session_over(locals, config, wrapped, miner_wrapped)
         }
     }
 }
 
-/// Runs a complete SAP session over caller-supplied transports and codec —
+/// Runs a complete SAP session over caller-supplied transports —
 /// the transport-agnostic spine behind [`run_session`].
 ///
 /// `provider_transports[i]` must be the endpoint whose
@@ -392,50 +391,24 @@ pub fn run_session(locals: Vec<Dataset>, config: &SapConfig) -> Result<SapOutcom
 /// # Errors
 ///
 /// As [`run_session`].
-pub fn run_session_over<T, C>(
+pub fn run_session_over<T>(
     locals: Vec<Dataset>,
     config: &SapConfig,
     provider_transports: Vec<T>,
     miner_transport: T,
-    codec: C,
 ) -> Result<SapOutcome, SapError>
 where
     T: Transport + 'static,
-    C: Codec,
-{
-    let codecs = SessionCodecs::uniform(codec, locals.len());
-    run_session_over_with_codecs(locals, config, provider_transports, miner_transport, codecs)
-}
-
-/// [`run_session_over`] with a **per-party** codec assignment — the entry
-/// point for heterogeneous meshes (e.g. one JSON debug client beside
-/// binary wire clients). See [`SessionCodecs`] for the pairing rules.
-///
-/// # Errors
-///
-/// As [`run_session`], plus [`SapError::InconsistentInputs`] when the
-/// codec count disagrees with the provider count.
-pub fn run_session_over_with_codecs<T, C>(
-    locals: Vec<Dataset>,
-    config: &SapConfig,
-    provider_transports: Vec<T>,
-    miner_transport: T,
-    codecs: SessionCodecs<C>,
-) -> Result<SapOutcome, SapError>
-where
-    T: Transport + 'static,
-    C: Codec,
 {
     validate_locals(&locals)?;
     let pool = ActorPool::new(locals.len() + 1);
-    let handle = spawn_session_with_codecs(
+    let handle = spawn_session(
         &pool,
         SessionId::SOLO,
         locals,
         config,
         provider_transports,
         miner_transport,
-        codecs,
     )?;
     handle.harvest(None)
 }
@@ -456,77 +429,16 @@ where
 /// * [`SapError::TooFewProviders`] / [`SapError::InconsistentInputs`] on
 ///   invalid inputs (checked before anything is spawned).
 /// * [`SapError::Capacity`] when `k + 1` exceeds the pool size.
-pub fn spawn_session<T, C>(
+pub fn spawn_session<T>(
     pool: &ActorPool,
     session: SessionId,
     locals: Vec<Dataset>,
     config: &SapConfig,
     provider_transports: Vec<T>,
     miner_transport: T,
-    codec: C,
 ) -> Result<SessionHandle, SapError>
 where
     T: Transport + 'static,
-    C: Codec,
-{
-    let codecs = SessionCodecs::uniform(codec, locals.len());
-    spawn_session_with_codecs(
-        pool,
-        session,
-        locals,
-        config,
-        provider_transports,
-        miner_transport,
-        codecs,
-    )
-}
-
-/// Per-role codec assignment for a heterogeneous session: `providers[i]`
-/// serializes provider `i`'s traffic (the last provider doubles as
-/// coordinator), `miner` the miner's.
-///
-/// Every pair of roles that exchanges messages must be able to decode
-/// each other's encoding. Either give every role the same codec
-/// ([`SessionCodecs::uniform`], what [`spawn_session`] does), or use
-/// format-detecting codecs like
-/// [`sap_net::codec::AutoCodec`] so a JSON-emitting client can sit beside
-/// wire-emitting clients on one mesh.
-pub struct SessionCodecs<C> {
-    /// Codec of each provider's node, in provider position order.
-    pub providers: Vec<C>,
-    /// Codec of the miner's node.
-    pub miner: C,
-}
-
-impl<C: Codec> SessionCodecs<C> {
-    /// The homogeneous assignment: every role speaks `codec`.
-    pub fn uniform(codec: C, k: usize) -> Self {
-        SessionCodecs {
-            providers: vec![codec.clone(); k],
-            miner: codec,
-        }
-    }
-}
-
-/// [`spawn_session`] with a **per-party** codec assignment — the
-/// heterogeneous-mesh variant behind [`run_session_over_with_codecs`].
-///
-/// # Errors
-///
-/// As [`spawn_session`], plus [`SapError::InconsistentInputs`] when
-/// `codecs.providers` disagrees with the provider count.
-pub fn spawn_session_with_codecs<T, C>(
-    pool: &ActorPool,
-    session: SessionId,
-    locals: Vec<Dataset>,
-    config: &SapConfig,
-    provider_transports: Vec<T>,
-    miner_transport: T,
-    codecs: SessionCodecs<C>,
-) -> Result<SessionHandle, SapError>
-where
-    T: Transport + 'static,
-    C: Codec,
 {
     let (_dim, num_classes) = validate_locals(&locals)?;
     let k = locals.len();
@@ -534,12 +446,6 @@ where
         return Err(SapError::InconsistentInputs(format!(
             "{} transports for {k} providers",
             provider_transports.len()
-        )));
-    }
-    if codecs.providers.len() != k {
-        return Err(SapError::InconsistentInputs(format!(
-            "{} codecs for {k} providers",
-            codecs.providers.len()
         )));
     }
     let providers: Vec<PartyId> = provider_transports
@@ -592,12 +498,7 @@ where
         let transport = transports[pos]
             .take()
             .ok_or_else(|| SapError::Protocol("endpoint consumed twice".into()))?;
-        let node = Node::for_session(
-            transport,
-            codecs.providers[pos].clone(),
-            config.session_secret,
-            session,
-        );
+        let node = Node::for_session(transport, config.session_secret, session);
         let data = Arc::clone(&locals[pos]);
         let cfg = config.clone();
         let audit = audit.clone();
@@ -631,12 +532,7 @@ where
         let transport = transports[k - 1]
             .take()
             .ok_or_else(|| SapError::Protocol("coordinator endpoint consumed".into()))?;
-        let node = Node::for_session(
-            transport,
-            codecs.providers[k - 1].clone(),
-            config.session_secret,
-            session,
-        );
+        let node = Node::for_session(transport, config.session_secret, session);
         let data = Arc::clone(&locals[k - 1]);
         let cfg = config.clone();
         let audit = audit.clone();
@@ -666,12 +562,7 @@ where
 
     // Miner.
     {
-        let node = Node::for_session(
-            miner_transport,
-            codecs.miner.clone(),
-            config.session_secret,
-            session,
-        );
+        let node = Node::for_session(miner_transport, config.session_secret, session);
         let cfg = config.clone();
         let audit = audit.clone();
         let shared = Arc::clone(&shared);
@@ -735,7 +626,6 @@ mod tests {
     use super::*;
     use sap_datasets::partition::{partition, PartitionScheme};
     use sap_datasets::registry::UciDataset;
-    use sap_net::codec::JsonCodec;
 
     #[test]
     fn session_runs_end_to_end() {
@@ -752,27 +642,6 @@ mod tests {
             assert!(r.rho_local >= 0.0);
             assert!(r.satisfaction >= 0.0);
         }
-    }
-
-    #[test]
-    fn session_runs_under_json_codec() {
-        // The whole protocol is codec-generic: swap in the debug codec and
-        // nothing else changes.
-        let pooled = UciDataset::Iris.generate(5);
-        let locals = partition(&pooled, 3, PartitionScheme::Uniform, 6);
-        let hub = InMemoryHub::new();
-        let providers: Vec<PartyId> = (0..3).map(PartyId).collect();
-        let endpoints: Vec<_> = providers.iter().map(|&p| hub.endpoint(p)).collect();
-        let miner = hub.endpoint(MINER_ID);
-        let outcome = run_session_over(
-            locals,
-            &SapConfig::quick_test(),
-            endpoints,
-            miner,
-            JsonCodec,
-        )
-        .unwrap();
-        assert_eq!(outcome.unified.len(), pooled.len());
     }
 
     #[test]
@@ -927,13 +796,7 @@ mod tests {
         let endpoints = vec![hub.endpoint(PartyId(0)), hub.endpoint(PartyId(1))];
         let miner = hub.endpoint(MINER_ID);
         assert!(matches!(
-            run_session_over(
-                locals,
-                &SapConfig::quick_test(),
-                endpoints,
-                miner,
-                WireCodec
-            ),
+            run_session_over(locals, &SapConfig::quick_test(), endpoints, miner),
             Err(SapError::InconsistentInputs(_))
         ));
     }

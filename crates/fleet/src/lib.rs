@@ -51,7 +51,7 @@ use sap_net::frame::open_frame;
 use sap_net::mux::{MuxEndpoint, SessionMux};
 use sap_net::tcp::{local_mesh_with, Backend, TcpLane, DEFAULT_CONNECT_WINDOW};
 use sap_net::transport::Endpoint;
-use sap_net::{Codec, PartyId, SessionId, Transport, TransportError, WireCodec};
+use sap_net::{PartyId, SessionId, Transport, TransportError};
 use sap_server::{RetryPolicy, SapServer, ServerConfig, ServerError};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -759,7 +759,7 @@ fn service_loop(node: &FleetNode, shared: &Shared) {
                         bytes::Bytes::from(joined)
                     }
                 };
-                let Ok(msg) = WireCodec.decode::<FleetMsg>(&bytes) else {
+                let Ok(msg) = sap_net::wire::from_bytes::<FleetMsg>(&bytes) else {
                     continue;
                 };
                 handle_msg(node, shared, msg);

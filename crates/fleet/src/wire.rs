@@ -3,7 +3,7 @@
 //!
 //! Every fleet node owns one **inbox session** in the reserved
 //! [`CONTROL_BASE`] range of the session-id space, opened on its
-//! inter-node lane mux. A registration for session `S` is codec-encoded,
+//! inter-node lane mux. A registration for session `S` is wire-encoded,
 //! chunked ([`split_message`]), sealed per frame (wire format v4,
 //! unchanged), stamped with the *owner's* inbox session id, and sent to
 //! the sender's ring successor. Intermediate nodes have no route for a
@@ -32,7 +32,7 @@ use sap_datasets::Dataset;
 use sap_net::crypto::ChannelKey;
 use sap_net::frame::{seal_frame, split_message, DEFAULT_CHUNK_SIZE};
 use sap_net::sim::FaultConfig;
-use sap_net::{Codec, PartyId, SessionId, Transport, WireCodec};
+use sap_net::{wire, PartyId, SessionId, Transport};
 use sap_privacy::{OptimizerConfig, StagedBudget};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -236,9 +236,7 @@ pub fn send_via<T: Transport>(
 ) -> Result<(), FleetError> {
     let session = inbox_session(dest);
     let key = inbox_key(fleet_secret, dest);
-    let encoded = WireCodec
-        .encode(msg)
-        .map_err(|e| FleetError::Wire(e.to_string()))?;
+    let encoded = wire::to_bytes(msg).map_err(|e| FleetError::Wire(e.to_string()))?;
     for frame in split_message(msg_id, Bytes::from(encoded), DEFAULT_CHUNK_SIZE) {
         // Unique per (sender, message, frame); senders embed their node
         // index in msg_id so two nodes never reuse a nonce on the same
@@ -316,7 +314,7 @@ mod tests {
         let Ok(Some(Assembled::Message(bytes))) = asm.feed(from, frame) else {
             panic!("single-frame message must assemble");
         };
-        let decoded: FleetMsg = WireCodec.decode(&bytes).unwrap();
+        let decoded: FleetMsg = wire::from_bytes(&bytes).unwrap();
         assert!(matches!(
             decoded,
             FleetMsg::Ack {

@@ -93,9 +93,9 @@ const RESERVED_BITS: u8 = 0x7C;
 /// Frame classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
-    /// A chunk of an ordinary codec-encoded message.
+    /// A chunk of an ordinary wire-encoded message.
     Control,
-    /// The codec-encoded header that opens a stream.
+    /// The wire-encoded header that opens a stream.
     StreamHeader,
     /// One raw block of stream payload.
     StreamBlock,
@@ -432,7 +432,7 @@ pub fn seal_frame(key: ChannelKey, nonce: u64, session: SessionId, frame: &Frame
 /// Seals a frame whose payload is produced **directly into the sealed
 /// buffer**: acquires a pooled buffer, writes the envelope prefix and
 /// packed header, calls `write_payload` to append the payload bytes (a
-/// codec sink, a row-block encoder, …), then encrypts in place and tags.
+/// wire encoder, a row-block encoder, …), then encrypts in place and tags.
 /// This is the zero-intermediate-copy path: payload bytes are only ever
 /// written once, into the buffer the transport will hand to the socket.
 ///
@@ -602,10 +602,10 @@ pub fn split_message(msg_id: u64, encoded: Bytes, chunk_size: usize) -> Vec<Fram
 /// A fully reassembled inbound message.
 #[derive(Debug)]
 pub enum Assembled {
-    /// An ordinary codec-encoded message (chunks already joined; a
+    /// An ordinary wire-encoded message (chunks already joined; a
     /// single-frame message passes through without copying).
     Message(Bytes),
-    /// A stream: the codec-encoded header plus its raw blocks, never
+    /// A stream: the wire-encoded header plus its raw blocks, never
     /// concatenated.
     Stream {
         /// Encoded stream header.
@@ -850,7 +850,7 @@ pub enum FlowItem {
     /// A fully assembled control message (control frames are small and
     /// still coalesce).
     Message(Bytes),
-    /// A stream opened: the codec-encoded header. `last` marks an empty
+    /// A stream opened: the wire-encoded header. `last` marks an empty
     /// stream (no blocks follow).
     StreamHeader {
         /// Encoded stream header.

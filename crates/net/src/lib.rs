@@ -7,11 +7,11 @@
 //! layered pipeline in which every layer is swappable:
 //!
 //! ```text
-//!   protocol actors (sap-core)          — generic over Transport + Codec
+//!   protocol actors (sap-core)          — generic over Transport
 //!        │ typed messages / streams
-//!   [`node`]   Node<T, C>               — typed send/recv, stream relay,
-//!        │ codec-encoded bytes            session-stamped envelopes
-//!   [`codec`]  Codec: wire | json       — pluggable serialization
+//!   [`node`]   Node<T>                  — typed send/recv, stream relay,
+//!        │ wire-encoded bytes             session-stamped envelopes
+//!   [`wire`]   varint binary format     — the one serialization
 //!        │ encoded message
 //!   [`frame`]  chunked sealed frames    — bounded chunks, per-frame seal,
 //!        │ sealed v4 frames (Bytes)       authenticated SessionId stamp
@@ -20,11 +20,8 @@
 //!   [`transport`] / [`tcp`] / [`sim`]   — in-memory hub, TCP, fault inject
 //! ```
 //!
-//! * [`codec`] — the [`codec::Codec`] trait; [`codec::WireCodec`] (compact
-//!   binary, default) and [`codec::JsonCodec`] (self-describing debug).
-//! * [`wire`] — the binary format behind `WireCodec` (spec in the module
-//!   docs).
-//! * [`json`] — the JSON-ish format behind `JsonCodec`.
+//! * [`wire`] — the compact varint binary format every message travels
+//!   in (spec in the module docs).
 //! * [`frame`] — chunked streaming frames with a per-frame sealed
 //!   envelope; datasets travel as row-block streams, never one giant
 //!   allocation.
@@ -45,16 +42,14 @@
 //!   shedding), keyed by the v4 envelope's authenticated session stamp.
 //! * [`sim`] — a fault-injecting transport decorator (drops, duplicates,
 //!   reordering, link latency) for failure-injection tests and benches.
-//! * [`node`] — typed convenience layer: send/receive codec values over
+//! * [`node`] — typed convenience layer: send/receive wire values over
 //!   sealed frames, plus zero-decode stream relays.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod codec;
 pub mod crypto;
 pub mod frame;
-pub mod json;
 pub mod mux;
 pub mod node;
 pub mod pool;
@@ -64,7 +59,6 @@ pub mod tcp;
 pub mod transport;
 pub mod wire;
 
-pub use codec::{AutoCodec, Codec, CodecError, JsonCodec, WireCodec};
 pub use mux::{MuxEndpoint, MuxMetrics, SessionMux};
 pub use node::{Node, NodeEvent, NodeFlow, StreamHandle};
 pub use reactor::{ReactorStats, ReactorTransport};

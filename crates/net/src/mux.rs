@@ -836,7 +836,6 @@ impl<T: Transport + 'static> Drop for MuxEndpoint<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::WireCodec;
     use crate::node::{Node, NodeError};
     use crate::transport::InMemoryHub;
 
@@ -857,12 +856,7 @@ mod tests {
         session: SessionId,
         secret: u64,
     ) -> Node<MuxEndpoint<crate::transport::Endpoint>> {
-        Node::for_session(
-            mux.open_session(session).unwrap(),
-            WireCodec,
-            secret,
-            session,
-        )
+        Node::for_session(mux.open_session(session).unwrap(), secret, session)
     }
 
     const WAIT: Duration = Duration::from_secs(5);

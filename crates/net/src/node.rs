@@ -1,8 +1,8 @@
 //! Typed, sealed, frame-based messaging on top of a [`Transport`].
 //!
-//! A [`Node`] owns a transport endpoint, a pluggable [`Codec`], and the
-//! session secret. Every outgoing message is codec-encoded once into a
-//! pooled scratch buffer (see [`crate::pool`]), split into bounded
+//! A [`Node`] owns a transport endpoint and the session secret. Every
+//! outgoing message is [`crate::wire`]-encoded once into a pooled scratch
+//! buffer (see [`crate::pool`]), split into bounded
 //! [`crate::frame`] chunks, and each chunk sealed **directly into a
 //! pooled envelope buffer** under the per-direction channel key. Large
 //! payloads can instead travel as *streams* — a typed header plus raw
@@ -13,9 +13,8 @@
 //! [`Node::stream_block_with`].
 //!
 //! This is the layer the protocol actors in `sap-core` talk to; they are
-//! generic over both the transport and the codec.
+//! generic over the transport.
 
-use crate::codec::{Codec, CodecError, WireCodec};
 use crate::crypto::ChannelKey;
 use crate::frame::{
     self, Assembled, FlowItem, Frame, FrameError, FrameKind, FrameMeta, Reassembler,
@@ -23,6 +22,7 @@ use crate::frame::{
 };
 use crate::pool;
 use crate::transport::{PartyId, SessionId, Transport, TransportError};
+use crate::wire::{self, WireError};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use serde::de::DeserializeOwned;
@@ -38,8 +38,8 @@ pub enum NodeError {
     Transport(TransportError),
     /// A frame failed to open or violated framing invariants.
     Frame(FrameError),
-    /// The payload failed to encode or decode under the codec.
-    Codec(CodecError),
+    /// The payload failed to encode or decode in the wire format.
+    Codec(WireError),
 }
 
 impl std::fmt::Display for NodeError {
@@ -66,8 +66,8 @@ impl From<FrameError> for NodeError {
     }
 }
 
-impl From<CodecError> for NodeError {
-    fn from(e: CodecError) -> Self {
+impl From<WireError> for NodeError {
+    fn from(e: WireError) -> Self {
         NodeError::Codec(e)
     }
 }
@@ -146,7 +146,7 @@ impl StreamHandle {
     }
 }
 
-/// A party's typed messaging endpoint, generic over transport and codec.
+/// A party's typed messaging endpoint, generic over the transport.
 ///
 /// # Threading contract
 ///
@@ -157,9 +157,8 @@ impl StreamHandle {
 /// into reassembly out of order, and concurrent sends to the same peer
 /// could interleave two messages' frames — both abort the session by
 /// design (framing violations are protocol violations).
-pub struct Node<T: Transport, C: Codec = WireCodec> {
+pub struct Node<T: Transport> {
     transport: T,
-    codec: C,
     session_secret: u64,
     session: SessionId,
     counter: AtomicU64,
@@ -167,30 +166,21 @@ pub struct Node<T: Transport, C: Codec = WireCodec> {
     recv_state: Mutex<RecvState>,
 }
 
-impl<T: Transport> Node<T, WireCodec> {
-    /// Wraps a transport with the shared session secret and the default
-    /// binary wire codec, in the standalone session ([`SessionId::SOLO`]).
+impl<T: Transport> Node<T> {
+    /// Wraps a transport with the session secret (all parties of a
+    /// session derive pairwise channel keys from it), in the standalone
+    /// session ([`SessionId::SOLO`]).
     pub fn new(transport: T, session_secret: u64) -> Self {
-        Node::with_codec(transport, WireCodec, session_secret)
-    }
-}
-
-impl<T: Transport, C: Codec> Node<T, C> {
-    /// Wraps a transport with an explicit codec and the session secret
-    /// (all parties of a session derive pairwise channel keys from it),
-    /// in the standalone session ([`SessionId::SOLO`]).
-    pub fn with_codec(transport: T, codec: C, session_secret: u64) -> Self {
-        Node::for_session(transport, codec, session_secret, SessionId::SOLO)
+        Node::for_session(transport, session_secret, SessionId::SOLO)
     }
 
     /// Wraps a transport for one session of a multiplexed mesh: every
     /// outgoing frame is stamped (and sealed) for `session`, and inbound
     /// frames stamped for any other session are rejected with
     /// [`FrameError::SessionMismatch`].
-    pub fn for_session(transport: T, codec: C, session_secret: u64, session: SessionId) -> Self {
+    pub fn for_session(transport: T, session_secret: u64, session: SessionId) -> Self {
         Node {
             transport,
-            codec,
             session_secret,
             session,
             counter: AtomicU64::new(1),
@@ -228,11 +218,6 @@ impl<T: Transport, C: Codec> Node<T, C> {
         &self.transport
     }
 
-    /// The codec in use.
-    pub fn codec(&self) -> &C {
-        &self.codec
-    }
-
     fn send_key(&self, to: PartyId) -> ChannelKey {
         ChannelKey::derive(self.session_secret, self.id().0, to.0)
     }
@@ -267,18 +252,18 @@ impl<T: Transport, C: Codec> Node<T, C> {
 
     /// Encodes, chunks, seals, and sends a message.
     ///
-    /// The message is codec-encoded once into a pooled scratch buffer and
+    /// The message is wire-encoded once into a pooled scratch buffer and
     /// each chunk is sealed directly into a pooled envelope buffer — no
     /// per-frame allocation on the steady-state path.
     ///
     /// # Errors
     ///
-    /// Returns [`NodeError::Codec`] on serialization failure or
+    /// Returns [`NodeError::Codec`] on encoding failure or
     /// [`NodeError::Transport`] on delivery failure.
     pub fn send_msg<M: Serialize>(&self, to: PartyId, msg: &M) -> Result<(), NodeError> {
         let pool = pool::global();
         let mut scratch = pool.acquire(self.chunk_size.min(DEFAULT_CHUNK_SIZE));
-        if let Err(e) = self.codec.encode_into(msg, &mut scratch) {
+        if let Err(e) = wire::to_writer(msg, &mut scratch) {
             pool.recycle_vec(scratch);
             return Err(e.into());
         }
@@ -357,9 +342,8 @@ impl<T: Transport, C: Codec> Node<T, C> {
             seq: 0,
             last: empty,
         };
-        let codec = &self.codec;
         self.seal_and_send(to, meta, 256, |out| {
-            codec.encode_into(header, out).map_err(NodeError::Codec)
+            wire::to_writer(header, out).map_err(NodeError::Codec)
         })?;
         Ok(StreamHandle {
             to,
@@ -392,7 +376,7 @@ impl<T: Transport, C: Codec> Node<T, C> {
 
     /// Sends one block on an open stream, generating its payload
     /// **directly into the pooled sealed buffer**: `write_payload` (a
-    /// codec sink, a row-block encoder, …) appends the block's bytes to
+    /// wire encoder, a row-block encoder, …) appends the block's bytes to
     /// the buffer the transport will hand to the socket, so the block
     /// never exists as a separate allocation. `size_hint` pre-sizes the
     /// buffer (a loose estimate is fine); `last` closes the stream.
@@ -413,7 +397,7 @@ impl<T: Transport, C: Codec> Node<T, C> {
         write_payload: F,
     ) -> Result<(), NodeError>
     where
-        F: FnOnce(&mut Vec<u8>) -> Result<(), CodecError>,
+        F: FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
     {
         assert!(!stream.finished, "stream already finished");
         let meta = FrameMeta {
@@ -483,9 +467,9 @@ impl<T: Transport, C: Codec> Node<T, C> {
         assembled: Assembled,
     ) -> Result<NodeEvent<M, H>, NodeError> {
         match assembled {
-            Assembled::Message(bytes) => Ok(NodeEvent::Msg(self.codec.decode(&bytes)?)),
+            Assembled::Message(bytes) => Ok(NodeEvent::Msg(wire::from_bytes(&bytes)?)),
             Assembled::Stream { header, blocks } => Ok(NodeEvent::Stream {
-                header: self.codec.decode(&header)?,
+                header: wire::from_bytes(&header)?,
                 blocks,
             }),
         }
@@ -495,7 +479,7 @@ impl<T: Transport, C: Codec> Node<T, C> {
     ///
     /// # Errors
     ///
-    /// Transport, frame, or codec errors; a frame error implies a protocol
+    /// Transport, frame, or wire-format errors; a frame error implies a protocol
     /// violation and should abort the session.
     pub fn recv_event<M: DeserializeOwned, H: DeserializeOwned>(
         &self,
@@ -537,9 +521,9 @@ impl<T: Transport, C: Codec> Node<T, C> {
     ) -> Result<(PartyId, NodeFlow<M, H>), NodeError> {
         let (from, item) = self.next_flow(Some(Instant::now() + timeout))?;
         let flow = match item {
-            FlowItem::Message(bytes) => NodeFlow::Msg(self.codec.decode(&bytes)?),
+            FlowItem::Message(bytes) => NodeFlow::Msg(wire::from_bytes(&bytes)?),
             FlowItem::StreamHeader { header, last } => NodeFlow::StreamStart {
-                header: self.codec.decode(&header)?,
+                header: wire::from_bytes(&header)?,
                 last,
             },
             FlowItem::StreamBlock { block, last } => NodeFlow::StreamBlock { block, last },
@@ -555,7 +539,7 @@ impl<T: Transport, C: Codec> Node<T, C> {
     /// stream arrives.
     pub fn recv_msg<M: DeserializeOwned>(&self) -> Result<(PartyId, M), NodeError> {
         match self.next_assembled(None)? {
-            (from, Assembled::Message(bytes)) => Ok((from, self.codec.decode(&bytes)?)),
+            (from, Assembled::Message(bytes)) => Ok((from, wire::from_bytes(&bytes)?)),
             _ => Err(FrameError::UnexpectedStream.into()),
         }
     }
@@ -570,7 +554,7 @@ impl<T: Transport, C: Codec> Node<T, C> {
         timeout: Duration,
     ) -> Result<(PartyId, M), NodeError> {
         match self.next_assembled(Some(Instant::now() + timeout))? {
-            (from, Assembled::Message(bytes)) => Ok((from, self.codec.decode(&bytes)?)),
+            (from, Assembled::Message(bytes)) => Ok((from, wire::from_bytes(&bytes)?)),
             _ => Err(FrameError::UnexpectedStream.into()),
         }
     }
@@ -579,7 +563,6 @@ impl<T: Transport, C: Codec> Node<T, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::JsonCodec;
     use crate::transport::InMemoryHub;
     use serde::Deserialize;
 
@@ -601,20 +584,6 @@ mod tests {
         a.send_msg(PartyId(2), &msg).unwrap();
         let (from, got): (PartyId, Hello) = b.recv_msg().unwrap();
         assert_eq!(from, PartyId(1));
-        assert_eq!(got, msg);
-    }
-
-    #[test]
-    fn typed_roundtrip_under_json_codec() {
-        let hub = InMemoryHub::new();
-        let a = Node::with_codec(hub.endpoint(PartyId(1)), JsonCodec, 99);
-        let b = Node::with_codec(hub.endpoint(PartyId(2)), JsonCodec, 99);
-        let msg = Hello {
-            round: 9,
-            body: vec![-1.0, 0.25],
-        };
-        a.send_msg(PartyId(2), &msg).unwrap();
-        let (_, got): (PartyId, Hello) = b.recv_msg().unwrap();
         assert_eq!(got, msg);
     }
 
@@ -770,8 +739,8 @@ mod tests {
         // is part of the envelope) but the node rejects the foreign
         // session before any payload reaches the caller.
         let hub = InMemoryHub::new();
-        let a = Node::for_session(hub.endpoint(PartyId(1)), WireCodec, 9, SessionId(1));
-        let b = Node::for_session(hub.endpoint(PartyId(2)), WireCodec, 9, SessionId(2));
+        let a = Node::for_session(hub.endpoint(PartyId(1)), 9, SessionId(1));
+        let b = Node::for_session(hub.endpoint(PartyId(2)), 9, SessionId(2));
         a.send_msg(PartyId(2), &7u32).unwrap();
         let err = b.recv_msg::<u32>().unwrap_err();
         assert!(

@@ -1,5 +1,5 @@
-//! A compact varint binary serde codec — the format behind
-//! [`crate::codec::WireCodec`], the default of the pluggable codec layer.
+//! A compact varint binary serde codec — the one format every message
+//! of the stack travels in ([`crate::node::Node`] encodes with it).
 //!
 //! The offline dependency set includes `serde` but no serde *format*
 //! crate, so the wire format is implemented here: a non-self-describing

@@ -83,7 +83,7 @@ use sap_net::mux::{MuxEndpoint, SessionMux};
 use sap_net::sim::FaultyTransport;
 use sap_net::tcp::{local_mesh, TcpLane};
 use sap_net::transport::Endpoint;
-use sap_net::{InMemoryHub, PartyId, SessionId, Transport, TransportError, WireCodec};
+use sap_net::{InMemoryHub, PartyId, SessionId, Transport, TransportError};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -648,7 +648,6 @@ impl<T: Transport + 'static> SapServer<T> {
                 session_config,
                 endpoints,
                 miner_endpoint,
-                WireCodec,
             ),
             Some(faults) => {
                 // Same per-position salting as run_session, via the shared
@@ -670,7 +669,6 @@ impl<T: Transport + 'static> SapServer<T> {
                     session_config,
                     wrapped,
                     miner_wrapped,
-                    WireCodec,
                 )
             }
         };

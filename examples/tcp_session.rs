@@ -1,40 +1,27 @@
 //! A full SAP session over real localhost TCP sockets.
 //!
-//! The protocol actors are generic over transport and codec, so the only
+//! The protocol actors are generic over the transport, so the only
 //! difference from `quickstart` is the setup: bind one TCP endpoint per
 //! party, mesh them, and hand them to `run_session_over`.
 //!
 //! ```text
-//! cargo run --example tcp_session --release [-- json]
+//! cargo run --example tcp_session --release
 //! ```
-//!
-//! Pass `json` to run the session under the self-describing debug codec
-//! instead of the compact binary one.
 
 use sap_repro::core::session::{run_session_over, SapConfig, MINER_ID};
 use sap_repro::datasets::normalize::min_max_normalize;
 use sap_repro::datasets::partition::{partition, PartitionScheme};
 use sap_repro::datasets::registry::UciDataset;
-use sap_repro::net::codec::{JsonCodec, WireCodec};
 use sap_repro::net::tcp::local_mesh;
 use sap_repro::net::{PartyId, Transport};
 
 fn main() {
-    let use_json = std::env::args().nth(1).is_some_and(|a| a == "json");
     let k = 4;
 
     // Horizontal partitions of a normalized synthetic Iris.
     let (data, _) = min_max_normalize(&UciDataset::Iris.generate(42));
     let locals = partition(&data, k, PartitionScheme::Uniform, 7);
-    println!(
-        "dataset: {} records over {k} providers; codec: {}",
-        data.len(),
-        if use_json {
-            "json (debug)"
-        } else {
-            "wire (binary)"
-        }
-    );
+    println!("dataset: {} records over {k} providers", data.len());
 
     // One TCP endpoint per provider plus the miner, meshed on localhost.
     let mut ids: Vec<PartyId> = (0..k as u64).map(PartyId).collect();
@@ -46,12 +33,7 @@ fn main() {
     }
 
     let config = SapConfig::quick_test();
-    let outcome = if use_json {
-        run_session_over(locals, &config, mesh, miner, JsonCodec)
-    } else {
-        run_session_over(locals, &config, mesh, miner, WireCodec)
-    }
-    .expect("session over TCP");
+    let outcome = run_session_over(locals, &config, mesh, miner).expect("session over TCP");
 
     println!(
         "unified: {} records in the target space; identifiability 1/(k-1) = {:.3}",

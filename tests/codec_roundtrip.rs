@@ -1,13 +1,13 @@
-//! Codec-layer property tests: every [`SapMessage`] variant round-trips
-//! under both codecs, and adversarial inputs (truncation, trailing bytes,
-//! bad tags) fail cleanly instead of yielding garbage.
+//! Wire-format property tests: every [`SapMessage`] variant round-trips
+//! byte-exactly, and adversarial inputs (truncation, trailing bytes, bad
+//! tags) fail cleanly instead of yielding garbage.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sap_repro::core::messages::{SapMessage, SlotTag};
 use sap_repro::datasets::Dataset;
-use sap_repro::net::codec::{Codec, JsonCodec, WireCodec};
+use sap_repro::net::wire::{from_bytes, to_bytes};
 use sap_repro::net::PartyId;
 use sap_repro::perturb::{Perturbation, SpaceAdaptor};
 
@@ -57,25 +57,15 @@ fn all_variants(seed: u64, dim: usize, rows: usize) -> Vec<SapMessage> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every variant survives the wire codec byte-exactly.
+    /// Every variant survives the wire format byte-exactly.
     #[test]
     fn wire_roundtrips_every_variant(seed in any::<u64>(), dim in 1usize..6, rows in 1usize..12) {
         for msg in all_variants(seed, dim, rows) {
-            let bytes = WireCodec.encode(&msg).unwrap();
-            let back: SapMessage = WireCodec.decode(&bytes).unwrap();
+            let bytes = to_bytes(&msg).unwrap();
+            let back: SapMessage = from_bytes(&bytes).unwrap();
             prop_assert_eq!(&back, &msg);
             // Decode must be stable under re-encode.
-            prop_assert_eq!(WireCodec.encode(&back).unwrap(), bytes);
-        }
-    }
-
-    /// Every variant survives the JSON debug codec.
-    #[test]
-    fn json_roundtrips_every_variant(seed in any::<u64>(), dim in 1usize..5, rows in 1usize..8) {
-        for msg in all_variants(seed, dim, rows) {
-            let bytes = JsonCodec.encode(&msg).unwrap();
-            let back: SapMessage = JsonCodec.decode(&bytes).unwrap();
-            prop_assert_eq!(back, msg);
+            prop_assert_eq!(to_bytes(&back).unwrap(), bytes);
         }
     }
 
@@ -84,26 +74,22 @@ proptest! {
     #[test]
     fn truncated_wire_input_errors(seed in any::<u64>(), cut_frac in 0.0f64..1.0) {
         for msg in all_variants(seed, 3, 4) {
-            let bytes = WireCodec.encode(&msg).unwrap();
+            let bytes = to_bytes(&msg).unwrap();
             let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
             prop_assert!(
-                WireCodec.decode::<SapMessage>(&bytes[..cut]).is_err(),
+                from_bytes::<SapMessage>(&bytes[..cut]).is_err(),
                 "truncation to {cut}/{} bytes must fail", bytes.len()
             );
         }
     }
 
-    /// Trailing bytes after a complete message are rejected by both codecs.
+    /// Trailing bytes after a complete message are rejected.
     #[test]
     fn trailing_bytes_rejected(seed in any::<u64>(), junk in 1u8..255) {
         for msg in all_variants(seed, 2, 3) {
-            let mut wire_bytes = WireCodec.encode(&msg).unwrap();
+            let mut wire_bytes = to_bytes(&msg).unwrap();
             wire_bytes.push(junk);
-            prop_assert!(WireCodec.decode::<SapMessage>(&wire_bytes).is_err());
-
-            let mut json_bytes = JsonCodec.encode(&msg).unwrap();
-            json_bytes.extend_from_slice(format!(" {junk}").as_bytes());
-            prop_assert!(JsonCodec.decode::<SapMessage>(&json_bytes).is_err());
+            prop_assert!(from_bytes::<SapMessage>(&wire_bytes).is_err());
         }
     }
 
@@ -113,15 +99,13 @@ proptest! {
     #[test]
     fn bad_wire_variant_tag_errors(tag in 6u64..u64::MAX) {
         use sap_repro::net::wire::{put_uvarint, read_uvarint};
-        let encoded = WireCodec
-            .encode(&SapMessage::MiningComplete { unified_records: 1 })
-            .unwrap();
+        let encoded = to_bytes(&SapMessage::MiningComplete { unified_records: 1 }).unwrap();
         let mut rest = encoded.as_slice();
         read_uvarint(&mut rest).expect("variant tag varint at the head");
         let mut bytes = Vec::new();
         put_uvarint(&mut bytes, tag);
         bytes.extend_from_slice(rest);
-        prop_assert!(WireCodec.decode::<SapMessage>(&bytes).is_err());
+        prop_assert!(from_bytes::<SapMessage>(&bytes).is_err());
     }
 
     /// The v4 varint primitive round-trips at every width boundary and at
@@ -180,30 +164,8 @@ proptest! {
         // length essentially never forms a full valid message AND consumes
         // every byte; if it does decode, it must at least re-encode
         // consistently (no mangled state).
-        if let Ok(msg) = WireCodec.decode::<SapMessage>(&soup) {
-            prop_assert_eq!(WireCodec.encode(&msg).unwrap(), soup);
+        if let Ok(msg) = from_bytes::<SapMessage>(&soup) {
+            prop_assert_eq!(to_bytes(&msg).unwrap(), soup);
         }
-        prop_assert!(JsonCodec.decode::<SapMessage>(&soup).is_err() || !soup.is_empty());
     }
-}
-
-/// The two codecs are genuinely different formats: wire bytes are not
-/// valid JSON and vice versa.
-#[test]
-fn codecs_are_not_interchangeable() {
-    let msg = SapMessage::MiningComplete { unified_records: 7 };
-    let wire_bytes = WireCodec.encode(&msg).unwrap();
-    let json_bytes = JsonCodec.encode(&msg).unwrap();
-    assert_ne!(wire_bytes, json_bytes);
-    assert!(JsonCodec.decode::<SapMessage>(&wire_bytes).is_err());
-    assert!(WireCodec.decode::<SapMessage>(&json_bytes).is_err());
-}
-
-/// JSON output is human-readable: variant and field names are visible.
-#[test]
-fn json_encoding_is_self_describing() {
-    let msg = SapMessage::MiningComplete { unified_records: 7 };
-    let text = String::from_utf8(JsonCodec.encode(&msg).unwrap()).unwrap();
-    assert!(text.contains("MiningComplete"), "{text}");
-    assert!(text.contains("unified_records"), "{text}");
 }

@@ -25,7 +25,6 @@ use sap_repro::datasets::partition::{partition, PartitionScheme};
 use sap_repro::datasets::registry::UciDataset;
 use sap_repro::datasets::Dataset;
 use sap_repro::linalg::Matrix;
-use sap_repro::net::codec::WireCodec;
 use sap_repro::net::tcp::local_mesh;
 use sap_repro::net::PartyId;
 use sap_repro::server::{SapServer, ServerConfig};
@@ -237,7 +236,7 @@ fn tcp_sessions_match_golden() {
         ids.push(MINER_ID);
         let mut mesh = local_mesh(&ids).expect("bind localhost sockets");
         let miner = mesh.pop().expect("miner lane");
-        run_session_over(p.locals(), &p.config(), mesh, miner, WireCodec)
+        run_session_over(p.locals(), &p.config(), mesh, miner)
             .unwrap_or_else(|e| panic!("{}: {e}", p.label()))
     });
 }

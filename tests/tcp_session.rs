@@ -1,12 +1,11 @@
 //! Full SAP sessions over real localhost TCP — the proof that the
-//! transport/codec abstraction holds: the identical protocol code that
-//! runs over the in-memory hub runs over sockets, under both codecs.
+//! transport abstraction holds: the identical protocol code that runs
+//! over the in-memory hub runs over sockets.
 
 use sap_repro::core::session::{run_session_over, SapConfig, MINER_ID};
 use sap_repro::datasets::normalize::min_max_normalize;
 use sap_repro::datasets::partition::{partition, PartitionScheme};
 use sap_repro::datasets::registry::UciDataset;
-use sap_repro::net::codec::{JsonCodec, WireCodec};
 use sap_repro::net::tcp::{local_mesh, local_mesh_with};
 use sap_repro::net::{Backend, PartyId};
 
@@ -47,7 +46,7 @@ fn full_sap_session_over_tcp() {
     let locals = partition(&data, 4, PartitionScheme::Uniform, 22);
     let (providers, miner) = tcp_parties(4);
 
-    let outcome = run_session_over(locals, &quick(), providers, miner, WireCodec)
+    let outcome = run_session_over(locals, &quick(), providers, miner)
         .expect("session over TCP must complete");
 
     assert_eq!(outcome.unified.len(), data.len());
@@ -67,19 +66,6 @@ fn full_sap_session_over_tcp() {
 }
 
 #[test]
-fn tcp_session_with_json_codec_and_five_parties() {
-    let (data, _) = min_max_normalize(&UciDataset::Iris.generate(23));
-    let locals = partition(&data, 5, PartitionScheme::ClassSkewed, 24);
-    let (providers, miner) = tcp_parties(5);
-
-    let outcome = run_session_over(locals, &quick(), providers, miner, JsonCodec)
-        .expect("session over TCP with JSON codec must complete");
-
-    assert_eq!(outcome.unified.len(), data.len());
-    assert_eq!(outcome.reports.len(), 5);
-}
-
-#[test]
 fn tcp_and_hub_sessions_agree() {
     // Same inputs, same config ⇒ byte-identical unified datasets: the
     // transport layer must be invisible to the protocol's results.
@@ -91,8 +77,7 @@ fn tcp_and_hub_sessions_agree() {
 
     let hub_outcome = run_session(locals.clone(), &config).expect("hub session");
     let (providers, miner) = tcp_parties(3);
-    let tcp_outcome =
-        run_session_over(locals, &config, providers, miner, WireCodec).expect("tcp session");
+    let tcp_outcome = run_session_over(locals, &config, providers, miner).expect("tcp session");
 
     assert_eq!(hub_outcome.unified, tcp_outcome.unified);
     assert_eq!(hub_outcome.forwarder_of_slot, tcp_outcome.forwarder_of_slot);
@@ -113,12 +98,12 @@ fn reactor_and_threaded_backends_agree_byte_for_byte() {
     let hub_outcome = run_session(locals.clone(), &config).expect("hub session");
 
     let (providers, miner) = tcp_parties_on(3, Backend::Reactor);
-    let reactor_outcome = run_session_over(locals.clone(), &config, providers, miner, WireCodec)
-        .expect("reactor session");
+    let reactor_outcome =
+        run_session_over(locals.clone(), &config, providers, miner).expect("reactor session");
 
     let (providers, miner) = tcp_parties_on(3, Backend::Threaded);
     let threaded_outcome =
-        run_session_over(locals, &config, providers, miner, WireCodec).expect("threaded session");
+        run_session_over(locals, &config, providers, miner).expect("threaded session");
 
     assert_eq!(reactor_outcome.unified, threaded_outcome.unified);
     assert_eq!(reactor_outcome.unified, hub_outcome.unified);
