@@ -101,38 +101,20 @@ pub fn run_coordinator<T: Transport>(
     }
 
     // Provider duty: perturb own data and stream it to the assigned
-    // receiver. On the streaming plane each block's math overlaps the
-    // previous block's transmission; the noise draw (and therefore every
-    // byte on the wire) is identical either way.
-    match config.data_plane {
-        crate::session::DataPlane::Buffered => {
-            let (y, _delta) = g_local.perturb(&x, &mut rng);
-            let perturbed =
-                Dataset::from_column_matrix(&y, data.labels().to_vec(), data.num_classes());
-            link::send_dataset(
-                node,
-                providers[plan.receiver_of(coord_pos)],
-                false,
-                slot_of[coord_pos],
-                &perturbed,
-                config.block_rows,
-            )?;
-        }
-        crate::session::DataPlane::Streaming => {
-            let delta = g_local.noise().sample(x.rows(), x.cols(), &mut rng);
-            link::send_perturbed_dataset(
-                node,
-                providers[plan.receiver_of(coord_pos)],
-                slot_of[coord_pos],
-                &g_local,
-                &x,
-                &delta,
-                data.labels(),
-                data.num_classes(),
-                config.block_rows,
-            )?;
-        }
-    }
+    // receiver, each block's math overlapping the previous block's
+    // transmission.
+    let delta = g_local.noise().sample(x.rows(), x.cols(), &mut rng);
+    link::send_perturbed_dataset(
+        node,
+        providers[plan.receiver_of(coord_pos)],
+        slot_of[coord_pos],
+        &g_local,
+        &x,
+        &delta,
+        data.labels(),
+        data.num_classes(),
+        config.block_rows,
+    )?;
 
     // Collect adaptors from the other k−1 providers; add our own.
     let mut adaptor_of: HashMap<PartyId, SpaceAdaptor> = HashMap::new();

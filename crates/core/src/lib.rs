@@ -78,7 +78,6 @@ pub use runtime::{
     SessionStatus, SessionTimings, ShedInfo,
 };
 pub use session::{
-    run_session, run_session_over, spawn_session, DataPlane, ProviderReport, RoleCtx, SapConfig,
-    SapOutcome,
+    run_session, run_session_over, spawn_session, ProviderReport, RoleCtx, SapConfig, SapOutcome,
 };
 pub use stream::{StreamMonitor, StreamStats};

@@ -5,7 +5,7 @@
 //! [`DataHeader`] followed by length-prefixed row blocks, so neither
 //! sender nor receiver ever materializes one monolithic serialized
 //! dataset — and the anonymizing relay hop forwards the sealed row blocks
-//! **without decoding them** ([`relay_stream`]), which is both faster and
+//! **without decoding them**, which is both faster and
 //! closer to the paper's "unchanged payload" relay semantics.
 //!
 //! # Row-block layout
@@ -21,6 +21,7 @@ use crate::error::SapError;
 use crate::liveness::CANCEL_POLL;
 use crate::messages::{SapMessage, SlotTag};
 use crate::session::RoleCtx;
+use crate::stream::{DatasetSink, StreamPipeline};
 use bytes::Bytes;
 use sap_datasets::Dataset;
 use sap_net::node::{Node, NodeError, NodeEvent, NodeFlow};
@@ -44,8 +45,8 @@ pub struct DataHeader {
     /// The session the stream belongs to. Redundant with the (already
     /// authenticated) envelope stamp, but threading it through the header
     /// lets the relay hop preserve full session provenance **without
-    /// decoding a single row block**: [`relay_stream`] copies the header,
-    /// blocks stay opaque `Bytes`.
+    /// decoding a single row block**: the relay copies the header, blocks
+    /// stay opaque `Bytes`.
     pub session: SessionId,
     /// `false` for a provider→provider exchange (`PerturbedData`), `true`
     /// for the relay hop to the miner (`RelayedData`).
@@ -111,14 +112,19 @@ impl DataStream {
         }
     }
 
-    /// Decodes the blocks into a [`Dataset`], validating the header.
+    /// Decodes the blocks into a [`Dataset`] through the streaming
+    /// decoder ([`StreamPipeline`]), validating the header.
     ///
     /// # Errors
     ///
     /// Returns [`SapError::Protocol`] on malformed blocks, row-count or
     /// dimension mismatches, or out-of-range labels.
     pub fn into_dataset(self) -> Result<Dataset, SapError> {
-        decode_blocks(&self.header, &self.blocks)
+        let mut pipeline = StreamPipeline::open(self.header, Vec::new(), DatasetSink::new())?;
+        for block in &self.blocks {
+            pipeline.push(block)?;
+        }
+        Ok(pipeline.finish()?.into_dataset())
     }
 }
 
@@ -186,25 +192,6 @@ pub fn send_dataset<T: Transport>(
         start = end;
     }
     Ok(())
-}
-
-/// Forwards a received stream to `to` under the relay kind **without
-/// decoding the blocks** — only the `Bytes` handles are cloned.
-///
-/// # Errors
-///
-/// Returns [`SapError::Messaging`] on transport failure.
-pub fn relay_stream<T: Transport>(
-    node: &Node<T>,
-    to: PartyId,
-    stream: &DataStream,
-) -> Result<(), SapError> {
-    let header = DataHeader {
-        relay: true,
-        ..stream.header
-    };
-    node.send_stream(to, &header, stream.blocks.iter().cloned())
-        .map_err(SapError::from)
 }
 
 /// Receives the next **streaming-mode** delivery within `timeout`:
@@ -360,9 +347,9 @@ pub fn recv_message<T: Transport>(
 /// to the transport before the next block's math starts — the send-side
 /// compute/I-O overlap of the streaming data plane.
 ///
-/// The realized noise `delta` must be sampled up front (exactly as the
-/// buffered path does), so the bytes on the wire are **bit-identical** to
-/// perturbing the whole matrix and calling [`send_dataset`].
+/// The realized noise `delta` must be sampled up front for the whole
+/// matrix, so the bytes on the wire are **bit-identical** to perturbing
+/// the whole matrix and calling [`send_dataset`].
 ///
 /// # Errors
 ///
@@ -480,76 +467,6 @@ pub fn encode_block(data: &Dataset, start: usize, end: usize) -> Bytes {
     Bytes::from(out)
 }
 
-fn decode_blocks(header: &DataHeader, blocks: &[Bytes]) -> Result<Dataset, SapError> {
-    let dim = header.dim as usize;
-    let num_classes = header.num_classes as usize;
-    let total = usize::try_from(header.rows)
-        .map_err(|_| SapError::Protocol("row count overflows usize".into()))?;
-    if total == 0 || dim == 0 {
-        return Err(SapError::Protocol(
-            "dataset stream with zero rows or dimensions".into(),
-        ));
-    }
-    // Never pre-allocate from the untrusted header row count: a crafted
-    // header could claim u64::MAX rows in a few dozen wire bytes. Bound
-    // the reservation by what the received blocks can physically hold.
-    let row_size = 4 + dim * 8;
-    let deliverable: usize = blocks.iter().map(|b| b.len() / row_size).sum();
-    let mut records: Vec<Vec<f64>> = Vec::with_capacity(total.min(deliverable));
-    let mut labels: Vec<usize> = Vec::with_capacity(total.min(deliverable));
-    for block in blocks {
-        let (block_rows, rest) = split_u32(block)
-            .ok_or_else(|| SapError::Protocol("row block shorter than its count".into()))?;
-        let rows = block_rows as usize;
-        let expect = rows
-            .checked_mul(row_size)
-            .ok_or_else(|| SapError::Protocol("row block size overflows".into()))?;
-        if rest.len() != expect {
-            return Err(SapError::Protocol(format!(
-                "row block size {} != expected {expect} for {rows} rows × {dim} dims",
-                rest.len()
-            )));
-        }
-        let (label_bytes, value_bytes) = rest.split_at(rows * 4);
-        for chunk in label_bytes.chunks_exact(4) {
-            let label = u32::from_le_bytes(chunk.try_into().expect("4 bytes")) as usize;
-            if label >= num_classes {
-                return Err(SapError::Protocol(format!(
-                    "label {label} out of range for {num_classes} classes"
-                )));
-            }
-            labels.push(label);
-        }
-        for row in value_bytes.chunks_exact(dim * 8) {
-            let mut rec = Vec::with_capacity(dim);
-            for v in row.chunks_exact(8) {
-                rec.push(f64::from_le_bytes(v.try_into().expect("8 bytes")));
-            }
-            records.push(rec);
-        }
-        if records.len() > total {
-            return Err(SapError::Protocol(format!(
-                "stream delivered more than the declared {total} rows"
-            )));
-        }
-    }
-    if records.len() != total {
-        return Err(SapError::Protocol(format!(
-            "stream delivered {} of {total} declared rows",
-            records.len()
-        )));
-    }
-    Ok(Dataset::with_num_classes(records, labels, num_classes))
-}
-
-fn split_u32(bytes: &[u8]) -> Option<(u32, &[u8])> {
-    if bytes.len() < 4 {
-        return None;
-    }
-    let (head, rest) = bytes.split_at(4);
-    Some((u32::from_le_bytes(head.try_into().expect("4 bytes")), rest))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,7 +521,12 @@ mod tests {
         let Inbound::Data(stream) = inbound else {
             panic!("expected stream");
         };
-        relay_stream(&b2, PartyId(100), &stream).unwrap();
+        let header = DataHeader {
+            relay: true,
+            ..stream.header
+        };
+        b2.send_stream(PartyId(100), &header, stream.blocks.iter().cloned())
+            .unwrap();
         let (_, relayed) = recv_message(&miner, Duration::from_secs(2)).unwrap();
         let Inbound::Data(relayed) = relayed else {
             panic!("expected relayed stream");
@@ -626,7 +548,7 @@ mod tests {
         let (y, delta) = g.perturb(&x, &mut rng);
         let perturbed = Dataset::from_column_matrix(&y, data.labels().to_vec(), data.num_classes());
 
-        // Buffered: perturb whole matrix, then stream the dataset.
+        // Whole matrix: perturb it all, then stream the dataset.
         let (a, b) = pair();
         send_dataset(&a, PartyId(2), false, SlotTag(3), &perturbed, 16).unwrap();
         let (_, inbound) = recv_message(&b, Duration::from_secs(2)).unwrap();

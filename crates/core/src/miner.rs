@@ -13,9 +13,9 @@
 //! while the exchange is still in flight.
 
 use crate::error::SapError;
-use crate::link::{self, DataHeader, DataStream, FlowInbound, Inbound};
+use crate::link::{self, DataHeader, FlowInbound};
 use crate::messages::{SapMessage, SlotTag};
-use crate::session::{DataPlane, RoleCtx};
+use crate::session::RoleCtx;
 use crate::stream::{AdaptStage, BlockStage, DatasetSink, StreamPipeline};
 use sap_datasets::Dataset;
 use sap_net::node::Node;
@@ -37,131 +37,6 @@ pub struct MinerOutput {
     pub relayed_blocks: u64,
 }
 
-/// Runs the miner role to completion, collecting `expected_datasets`
-/// relayed streams (one per provider in a full session). The coordinator
-/// comes from `ctx.roster`, and every blocking receive observes the
-/// session's liveness regime.
-///
-/// # Errors
-///
-/// Returns [`SapError`] on timeout, peer failure, cancellation,
-/// messaging failure, duplicate slots, missing adaptors, or dimension
-/// mismatches.
-pub fn run_miner<T: Transport>(
-    node: &Node<T>,
-    expected_datasets: usize,
-    ctx: &RoleCtx<'_>,
-) -> Result<MinerOutput, SapError> {
-    match ctx.config.data_plane {
-        DataPlane::Buffered => run_miner_buffered(node, expected_datasets, ctx),
-        DataPlane::Streaming => run_miner_streaming(node, expected_datasets, ctx),
-    }
-}
-
-fn run_miner_buffered<T: Transport>(
-    node: &Node<T>,
-    expected_datasets: usize,
-    ctx: &RoleCtx<'_>,
-) -> Result<MinerOutput, SapError> {
-    let me = node.id();
-    let config = ctx.config;
-    let audit = ctx.audit;
-    let coordinator = ctx.roster.coordinator();
-    let mut streams: HashMap<SlotTag, (PartyId, DataStream)> = HashMap::new();
-    let mut adaptors: Option<Vec<(SlotTag, SpaceAdaptor)>> = None;
-
-    while streams.len() < expected_datasets || adaptors.is_none() {
-        let (from, inbound) = link::recv_message_ctx(node, ctx, "data & adaptor collection")?;
-        match inbound {
-            Inbound::Data(stream) => {
-                audit.record_kind(from, me, stream.kind(), true, false);
-                if !stream.header.relay {
-                    return Err(SapError::Protocol(
-                        "miner received un-relayed perturbed-data".into(),
-                    ));
-                }
-                let slot = stream.header.slot;
-                if streams.insert(slot, (from, stream)).is_some() {
-                    return Err(SapError::Protocol(format!("duplicate slot {slot:?}")));
-                }
-            }
-            Inbound::Msg(msg) => {
-                audit.record(from, me, &msg);
-                match msg {
-                    SapMessage::AdaptorTable { entries } => {
-                        if from != coordinator {
-                            return Err(SapError::Protocol(format!(
-                                "adaptor table from non-coordinator {from}"
-                            )));
-                        }
-                        if adaptors.replace(entries).is_some() {
-                            return Err(SapError::Protocol("duplicate adaptor table".into()));
-                        }
-                    }
-                    other => {
-                        return Err(SapError::Protocol(format!(
-                            "miner received unexpected {}",
-                            other.kind()
-                        )))
-                    }
-                }
-            }
-        }
-    }
-    let adaptors = adaptors.expect("loop exits only when set");
-
-    // Unify: decode each slot's stream and apply its adaptor.
-    let adaptor_of: HashMap<SlotTag, &SpaceAdaptor> =
-        adaptors.iter().map(|(s, a)| (*s, a)).collect();
-    let mut parts: Vec<Dataset> = Vec::with_capacity(expected_datasets);
-    let mut forwarder_of_slot: Vec<(SlotTag, PartyId)> = Vec::new();
-    let relayed_blocks: u64 = streams
-        .values()
-        .map(|(_, stream)| stream.blocks.len() as u64)
-        .sum();
-    // Deterministic slot order for reproducible pooling.
-    let mut slots: Vec<SlotTag> = streams.keys().copied().collect();
-    slots.sort();
-    for slot in slots {
-        let (forwarder, stream) = streams.remove(&slot).expect("slot key from map");
-        let adaptor = adaptor_of
-            .get(&slot)
-            .ok_or_else(|| SapError::Protocol(format!("no adaptor for slot {slot:?}")))?;
-        let data = stream.into_dataset()?;
-        if adaptor.dim() != data.dim() {
-            return Err(SapError::Protocol(format!(
-                "adaptor dim {} != data dim {} for slot {slot:?}",
-                adaptor.dim(),
-                data.dim()
-            )));
-        }
-        let y = data.to_column_matrix();
-        let unified = adaptor.apply(&y);
-        parts.push(Dataset::from_column_matrix(
-            &unified,
-            data.labels().to_vec(),
-            data.num_classes(),
-        ));
-        forwarder_of_slot.push((slot, forwarder));
-    }
-    let unified = Dataset::concat(&parts);
-
-    link::send_message(
-        node,
-        coordinator,
-        &SapMessage::MiningComplete {
-            unified_records: unified.len() as u64,
-        },
-        config.block_rows,
-    )?;
-
-    Ok(MinerOutput {
-        unified,
-        forwarder_of_slot,
-        relayed_blocks,
-    })
-}
-
 /// An inbound stream being decoded as it arrives: its slot, whether an
 /// [`AdaptStage`] is already adapting its blocks in flight, and the
 /// pipeline accumulating the records.
@@ -180,14 +55,24 @@ struct CollectedSlot {
     adapted: bool,
 }
 
-/// The streaming miner: decodes each relayed row block the moment it
-/// arrives (overlapping unseal + decode with the exchange still in
-/// flight), and — when the adaptor table got there first — re-bases
-/// blocks into the target space *in flight* through an [`AdaptStage`].
-/// Streams whose adaptor arrives later are adapted at unification with
-/// the identical record-major kernel, so both orderings produce the same
-/// bytes as the buffered miner.
-fn run_miner_streaming<T: Transport>(
+/// Runs the miner role to completion, collecting `expected_datasets`
+/// relayed streams (one per provider in a full session). The coordinator
+/// comes from `ctx.roster`, and every blocking receive observes the
+/// session's liveness regime.
+///
+/// Each relayed row block is decoded the moment it arrives (overlapping
+/// unseal + decode with the exchange still in flight), and — when the
+/// adaptor table got there first — re-based into the target space *in
+/// flight* through an [`AdaptStage`]. Streams whose adaptor arrives later
+/// are adapted at unification with the identical record-major kernel, so
+/// both orderings produce the same bytes.
+///
+/// # Errors
+///
+/// Returns [`SapError`] on timeout, peer failure, cancellation,
+/// messaging failure, duplicate slots, missing adaptors, or dimension
+/// mismatches.
+pub fn run_miner<T: Transport>(
     node: &Node<T>,
     expected_datasets: usize,
     ctx: &RoleCtx<'_>,
@@ -321,8 +206,7 @@ fn run_miner_streaming<T: Transport>(
     let adaptors = adaptors.expect("loop exits only when set");
 
     // Unify: adapt any slot whose stream outran the adaptor table, then
-    // assemble in deterministic slot order (identical to the buffered
-    // path's pooling order).
+    // assemble in deterministic slot order.
     let adaptor_of: HashMap<SlotTag, &SpaceAdaptor> =
         adaptors.iter().map(|(s, a)| (*s, a)).collect();
     let mut parts: Vec<Dataset> = Vec::with_capacity(expected_datasets);

@@ -18,9 +18,9 @@
 //! runs over the in-memory hub, the fault injector, and real TCP.
 
 use crate::error::SapError;
-use crate::link::{self, DataHeader, DataStream, FlowInbound, Inbound};
+use crate::link::{self, DataHeader, FlowInbound};
 use crate::messages::{SapMessage, SlotTag};
-use crate::session::{DataPlane, ProviderReport, RoleCtx};
+use crate::session::{ProviderReport, RoleCtx};
 use crate::stream::StreamMonitor;
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -61,13 +61,8 @@ pub fn run_provider<T: Transport>(
     let g_local = opt.perturbation.clone();
     let rho_local = opt.privacy_guarantee;
 
-    // Phases 2–4 (setup, own-data send, relay) differ per data plane;
-    // both orderings draw the same RNG stream and put the same bytes on
-    // the wire, so the session outcome is byte-identical either way.
-    let target = match config.data_plane {
-        DataPlane::Buffered => exchange_buffered(node, data, &x, &g_local, ctx, &mut rng)?,
-        DataPlane::Streaming => exchange_streaming(node, data, &x, &g_local, ctx, &mut rng)?,
-    };
+    // Phases 2–4: setup, own-data send, relay.
+    let target = exchange(node, data, &x, &g_local, ctx, &mut rng)?;
 
     // Phase 5: space adaptor to the coordinator.
     let adaptor = SpaceAdaptor::between(g_local.base(), &target)
@@ -99,122 +94,12 @@ pub fn run_provider<T: Transport>(
     })
 }
 
-/// Phases 2–4 on the buffered plane: wait for setup (buffering early
-/// streams whole), perturb and send the entire dataset, then relay each
-/// fully received stream.
-fn exchange_buffered<T: Transport>(
-    node: &Node<T>,
-    data: &Dataset,
-    x: &Matrix,
-    g_local: &GeometricPerturbation,
-    ctx: &RoleCtx<'_>,
-    rng: &mut StdRng,
-) -> Result<Perturbation, SapError> {
-    let me = node.id();
-    let config = ctx.config;
-    let audit = ctx.audit;
-    let coordinator = ctx.roster.coordinator();
-    let miner = ctx.roster.miner;
-
-    // Phase 2: setup (buffer any early data streams from fast peers).
-    let mut pending: Vec<DataStream> = Vec::new();
-    let (target, my_slot, send_data_to, expect_incoming) = loop {
-        let (from, inbound) = link::recv_message_ctx(node, ctx, "setup")?;
-        match inbound {
-            Inbound::Msg(msg) => {
-                audit.record(from, me, &msg);
-                match msg {
-                    SapMessage::Setup {
-                        target,
-                        slot,
-                        send_data_to,
-                        expect_incoming,
-                    } => {
-                        if from != coordinator {
-                            return Err(SapError::Protocol(format!(
-                                "setup from non-coordinator {from}"
-                            )));
-                        }
-                        break (target, slot, send_data_to, expect_incoming);
-                    }
-                    other => {
-                        return Err(SapError::Protocol(format!(
-                            "unexpected {} before setup",
-                            other.kind()
-                        )))
-                    }
-                }
-            }
-            Inbound::Data(stream) => {
-                audit.record_kind(from, me, stream.kind(), true, false);
-                if stream.header.relay {
-                    return Err(SapError::Protocol(
-                        "provider received a relayed-data stream".into(),
-                    ));
-                }
-                pending.push(stream);
-            }
-        }
-    };
-    if target.dim() != data.dim() {
-        return Err(SapError::Protocol(format!(
-            "target dimension {} != local dimension {}",
-            target.dim(),
-            data.dim()
-        )));
-    }
-
-    // Phase 3: perturb and stream own data to the assigned receiver.
-    let (y, _delta) = g_local.perturb(x, rng);
-    let perturbed = Dataset::from_column_matrix(&y, data.labels().to_vec(), data.num_classes());
-    link::send_dataset(
-        node,
-        send_data_to,
-        false,
-        my_slot,
-        &perturbed,
-        config.block_rows,
-    )?;
-
-    // Phase 4: relay incoming dataset streams to the miner, blocks
-    // untouched (clone `Bytes` handles, never a `Dataset`).
-    let mut relayed = 0u32;
-    for stream in pending {
-        link::relay_stream(node, miner, &stream)?;
-        relayed += 1;
-    }
-    while relayed < expect_incoming {
-        let (from, inbound) = link::recv_message_ctx(node, ctx, "data exchange")?;
-        match inbound {
-            Inbound::Data(stream) if !stream.header.relay => {
-                audit.record_kind(from, me, stream.kind(), true, false);
-                link::relay_stream(node, miner, &stream)?;
-                relayed += 1;
-            }
-            Inbound::Data(stream) => {
-                audit.record_kind(from, me, stream.kind(), true, false);
-                return Err(SapError::Protocol(
-                    "unexpected relayed-data during data exchange".into(),
-                ));
-            }
-            Inbound::Msg(msg) => {
-                audit.record(from, me, &msg);
-                return Err(SapError::Protocol(format!(
-                    "unexpected {} during data exchange",
-                    msg.kind()
-                )));
-            }
-        }
-    }
-    Ok(target)
-}
-
-/// Phases 2–4 on the streaming plane: one event loop that forwards
+/// Phases 2–4: one event loop that forwards
 /// incoming row blocks to the miner **as they arrive** (the relay pump),
 /// perturbs the provider's own data block-by-block while sending, and
 /// accepts setup whenever the coordinator's frame lands — the relay hop
 /// is pipelined instead of store-and-forward.
-fn exchange_streaming<T: Transport>(
+fn exchange<T: Transport>(
     node: &Node<T>,
     data: &Dataset,
     x: &Matrix,
@@ -233,10 +118,10 @@ fn exchange_streaming<T: Transport>(
     loop {
         if let Some((_, slot, send_data_to, expect)) = &setup {
             if !sent_own {
-                // Phase 3, block-streamed: the noise is drawn exactly as
-                // the buffered `perturb` would (same RNG order), but the
-                // affine math runs one block at a time, overlapped with
-                // the transport.
+                // Phase 3, block-streamed: the noise is drawn up front for
+                // the whole dataset (the RNG order of a whole-matrix
+                // `perturb`), but the affine math runs one block at a
+                // time, overlapped with the transport.
                 let delta = g_local.noise().sample(x.rows(), x.cols(), rng);
                 link::send_perturbed_dataset(
                     node,
@@ -491,6 +376,7 @@ impl<'n, T: Transport> RelayPump<'n, T> {
 mod tests {
     use super::*;
     use crate::audit::AuditLog;
+    use crate::link::Inbound;
     use crate::liveness::Roster;
     use crate::messages::SlotTag;
     use crate::session::{SapConfig, StandaloneCtx};

@@ -32,23 +32,6 @@ use sap_privacy::optimize::OptimizerConfig;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which data plane a session's roles run on.
-///
-/// Both planes produce **byte-identical** [`SapOutcome`]s (the property
-/// `tests/stream_equivalence.rs` pins); they differ only in *when* work
-/// happens. `Streaming` is the default — `Buffered` is kept as the
-/// reference implementation the equivalence tests compare against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DataPlane {
-    /// Every role buffers a complete dataset stream before touching a
-    /// row (the pre-PR-3 behavior).
-    Buffered,
-    /// Row blocks are perturbed, relayed, decoded, and adapted **as they
-    /// arrive**, overlapping compute with seal/unseal and transport I/O.
-    #[default]
-    Streaming,
-}
-
 /// Session-wide configuration.
 #[derive(Debug, Clone)]
 pub struct SapConfig {
@@ -72,10 +55,6 @@ pub struct SapConfig {
     pub session_budget: Duration,
     /// Rows per dataset stream block (the chunking grain of the exchange).
     pub block_rows: usize,
-    /// Whether roles process dataset streams block-by-block as they
-    /// arrive ([`DataPlane::Streaming`], the default) or buffer whole
-    /// streams first ([`DataPlane::Buffered`]).
-    pub data_plane: DataPlane,
     /// Optional fault model applied to every party's *send* path (chaos
     /// testing). SAP has no retransmission layer, so any lost frame makes
     /// the session abort with a timeout instead of completing — the safety
@@ -98,7 +77,6 @@ impl Default for SapConfig {
             timeout: Duration::from_secs(30),
             session_budget: Duration::from_secs(300),
             block_rows: DEFAULT_BLOCK_ROWS,
-            data_plane: DataPlane::default(),
             fault_config: None,
             qos: QosClass::default(),
         }
@@ -124,7 +102,6 @@ impl SapConfig {
             timeout: Duration::from_secs(10),
             session_budget: Duration::from_secs(120),
             block_rows: 64,
-            data_plane: DataPlane::default(),
             fault_config: None,
             qos: QosClass::default(),
         }
@@ -168,9 +145,8 @@ pub struct SapOutcome {
     /// Row blocks the miner received through the anonymizing relay hop
     /// (feeds the server's `blocks_relayed` metric).
     pub relayed_blocks: u64,
-    /// Streaming data-plane statistics (all zeros on the buffered plane).
-    /// Timing-dependent observability — excluded from the
-    /// streaming/buffered equivalence contract.
+    /// Streaming data-plane statistics. Timing-dependent observability —
+    /// excluded from the determinism contract (the golden outcomes).
     pub stream: crate::stream::StreamStats,
     /// The unified target space (exposed by the test harness for analysis;
     /// in deployment only providers and the coordinator hold it).

@@ -22,7 +22,8 @@
 //!
 //! Every kernel the stages call accumulates in the same element order as
 //! the monolithic path, so a pipeline fed block by block produces results
-//! **bit-identical** to buffering the whole stream first — the invariant
+//! **bit-identical** to buffering the whole stream first — so the session
+//! outcome does not depend on `block_rows`, the invariant
 //! `tests/stream_equivalence.rs` pins down.
 
 use crate::error::SapError;
@@ -75,8 +76,7 @@ impl BlockBuf {
     /// # Errors
     ///
     /// Returns [`SapError::Protocol`] on truncation, size mismatch, or an
-    /// out-of-range label — the same violations the buffered
-    /// [`crate::link::DataStream::into_dataset`] path rejects.
+    /// out-of-range label.
     pub fn decode(
         &mut self,
         bytes: &Bytes,
@@ -165,7 +165,7 @@ pub trait BlockSink: Send {
 }
 
 /// Drives wire blocks through decode → stages → sink, enforcing the
-/// stream header's declared row count exactly like the buffered decoder.
+/// stream header's declared row count.
 pub struct StreamPipeline<S: BlockSink> {
     header: DataHeader,
     stages: Vec<Box<dyn BlockStage>>,
@@ -180,7 +180,7 @@ impl<S: BlockSink> StreamPipeline<S> {
     /// # Errors
     ///
     /// Returns [`SapError::Protocol`] on a degenerate header (zero rows
-    /// or dimensions — the buffered path's first check) or when the sink
+    /// or dimensions) or when the sink
     /// rejects the header.
     pub fn open(
         header: DataHeader,
@@ -492,7 +492,7 @@ pub struct StreamStats {
     /// Stream blocks received across the session's roles.
     pub blocks_streamed: u64,
     /// Blocks forwarded by the relay hop before their inbound stream had
-    /// finished (zero on the buffered data plane).
+    /// finished.
     pub pipelined_blocks: u64,
     /// Maximum inbound streams simultaneously in flight.
     pub max_streams_in_flight: u32,

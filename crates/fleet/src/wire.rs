@@ -27,7 +27,7 @@ use crate::FleetError;
 use bytes::Bytes;
 use sap_core::placement::{CONTROL_BASE, CONTROL_RANGE};
 use sap_core::runtime::QosClass;
-use sap_core::session::{DataPlane, SapConfig};
+use sap_core::session::SapConfig;
 use sap_datasets::Dataset;
 use sap_net::crypto::ChannelKey;
 use sap_net::frame::{seal_frame, split_message, DEFAULT_CHUNK_SIZE};
@@ -109,8 +109,6 @@ pub struct WireConfig {
     pub session_budget_us: u64,
     /// Rows per stream block.
     pub block_rows: u64,
-    /// Streaming data plane (`false` = buffered).
-    pub streaming: bool,
     /// Optional fault model.
     pub fault: Option<WireFault>,
     /// Interactive QoS class (`false` = batch).
@@ -136,7 +134,6 @@ impl WireConfig {
             timeout_us: c.timeout.as_micros() as u64,
             session_budget_us: c.session_budget.as_micros() as u64,
             block_rows: c.block_rows as u64,
-            streaming: c.data_plane == DataPlane::Streaming,
             fault: c.fault_config.map(|f| WireFault {
                 drop_prob: f.drop_prob,
                 duplicate_prob: f.duplicate_prob,
@@ -170,11 +167,6 @@ impl WireConfig {
             timeout: Duration::from_micros(self.timeout_us),
             session_budget: Duration::from_micros(self.session_budget_us),
             block_rows: self.block_rows as usize,
-            data_plane: if self.streaming {
-                DataPlane::Streaming
-            } else {
-                DataPlane::Buffered
-            },
             fault_config: self.fault.as_ref().map(|f| FaultConfig {
                 drop_prob: f.drop_prob,
                 duplicate_prob: f.duplicate_prob,
@@ -287,7 +279,6 @@ mod tests {
         assert_eq!(back.timeout, cfg.timeout);
         assert_eq!(back.session_budget, cfg.session_budget);
         assert_eq!(back.block_rows, cfg.block_rows);
-        assert_eq!(back.data_plane, cfg.data_plane);
         assert_eq!(back.qos, cfg.qos);
         let (bf, cf) = (back.fault_config.unwrap(), cfg.fault_config.unwrap());
         assert_eq!(bf.drop_prob, cf.drop_prob);

@@ -6,8 +6,9 @@
 //! the straightforward reference loops that shipped first ([`matmul_rows`],
 //! [`column_covariance_reference`]), so results are **bit-identical** to
 //! those references at any tile size, packing layout, or thread count.
-//! That invariant is what the streaming/buffered data-plane equivalence
-//! and the optimizer's serial-vs-parallel equivalence rest on, and it is
+//! That invariant is what the block-partition invariance of session
+//! outcomes and the optimizer's serial-vs-parallel equivalence rest on,
+//! and it is
 //! property-tested in `tests/kernel_equivalence.rs`.
 //!
 //! # The tiling invariant that preserves bit-identity

@@ -255,8 +255,8 @@ impl Matrix {
     /// skipped), so the result is **bit-identical** to the pinned
     /// reference loop [`crate::kernel::matmul_rows`] — and to the
     /// straightforward serial triple loop — at any tile size or thread
-    /// count. That invariant is what the streaming/buffered data-plane
-    /// equivalence rests on, and `tests/kernel_equivalence.rs`
+    /// count. That invariant is what the block-partition invariance of
+    /// session outcomes rests on, and `tests/kernel_equivalence.rs`
     /// property-tests it over shapes × worker counts.
     ///
     /// # Errors
@@ -930,8 +930,8 @@ mod tests {
     }
 
     /// The blocked/parallel matmul must be bit-identical to the naive
-    /// i-k-j triple loop it replaced — the streaming/buffered data-plane
-    /// equivalence depends on it.
+    /// i-k-j triple loop it replaced — the block-partition invariance of
+    /// session outcomes depends on it.
     #[test]
     fn blocked_matmul_bit_identical_to_naive() {
         let mut seed = 0x5EEDu64;

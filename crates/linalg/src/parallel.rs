@@ -12,9 +12,9 @@
 //!
 //! Every chunk's content depends only on its index and the shared inputs,
 //! never on scheduling, so results are **bit-identical** to the serial
-//! loop regardless of thread count. That property is what lets the
-//! streaming and buffered data planes promise byte-identical session
-//! outcomes while still parallelizing the math.
+//! loop regardless of thread count. That property is what lets session
+//! outcomes stay byte-identical at any `block_rows` and any thread count
+//! while the math runs in parallel.
 //!
 //! # Sizing
 //!

@@ -274,7 +274,7 @@ pub struct ServerMetrics {
     pub blocks_pipelined: u64,
     /// Mean compute/I-O overlap ratio across completed sessions: the
     /// share of data-plane compute (unseal-side decode + adaptation)
-    /// hidden under stream transfer time. Zero for buffered sessions.
+    /// hidden under stream transfer time.
     pub overlap_ratio_avg: f64,
     /// Optimizer wall time summed over every provider of every completed
     /// session (seconds) — the staged engine's per-run total.

@@ -6,15 +6,12 @@
 //! liveness layer, a peer that *dies* (rather than merely losing frames)
 //! fails its sessions with a typed `PeerFailure` within the detection
 //! budget instead of starving until a timeout or the server's age GC.
-//!
-//! The whole suite honors `SAP_DATA_PLANE={streaming|buffered}` so CI can
-//! run the fault matrix on both data planes (see `.github/workflows/ci.yml`).
 
 use sap_repro::core::link;
 use sap_repro::core::liveness::Roster;
 use sap_repro::core::messages::{SapMessage, SlotTag};
 use sap_repro::core::miner::run_miner;
-use sap_repro::core::session::{DataPlane, SapConfig, StandaloneCtx};
+use sap_repro::core::session::{SapConfig, StandaloneCtx};
 use sap_repro::core::SapError;
 use sap_repro::datasets::Dataset;
 use sap_repro::net::node::Node;
@@ -23,19 +20,9 @@ use sap_repro::net::transport::InMemoryHub;
 use sap_repro::net::PartyId;
 use std::time::{Duration, Instant};
 
-/// CI matrix hook: the fault suite runs identically on both data planes.
-fn plane() -> DataPlane {
-    match std::env::var("SAP_DATA_PLANE").as_deref() {
-        Ok("buffered") => DataPlane::Buffered,
-        Ok("streaming") | Err(_) => DataPlane::Streaming,
-        Ok(other) => panic!("unknown SAP_DATA_PLANE {other:?}"),
-    }
-}
-
 fn quick(timeout_ms: u64) -> SapConfig {
     SapConfig {
         timeout: Duration::from_millis(timeout_ms),
-        data_plane: plane(),
         ..SapConfig::quick_test()
     }
 }
@@ -352,7 +339,6 @@ fn server_peer_death_fails_fast_and_spares_siblings() {
             ..FaultConfig::default()
         }),
         timeout: Duration::from_secs(120),
-        data_plane: plane(),
         ..SapConfig::quick_test()
     };
     let pooled = UciDataset::Iris.generate(3);
@@ -383,10 +369,7 @@ fn server_peer_death_fails_fast_and_spares_siblings() {
     // A sibling session on lanes 0..2 (party 3 not on its roster) still
     // completes after the death — the PeerDown broadcast is filtered by
     // roster, not blasted into every session.
-    let healthy_cfg = SapConfig {
-        data_plane: plane(),
-        ..SapConfig::quick_test()
-    };
+    let healthy_cfg = SapConfig::quick_test();
     let b = server
         .submit(
             partition(&pooled, 3, PartitionScheme::Uniform, 6),
@@ -429,7 +412,6 @@ fn retry_policy_consumes_retries_on_peer_failure() {
             ..FaultConfig::default()
         }),
         timeout: Duration::from_secs(5),
-        data_plane: plane(),
         ..SapConfig::quick_test()
     };
     let pooled = UciDataset::Iris.generate(4);

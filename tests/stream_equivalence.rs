@@ -1,13 +1,16 @@
-//! The streaming data plane's contract: for any dataset, any block size,
-//! and any session shape, the streaming and buffered planes produce
+//! Block-partition invariance of the streaming data plane: for any
+//! dataset and session shape, the chunking grain `block_rows` is
+//! invisible in the outcome. One row per block (the most frames), a
+//! random grain, and one block larger than every partition produce
 //! **byte-identical** [`SapOutcome`]s — same unified records (bitwise),
-//! same reports, same forwarders, same relayed block counts. Only the
-//! timing-dependent `stream` statistics may differ.
+//! reports, forwarders and target space. Only the relayed block count,
+//! which the grain determines, and the timing-dependent `stream`
+//! statistics differ.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sap_repro::core::session::{run_session, DataPlane, SapConfig, SapOutcome};
+use sap_repro::core::session::{run_session, SapConfig, SapOutcome};
 use sap_repro::datasets::partition::{partition, PartitionScheme};
 use sap_repro::datasets::Dataset;
 use std::time::Duration;
@@ -19,97 +22,93 @@ fn random_locals(seed: u64, rows: usize, dim: usize, k: usize) -> Vec<Dataset> {
     partition(&pooled, k, PartitionScheme::Uniform, seed ^ 0xA5)
 }
 
-fn config(seed: u64, block_rows: usize, plane: DataPlane) -> SapConfig {
+fn config(seed: u64, block_rows: usize) -> SapConfig {
     SapConfig {
         seed,
         block_rows,
-        data_plane: plane,
         timeout: Duration::from_secs(30),
         ..SapConfig::quick_test()
     }
 }
 
-/// Field-by-field bitwise comparison (the `stream` stats are explicitly
-/// out of the contract — they measure timing, not results).
-fn assert_outcomes_identical(streamed: &SapOutcome, buffered: &SapOutcome) {
+/// Field-by-field bitwise comparison of everything the grain must not
+/// change.
+fn assert_outcomes_identical(a: &SapOutcome, b: &SapOutcome) {
+    assert_eq!(a.unified, b.unified, "unified datasets differ");
     assert_eq!(
-        streamed.unified, buffered.unified,
-        "unified datasets differ"
-    );
-    assert_eq!(
-        streamed.forwarder_of_slot, buffered.forwarder_of_slot,
+        a.forwarder_of_slot, b.forwarder_of_slot,
         "forwarder assignments differ"
     );
-    assert_eq!(
-        streamed.relayed_blocks, buffered.relayed_blocks,
-        "relayed block counts differ"
-    );
-    assert_eq!(streamed.identifiability, buffered.identifiability);
-    assert_eq!(streamed.target, buffered.target, "target spaces differ");
-    assert_eq!(streamed.reports.len(), buffered.reports.len());
-    for (s, b) in streamed.reports.iter().zip(&buffered.reports) {
-        assert_eq!(s.provider, b.provider);
-        assert_eq!(s.rho_local.to_bits(), b.rho_local.to_bits(), "rho_local");
+    assert_eq!(a.identifiability, b.identifiability);
+    assert_eq!(a.target, b.target, "target spaces differ");
+    assert_eq!(a.reports.len(), b.reports.len());
+    for (x, y) in a.reports.iter().zip(&b.reports) {
+        assert_eq!(x.provider, y.provider);
+        assert_eq!(x.rho_local.to_bits(), y.rho_local.to_bits(), "rho_local");
         assert_eq!(
-            s.rho_unified.to_bits(),
-            b.rho_unified.to_bits(),
+            x.rho_unified.to_bits(),
+            y.rho_unified.to_bits(),
             "rho_unified"
         );
         assert_eq!(
-            s.satisfaction.to_bits(),
-            b.satisfaction.to_bits(),
+            x.satisfaction.to_bits(),
+            y.satisfaction.to_bits(),
             "satisfaction"
         );
-        assert_eq!(s.optimizer_history.len(), b.optimizer_history.len());
-        for (x, y) in s.optimizer_history.iter().zip(&b.optimizer_history) {
-            assert_eq!(x.to_bits(), y.to_bits(), "optimizer history");
+        assert_eq!(x.optimizer_history.len(), y.optimizer_history.len());
+        for (p, q) in x.optimizer_history.iter().zip(&y.optimizer_history) {
+            assert_eq!(p.to_bits(), q.to_bits(), "optimizer history");
         }
     }
 }
 
-fn run_both(seed: u64, rows: usize, dim: usize, k: usize, block_rows: usize) {
-    let streamed = run_session(
-        random_locals(seed, rows, dim, k),
-        &config(seed, block_rows, DataPlane::Streaming),
-    )
-    .expect("streaming session");
-    let buffered = run_session(
-        random_locals(seed, rows, dim, k),
-        &config(seed, block_rows, DataPlane::Buffered),
-    )
-    .expect("buffered session");
-    assert_outcomes_identical(&streamed, &buffered);
-    // The streaming run really did pipeline: the relay hop forwarded
-    // blocks before their streams finished (unless blocks were so large
-    // each stream was a single frame).
-    assert!(streamed.stream.blocks_streamed > 0);
-    assert_eq!(buffered.stream.blocks_streamed, 0);
+/// Runs the same session at one row per block, at `grain`, and in one
+/// block per partition, and checks the three outcomes agree.
+fn grains_agree(seed: u64, rows: usize, dim: usize, k: usize, grain: usize) {
+    let locals = random_locals(seed, rows, dim, k);
+    let mut first: Option<SapOutcome> = None;
+    for block_rows in [1, grain, rows + 1] {
+        let outcome = run_session(locals.clone(), &config(seed, block_rows))
+            .unwrap_or_else(|e| panic!("block_rows {block_rows}: {e}"));
+        // Every partition travels once through the relay hop, cut into
+        // ceil(len / block_rows) blocks.
+        let blocks: usize = locals.iter().map(|l| l.len().div_ceil(block_rows)).sum();
+        assert_eq!(
+            outcome.relayed_blocks, blocks as u64,
+            "block_rows {block_rows}"
+        );
+        assert!(outcome.stream.blocks_streamed > 0);
+        match &first {
+            None => first = Some(outcome),
+            Some(reference) => assert_outcomes_identical(reference, &outcome),
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random datasets, session shapes, and block sizes: the two planes
-    /// must agree bit-for-bit.
+    /// Random datasets, session shapes, and block sizes: the grain must
+    /// not change a single bit of the outcome.
     #[test]
-    fn planes_agree_on_random_sessions(
+    fn block_partitions_agree_on_random_sessions(
         seed in any::<u64>(),
         rows in 24usize..100,
         dim in 2usize..5,
         k in 3usize..5,
-        block_rows in 1usize..40,
+        grain in 1usize..40,
     ) {
-        run_both(seed, rows, dim, k, block_rows);
+        grains_agree(seed, rows, dim, k, grain);
     }
 }
 
-/// The degenerate chunking grains: one row per block (maximum frame
-/// count) and blocks larger than any provider's partition (the whole
-/// dataset in a single block).
+/// The degenerate chunking grains on a fixed session: one row per block
+/// (maximum frame count), a small grain, and blocks larger than any
+/// provider's partition (the whole dataset in a single block).
 #[test]
 fn edge_block_sizes_agree() {
-    run_both(0xB10C, 40, 3, 3, 1);
-    run_both(0xB10C, 40, 3, 3, 10_000);
+    grains_agree(0xB10C, 40, 3, 3, 7);
+    grains_agree(0xB10C, 40, 3, 3, 10_000);
 }
 
 /// The streaming plane must pipeline the relay hop when streams span
@@ -117,11 +116,8 @@ fn edge_block_sizes_agree() {
 /// arriving.
 #[test]
 fn streaming_plane_actually_pipelines() {
-    let outcome = run_session(
-        random_locals(7, 96, 4, 4),
-        &config(7, 4, DataPlane::Streaming),
-    )
-    .expect("streaming session");
+    let outcome =
+        run_session(random_locals(7, 96, 4, 4), &config(7, 4)).expect("streaming session");
     assert!(
         outcome.stream.pipelined_blocks > 0,
         "relay pump never forwarded a block in flight: {:?}",
