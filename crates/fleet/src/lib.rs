@@ -49,9 +49,10 @@ use sap_core::SapError;
 use sap_datasets::Dataset;
 use sap_net::frame::open_frame;
 use sap_net::mux::{MuxEndpoint, SessionMux};
-use sap_net::tcp::{local_mesh_with, Backend, TcpLane, DEFAULT_CONNECT_WINDOW};
+use sap_net::reactor::DEFAULT_CONNECT_WINDOW;
+use sap_net::tcp::local_mesh;
 use sap_net::transport::Endpoint;
-use sap_net::{PartyId, SessionId, Transport, TransportError};
+use sap_net::{PartyId, ReactorTransport, SessionId, Transport, TransportError};
 use sap_server::{RetryPolicy, SapServer, ServerConfig, ServerError};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -126,8 +127,6 @@ pub struct FleetConfig {
     pub server: ServerConfig,
     /// Secret sealing the fleet control plane ([`wire::inbox_key`]).
     pub fleet_secret: u64,
-    /// Inter-node TCP backend (reactor by default).
-    pub backend: Backend,
     /// Node heartbeat interval on the inter-node liveness plane.
     pub heartbeat_interval: Duration,
     /// Missed-interval budget before a silent node is declared dead.
@@ -140,7 +139,6 @@ impl Default for FleetConfig {
             nodes: 2,
             server: ServerConfig::default(),
             fleet_secret: 0xF1EE_75EC,
-            backend: Backend::Reactor,
             heartbeat_interval: sap_net::mux::DEFAULT_HEARTBEAT_INTERVAL,
             liveness_misses: sap_net::mux::DEFAULT_LIVENESS_MISSES,
         }
@@ -227,8 +225,8 @@ impl Shared {
 struct FleetNode {
     index: usize,
     server: Arc<SapServer<Endpoint>>,
-    mux: SessionMux<TcpLane>,
-    inbox: Arc<MuxEndpoint<TcpLane>>,
+    mux: SessionMux<ReactorTransport>,
+    inbox: Arc<MuxEndpoint<ReactorTransport>>,
     msg_ids: AtomicU64,
 }
 
@@ -288,7 +286,7 @@ impl Fleet {
             )));
         }
         let ids: Vec<PartyId> = (0..n).map(|j| PartyId(j as u64)).collect();
-        let lanes = local_mesh_with(&ids, config.backend).map_err(FleetError::Mesh)?;
+        let lanes = local_mesh(&ids).map_err(FleetError::Mesh)?;
         let shared = Arc::new(Shared {
             secret: config.fleet_secret,
             alive: Mutex::new((0..n).collect()),

@@ -4,7 +4,8 @@
 //! coordinator, and the mining service provider — and "assume\[s\] that
 //! encryption is applied before data is transmitted on the network". This
 //! crate supplies the communication substrate those roles run on, as a
-//! layered pipeline in which every layer is swappable:
+//! layered pipeline with one implementation per layer (plus the
+//! in-memory hub and the fault injector as alternative transports):
 //!
 //! ```text
 //!   protocol actors (sap-core)          — generic over Transport
@@ -17,7 +18,7 @@
 //!        │ sealed v4 frames (Bytes)       authenticated SessionId stamp
 //!   [`mux`]    SessionMux               — many sessions, one physical mesh
 //!        │ session-routed frames
-//!   [`transport`] / [`tcp`] / [`sim`]   — in-memory hub, TCP, fault inject
+//!   [`transport`] / [`reactor`] / [`sim`] — in-memory hub, TCP, fault inject
 //! ```
 //!
 //! * [`wire`] — the compact varint binary format every message travels
@@ -30,13 +31,11 @@
 //!   they model the interface.
 //! * [`transport`] — the [`transport::Transport`] trait and the in-memory
 //!   hub implementation over channels, one endpoint per party.
-//! * [`tcp`] — a real TCP backend with the same contract: blocking
-//!   thread-per-connection ([`tcp::TcpTransport`]) kept as the
-//!   equivalence reference, fronted by [`tcp::TcpLane`] which defaults to
-//!   the reactor.
-//! * [`reactor`] — the readiness-driven TCP backend: one reactor thread
-//!   multiplexing every lane over the vendored epoll/poll shim, pooled
-//!   frame buffers, and coalesced vectored writes.
+//! * [`reactor`] — the TCP transport, with the same contract as the hub:
+//!   one reactor thread multiplexing every lane over the vendored
+//!   epoll/poll shim, pooled frame buffers, and coalesced vectored writes.
+//! * [`tcp`] — [`tcp::local_mesh`] (a fully meshed set of localhost
+//!   reactor endpoints) and the trust model of the TCP lanes.
 //! * [`mux`] — [`mux::SessionMux`]: demultiplexes one physical endpoint
 //!   into per-session virtual endpoints (bounded queues, unknown-session
 //!   shedding), keyed by the v4 envelope's authenticated session stamp.
@@ -62,5 +61,4 @@ pub mod wire;
 pub use mux::{MuxEndpoint, MuxMetrics, SessionMux};
 pub use node::{Node, NodeEvent, NodeFlow, StreamHandle};
 pub use reactor::{ReactorStats, ReactorTransport};
-pub use tcp::{Backend, TcpLane, TcpTransport};
 pub use transport::{InMemoryHub, PartyId, SessionId, Transport, TransportError};

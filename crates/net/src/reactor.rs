@@ -1,19 +1,23 @@
-//! Readiness-driven TCP transport: one reactor thread, every lane.
+//! The TCP transport: one reactor thread serves every lane of an
+//! endpoint.
 //!
-//! The threaded backend ([`crate::tcp`]) spends one OS thread per inbound
-//! connection and one blocking `write_all` per frame — fine for a handful
-//! of lanes, hopeless for a thousand. This module multiplexes **all**
-//! connections of one endpoint onto a single reactor thread driven by the
-//! vendored readiness shim ([`epoll`]): edge-triggered `epoll(7)` on
-//! Linux, with a portable level-triggered `poll(2)` fallback selectable
-//! at runtime (`SAP_POLLER=poll`).
+//! A [`ReactorTransport`] multiplexes **all** connections of one endpoint
+//! onto a single reactor thread driven by the vendored readiness shim
+//! ([`epoll`]): edge-triggered `epoll(7)` on Linux, with a portable
+//! level-triggered `poll(2)` fallback selectable at runtime
+//! (`SAP_POLLER=poll`). A lane costs no thread of its own, so a thousand
+//! idle lanes cost one parked thread.
 //!
-//! Wire compatibility is absolute: a reactor endpoint speaks byte-for-byte
-//! the threaded backend's protocol (8-byte little-endian sender id once
-//! per connection, then `[len: u32 LE][payload]` frames, outbound
-//! connections send-only / inbound receive-only), so the two backends
-//! interoperate within one mesh and either can be A/B'd against the other
-//! ([`crate::tcp::local_mesh`] picks via `SAP_NET_BACKEND`).
+//! # Byte protocol
+//!
+//! Each party binds a listener and knows its peers' addresses
+//! ([`ReactorTransport::register_peer`], or [`crate::tcp::local_mesh`]
+//! for a localhost mesh). Outgoing connections are opened lazily on first
+//! send and kept for the endpoint's lifetime; they are send-only, inbound
+//! connections receive-only. A connection opens with the sender's id
+//! (`u64` little-endian), then carries `[len: u32 LE][payload]` frames —
+//! the sealed frames of [`crate::frame`], so TCP only ever sees
+//! ciphertext. A length over [`MAX_PAYLOAD`] kills the connection.
 //!
 //! # Structure
 //!
@@ -25,8 +29,9 @@
 //!   connection. Other threads talk to it through a command channel plus
 //!   a pipe [`epoll::Waker`] — no socket is ever touched off-thread.
 //! - Connects stay blocking, but in **transient** connector threads that
-//!   retry with the same backoff policy as the threaded backend and then
-//!   hand the socket to the reactor. A pending connect is shared state:
+//!   retry with exponential backoff (2 ms doubling to a 250 ms cap) until
+//!   the connect window closes, and then hand the socket to the reactor.
+//!   A pending connect is shared state:
 //!   regular sends extend its deadline, liveness probes ride it without
 //!   ever opening a second socket ([`Transport::send_liveness`] is
 //!   allocation- and connection-free while a connect or drain is already
@@ -40,28 +45,23 @@
 //!
 //! [`Transport::send`] is asynchronous up to [`HIGH_WATER`] queued bytes
 //! per peer, then blocks on a condvar until the reactor drains the queue
-//! — a slow peer stalls its sender exactly like the threaded backend's
-//! blocking `write_all`, without stalling any other lane.
+//! — a slow peer stalls its sender as a blocking write would, without
+//! stalling any other lane.
 //! [`Transport::send_liveness`] never blocks: over the high-water mark it
 //! drops the beat (the link is demonstrably active), and while a connect
 //! is pending it enqueues and returns.
 //!
 //! # Failure surface
 //!
-//! Failures surface exactly like the threaded backend's, just typed
-//! through the inbox where the threaded path could report synchronously:
-//! a connect that exhausts its window marks the peer failed (the next
-//! send consumes a [`TransportError::ConnectFailed`]) and posts an
-//! in-band `PeerDown`; an inbound peer's socket closing posts `PeerDown`;
-//! a peer claiming a frame over [`crate::tcp::MAX_PAYLOAD`] gets its
-//! connection dropped and a typed [`TransportError::OversizeFrame`]
-//! surfaces to the receiver — the claimed length is **never allocated**.
+//! Failures are typed and surface through the inbox: a connect that
+//! exhausts its window marks the peer failed (the next send consumes a
+//! [`TransportError::ConnectFailed`]) and posts an in-band `PeerDown`; an
+//! inbound peer's socket closing posts `PeerDown`; a peer claiming a
+//! frame over [`MAX_PAYLOAD`] gets its connection dropped and a typed
+//! [`TransportError::OversizeFrame`] surfaces to the receiver — the
+//! claimed length is **never allocated**.
 
 use crate::pool;
-use crate::tcp::{
-    CONNECT_BACKOFF_CAP, CONNECT_BACKOFF_FLOOR, DEFAULT_CONNECT_WINDOW, HEARTBEAT_CONNECT_WINDOW,
-    MAX_PAYLOAD,
-};
 use crate::transport::{pop_delivery, Delivery, PartyId, Transport, TransportError};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -75,6 +75,28 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Upper bound on one sealed payload (64 MiB) — a hard stop against
+/// corrupt or hostile length prefixes.
+pub const MAX_PAYLOAD: usize = 64 * 1024 * 1024;
+
+/// Default window over which a first send keeps retrying to reach a peer
+/// that has not bound yet (peers may come up in any order).
+pub const DEFAULT_CONNECT_WINDOW: Duration = Duration::from_secs(5);
+
+/// First backoff sleep of the connect retry schedule; doubles per attempt.
+const CONNECT_BACKOFF_FLOOR: Duration = Duration::from_millis(2);
+
+/// Backoff ceiling — retries never sleep longer than this between
+/// attempts, so a late-binding peer is noticed promptly even deep into
+/// the window.
+const CONNECT_BACKOFF_CAP: Duration = Duration::from_millis(250);
+
+/// Connect window for [`Transport::send_liveness`] heartbeat sends — far
+/// shorter than the regular window, so a dead (never-connected) peer
+/// cannot stall a heartbeat emitter long enough to starve beats to
+/// healthy peers.
+const HEARTBEAT_CONNECT_WINDOW: Duration = Duration::from_millis(100);
 
 /// Per-peer outbound queue bound, in payload bytes. A sender crossing it
 /// blocks until the reactor drains the peer's queue below the mark.
@@ -1029,10 +1051,8 @@ fn spawn_connector(outer: &Arc<Shared>, to: PartyId, addr: SocketAddr, ctl: Arc<
 // The public transport
 // ---------------------------------------------------------------------------
 
-/// Readiness-driven TCP transport endpoint: the same wire protocol and
-/// [`Transport`] contract as [`crate::tcp::TcpTransport`], served by one
-/// reactor thread instead of a thread per connection. See the module docs
-/// for the design.
+/// A TCP [`Transport`] endpoint served by one reactor thread. See the
+/// module docs for the design.
 pub struct ReactorTransport {
     shared: Arc<Shared>,
     inbox: Mutex<Receiver<Delivery>>,
@@ -1489,25 +1509,6 @@ mod tests {
     }
 
     #[test]
-    fn reactor_interoperates_with_threaded_backend() {
-        use crate::tcp::TcpTransport;
-        let reactor = ReactorTransport::bind(PartyId(1)).expect("bind reactor");
-        let threaded = TcpTransport::bind(PartyId(2)).expect("bind threaded");
-        reactor.register_peer(PartyId(2), threaded.local_addr());
-        threaded.register_peer(PartyId(1), reactor.local_addr());
-        reactor
-            .send(PartyId(2), Bytes::copy_from_slice(b"from-reactor"))
-            .expect("reactor send");
-        let (from, payload) = threaded.recv_timeout(WAIT).expect("threaded recv");
-        assert_eq!((from, &payload[..]), (PartyId(1), &b"from-reactor"[..]));
-        threaded
-            .send(PartyId(1), Bytes::copy_from_slice(b"from-threaded"))
-            .expect("threaded send");
-        let (from, payload) = reactor.recv_timeout(WAIT).expect("reactor recv");
-        assert_eq!((from, &payload[..]), (PartyId(2), &b"from-threaded"[..]));
-    }
-
-    #[test]
     fn large_frames_survive_partial_writes() {
         let (a, b) = pair();
         // Big enough to overflow socket buffers and force WouldBlock on
@@ -1566,11 +1567,9 @@ mod tests {
 
     #[test]
     fn liveness_rides_pending_connect_instead_of_opening_new_sockets() {
-        // An address that refuses connections: bind, learn the port, drop.
-        let dead_addr = {
-            let l = TcpListener::bind("127.0.0.1:0").expect("bind");
-            l.local_addr().expect("addr")
-        };
+        // Port 1 sits below the kernel's ephemeral range, so no parallel
+        // test's `bind(":0")` can be handed it; nothing listens there.
+        let dead_addr: SocketAddr = "127.0.0.1:1".parse().expect("addr");
         let mut a = ReactorTransport::bind(PartyId(1)).expect("bind");
         a.set_connect_window(Duration::from_millis(400));
         a.register_peer(PartyId(2), dead_addr);

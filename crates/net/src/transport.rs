@@ -88,13 +88,13 @@ pub enum TransportError {
     /// `recv_timeout` elapsed without a message.
     Timeout,
     /// The payload exceeds the transport's size limit (e.g. a stream
-    /// block larger than [`crate::tcp::MAX_PAYLOAD`]).
+    /// block larger than [`crate::reactor::MAX_PAYLOAD`]).
     PayloadTooLarge {
         /// Offending payload size in bytes.
         size: usize,
     },
     /// A peer's length prefix claimed a frame over
-    /// [`crate::tcp::MAX_PAYLOAD`]. The claimed buffer was **never
+    /// [`crate::reactor::MAX_PAYLOAD`]. The claimed buffer was **never
     /// allocated**; the offending connection was dropped. Like
     /// [`TransportError::PeerDown`] this is transient and names the
     /// party, so the protocol layer can fail that peer's session with a

@@ -81,9 +81,9 @@ use sap_core::SapError;
 use sap_datasets::Dataset;
 use sap_net::mux::{MuxEndpoint, SessionMux};
 use sap_net::sim::FaultyTransport;
-use sap_net::tcp::{local_mesh, TcpLane};
+use sap_net::tcp::local_mesh;
 use sap_net::transport::Endpoint;
-use sap_net::{InMemoryHub, PartyId, SessionId, Transport, TransportError};
+use sap_net::{InMemoryHub, PartyId, ReactorTransport, SessionId, Transport, TransportError};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -415,7 +415,7 @@ impl SapServer<Endpoint> {
     }
 }
 
-impl SapServer<TcpLane> {
+impl SapServer<ReactorTransport> {
     /// Builds a server whose mesh is real localhost TCP sockets — one
     /// listener per lane, fully meshed.
     ///
@@ -459,7 +459,7 @@ impl<T: Transport + 'static> SapServer<T> {
             // Transport-reported deaths (socket close, hub kill) bypass
             // the grace and are declared immediately.
             let grace = (config.heartbeat_interval * config.liveness_misses.max(1))
-                .max(sap_net::tcp::DEFAULT_CONNECT_WINDOW);
+                .max(sap_net::reactor::DEFAULT_CONNECT_WINDOW);
             for lane in lanes.iter().chain(std::iter::once(&miner_lane)) {
                 lane.start_liveness_with_grace(
                     roster.clone(),

@@ -6,8 +6,8 @@ use sap_repro::core::session::{run_session_over, SapConfig, MINER_ID};
 use sap_repro::datasets::normalize::min_max_normalize;
 use sap_repro::datasets::partition::{partition, PartitionScheme};
 use sap_repro::datasets::registry::UciDataset;
-use sap_repro::net::tcp::{local_mesh, local_mesh_with};
-use sap_repro::net::{Backend, PartyId};
+use sap_repro::net::tcp::local_mesh;
+use sap_repro::net::{PartyId, ReactorTransport};
 
 fn quick() -> SapConfig {
     SapConfig {
@@ -18,24 +18,10 @@ fn quick() -> SapConfig {
 
 /// Builds TCP endpoints for `k` providers plus the miner, fully meshed on
 /// localhost, and splits them into (providers, miner).
-fn tcp_parties(k: usize) -> (Vec<sap_repro::net::TcpLane>, sap_repro::net::TcpLane) {
+fn tcp_parties(k: usize) -> (Vec<ReactorTransport>, ReactorTransport) {
     let mut ids: Vec<PartyId> = (0..k as u64).map(PartyId).collect();
     ids.push(MINER_ID);
     let mut mesh = local_mesh(&ids).expect("bind localhost sockets");
-    let miner = mesh.pop().expect("miner endpoint");
-    (mesh, miner)
-}
-
-/// Like [`tcp_parties`] but with the backend pinned explicitly, so a test
-/// can compare backends regardless of `SAP_NET_BACKEND` in the
-/// environment.
-fn tcp_parties_on(
-    k: usize,
-    backend: Backend,
-) -> (Vec<sap_repro::net::TcpLane>, sap_repro::net::TcpLane) {
-    let mut ids: Vec<PartyId> = (0..k as u64).map(PartyId).collect();
-    ids.push(MINER_ID);
-    let mut mesh = local_mesh_with(&ids, backend).expect("bind localhost sockets");
     let miner = mesh.pop().expect("miner endpoint");
     (mesh, miner)
 }
@@ -81,43 +67,4 @@ fn tcp_and_hub_sessions_agree() {
 
     assert_eq!(hub_outcome.unified, tcp_outcome.unified);
     assert_eq!(hub_outcome.forwarder_of_slot, tcp_outcome.forwarder_of_slot);
-}
-
-#[test]
-fn reactor_and_threaded_backends_agree_byte_for_byte() {
-    // The reactor rewrite must be invisible above the Transport trait:
-    // the same inputs through the readiness-driven backend, the blocking
-    // thread-per-connection backend, and the in-memory hub must yield
-    // byte-identical session outcomes.
-    use sap_repro::core::session::run_session;
-
-    let (data, _) = min_max_normalize(&UciDataset::Wine.generate(27));
-    let locals = partition(&data, 3, PartitionScheme::ClassSkewed, 28);
-    let config = quick();
-
-    let hub_outcome = run_session(locals.clone(), &config).expect("hub session");
-
-    let (providers, miner) = tcp_parties_on(3, Backend::Reactor);
-    let reactor_outcome =
-        run_session_over(locals.clone(), &config, providers, miner).expect("reactor session");
-
-    let (providers, miner) = tcp_parties_on(3, Backend::Threaded);
-    let threaded_outcome =
-        run_session_over(locals, &config, providers, miner).expect("threaded session");
-
-    assert_eq!(reactor_outcome.unified, threaded_outcome.unified);
-    assert_eq!(reactor_outcome.unified, hub_outcome.unified);
-    assert_eq!(
-        reactor_outcome.forwarder_of_slot,
-        threaded_outcome.forwarder_of_slot
-    );
-    assert_eq!(
-        reactor_outcome.forwarder_of_slot,
-        hub_outcome.forwarder_of_slot
-    );
-    assert_eq!(
-        reactor_outcome.reports.len(),
-        threaded_outcome.reports.len()
-    );
-    assert!((reactor_outcome.identifiability - threaded_outcome.identifiability).abs() < 1e-15);
 }
