@@ -74,8 +74,8 @@ pub mod stream;
 pub use error::SapError;
 pub use liveness::{Deadline, Roster};
 pub use runtime::{
-    ActorPool, Gang, QosClass, SchedPolicy, SchedStats, SchedulerConfig, SessionHandle,
-    SessionStatus, SessionTimings, ShedInfo,
+    ActorPool, Gang, QosClass, SchedStats, SchedulerConfig, SessionHandle, SessionStatus,
+    SessionTimings, ShedInfo,
 };
 pub use session::{
     run_session, run_session_over, spawn_session, ProviderReport, RoleCtx, SapConfig, SapOutcome,

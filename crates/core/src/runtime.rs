@@ -22,8 +22,6 @@
 //!   fastest gang service time the pool has observed — a typed
 //!   [`SapError::AdmissionShed`] instead of burning workers on a session
 //!   that will die of `DeadlineExceeded` anyway.
-//!   [`SchedPolicy::Fifo`] disables all of this (single queue, no aging,
-//!   no shed) and is kept as the pre-QoS reference policy.
 //! * **work stealing** across pool workers: admitted tasks land on
 //!   per-worker run queues (round-robin); a worker pops its own queue
 //!   first and steals from siblings when empty, so a finished role's
@@ -37,8 +35,7 @@
 //!   preferring the first *role* error over panics, which are caught per
 //!   task so a panicking role degrades one session, never a pool worker.
 //!
-//! The safety invariant is unchanged from the FIFO pool: **committed
-//! tasks never exceed workers**, so every admitted role holds a worker
+//! The safety invariant: **committed tasks never exceed workers**, so every admitted role holds a worker
 //! until it finishes and a gang can never deadlock on its own siblings.
 
 use crate::audit::AuditLog;
@@ -85,18 +82,6 @@ impl QosClass {
     }
 }
 
-/// Which admission discipline the pool runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// One queue, arrival order, no aging, no deadline shed — the
-    /// pre-QoS behavior, kept as the benchmark baseline.
-    Fifo,
-    /// Per-class queues with strict priority, batch aging, and
-    /// deadline-aware admission shedding. The default.
-    #[default]
-    Qos,
-}
-
 /// How long a batch gang may queue before aging promotes it into the
 /// interactive queue (default of [`SchedulerConfig::batch_aging`]).
 pub const DEFAULT_BATCH_AGING: Duration = Duration::from_secs(2);
@@ -104,8 +89,6 @@ pub const DEFAULT_BATCH_AGING: Duration = Duration::from_secs(2);
 /// Scheduler knobs of an [`ActorPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
-    /// Admission discipline ([`SchedPolicy::Qos`] by default).
-    pub policy: SchedPolicy,
     /// Age at which a queued batch gang is promoted to the interactive
     /// queue — the anti-starvation bound.
     pub batch_aging: Duration,
@@ -114,7 +97,6 @@ pub struct SchedulerConfig {
 impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
-            policy: SchedPolicy::default(),
             batch_aging: DEFAULT_BATCH_AGING,
         }
     }
@@ -268,8 +250,7 @@ impl SchedCounters {
 }
 
 struct PoolState {
-    /// Admission queues, indexed by [`QosClass::index`]. Under
-    /// [`SchedPolicy::Fifo`] only queue 0 is used.
+    /// Admission queues, indexed by [`QosClass::index`].
     pending: [VecDeque<QueuedGang>; 2],
     /// Tasks admitted but not yet finished (queued-on-a-worker or
     /// running). The admission invariant `committed ≤ workers` guarantees
@@ -329,22 +310,19 @@ impl PoolInner {
     fn promote(&self, state: &mut PoolState) -> Vec<PromoteEffect> {
         let mut effects = Vec::new();
         let now = Instant::now();
-        let qos = self.cfg.policy == SchedPolicy::Qos;
 
-        if qos {
-            // Aging: the batch queue is FIFO, so its front is its oldest
-            // member — promote from the front until the residue is young.
-            while state.pending[1]
-                .front()
-                .is_some_and(|q| now.duration_since(q.enqueued) >= self.cfg.batch_aging)
-            {
-                match state.pending[1].pop_front() {
-                    Some(aged) => {
-                        state.pending[0].push_back(aged);
-                        state.sched.promoted += 1;
-                    }
-                    None => break,
+        // Aging: the batch queue is FIFO, so its front is its oldest
+        // member — promote from the front until the residue is young.
+        while state.pending[1]
+            .front()
+            .is_some_and(|q| now.duration_since(q.enqueued) >= self.cfg.batch_aging)
+        {
+            match state.pending[1].pop_front() {
+                Some(aged) => {
+                    state.pending[0].push_back(aged);
+                    state.sched.promoted += 1;
                 }
+                None => break,
             }
         }
 
@@ -355,11 +333,7 @@ impl PoolInner {
                     None => break,
                     Some(front) => (
                         front.gang.tasks.len() <= free,
-                        if qos {
-                            shed_verdict(front, now, state.sched.service_floor_us)
-                        } else {
-                            None
-                        },
+                        shed_verdict(front, now, state.sched.service_floor_us),
                     ),
                 };
                 // Shed before the fit check: a doomed gang should not
@@ -383,9 +357,6 @@ impl PoolInner {
                     break;
                 };
                 effects.extend(self.admit(state, admitted, now));
-            }
-            if !qos {
-                break;
             }
         }
         effects
@@ -494,7 +465,7 @@ pub struct ActorPool {
 
 impl ActorPool {
     /// Creates a pool with `workers` threads and the default
-    /// [`SchedulerConfig`] (QoS policy).
+    /// [`SchedulerConfig`].
     ///
     /// # Panics
     ///
@@ -564,11 +535,7 @@ impl ActorPool {
             if state.shutdown {
                 return Err(SapError::Aborted);
             }
-            let queue = match self.inner.cfg.policy {
-                SchedPolicy::Fifo => 0,
-                SchedPolicy::Qos => gang.class.index(),
-            };
-            state.pending[queue].push_back(QueuedGang {
+            state.pending[gang.class.index()].push_back(QueuedGang {
                 gang,
                 enqueued: Instant::now(),
             });
@@ -1177,7 +1144,6 @@ mod tests {
         let pool = ActorPool::with_config(
             1,
             SchedulerConfig {
-                policy: SchedPolicy::Qos,
                 batch_aging: Duration::from_millis(30),
             },
         );
@@ -1274,46 +1240,5 @@ mod tests {
         release.wait();
         wait_for(&slow, 1);
         assert!(pool.stats().task_steals >= 1, "{:?}", pool.stats());
-    }
-
-    #[test]
-    fn fifo_policy_ignores_classes() {
-        let pool = ActorPool::with_config(
-            1,
-            SchedulerConfig {
-                policy: SchedPolicy::Fifo,
-                batch_aging: DEFAULT_BATCH_AGING,
-            },
-        );
-        let release = Arc::new(std::sync::Barrier::new(2));
-        let blocker = Arc::new(AtomicUsize::new(0));
-        let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
-        let done = Arc::new(AtomicUsize::new(0));
-
-        let gate = Arc::clone(&release);
-        pool.submit(gang_of(1, QosClass::Interactive, &blocker, move || {
-            gate.wait();
-        }))
-        .unwrap();
-        for (class, tag) in [
-            (QosClass::Batch, "batch"),
-            (QosClass::Interactive, "interactive"),
-        ] {
-            let o = Arc::clone(&order);
-            let d = Arc::clone(&done);
-            let mut gang = Gang::new(class);
-            gang.push(move || {
-                o.lock().push(tag);
-                d.fetch_add(1, Ordering::SeqCst);
-            });
-            pool.submit(gang).unwrap();
-        }
-        release.wait();
-        wait_for(&done, 2);
-        assert_eq!(
-            *order.lock(),
-            vec!["batch", "interactive"],
-            "FIFO must run in arrival order"
-        );
     }
 }

@@ -205,9 +205,7 @@ pub struct ServerConfig {
     /// Recovery policy for sessions killed by a peer failure.
     pub retry_policy: RetryPolicy,
     /// The shared pool's admission scheduler: QoS class queues with batch
-    /// aging and deadline-aware shedding by default;
-    /// [`sap_core::runtime::SchedPolicy::Fifo`] restores the pre-QoS
-    /// arrival-order admission (kept as the pre-QoS reference).
+    /// aging and deadline-aware shedding.
     pub scheduler: SchedulerConfig,
     /// First session id this server mints
     /// ([`sap_core::placement::IdMinter`] base). Fleet node `j` uses

@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sap_repro::core::session::SapConfig;
 use sap_repro::core::{
-    ActorPool, Deadline, Gang, QosClass, SapError, SchedPolicy, SchedulerConfig, SessionStatus,
+    ActorPool, Deadline, Gang, QosClass, SapError, SchedulerConfig, SessionStatus,
 };
 use sap_repro::datasets::partition::{partition, PartitionScheme};
 use sap_repro::datasets::Dataset;
@@ -116,7 +116,6 @@ proptest! {
         let pool = Arc::new(ActorPool::with_config(
             1,
             SchedulerConfig {
-                policy: SchedPolicy::Qos,
                 batch_aging: Duration::from_millis(25),
             },
         ));
@@ -281,7 +280,6 @@ fn qos_server() -> SapServer<sap_repro::net::transport::Endpoint> {
         worker_threads: PROVIDERS + 1,
         heartbeat_interval: Duration::ZERO,
         scheduler: SchedulerConfig {
-            policy: SchedPolicy::Qos,
             // Aging out of scope here: keep it far above the test horizon.
             batch_aging: Duration::from_secs(600),
         },
