@@ -60,6 +60,10 @@ pub enum SapError {
     },
     /// Provider datasets disagree on dimensionality or class count.
     InconsistentInputs(String),
+    /// The session configuration cannot be run (zero `block_rows`, a
+    /// fault probability outside `[0, 1]`), caught before any role or
+    /// route exists ([`crate::session::SapConfig::validate`]).
+    InvalidConfig(String),
     /// The session's optimizer configuration is malformed (zero
     /// candidates, empty dataset). A typed error instead of a panic so a
     /// bad client config fails *its* session instead of killing a
@@ -117,6 +121,7 @@ impl fmt::Display for SapError {
                 write!(f, "SAP needs at least 3 providers, got {got}")
             }
             SapError::InconsistentInputs(what) => write!(f, "inconsistent inputs: {what}"),
+            SapError::InvalidConfig(what) => write!(f, "invalid session configuration: {what}"),
             SapError::Optimizer(e) => write!(f, "optimizer rejected the configuration: {e}"),
             SapError::Aborted => write!(f, "session aborted by its owner"),
             SapError::AdmissionShed {

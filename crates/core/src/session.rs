@@ -106,6 +106,25 @@ impl SapConfig {
             qos: QosClass::default(),
         }
     }
+
+    /// Checks the settings no session can run with: `block_rows` must be
+    /// positive and every fault probability a number within `[0, 1]`.
+    /// Every spawn runs this before a role, an endpoint wrapper or a
+    /// server route exists, so a bad client config fails its own
+    /// submission instead of panicking a thread that holds shared state.
+    ///
+    /// # Errors
+    ///
+    /// [`SapError::InvalidConfig`] naming the offending setting.
+    pub fn validate(&self) -> Result<(), SapError> {
+        if self.block_rows == 0 {
+            return Err(SapError::InvalidConfig("block_rows is 0".into()));
+        }
+        match &self.fault_config {
+            Some(faults) => faults.validate().map_err(SapError::InvalidConfig),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Per-provider result of a session.
@@ -276,7 +295,8 @@ pub struct RoleCtx<'a> {
     pub deadline: &'a Deadline,
 }
 
-fn validate_locals(locals: &[Dataset]) -> Result<(usize, usize), SapError> {
+fn validate_inputs(locals: &[Dataset], config: &SapConfig) -> Result<(usize, usize), SapError> {
+    config.validate()?;
     let k = locals.len();
     if k < 3 {
         return Err(SapError::TooFewProviders { got: k });
@@ -320,9 +340,10 @@ fn validate_locals(locals: &[Dataset]) -> Result<(usize, usize), SapError> {
 ///
 /// * [`SapError::TooFewProviders`] for `k < 3`.
 /// * [`SapError::InconsistentInputs`] when local datasets disagree.
+/// * [`SapError::InvalidConfig`] when [`SapConfig::validate`] fails.
 /// * Any role's protocol/timeout error, propagated.
 pub fn run_session(locals: Vec<Dataset>, config: &SapConfig) -> Result<SapOutcome, SapError> {
-    validate_locals(&locals)?;
+    validate_inputs(&locals, config)?;
     let k = locals.len();
     let hub = InMemoryHub::new();
     let providers: Vec<PartyId> = (0..k as u64).map(PartyId).collect();
@@ -376,7 +397,7 @@ pub fn run_session_over<T>(
 where
     T: Transport + 'static,
 {
-    validate_locals(&locals)?;
+    validate_inputs(&locals, config)?;
     let pool = ActorPool::new(locals.len() + 1);
     let handle = spawn_session(
         &pool,
@@ -402,8 +423,9 @@ where
 ///
 /// # Errors
 ///
-/// * [`SapError::TooFewProviders`] / [`SapError::InconsistentInputs`] on
-///   invalid inputs (checked before anything is spawned).
+/// * [`SapError::TooFewProviders`] / [`SapError::InconsistentInputs`] /
+///   [`SapError::InvalidConfig`] on invalid inputs (checked before
+///   anything is spawned).
 /// * [`SapError::Capacity`] when `k + 1` exceeds the pool size.
 pub fn spawn_session<T>(
     pool: &ActorPool,
@@ -416,7 +438,7 @@ pub fn spawn_session<T>(
 where
     T: Transport + 'static,
 {
-    let (_dim, num_classes) = validate_locals(&locals)?;
+    let (_dim, num_classes) = validate_inputs(&locals, config)?;
     let k = locals.len();
     if provider_transports.len() != k {
         return Err(SapError::InconsistentInputs(format!(
@@ -761,6 +783,33 @@ mod tests {
                 ),
             }
             locals[1] = original;
+        }
+    }
+
+    #[test]
+    fn invalid_config_is_a_typed_error() {
+        use sap_net::sim::FaultConfig;
+        let pooled = UciDataset::Iris.generate(11);
+        let locals = partition(&pooled, 3, PartitionScheme::Uniform, 12);
+        let zero_blocks = SapConfig {
+            block_rows: 0,
+            ..SapConfig::quick_test()
+        };
+        let bad_faults = SapConfig {
+            fault_config: Some(FaultConfig {
+                drop_prob: f64::NAN,
+                ..FaultConfig::default()
+            }),
+            ..SapConfig::quick_test()
+        };
+        for (config, what) in [(zero_blocks, "block_rows"), (bad_faults, "drop_prob")] {
+            match run_session(locals.clone(), &config) {
+                Err(SapError::InvalidConfig(why)) => assert!(why.contains(what), "{why}"),
+                other => panic!(
+                    "{what}: expected InvalidConfig, got {:?}",
+                    other.map(|o| o.unified.len())
+                ),
+            }
         }
     }
 

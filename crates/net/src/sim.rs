@@ -61,19 +61,22 @@ impl FaultConfig {
         }
     }
 
-    /// Validates probability bounds.
+    /// Checks that every probability is a number within `[0, 1]`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when any probability falls outside `[0, 1]`.
-    pub fn validate(&self) {
+    /// Names the first probability that is NaN or out of range.
+    pub fn validate(&self) -> Result<(), String> {
         for (name, p) in [
             ("drop_prob", self.drop_prob),
             ("duplicate_prob", self.duplicate_prob),
             ("delay_prob", self.delay_prob),
         ] {
-            assert!((0.0..=1.0).contains(&p), "{name} must be in [0,1]");
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("{name} must be in [0,1], got {p}"));
+            }
         }
+        Ok(())
     }
 }
 
@@ -97,9 +100,12 @@ impl<T: Transport> FaultyTransport<T> {
     ///
     /// # Panics
     ///
-    /// Panics on invalid probabilities.
+    /// Panics on invalid probabilities ([`FaultConfig::validate`]);
+    /// sessions check their configuration before wrapping an endpoint.
     pub fn new(inner: T, config: FaultConfig) -> Self {
-        config.validate();
+        if let Err(why) = config.validate() {
+            panic!("invalid fault config: {why}");
+        }
         FaultyTransport {
             inner,
             config,

@@ -506,7 +506,8 @@ impl<T: Transport + 'static> SapServer<T> {
     ///
     /// * [`ServerError::Overloaded`] when admission control sheds.
     /// * [`ServerError::TooManyParties`] when `locals` exceeds the lanes.
-    /// * [`ServerError::Session`] on invalid inputs.
+    /// * [`ServerError::Session`] on invalid inputs or an invalid
+    ///   configuration ([`SapConfig::validate`]).
     pub fn submit(
         &self,
         locals: Vec<Dataset>,
@@ -560,6 +561,10 @@ impl<T: Transport + 'static> SapServer<T> {
         locals: Vec<Dataset>,
         session_config: &SapConfig,
     ) -> Result<SessionId, ServerError> {
+        // Before the registry lock and any route: a config that cannot
+        // run must fail this submission, not panic while shared state is
+        // held.
+        session_config.validate()?;
         let k = locals.len();
         if k > self.lanes.len() {
             return Err(ServerError::TooManyParties {

@@ -171,3 +171,47 @@ fn sessions_queue_for_a_small_pool_and_still_complete() {
         assert_eq!(outcome.unified, solo.unified);
     }
 }
+
+/// A config no session can run with is refused at submit with a typed
+/// error, and the server stays healthy: the next good submission on the
+/// same server completes and the server drops cleanly.
+#[test]
+fn invalid_config_is_refused_without_poisoning_the_server() {
+    let server = SapServer::in_memory(ServerConfig {
+        max_parties: 3,
+        ..ServerConfig::default()
+    })
+    .expect("in-memory server");
+    let bad_configs = [
+        SapConfig {
+            fault_config: Some(FaultConfig {
+                drop_prob: 1.5,
+                ..FaultConfig::default()
+            }),
+            ..session_config(7)
+        },
+        SapConfig {
+            fault_config: Some(FaultConfig {
+                delay_prob: f64::NAN,
+                ..FaultConfig::default()
+            }),
+            ..session_config(7)
+        },
+        SapConfig {
+            block_rows: 0,
+            ..session_config(7)
+        },
+    ];
+    for bad in &bad_configs {
+        match server.submit(session_locals(8, 3), bad) {
+            Err(ServerError::Session(SapError::InvalidConfig(_))) => {}
+            other => panic!("bad config admitted or misreported: {other:?}"),
+        }
+    }
+    let id = server
+        .submit(session_locals(8, 3), &session_config(7))
+        .expect("a good submission after the refused ones");
+    let outcome = server.wait(id, WAIT).expect("good session completes");
+    assert_eq!(outcome.unified.len(), 150);
+    assert_eq!(server.metrics().sessions_completed, 1);
+}
