@@ -8,9 +8,9 @@
 //! *forwarded* it, and the forwarding assignment is a secret random
 //! exchange, so each dataset's source identifiability is `1/(k−1)`.
 //!
-//! Streams are kept as raw blocks until the adaptor table arrives, so the
-//! miner holds sealed-sized chunks, not duplicate monolithic buffers,
-//! while the exchange is still in flight.
+//! Each block is decoded into one flat record buffer per slot the moment
+//! it arrives, so the miner never holds a stream's raw blocks and its
+//! decoded records side by side.
 
 use crate::error::SapError;
 use crate::link::{self, DataHeader, FlowInbound};

@@ -94,11 +94,11 @@ pub fn run_provider<T: Transport>(
     })
 }
 
-/// Phases 2–4: one event loop that forwards
-/// incoming row blocks to the miner **as they arrive** (the relay pump),
-/// perturbs the provider's own data block-by-block while sending, and
-/// accepts setup whenever the coordinator's frame lands — the relay hop
-/// is pipelined instead of store-and-forward.
+/// Phases 2–4: one event loop that forwards incoming row blocks to the
+/// miner **as they arrive** (the relay pump), perturbs the provider's own
+/// data block-by-block while sending, and accepts setup whenever the
+/// coordinator's frame lands — the relay hop is pipelined instead of
+/// store-and-forward.
 fn exchange<T: Transport>(
     node: &Node<T>,
     data: &Dataset,
