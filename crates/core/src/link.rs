@@ -25,9 +25,9 @@ use crate::stream::{DatasetSink, StreamPipeline};
 use bytes::Bytes;
 use sap_datasets::Dataset;
 use sap_net::node::{Node, NodeError, NodeEvent, NodeFlow};
+use sap_net::wire::{Wire, WireError};
 use sap_net::{PartyId, SessionId, Transport, TransportError};
 use sap_perturb::GeometricPerturbation;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Default number of dataset rows per stream block.
@@ -40,7 +40,7 @@ pub const DEFAULT_BLOCK_ROWS: usize = 256;
 pub const MAX_BLOCK_BYTES: usize = 8 * 1024 * 1024;
 
 /// Stream header for a dataset transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataHeader {
     /// The session the stream belongs to. Redundant with the (already
     /// authenticated) envelope stamp, but threading it through the header
@@ -59,6 +59,28 @@ pub struct DataHeader {
     pub dim: u32,
     /// Class count of the dataset.
     pub num_classes: u32,
+}
+
+impl Wire for DataHeader {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.session.encode(out);
+        self.relay.encode(out);
+        self.slot.encode(out);
+        self.rows.encode(out);
+        self.dim.encode(out);
+        self.num_classes.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(DataHeader {
+            session: SessionId::decode(input)?,
+            relay: bool::decode(input)?,
+            slot: SlotTag::decode(input)?,
+            rows: u64::decode(input)?,
+            dim: u32::decode(input)?,
+            num_classes: u32::decode(input)?,
+        })
+    }
 }
 
 /// A received dataset stream, still in raw blocks.
@@ -133,7 +155,7 @@ impl DataStream {
 ///
 /// # Errors
 ///
-/// Returns [`SapError::Messaging`] on encoding or transport failure.
+/// Returns [`SapError::Messaging`] on transport failure.
 pub fn send_message<T: Transport>(
     node: &Node<T>,
     to: PartyId,
@@ -155,7 +177,7 @@ pub fn send_message<T: Transport>(
 ///
 /// # Errors
 ///
-/// Returns [`SapError::Messaging`] on encoding or transport failure.
+/// Returns [`SapError::Messaging`] on transport failure.
 pub fn send_dataset<T: Transport>(
     node: &Node<T>,
     to: PartyId,
@@ -186,7 +208,6 @@ pub fn send_dataset<T: Transport>(
         let end = (start + block_rows).min(n);
         node.stream_block_with(&mut stream, 4 + (end - start) * row_size, end == n, |out| {
             encode_block_into(data, start, end, out);
-            Ok(())
         })
         .map_err(SapError::from)?;
         start = end;
@@ -353,7 +374,7 @@ pub fn recv_message<T: Transport>(
 ///
 /// # Errors
 ///
-/// Returns [`SapError::Messaging`] on encoding or transport failure, or
+/// Returns [`SapError::Messaging`] on transport failure, or
 /// [`SapError::Protocol`] on dimension overflow.
 ///
 /// # Panics
@@ -396,7 +417,6 @@ pub fn send_perturbed_dataset<T: Transport>(
         g.perturb_records_into(x, delta, start..end, &mut scratch);
         node.stream_block_with(&mut stream, 4 + (end - start) * row_size, end == n, |out| {
             encode_records_block_into(&labels[start..end], &scratch, out);
-            Ok(())
         })
         .map_err(SapError::from)?;
         start = end;

@@ -1,7 +1,6 @@
 //! The labeled-dataset container shared by every crate in the workspace.
 
 use sap_linalg::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A labeled numeric dataset: `N` records of `d` features plus a class label
 /// per record.
@@ -10,13 +9,39 @@ use serde::{Deserialize, Serialize};
 /// follows the paper's `d × N` convention (one record per *column*); use
 /// [`Dataset::to_column_matrix`] / [`Dataset::from_column_matrix`] to cross
 /// between the two views.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     records: Vec<Vec<f64>>,
     labels: Vec<usize>,
     dim: usize,
     num_classes: usize,
 }
+
+/// Why records and labels do not form a [`Dataset`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DatasetError {
+    /// `records` and `labels` differ in length.
+    LengthMismatch,
+    /// There are no records.
+    Empty,
+    /// Records differ in length.
+    Ragged,
+    /// A label is `>= num_classes`.
+    LabelOutOfRange,
+}
+
+impl std::fmt::Display for DatasetError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            DatasetError::LengthMismatch => "records/labels length mismatch",
+            DatasetError::Empty => "dataset must be non-empty",
+            DatasetError::Ragged => "ragged records in dataset",
+            DatasetError::LabelOutOfRange => "label exceeds num_classes",
+        })
+    }
+}
+
+impl std::error::Error for DatasetError {}
 
 impl Dataset {
     /// Creates a dataset from records and labels.
@@ -28,24 +53,8 @@ impl Dataset {
     /// Panics when `records` and `labels` lengths differ, when records are
     /// ragged, or when `records` is empty.
     pub fn new(records: Vec<Vec<f64>>, labels: Vec<usize>) -> Self {
-        assert_eq!(
-            records.len(),
-            labels.len(),
-            "records/labels length mismatch"
-        );
-        assert!(!records.is_empty(), "dataset must be non-empty");
-        let dim = records[0].len();
-        assert!(
-            records.iter().all(|r| r.len() == dim),
-            "ragged records in dataset"
-        );
         let num_classes = labels.iter().copied().max().unwrap_or(0) + 1;
-        Dataset {
-            records,
-            labels,
-            dim,
-            num_classes,
-        }
+        Self::with_num_classes(records, labels, num_classes)
     }
 
     /// Creates a dataset with an explicit class count (useful when a subset
@@ -59,13 +68,36 @@ impl Dataset {
         labels: Vec<usize>,
         num_classes: usize,
     ) -> Self {
-        let mut d = Self::new(records, labels);
-        assert!(
-            d.labels.iter().all(|&l| l < num_classes),
-            "label exceeds num_classes"
-        );
-        d.num_classes = num_classes;
-        d
+        Self::try_with_num_classes(records, labels, num_classes).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The non-panicking form of [`Dataset::with_num_classes`], for
+    /// records and labels that arrive from outside the program.
+    ///
+    /// # Errors
+    ///
+    /// [`DatasetError`] naming the first broken condition.
+    pub fn try_with_num_classes(
+        records: Vec<Vec<f64>>,
+        labels: Vec<usize>,
+        num_classes: usize,
+    ) -> Result<Self, DatasetError> {
+        if records.len() != labels.len() {
+            return Err(DatasetError::LengthMismatch);
+        }
+        let dim = records.first().ok_or(DatasetError::Empty)?.len();
+        if records.iter().any(|r| r.len() != dim) {
+            return Err(DatasetError::Ragged);
+        }
+        if labels.iter().any(|&l| l >= num_classes) {
+            return Err(DatasetError::LabelOutOfRange);
+        }
+        Ok(Dataset {
+            records,
+            labels,
+            dim,
+            num_classes,
+        })
     }
 
     /// Number of records.
@@ -235,6 +267,23 @@ mod tests {
         let c = Dataset::concat(&[a, b]);
         assert_eq!(c.len(), 3);
         assert_eq!(c.num_classes(), 2);
+    }
+
+    #[test]
+    fn try_constructor_reports_each_violation() {
+        let ok = Dataset::try_with_num_classes(vec![vec![1.0, 2.0]], vec![1], 2);
+        assert_eq!(ok.unwrap().dim(), 2);
+        for (records, labels, classes, want) in [
+            (vec![vec![1.0]], vec![0, 0], 1, DatasetError::LengthMismatch),
+            (vec![], vec![], 1, DatasetError::Empty),
+            (vec![vec![1.0], vec![]], vec![0, 0], 1, DatasetError::Ragged),
+            (vec![vec![1.0]], vec![2], 2, DatasetError::LabelOutOfRange),
+        ] {
+            assert_eq!(
+                Dataset::try_with_num_classes(records, labels, classes),
+                Err(want)
+            );
+        }
     }
 
     #[test]

@@ -52,5 +52,5 @@ pub mod registry;
 pub mod split;
 pub mod stats;
 
-pub use dataset::Dataset;
+pub use dataset::{Dataset, DatasetError};
 pub use registry::UciDataset;

@@ -7,10 +7,9 @@
 //! be applied to held-out test records.
 
 use crate::dataset::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// A fitted per-column min–max normalizer mapping each feature to `[0, 1]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Normalizer {
     mins: Vec<f64>,
     maxs: Vec<f64>,

@@ -90,8 +90,6 @@ pub enum FleetError {
     Mesh(std::io::Error),
     /// A transport error on the control plane.
     Transport(TransportError),
-    /// Encoding or decoding a control message failed.
-    Wire(String),
 }
 
 impl fmt::Display for FleetError {
@@ -108,7 +106,6 @@ impl fmt::Display for FleetError {
             FleetError::Server(e) => write!(f, "server error: {e}"),
             FleetError::Mesh(e) => write!(f, "inter-node mesh failed: {e}"),
             FleetError::Transport(e) => write!(f, "control-plane transport: {e}"),
-            FleetError::Wire(why) => write!(f, "control-plane codec: {why}"),
         }
     }
 }

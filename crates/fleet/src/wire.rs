@@ -17,7 +17,7 @@
 //! relayed frame changes apparent sender at every hop; the inbox id
 //! doubles as both ends of the pair.
 //!
-//! [`WireConfig`] mirrors [`SapConfig`] with serializable primitives
+//! [`WireConfig`] mirrors [`SapConfig`] with wire primitives
 //! (durations as microseconds). The mirror is exact for every
 //! microsecond-granular config, so a session registered through a
 //! forwarding node runs under byte-identical settings — the
@@ -25,6 +25,7 @@
 
 use crate::FleetError;
 use bytes::Bytes;
+use sap_core::messages::{decode_dataset, encode_dataset};
 use sap_core::placement::{CONTROL_BASE, CONTROL_RANGE};
 use sap_core::runtime::QosClass;
 use sap_core::session::SapConfig;
@@ -32,9 +33,9 @@ use sap_datasets::Dataset;
 use sap_net::crypto::ChannelKey;
 use sap_net::frame::{seal_frame, split_message, DEFAULT_CHUNK_SIZE};
 use sap_net::sim::FaultConfig;
-use sap_net::{wire, PartyId, SessionId, Transport};
+use sap_net::wire::{self, decode_seq, encode_seq, put_uvarint, read_uvarint, Wire, WireError};
+use sap_net::{PartyId, SessionId, Transport};
 use sap_privacy::{OptimizerConfig, StagedBudget};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Most nodes a fleet can address: one inbox id per node inside the
@@ -59,7 +60,7 @@ pub fn inbox_key(fleet_secret: u64, node: usize) -> ChannelKey {
 }
 
 /// A fault model in wire form (durations as microseconds).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WireFault {
     /// Per-send drop probability.
     pub drop_prob: f64,
@@ -73,11 +74,11 @@ pub struct WireFault {
     pub seed: u64,
 }
 
-/// [`SapConfig`] flattened to serializable primitives. The round-trip
+/// [`SapConfig`] flattened to wire primitives. The round-trip
 /// through [`WireConfig::from_config`] / [`WireConfig::to_config`] is
 /// exact (durations at microsecond granularity), so the owning node
 /// runs the session under precisely the settings the gateway accepted.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WireConfig {
     /// Perturbation noise σ.
     pub noise_sigma: f64,
@@ -184,7 +185,7 @@ impl WireConfig {
 }
 
 /// A fleet control message, carried sealed on node inbox sessions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum FleetMsg {
     /// Register (or re-place) a session on its owning node.
     Register {
@@ -214,6 +215,123 @@ pub enum FleetMsg {
     },
 }
 
+impl Wire for WireFault {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.drop_prob.encode(out);
+        self.duplicate_prob.encode(out);
+        self.delay_prob.encode(out);
+        self.send_latency_us.encode(out);
+        self.seed.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(WireFault {
+            drop_prob: f64::decode(input)?,
+            duplicate_prob: f64::decode(input)?,
+            delay_prob: f64::decode(input)?,
+            send_latency_us: u64::decode(input)?,
+            seed: u64::decode(input)?,
+        })
+    }
+}
+
+impl Wire for WireConfig {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.noise_sigma.encode(out);
+        self.candidates.encode(out);
+        self.opt_noise_sigma.encode(out);
+        self.known_points.encode(out);
+        self.eval_sample.encode(out);
+        self.use_ica.encode(out);
+        self.staged_enabled.encode(out);
+        self.survivor_fraction.encode(out);
+        self.min_survivors.encode(out);
+        self.threads.encode(out);
+        self.session_secret.encode(out);
+        self.seed.encode(out);
+        self.timeout_us.encode(out);
+        self.session_budget_us.encode(out);
+        self.block_rows.encode(out);
+        self.fault.encode(out);
+        self.interactive.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(WireConfig {
+            noise_sigma: f64::decode(input)?,
+            candidates: u64::decode(input)?,
+            opt_noise_sigma: f64::decode(input)?,
+            known_points: u64::decode(input)?,
+            eval_sample: u64::decode(input)?,
+            use_ica: bool::decode(input)?,
+            staged_enabled: bool::decode(input)?,
+            survivor_fraction: f64::decode(input)?,
+            min_survivors: u64::decode(input)?,
+            threads: Option::decode(input)?,
+            session_secret: u64::decode(input)?,
+            seed: u64::decode(input)?,
+            timeout_us: u64::decode(input)?,
+            session_budget_us: u64::decode(input)?,
+            block_rows: u64::decode(input)?,
+            fault: Option::decode(input)?,
+            interactive: bool::decode(input)?,
+        })
+    }
+}
+
+impl Wire for FleetMsg {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            FleetMsg::Register {
+                session,
+                origin,
+                config,
+                locals,
+            } => {
+                put_uvarint(out, 0);
+                session.encode(out);
+                origin.encode(out);
+                config.encode(out);
+                encode_seq(locals, out, encode_dataset);
+            }
+            FleetMsg::Ack {
+                session,
+                accepted,
+                reason,
+            } => {
+                put_uvarint(out, 1);
+                session.encode(out);
+                accepted.encode(out);
+                reason.encode(out);
+            }
+            FleetMsg::Leave { node } => {
+                put_uvarint(out, 2);
+                node.encode(out);
+            }
+        }
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(match read_uvarint(input)? {
+            0 => FleetMsg::Register {
+                session: u64::decode(input)?,
+                origin: u64::decode(input)?,
+                config: WireConfig::decode(input)?,
+                locals: decode_seq(input, decode_dataset)?,
+            },
+            1 => FleetMsg::Ack {
+                session: u64::decode(input)?,
+                accepted: bool::decode(input)?,
+                reason: String::decode(input)?,
+            },
+            2 => FleetMsg::Leave {
+                node: u64::decode(input)?,
+            },
+            _ => return Err(WireError::InvalidEncoding("FleetMsg variant tag")),
+        })
+    }
+}
+
 /// Seals `msg` for `dest`'s inbox and sends every frame to `hop` (the
 /// sender's ring successor, or `dest` itself on a direct edge).
 /// `msg_id` must be unique per sending node — it seeds the per-frame
@@ -228,7 +346,7 @@ pub fn send_via<T: Transport>(
 ) -> Result<(), FleetError> {
     let session = inbox_session(dest);
     let key = inbox_key(fleet_secret, dest);
-    let encoded = wire::to_bytes(msg).map_err(|e| FleetError::Wire(e.to_string()))?;
+    let encoded = wire::to_bytes(msg);
     for frame in split_message(msg_id, Bytes::from(encoded), DEFAULT_CHUNK_SIZE) {
         // Unique per (sender, message, frame); senders embed their node
         // index in msg_id so two nodes never reuse a nonce on the same

@@ -14,8 +14,6 @@ pub struct Whitener {
     mean: Vec<f64>,
     /// `k × d` whitening matrix.
     w: Matrix,
-    /// `d × k` de-whitening matrix (pseudo-inverse of `w`).
-    dewhiten: Matrix,
 }
 
 impl Whitener {
@@ -47,21 +45,19 @@ impl Whitener {
         let d = x.rows();
         let k = kept.len();
         let mut w = Matrix::zeros(k, d);
-        let mut dewhiten = Matrix::zeros(d, k);
         for (row, &i) in kept.iter().enumerate() {
             let lam = eig.eigenvalues()[i];
             let e = eig.eigenvectors().column(i);
             let s = lam.sqrt();
             for c in 0..d {
                 w[(row, c)] = e[c] / s;
-                dewhiten[(c, row)] = e[c] * s;
             }
         }
-        Ok(Whitener { mean, w, dewhiten })
+        Ok(Whitener { mean, w })
     }
 
-    /// Assembles a whitener from precomputed parts: the mean record, the
-    /// `k × d` whitening matrix, and the `d × k` de-whitening matrix.
+    /// Assembles a whitener from precomputed parts: the mean record and
+    /// the `k × d` whitening matrix.
     ///
     /// This is the constructor behind [`crate::workspace::WhiteningWorkspace`]:
     /// when the eigendecomposition a whitener is built from is already
@@ -71,17 +67,16 @@ impl Whitener {
     ///
     /// # Errors
     ///
-    /// [`LinalgError::ShapeMismatch`] when the three parts disagree on
-    /// `d` or `k`.
-    pub fn from_parts(mean: Vec<f64>, w: Matrix, dewhiten: Matrix) -> Result<Self> {
-        if w.cols() != mean.len() || dewhiten.rows() != mean.len() || dewhiten.cols() != w.rows() {
+    /// [`LinalgError::ShapeMismatch`] when the two parts disagree on `d`.
+    pub fn from_parts(mean: Vec<f64>, w: Matrix) -> Result<Self> {
+        if w.cols() != mean.len() {
             return Err(LinalgError::ShapeMismatch {
                 op: "whitener from parts",
                 lhs: w.shape(),
-                rhs: dewhiten.shape(),
+                rhs: (mean.len(), 1),
             });
         }
-        Ok(Whitener { mean, w, dewhiten })
+        Ok(Whitener { mean, w })
     }
 
     /// The mean record subtracted before whitening.
@@ -115,26 +110,6 @@ impl Whitener {
         let centered = Matrix::from_fn(x.rows(), x.cols(), |r, c| x[(r, c)] - self.mean[r]);
         self.w.matmul(&centered)
     }
-
-    /// Maps whitened `k × N` scores back to the original `d × N` space
-    /// (adding the mean back).
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error when the score dimensionality disagrees.
-    pub fn inverse(&self, z: &Matrix) -> Result<Matrix> {
-        if z.rows() != self.rank() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "dewhiten",
-                lhs: (self.rank(), 0),
-                rhs: z.shape(),
-            });
-        }
-        let x = self.dewhiten.matmul(z)?;
-        Ok(Matrix::from_fn(x.rows(), x.cols(), |r, c| {
-            x[(r, c)] + self.mean[r]
-        }))
-    }
 }
 
 #[cfg(test)]
@@ -164,16 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_roundtrips_full_rank() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let x = randn_matrix(4, 300, &mut rng);
-        let w = Whitener::fit(&x, 1e-12).unwrap();
-        let z = w.transform(&x).unwrap();
-        let back = w.inverse(&z).unwrap();
-        assert!(back.approx_eq(&x, 1e-8));
-    }
-
-    #[test]
     fn rank_deficient_drops_components() {
         let mut rng = StdRng::seed_from_u64(5);
         let base = randn_matrix(2, 500, &mut rng);
@@ -198,6 +163,6 @@ mod tests {
         let x = randn_matrix(3, 50, &mut rng);
         let w = Whitener::fit(&x, 1e-12).unwrap();
         assert!(w.transform(&Matrix::zeros(2, 5)).is_err());
-        assert!(w.inverse(&Matrix::zeros(5, 5)).is_err());
+        assert!(Whitener::from_parts(vec![0.0; 2], Matrix::zeros(1, 3)).is_err());
     }
 }

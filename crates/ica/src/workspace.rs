@@ -100,16 +100,14 @@ impl WhiteningWorkspace {
         let re = rotation.matmul(&self.eigvecs)?;
         let k = self.rank();
         let mut w = Matrix::zeros(k, d);
-        let mut dewhiten = Matrix::zeros(d, k);
         for j in 0..k {
             let lam = (self.eigvals[j] + noise_var).max(self.eps);
             let s = lam.sqrt();
             for c in 0..d {
                 w[(j, c)] = re[(c, j)] / s;
-                dewhiten[(c, j)] = re[(c, j)] * s;
             }
         }
-        Whitener::from_parts(mean_y, w, dewhiten)
+        Whitener::from_parts(mean_y, w)
     }
 }
 

@@ -1,7 +1,6 @@
 //! Row-major dense `f64` matrix.
 
 use crate::error::{LinalgError, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, MulAssign, Neg, Sub, SubAssign};
 
@@ -15,7 +14,7 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, MulAssign, Neg, Sub, SubAss
 /// matrices are never cloned implicitly; the operators panic on shape
 /// mismatch, while the method forms ([`Matrix::matmul`], [`Matrix::try_add`],
 /// …) return [`LinalgError`] instead.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -50,9 +49,10 @@ impl Matrix {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `data.len() != rows * cols`.
+    /// Returns [`LinalgError::ShapeMismatch`] if `data.len() != rows * cols`
+    /// (including when `rows * cols` overflows).
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(LinalgError::ShapeMismatch {
                 op: "Matrix::from_vec",
                 lhs: (rows, cols),
@@ -909,24 +909,6 @@ mod tests {
         a -= &Matrix::identity(2);
         a *= 2.0;
         assert_eq!(a, m22(2.0, 4.0, 6.0, 8.0));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let a = Matrix::from_fn(3, 2, |r, c| r as f64 - c as f64);
-        let json = serde_json_like(&a);
-        assert!(json.contains("rows"));
-    }
-
-    // serde_json is not an approved dependency; just check Serialize is
-    // derivable by going through the serde data model with a tiny writer.
-    fn serde_json_like(m: &Matrix) -> String {
-        format!(
-            "rows={} cols={} len={}",
-            m.rows(),
-            m.cols(),
-            m.as_slice().len()
-        )
     }
 
     /// The blocked/parallel matmul must be bit-identical to the naive

@@ -22,12 +22,11 @@ use crate::frame::{
 };
 use crate::pool;
 use crate::transport::{PartyId, SessionId, Transport, TransportError};
-use crate::wire::{self, WireError};
+use crate::wire::{self, Wire, WireError};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -38,7 +37,7 @@ pub enum NodeError {
     Transport(TransportError),
     /// A frame failed to open or violated framing invariants.
     Frame(FrameError),
-    /// The payload failed to encode or decode in the wire format.
+    /// The payload failed to decode in the wire format.
     Codec(WireError),
 }
 
@@ -236,16 +235,19 @@ impl<T: Transport> Node<T> {
         write_payload: F,
     ) -> Result<(), NodeError>
     where
-        F: FnOnce(&mut Vec<u8>) -> Result<(), NodeError>,
+        F: FnOnce(&mut Vec<u8>),
     {
-        let sealed = frame::seal_frame_with(
+        let Ok(sealed) = frame::seal_frame_with::<Infallible, _>(
             self.send_key(to),
             self.next_id(),
             self.session,
             meta,
             size_hint,
-            write_payload,
-        )?;
+            |out| {
+                write_payload(out);
+                Ok(())
+            },
+        );
         self.transport.send(to, sealed)?;
         Ok(())
     }
@@ -258,15 +260,11 @@ impl<T: Transport> Node<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`NodeError::Codec`] on encoding failure or
-    /// [`NodeError::Transport`] on delivery failure.
-    pub fn send_msg<M: Serialize>(&self, to: PartyId, msg: &M) -> Result<(), NodeError> {
+    /// Returns [`NodeError::Transport`] on delivery failure.
+    pub fn send_msg<M: Wire>(&self, to: PartyId, msg: &M) -> Result<(), NodeError> {
         let pool = pool::global();
         let mut scratch = pool.acquire(self.chunk_size.min(DEFAULT_CHUNK_SIZE));
-        if let Err(e) = wire::to_writer(msg, &mut scratch) {
-            pool.recycle_vec(scratch);
-            return Err(e.into());
-        }
+        msg.encode(&mut scratch);
         let msg_id = self.next_id();
         let total = scratch.len();
         let mut seq: u32 = 0;
@@ -283,7 +281,6 @@ impl<T: Transport> Node<T> {
             let chunk = &scratch[start..end];
             let sent = self.seal_and_send(to, meta, chunk.len(), |out| {
                 out.extend_from_slice(chunk);
-                Ok(())
             });
             if last || sent.is_err() {
                 pool.recycle_vec(scratch);
@@ -305,7 +302,7 @@ impl<T: Transport> Node<T> {
     /// As [`Node::send_msg`].
     pub fn send_stream<H, I>(&self, to: PartyId, header: &H, blocks: I) -> Result<(), NodeError>
     where
-        H: Serialize,
+        H: Wire,
         I: IntoIterator<Item = Bytes>,
     {
         let mut blocks = blocks.into_iter().peekable();
@@ -329,7 +326,7 @@ impl<T: Transport> Node<T> {
     /// # Errors
     ///
     /// As [`Node::send_msg`].
-    pub fn begin_stream<H: Serialize>(
+    pub fn begin_stream<H: Wire>(
         &self,
         to: PartyId,
         header: &H,
@@ -342,9 +339,7 @@ impl<T: Transport> Node<T> {
             seq: 0,
             last: empty,
         };
-        self.seal_and_send(to, meta, 256, |out| {
-            wire::to_writer(header, out).map_err(NodeError::Codec)
-        })?;
+        self.seal_and_send(to, meta, 256, |out| header.encode(out))?;
         Ok(StreamHandle {
             to,
             msg_id,
@@ -370,7 +365,6 @@ impl<T: Transport> Node<T> {
     ) -> Result<(), NodeError> {
         self.stream_block_with(stream, block.len(), last, |out| {
             out.extend_from_slice(&block);
-            Ok(())
         })
     }
 
@@ -383,8 +377,7 @@ impl<T: Transport> Node<T> {
     ///
     /// # Errors
     ///
-    /// As [`Node::send_msg`]; a `write_payload` failure surfaces as
-    /// [`NodeError::Codec`] and nothing is sent.
+    /// As [`Node::send_msg`].
     ///
     /// # Panics
     ///
@@ -397,7 +390,7 @@ impl<T: Transport> Node<T> {
         write_payload: F,
     ) -> Result<(), NodeError>
     where
-        F: FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
+        F: FnOnce(&mut Vec<u8>),
     {
         assert!(!stream.finished, "stream already finished");
         let meta = FrameMeta {
@@ -406,9 +399,7 @@ impl<T: Transport> Node<T> {
             seq: stream.next_seq,
             last,
         };
-        self.seal_and_send(stream.to, meta, size_hint, |out| {
-            write_payload(out).map_err(NodeError::Codec)
-        })?;
+        self.seal_and_send(stream.to, meta, size_hint, write_payload)?;
         stream.next_seq += 1;
         stream.finished = last;
         Ok(())
@@ -462,7 +453,7 @@ impl<T: Transport> Node<T> {
         }
     }
 
-    fn decode_event<M: DeserializeOwned, H: DeserializeOwned>(
+    fn decode_event<M: Wire, H: Wire>(
         &self,
         assembled: Assembled,
     ) -> Result<NodeEvent<M, H>, NodeError> {
@@ -481,9 +472,7 @@ impl<T: Transport> Node<T> {
     ///
     /// Transport, frame, or wire-format errors; a frame error implies a protocol
     /// violation and should abort the session.
-    pub fn recv_event<M: DeserializeOwned, H: DeserializeOwned>(
-        &self,
-    ) -> Result<(PartyId, NodeEvent<M, H>), NodeError> {
+    pub fn recv_event<M: Wire, H: Wire>(&self) -> Result<(PartyId, NodeEvent<M, H>), NodeError> {
         let (from, assembled) = self.next_assembled(None)?;
         Ok((from, self.decode_event(assembled)?))
     }
@@ -494,7 +483,7 @@ impl<T: Transport> Node<T> {
     /// # Errors
     ///
     /// As [`Node::recv_event`], plus [`TransportError::Timeout`].
-    pub fn recv_event_timeout<M: DeserializeOwned, H: DeserializeOwned>(
+    pub fn recv_event_timeout<M: Wire, H: Wire>(
         &self,
         timeout: Duration,
     ) -> Result<(PartyId, NodeEvent<M, H>), NodeError> {
@@ -515,7 +504,7 @@ impl<T: Transport> Node<T> {
     /// # Errors
     ///
     /// As [`Node::recv_event_timeout`].
-    pub fn recv_flow_timeout<M: DeserializeOwned, H: DeserializeOwned>(
+    pub fn recv_flow_timeout<M: Wire, H: Wire>(
         &self,
         timeout: Duration,
     ) -> Result<(PartyId, NodeFlow<M, H>), NodeError> {
@@ -537,7 +526,7 @@ impl<T: Transport> Node<T> {
     ///
     /// As [`Node::recv_event`]; [`FrameError::UnexpectedStream`] if a
     /// stream arrives.
-    pub fn recv_msg<M: DeserializeOwned>(&self) -> Result<(PartyId, M), NodeError> {
+    pub fn recv_msg<M: Wire>(&self) -> Result<(PartyId, M), NodeError> {
         match self.next_assembled(None)? {
             (from, Assembled::Message(bytes)) => Ok((from, wire::from_bytes(&bytes)?)),
             _ => Err(FrameError::UnexpectedStream.into()),
@@ -549,10 +538,7 @@ impl<T: Transport> Node<T> {
     /// # Errors
     ///
     /// As [`Node::recv_msg`], plus [`TransportError::Timeout`].
-    pub fn recv_msg_timeout<M: DeserializeOwned>(
-        &self,
-        timeout: Duration,
-    ) -> Result<(PartyId, M), NodeError> {
+    pub fn recv_msg_timeout<M: Wire>(&self, timeout: Duration) -> Result<(PartyId, M), NodeError> {
         match self.next_assembled(Some(Instant::now() + timeout))? {
             (from, Assembled::Message(bytes)) => Ok((from, wire::from_bytes(&bytes)?)),
             _ => Err(FrameError::UnexpectedStream.into()),
@@ -564,12 +550,25 @@ impl<T: Transport> Node<T> {
 mod tests {
     use super::*;
     use crate::transport::InMemoryHub;
-    use serde::Deserialize;
 
-    #[derive(Serialize, Deserialize, PartialEq, Debug)]
+    #[derive(PartialEq, Debug)]
     struct Hello {
         round: u32,
         body: Vec<f64>,
+    }
+
+    impl Wire for Hello {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.round.encode(out);
+            self.body.encode(out);
+        }
+
+        fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+            Ok(Hello {
+                round: u32::decode(input)?,
+                body: Vec::decode(input)?,
+            })
+        }
     }
 
     #[test]
@@ -773,9 +772,9 @@ mod tests {
         let hub = InMemoryHub::new();
         let a = Node::new(hub.endpoint(PartyId(1)), 5);
         let b = Node::new(hub.endpoint(PartyId(2)), 5);
-        a.send_msg(PartyId(2), &vec![1u8, 2, 3]).unwrap();
+        a.send_msg(PartyId(2), &vec![1u32, 2, 3]).unwrap();
         // Decode as a type with a longer footprint to force an error.
-        let err = b.recv_msg::<(u64, u64, u64)>().unwrap_err();
+        let err = b.recv_msg::<(f64, f64)>().unwrap_err();
         assert!(matches!(err, NodeError::Codec(_)), "{err}");
     }
 
@@ -784,8 +783,8 @@ mod tests {
         let hub = InMemoryHub::new();
         let a = Node::new(hub.endpoint(PartyId(1)), 5);
         let b = Node::new(hub.endpoint(PartyId(2)), 5);
-        a.send_msg(PartyId(2), &1u8).unwrap();
-        a.send_msg(PartyId(2), &1u8).unwrap();
+        a.send_msg(PartyId(2), &1u32).unwrap();
+        a.send_msg(PartyId(2), &1u32).unwrap();
         let (_, s1) = b.transport.recv().unwrap();
         let (_, s2) = b.transport.recv().unwrap();
         assert_ne!(s1, s2, "same plaintext must seal differently");
@@ -796,7 +795,7 @@ mod tests {
         let hub = InMemoryHub::new();
         let a = Node::new(hub.endpoint(PartyId(1)), 5);
         let err = a
-            .recv_msg_timeout::<u8>(Duration::from_millis(5))
+            .recv_msg_timeout::<u32>(Duration::from_millis(5))
             .unwrap_err();
         assert!(matches!(err, NodeError::Transport(TransportError::Timeout)));
     }

@@ -19,9 +19,7 @@ use std::time::Duration;
 /// By convention in this workspace: data providers are `0..k`, the
 /// coordinator is one of them (usually `k−1`), and the mining service
 /// provider gets a dedicated high id.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PartyId(pub u64);
 
 impl fmt::Display for PartyId {
@@ -36,9 +34,7 @@ impl fmt::Display for PartyId {
 /// see [`crate::frame`]) on every sealed frame, so a
 /// [`crate::mux::SessionMux`] can demultiplex one physical transport into
 /// per-session virtual endpoints without opening any envelope.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionId(pub u64);
 
 impl SessionId {

@@ -18,11 +18,10 @@
 
 use crate::params::Perturbation;
 use sap_linalg::{LinalgError, Matrix, Result};
-use serde::{Deserialize, Serialize};
 
 /// The space adaptor `A_it = ⟨R_it, Ψ_it⟩` from a source perturbation space
 /// into a target space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpaceAdaptor {
     rotation: Matrix,
     translation: Vec<f64>,
@@ -59,6 +58,33 @@ impl SpaceAdaptor {
             .collect();
         Ok(SpaceAdaptor {
             rotation: r_it,
+            translation,
+        })
+    }
+
+    /// Assembles an adaptor from its rotation `R_it` and translation
+    /// `ψ_it` — the receiving end of an adaptor that traveled.
+    ///
+    /// # Errors
+    ///
+    /// * [`LinalgError::NotSquare`] when `rotation` is not square.
+    /// * [`LinalgError::ShapeMismatch`] when `translation.len()` differs from
+    ///   the rotation dimension.
+    pub fn from_parts(rotation: Matrix, translation: Vec<f64>) -> Result<Self> {
+        if !rotation.is_square() {
+            return Err(LinalgError::NotSquare {
+                shape: rotation.shape(),
+            });
+        }
+        if translation.len() != rotation.rows() {
+            return Err(LinalgError::ShapeMismatch {
+                op: "adaptor translation",
+                lhs: rotation.shape(),
+                rhs: (translation.len(), 1),
+            });
+        }
+        Ok(SpaceAdaptor {
+            rotation,
             translation,
         })
     }
@@ -297,6 +323,18 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn from_parts_checks_shapes() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let gi = Perturbation::random(3, &mut rng);
+        let gt = Perturbation::random(3, &mut rng);
+        let a = SpaceAdaptor::between(&gi, &gt).unwrap();
+        let back = SpaceAdaptor::from_parts(a.rotation().clone(), a.translation().to_vec());
+        assert_eq!(back.unwrap(), a);
+        assert!(SpaceAdaptor::from_parts(Matrix::zeros(2, 3), vec![0.0; 2]).is_err());
+        assert!(SpaceAdaptor::from_parts(Matrix::identity(2), vec![0.0; 3]).is_err());
     }
 
     #[test]

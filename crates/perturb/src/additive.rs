@@ -12,10 +12,9 @@
 use crate::noise::NoiseSpec;
 use rand::Rng;
 use sap_linalg::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Pure additive-noise perturbation `Y = X + Δ`, `Δᵢⱼ ~ N(0, σ²)` i.i.d.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdditivePerturbation {
     noise: NoiseSpec,
 }

@@ -4,7 +4,6 @@ use crate::noise::NoiseSpec;
 use crate::params::Perturbation;
 use rand::Rng;
 use sap_linalg::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A geometric perturbation: affine part `(R, t)` plus an i.i.d. noise
 /// component specification.
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// The affine part is deterministic once sampled; the noise matrix `Δ` is
 /// drawn per perturbation call (and returned, because the privacy metrics
 /// need the *realized* noise to evaluate exact reconstructions).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeometricPerturbation {
     base: Perturbation,
     noise: NoiseSpec,

@@ -8,10 +8,9 @@
 
 use rand::Rng;
 use sap_linalg::{randn, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// Specification of the i.i.d. noise component.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseSpec {
     /// Standard deviation of each element of `Δ`. Zero disables noise.
     pub sigma: f64,

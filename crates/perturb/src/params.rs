@@ -3,14 +3,13 @@
 use rand::{Rng, RngExt};
 use sap_linalg::orthogonal::random_orthogonal;
 use sap_linalg::{lu, LinalgError, Matrix, Result};
-use serde::{Deserialize, Serialize};
 
 /// A rotation + translation pair `(R, t)` defining the affine part of a
 /// geometric perturbation: `x ↦ R·x + t`.
 ///
 /// Applied to a `d × N` dataset this is `Y = R·X + Ψ` with `Ψ = t·1ᵀ`.
 /// The paper writes the pair as `Gᵢ : (Rᵢ, tᵢ)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Perturbation {
     rotation: Matrix,
     translation: Vec<f64>,
@@ -180,9 +179,10 @@ impl Perturbation {
             .expect("shapes checked")
     }
 
-    /// The inverse rotation `R⁻¹`. Computed via LU to stay meaningful if a
-    /// caller constructs a slightly non-orthogonal perturbation through
-    /// serde; falls back to the transpose when inversion fails numerically.
+    /// The inverse rotation `R⁻¹`. Computed via LU so it stays exact for a
+    /// rotation that is orthogonal only within [`Perturbation::new`]'s
+    /// tolerance; falls back to the transpose when inversion fails
+    /// numerically.
     pub fn rotation_inverse(&self) -> Matrix {
         lu::inverse(&self.rotation).unwrap_or_else(|_| self.rotation.transpose())
     }

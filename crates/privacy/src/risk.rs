@@ -16,8 +16,6 @@
 //!   with identifiability 1) can breach; the second what the *miner* (who
 //!   sees unified data with identifiability `1/(k−1)`) can breach.
 
-use serde::{Deserialize, Serialize};
-
 /// Source identifiability under SAP's random exchange: `πᵢ = 1/(k−1)`.
 ///
 /// # Panics
@@ -118,7 +116,7 @@ pub fn min_parties(s0: f64, opt_rate: f64) -> Option<usize> {
 
 /// The per-provider privacy profile the protocol tracks: mean optimized
 /// guarantee and empirical bound.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrivacyProfile {
     /// Locally optimized privacy guarantee `ρᵢ` (or its mean over rounds).
     pub rho: f64,

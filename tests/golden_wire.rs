@@ -140,17 +140,14 @@ fn data_header() -> DataHeader {
 fn encodings() -> Vec<(&'static str, Vec<u8>)> {
     let mut out: Vec<(&'static str, Vec<u8>)> = sap_messages()
         .into_iter()
-        .map(|(name, m)| (name, wire::to_bytes(&m).expect("encode")))
+        .map(|(name, m)| (name, wire::to_bytes(&m)))
         .collect();
     out.extend(
         fleet_messages()
             .into_iter()
-            .map(|(name, m)| (name, wire::to_bytes(&m).expect("encode"))),
+            .map(|(name, m)| (name, wire::to_bytes(&m))),
     );
-    out.push((
-        "DataHeader",
-        wire::to_bytes(&data_header()).expect("encode"),
-    ));
+    out.push(("DataHeader", wire::to_bytes(&data_header())));
     out
 }
 
@@ -186,8 +183,7 @@ fn golden_bytes_decode_and_reencode() {
             Some("SapMessage") => wire::to_bytes(&wire::from_bytes::<SapMessage>(&bytes).unwrap()),
             Some("FleetMsg") => wire::to_bytes(&wire::from_bytes::<FleetMsg>(&bytes).unwrap()),
             _ => wire::to_bytes(&wire::from_bytes::<DataHeader>(&bytes).unwrap()),
-        }
-        .unwrap();
+        };
         assert_eq!(hex(&again), text, "{name} does not round-trip");
     }
     let decoded: Vec<SapMessage> = GOLDEN_WIRE[..6]
@@ -207,8 +203,7 @@ fn sealed_frame_matches_golden_bytes() {
     let key = ChannelKey::derive(0x005E_C2E7, 1, 2);
     let payload = wire::to_bytes(&SapMessage::MiningComplete {
         unified_records: 150,
-    })
-    .unwrap();
+    });
     let frame = Frame {
         kind: FrameKind::Control,
         msg_id: 3,

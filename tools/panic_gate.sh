@@ -21,7 +21,7 @@
 # validated at spawn).
 set -euo pipefail
 
-LIMIT=28
+LIMIT=27
 
 cd "$(dirname "$0")/.."
 total=0
