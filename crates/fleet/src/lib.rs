@@ -310,7 +310,8 @@ impl Fleet {
                 budget.max(DEFAULT_CONNECT_WINDOW),
             );
             // Forward frames for foreign inboxes one ring hop onward —
-            // the pump relays the sealed bytes, never decoding them.
+            // the lane's reactor thread relays the sealed bytes as it
+            // reads them, never decoding them.
             {
                 let shared = Arc::clone(&shared);
                 mux.set_forwarder(move |_from, session, _payload| {

@@ -307,7 +307,7 @@ pub const HEARTBEAT_LEN: usize = 38;
 /// Encodes a liveness heartbeat from `from` with a monotone `seq`.
 ///
 /// Heartbeats are **plaintext** control traffic stamped with the reserved
-/// [`SessionId::LIVENESS`] id: a mux pump consumes them to refresh its
+/// [`SessionId::LIVENESS`] id: a mux's router consumes them to refresh its
 /// peer-liveness clock without holding any session key, and never routes
 /// them to a session. They are deliberately unauthenticated — forging one
 /// can only *delay* failure detection for a peer that is in fact dead,
@@ -410,23 +410,15 @@ fn parse_header(plain: &[u8]) -> Result<(FrameMeta, usize), FrameError> {
 /// The output buffer comes from (and eventually returns to) the global
 /// [`pool`].
 pub fn seal_frame(key: ChannelKey, nonce: u64, session: SessionId, frame: &Frame) -> Bytes {
-    let meta = FrameMeta::of(frame);
     let payload = &frame.payload;
-    let result = seal_frame_with::<std::convert::Infallible, _>(
+    seal_frame_with(
         key,
         nonce,
         session,
-        meta,
+        FrameMeta::of(frame),
         payload.len(),
-        |out| {
-            out.extend_from_slice(payload);
-            Ok(())
-        },
-    );
-    match result {
-        Ok(sealed) => sealed,
-        Err(infallible) => match infallible {},
-    }
+        |out| out.extend_from_slice(payload),
+    )
 }
 
 /// Seals a frame whose payload is produced **directly into the sealed
@@ -435,36 +427,24 @@ pub fn seal_frame(key: ChannelKey, nonce: u64, session: SessionId, frame: &Frame
 /// wire encoder, a row-block encoder, …), then encrypts in place and tags.
 /// This is the zero-intermediate-copy path: payload bytes are only ever
 /// written once, into the buffer the transport will hand to the socket.
-///
-/// # Errors
-///
-/// Propagates `write_payload`'s error unchanged (the pooled buffer is
-/// recycled, not leaked); sealing itself cannot fail.
-pub fn seal_frame_with<E, F>(
+pub fn seal_frame_with(
     key: ChannelKey,
     nonce: u64,
     session: SessionId,
     meta: FrameMeta,
     size_hint: usize,
-    write_payload: F,
-) -> Result<Bytes, E>
-where
-    F: FnOnce(&mut Vec<u8>) -> Result<(), E>,
-{
-    let pool = pool::global();
-    let mut out = pool.acquire(16 + MAX_FRAME_HEADER_LEN + size_hint + 8);
+    write_payload: impl FnOnce(&mut Vec<u8>),
+) -> Bytes {
+    let mut out = pool::global().acquire(16 + MAX_FRAME_HEADER_LEN + size_hint + 8);
     out.extend_from_slice(&session.0.to_le_bytes());
     out.extend_from_slice(&nonce.to_le_bytes());
     put_header(&mut out, meta);
-    if let Err(e) = write_payload(&mut out) {
-        pool.recycle_vec(out);
-        return Err(e);
-    }
+    write_payload(&mut out);
     let tweak = envelope_tweak(session, nonce);
     keystream_xor(key.0, tweak, &mut out[16..]);
     let tag = word_mac(key.0, tweak, &out[16..]);
     out.extend_from_slice(&tag.to_le_bytes());
-    Ok(Bytes::from(out))
+    Bytes::from(out)
 }
 
 /// Opens a sealed frame, returning the session it was stamped for along
@@ -967,18 +947,9 @@ mod tests {
             seq: 1,
             last: false,
         };
-        let sealed = seal_frame_with::<std::convert::Infallible, _>(
-            key(),
-            4,
-            SessionId(2),
-            meta,
-            payload.len(),
-            |out| {
-                out.extend_from_slice(payload);
-                Ok(())
-            },
-        )
-        .unwrap();
+        let sealed = seal_frame_with(key(), 4, SessionId(2), meta, payload.len(), |out| {
+            out.extend_from_slice(payload)
+        });
         let reference = seal_frame(
             key(),
             4,
@@ -990,21 +961,6 @@ mod tests {
         let (session, back) = open_frame_recycling(key(), sealed).unwrap();
         assert_eq!(session, SessionId(2));
         assert_eq!(&back.payload[..], payload);
-    }
-
-    #[test]
-    fn seal_frame_with_propagates_writer_errors() {
-        let meta = FrameMeta {
-            kind: FrameKind::Control,
-            msg_id: 1,
-            seq: 0,
-            last: true,
-        };
-        let err = seal_frame_with::<&'static str, _>(key(), 1, SessionId(1), meta, 16, |_| {
-            Err("codec exploded")
-        })
-        .unwrap_err();
-        assert_eq!(err, "codec exploded");
     }
 
     #[test]

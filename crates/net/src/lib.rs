@@ -29,16 +29,17 @@
 //! * [`crypto`] — per-direction channel keys and the envelope's error
 //!   type. **Not real cryptography**, and neither is the frame envelope;
 //!   they model the interface.
-//! * [`transport`] — the [`transport::Transport`] trait and the in-memory
-//!   hub implementation over channels, one endpoint per party.
+//! * [`transport`] — the [`transport::Transport`] trait, the
+//!   [`transport::Sink`] a [`transport::Physical`] endpoint hands every
+//!   arrival to, and the in-memory hub.
 //! * [`reactor`] — the TCP transport, with the same contract as the hub:
 //!   one reactor thread multiplexing every lane over the vendored
 //!   epoll/poll shim, pooled frame buffers, and coalesced vectored writes.
 //! * [`tcp`] — [`tcp::local_mesh`] (a fully meshed set of localhost
 //!   reactor endpoints) and the trust model of the TCP lanes.
-//! * [`mux`] — [`mux::SessionMux`]: demultiplexes one physical endpoint
-//!   into per-session virtual endpoints (bounded queues, unknown-session
-//!   shedding), keyed by the v4 envelope's authenticated session stamp.
+//! * [`mux`] — [`mux::SessionMux`]: routes one physical endpoint's frames
+//!   into per-session bounded queues on the receiving thread, keyed by
+//!   the v4 envelope's authenticated session stamp; no thread of its own.
 //! * [`sim`] — a fault-injecting transport decorator (drops, duplicates,
 //!   reordering, link latency) for failure-injection tests and benches.
 //! * [`node`] — typed convenience layer: send/receive wire values over
@@ -46,6 +47,28 @@
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
+
+/// Declares a public snapshot struct of `u64` counters and the private
+/// struct of atomic cells it is read from (`$cells::snapshot`).
+macro_rules! counters {
+    ($(#[$meta:meta])* pub struct $name:ident, cells $cells:ident {
+        $($(#[$doc:meta])* pub $field:ident: u64,)*
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name { $($(#[$doc])* pub $field: u64,)* }
+
+        #[derive(Default)]
+        struct $cells { $($field: std::sync::atomic::AtomicU64,)* }
+
+        impl $cells {
+            fn snapshot(&self) -> $name {
+                use std::sync::atomic::Ordering::Relaxed;
+                $name { $($field: self.$field.load(Relaxed),)* }
+            }
+        }
+    };
+}
 
 pub mod crypto;
 pub mod frame;

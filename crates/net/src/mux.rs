@@ -3,20 +3,31 @@
 //! A [`SessionMux`] wraps a single physical [`Transport`] endpoint (hub or
 //! TCP) and demultiplexes its inbound traffic into per-session virtual
 //! endpoints ([`MuxEndpoint`]), routed by the plaintext — but
-//! authenticated — session id that every wire-format-v3 sealed frame
-//! carries ([`crate::frame::peek_session`]). The pump thread never opens
-//! an envelope, so demultiplexing costs one 8-byte read per frame and no
-//! session key ever leaves its session.
+//! authenticated — session id every sealed frame carries
+//! ([`crate::frame::peek_session`]). The mux installs its router as the
+//! endpoint's [`Sink`], so a frame is routed on the thread that already
+//! holds it (the reactor for TCP, the sender for the hub) and reaches its
+//! session queue in one hand-off; the mux runs no thread on the data
+//! path. Routing never opens an envelope: it costs one 8-byte read per
+//! frame, and no session key ever leaves its session.
 //!
 //! # Queueing & backpressure
 //!
-//! Each open session owns a **bounded** inbound queue. When a session's
-//! queue is full the pump briefly applies backpressure (it stalls up to
-//! [`STALL_BUDGET`] waiting for the slow session to drain),
-//! then **sheds the frame** and counts it — one stuck session must not
-//! head-of-line-block every other session sharing the physical link. SAP
-//! has no retransmission, so a shed frame aborts the losing session via
-//! its own timeout; its siblings never notice.
+//! Each open session owns a **bounded** inbound queue. When it is full
+//! the router hands the frame back and the endpoint holds it, its
+//! source's later frames behind it, while the sender goes on: a SAP
+//! provider streams its whole dataset before it reads, and the exchange
+//! plan always holds a cycle, so a waiting sender could wait for itself.
+//! Held frames are offered again on the reactor's 1 ms tick, or, on the
+//! hub, by the lane's consumers each millisecond they wait on an empty
+//! queue and by the liveness tick. A queue that takes nothing for
+//! [`STALL_BUDGET`] has its frames **shed** and counted, so one stuck
+//! session cannot block its siblings from the same peer; the shed aborts
+//! only that session (SAP has no retransmission). Shedding at once would
+//! fail a consumer that is slow yet draining; holding paces it.
+//! A session meets a full queue once it has more than
+//! [`DEFAULT_SESSION_QUEUE`] frames queued on one lane: more than 65 k
+//! rows in `quick_test`'s 64-row blocks.
 //!
 //! # The one-garbage-frame DoS, revisited
 //!
@@ -26,37 +37,39 @@
 //! stamped with an **unknown** session id is counted and dropped (the
 //! connection and every live session keep running), and a garbage frame
 //! stamped with a live session id fails to open *in that session only* —
-//! its siblings share nothing with it but the pump thread.
+//! its siblings share nothing with it but the router.
 //!
 //! # Peer liveness
 //!
-//! With [`SessionMux::start_liveness`] enabled, the mux also runs the
-//! failure-detection plane: a background emitter sends plaintext
-//! heartbeat frames ([`crate::frame::encode_heartbeat`], wire format in
-//! `docs/WIRE.md` §7) to every watched peer, the pump refreshes each
-//! sender's last-seen clock on **any** inbound frame, and a watched peer
-//! silent past `interval × misses` — or one whose death the transport
-//! reports directly ([`TransportError::PeerDown`]) — is declared dead
-//! **once**: every open session receives an in-band `PeerDown` and fails
-//! fast with a typed error at the protocol layer instead of starving
-//! until its timeout. Detection events and their latency surface in
-//! [`MuxMetrics`].
+//! [`SessionMux::start_liveness`] adds the failure-detection plane, on one
+//! thread off the data path: each `interval` it sends plaintext heartbeat
+//! frames ([`crate::frame::encode_heartbeat`], wire format in
+//! `docs/WIRE.md` §7) to every watched peer and looks for watched peers
+//! silent past `interval × misses`; the router consumes heartbeats and
+//! refreshes a sender's last-seen clock on **any** inbound frame. A silent
+//! peer — detected within `interval × misses + interval` — or one whose
+//! death the transport reports ([`TransportError::PeerDown`]) is declared
+//! dead **once**: every open session receives an in-band `PeerDown` and
+//! fails fast with a typed error instead of starving until its timeout.
+//! Detection events and their latency surface in [`MuxMetrics`].
 
 use crate::frame::{decode_heartbeat, encode_heartbeat, peek_session};
-use crate::transport::{PartyId, SessionId, Transport, TransportError};
+use crate::transport::{
+    Delivery, Offer, PartyId, Physical, SessionId, Sink, Transport, TransportError, RETRY_TICK,
+};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Default bound on one session's inbound queue, in frames.
 pub const DEFAULT_SESSION_QUEUE: usize = 1024;
 
-/// How long the pump waits on one full session queue before shedding the
-/// frame for that session.
+/// How long a full session queue may go without taking a frame before
+/// the frames held for it are shed (see the module docs).
 pub const STALL_BUDGET: Duration = Duration::from_millis(50);
 
 /// Default heartbeat send interval for [`SessionMux::start_liveness`].
@@ -66,9 +79,9 @@ pub const DEFAULT_HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);
 /// is declared down. The liveness budget is `interval × misses`.
 pub const DEFAULT_LIVENESS_MISSES: u32 = 3;
 
+counters! {
 /// Counters a [`SessionMux`] keeps about its traffic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MuxMetrics {
+pub struct MuxMetrics, cells MetricCells {
     /// Frames successfully routed to a session queue.
     pub frames_routed: u64,
     /// Frames sent out through this mux (every one a sealed frame).
@@ -76,7 +89,8 @@ pub struct MuxMetrics {
     /// Bytes sent out through this mux (sealed bytes on the wire).
     pub bytes_sent: u64,
     /// Inbound frames dropped because their session id was unknown
-    /// (including frames too short to carry a v3 envelope).
+    /// (including frames too short to carry an envelope), and every
+    /// arrival after [`SessionMux::shutdown`].
     pub unknown_session_dropped: u64,
     /// Inbound frames with no local route that a forwarding hook
     /// ([`SessionMux::set_forwarder`]) relayed — still sealed, never
@@ -101,79 +115,31 @@ pub struct MuxMetrics {
     pub peers_recovered: u64,
     /// Heartbeat frames this mux emitted.
     pub heartbeats_sent: u64,
-    /// Heartbeat frames this mux's pump consumed.
+    /// Heartbeat frames this mux consumed.
     pub heartbeats_seen: u64,
 }
-
-#[derive(Default)]
-struct MetricCells {
-    frames_routed: AtomicU64,
-    frames_sent: AtomicU64,
-    bytes_sent: AtomicU64,
-    unknown_session_dropped: AtomicU64,
-    frames_forwarded: AtomicU64,
-    shed_frames: AtomicU64,
-    sessions_opened: AtomicU64,
-    peers_down: AtomicU64,
-    peer_down_latency_us: AtomicU64,
-    peers_recovered: AtomicU64,
-    heartbeats_sent: AtomicU64,
-    heartbeats_seen: AtomicU64,
-}
-
-impl MetricCells {
-    fn snapshot(&self) -> MuxMetrics {
-        MuxMetrics {
-            frames_routed: self.frames_routed.load(Ordering::Relaxed),
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            unknown_session_dropped: self.unknown_session_dropped.load(Ordering::Relaxed),
-            frames_forwarded: self.frames_forwarded.load(Ordering::Relaxed),
-            shed_frames: self.shed_frames.load(Ordering::Relaxed),
-            sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
-            peers_down: self.peers_down.load(Ordering::Relaxed),
-            peer_down_latency_us: self.peer_down_latency_us.load(Ordering::Relaxed),
-            peers_recovered: self.peers_recovered.load(Ordering::Relaxed),
-            heartbeats_sent: self.heartbeats_sent.load(Ordering::Relaxed),
-            heartbeats_seen: self.heartbeats_seen.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// One item of a session's inbound queue: frames and peer-death events
-/// share the queue so a role blocked in `recv` wakes the moment a peer is
-/// declared dead.
-enum MuxItem {
-    Frame(PartyId, Bytes),
-    PeerDown(PartyId),
 }
 
 struct Route {
     // Distinguishes reincarnations of one session id, so a stale
     // endpoint's Drop can never tear down a reopened session's route.
     generation: u64,
-    tx: SyncSender<MuxItem>,
+    /// The session's inbound queue: frames and peer-death markers share
+    /// it, so a role blocked in `recv` wakes the moment a peer is
+    /// declared dead.
+    tx: SyncSender<Delivery>,
+    /// When a frame last found the queue full, unless one has fit since.
+    full_since: Option<Instant>,
 }
 
-/// Peer-liveness bookkeeping, enabled by [`SessionMux::start_liveness`].
+#[derive(Default)]
 struct Liveness {
-    /// Watched peers and when each was last heard from (any frame counts,
-    /// heartbeats merely cover idle links).
+    /// Peers watched since [`SessionMux::start_liveness`], and when each
+    /// was last heard from (any frame counts).
     last_seen: HashMap<PartyId, Instant>,
-    /// Peers currently under a death verdict. A verdict is declared once
-    /// per death; a peer that resumes sending is revived (removed here),
-    /// and a later death counts as a new event.
+    /// Peers under a death verdict, watched or not: declared once per
+    /// death, removed when the peer sends again.
     down: HashSet<PartyId>,
-    /// Heartbeat send interval.
-    interval: Duration,
-    /// Silence budget in intervals before a watched peer is declared dead.
-    misses: u32,
-}
-
-impl Liveness {
-    fn budget(&self) -> Duration {
-        self.interval * self.misses.max(1)
-    }
 }
 
 /// The routing decision a forwarding hook returns for a frame with no
@@ -183,8 +149,10 @@ pub type Forwarder = dyn Fn(PartyId, SessionId, &Bytes) -> Option<PartyId> + Sen
 
 struct MuxShared<T: Transport> {
     inner: T,
+    /// [`Physical::retry_held`] of `inner`, for the consumers.
+    retry_held: fn(&T) -> bool,
     routes: Mutex<HashMap<SessionId, Route>>,
-    liveness: Mutex<Option<Liveness>>,
+    liveness: Mutex<Liveness>,
     forwarder: Mutex<Option<Arc<Forwarder>>>,
     metrics: MetricCells,
     queue_depth: usize,
@@ -202,159 +170,167 @@ impl<T: Transport> MuxShared<T> {
         }
     }
 
-    /// Delivers one item to a session queue with bounded backpressure:
-    /// try-send, stall up to [`STALL_BUDGET`] on a full queue, then shed.
-    fn deliver(
-        &self,
-        session: SessionId,
-        generation: u64,
-        tx: &SyncSender<MuxItem>,
-        item: MuxItem,
-    ) {
-        let routed = matches!(item, MuxItem::Frame(..));
-        match tx.try_send(item) {
+    fn count(&self, counter: &AtomicU64) {
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The router, run by the thread that holds each arrival. A frame for
+    /// a queue that stayed full past [`STALL_BUDGET`] is shed.
+    fn route(&self, delivery: Delivery) -> Offer {
+        if self.shutdown.load(Ordering::Acquire) {
+            self.count(&self.metrics.unknown_session_dropped);
+            return Offer::Taken;
+        }
+        let (from, payload) = match &delivery {
+            Delivery::Frame(from, payload) => (*from, payload),
+            // The transport itself reported the death (socket close, hub
+            // kill) or dropped the connection over an oversize claim:
+            // sessions talking to the peer fail fast, siblings keep
+            // running.
+            Delivery::PeerDown(peer) | Delivery::Oversize(peer, _) => {
+                self.declare_peer_down(*peer);
+                return Offer::Taken;
+            }
+        };
+        self.heard_from(from);
+        if decode_heartbeat(payload).is_some() {
+            // Pure liveness traffic: the clock was refreshed above.
+            self.count(&self.metrics.heartbeats_seen);
+            return Offer::Taken;
+        }
+        let Some(session) = peek_session(payload) else {
+            self.count(&self.metrics.unknown_session_dropped);
+            return Offer::Taken;
+        };
+        let mut routes = self.routes.lock();
+        let Some(route) = routes.get_mut(&session) else {
+            drop(routes);
+            if let Delivery::Frame(_, payload) = delivery {
+                self.forward(from, session, payload);
+            }
+            return Offer::Taken;
+        };
+        match route.tx.try_send(delivery) {
             Ok(()) => {
-                if routed {
-                    self.metrics.frames_routed.fetch_add(1, Ordering::Relaxed);
+                route.full_since = None;
+                self.count(&self.metrics.frames_routed);
+            }
+            Err(TrySendError::Full(delivery)) => {
+                let since = *route.full_since.get_or_insert_with(Instant::now);
+                if since.elapsed() < STALL_BUDGET {
+                    return Offer::Full(delivery);
                 }
+                self.count(&self.metrics.shed_frames);
             }
             Err(TrySendError::Disconnected(_)) => {
                 // Endpoint dropped without close_session: reap the route.
-                self.remove_route(session, Some(generation));
-                self.metrics
-                    .unknown_session_dropped
-                    .fetch_add(1, Ordering::Relaxed);
+                routes.remove(&session);
+                self.count(&self.metrics.unknown_session_dropped);
             }
-            Err(TrySendError::Full(item)) => {
-                // Bounded backpressure, then shed: stall briefly for the
-                // slow session, but never let it block its siblings
-                // indefinitely.
-                let deadline = Instant::now() + STALL_BUDGET;
-                let mut item = item;
-                loop {
-                    std::thread::sleep(Duration::from_millis(1));
-                    match tx.try_send(item) {
-                        Ok(()) => {
-                            if routed {
-                                self.metrics.frames_routed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            break;
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            self.remove_route(session, Some(generation));
-                            break;
-                        }
-                        Err(TrySendError::Full(back)) if Instant::now() < deadline => {
-                            item = back;
-                        }
-                        Err(TrySendError::Full(_)) => {
-                            self.metrics.shed_frames.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                }
-            }
+        }
+        Offer::Taken
+    }
+
+    /// Offers a frame with no local route to the forwarding hook, which
+    /// only picks the next physical hop: the sealed bytes are relayed
+    /// as-is, never decoded. A frame with no hop, or an unreachable one,
+    /// is counted unknown; the sender's liveness plane owns recovery.
+    fn forward(&self, from: PartyId, session: SessionId, payload: Bytes) {
+        let hook = self.forwarder.lock().clone();
+        let hop = hook
+            .and_then(|f| f(from, session, &payload))
+            .filter(|&hop| hop != self.inner.local_id());
+        if hop.is_some_and(|hop| self.inner.send(hop, payload).is_ok()) {
+            self.count(&self.metrics.frames_forwarded);
+        } else {
+            self.count(&self.metrics.unknown_session_dropped);
         }
     }
 
     /// Declares a peer dead exactly once: counts it, records the silence
-    /// duration as detection latency, and broadcasts an in-band
-    /// [`MuxItem::PeerDown`] to every open session so blocked receivers
+    /// duration as detection latency, and offers an in-band
+    /// [`Delivery::PeerDown`] to every open session so blocked receivers
     /// fail fast with [`TransportError::PeerDown`] instead of waiting out
     /// their protocol timeouts. Sessions that never talk to the peer
     /// simply ignore the transient error at the protocol layer.
     ///
-    /// The in-band marker is the *wakeup* path only — it can be shed when
-    /// a session's queue stays full past the stall budget, and sessions
-    /// opened after the declaration never see it. The durable record is
-    /// the liveness `down` set, which every endpoint consults on idle
-    /// receive slices ([`MuxShared::unreported_down`]), so no session can
-    /// permanently miss a death.
+    /// The in-band marker is the *wakeup* path only — it is offered once
+    /// and dropped on a full queue, and sessions opened after the
+    /// declaration never see it. The durable record is the liveness
+    /// `down` set, which every endpoint consults on idle receive slices
+    /// ([`MuxShared::unreported_down`]), so no session can permanently
+    /// miss a death.
     fn declare_peer_down(&self, peer: PartyId) {
         {
             let mut liveness = self.liveness.lock();
-            let silence_us = match liveness.as_mut() {
-                Some(state) => {
-                    if !state.down.insert(peer) {
-                        return; // already declared
-                    }
-                    state
-                        .last_seen
-                        .get(&peer)
-                        .map_or(0, |seen| seen.elapsed().as_micros() as u64)
-                }
-                // Liveness tracking off: transport-notified deaths still
-                // broadcast (latency ~0), but only once per peer requires
-                // the tracker — initialize a bare one.
-                None => {
-                    *liveness = Some(Liveness {
-                        last_seen: HashMap::new(),
-                        down: HashSet::from([peer]),
-                        interval: DEFAULT_HEARTBEAT_INTERVAL,
-                        misses: DEFAULT_LIVENESS_MISSES,
-                    });
-                    0
-                }
-            };
-            self.metrics.peers_down.fetch_add(1, Ordering::Relaxed);
-            self.metrics
-                .peer_down_latency_us
-                .fetch_add(silence_us, Ordering::Relaxed);
+            if !liveness.down.insert(peer) {
+                return; // already declared
+            }
+            // Zero for an unwatched peer, whose death the transport reported.
+            let silence = liveness.last_seen.get(&peer).map(Instant::elapsed);
+            self.count(&self.metrics.peers_down);
+            self.metrics.peer_down_latency_us.fetch_add(
+                silence.unwrap_or_default().as_micros() as u64,
+                Ordering::Relaxed,
+            );
         }
-        let targets: Vec<(SessionId, u64, SyncSender<MuxItem>)> = {
-            let routes = self.routes.lock();
-            routes
-                .iter()
-                .map(|(&s, r)| (s, r.generation, r.tx.clone()))
-                .collect()
-        };
-        for (session, generation, tx) in targets {
-            self.deliver(session, generation, &tx, MuxItem::PeerDown(peer));
-        }
+        self.routes.lock().retain(|_, route| {
+            !matches!(
+                route.tx.try_send(Delivery::PeerDown(peer)),
+                Err(TrySendError::Disconnected(_))
+            )
+        });
     }
 
     /// The durable half of peer-death delivery: returns one declared-dead
     /// peer this endpoint has not reported yet (recording it in
     /// `reported`), or `None`. Endpoints call this on idle receive
-    /// slices, which makes death reports survive a shed in-band marker
+    /// slices, which makes death reports survive a dropped in-band marker
     /// and reach sessions opened *after* the declaration — at the cost of
     /// one liveness-lock peek per idle slice.
     fn unreported_down(&self, reported: &mut HashSet<PartyId>) -> Option<PartyId> {
         let liveness = self.liveness.lock();
-        let state = liveness.as_ref()?;
-        let peer = state.down.iter().find(|p| !reported.contains(p)).copied()?;
+        let peer = liveness
+            .down
+            .iter()
+            .find(|p| !reported.contains(p))
+            .copied()?;
         reported.insert(peer);
         Some(peer)
     }
 
     /// Refreshes a watched peer's liveness clock (any inbound traffic
-    /// counts — heartbeats only cover idle links) and reports watched
-    /// peers whose silence exceeded the budget. A frame from a peer in
+    /// counts — heartbeats only cover idle links). A frame from a peer in
     /// the `down` set **revives** it: the death verdict is removed, so
     /// sessions opened afterwards (e.g. peer-failure retries) run against
     /// the recovered peer instead of failing on a stale verdict. Sessions
     /// that already consumed the death keep their typed failure — revival
     /// is forward-looking only.
-    fn observe_liveness(&self, heard_from: Option<PartyId>) -> Vec<PartyId> {
+    fn heard_from(&self, peer: PartyId) {
         let mut liveness = self.liveness.lock();
-        let Some(state) = liveness.as_mut() else {
-            return Vec::new();
-        };
-        if let Some(peer) = heard_from {
-            if state.down.remove(&peer) {
-                self.metrics.peers_recovered.fetch_add(1, Ordering::Relaxed);
-            }
-            if let Some(seen) = state.last_seen.get_mut(&peer) {
-                *seen = Instant::now();
-            }
+        if liveness.down.remove(&peer) {
+            self.count(&self.metrics.peers_recovered);
         }
-        let budget = state.budget();
-        state
-            .last_seen
-            .iter()
-            .filter(|(peer, seen)| !state.down.contains(peer) && seen.elapsed() > budget)
-            .map(|(&peer, _)| peer)
-            .collect()
+        if let Some(seen) = liveness.last_seen.get_mut(&peer) {
+            *seen = Instant::now();
+        }
+    }
+}
+
+/// The router a [`SessionMux`] installs as its endpoint's [`Sink`]. It
+/// holds the mux weakly: the endpoint lives inside the mux.
+impl<T: Transport> Sink for Weak<MuxShared<T>> {
+    fn deliver(&self, delivery: Delivery) -> Offer {
+        self.upgrade()
+            .map_or(Offer::Gone, |shared| shared.route(delivery))
+    }
+
+    fn closed(&self) {
+        // Blocked session endpoints see Disconnected at once instead of
+        // waiting out their protocol timeouts.
+        if let Some(shared) = self.upgrade() {
+            shared.routes.lock().clear();
+        }
     }
 }
 
@@ -372,42 +348,32 @@ impl<T: Transport + 'static> Clone for SessionMux<T> {
     }
 }
 
-impl<T: Transport + 'static> SessionMux<T> {
-    /// Wraps a physical endpoint with the default per-session queue depth
-    /// and starts the pump thread.
+impl<T: Physical + 'static> SessionMux<T> {
+    /// Wraps a physical endpoint, installing the mux's router as its
+    /// [`Sink`] ([`Physical::install_sink`]), with
+    /// [`DEFAULT_SESSION_QUEUE`] frames per session queue.
     pub fn new(inner: T) -> Self {
         Self::with_queue_depth(inner, DEFAULT_SESSION_QUEUE)
     }
 
-    /// Wraps a physical endpoint with an explicit per-session inbound
-    /// queue bound and starts the pump thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `queue_depth` is zero.
-    pub fn with_queue_depth(inner: T, queue_depth: usize) -> Self {
-        assert!(queue_depth > 0, "session queue depth must be positive");
+    pub(crate) fn with_queue_depth(inner: T, queue_depth: usize) -> Self {
         let shared = Arc::new(MuxShared {
             inner,
+            retry_held: T::retry_held,
             routes: Mutex::new(HashMap::new()),
-            liveness: Mutex::new(None),
+            liveness: Mutex::default(),
             forwarder: Mutex::new(None),
             metrics: MetricCells::default(),
             queue_depth,
             next_generation: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
         });
-        let pump = Arc::clone(&shared);
-        // Pump failures must not take the process down; the thread exits
-        // and every session sees Disconnected. If the spawn itself fails
-        // the mux still works for sends; receives starve and sessions
-        // abort via their timeouts.
-        let _ = std::thread::Builder::new()
-            .name(format!("mux-pump-{}", shared.inner.local_id()))
-            .spawn(move || pump_loop(&pump));
+        shared.inner.install_sink(Arc::new(Arc::downgrade(&shared)));
         SessionMux { shared }
     }
+}
 
+impl<T: Transport + 'static> SessionMux<T> {
     /// The physical endpoint's party id (shared by every session lane).
     pub fn local_id(&self) -> PartyId {
         self.shared.inner.local_id()
@@ -423,7 +389,8 @@ impl<T: Transport + 'static> SessionMux<T> {
     pub fn open_session(&self, session: SessionId) -> Result<MuxEndpoint<T>, TransportError> {
         if session == SessionId::LIVENESS {
             // The liveness plane permanently owns this id; frames stamped
-            // with it are pump-consumed heartbeats, never session traffic.
+            // with it are heartbeats the router consumes, never session
+            // traffic.
             return Err(TransportError::DuplicateSession(session));
         }
         let (tx, rx) = std::sync::mpsc::sync_channel(self.shared.queue_depth);
@@ -432,11 +399,15 @@ impl<T: Transport + 'static> SessionMux<T> {
         if routes.contains_key(&session) {
             return Err(TransportError::DuplicateSession(session));
         }
-        routes.insert(session, Route { generation, tx });
-        self.shared
-            .metrics
-            .sessions_opened
-            .fetch_add(1, Ordering::Relaxed);
+        routes.insert(
+            session,
+            Route {
+                generation,
+                tx,
+                full_since: None,
+            },
+        );
+        self.shared.count(&self.shared.metrics.sessions_opened);
         Ok(MuxEndpoint {
             session,
             generation,
@@ -471,8 +442,9 @@ impl<T: Transport + 'static> SessionMux<T> {
     /// physical peer to relay the frame to — still sealed, never decoded
     /// — or `None` to drop it as unknown. Returning the mux's own party
     /// id also drops the frame (a self-hop would loop). The hook runs on
-    /// the pump thread: keep it cheap (a ring lookup), never block in
-    /// it, and never call back into this mux from it.
+    /// the thread that hands the frame over (the reactor thread, a hub
+    /// sender's, or one offering held frames again): keep it cheap (a ring
+    /// lookup), never block in it, and never call back into this mux.
     ///
     /// This is the fleet's inter-node forwarding path: a node that is
     /// not a session's owner relays the session's frames one hop toward
@@ -484,23 +456,12 @@ impl<T: Transport + 'static> SessionMux<T> {
         *self.shared.forwarder.lock() = Some(Arc::new(hook));
     }
 
-    /// Removes the forwarding hook; unrouted frames are dropped (and
-    /// counted unknown) again.
-    pub fn clear_forwarder(&self) {
-        *self.shared.forwarder.lock() = None;
-    }
-
-    /// Asks the pump thread to exit. A loopback wake frame (a heartbeat to
-    /// our own party id) kicks the pump out of its blocking receive so
-    /// teardown completes promptly instead of lagging a full poll tick;
-    /// when the physical transport has no self-route the wake is skipped
-    /// and the poll interval bounds the latency as before. Open sessions
-    /// stop receiving (their endpoints see `Disconnected`); in-flight
-    /// sends still work.
+    /// Stops the mux: open sessions see `Disconnected`, later arrivals are
+    /// counted in [`MuxMetrics::unknown_session_dropped`] and dropped, and
+    /// the liveness thread exits within one interval. Sends still work.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        let me = self.shared.inner.local_id();
-        let _ = self.shared.inner.send(me, encode_heartbeat(me, 0));
+        self.shared.routes.lock().clear();
     }
 
     /// Starts peer-liveness tracking with the default startup grace of
@@ -513,13 +474,13 @@ impl<T: Transport + 'static> SessionMux<T> {
         self.start_liveness_with_grace(watch, interval, misses, interval * misses.max(1));
     }
 
-    /// Starts peer-liveness tracking: a background emitter sends a
-    /// heartbeat to every peer in `watch` each `interval`, and the pump
-    /// declares any watched peer dead after `misses` intervals of total
-    /// silence (any inbound frame refreshes the clock, so heartbeats only
-    /// matter on idle links). A peer whose death the transport reports
-    /// directly (socket close, hub kill) is declared immediately; a peer
-    /// whose heartbeat *sends* keep failing is declared after `misses`
+    /// Starts peer-liveness tracking on one thread: each `interval` it
+    /// sends a heartbeat to every peer in `watch` and declares any
+    /// watched peer dead after `misses` intervals of total silence (any
+    /// inbound frame refreshes the clock, so heartbeats only matter on
+    /// idle links). A peer whose death the transport reports directly
+    /// (socket close, hub kill) is declared immediately; a peer whose
+    /// heartbeat *sends* keep failing is declared after `misses`
     /// consecutive failures (one failure can be a startup race).
     ///
     /// No watched peer is declared within `grace` of this call — peers of
@@ -532,10 +493,7 @@ impl<T: Transport + 'static> SessionMux<T> {
     /// [`MuxMetrics::peers_down`] / [`MuxMetrics::peer_down_latency_us`]
     /// for the observability side.
     ///
-    /// Call at most once per mux, before traffic flows. Detection can be
-    /// delayed (never falsified) while the pump is stalling on a full
-    /// session queue — data traffic keeps the healthy peers' clocks
-    /// fresh either way.
+    /// Call at most once per mux, before traffic flows.
     pub fn start_liveness_with_grace(
         &self,
         watch: Vec<PartyId>,
@@ -551,28 +509,20 @@ impl<T: Transport + 'static> SessionMux<T> {
         let seed = Instant::now() + grace.saturating_sub(interval * misses.max(1));
         {
             let mut liveness = self.shared.liveness.lock();
-            let state = liveness.get_or_insert_with(|| Liveness {
-                last_seen: HashMap::new(),
-                down: HashSet::new(),
-                interval,
-                misses,
-            });
-            state.interval = interval;
-            state.misses = misses;
             // Never watch ourselves: nobody heartbeats us on our own
             // endpoint, so a self-entry would "detect" our own silence.
             for &peer in watch.iter().filter(|&&p| p != me) {
-                state.last_seen.entry(peer).or_insert(seed);
+                liveness.last_seen.entry(peer).or_insert(seed);
             }
         }
         let shared = Arc::clone(&self.shared);
         let _ = std::thread::Builder::new()
-            .name(format!("mux-heartbeat-{}", self.shared.inner.local_id()))
-            .spawn(move || heartbeat_loop(&shared, watch, interval, misses, grace));
+            .name(format!("mux-liveness-{}", self.shared.inner.local_id()))
+            .spawn(move || liveness_loop(&shared, watch, interval, misses, grace));
     }
 }
 
-fn heartbeat_loop<T: Transport>(
+fn liveness_loop<T: Transport>(
     shared: &MuxShared<T>,
     watch: Vec<PartyId>,
     interval: Duration,
@@ -588,14 +538,12 @@ fn heartbeat_loop<T: Transport>(
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        // Resume beating peers the pump revived (their death verdict was
-        // withdrawn after they sent again).
-        if !gone.is_empty() {
-            let liveness = shared.liveness.lock();
-            if let Some(state) = liveness.as_ref() {
-                gone.retain(|p| state.down.contains(p));
-            }
-        }
+        // Resume beating peers the router revived (their death verdict
+        // was withdrawn after they sent again).
+        gone.retain(|p| shared.liveness.lock().down.contains(p));
+        // The hub's held frames get a turn even while no consumer
+        // receives, so a stuck session's frames are shed in time.
+        (shared.retry_held)(&shared.inner);
         for &peer in &watch {
             if peer == me || gone.contains(&peer) {
                 continue;
@@ -606,10 +554,7 @@ fn heartbeat_loop<T: Transport>(
             match shared.inner.send_liveness(peer, encode_heartbeat(me, seq)) {
                 Ok(()) => {
                     consecutive_failures.remove(&peer);
-                    shared
-                        .metrics
-                        .heartbeats_sent
-                        .fetch_add(1, Ordering::Relaxed);
+                    shared.count(&shared.metrics.heartbeats_sent);
                 }
                 Err(_) => {
                     // Unreachable from the send side. Failures inside the
@@ -629,127 +574,35 @@ fn heartbeat_loop<T: Transport>(
                 }
             }
         }
+        // The receive side, once per interval: watched peers silent past
+        // the budget. Detection takes at most one interval longer than it.
+        let silent: Vec<PartyId> = {
+            let liveness = shared.liveness.lock();
+            let budget = interval * misses.max(1);
+            let silent = |(peer, seen): (&PartyId, &Instant)| {
+                (!liveness.down.contains(peer) && seen.elapsed() > budget).then_some(*peer)
+            };
+            liveness.last_seen.iter().filter_map(silent).collect()
+        };
+        for peer in silent {
+            shared.declare_peer_down(peer);
+        }
         seq += 1;
         std::thread::sleep(interval);
     }
 }
 
-fn pump_loop<T: Transport>(shared: &MuxShared<T>) {
-    // recv_timeout rather than recv: the poll bounds how stale the
-    // liveness clock check can get, and backstops shutdown when the
-    // loopback wake frame cannot be delivered.
-    const POLL: Duration = Duration::from_millis(200);
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let recv = shared.inner.recv_timeout(POLL);
-        let heard_from = match &recv {
-            Ok((from, _)) => Some(*from),
-            _ => None,
-        };
-        // Any inbound frame refreshes its sender's liveness clock; silent
-        // watched peers past the budget are declared dead here, so
-        // detection latency is O(heartbeat budget + poll tick), not
-        // O(session timeout).
-        for silent in shared.observe_liveness(heard_from) {
-            shared.declare_peer_down(silent);
-        }
-        let (from, payload) = match recv {
-            Ok(delivery) => delivery,
-            Err(TransportError::Timeout) => continue,
-            Err(TransportError::PeerDown(peer)) => {
-                // The transport itself reported the death (socket close,
-                // hub kill): broadcast and keep pumping for the others.
-                shared.declare_peer_down(peer);
-                continue;
-            }
-            Err(TransportError::OversizeFrame { from, .. }) => {
-                // The peer's connection was dropped over a protocol
-                // violation — its frames stop arriving, so treat it as a
-                // death: sessions talking to it fail fast, siblings keep
-                // running.
-                shared.declare_peer_down(from);
-                continue;
-            }
-            Err(_) => break,
-        };
-        if decode_heartbeat(&payload).is_some() {
-            // Pure liveness traffic (or the shutdown wake): the clock was
-            // refreshed above; never routed to a session.
-            shared
-                .metrics
-                .heartbeats_seen
-                .fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        let Some(session) = peek_session(&payload) else {
-            shared
-                .metrics
-                .unknown_session_dropped
-                .fetch_add(1, Ordering::Relaxed);
-            continue;
-        };
-        let route = {
-            let routes = shared.routes.lock();
-            routes.get(&session).map(|r| (r.generation, r.tx.clone()))
-        };
-        let Some((generation, tx)) = route else {
-            // No local route: offer the frame to the forwarding hook
-            // before counting it unknown. The hook only picks the next
-            // physical hop — the sealed bytes are relayed as-is, never
-            // decoded here (the fleet's zero-decode inter-node relay,
-            // same idiom as `sap-core`'s anonymizing block relay).
-            let forward = shared.forwarder.lock().clone();
-            let next_hop = forward.and_then(|f| f(from, session, &payload));
-            match next_hop {
-                Some(hop) if hop != shared.inner.local_id() => {
-                    match shared.inner.send(hop, payload) {
-                        Ok(()) => {
-                            shared
-                                .metrics
-                                .frames_forwarded
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            // The hop is unreachable (dead or gone): the
-                            // frame is lost exactly like an unknown one;
-                            // the sender's liveness plane owns recovery.
-                            shared
-                                .metrics
-                                .unknown_session_dropped
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                _ => {
-                    shared
-                        .metrics
-                        .unknown_session_dropped
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            continue;
-        };
-        shared.deliver(session, generation, &tx, MuxItem::Frame(from, payload));
-    }
-    // Pump is done (shutdown or physical disconnect): drop every route's
-    // sender so blocked session endpoints see Disconnected immediately
-    // instead of waiting out their protocol timeouts.
-    shared.routes.lock().clear();
-}
-
 /// One session's virtual endpoint over a shared physical transport.
 ///
-/// Sends pass straight through to the physical endpoint (payloads are v3
-/// sealed frames that already carry the session stamp); receives drain the
-/// session's bounded queue. Dropping the endpoint closes the session's
-/// route on the mux.
+/// Sends pass straight through to the physical endpoint (payloads are
+/// sealed frames that already carry the session stamp); receives drain
+/// the session's bounded queue. Dropping the endpoint closes the
+/// session's route on the mux.
 pub struct MuxEndpoint<T: Transport + 'static> {
     session: SessionId,
     generation: u64,
     shared: Arc<MuxShared<T>>,
-    inbox: Mutex<Receiver<MuxItem>>,
+    inbox: Mutex<Receiver<Delivery>>,
     /// Peers whose death this endpoint already surfaced (in-band marker
     /// or idle-slice pickup) — each death is reported at most twice per
     /// endpoint, never repeatedly.
@@ -760,16 +613,6 @@ impl<T: Transport + 'static> MuxEndpoint<T> {
     /// The session this endpoint belongs to.
     pub fn session(&self) -> SessionId {
         self.session
-    }
-
-    fn pop_item(&self, item: MuxItem) -> Result<(PartyId, Bytes), TransportError> {
-        match item {
-            MuxItem::Frame(from, payload) => Ok((from, payload)),
-            MuxItem::PeerDown(peer) => {
-                self.reported_down.lock().insert(peer);
-                Err(TransportError::PeerDown(peer))
-            }
-        }
     }
 }
 
@@ -783,45 +626,50 @@ impl<T: Transport + 'static> Transport for MuxEndpoint<T> {
         self.shared.inner.send(to, payload)?;
         // Counted only after the physical send succeeds, so bytes_sealed
         // never reports traffic that failed to reach the wire.
-        self.shared
-            .metrics
-            .bytes_sent
-            .fetch_add(len, Ordering::Relaxed);
-        self.shared
-            .metrics
-            .frames_sent
-            .fetch_add(1, Ordering::Relaxed);
+        let metrics = &self.shared.metrics;
+        metrics.bytes_sent.fetch_add(len, Ordering::Relaxed);
+        self.shared.count(&metrics.frames_sent);
         Ok(())
     }
 
     fn recv(&self) -> Result<(PartyId, Bytes), TransportError> {
-        // Sliced rather than parked forever: each idle slice consults the
-        // durable down set (see recv_timeout), so a blocking receiver
-        // cannot miss a death whose in-band marker was shed.
-        loop {
-            match self.recv_timeout(Duration::from_millis(200)) {
-                Err(TransportError::Timeout) => continue,
-                other => return other,
-            }
-        }
+        self.recv_timeout(Duration::MAX)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<(PartyId, Bytes), TransportError> {
-        let popped = self.inbox.lock().recv_timeout(timeout);
-        match popped {
-            Ok(item) => self.pop_item(item),
-            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Disconnected),
-            Err(RecvTimeoutError::Timeout) => {
-                // Idle slice: consult the durable down set, so a death
-                // whose in-band marker was shed — or one declared before
-                // this session opened — still surfaces within one slice.
-                // Checked only after the queue drained dry, preserving
-                // frames-before-marker ordering.
-                match self.shared.unreported_down(&mut self.reported_down.lock()) {
-                    Some(peer) => Err(TransportError::PeerDown(peer)),
-                    None => Err(TransportError::Timeout),
+        // Waits in slices: an idle one consults the durable down set (a
+        // death whose marker was dropped, or came before this session
+        // opened) and, on a hub lane, offers held frames again.
+        let start = Instant::now();
+        let inbox = self.inbox.lock();
+        let popped = loop {
+            let tick = match inbox.try_recv() {
+                Err(TryRecvError::Empty) if (self.shared.retry_held)(&self.shared.inner) => {
+                    RETRY_TICK
                 }
+                Err(TryRecvError::Empty) => Duration::from_millis(200),
+                popped => break popped.ok(),
+            };
+            let left = timeout.saturating_sub(start.elapsed());
+            match inbox.recv_timeout(left.min(tick)) {
+                Err(RecvTimeoutError::Timeout) => {
+                    let reported = &mut self.reported_down.lock();
+                    if let Some(peer) = self.shared.unreported_down(reported) {
+                        return Err(TransportError::PeerDown(peer));
+                    } else if left <= tick {
+                        return Err(TransportError::Timeout);
+                    }
+                }
+                popped => break popped.ok(),
             }
+        };
+        match popped {
+            Some(Delivery::Frame(from, payload)) => Ok((from, payload)),
+            Some(Delivery::PeerDown(peer) | Delivery::Oversize(peer, _)) => {
+                self.reported_down.lock().insert(peer);
+                Err(TransportError::PeerDown(peer))
+            }
+            None => Err(TransportError::Disconnected),
         }
     }
 }
@@ -1030,9 +878,7 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_wakes_pump_promptly() {
-        // The pump's poll tick is 200 ms; the loopback wake frame must
-        // beat it by a wide margin so teardown never lags a tick.
+    fn shutdown_disconnects_sessions_promptly() {
         let (m1, _m2) = mux_pair();
         let a1 = m1.open_session(SessionId(1)).unwrap();
         let start = Instant::now();
@@ -1040,9 +886,187 @@ mod tests {
         assert_eq!(a1.recv().unwrap_err(), TransportError::Disconnected);
         assert!(
             start.elapsed() < Duration::from_millis(150),
-            "shutdown took {:?}, pump was not woken",
+            "shutdown took {:?}",
             start.elapsed()
         );
+    }
+
+    /// A control frame of `session` that the mux can route (it never
+    /// opens it).
+    fn sealed(session: SessionId, n: u64, len: usize) -> Bytes {
+        use crate::crypto::ChannelKey;
+        use crate::frame::{seal_frame, Frame, FrameKind};
+        let frame = Frame {
+            kind: FrameKind::Control,
+            msg_id: n,
+            seq: 0,
+            last: true,
+            payload: Bytes::from(vec![n as u8; len]),
+        };
+        seal_frame(ChannelKey::derive(9, 1, 2), n, session, &frame)
+    }
+
+    #[test]
+    fn shut_down_mux_drops_and_counts_every_arrival() {
+        let hub = InMemoryHub::new();
+        let a = hub.endpoint(PartyId(1));
+        let m2 = SessionMux::new(hub.endpoint(PartyId(2)));
+        let _s1 = m2.open_session(SessionId(1)).unwrap();
+        m2.shutdown();
+        const N: u64 = 25;
+        for n in 0..N {
+            a.send(PartyId(2), sealed(SessionId(1), n, 4)).unwrap();
+        }
+        // Nothing buffers behind a stopped mux: every arrival is counted
+        // and dropped as it lands.
+        assert_eq!(m2.metrics().unknown_session_dropped, N);
+        assert_eq!(m2.metrics().frames_routed, 0);
+    }
+
+    #[test]
+    fn hub_send_routes_on_the_sending_thread() {
+        let (m1, m2) = mux_pair();
+        let a = node_for(&m1, SessionId(3), 7);
+        let b = m2.open_session(SessionId(3)).unwrap();
+        for i in 0..50u32 {
+            a.send_msg(PartyId(2), &i).unwrap();
+            // The frame sits in the session queue by the time send
+            // returns: no thread stands between the two.
+            let (from, _) = b.recv_timeout(Duration::ZERO).unwrap();
+            assert_eq!(from, PartyId(1));
+        }
+        assert_eq!(m2.metrics().frames_routed, 50);
+    }
+
+    /// A localhost TCP mesh of `n` reactor endpoints, parties `1..=n`.
+    fn tcp_mesh(n: u64) -> Vec<crate::reactor::ReactorTransport> {
+        let ids: Vec<PartyId> = (1..=n).map(PartyId).collect();
+        crate::tcp::local_mesh(&ids).unwrap()
+    }
+
+    #[test]
+    fn hub_sender_that_is_its_own_consumer_is_paced_not_shed() {
+        // SAP's exchange plan can map a provider to itself: the role
+        // streams its whole dataset into its own lane before it reads.
+        let hub = InMemoryHub::new();
+        let lane = SessionMux::with_queue_depth(hub.endpoint(PartyId(1)), 2);
+        let own = lane.open_session(SessionId(1)).unwrap();
+        let frames: Vec<Bytes> = (0..20).map(|n| sealed(SessionId(1), n, 16)).collect();
+        for frame in &frames {
+            // Held past the queue's two slots; the send never waits.
+            own.send(PartyId(1), frame.clone()).unwrap();
+        }
+        // Busy past the stall budget before the role turns to receiving.
+        std::thread::sleep(STALL_BUDGET * 2);
+        for frame in &frames {
+            assert_eq!(own.recv_timeout(WAIT).unwrap(), (PartyId(1), frame.clone()));
+        }
+        assert_eq!(lane.metrics().shed_frames, 0);
+        assert_eq!(lane.metrics().frames_routed, 20);
+    }
+
+    #[test]
+    fn tcp_full_queue_holds_only_its_source() {
+        let mut mesh = tcp_mesh(3);
+        let r = SessionMux::with_queue_depth(mesh.pop().unwrap(), 2);
+        let b = mesh.pop().unwrap();
+        let a = mesh.pop().unwrap();
+        let stuck = r.open_session(SessionId(1)).unwrap();
+        let sibling = r.open_session(SessionId(2)).unwrap();
+
+        // Nobody drains session 1: its depth-2 queue fills and the reactor
+        // holds a's frames from the third on.
+        for n in 0..5 {
+            a.send(PartyId(3), sealed(SessionId(1), n, 16)).unwrap();
+        }
+        let deadline = Instant::now() + WAIT;
+        while r.metrics().frames_routed < 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(r.metrics().frames_routed, 2);
+
+        // A sibling fed over another connection still receives…
+        let frame = sealed(SessionId(2), 9, 16);
+        b.send(PartyId(3), frame.clone()).unwrap();
+        assert_eq!(sibling.recv_timeout(WAIT).unwrap(), (PartyId(2), frame));
+        // …and the stuck session still sends.
+        let reply = sealed(SessionId(1), 10, 16);
+        stuck.send(PartyId(1), reply.clone()).unwrap();
+        assert_eq!(a.recv_timeout(WAIT).unwrap(), (PartyId(3), reply));
+
+        // Once the queue has taken nothing for the stall budget, the held
+        // frames are shed.
+        let deadline = Instant::now() + WAIT;
+        while r.metrics().shed_frames < 3 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(r.metrics().shed_frames, 3);
+        assert_eq!(r.metrics().frames_routed, 3);
+    }
+
+    #[test]
+    fn tcp_slow_consumer_is_paced_not_shed() {
+        let mut mesh = tcp_mesh(2);
+        let r = SessionMux::with_queue_depth(mesh.pop().unwrap(), 2);
+        let a = mesh.pop().unwrap();
+        let slow = r.open_session(SessionId(1)).unwrap();
+        const FRAMES: u64 = 20;
+        let frames: Vec<Bytes> = (0..FRAMES).map(|n| sealed(SessionId(1), n, 16)).collect();
+        for frame in &frames {
+            a.send(PartyId(2), frame.clone()).unwrap();
+        }
+        // The consumer drains one frame every 2 ms, far inside the stall
+        // budget: its frames are held again and again, and every frame
+        // arrives, in order.
+        for frame in &frames {
+            std::thread::sleep(Duration::from_millis(2));
+            assert_eq!(
+                slow.recv_timeout(WAIT).unwrap(),
+                (PartyId(1), frame.clone())
+            );
+        }
+        assert_eq!(r.metrics().shed_frames, 0);
+        assert_eq!(r.metrics().frames_routed, FRAMES);
+    }
+
+    #[test]
+    fn tcp_forwarding_past_the_gate_never_stalls_the_reactor() {
+        use crate::reactor::HIGH_WATER;
+        use std::net::TcpListener;
+        use std::os::unix::io::AsRawFd;
+
+        let mut mesh = tcp_mesh(2);
+        let relay_lane = mesh.pop().unwrap();
+        let a = mesh.pop().unwrap();
+        // Party 9 accepts a connection and never reads from it; a small
+        // receive buffer keeps the kernel from absorbing the backlog.
+        let deaf = TcpListener::bind("127.0.0.1:0").unwrap();
+        epoll::set_socket_buffers(deaf.as_raw_fd(), 4096, 4096).unwrap();
+        relay_lane.register_peer(PartyId(9), deaf.local_addr().unwrap());
+        // The accepted stream stays open inside the joined result.
+        let acceptor = std::thread::spawn(move || deaf.accept().map(|(stream, _)| stream));
+        let relay = SessionMux::new(relay_lane);
+        relay.set_forwarder(|_, s, _| (s == SessionId(77)).then_some(PartyId(9)));
+        let local = relay.open_session(SessionId(1)).unwrap();
+
+        // The relay's reactor forwards every frame of session 77 itself;
+        // past HIGH_WATER queued bytes toward the deaf peer, a send that
+        // waited on the gate would wait for its own thread forever.
+        const LEN: usize = 256 * 1024;
+        let frames = (HIGH_WATER + (8 << 20)) / LEN;
+        let sender = std::thread::spawn(move || {
+            for n in 0..frames as u64 {
+                a.send(PartyId(2), sealed(SessionId(77), n, LEN)).unwrap();
+            }
+            let tail = sealed(SessionId(1), 1, 16);
+            a.send(PartyId(2), tail.clone()).unwrap();
+            (a, tail)
+        });
+        let (from, got) = local.recv_timeout(WAIT).unwrap();
+        let (_a, tail) = sender.join().unwrap();
+        assert_eq!((from, got), (PartyId(1), tail));
+        assert_eq!(relay.metrics().frames_forwarded, frames as u64);
+        assert!(acceptor.join().unwrap().is_ok());
     }
 
     #[test]

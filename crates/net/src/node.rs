@@ -26,7 +26,6 @@ use crate::wire::{self, Wire, WireError};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -227,26 +226,20 @@ impl<T: Transport> Node<T> {
 
     /// Seals one frame, generating its payload straight into the pooled
     /// sealed buffer, and hands it to the transport.
-    fn seal_and_send<F>(
+    fn seal_and_send(
         &self,
         to: PartyId,
         meta: FrameMeta,
         size_hint: usize,
-        write_payload: F,
-    ) -> Result<(), NodeError>
-    where
-        F: FnOnce(&mut Vec<u8>),
-    {
-        let Ok(sealed) = frame::seal_frame_with::<Infallible, _>(
+        write_payload: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), NodeError> {
+        let sealed = frame::seal_frame_with(
             self.send_key(to),
             self.next_id(),
             self.session,
             meta,
             size_hint,
-            |out| {
-                write_payload(out);
-                Ok(())
-            },
+            write_payload,
         );
         self.transport.send(to, sealed)?;
         Ok(())

@@ -26,8 +26,10 @@
 //!   a-time torture feeds): the reactor loop just moves bytes between
 //!   sockets and machines.
 //! - The reactor thread owns the poller, the listener, and every
-//!   connection. Other threads talk to it through a command channel plus
-//!   a pipe [`epoll::Waker`] — no socket is ever touched off-thread.
+//!   connection, and hands every arrival to the endpoint's
+//!   [`crate::transport::Sink`]. Other threads talk to it through a
+//!   command channel plus a pipe [`epoll::Waker`] — no socket is ever
+//!   touched off-thread.
 //! - Connects stay blocking, but in **transient** connector threads that
 //!   retry with exponential backoff (2 ms doubling to a 250 ms cap) until
 //!   the connect window closes, and then hand the socket to the reactor.
@@ -46,14 +48,21 @@
 //! [`Transport::send`] is asynchronous up to [`HIGH_WATER`] queued bytes
 //! per peer, then blocks on a condvar until the reactor drains the queue
 //! — a slow peer stalls its sender as a blocking write would, without
-//! stalling any other lane.
+//! stalling any other lane. A send issued on the reactor thread itself (a
+//! mux forwarding a frame it just read) never waits, since only the
+//! reactor drains the gate; its bytes still count, but nothing bounds
+//! them: the queue toward a next hop that never reads keeps growing.
 //! [`Transport::send_liveness`] never blocks: over the high-water mark it
 //! drops the beat (the link is demonstrably active), and while a connect
 //! is pending it enqueues and returns.
 //!
+//! Inbound, the reactor reads on whatever the sink says: frames it hands
+//! back are held (see [`crate::transport`]) and offered again on a 1 ms
+//! tick, so a peer never blocks on the gate waiting for itself.
+//!
 //! # Failure surface
 //!
-//! Failures are typed and surface through the inbox: a connect that
+//! Failures are typed and surface through the sink: a connect that
 //! exhausts its window marks the peer failed (the next send consumes a
 //! [`TransportError::ConnectFailed`]) and posts an in-band `PeerDown`; an
 //! inbound peer's socket closing posts `PeerDown`; a peer claiming a
@@ -62,16 +71,18 @@
 //! claimed length is **never allocated**.
 
 use crate::pool;
-use crate::transport::{pop_delivery, Delivery, PartyId, Transport, TransportError};
+use crate::transport::{
+    Delivery, Inbox, Inlet, PartyId, Physical, Sink, Transport, TransportError, RETRY_TICK,
+};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use epoll::{BackendKind, Event, Interest, Poller, Waker};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -433,11 +444,11 @@ impl WriteMachine {
 // Stats
 // ---------------------------------------------------------------------------
 
+counters! {
 /// Counters the reactor keeps about its own activity; read them with
 /// [`ReactorTransport::stats`]. `wakeups` shows that idle lanes cost
 /// nothing (`idle_reactor_barely_wakes` pins it).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReactorStats {
+pub struct ReactorStats, cells StatCells {
     /// Times the poller's wait returned (events or tick).
     pub wakeups: u64,
     /// `write_vectored` calls issued across all connections.
@@ -453,30 +464,6 @@ pub struct ReactorStats {
     /// Connections dropped over an oversize length claim.
     pub oversize_kills: u64,
 }
-
-#[derive(Default)]
-struct StatCells {
-    wakeups: AtomicU64,
-    writev_calls: AtomicU64,
-    frames_out: AtomicU64,
-    frames_in: AtomicU64,
-    connects_started: AtomicU64,
-    accepted: AtomicU64,
-    oversize_kills: AtomicU64,
-}
-
-impl StatCells {
-    fn snapshot(&self) -> ReactorStats {
-        ReactorStats {
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            writev_calls: self.writev_calls.load(Ordering::Relaxed),
-            frames_out: self.frames_out.load(Ordering::Relaxed),
-            frames_in: self.frames_in.load(Ordering::Relaxed),
-            connects_started: self.connects_started.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            oversize_kills: self.oversize_kills.load(Ordering::Relaxed),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -488,7 +475,6 @@ enum Cmd {
     Liveness { to: PartyId, payload: Bytes },
     Connected { to: PartyId, stream: TcpStream },
     ConnectFailed { to: PartyId, error: TransportError },
-    Shutdown,
 }
 
 #[derive(Default)]
@@ -516,6 +502,7 @@ struct Shared {
     connect_window: Mutex<Duration>,
     cmd_tx: Sender<Cmd>,
     waker: Waker,
+    inlet: Inlet,
 }
 
 impl Shared {
@@ -586,12 +573,30 @@ struct Conn {
     want_write: bool,
 }
 
+impl Conn {
+    fn new(stream: TcpStream, peer: Option<PartyId>, outbound: bool) -> Conn {
+        Conn {
+            stream,
+            peer,
+            outbound,
+            rm: ReadMachine::new(),
+            wm: WriteMachine::new(),
+            want_write: false,
+        }
+    }
+
+    /// The identified peer of an inbound connection — whose loss is a
+    /// liveness event.
+    fn inbound_peer(&self) -> Option<PartyId> {
+        self.peer.filter(|_| !self.outbound)
+    }
+}
+
 struct Reactor {
     shared: Arc<Shared>,
     poller: Poller,
     listener: TcpListener,
     cmd_rx: Receiver<Cmd>,
-    inbox_tx: Sender<Delivery>,
     conns: HashMap<usize, Conn>,
     peer_state: HashMap<PartyId, PeerState>,
     next_token: usize,
@@ -606,14 +611,11 @@ struct Reactor {
 impl Reactor {
     fn run(mut self) {
         loop {
-            loop {
-                match self.cmd_rx.try_recv() {
-                    Some(Cmd::Shutdown) => return self.teardown(),
-                    Some(cmd) => self.handle_cmd(cmd),
-                    None => break,
-                }
+            while let Some(cmd) = self.cmd_rx.try_recv() {
+                self.handle_cmd(cmd);
             }
             self.flush_dirty();
+            let holding = self.shared.inlet.retry();
             if self.shared.shutdown.load(Ordering::Acquire) {
                 return self.teardown();
             }
@@ -623,17 +625,14 @@ impl Reactor {
             // `sleeping` and writes the waker pipe. Either way no command
             // waits out a full poll timeout.
             self.shared.sleeping.store(true, Ordering::SeqCst);
-            match self.cmd_rx.try_recv() {
-                Some(Cmd::Shutdown) => return self.teardown(),
-                Some(cmd) => {
-                    self.shared.sleeping.store(false, Ordering::SeqCst);
-                    self.handle_cmd(cmd);
-                    continue;
-                }
-                None => {}
+            if let Some(cmd) = self.cmd_rx.try_recv() {
+                self.shared.sleeping.store(false, Ordering::SeqCst);
+                self.handle_cmd(cmd);
+                continue;
             }
+            let tick = if holding { RETRY_TICK } else { IDLE_TICK };
             let mut events = std::mem::take(&mut self.events);
-            let waited = self.poller.wait(&mut events, Some(IDLE_TICK));
+            let waited = self.poller.wait(&mut events, Some(tick));
             self.shared.sleeping.store(false, Ordering::SeqCst);
             if waited.is_err() {
                 // Transient poll failure: back off a tick rather than
@@ -663,7 +662,8 @@ impl Reactor {
         // Wake any sender still parked on the gate: it re-checks the
         // shutdown flag and returns Disconnected.
         self.shared.gate_cv.notify_all();
-        // Dropping `inbox_tx` disconnects receivers blocked in recv().
+        // Receivers blocked in recv() see Disconnected; a sink is told.
+        self.shared.inlet.close();
     }
 
     fn alloc_token(&mut self) -> usize {
@@ -693,7 +693,6 @@ impl Reactor {
             Cmd::Liveness { to, payload } => self.dispatch(to, payload, SendKind::Liveness),
             Cmd::Connected { to, stream } => self.peer_connected(to, stream),
             Cmd::ConnectFailed { to, error } => self.peer_connect_failed(to, error),
-            Cmd::Shutdown => {}
         }
     }
 
@@ -770,14 +769,7 @@ impl Reactor {
             self.peer_connect_failed(to, TransportError::Disconnected);
             return;
         }
-        let mut conn = Conn {
-            stream,
-            peer: Some(to),
-            outbound: true,
-            rm: ReadMachine::new(),
-            wm: WriteMachine::new(),
-            want_write: false,
-        };
+        let mut conn = Conn::new(stream, Some(to), true);
         conn.wm.enqueue_ident(self.shared.id);
         if let Some(PeerState::Connecting(mut job)) = self.peer_state.remove(&to) {
             while let Some(payload) = job.queued.pop_front() {
@@ -790,29 +782,15 @@ impl Reactor {
     }
 
     fn peer_connect_failed(&mut self, to: PartyId, error: TransportError) {
-        let dropped = match self.peer_state.remove(&to) {
-            Some(PeerState::Connecting(mut job)) => {
-                let mut bytes = 0;
-                while let Some(payload) = job.queued.pop_front() {
-                    bytes += payload.len();
-                    pool::global().recycle(payload);
-                }
-                bytes
-            }
-            _ => 0,
-        };
-        {
-            let mut gate = self.shared.gate.lock();
-            if let Some(q) = gate.queued.get_mut(&to) {
-                *q = q.saturating_sub(dropped);
-                if *q == 0 {
-                    gate.queued.remove(&to);
-                }
-            }
-            gate.failed.insert(to, error);
+        // Latched before the queued bytes are released, so a sender woken
+        // by the release reports the failure.
+        self.shared.gate.lock().failed.insert(to, error);
+        if let Some(PeerState::Connecting(job)) = self.peer_state.remove(&to) {
+            self.shared
+                .release_queued(to, job.queued.iter().map(Bytes::len).sum());
         }
         self.shared.gate_cv.notify_all();
-        let _ = self.inbox_tx.send(Delivery::PeerDown(to));
+        self.shared.inlet.offer(Delivery::PeerDown(to));
     }
 
     fn accept_ready(&mut self) {
@@ -834,17 +812,7 @@ impl Reactor {
                         .register(stream.as_raw_fd(), token, Interest::READ)
                         .is_ok()
                     {
-                        self.conns.insert(
-                            token,
-                            Conn {
-                                stream,
-                                peer: None,
-                                outbound: false,
-                                rm: ReadMachine::new(),
-                                wm: WriteMachine::new(),
-                                want_write: false,
-                            },
-                        );
+                        self.conns.insert(token, Conn::new(stream, None, false));
                         self.shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -865,8 +833,8 @@ impl Reactor {
     }
 
     /// Reads until `WouldBlock` (mandatory under edge triggering),
-    /// feeding the connection's [`ReadMachine`] and forwarding completed
-    /// frames to the inbox.
+    /// feeding the connection's [`ReadMachine`] and handing completed
+    /// frames to the sink.
     fn drain_read(&mut self, token: usize) {
         let mut events: Vec<ReadEvent> = Vec::new();
         let death: Option<Option<Delivery>> = loop {
@@ -878,11 +846,7 @@ impl Reactor {
                     // EOF. An identified inbound peer's disappearance is a
                     // liveness event; outbound conns just reset so the
                     // next send reconnects.
-                    let notify = match (conn.outbound, conn.peer) {
-                        (false, Some(peer)) => Some(Delivery::PeerDown(peer)),
-                        _ => None,
-                    };
-                    break Some(notify);
+                    break Some(conn.inbound_peer().map(Delivery::PeerDown));
                 }
                 Ok(n) => {
                     if conn.outbound {
@@ -893,40 +857,28 @@ impl Reactor {
                     }
                     events.clear();
                     let fed = conn.rm.feed(&self.read_buf[..n], &mut events);
-                    let from = conn.peer;
-                    let mut identified = from;
                     for event in events.drain(..) {
                         match event {
-                            ReadEvent::Identified(peer) => identified = Some(peer),
+                            ReadEvent::Identified(peer) => conn.peer = Some(peer),
                             ReadEvent::Frame(payload) => {
                                 self.shared.stats.frames_in.fetch_add(1, Ordering::Relaxed);
-                                if let Some(peer) = identified {
-                                    let _ = self.inbox_tx.send(Delivery::Frame(peer, payload));
+                                if let Some(peer) = conn.peer {
+                                    self.shared.inlet.offer(Delivery::Frame(peer, payload));
                                 }
                             }
                         }
-                    }
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.peer = identified;
                     }
                     if let Err(OversizeClaim { claimed }) = fed {
                         self.shared
                             .stats
                             .oversize_kills
                             .fetch_add(1, Ordering::Relaxed);
-                        let notify = identified.map(|peer| Delivery::Oversize(peer, claimed));
-                        break Some(notify);
+                        break Some(conn.peer.map(|peer| Delivery::Oversize(peer, claimed)));
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break None,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    let notify = match (conn.outbound, conn.peer) {
-                        (false, Some(peer)) => Some(Delivery::PeerDown(peer)),
-                        _ => None,
-                    };
-                    break Some(notify);
-                }
+                Err(_) => break Some(conn.inbound_peer().map(Delivery::PeerDown)),
             }
         };
         if let Some(notify) = death {
@@ -986,7 +938,7 @@ impl Reactor {
             }
         }
         if let Some(delivery) = notify {
-            let _ = self.inbox_tx.send(delivery);
+            self.shared.inlet.offer(delivery);
         }
     }
 }
@@ -1055,7 +1007,7 @@ fn spawn_connector(outer: &Arc<Shared>, to: PartyId, addr: SocketAddr, ctl: Arc<
 /// module docs for the design.
 pub struct ReactorTransport {
     shared: Arc<Shared>,
-    inbox: Mutex<Receiver<Delivery>>,
+    inbox: Inbox,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -1109,7 +1061,7 @@ impl ReactorTransport {
         poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
         let waker = Waker::new(&mut poller, TOKEN_WAKER)?;
         let (cmd_tx, cmd_rx) = unbounded();
-        let (inbox_tx, inbox_rx) = unbounded();
+        let (inlet, inbox) = Inlet::new();
         let shared = Arc::new(Shared {
             id,
             local_addr,
@@ -1123,6 +1075,7 @@ impl ReactorTransport {
             connect_window: Mutex::new(DEFAULT_CONNECT_WINDOW),
             cmd_tx,
             waker,
+            inlet,
         });
         let reactor_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
@@ -1133,7 +1086,6 @@ impl ReactorTransport {
                     poller,
                     listener,
                     cmd_rx,
-                    inbox_tx,
                     conns: HashMap::new(),
                     peer_state: HashMap::new(),
                     next_token: FIRST_CONN_TOKEN,
@@ -1145,7 +1097,7 @@ impl ReactorTransport {
             })?;
         Ok(ReactorTransport {
             shared,
-            inbox: Mutex::new(inbox_rx),
+            inbox,
             handle: Some(handle),
         })
     }
@@ -1177,8 +1129,23 @@ impl ReactorTransport {
         self.shared.stats.snapshot()
     }
 
-    fn submit(&self, cmd: Cmd) {
-        self.shared.post(cmd);
+    /// The checks every send makes before it touches the gate.
+    fn admit(&self, to: PartyId, payload: &Bytes) -> Result<(), TransportError> {
+        if payload.len() > MAX_PAYLOAD {
+            return Err(TransportError::PayloadTooLarge {
+                size: payload.len(),
+            });
+        }
+        if !self.shared.peers.lock().contains_key(&to) {
+            return Err(TransportError::UnknownParty(to));
+        }
+        Ok(())
+    }
+
+    fn on_reactor_thread(&self) -> bool {
+        self.handle
+            .as_ref()
+            .is_some_and(|h| h.thread().id() == std::thread::current().id())
     }
 }
 
@@ -1188,14 +1155,7 @@ impl Transport for ReactorTransport {
     }
 
     fn send(&self, to: PartyId, payload: Bytes) -> Result<(), TransportError> {
-        if payload.len() > MAX_PAYLOAD {
-            return Err(TransportError::PayloadTooLarge {
-                size: payload.len(),
-            });
-        }
-        if !self.shared.peers.lock().contains_key(&to) {
-            return Err(TransportError::UnknownParty(to));
-        }
+        self.admit(to, &payload)?;
         let mut gate = self.shared.gate.lock();
         loop {
             if self.shared.shutdown.load(Ordering::Acquire) {
@@ -1206,82 +1166,69 @@ impl Transport for ReactorTransport {
                 // one starts a fresh connect window.
                 return Err(error);
             }
-            if gate.queued.get(&to).copied().unwrap_or(0) < HIGH_WATER {
+            // The reactor thread never waits on the gate it drains itself.
+            if gate.queued.get(&to).copied().unwrap_or(0) < HIGH_WATER || self.on_reactor_thread() {
                 break;
             }
             gate = self.shared.gate_cv.wait(gate);
         }
         *gate.queued.entry(to).or_insert(0) += payload.len();
         drop(gate);
-        self.submit(Cmd::Send { to, payload });
+        self.shared.post(Cmd::Send { to, payload });
         Ok(())
     }
 
     fn send_liveness(&self, to: PartyId, payload: Bytes) -> Result<(), TransportError> {
-        if payload.len() > MAX_PAYLOAD {
-            return Err(TransportError::PayloadTooLarge {
-                size: payload.len(),
-            });
-        }
-        if !self.shared.peers.lock().contains_key(&to) {
-            return Err(TransportError::UnknownParty(to));
-        }
+        self.admit(to, &payload)?;
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(TransportError::Disconnected);
         }
         let mut gate = self.shared.gate.lock();
-        if let Some(error) = gate.failed.remove(&to) {
-            // Report the failure (the liveness layer counts these) but
-            // keep probing: this beat starts a fresh short-window connect
-            // in the background, so a peer that comes up late is found.
-            *gate.queued.entry(to).or_insert(0) += payload.len();
-            drop(gate);
-            self.submit(Cmd::Liveness { to, payload });
-            return Err(error);
-        }
-        if gate.queued.get(&to).copied().unwrap_or(0) >= HIGH_WATER {
+        let failed = gate.failed.remove(&to);
+        if failed.is_none() && gate.queued.get(&to).copied().unwrap_or(0) >= HIGH_WATER {
             // The link is saturated with real traffic — the beat is
             // redundant and must not block.
             return Ok(());
         }
+        // A failed peer is reported (the liveness layer counts these) but
+        // still probed: this beat starts a fresh short-window connect in
+        // the background, so a peer that comes up late is found.
         *gate.queued.entry(to).or_insert(0) += payload.len();
         drop(gate);
-        self.submit(Cmd::Liveness { to, payload });
-        Ok(())
+        self.shared.post(Cmd::Liveness { to, payload });
+        failed.map_or(Ok(()), Err)
     }
 
     fn recv(&self) -> Result<(PartyId, Bytes), TransportError> {
-        let delivery = {
-            let inbox = self.inbox.lock();
-            inbox.recv()
-        };
-        match delivery {
-            Ok(d) => pop_delivery(d),
-            Err(_) => Err(TransportError::Disconnected),
-        }
+        self.inbox.recv(Duration::MAX)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<(PartyId, Bytes), TransportError> {
-        let delivery = {
-            let inbox = self.inbox.lock();
-            inbox.recv_timeout(timeout)
-        };
-        match delivery {
-            Ok(d) => pop_delivery(d),
-            Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Disconnected),
-        }
+        self.inbox.recv(timeout)
+    }
+}
+
+impl Physical for ReactorTransport {
+    fn install_sink(&self, sink: Arc<dyn Sink>) {
+        self.shared.inlet.install(sink, &self.inbox);
+    }
+
+    fn retry_held(&self) -> bool {
+        false
     }
 }
 
 impl Drop for ReactorTransport {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        let _ = self.shared.cmd_tx.send(Cmd::Shutdown);
         self.shared.waker.wake();
         self.shared.gate_cv.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        // A sink may drop the last owner of this transport on the reactor
+        // thread; that thread then exits on its own.
+        if !self.on_reactor_thread() {
+            if let Some(handle) = self.handle.take() {
+                let _ = handle.join();
+            }
         }
     }
 }

@@ -1,18 +1,30 @@
 //! The transport abstraction and its in-memory implementation.
 //!
 //! One [`Endpoint`] per party; endpoints exchange opaque byte payloads
-//! through an [`InMemoryHub`] (crossbeam channels). The protocol layer never
-//! depends on the concrete transport, so fault-injecting decorators
-//! ([`crate::sim`]) slot in transparently.
+//! through an [`InMemoryHub`]. The protocol layer never depends on the
+//! concrete transport, so fault-injecting decorators ([`crate::sim`]) slot
+//! in transparently.
+//!
+//! A [`Physical`] endpoint (hub or TCP) hands every arrival to one
+//! [`Sink`] on the thread that holds it: the hub sender's, or the
+//! reactor. The default sink is the inbox `recv` reads; a
+//! [`crate::mux::SessionMux`] installs its router. A frame the sink hands
+//! back ([`Offer::Full`]) is held, its source's later arrivals behind it,
+//! and offered again later: no thread waits for room, since in SAP's
+//! exchange a sender is often the very consumer it would wait for.
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::RwLock;
-use std::collections::HashMap;
+use parking_lot::{Mutex, RwLock};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// How often a thread waiting on held frames ([`Offer::Full`]) offers
+/// them to the sink again.
+pub(crate) const RETRY_TICK: Duration = Duration::from_millis(1);
 
 /// Identifies a party in a protocol session.
 ///
@@ -43,7 +55,7 @@ impl SessionId {
     pub const SOLO: SessionId = SessionId(0);
 
     /// Reserved session id stamped on liveness (heartbeat) frames — never
-    /// a real session. A [`crate::mux::SessionMux`] pump consumes frames
+    /// a real session. A [`crate::mux::SessionMux`] consumes frames
     /// stamped with it instead of routing them (see [`crate::frame`]'s
     /// heartbeat functions), and refuses to open a session under it.
     pub const LIVENESS: SessionId = SessionId(u64::MAX);
@@ -132,9 +144,10 @@ impl std::error::Error for TransportError {}
 
 /// Point-to-point message transport for one party.
 ///
-/// `Sync` is part of the contract so a [`crate::mux::SessionMux`] pump
-/// thread can receive on a shared endpoint while session roles send
-/// through it concurrently.
+/// `Sync` is part of the contract because one endpoint is shared by many
+/// threads: every session role of a [`crate::mux::SessionMux`] sends
+/// through it concurrently, and its mux's liveness thread sends
+/// heartbeats.
 pub trait Transport: Send + Sync {
     /// This endpoint's identity.
     fn local_id(&self) -> PartyId;
@@ -178,35 +191,222 @@ pub trait Transport: Send + Sync {
     fn recv_timeout(&self, timeout: Duration) -> Result<(PartyId, Bytes), TransportError>;
 }
 
-/// One in-band inbox item: a payload, or a liveness event about a peer.
-/// Markers travel through the same channel as frames so a receiver blocked
-/// in `recv` wakes up the moment a peer is declared dead — no side channel
-/// to poll.
+/// A transport with a receive side of its own (the hub [`Endpoint`], or
+/// TCP), which a [`crate::mux::SessionMux`] can wrap.
+pub trait Physical: Transport {
+    /// Hands the inbox's contents, then every later arrival, to `sink`.
+    fn install_sink(&self, sink: Arc<dyn Sink>);
+
+    /// Offers held frames to the sink again on the calling thread; `true`
+    /// while some stay held. The reactor retries on its own thread, so
+    /// its version only returns `false`.
+    fn retry_held(&self) -> bool;
+}
+
+/// One arrival at a physical endpoint: a payload, or a liveness event
+/// about a peer. Markers travel the same path as frames so a receiver
+/// blocked in `recv` wakes up the moment a peer is declared dead.
 #[derive(Debug, Clone)]
-pub(crate) enum Delivery {
+pub enum Delivery {
     /// An ordinary payload from a peer.
     Frame(PartyId, Bytes),
     /// The named peer was detected dead.
     PeerDown(PartyId),
-    /// The named peer claimed a frame over the size limit; its connection
-    /// was dropped without allocating the claim.
+    /// The named peer claimed a frame of the given length over the size
+    /// limit; its connection was dropped without allocating the claim.
     Oversize(PartyId, usize),
 }
 
-pub(crate) fn pop_delivery(d: Delivery) -> Result<(PartyId, Bytes), TransportError> {
-    match d {
-        Delivery::Frame(from, payload) => Ok((from, payload)),
-        Delivery::PeerDown(p) => Err(TransportError::PeerDown(p)),
-        Delivery::Oversize(from, claimed) => Err(TransportError::OversizeFrame { from, claimed }),
+impl Delivery {
+    /// The peer the arrival came from, or is about.
+    fn source(&self) -> PartyId {
+        match self {
+            Delivery::Frame(p, _) | Delivery::PeerDown(p) | Delivery::Oversize(p, _) => *p,
+        }
     }
 }
 
-type Inbox = Delivery;
+/// What a [`Sink`] did with one arrival.
+#[derive(Debug)]
+pub enum Offer {
+    /// Taken: queued, consumed, forwarded, or counted and dropped.
+    Taken,
+    /// The frame's consumer is full: hold it, and its source's later
+    /// arrivals, and offer it again.
+    Full(Delivery),
+    /// The receiver is gone.
+    Gone,
+}
+
+/// Where a physical endpoint hands its arrivals (see the module docs).
+pub trait Sink: Send + Sync {
+    /// Takes one arrival, or hands it back; never blocks.
+    fn deliver(&self, delivery: Delivery) -> Offer;
+
+    /// The transport will deliver nothing more.
+    fn closed(&self);
+}
+
+/// The default sink: the channel inbox `recv` reads.
+impl Sink for Sender<Delivery> {
+    fn deliver(&self, delivery: Delivery) -> Offer {
+        match self.send(delivery) {
+            Ok(()) => Offer::Taken,
+            Err(_) => Offer::Gone,
+        }
+    }
+
+    fn closed(&self) {}
+}
+
+/// A physical endpoint's receive side: the sink its arrivals go to (an
+/// [`Inbox`] by default), and the arrivals it handed back: per source in
+/// arrival order, the sources in retry turn order.
+pub(crate) struct Inlet {
+    sink: RwLock<Option<Arc<dyn Sink>>>,
+    held: Mutex<VecDeque<(PartyId, VecDeque<Delivery>)>>,
+    /// One retrier at a time: the front source's frame is out of `held`
+    /// while it is offered again.
+    retrying: Mutex<()>,
+}
+
+/// `from`'s held arrivals; a new turn at the back if it had none.
+fn held_from(
+    held: &mut VecDeque<(PartyId, VecDeque<Delivery>)>,
+    from: PartyId,
+) -> &mut VecDeque<Delivery> {
+    let at = held
+        .iter()
+        .position(|(p, _)| *p == from)
+        .unwrap_or_else(|| {
+            held.push_back((from, VecDeque::new()));
+            held.len() - 1
+        });
+    &mut held[at].1
+}
+
+/// The channel inbox a bare physical endpoint's `recv` reads.
+pub(crate) struct Inbox(Mutex<Receiver<Delivery>>);
+
+impl Inlet {
+    pub(crate) fn new() -> (Inlet, Inbox) {
+        let (tx, rx) = unbounded();
+        let sink: Arc<dyn Sink> = Arc::new(tx);
+        let inlet = Inlet {
+            sink: RwLock::new(Some(sink)),
+            held: Mutex::default(),
+            retrying: Mutex::new(()),
+        };
+        (inlet, Inbox(Mutex::new(rx)))
+    }
+
+    /// Hands `delivery` to the sink, or holds it behind its source's held
+    /// arrivals; `false` when the receiver is gone.
+    pub(crate) fn offer(&self, delivery: Delivery) -> bool {
+        let from = delivery.source();
+        if let Some((_, frames)) = self.held.lock().iter_mut().find(|(p, _)| *p == from) {
+            frames.push_back(delivery);
+            return true;
+        }
+        match self.deliver(delivery) {
+            Offer::Full(back) => held_from(&mut self.held.lock(), from).push_front(back),
+            Offer::Gone => return false,
+            Offer::Taken => {}
+        }
+        true
+    }
+
+    /// Offers held arrivals again, one per source in turn, until every
+    /// source's front comes back full; `true` while any stay held.
+    pub(crate) fn retry(&self) -> bool {
+        let Some(_turn) = self.retrying.try_lock() else {
+            return true;
+        };
+        let mut full_in_a_row = 0;
+        loop {
+            let mut held = self.held.lock();
+            if full_in_a_row >= held.len() {
+                return !held.is_empty();
+            }
+            let Some(delivery) = held.front_mut().and_then(|(_, q)| q.pop_front()) else {
+                held.pop_front();
+                continue;
+            };
+            drop(held);
+            let outcome = self.deliver(delivery);
+            let mut held = self.held.lock();
+            let Some(mut turn) = held.pop_front() else {
+                return false;
+            };
+            match outcome {
+                Offer::Taken => full_in_a_row = 0,
+                Offer::Full(back) => {
+                    turn.1.push_front(back);
+                    full_in_a_row += 1;
+                }
+                Offer::Gone => {
+                    held.clear();
+                    return false;
+                }
+            }
+            held.push_back(turn);
+        }
+    }
+
+    /// Runs the sink under the read lock, so an install never lets an
+    /// arrival slip into the inbox it just emptied.
+    fn deliver(&self, delivery: Delivery) -> Offer {
+        match &*self.sink.read() {
+            Some(sink) => sink.deliver(delivery),
+            None => Offer::Gone,
+        }
+    }
+
+    pub(crate) fn install(&self, sink: Arc<dyn Sink>, inbox: &Inbox) {
+        let mut slot = self.sink.write();
+        // Earlier arrivals go first: held, in order, for the retry.
+        while let Some(delivery) = inbox.0.lock().try_recv() {
+            held_from(&mut self.held.lock(), delivery.source()).push_back(delivery);
+        }
+        match slot.as_mut() {
+            Some(current) => *current = sink,
+            None => sink.closed(),
+        }
+        drop(slot);
+        self.retry();
+    }
+
+    /// Stops all delivery: the inbox reads `Disconnected` once drained,
+    /// an installed sink is told [`Sink::closed`].
+    pub(crate) fn close(&self) {
+        let sink = self.sink.write().take();
+        self.held.lock().clear();
+        if let Some(sink) = sink {
+            sink.closed();
+        }
+    }
+}
+
+impl Inbox {
+    /// Receives, blocking up to `timeout`; `Duration::MAX` blocks until an
+    /// arrival or disconnection.
+    pub(crate) fn recv(&self, timeout: Duration) -> Result<(PartyId, Bytes), TransportError> {
+        match self.0.lock().recv_timeout(timeout) {
+            Ok(Delivery::Frame(from, payload)) => Ok((from, payload)),
+            Ok(Delivery::PeerDown(p)) => Err(TransportError::PeerDown(p)),
+            Ok(Delivery::Oversize(from, claimed)) => {
+                Err(TransportError::OversizeFrame { from, claimed })
+            }
+            Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
+            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Disconnected),
+        }
+    }
+}
 
 /// An in-memory message hub connecting any number of endpoints.
 #[derive(Clone, Default)]
 pub struct InMemoryHub {
-    routes: Arc<RwLock<HashMap<PartyId, Sender<Inbox>>>>,
+    routes: Arc<RwLock<HashMap<PartyId, Arc<Inlet>>>>,
 }
 
 impl InMemoryHub {
@@ -238,22 +438,27 @@ impl InMemoryHub {
     ///
     /// Returns [`TransportError::DuplicateParty`] when `id` is taken.
     pub fn try_endpoint(&self, id: PartyId) -> Result<Endpoint, TransportError> {
-        let (tx, rx) = unbounded();
         let mut routes = self.routes.write();
         if routes.contains_key(&id) {
             return Err(TransportError::DuplicateParty(id));
         }
-        routes.insert(id, tx);
+        let (inlet, inbox) = Inlet::new();
+        let inlet = Arc::new(inlet);
+        routes.insert(id, Arc::clone(&inlet));
         Ok(Endpoint {
             id,
             routes: Arc::clone(&self.routes),
-            inbox: parking_lot::Mutex::new(rx),
+            inlet,
+            inbox,
         })
     }
 
     /// Removes a party, closing its inbox (subsequent sends to it fail).
     pub fn disconnect(&self, id: PartyId) {
-        self.routes.write().remove(&id);
+        let removed = self.routes.write().remove(&id);
+        if let Some(inlet) = removed {
+            inlet.close();
+        }
     }
 
     /// Kills a party: removes it like [`InMemoryHub::disconnect`] **and**
@@ -263,21 +468,21 @@ impl InMemoryHub {
     /// immediately with the typed failure instead of starving until their
     /// protocol timeout.
     pub fn kill(&self, id: PartyId) {
-        let mut routes = self.routes.write();
-        if !routes.contains_key(&id) {
-            return;
+        let (dead, survivors): (Arc<Inlet>, Vec<Arc<Inlet>>) = {
+            let mut routes = self.routes.write();
+            let Some(dead) = routes.remove(&id) else {
+                return;
+            };
+            (dead, routes.values().cloned().collect())
+        };
+        // Notify survivors *before* closing the dead party's inlet: its
+        // own endpoint (and any mux on it) sees Disconnected only after
+        // every survivor already has the typed marker, narrowing the race
+        // between the typed failure and the secondary disconnect cascade.
+        for inlet in survivors {
+            inlet.offer(Delivery::PeerDown(id));
         }
-        // Notify survivors *before* dropping the dead party's route: its
-        // own endpoint (and any mux pump on it) sees Disconnected only
-        // after every survivor already has the typed marker queued,
-        // narrowing the race between the typed failure and the secondary
-        // disconnect cascade.
-        for (&party, tx) in routes.iter() {
-            if party != id {
-                let _ = tx.send(Delivery::PeerDown(id));
-            }
-        }
-        routes.remove(&id);
+        dead.close();
     }
 
     /// Currently registered parties.
@@ -288,15 +493,14 @@ impl InMemoryHub {
     }
 }
 
-/// One party's connection to an [`InMemoryHub`].
-///
-/// The inbox sits behind a mutex solely to make the endpoint `Sync` (the
-/// mux pump receives while roles send); receive ordering is still owned by
-/// one logical consumer.
+/// One party's connection to an [`InMemoryHub`]. A send runs the
+/// receiver's [`Sink`] on the sending thread and never waits for room
+/// (see the module docs).
 pub struct Endpoint {
     id: PartyId,
-    routes: Arc<RwLock<HashMap<PartyId, Sender<Inbox>>>>,
-    inbox: parking_lot::Mutex<Receiver<Inbox>>,
+    routes: Arc<RwLock<HashMap<PartyId, Arc<Inlet>>>>,
+    inlet: Arc<Inlet>,
+    inbox: Inbox,
 }
 
 impl Transport for Endpoint {
@@ -305,29 +509,32 @@ impl Transport for Endpoint {
     }
 
     fn send(&self, to: PartyId, payload: Bytes) -> Result<(), TransportError> {
-        let routes = self.routes.read();
-        let tx = routes.get(&to).ok_or(TransportError::UnknownParty(to))?;
-        tx.send(Delivery::Frame(self.id, payload))
-            .map_err(|_| TransportError::Disconnected)
+        // Unlocked before the sink runs: it may wait, or send in turn.
+        let inlet = self.routes.read().get(&to).cloned();
+        let inlet = inlet.ok_or(TransportError::UnknownParty(to))?;
+        if inlet.offer(Delivery::Frame(self.id, payload)) {
+            Ok(())
+        } else {
+            Err(TransportError::Disconnected)
+        }
     }
 
     fn recv(&self) -> Result<(PartyId, Bytes), TransportError> {
-        self.inbox
-            .lock()
-            .recv()
-            .map_err(|_| TransportError::Disconnected)
-            .and_then(pop_delivery)
+        self.inbox.recv(Duration::MAX)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<(PartyId, Bytes), TransportError> {
-        self.inbox
-            .lock()
-            .recv_timeout(timeout)
-            .map_err(|e| match e {
-                RecvTimeoutError::Timeout => TransportError::Timeout,
-                RecvTimeoutError::Disconnected => TransportError::Disconnected,
-            })
-            .and_then(pop_delivery)
+        self.inbox.recv(timeout)
+    }
+}
+
+impl Physical for Endpoint {
+    fn install_sink(&self, sink: Arc<dyn Sink>) {
+        self.inlet.install(sink, &self.inbox);
+    }
+
+    fn retry_held(&self) -> bool {
+        self.inlet.retry()
     }
 }
 

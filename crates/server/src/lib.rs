@@ -82,7 +82,7 @@ use sap_datasets::Dataset;
 use sap_net::mux::{MuxEndpoint, SessionMux};
 use sap_net::sim::FaultyTransport;
 use sap_net::tcp::local_mesh;
-use sap_net::transport::Endpoint;
+use sap_net::transport::{Endpoint, Physical};
 use sap_net::{InMemoryHub, PartyId, ReactorTransport, SessionId, Transport, TransportError};
 use std::collections::HashMap;
 use std::fmt;
@@ -181,8 +181,6 @@ pub struct ServerConfig {
     /// service `max_concurrent` sessions of `max_parties` providers:
     /// `(max_parties + 1) × max_concurrent`.
     pub worker_threads: usize,
-    /// Per-session inbound queue bound on every lane mux (frames).
-    pub session_queue_depth: usize,
     /// How long a finished session's registry entry survives before
     /// [`SapServer::reap`] removes it.
     pub reap_after: Duration,
@@ -200,7 +198,8 @@ pub struct ServerConfig {
     pub heartbeat_interval: Duration,
     /// Missed-interval budget before a silent lane peer is declared dead;
     /// detection latency is at most `heartbeat_interval × liveness_misses`
-    /// plus one pump poll tick.
+    /// plus one `heartbeat_interval` (the silence scan runs once per
+    /// interval).
     pub liveness_misses: u32,
     /// Recovery policy for sessions killed by a peer failure.
     pub retry_policy: RetryPolicy,
@@ -224,7 +223,6 @@ impl Default for ServerConfig {
             max_concurrent: 8,
             max_queued: 16,
             worker_threads: 0,
-            session_queue_depth: sap_net::mux::DEFAULT_SESSION_QUEUE,
             reap_after: Duration::from_secs(60),
             max_session_age: Duration::from_secs(300),
             heartbeat_interval: sap_net::mux::DEFAULT_HEARTBEAT_INTERVAL,
@@ -430,17 +428,16 @@ impl SapServer<ReactorTransport> {
 }
 
 impl<T: Transport + 'static> SapServer<T> {
-    /// Builds a server over caller-supplied lane endpoints. `lanes[i]`
-    /// must have [`Transport::local_id`] `PartyId(i)`; `miner` must be
-    /// reachable from every lane (full mesh).
-    pub fn over_lanes(config: ServerConfig, lanes: Vec<T>, miner: T) -> Self {
-        let depth = config.session_queue_depth;
+    /// Builds a server over caller-supplied physical lane endpoints.
+    /// `lanes[i]` must have [`Transport::local_id`] `PartyId(i)`; `miner`
+    /// must be reachable from every lane (full mesh).
+    pub fn over_lanes(config: ServerConfig, lanes: Vec<T>, miner: T) -> Self
+    where
+        T: Physical,
+    {
         let pool = ActorPool::with_config(config.pool_size(), config.scheduler);
-        let lanes: Vec<SessionMux<T>> = lanes
-            .into_iter()
-            .map(|t| SessionMux::with_queue_depth(t, depth))
-            .collect();
-        let miner_lane = SessionMux::with_queue_depth(miner, depth);
+        let lanes: Vec<SessionMux<T>> = lanes.into_iter().map(SessionMux::new).collect();
+        let miner_lane = SessionMux::new(miner);
         // The lane liveness plane: every lane heartbeats every other lane
         // and watches for silence, so a dead party process is detected in
         // O(heartbeat budget) and every session that involved it fails
@@ -955,9 +952,10 @@ impl<T: Transport + 'static> SapServer<T> {
     /// removed. Call periodically (or before capacity decisions).
     pub fn reap(&self) -> usize {
         let now = Instant::now();
-        // Collect handles first: aborting under the registry lock would
-        // deadlock with the abort hook closing mux routes while a pump
-        // blocks on a full queue.
+        // Collect handles first and abort without the registry lock: an
+        // abort runs the session's hook, which takes every lane mux's
+        // routes lock, and disjoint lock scopes rule out a lock-order
+        // cycle with the routing threads.
         let overdue: Vec<SessionHandle> = {
             let mut registry = self.registry.lock().expect("registry lock");
             registry
