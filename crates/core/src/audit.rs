@@ -4,9 +4,16 @@
 //! never observes (perturbed) data, the miner never observes raw
 //! perturbation parameters next to identified sources, and data reaches the
 //! miner only through an anonymizing relay hop. Rather than trusting the
-//! role implementations, every actor appends each message it *receives* to
-//! a shared ledger (message kind and endpoints only — never payloads), and
+//! role implementations, every actor appends each delivery it *receives*
+//! to a shared ledger (kind and endpoints only — never payloads), and
 //! tests assert the flow properties over the ledger.
+//!
+//! Deliveries come in two shapes. Control messages ([`SapMessage`]) are
+//! recorded whole and never carry record data. Datasets travel only as
+//! row-block streams, recorded as `perturbed-data` or `relayed-data` the
+//! moment their header arrives — before any block does, so a role that
+//! must never see data (the coordinator) is on the ledger, and aborts,
+//! without holding a single row.
 
 use crate::messages::SapMessage;
 use parking_lot::Mutex;
@@ -20,9 +27,10 @@ pub struct AuditEvent {
     pub from: PartyId,
     /// Receiver (the party recording the event).
     pub to: PartyId,
-    /// Message kind (see [`SapMessage::kind`]).
+    /// Delivery kind: [`SapMessage::kind`] for a control message,
+    /// `perturbed-data` or `relayed-data` for a dataset stream.
     pub kind: &'static str,
-    /// Whether the payload carried record data.
+    /// Whether the delivery carried record data (a dataset stream).
     pub carries_data: bool,
     /// Whether the payload carried perturbation parameters/adaptors.
     pub carries_parameters: bool,
@@ -40,21 +48,17 @@ impl AuditLog {
         Self::default()
     }
 
-    /// Records the delivery of `msg` from `from` to `to`.
+    /// Records the delivery of control message `msg` from `from` to `to`.
+    /// No control message carries record data: datasets travel only as
+    /// streams, recorded with [`AuditLog::record_kind`].
     pub fn record(&self, from: PartyId, to: PartyId, msg: &SapMessage) {
-        self.record_kind(
-            from,
-            to,
-            msg.kind(),
-            msg.carries_data(),
-            msg.carries_parameters(),
-        );
+        self.record_kind(from, to, msg.kind(), false, msg.carries_parameters());
     }
 
     /// Records a delivery by its classification alone — used for dataset
-    /// streams, whose payloads are never decoded by relays (the ledger
-    /// stores kind and endpoints only, never payloads, so this is the
-    /// same information [`AuditLog::record`] would keep).
+    /// streams, which are recorded from their header the moment they open
+    /// (relays never decode their blocks; the ledger stores kind and
+    /// endpoints only, never payloads).
     pub fn record_kind(
         &self,
         from: PartyId,
@@ -158,21 +162,17 @@ impl AuditLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::SlotTag;
-    use sap_datasets::Dataset;
 
-    fn data_msg() -> SapMessage {
-        SapMessage::PerturbedData {
-            slot: SlotTag(1),
-            data: Dataset::new(vec![vec![1.0]], vec![0]),
-        }
+    /// Records a dataset stream of `kind` as the roles do, from its header.
+    fn record_data(log: &AuditLog, from: PartyId, to: PartyId, kind: &'static str) {
+        log.record_kind(from, to, kind, true, false);
     }
 
     #[test]
     fn records_and_queries() {
         let log = AuditLog::new();
         assert!(log.is_empty());
-        log.record(PartyId(1), PartyId(2), &data_msg());
+        record_data(&log, PartyId(1), PartyId(2), "perturbed-data");
         assert_eq!(log.len(), 1);
         assert!(log.party_saw_data(PartyId(2)));
         assert!(!log.party_saw_data(PartyId(1)));
@@ -180,13 +180,19 @@ mod tests {
             log.senders_of(PartyId(2), "perturbed-data"),
             vec![PartyId(1)]
         );
+        log.record(
+            PartyId(3),
+            PartyId(1),
+            &SapMessage::MiningComplete { unified_records: 1 },
+        );
+        assert!(!log.party_saw_data(PartyId(1)));
     }
 
     #[test]
     fn flow_verification_catches_coordinator_data() {
         let log = AuditLog::new();
         let coord = PartyId(9);
-        log.record(PartyId(1), coord, &data_msg());
+        record_data(&log, PartyId(1), coord, "perturbed-data");
         let err = log
             .verify_flow(coord, PartyId(100), &[PartyId(1), PartyId(2), coord])
             .unwrap_err();
@@ -197,7 +203,7 @@ mod tests {
     fn flow_verification_catches_direct_to_miner() {
         let log = AuditLog::new();
         let miner = PartyId(100);
-        log.record(PartyId(1), miner, &data_msg());
+        record_data(&log, PartyId(1), miner, "perturbed-data");
         let err = log
             .verify_flow(PartyId(9), miner, &[PartyId(1)])
             .unwrap_err();
@@ -210,15 +216,8 @@ mod tests {
         let coord = PartyId(2);
         let miner = PartyId(100);
         let providers = [PartyId(0), PartyId(1), coord];
-        log.record(PartyId(0), PartyId(1), &data_msg());
-        log.record(
-            PartyId(1),
-            miner,
-            &SapMessage::RelayedData {
-                slot: SlotTag(1),
-                data: Dataset::new(vec![vec![1.0]], vec![0]),
-            },
-        );
+        record_data(&log, PartyId(0), PartyId(1), "perturbed-data");
+        record_data(&log, PartyId(1), miner, "relayed-data");
         assert!(log.verify_flow(coord, miner, &providers).is_ok());
     }
 
@@ -226,7 +225,7 @@ mod tests {
     fn shared_across_clones() {
         let log = AuditLog::new();
         let log2 = log.clone();
-        log.record(PartyId(1), PartyId(2), &data_msg());
+        record_data(&log, PartyId(1), PartyId(2), "perturbed-data");
         assert_eq!(log2.len(), 1);
     }
 }

@@ -87,8 +87,7 @@ pub fn run_coordinator<T: Transport>(
         if pos == coord_pos {
             continue;
         }
-        link::send_message(
-            node,
+        node.send_msg(
             pid,
             &SapMessage::Setup {
                 target: target.clone(),
@@ -96,8 +95,8 @@ pub fn run_coordinator<T: Transport>(
                 send_data_to: providers[plan.receiver_of(pos)],
                 expect_incoming: plan.incoming_count(pos) as u32,
             },
-            config.block_rows,
-        )?;
+        )
+        .map_err(SapError::from)?;
     }
 
     // Provider duty: perturb own data and stream it to the assigned
@@ -171,12 +170,8 @@ pub fn run_coordinator<T: Transport>(
         .enumerate()
         .map(|(pos, pid)| (slot_of[pos], adaptor_of[pid].clone()))
         .collect();
-    link::send_message(
-        node,
-        miner,
-        &SapMessage::AdaptorTable { entries },
-        config.block_rows,
-    )?;
+    node.send_msg(miner, &SapMessage::AdaptorTable { entries })
+        .map_err(SapError::from)?;
 
     // Wait for the miner's completion ack so the session has a clean end.
     let (from, inbound) = link::recv_message_ctx(node, ctx, "mining completion")?;

@@ -48,8 +48,8 @@ pub struct DataHeader {
     /// decoding a single row block**: the relay copies the header, blocks
     /// stay opaque `Bytes`.
     pub session: SessionId,
-    /// `false` for a provider→provider exchange (`PerturbedData`), `true`
-    /// for the relay hop to the miner (`RelayedData`).
+    /// `false` for a provider→provider exchange (`perturbed-data`),
+    /// `true` for the relay hop to the miner (`relayed-data`).
     pub relay: bool,
     /// Slot tag assigned by the coordinator.
     pub slot: SlotTag,
@@ -80,6 +80,17 @@ impl Wire for DataHeader {
             dim: u32::decode(input)?,
             num_classes: u32::decode(input)?,
         })
+    }
+}
+
+impl DataHeader {
+    /// Audit-ledger kind label of the stream this header opens.
+    pub fn kind(&self) -> &'static str {
+        if self.relay {
+            "relayed-data"
+        } else {
+            "perturbed-data"
+        }
     }
 }
 
@@ -127,11 +138,7 @@ pub enum FlowInbound {
 impl DataStream {
     /// Audit-ledger kind label (matches [`SapMessage::kind`]).
     pub fn kind(&self) -> &'static str {
-        if self.header.relay {
-            "relayed-data"
-        } else {
-            "perturbed-data"
-        }
+        self.header.kind()
     }
 
     /// Decodes the blocks into a [`Dataset`] through the streaming
@@ -147,29 +154,6 @@ impl DataStream {
             pipeline.push(block)?;
         }
         pipeline.finish()?.into_dataset()
-    }
-}
-
-/// Sends a control message. Data-bearing messages are routed through the
-/// streaming path automatically.
-///
-/// # Errors
-///
-/// Returns [`SapError::Messaging`] on transport failure.
-pub fn send_message<T: Transport>(
-    node: &Node<T>,
-    to: PartyId,
-    msg: &SapMessage,
-    block_rows: usize,
-) -> Result<(), SapError> {
-    match msg {
-        SapMessage::PerturbedData { slot, data } => {
-            send_dataset(node, to, false, *slot, data, block_rows)
-        }
-        SapMessage::RelayedData { slot, data } => {
-            send_dataset(node, to, true, *slot, data, block_rows)
-        }
-        other => node.send_msg(to, other).map_err(SapError::from),
     }
 }
 
@@ -625,11 +609,9 @@ mod tests {
     #[test]
     fn control_messages_pass_through() {
         let (a, b) = pair();
-        send_message(
-            &a,
+        a.send_msg(
             PartyId(2),
             &SapMessage::MiningComplete { unified_records: 9 },
-            DEFAULT_BLOCK_ROWS,
         )
         .unwrap();
         let (_, inbound) = recv_message(&b, Duration::from_secs(2)).unwrap();

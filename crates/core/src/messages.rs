@@ -9,7 +9,9 @@
 //! This module also holds the encodings of the domain values that travel
 //! inside messages — [`Matrix`], [`Perturbation`], [`SpaceAdaptor`] and
 //! [`Dataset`] — as free functions, since neither their crates nor
-//! `sap-net` may depend on the other. Decoding goes through each type's
+//! `sap-net` may depend on the other. No `SapMessage` carries a dataset:
+//! SAP datasets travel only as row-block streams ([`crate::link`]), and
+//! [`encode_dataset`] serves the fleet's registration message. Decoding goes through each type's
 //! checked constructor, so authenticated bytes never yield a value that
 //! breaks its type's invariants.
 
@@ -39,21 +41,6 @@ pub enum SapMessage {
         /// the miner (0, 1, or 2 — the coordinator's redirect can double up).
         expect_incoming: u32,
     },
-    /// Provider → provider: a locally perturbed dataset under its slot tag.
-    PerturbedData {
-        /// Slot tag assigned by the coordinator.
-        slot: SlotTag,
-        /// The perturbed dataset (`G_i(X_i)` reshaped to records + labels).
-        data: Dataset,
-    },
-    /// Provider → miner: relay of a received dataset (unchanged payload;
-    /// the relay hop is what anonymizes the source).
-    RelayedData {
-        /// Slot tag.
-        slot: SlotTag,
-        /// The relayed perturbed dataset.
-        data: Dataset,
-    },
     /// Provider → coordinator: the provider's space adaptor into `G_t`.
     Adaptor {
         /// `A_it = ⟨R_it, Ψ_it⟩`.
@@ -77,21 +64,10 @@ impl SapMessage {
     pub fn kind(&self) -> &'static str {
         match self {
             SapMessage::Setup { .. } => "setup",
-            SapMessage::PerturbedData { .. } => "perturbed-data",
-            SapMessage::RelayedData { .. } => "relayed-data",
             SapMessage::Adaptor { .. } => "adaptor",
             SapMessage::AdaptorTable { .. } => "adaptor-table",
             SapMessage::MiningComplete { .. } => "mining-complete",
         }
-    }
-
-    /// `true` when the message carries (perturbed) record data — the payload
-    /// class the coordinator must never receive.
-    pub fn carries_data(&self) -> bool {
-        matches!(
-            self,
-            SapMessage::PerturbedData { .. } | SapMessage::RelayedData { .. }
-        )
     }
 
     /// `true` when the message carries perturbation parameters or adaptors —
@@ -129,16 +105,8 @@ impl Wire for SapMessage {
                 send_data_to.encode(out);
                 expect_incoming.encode(out);
             }
-            SapMessage::PerturbedData { slot, data } => {
-                put_uvarint(out, 1);
-                slot.encode(out);
-                encode_dataset(data, out);
-            }
-            SapMessage::RelayedData { slot, data } => {
-                put_uvarint(out, 2);
-                slot.encode(out);
-                encode_dataset(data, out);
-            }
+            // Tags 1 and 2 are retired (they carried a whole dataset) and
+            // reserved: the decoder refuses them as unknown.
             SapMessage::Adaptor { adaptor } => {
                 put_uvarint(out, 3);
                 encode_adaptor(adaptor, out);
@@ -164,14 +132,6 @@ impl Wire for SapMessage {
                 slot: SlotTag::decode(input)?,
                 send_data_to: PartyId::decode(input)?,
                 expect_incoming: u32::decode(input)?,
-            },
-            1 => SapMessage::PerturbedData {
-                slot: SlotTag::decode(input)?,
-                data: decode_dataset(input)?,
-            },
-            2 => SapMessage::RelayedData {
-                slot: SlotTag::decode(input)?,
-                data: decode_dataset(input)?,
             },
             3 => SapMessage::Adaptor {
                 adaptor: decode_adaptor(input)?,
@@ -286,7 +246,6 @@ mod tests {
         let target = Perturbation::random(3, &mut rng);
         let other = Perturbation::random(3, &mut rng);
         let adaptor = SpaceAdaptor::between(&other, &target).unwrap();
-        let data = Dataset::new(vec![vec![0.1, 0.2, 0.3], vec![0.4, 0.5, 0.6]], vec![0, 1]);
 
         let msgs = vec![
             SapMessage::Setup {
@@ -294,14 +253,6 @@ mod tests {
                 slot: SlotTag(42),
                 send_data_to: PartyId(2),
                 expect_incoming: 1,
-            },
-            SapMessage::PerturbedData {
-                slot: SlotTag(42),
-                data: data.clone(),
-            },
-            SapMessage::RelayedData {
-                slot: SlotTag(42),
-                data,
             },
             SapMessage::Adaptor {
                 adaptor: adaptor.clone(),
@@ -322,15 +273,14 @@ mod tests {
 
     #[test]
     fn payload_classification() {
-        let data = Dataset::new(vec![vec![1.0]], vec![0]);
-        let m = SapMessage::PerturbedData {
-            slot: SlotTag(1),
-            data,
-        };
-        assert!(m.carries_data());
-        assert!(!m.carries_parameters());
         let m = SapMessage::MiningComplete { unified_records: 1 };
-        assert!(!m.carries_data());
         assert!(!m.carries_parameters());
+        let mut rng = StdRng::seed_from_u64(2);
+        let target = Perturbation::random(2, &mut rng);
+        let other = Perturbation::random(2, &mut rng);
+        let m = SapMessage::Adaptor {
+            adaptor: SpaceAdaptor::between(&other, &target).unwrap(),
+        };
+        assert!(m.carries_parameters());
     }
 }

@@ -80,7 +80,6 @@ pub fn run_miner<T: Transport>(
     ctx: &RoleCtx<'_>,
 ) -> Result<MinerOutput, SapError> {
     let me = node.id();
-    let config = ctx.config;
     let audit = ctx.audit;
     let monitor = ctx.monitor;
     let coordinator = ctx.roster.coordinator();
@@ -118,17 +117,7 @@ pub fn run_miner<T: Transport>(
                 }
             }
             FlowInbound::StreamStart { header, last } => {
-                audit.record_kind(
-                    from,
-                    me,
-                    if header.relay {
-                        "relayed-data"
-                    } else {
-                        "perturbed-data"
-                    },
-                    true,
-                    false,
-                );
+                audit.record_kind(from, me, header.kind(), true, false);
                 if !header.relay {
                     return Err(SapError::Protocol(
                         "miner received un-relayed perturbed-data".into(),
@@ -253,14 +242,13 @@ pub fn run_miner<T: Transport>(
     let unified = Dataset::try_from_flat(values, labels, dim, num_classes as usize)
         .map_err(|e| SapError::Protocol(format!("unified dataset: {e}")))?;
 
-    link::send_message(
-        node,
+    node.send_msg(
         coordinator,
         &SapMessage::MiningComplete {
             unified_records: unified.len() as u64,
         },
-        config.block_rows,
-    )?;
+    )
+    .map_err(SapError::from)?;
 
     Ok(MinerOutput {
         unified,

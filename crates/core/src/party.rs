@@ -67,12 +67,8 @@ pub fn run_provider<T: Transport>(
     // Phase 5: space adaptor to the coordinator.
     let adaptor = SpaceAdaptor::between(g_local.base(), &target)
         .map_err(|e| SapError::Protocol(format!("adaptor construction failed: {e}")))?;
-    link::send_message(
-        node,
-        coordinator,
-        &SapMessage::Adaptor { adaptor },
-        config.block_rows,
-    )?;
+    node.send_msg(coordinator, &SapMessage::Adaptor { adaptor })
+        .map_err(SapError::from)?;
 
     // Phase 6: satisfaction — privacy of my data under the unified space
     // (target rotation/translation with the inherited noise level).
@@ -185,17 +181,7 @@ fn exchange<T: Transport>(
                 }
             }
             FlowInbound::StreamStart { header, last } => {
-                audit.record_kind(
-                    from,
-                    me,
-                    if header.relay {
-                        "relayed-data"
-                    } else {
-                        "perturbed-data"
-                    },
-                    true,
-                    false,
-                );
+                audit.record_kind(from, me, header.kind(), true, false);
                 if header.relay {
                     return Err(SapError::Protocol(
                         "provider received a relayed-data stream".into(),

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use sap_repro::core::messages::{SapMessage, SlotTag};
+use sap_repro::core::messages::{decode_dataset, SapMessage, SlotTag};
 use sap_repro::datasets::Dataset;
 use sap_repro::fleet::wire::{FleetMsg, WireConfig, WireFault};
 use sap_repro::net::wire::{from_bytes, put_uvarint, to_bytes, WireError};
@@ -23,26 +23,17 @@ fn random_dataset(rng: &mut StdRng, rows: usize, dim: usize) -> Dataset {
 }
 
 /// Builds one instance of every message variant from a seed.
-fn all_variants(seed: u64, dim: usize, rows: usize) -> Vec<SapMessage> {
+fn all_variants(seed: u64, dim: usize) -> Vec<SapMessage> {
     let mut rng = StdRng::seed_from_u64(seed);
     let target = Perturbation::random(dim, &mut rng);
     let other = Perturbation::random(dim, &mut rng);
     let adaptor = SpaceAdaptor::between(&other, &target).expect("same dim");
-    let data = random_dataset(&mut rng, rows, dim);
     vec![
         SapMessage::Setup {
             target,
             slot: SlotTag(seed),
             send_data_to: PartyId(seed % 11),
             expect_incoming: (seed % 3) as u32,
-        },
-        SapMessage::PerturbedData {
-            slot: SlotTag(seed ^ 1),
-            data: data.clone(),
-        },
-        SapMessage::RelayedData {
-            slot: SlotTag(seed ^ 2),
-            data,
         },
         SapMessage::Adaptor {
             adaptor: adaptor.clone(),
@@ -115,8 +106,8 @@ proptest! {
 
     /// Every variant survives the wire format byte-exactly.
     #[test]
-    fn wire_roundtrips_every_variant(seed in any::<u64>(), dim in 1usize..6, rows in 1usize..12) {
-        for msg in all_variants(seed, dim, rows) {
+    fn wire_roundtrips_every_variant(seed in any::<u64>(), dim in 1usize..6) {
+        for msg in all_variants(seed, dim) {
             let bytes = to_bytes(&msg);
             let back: SapMessage = from_bytes(&bytes).unwrap();
             prop_assert_eq!(&back, &msg);
@@ -129,7 +120,7 @@ proptest! {
     /// return a value.
     #[test]
     fn truncated_wire_input_errors(seed in any::<u64>(), cut_frac in 0.0f64..1.0) {
-        for msg in all_variants(seed, 3, 4) {
+        for msg in all_variants(seed, 3) {
             let bytes = to_bytes(&msg);
             let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
             prop_assert!(
@@ -142,7 +133,7 @@ proptest! {
     /// Trailing bytes after a complete message are rejected.
     #[test]
     fn trailing_bytes_rejected(seed in any::<u64>(), junk in 1u8..255) {
-        for msg in all_variants(seed, 2, 3) {
+        for msg in all_variants(seed, 2) {
             let mut wire_bytes = to_bytes(&msg);
             wire_bytes.push(junk);
             prop_assert!(from_bytes::<SapMessage>(&wire_bytes).is_err());
@@ -256,10 +247,11 @@ fn affine_msg(tag: u64, rows: u64, cols: u64, values: &[f64], translation: &[f64
     out
 }
 
-/// A `PerturbedData` message with the given dataset fields.
-fn data_msg(records: &[&[f64]], labels: &[u64], dim: u64, num_classes: u64) -> Vec<u8> {
+/// A dataset encoding (`FleetMsg::Register` carries its locals in this
+/// layout) with the given fields.
+fn dataset_bytes(records: &[&[f64]], labels: &[u64], dim: u64, num_classes: u64) -> Vec<u8> {
     let mut out = Vec::new();
-    varints(&mut out, &[1, 7, records.len() as u64]);
+    varints(&mut out, &[records.len() as u64]);
     for record in records {
         varints(&mut out, &[record.len() as u64]);
         floats(&mut out, record);
@@ -309,17 +301,59 @@ fn adaptor_matrix_must_fill_its_shape() {
     assert_invalid_value(&affine_msg(3, 1 << 63, 2, &[], &[]), "overflowing shape");
 }
 
+fn assert_invalid_dataset(bytes: &[u8], case: &str) {
+    let got = decode_dataset(&mut &bytes[..]);
+    assert!(
+        matches!(got, Err(WireError::InvalidValue(_))),
+        "{case}: {got:?}"
+    );
+}
+
 #[test]
 fn dataset_must_match_its_header_fields() {
     let (a, b): (&[f64], &[f64]) = (&[0.5, -1.0], &[2.0, 0.25]);
-    assert!(from_bytes::<SapMessage>(&data_msg(&[a, b], &[0, 1], 2, 2)).is_ok());
-    assert_invalid_value(&data_msg(&[a, b], &[0, 2], 5, 2), "dim 5, label 2 of 2");
-    assert_invalid_value(
-        &data_msg(&[a, b], &[0, 1], 5, 2),
+    let ok = dataset_bytes(&[a, b], &[0, 1], 2, 2);
+    let mut input = ok.as_slice();
+    assert!(decode_dataset(&mut input).is_ok());
+    assert!(input.is_empty(), "decode consumes exactly the dataset");
+    assert_invalid_dataset(
+        &dataset_bytes(&[a, b], &[0, 2], 5, 2),
+        "dim 5, label 2 of 2",
+    );
+    assert_invalid_dataset(
+        &dataset_bytes(&[a, b], &[0, 1], 5, 2),
         "dim 5 over 2-value records",
     );
-    assert_invalid_value(&data_msg(&[a, b], &[0, 2], 2, 2), "label 2 of 2 classes");
-    assert_invalid_value(&data_msg(&[a, &b[..1]], &[0, 1], 2, 2), "ragged records");
-    assert_invalid_value(&data_msg(&[a, b], &[0], 2, 2), "one label for two records");
-    assert_invalid_value(&data_msg(&[], &[], 0, 1), "empty dataset");
+    assert_invalid_dataset(
+        &dataset_bytes(&[a, b], &[0, 2], 2, 2),
+        "label 2 of 2 classes",
+    );
+    assert_invalid_dataset(
+        &dataset_bytes(&[a, &b[..1]], &[0, 1], 2, 2),
+        "ragged records",
+    );
+    assert_invalid_dataset(
+        &dataset_bytes(&[a, b], &[0], 2, 2),
+        "one label for two records",
+    );
+    assert_invalid_dataset(&dataset_bytes(&[], &[], 0, 1), "empty dataset");
+}
+
+/// Tags 1 and 2 once carried a whole dataset in one message. Datasets
+/// travel only as streams now, so both tags are reserved: a message
+/// carrying either fails with the typed unknown-tag error, whatever
+/// follows it, even a well-formed dataset.
+#[test]
+fn retired_dataset_tags_are_refused() {
+    let data = dataset_bytes(&[&[0.5, -1.0]], &[0], 2, 1);
+    for tag in [1u64, 2] {
+        let mut bytes = Vec::new();
+        varints(&mut bytes, &[tag, 7]); // tag, slot
+        bytes.extend_from_slice(&data);
+        assert_eq!(
+            from_bytes::<SapMessage>(&bytes).unwrap_err(),
+            WireError::InvalidEncoding("SapMessage variant tag"),
+            "tag {tag}"
+        );
+    }
 }

@@ -59,20 +59,6 @@ fn sap_messages() -> Vec<(&'static str, SapMessage)> {
             },
         ),
         (
-            "SapMessage::PerturbedData",
-            SapMessage::PerturbedData {
-                slot: SlotTag(7),
-                data: dataset(),
-            },
-        ),
-        (
-            "SapMessage::RelayedData",
-            SapMessage::RelayedData {
-                slot: SlotTag(u64::MAX),
-                data: dataset(),
-            },
-        ),
-        (
             "SapMessage::Adaptor",
             SapMessage::Adaptor {
                 adaptor: adaptor.clone(),
@@ -186,14 +172,14 @@ fn golden_bytes_decode_and_reencode() {
         };
         assert_eq!(hex(&again), text, "{name} does not round-trip");
     }
-    let decoded: Vec<SapMessage> = GOLDEN_WIRE[..6]
+    let decoded: Vec<SapMessage> = GOLDEN_WIRE[..4]
         .iter()
         .map(|(_, text)| wire::from_bytes(&unhex(text)).unwrap())
         .collect();
     let expected: Vec<SapMessage> = sap_messages().into_iter().map(|(_, m)| m).collect();
     assert_eq!(decoded, expected);
     assert_eq!(
-        wire::from_bytes::<DataHeader>(&unhex(GOLDEN_WIRE[9].1)).unwrap(),
+        wire::from_bytes::<DataHeader>(&unhex(GOLDEN_WIRE[7].1)).unwrap(),
         data_header()
     );
 }
@@ -226,10 +212,15 @@ fn sealed_frame_matches_golden_bytes() {
 /// lost the `streaming` byte of its config (a `01` after `block_rows`,
 /// `40`) when the buffered data plane was deleted. The fleet runs in one
 /// process, so no peer on another build ever reads the old layout.
+///
+/// Two literals were removed: `SapMessage::PerturbedData` (tag 1) and
+/// `SapMessage::RelayedData` (tag 2), which carried a whole dataset in one
+/// message. No party ever sent them — datasets travel only as row-block
+/// streams behind a `DataHeader` — so the variants were deleted and their
+/// tags are reserved: a decoder now refuses them as unknown. Every other
+/// literal is unchanged, tags 0, 3, 4 and 5 included.
 const GOLDEN_WIRE: &[(&str, &str)] = &[
     ("SapMessage::Setup", "00020204000000000000f03f00000000000000000000000000000000000000000000f03f02000000000000f03f0000000000000040effdb6f50d0201"),
-    ("SapMessage::PerturbedData", "01070202000000000000e03f000000000000f0bf020000000000000040000000000000d03f0200010202"),
-    ("SapMessage::RelayedData", "02ffffffffffffffffff010202000000000000e03f000000000000f0bf020000000000000040000000000000d03f0200010202"),
     ("SapMessage::Adaptor", "030202040000000000000000000000000000f03f000000000000f0bf000000000000000002000000000000f43f0000000000000440"),
     ("SapMessage::AdaptorTable", "0402010202040000000000000000000000000000f03f000000000000f0bf000000000000000002000000000000f43f0000000000000440ac020202040000000000000000000000000000f03f000000000000f0bf000000000000000002000000000000f43f0000000000000440"),
     ("SapMessage::MiningComplete", "059601"),
