@@ -10,7 +10,7 @@
 //! decoded).
 
 use crate::error::SapError;
-use crate::link::{self, Inbound};
+use crate::link::{self, FlowInbound};
 use crate::messages::{SapMessage, SlotTag};
 use crate::permutation::ExchangePlan;
 use crate::session::{ProviderReport, RoleCtx};
@@ -44,7 +44,6 @@ pub fn run_coordinator<T: Transport>(
 ) -> Result<(ProviderReport, Perturbation), SapError> {
     let me = node.id();
     let config = ctx.config;
-    let audit = ctx.audit;
     let providers = ctx.roster.providers.as_slice();
     let miner = ctx.roster.miner;
     let k = providers.len();
@@ -121,44 +120,27 @@ pub fn run_coordinator<T: Transport>(
         .map_err(|e| SapError::Protocol(format!("own adaptor failed: {e}")))?;
     adaptor_of.insert(me, own_adaptor);
     while adaptor_of.len() < k {
-        let (from, inbound) = link::recv_message_ctx(node, ctx, "adaptor collection")?;
-        match inbound {
-            Inbound::Msg(msg) => {
-                audit.record(from, me, &msg);
-                match msg {
-                    SapMessage::Adaptor { adaptor } => {
-                        if !providers.contains(&from) {
-                            return Err(SapError::Protocol(format!("adaptor from unknown {from}")));
-                        }
-                        if adaptor.dim() != target.dim() {
-                            return Err(SapError::Protocol(format!(
-                                "adaptor from {from} has dim {} but the target space has dim {}",
-                                adaptor.dim(),
-                                target.dim()
-                            )));
-                        }
-                        if adaptor_of.insert(from, adaptor).is_some() {
-                            return Err(SapError::Protocol(format!(
-                                "duplicate adaptor from {from}"
-                            )));
-                        }
-                    }
-                    other => {
-                        return Err(SapError::Protocol(format!(
-                            "coordinator received unexpected {}",
-                            other.kind()
-                        )))
-                    }
+        match recv_control(node, ctx, "adaptor collection")? {
+            (from, SapMessage::Adaptor { adaptor }) => {
+                if !providers.contains(&from) {
+                    return Err(SapError::Protocol(format!("adaptor from unknown {from}")));
+                }
+                if adaptor.dim() != target.dim() {
+                    return Err(SapError::Protocol(format!(
+                        "adaptor from {from} has dim {} but the target space has dim {}",
+                        adaptor.dim(),
+                        target.dim()
+                    )));
+                }
+                if adaptor_of.insert(from, adaptor).is_some() {
+                    return Err(SapError::Protocol(format!("duplicate adaptor from {from}")));
                 }
             }
-            // The information-flow invariant: data must never reach the
-            // coordinator. The header is enough to know — and to abort.
-            Inbound::Data(stream) => {
-                audit.record_kind(from, me, stream.kind(), true, false);
+            (_, other) => {
                 return Err(SapError::Protocol(format!(
                     "coordinator received unexpected {}",
-                    stream.kind()
-                )));
+                    other.kind()
+                )))
             }
         }
     }
@@ -174,26 +156,13 @@ pub fn run_coordinator<T: Transport>(
         .map_err(SapError::from)?;
 
     // Wait for the miner's completion ack so the session has a clean end.
-    let (from, inbound) = link::recv_message_ctx(node, ctx, "mining completion")?;
-    match inbound {
-        Inbound::Msg(msg) => {
-            audit.record(from, me, &msg);
-            match msg {
-                SapMessage::MiningComplete { .. } if from == miner => {}
-                other => {
-                    return Err(SapError::Protocol(format!(
-                        "expected mining-complete from miner, got {} from {from}",
-                        other.kind()
-                    )))
-                }
-            }
-        }
-        Inbound::Data(stream) => {
-            audit.record_kind(from, me, stream.kind(), true, false);
+    match recv_control(node, ctx, "mining completion")? {
+        (from, SapMessage::MiningComplete { .. }) if from == miner => {}
+        (from, other) => {
             return Err(SapError::Protocol(format!(
-                "coordinator received unexpected {}",
-                stream.kind()
-            )));
+                "expected mining-complete from miner, got {} from {from}",
+                other.kind()
+            )))
         }
     }
 
@@ -217,6 +186,37 @@ pub fn run_coordinator<T: Transport>(
         },
         target,
     ))
+}
+
+/// Receives the next control message and records it on the audit ledger.
+///
+/// The information-flow invariant: data must never reach the
+/// coordinator. A dataset stream is recorded and refused the moment its
+/// header arrives — the header is enough to know, and to abort, before a
+/// single block is received.
+fn recv_control<T: Transport>(
+    node: &Node<T>,
+    ctx: &RoleCtx<'_>,
+    phase: &'static str,
+) -> Result<(PartyId, SapMessage), SapError> {
+    let (from, inbound) = link::recv_flow_ctx(node, ctx, phase)?;
+    let kind = match inbound {
+        FlowInbound::Msg(msg) => {
+            ctx.audit.record(from, node.id(), &msg);
+            return Ok((from, msg));
+        }
+        FlowInbound::StreamStart { header, .. } => {
+            ctx.audit
+                .record_kind(from, node.id(), header.kind(), true, false);
+            header.kind()
+        }
+        // Unreachable in practice: a block follows its header, which
+        // already aborted the role.
+        FlowInbound::StreamBlock { .. } => "row block",
+    };
+    Err(SapError::Protocol(format!(
+        "coordinator received unexpected {kind}"
+    )))
 }
 
 #[cfg(test)]
@@ -284,6 +284,52 @@ mod tests {
             err.to_string().contains("unexpected perturbed-data"),
             "{err}"
         );
+    }
+
+    /// A stream opened toward the coordinator is refused at its header:
+    /// the error arrives before any block does, well within the receive
+    /// timeout, and the ledger shows the attempt.
+    #[test]
+    fn coordinator_rejects_stream_at_its_header() {
+        use crate::link::DataHeader;
+        use sap_net::SessionId;
+
+        let hub = InMemoryHub::new();
+        let coord_node = Node::new(hub.endpoint(PartyId(2)), 7);
+        let p0 = Node::new(hub.endpoint(PartyId(0)), 7);
+        let _p1 = hub.endpoint(PartyId(1));
+        let _miner = hub.endpoint(PartyId(100));
+        let timeout = Duration::from_secs(2);
+        let sc = harness(
+            vec![PartyId(0), PartyId(1), PartyId(2)],
+            SapConfig {
+                timeout,
+                ..SapConfig::quick_test()
+            },
+        );
+        let header = DataHeader {
+            session: SessionId::SOLO,
+            relay: false,
+            slot: SlotTag(9),
+            rows: 24,
+            dim: 2,
+            num_classes: 2,
+        };
+        // The header goes out; no block ever follows it.
+        let _stream = p0.begin_stream(PartyId(2), &header, false).unwrap();
+
+        let start = std::time::Instant::now();
+        let err = run_coordinator(&coord_node, &tiny_dataset(), &sc.ctx()).unwrap_err();
+        assert!(
+            matches!(&err, SapError::Protocol(what) if what.contains("unexpected perturbed-data")),
+            "{err}"
+        );
+        assert!(
+            start.elapsed() < timeout,
+            "refused after {:?}: the header alone must abort",
+            start.elapsed()
+        );
+        assert!(sc.audit.party_saw_data(PartyId(2)));
     }
 
     /// An adaptor whose dimension is not the target space's is refused on

@@ -168,9 +168,9 @@ impl From<NodeError> for SapError {
 impl SapError {
     // `or_timeout` (the old per-call-site starvation rewriter) is gone:
     // every blocking role receive now goes through the governed path
-    // (`crate::link::recv_message_ctx` / `recv_flow_ctx`), which owns the
-    // Timeout/PeerDown conversions *and* the roster filtering a bare
-    // rewriter could not apply.
+    // (`crate::link::recv_flow_ctx`), which owns the Timeout/PeerDown
+    // conversions *and* the roster filtering a bare rewriter could not
+    // apply.
 
     /// Whether this error is a *cascade* — a consequence of another
     /// role's failure rather than a root cause. Harvest skips cascades

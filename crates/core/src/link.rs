@@ -1,12 +1,14 @@
 //! The SAP message link: typed protocol messages over the streaming node.
 //!
-//! Control messages ([`SapMessage`] minus the data variants) travel as
-//! ordinary wire frames. Dataset payloads travel as *streams*: a
-//! [`DataHeader`] followed by length-prefixed row blocks, so neither
-//! sender nor receiver ever materializes one monolithic serialized
-//! dataset — and the anonymizing relay hop forwards the sealed row blocks
-//! **without decoding them**, which is both faster and
-//! closer to the paper's "unchanged payload" relay semantics.
+//! Control messages ([`SapMessage`]) travel as ordinary wire frames.
+//! Datasets travel only as *streams*: a [`DataHeader`] followed by
+//! length-prefixed row blocks, so neither sender nor receiver ever
+//! materializes one monolithic serialized dataset — and the anonymizing
+//! relay hop forwards the sealed row blocks **without decoding them**,
+//! which is both faster and closer to the paper's "unchanged payload"
+//! relay semantics. There is one receive, [`recv_flow`]: it hands over
+//! each control message whole and each stream header and row block the
+//! moment it arrives.
 //!
 //! # Row-block layout
 //!
@@ -21,10 +23,9 @@ use crate::error::SapError;
 use crate::liveness::CANCEL_POLL;
 use crate::messages::{SapMessage, SlotTag};
 use crate::session::RoleCtx;
-use crate::stream::{DatasetSink, StreamPipeline};
 use bytes::Bytes;
 use sap_datasets::Dataset;
-use sap_net::node::{Node, NodeError, NodeEvent, NodeFlow};
+use sap_net::node::{Node, NodeError, NodeFlow};
 use sap_net::wire::{Wire, WireError};
 use sap_net::{PartyId, SessionId, Transport, TransportError};
 use sap_perturb::GeometricPerturbation;
@@ -94,27 +95,8 @@ impl DataHeader {
     }
 }
 
-/// A received dataset stream, still in raw blocks.
-#[derive(Debug)]
-pub struct DataStream {
-    /// The stream header.
-    pub header: DataHeader,
-    /// Raw row blocks, in order.
-    pub blocks: Vec<Bytes>,
-}
-
-/// One inbound protocol delivery.
-#[derive(Debug)]
-pub enum Inbound {
-    /// A control message.
-    Msg(SapMessage),
-    /// A dataset stream.
-    Data(DataStream),
-}
-
-/// One inbound delivery on the **streaming** data plane: stream headers
-/// and blocks surface per frame, the moment they arrive (see
-/// [`recv_flow`]), instead of per fully buffered stream.
+/// One inbound protocol delivery (see [`recv_flow`]): a control message,
+/// or one frame of a dataset stream, the moment it arrives.
 #[derive(Debug)]
 pub enum FlowInbound {
     /// A control message.
@@ -135,29 +117,10 @@ pub enum FlowInbound {
     },
 }
 
-impl DataStream {
-    /// Audit-ledger kind label (matches [`SapMessage::kind`]).
-    pub fn kind(&self) -> &'static str {
-        self.header.kind()
-    }
-
-    /// Decodes the blocks into a [`Dataset`] through the streaming
-    /// decoder ([`StreamPipeline`]), validating the header.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SapError::Protocol`] on malformed blocks, row-count or
-    /// dimension mismatches, or out-of-range labels.
-    pub fn into_dataset(self) -> Result<Dataset, SapError> {
-        let mut pipeline = StreamPipeline::open(self.header, Vec::new(), DatasetSink::new())?;
-        for block in &self.blocks {
-            pipeline.push(block)?;
-        }
-        pipeline.finish()?.into_dataset()
-    }
-}
-
-/// Streams a dataset to `to` as row blocks.
+/// Streams an already perturbed dataset to `to` as row blocks. The
+/// roles send through [`send_perturbed_dataset`] and the relay's
+/// block-by-block forwarding; this whole-dataset form lets harnesses play
+/// a provider or a relay.
 ///
 /// # Errors
 ///
@@ -199,18 +162,15 @@ pub fn send_dataset<T: Transport>(
     Ok(())
 }
 
-/// Receives the next **streaming-mode** delivery within `timeout`:
-/// stream headers and row blocks are delivered per frame, so a role can
-/// relay, decode, or adapt a block while the rest of its stream is still
-/// on the wire.
-///
-/// Stream headers get the same sender-bug session check as
-/// [`recv_message`]. A role must use either this or the buffered
-/// [`recv_message`] consistently — not both mid-stream.
+/// Receives the next delivery within `timeout`: stream headers and row
+/// blocks are delivered per frame, so a role can relay, decode, or adapt
+/// a block while the rest of its stream is still on the wire.
 ///
 /// # Errors
 ///
-/// As [`recv_message`].
+/// Returns [`SapError::Messaging`] on transport/decoding failure and
+/// framing violations, and [`SapError::Protocol`] for a stream header
+/// stamped for another session.
 pub fn recv_flow<T: Transport>(
     node: &Node<T>,
     timeout: Duration,
@@ -221,6 +181,10 @@ pub fn recv_flow<T: Transport>(
     let inbound = match flow {
         NodeFlow::Msg(msg) => FlowInbound::Msg(msg),
         NodeFlow::StreamStart { header, last } => {
+            // The envelope already pinned the frames to this session; the
+            // header-level check catches a *sender bug* (a relay stamping
+            // someone else's stream into its own session) before a single
+            // row is decoded.
             if header.session != node.session() {
                 return Err(SapError::Protocol(format!(
                     "stream header for {} arrived in {}",
@@ -283,67 +247,20 @@ fn recv_governed<R>(
 
 /// Receives the next protocol delivery under the session's liveness
 /// regime (cancellation token, session budget, roster-filtered peer
-/// failures) — the role-facing form of [`recv_message`].
+/// failures) — the role-facing form of [`recv_flow`].
 ///
 /// # Errors
 ///
-/// As [`recv_message`], plus [`SapError::Timeout`] naming `phase` on
+/// As [`recv_flow`], plus [`SapError::Timeout`] naming `phase` on
 /// per-receive expiry, [`SapError::PeerFailure`] when a roster peer dies,
 /// [`SapError::Cancelled`] on cooperative cancellation, and
 /// [`SapError::DeadlineExceeded`] when the session budget runs out.
-pub fn recv_message_ctx<T: Transport>(
-    node: &Node<T>,
-    ctx: &RoleCtx<'_>,
-    phase: &'static str,
-) -> Result<(PartyId, Inbound), SapError> {
-    recv_governed(ctx, node.id(), phase, |slice| recv_message(node, slice))
-}
-
-/// Streaming-mode counterpart of [`recv_message_ctx`]: per-frame
-/// deliveries under the same liveness regime.
-///
-/// # Errors
-///
-/// As [`recv_message_ctx`].
 pub fn recv_flow_ctx<T: Transport>(
     node: &Node<T>,
     ctx: &RoleCtx<'_>,
     phase: &'static str,
 ) -> Result<(PartyId, FlowInbound), SapError> {
     recv_governed(ctx, node.id(), phase, |slice| recv_flow(node, slice))
-}
-
-/// Receives the next protocol delivery within `timeout`.
-///
-/// # Errors
-///
-/// Returns [`SapError::Messaging`] on transport/decoding failure; framing
-/// violations surface as [`SapError::Protocol`].
-pub fn recv_message<T: Transport>(
-    node: &Node<T>,
-    timeout: Duration,
-) -> Result<(PartyId, Inbound), SapError> {
-    let (from, event) = node
-        .recv_event_timeout::<SapMessage, DataHeader>(timeout)
-        .map_err(SapError::from)?;
-    let inbound = match event {
-        NodeEvent::Msg(msg) => Inbound::Msg(msg),
-        NodeEvent::Stream { header, blocks } => {
-            // The envelope already pinned the frames to this session; the
-            // header-level check catches a *sender bug* (a relay stamping
-            // someone else's stream into its own session) before a single
-            // row is decoded.
-            if header.session != node.session() {
-                return Err(SapError::Protocol(format!(
-                    "stream header for {} arrived in {}",
-                    header.session,
-                    node.session()
-                )));
-            }
-            Inbound::Data(DataStream { header, blocks })
-        }
-    };
-    Ok((from, inbound))
 }
 
 /// Streams a dataset to `to`, perturbing it **one block at a time**: each
@@ -470,8 +387,9 @@ pub fn encode_block(data: &Dataset, start: usize, end: usize) -> Bytes {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::stream::{DatasetSink, StreamPipeline};
     use sap_net::transport::InMemoryHub;
 
     fn dataset(rows: usize, dim: usize) -> Dataset {
@@ -493,21 +411,53 @@ mod tests {
         )
     }
 
+    /// Receives one whole dataset stream through [`recv_flow`]: its
+    /// sender, header and raw row blocks, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a receive error or when anything but one stream arrives.
+    pub(crate) fn recv_stream<T: Transport>(
+        node: &Node<T>,
+        timeout: Duration,
+    ) -> (PartyId, DataHeader, Vec<Bytes>) {
+        let (from, first) = recv_flow(node, timeout).unwrap();
+        let FlowInbound::StreamStart { header, mut last } = first else {
+            panic!("expected a stream header, got {first:?}");
+        };
+        let mut blocks = Vec::new();
+        while !last {
+            let (_, next) = recv_flow(node, timeout).unwrap();
+            let FlowInbound::StreamBlock { bytes, last: end } = next else {
+                panic!("expected a row block, got {next:?}");
+            };
+            blocks.push(bytes);
+            last = end;
+        }
+        (from, header, blocks)
+    }
+
+    /// Decodes raw row blocks into a [`Dataset`] through the streaming
+    /// decoder ([`StreamPipeline`]), validating them against `header`.
+    pub(crate) fn decode(header: DataHeader, blocks: &[Bytes]) -> Result<Dataset, SapError> {
+        let mut pipeline = StreamPipeline::open(header, Vec::new(), DatasetSink::new())?;
+        for block in blocks {
+            pipeline.push(block)?;
+        }
+        pipeline.finish()?.into_dataset()
+    }
+
     #[test]
     fn dataset_streams_roundtrip() {
         let (a, b) = pair();
         let data = dataset(100, 5);
         send_dataset(&a, PartyId(2), false, SlotTag(4), &data, 16).unwrap();
-        let (from, inbound) = recv_message(&b, Duration::from_secs(2)).unwrap();
+        let (from, header, blocks) = recv_stream(&b, Duration::from_secs(2));
         assert_eq!(from, PartyId(1));
-        let Inbound::Data(stream) = inbound else {
-            panic!("expected data stream");
-        };
-        assert_eq!(stream.kind(), "perturbed-data");
-        assert_eq!(stream.header.slot, SlotTag(4));
-        assert_eq!(stream.blocks.len(), 100usize.div_ceil(16));
-        let back = stream.into_dataset().unwrap();
-        assert_eq!(back, data);
+        assert_eq!(header.kind(), "perturbed-data");
+        assert_eq!(header.slot, SlotTag(4));
+        assert_eq!(blocks.len(), 100usize.div_ceil(16));
+        assert_eq!(decode(header, &blocks).unwrap(), data);
     }
 
     #[test]
@@ -519,23 +469,17 @@ mod tests {
 
         let data = dataset(40, 3);
         send_dataset(&a, PartyId(2), false, SlotTag(8), &data, 8).unwrap();
-        let (_, inbound) = recv_message(&b, Duration::from_secs(2)).unwrap();
-        let Inbound::Data(stream) = inbound else {
-            panic!("expected stream");
-        };
+        let (_, header, blocks) = recv_stream(&b, Duration::from_secs(2));
         let header = DataHeader {
             relay: true,
-            ..stream.header
+            ..header
         };
-        b2.send_stream(PartyId(100), &header, stream.blocks.iter().cloned())
+        b2.send_stream(PartyId(100), &header, blocks.iter().cloned())
             .unwrap();
-        let (_, relayed) = recv_message(&miner, Duration::from_secs(2)).unwrap();
-        let Inbound::Data(relayed) = relayed else {
-            panic!("expected relayed stream");
-        };
+        let (_, relayed, relayed_blocks) = recv_stream(&miner, Duration::from_secs(2));
         assert_eq!(relayed.kind(), "relayed-data");
-        assert_eq!(relayed.header.slot, SlotTag(8));
-        assert_eq!(relayed.into_dataset().unwrap(), data);
+        assert_eq!(relayed.slot, SlotTag(8));
+        assert_eq!(decode(relayed, &relayed_blocks).unwrap(), data);
     }
 
     #[test]
@@ -553,10 +497,7 @@ mod tests {
         // Whole matrix: perturb it all, then stream the dataset.
         let (a, b) = pair();
         send_dataset(&a, PartyId(2), false, SlotTag(3), &perturbed, 16).unwrap();
-        let (_, inbound) = recv_message(&b, Duration::from_secs(2)).unwrap();
-        let Inbound::Data(buffered) = inbound else {
-            panic!("expected stream");
-        };
+        let buffered = recv_stream(&b, Duration::from_secs(2));
 
         // Streaming: perturb block by block while sending.
         let (a2, b2) = pair();
@@ -572,13 +513,10 @@ mod tests {
             16,
         )
         .unwrap();
-        let (_, inbound) = recv_message(&b2, Duration::from_secs(2)).unwrap();
-        let Inbound::Data(streamed) = inbound else {
-            panic!("expected stream");
-        };
+        let streamed = recv_stream(&b2, Duration::from_secs(2));
 
-        assert_eq!(streamed.header, buffered.header);
-        assert_eq!(streamed.blocks, buffered.blocks, "wire bytes must match");
+        assert_eq!(streamed.1, buffered.1);
+        assert_eq!(streamed.2, buffered.2, "wire bytes must match");
     }
 
     #[test]
@@ -614,10 +552,10 @@ mod tests {
             &SapMessage::MiningComplete { unified_records: 9 },
         )
         .unwrap();
-        let (_, inbound) = recv_message(&b, Duration::from_secs(2)).unwrap();
+        let (_, inbound) = recv_flow(&b, Duration::from_secs(2)).unwrap();
         assert!(matches!(
             inbound,
-            Inbound::Msg(SapMessage::MiningComplete { unified_records: 9 })
+            FlowInbound::Msg(SapMessage::MiningComplete { unified_records: 9 })
         ));
     }
 
@@ -632,17 +570,13 @@ mod tests {
             num_classes: 2,
         };
         // Truncated block.
-        let bad = DataStream {
-            header,
-            blocks: vec![Bytes::from_static(b"\x02\x00\x00\x00")],
-        };
-        assert!(matches!(bad.into_dataset(), Err(SapError::Protocol(_))));
+        let truncated = [Bytes::from_static(b"\x02\x00\x00\x00")];
+        assert!(matches!(
+            decode(header, &truncated),
+            Err(SapError::Protocol(_))
+        ));
         // Row shortfall.
-        let empty = DataStream {
-            header,
-            blocks: vec![],
-        };
-        assert!(matches!(empty.into_dataset(), Err(SapError::Protocol(_))));
+        assert!(matches!(decode(header, &[]), Err(SapError::Protocol(_))));
     }
 
     #[test]
@@ -658,10 +592,9 @@ mod tests {
         };
         let block = super::encode_block(&data, 0, 4);
         header.num_classes = 2; // now label 2 is out of range
-        let stream = DataStream {
-            header,
-            blocks: vec![block],
-        };
-        assert!(matches!(stream.into_dataset(), Err(SapError::Protocol(_))));
+        assert!(matches!(
+            decode(header, &[block]),
+            Err(SapError::Protocol(_))
+        ));
     }
 }

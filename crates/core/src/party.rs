@@ -362,7 +362,7 @@ impl<'n, T: Transport> RelayPump<'n, T> {
 mod tests {
     use super::*;
     use crate::audit::AuditLog;
-    use crate::link::Inbound;
+    use crate::link::tests::{decode, recv_stream};
     use crate::liveness::Roster;
     use crate::messages::SlotTag;
     use crate::session::{SapConfig, StandaloneCtx};
@@ -439,13 +439,10 @@ mod tests {
             .unwrap();
 
         // The receiver gets the provider's perturbed data stream.
-        let (_, inbound) = link::recv_message(&receiver, config.timeout).unwrap();
-        let Inbound::Data(stream) = inbound else {
-            panic!("expected perturbed data stream");
-        };
-        assert_eq!(stream.header.slot, SlotTag(11));
-        assert!(!stream.header.relay);
-        let perturbed = stream.into_dataset().unwrap();
+        let (_, header, blocks) = recv_stream(&receiver, config.timeout);
+        assert_eq!(header.slot, SlotTag(11));
+        assert!(!header.relay);
+        let perturbed = decode(header, &blocks).unwrap();
         assert_eq!(perturbed.len(), data.len());
         assert_eq!(perturbed.labels(), data.labels());
         // Perturbed values differ from the original.
@@ -464,14 +461,11 @@ mod tests {
 
         // Miner receives the relayed stream, bytes identical to the
         // original perturbed payload.
-        let (from, inbound) = link::recv_message(&miner, config.timeout).unwrap();
+        let (from, relayed, blocks) = recv_stream(&miner, config.timeout);
         assert_eq!(from, PartyId(0));
-        let Inbound::Data(relayed) = inbound else {
-            panic!("expected relayed stream");
-        };
-        assert!(relayed.header.relay);
-        assert_eq!(relayed.header.slot, SlotTag(22));
-        assert_eq!(relayed.into_dataset().unwrap(), tiny_dataset());
+        assert!(relayed.relay);
+        assert_eq!(relayed.slot, SlotTag(22));
+        assert_eq!(decode(relayed, &blocks).unwrap(), tiny_dataset());
 
         // Coordinator receives the adaptor.
         let (from, msg): (PartyId, SapMessage) = coord.recv_msg().unwrap();

@@ -280,7 +280,7 @@ impl StandaloneCtx {
 /// configuration, observability, and the liveness regime (roster +
 /// deadline token). One borrowed bundle instead of a parameter per
 /// concern — every blocking receive in the role loops goes through it
-/// ([`crate::link::recv_message_ctx`] / [`crate::link::recv_flow_ctx`]).
+/// ([`crate::link::recv_flow_ctx`]).
 pub struct RoleCtx<'a> {
     /// The session's parties (providers in position order, coordinator
     /// last) plus the miner.

@@ -47,7 +47,7 @@ use ring::HashRing;
 use sap_core::session::{SapConfig, SapOutcome};
 use sap_core::SapError;
 use sap_datasets::Dataset;
-use sap_net::frame::open_frame;
+use sap_net::frame::open_frame_recycling;
 use sap_net::mux::{MuxEndpoint, SessionMux};
 use sap_net::reactor::DEFAULT_CONNECT_WINDOW;
 use sap_net::tcp::local_mesh;
@@ -727,7 +727,7 @@ fn service_loop(node: &FleetNode, shared: &Shared) {
     loop {
         match node.inbox.recv_timeout(Duration::from_millis(50)) {
             Ok((_from, sealed)) => {
-                let Ok((session, frame)) = open_frame(key, &sealed) else {
+                let Ok((session, frame)) = open_frame_recycling(key, sealed) else {
                     continue;
                 };
                 if session != my_inbox {

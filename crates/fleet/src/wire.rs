@@ -361,7 +361,7 @@ pub fn send_via<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sap_net::frame::{open_frame, Assembled, Reassembler};
+    use sap_net::frame::{open_frame, FlowItem, Reassembler};
     use sap_net::InMemoryHub;
 
     #[test]
@@ -420,7 +420,7 @@ mod tests {
         let (session, frame) = open_frame(inbox_key(0xF1EE7, 3), &sealed).unwrap();
         assert_eq!(session, inbox_session(3));
         let mut asm = Reassembler::new();
-        let Ok(Some(Assembled::Message(bytes))) = asm.feed(from, frame) else {
+        let Ok(Some(FlowItem::Message(bytes))) = asm.feed(from, frame) else {
             panic!("single-frame message must assemble");
         };
         let decoded: FleetMsg = wire::from_bytes(&bytes).unwrap();

@@ -448,11 +448,11 @@ pub fn seal_frame_with(
 }
 
 /// Opens a sealed frame, returning the session it was stamped for along
-/// with the frame. The payload is a zero-copy slice of the single
-/// decrypted buffer. The caller decides whether the session matches its
-/// own (see [`FrameError::SessionMismatch`]); it also still owns `sealed`
-/// and should recycle it into the [`pool`] when it came off
-/// a transport (see [`open_frame_recycling`]).
+/// with the frame. `sealed` is copied into one pooled buffer, which is
+/// then decrypted in place by the same code as
+/// [`open_frame_recycling`]; the payload is a zero-copy slice of it. The
+/// caller decides whether the session matches its own (see
+/// [`FrameError::SessionMismatch`]).
 ///
 /// # Errors
 ///
@@ -460,41 +460,18 @@ pub fn seal_frame_with(
 /// * [`FrameError::Malformed`] on a bad kind byte, reserved header bits,
 ///   or an overflowing varint.
 pub fn open_frame(key: ChannelKey, sealed: &[u8]) -> Result<(SessionId, Frame), FrameError> {
-    if sealed.len() < MIN_SEALED_LEN {
-        return Err(CryptoError::Truncated.into());
-    }
-    let session = SessionId(u64::from_le_bytes(sealed[..8].try_into().expect("8 bytes")));
-    let nonce = u64::from_le_bytes(sealed[8..16].try_into().expect("8 bytes"));
-    let tweak = envelope_tweak(session, nonce);
-    let body_end = sealed.len() - 8;
-    let expected_tag = u64::from_le_bytes(sealed[body_end..].try_into().expect("8 bytes"));
-    if word_mac(key.0, tweak, &sealed[16..body_end]) != expected_tag {
-        return Err(CryptoError::BadTag.into());
-    }
-    let mut plain = sealed[16..body_end].to_vec();
-    keystream_xor(key.0, tweak, &mut plain);
-
-    let (meta, header_len) = parse_header(&plain)?;
-    let payload = Bytes::from(plain).slice(header_len..);
-    Ok((
-        session,
-        Frame {
-            kind: meta.kind,
-            msg_id: meta.msg_id,
-            seq: meta.seq,
-            last: meta.last,
-            payload,
-        },
-    ))
+    let mut copy = pool::global().acquire(sealed.len());
+    copy.extend_from_slice(sealed);
+    open_frame_owned(key, copy)
 }
 
 /// [`open_frame`], but consuming the sealed transport buffer — the
 /// receive-path counterpart of [`seal_frame_with`]'s acquire. When this
 /// was the buffer's last reference it is decrypted **in place**: no
 /// second allocation, no plaintext copy, and the same buffer is handed
-/// onward as the frame payload. On error, or when other references pin
-/// the buffer, it is recycled into the global pool (shared buffers after
-/// [`open_frame`]'s copying path).
+/// onward as the frame payload. When other references pin the buffer it
+/// is opened through [`open_frame`]'s copy and recycled into the global
+/// pool.
 ///
 /// # Errors
 ///
@@ -513,9 +490,9 @@ pub fn open_frame_recycling(
     }
 }
 
-/// The sole-owner fast path behind [`open_frame_recycling`]: verify the
-/// tag, decrypt in place, slice the payload out of the very buffer the
-/// socket filled.
+/// The one open path: verify the tag, decrypt in place, parse the
+/// header and slice the payload out of the very buffer that was opened.
+/// On error the buffer is recycled into the global pool.
 fn open_frame_owned(
     key: ChannelKey,
     mut sealed: Vec<u8>,
@@ -579,41 +556,29 @@ pub fn split_message(msg_id: u64, encoded: Bytes, chunk_size: usize) -> Vec<Fram
 // Reassembly
 // ---------------------------------------------------------------------------
 
-/// A fully reassembled inbound message.
-#[derive(Debug)]
-pub enum Assembled {
-    /// An ordinary wire-encoded message (chunks already joined; a
-    /// single-frame message passes through without copying).
-    Message(Bytes),
-    /// A stream: the wire-encoded header plus its raw blocks, never
-    /// concatenated.
-    Stream {
-        /// Encoded stream header.
-        header: Bytes,
-        /// Raw payload blocks, in order.
-        blocks: Vec<Bytes>,
-    },
-}
-
+/// Per-sender reassembly state: the message or stream a sender has open.
 enum Partial {
+    /// A control message split over several frames: its chunks so far.
     Message {
         msg_id: u64,
         next_seq: u32,
         chunks: Vec<Bytes>,
     },
-    Stream {
-        msg_id: u64,
-        next_seq: u32,
-        header: Bytes,
-        blocks: Vec<Bytes>,
-    },
+    /// An open stream: continuity state only, never its blocks.
+    Stream { msg_id: u64, next_seq: u32 },
 }
 
-/// Per-sender reassembly of frames into messages.
+/// Per-sender reassembly of frames into deliveries.
+///
+/// Control messages are small and assemble whole. Stream headers and
+/// blocks come out per frame, the moment they arrive, so a receiver can
+/// relay, decode or adapt a block while the rest of its stream is still
+/// on the wire; for a stream only its continuity state is kept, never a
+/// payload byte.
 ///
 /// Transports deliver per-sender FIFO and a sender completes one message
-/// before starting the next, so reassembly state is keyed by sender alone;
-/// any interleaving or reordering within a sender is a hard error (SAP
+/// before starting the next, so state is keyed by sender alone; any
+/// interleaving or reordering within a sender is a hard error (SAP
 /// aborts rather than guessing).
 #[derive(Default)]
 pub struct Reassembler {
@@ -626,24 +591,21 @@ impl Reassembler {
         Self::default()
     }
 
-    /// Feeds one frame; returns a message when `frame` completes one.
+    /// Feeds one frame; returns a delivery when `frame` completes a
+    /// control message or carries a stream header or block.
     ///
     /// # Errors
     ///
     /// Returns [`FrameError`] on sequence violations, kind mixing, or
     /// orphan blocks.
-    pub fn feed(&mut self, from: PartyId, frame: Frame) -> Result<Option<Assembled>, FrameError> {
+    pub fn feed(&mut self, from: PartyId, frame: Frame) -> Result<Option<FlowItem>, FrameError> {
         let partial = self.pending.remove(&from);
+        let last = frame.last;
         match (frame.kind, partial) {
             (FrameKind::Control, None) => {
-                if frame.seq != 0 {
-                    return Err(FrameError::Sequence {
-                        expected: 0,
-                        got: frame.seq,
-                    });
-                }
-                if frame.last {
-                    return Ok(Some(Assembled::Message(frame.payload)));
+                check_continuity(frame.msg_id, 0, &frame)?;
+                if last {
+                    return Ok(Some(FlowItem::Message(frame.payload)));
                 }
                 self.pending.insert(
                     from,
@@ -665,8 +627,8 @@ impl Reassembler {
             ) => {
                 check_continuity(msg_id, next_seq, &frame)?;
                 chunks.push(frame.payload);
-                if frame.last {
-                    return Ok(Some(Assembled::Message(join_chunks(&chunks))));
+                if last {
+                    return Ok(Some(FlowItem::Message(join_chunks(&chunks))));
                 }
                 self.pending.insert(
                     from,
@@ -679,156 +641,53 @@ impl Reassembler {
                 Ok(None)
             }
             (FrameKind::StreamHeader, None) => {
-                if frame.seq != 0 {
-                    return Err(FrameError::Sequence {
-                        expected: 0,
-                        got: frame.seq,
-                    });
-                }
-                if frame.last {
-                    // Empty stream: header only.
-                    return Ok(Some(Assembled::Stream {
-                        header: frame.payload,
-                        blocks: Vec::new(),
-                    }));
-                }
-                self.pending.insert(
-                    from,
-                    Partial::Stream {
+                check_continuity(frame.msg_id, 0, &frame)?;
+                if !last {
+                    let state = Partial::Stream {
                         msg_id: frame.msg_id,
                         next_seq: 1,
-                        header: frame.payload,
-                        blocks: Vec::new(),
-                    },
-                );
-                Ok(None)
-            }
-            (
-                FrameKind::StreamBlock,
-                Some(Partial::Stream {
-                    msg_id,
-                    next_seq,
-                    header,
-                    mut blocks,
-                }),
-            ) => {
-                check_continuity(msg_id, next_seq, &frame)?;
-                blocks.push(frame.payload);
-                if frame.last {
-                    return Ok(Some(Assembled::Stream { header, blocks }));
-                }
-                self.pending.insert(
-                    from,
-                    Partial::Stream {
-                        msg_id,
-                        next_seq: next_seq + 1,
-                        header,
-                        blocks,
-                    },
-                );
-                Ok(None)
-            }
-            (FrameKind::StreamBlock, None) => Err(FrameError::OrphanBlock),
-            (_, Some(_)) => Err(FrameError::Malformed("frame kind changed mid-message")),
-        }
-    }
-
-    /// Number of senders with an unfinished message (for diagnostics).
-    pub fn pending_senders(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Feeds one frame in **streaming mode**: control messages still
-    /// assemble whole (they are small), but stream frames surface as
-    /// per-frame [`FlowItem`]s the moment they arrive — the hook the
-    /// streaming data plane uses to overlap compute with I/O instead of
-    /// buffering a dataset's every block before delivery.
-    ///
-    /// Continuity (sequence, message id, kind mixing) is enforced exactly
-    /// as in [`Reassembler::feed`]; the only difference is that stream
-    /// blocks are never retained here. A receiver must drive one mode or
-    /// the other consistently for a given sender's stream — mixing
-    /// buffered and streaming receives mid-stream loses blocks.
-    ///
-    /// # Errors
-    ///
-    /// As [`Reassembler::feed`].
-    pub fn feed_streaming(
-        &mut self,
-        from: PartyId,
-        frame: Frame,
-    ) -> Result<Option<FlowItem>, FrameError> {
-        match frame.kind {
-            FrameKind::Control => Ok(self.feed(from, frame)?.map(|assembled| match assembled {
-                Assembled::Message(bytes) => FlowItem::Message(bytes),
-                Assembled::Stream { .. } => unreachable!("control frames never finish a stream"),
-            })),
-            FrameKind::StreamHeader => {
-                if self.pending.contains_key(&from) {
-                    return Err(FrameError::Malformed("frame kind changed mid-message"));
-                }
-                if frame.seq != 0 {
-                    return Err(FrameError::Sequence {
-                        expected: 0,
-                        got: frame.seq,
-                    });
-                }
-                let last = frame.last;
-                if !last {
-                    // Continuity state only; blocks are never buffered in
-                    // streaming mode.
-                    self.pending.insert(
-                        from,
-                        Partial::Stream {
-                            msg_id: frame.msg_id,
-                            next_seq: 1,
-                            header: Bytes::new(),
-                            blocks: Vec::new(),
-                        },
-                    );
+                    };
+                    self.pending.insert(from, state);
                 }
                 Ok(Some(FlowItem::StreamHeader {
                     header: frame.payload,
                     last,
                 }))
             }
-            FrameKind::StreamBlock => match self.pending.remove(&from) {
-                Some(Partial::Stream {
-                    msg_id, next_seq, ..
-                }) => {
-                    check_continuity(msg_id, next_seq, &frame)?;
-                    if !frame.last {
-                        self.pending.insert(
-                            from,
-                            Partial::Stream {
-                                msg_id,
-                                next_seq: next_seq + 1,
-                                header: Bytes::new(),
-                                blocks: Vec::new(),
-                            },
-                        );
-                    }
-                    Ok(Some(FlowItem::StreamBlock {
-                        block: frame.payload,
-                        last: frame.last,
-                    }))
+            (FrameKind::StreamBlock, Some(Partial::Stream { msg_id, next_seq })) => {
+                check_continuity(msg_id, next_seq, &frame)?;
+                if !last {
+                    self.pending.insert(
+                        from,
+                        Partial::Stream {
+                            msg_id,
+                            next_seq: next_seq + 1,
+                        },
+                    );
                 }
-                Some(partial) => {
-                    self.pending.insert(from, partial);
-                    Err(FrameError::Malformed("frame kind changed mid-message"))
-                }
-                None => Err(FrameError::OrphanBlock),
-            },
+                Ok(Some(FlowItem::StreamBlock {
+                    block: frame.payload,
+                    last,
+                }))
+            }
+            (FrameKind::StreamBlock, None) => Err(FrameError::OrphanBlock),
+            (_, Some(_)) => Err(FrameError::Malformed("frame kind changed mid-message")),
         }
+    }
+
+    /// Number of senders with an unfinished message or stream (for
+    /// diagnostics).
+    pub fn pending_senders(&self) -> usize {
+        self.pending.len()
     }
 }
 
-/// One streaming-mode delivery from [`Reassembler::feed_streaming`]: the
-/// per-frame granularity the data plane consumes.
+/// One delivery from [`Reassembler::feed`]: a whole control message, or
+/// one frame of a stream.
 #[derive(Debug)]
 pub enum FlowItem {
     /// A fully assembled control message (control frames are small and
-    /// still coalesce).
+    /// coalesce).
     Message(Bytes),
     /// A stream opened: the wire-encoded header. `last` marks an empty
     /// stream (no blocks follow).
@@ -1060,7 +919,7 @@ mod tests {
             .feed(from, frame(FrameKind::Control, 9, 1, true, b"cd"))
             .unwrap()
             .unwrap();
-        let Assembled::Message(bytes) = out else {
+        let FlowItem::Message(bytes) = out else {
             panic!("expected message");
         };
         assert_eq!(&bytes[..], b"abcd");
@@ -1071,25 +930,21 @@ mod tests {
     fn reassembles_stream() {
         let mut r = Reassembler::new();
         let from = PartyId(3);
-        assert!(r
-            .feed(from, frame(FrameKind::StreamHeader, 5, 0, false, b"hdr"))
-            .unwrap()
-            .is_none());
-        assert!(r
-            .feed(from, frame(FrameKind::StreamBlock, 5, 1, false, b"b0"))
-            .unwrap()
-            .is_none());
-        let out = r
-            .feed(from, frame(FrameKind::StreamBlock, 5, 2, true, b"b1"))
-            .unwrap()
-            .unwrap();
-        let Assembled::Stream { header, blocks } = out else {
-            panic!("expected stream");
-        };
-        assert_eq!(&header[..], b"hdr");
-        assert_eq!(blocks.len(), 2);
-        assert_eq!(&blocks[0][..], b"b0");
-        assert_eq!(&blocks[1][..], b"b1");
+        let mut got = Vec::new();
+        for (kind, seq, last, payload) in [
+            (FrameKind::StreamHeader, 0, false, b"hdr"),
+            (FrameKind::StreamBlock, 1, false, b"bk0"),
+            (FrameKind::StreamBlock, 2, true, b"bk1"),
+        ] {
+            match r.feed(from, frame(kind, 5, seq, last, payload)).unwrap() {
+                Some(FlowItem::StreamHeader { header, last }) => got.push((header, last)),
+                Some(FlowItem::StreamBlock { block, last }) => got.push((block, last)),
+                other => panic!("expected a stream frame, got {other:?}"),
+            }
+        }
+        let got: Vec<(&[u8], bool)> = got.iter().map(|(b, l)| (&b[..], *l)).collect();
+        assert_eq!(got, [(&b"hdr"[..], false), (b"bk0", false), (b"bk1", true)]);
+        assert_eq!(r.pending_senders(), 0);
     }
 
     #[test]
@@ -1163,7 +1018,7 @@ mod tests {
         let mut r = Reassembler::new();
         let from = PartyId(3);
         let Some(FlowItem::StreamHeader { header, last }) = r
-            .feed_streaming(from, frame(FrameKind::StreamHeader, 5, 0, false, b"hdr"))
+            .feed(from, frame(FrameKind::StreamHeader, 5, 0, false, b"hdr"))
             .unwrap()
         else {
             panic!("expected immediate header");
@@ -1171,7 +1026,7 @@ mod tests {
         assert_eq!(&header[..], b"hdr");
         assert!(!last);
         let Some(FlowItem::StreamBlock { block, last }) = r
-            .feed_streaming(from, frame(FrameKind::StreamBlock, 5, 1, false, b"b0"))
+            .feed(from, frame(FrameKind::StreamBlock, 5, 1, false, b"b0"))
             .unwrap()
         else {
             panic!("expected immediate block");
@@ -1181,7 +1036,7 @@ mod tests {
         // Continuity state is kept, but no blocks are buffered.
         assert_eq!(r.pending_senders(), 1);
         let Some(FlowItem::StreamBlock { last, .. }) = r
-            .feed_streaming(from, frame(FrameKind::StreamBlock, 5, 2, true, b"b1"))
+            .feed(from, frame(FrameKind::StreamBlock, 5, 2, true, b"b1"))
             .unwrap()
         else {
             panic!("expected final block");
@@ -1195,14 +1050,14 @@ mod tests {
         let mut r = Reassembler::new();
         let from = PartyId(1);
         assert!(matches!(
-            r.feed_streaming(from, frame(FrameKind::StreamBlock, 2, 1, false, b"z"))
+            r.feed(from, frame(FrameKind::StreamBlock, 2, 1, false, b"z"))
                 .unwrap_err(),
             FrameError::OrphanBlock
         ));
-        r.feed_streaming(from, frame(FrameKind::StreamHeader, 3, 0, false, b"h"))
+        r.feed(from, frame(FrameKind::StreamHeader, 3, 0, false, b"h"))
             .unwrap();
         assert!(matches!(
-            r.feed_streaming(from, frame(FrameKind::StreamBlock, 3, 5, false, b"b"))
+            r.feed(from, frame(FrameKind::StreamBlock, 3, 5, false, b"b"))
                 .unwrap_err(),
             FrameError::Sequence {
                 expected: 1,
@@ -1217,11 +1072,11 @@ mod tests {
         let from = PartyId(7);
         // Control chunks still coalesce.
         assert!(r
-            .feed_streaming(from, frame(FrameKind::Control, 9, 0, false, b"ab"))
+            .feed(from, frame(FrameKind::Control, 9, 0, false, b"ab"))
             .unwrap()
             .is_none());
         let Some(FlowItem::Message(bytes)) = r
-            .feed_streaming(from, frame(FrameKind::Control, 9, 1, true, b"cd"))
+            .feed(from, frame(FrameKind::Control, 9, 1, true, b"cd"))
             .unwrap()
         else {
             panic!("expected message");
@@ -1229,13 +1084,155 @@ mod tests {
         assert_eq!(&bytes[..], b"abcd");
         // An empty stream is just its header, marked last.
         let Some(FlowItem::StreamHeader { last, .. }) = r
-            .feed_streaming(from, frame(FrameKind::StreamHeader, 10, 0, true, b"h"))
+            .feed(from, frame(FrameKind::StreamHeader, 10, 0, true, b"h"))
             .unwrap()
         else {
             panic!("expected header");
         };
         assert!(last);
         assert_eq!(r.pending_senders(), 0);
+    }
+
+    impl Reassembler {
+        /// Payload bytes held across calls: the chunks of unfinished
+        /// control messages. A stream keeps continuity state only.
+        fn retained_bytes(&self) -> usize {
+            self.pending
+                .values()
+                .map(|partial| match partial {
+                    Partial::Message { chunks, .. } => chunks.iter().map(Bytes::len).sum(),
+                    Partial::Stream { .. } => 0,
+                })
+                .sum()
+        }
+    }
+
+    /// A small deterministic generator for the frame scripts below.
+    struct Xorshift(u64);
+
+    impl Xorshift {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// What one delivery carries, in a comparable form: `(kind, bytes,
+    /// last)` with kind 0 = message, 1 = stream header, 2 = stream block.
+    fn delivery(item: FlowItem) -> (u8, Vec<u8>, bool) {
+        match item {
+            FlowItem::Message(bytes) => (0, bytes.to_vec(), true),
+            FlowItem::StreamHeader { header, last } => (1, header.to_vec(), last),
+            FlowItem::StreamBlock { block, last } => (2, block.to_vec(), last),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Arbitrary frame sequences (any sender, kind, msg id, seq, last
+        /// flag and payload) never panic the reassembler, every violation
+        /// is a typed framing error, and the only payload bytes it ever
+        /// holds are chunks of control messages — never a stream's.
+        #[test]
+        fn arbitrary_frames_fail_typed_and_retain_no_stream_bytes(
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..64,
+            streams_only in proptest::prelude::any::<bool>(),
+        ) {
+            let mut rng = Xorshift(seed | 1);
+            let mut r = Reassembler::new();
+            let mut control_bytes = 0;
+            for _ in 0..len {
+                let kind = match rng.below(3) {
+                    0 if !streams_only => FrameKind::Control,
+                    0 | 1 => FrameKind::StreamHeader,
+                    _ => FrameKind::StreamBlock,
+                };
+                let payload = vec![0xA5; rng.below(9) as usize];
+                if kind == FrameKind::Control {
+                    control_bytes += payload.len();
+                }
+                let from = PartyId(rng.below(3));
+                let (msg_id, seq, last) = (rng.below(3), rng.below(4) as u32, rng.below(2) == 0);
+                match r.feed(from, frame(kind, msg_id, seq, last, &payload)) {
+                    Ok(_)
+                    | Err(FrameError::Sequence { .. })
+                    | Err(FrameError::OrphanBlock)
+                    | Err(FrameError::Malformed(_)) => {}
+                    Err(other) => proptest::prop_assert!(false, "unexpected error: {other}"),
+                }
+                proptest::prop_assert!(r.retained_bytes() <= control_bytes);
+                proptest::prop_assert!(r.pending_senders() <= 3);
+            }
+        }
+
+        /// Any interleaving of well-formed senders delivers exactly what
+        /// each sender sent, in its order: each control message whole,
+        /// each stream as its header then its blocks one by one. The
+        /// reassembler holds only the chunks of control messages still
+        /// in flight, and nothing once every sender is done.
+        #[test]
+        fn valid_interleavings_deliver_each_senders_frames_in_order(
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            const SENDERS: usize = 3;
+            let mut rng = Xorshift(seed | 1);
+            let mut scripts: Vec<Vec<Frame>> = vec![Vec::new(); SENDERS];
+            let mut expected: Vec<Vec<(u8, Vec<u8>, bool)>> = vec![Vec::new(); SENDERS];
+            for (sender, (script, want)) in scripts.iter_mut().zip(&mut expected).enumerate() {
+                for msg_id in 0..rng.below(5) {
+                    let stream = rng.below(2) == 0;
+                    // A message has 1–3 chunks; a stream a header and 0–3 blocks.
+                    let frames = 1 + rng.below(if stream { 4 } else { 3 }) as u32;
+                    let mut joined = Vec::new();
+                    for seq in 0..frames {
+                        let len = rng.below(6) as usize;
+                        let payload: Vec<u8> = (0..len)
+                            .map(|i| (sender * 64) as u8 ^ ((msg_id as u8) << 3) ^ seq as u8 ^ i as u8)
+                            .collect();
+                        let last = seq + 1 == frames;
+                        let kind = match (stream, seq) {
+                            (false, _) => FrameKind::Control,
+                            (true, 0) => FrameKind::StreamHeader,
+                            (true, _) => FrameKind::StreamBlock,
+                        };
+                        if stream {
+                            want.push((if seq == 0 { 1 } else { 2 }, payload.clone(), last));
+                        } else {
+                            joined.extend_from_slice(&payload);
+                        }
+                        script.push(frame(kind, msg_id, seq, last, &payload));
+                    }
+                    if !stream {
+                        want.push((0, joined, true));
+                    }
+                }
+                script.reverse(); // pop() takes frames in send order
+            }
+
+            let mut r = Reassembler::new();
+            let mut got: Vec<Vec<(u8, Vec<u8>, bool)>> = vec![Vec::new(); SENDERS];
+            let mut in_flight = [0usize; SENDERS];
+            while scripts.iter().any(|s| !s.is_empty()) {
+                let live: Vec<usize> = (0..SENDERS).filter(|&s| !scripts[s].is_empty()).collect();
+                let sender = live[rng.below(live.len() as u64) as usize];
+                let next = scripts[sender].pop().expect("live sender has frames");
+                if next.kind == FrameKind::Control {
+                    in_flight[sender] = if next.last { 0 } else { in_flight[sender] + next.payload.len() };
+                }
+                let item = r.feed(PartyId(sender as u64), next);
+                proptest::prop_assert!(item.is_ok(), "valid frame refused: {:?}", item);
+                if let Some(item) = item.unwrap() {
+                    got[sender].push(delivery(item));
+                }
+                proptest::prop_assert_eq!(r.retained_bytes(), in_flight.iter().sum::<usize>());
+            }
+            proptest::prop_assert_eq!(got, expected);
+            proptest::prop_assert_eq!(r.pending_senders(), 0);
+        }
     }
 
     #[test]

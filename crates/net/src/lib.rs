@@ -82,6 +82,6 @@ pub mod transport;
 pub mod wire;
 
 pub use mux::{MuxEndpoint, MuxMetrics, SessionMux};
-pub use node::{Node, NodeEvent, NodeFlow, StreamHandle};
+pub use node::{Node, NodeFlow, StreamHandle};
 pub use reactor::{ReactorStats, ReactorTransport};
 pub use transport::{InMemoryHub, PartyId, SessionId, Transport, TransportError};

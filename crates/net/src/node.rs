@@ -6,9 +6,11 @@
 //! [`crate::frame`] chunks, and each chunk sealed **directly into a
 //! pooled envelope buffer** under the per-direction channel key. Large
 //! payloads can instead travel as *streams* — a typed header plus raw
-//! blocks — via [`Node::send_stream`]; receivers get the blocks back
-//! exactly as sent, so a relay can forward them without decoding (the SAP
-//! anonymizing hop does exactly that). Sink-capable producers can skip
+//! blocks — via [`Node::send_stream`]; receivers get the header and each
+//! block back exactly as sent, one frame at a time
+//! ([`Node::recv_flow_timeout`]), so a relay can forward a block without
+//! decoding it while the rest of its stream is still on the wire (the
+//! SAP anonymizing hop does exactly that). Sink-capable producers can skip
 //! the intermediate block allocation entirely with
 //! [`Node::stream_block_with`].
 //!
@@ -17,15 +19,13 @@
 
 use crate::crypto::ChannelKey;
 use crate::frame::{
-    self, Assembled, FlowItem, Frame, FrameError, FrameKind, FrameMeta, Reassembler,
-    DEFAULT_CHUNK_SIZE,
+    self, FlowItem, Frame, FrameError, FrameKind, FrameMeta, Reassembler, DEFAULT_CHUNK_SIZE,
 };
 use crate::pool;
 use crate::transport::{PartyId, SessionId, Transport, TransportError};
 use crate::wire::{self, Wire, WireError};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -70,32 +70,10 @@ impl From<WireError> for NodeError {
     }
 }
 
-/// One inbound delivery: either a plain message or a stream.
-#[derive(Debug)]
-pub enum NodeEvent<M, H> {
-    /// An ordinary message.
-    Msg(M),
-    /// A stream: decoded header plus raw blocks in arrival order.
-    Stream {
-        /// The decoded stream header.
-        header: H,
-        /// Raw blocks, exactly as the sender produced them.
-        blocks: Vec<Bytes>,
-    },
-}
-
-struct RecvState {
-    reassembler: Reassembler,
-    ready: VecDeque<(PartyId, Assembled)>,
-    flow_ready: VecDeque<(PartyId, FlowItem)>,
-}
-
-/// One streaming-mode inbound delivery (see [`Node::recv_flow_timeout`]).
-///
-/// Where [`NodeEvent`] hands over a stream only once every block has
-/// arrived, `NodeFlow` surfaces the header and each block the moment they
-/// land — the granularity the streaming data plane overlaps compute and
-/// I/O at.
+/// One inbound delivery (see [`Node::recv_flow_timeout`]): a whole
+/// message, or one frame of a stream. The header and each block surface
+/// the moment they land — the granularity the streaming data plane
+/// overlaps compute and I/O at.
 #[derive(Debug)]
 pub enum NodeFlow<M, H> {
     /// An ordinary (fully assembled) message.
@@ -161,7 +139,7 @@ pub struct Node<T: Transport> {
     session: SessionId,
     counter: AtomicU64,
     chunk_size: usize,
-    recv_state: Mutex<RecvState>,
+    reassembler: Mutex<Reassembler>,
 }
 
 impl<T: Transport> Node<T> {
@@ -183,11 +161,7 @@ impl<T: Transport> Node<T> {
             session,
             counter: AtomicU64::new(1),
             chunk_size: DEFAULT_CHUNK_SIZE,
-            recv_state: Mutex::new(RecvState {
-                reassembler: Reassembler::new(),
-                ready: VecDeque::new(),
-                flow_ready: VecDeque::new(),
-            }),
+            reassembler: Mutex::new(Reassembler::new()),
         }
     }
 
@@ -420,83 +394,25 @@ impl<T: Transport> Node<T> {
         Ok((from, frame))
     }
 
-    fn next_assembled(&self, deadline: Option<Instant>) -> Result<(PartyId, Assembled), NodeError> {
-        loop {
-            if let Some(ready) = self.recv_state.lock().ready.pop_front() {
-                return Ok(ready);
-            }
-            let (from, frame) = self.recv_open_frame(deadline)?;
-            let mut state = self.recv_state.lock();
-            if let Some(assembled) = state.reassembler.feed(from, frame)? {
-                state.ready.push_back((from, assembled));
-            }
-        }
-    }
-
     fn next_flow(&self, deadline: Option<Instant>) -> Result<(PartyId, FlowItem), NodeError> {
         loop {
-            if let Some(ready) = self.recv_state.lock().flow_ready.pop_front() {
-                return Ok(ready);
-            }
             let (from, frame) = self.recv_open_frame(deadline)?;
-            let mut state = self.recv_state.lock();
-            if let Some(item) = state.reassembler.feed_streaming(from, frame)? {
-                state.flow_ready.push_back((from, item));
+            if let Some(item) = self.reassembler.lock().feed(from, frame)? {
+                return Ok((from, item));
             }
         }
     }
 
-    fn decode_event<M: Wire, H: Wire>(
-        &self,
-        assembled: Assembled,
-    ) -> Result<NodeEvent<M, H>, NodeError> {
-        match assembled {
-            Assembled::Message(bytes) => Ok(NodeEvent::Msg(wire::from_bytes(&bytes)?)),
-            Assembled::Stream { header, blocks } => Ok(NodeEvent::Stream {
-                header: wire::from_bytes(&header)?,
-                blocks,
-            }),
-        }
-    }
-
-    /// Blocks until the next message or complete stream arrives.
+    /// Receives the next delivery within `timeout`: a whole message, or
+    /// one frame of a stream — its header or one block, **as it
+    /// arrives**, never the whole stream at once. This is the one
+    /// receive path; [`Node::recv_msg`] is its message-only form.
     ///
     /// # Errors
     ///
-    /// Transport, frame, or wire-format errors; a frame error implies a protocol
+    /// Transport, frame, or wire-format errors, including
+    /// [`TransportError::Timeout`]; a frame error implies a protocol
     /// violation and should abort the session.
-    pub fn recv_event<M: Wire, H: Wire>(&self) -> Result<(PartyId, NodeEvent<M, H>), NodeError> {
-        let (from, assembled) = self.next_assembled(None)?;
-        Ok((from, self.decode_event(assembled)?))
-    }
-
-    /// Like [`Node::recv_event`] with a deadline covering the whole
-    /// message (all frames must arrive within `timeout`).
-    ///
-    /// # Errors
-    ///
-    /// As [`Node::recv_event`], plus [`TransportError::Timeout`].
-    pub fn recv_event_timeout<M: Wire, H: Wire>(
-        &self,
-        timeout: Duration,
-    ) -> Result<(PartyId, NodeEvent<M, H>), NodeError> {
-        let (from, assembled) = self.next_assembled(Some(Instant::now() + timeout))?;
-        Ok((from, self.decode_event(assembled)?))
-    }
-
-    /// Streaming-mode receive with a deadline: delivers stream headers
-    /// and blocks **per frame** as they arrive instead of waiting for the
-    /// whole stream — the receive-side primitive of the streaming data
-    /// plane.
-    ///
-    /// A node must drive either the buffered receives
-    /// ([`Node::recv_event`] family) or this flow receive consistently
-    /// while any sender's stream is in flight; switching modes mid-stream
-    /// loses blocks.
-    ///
-    /// # Errors
-    ///
-    /// As [`Node::recv_event_timeout`].
     pub fn recv_flow_timeout<M: Wire, H: Wire>(
         &self,
         timeout: Duration,
@@ -513,17 +429,22 @@ impl<T: Transport> Node<T> {
         Ok((from, flow))
     }
 
-    /// Receives the next plain message; a stream here is a protocol error.
+    fn next_msg<M: Wire>(&self, deadline: Option<Instant>) -> Result<(PartyId, M), NodeError> {
+        match self.next_flow(deadline)? {
+            (from, FlowItem::Message(bytes)) => Ok((from, wire::from_bytes(&bytes)?)),
+            _ => Err(FrameError::UnexpectedStream.into()),
+        }
+    }
+
+    /// Receives the next plain message; a stream here is a protocol error,
+    /// reported the moment its header arrives.
     ///
     /// # Errors
     ///
-    /// As [`Node::recv_event`]; [`FrameError::UnexpectedStream`] if a
-    /// stream arrives.
+    /// As [`Node::recv_flow_timeout`], without the timeout;
+    /// [`FrameError::UnexpectedStream`] if a stream arrives.
     pub fn recv_msg<M: Wire>(&self) -> Result<(PartyId, M), NodeError> {
-        match self.next_assembled(None)? {
-            (from, Assembled::Message(bytes)) => Ok((from, wire::from_bytes(&bytes)?)),
-            _ => Err(FrameError::UnexpectedStream.into()),
-        }
+        self.next_msg(None)
     }
 
     /// Like [`Node::recv_msg`] with a timeout.
@@ -532,10 +453,7 @@ impl<T: Transport> Node<T> {
     ///
     /// As [`Node::recv_msg`], plus [`TransportError::Timeout`].
     pub fn recv_msg_timeout<M: Wire>(&self, timeout: Duration) -> Result<(PartyId, M), NodeError> {
-        match self.next_assembled(Some(Instant::now() + timeout))? {
-            (from, Assembled::Message(bytes)) => Ok((from, wire::from_bytes(&bytes)?)),
-            _ => Err(FrameError::UnexpectedStream.into()),
-        }
+        self.next_msg(Some(Instant::now() + timeout))
     }
 }
 
@@ -562,6 +480,28 @@ mod tests {
                 body: Vec::decode(input)?,
             })
         }
+    }
+
+    /// Receives one whole stream through the per-frame receive: its
+    /// header and every block, in order.
+    fn recv_stream<T: Transport, H: Wire>(
+        node: &Node<T>,
+    ) -> Result<(PartyId, H, Vec<Bytes>), NodeError> {
+        let timeout = Duration::from_secs(2);
+        let (from, first) = node.recv_flow_timeout::<u32, H>(timeout)?;
+        let NodeFlow::StreamStart { header, mut last } = first else {
+            panic!("expected a stream header");
+        };
+        let mut blocks = Vec::new();
+        while !last {
+            let (_, flow) = node.recv_flow_timeout::<u32, H>(timeout)?;
+            let NodeFlow::StreamBlock { block, last: end } = flow else {
+                panic!("expected a stream block");
+            };
+            blocks.push(block);
+            last = end;
+        }
+        Ok((from, header, blocks))
     }
 
     #[test]
@@ -611,15 +551,8 @@ mod tests {
             blocks.clone(),
         )
         .unwrap();
-        let (from, event) = b.recv_event::<Hello, Hello>().unwrap();
+        let (from, header, got) = recv_stream::<_, Hello>(&b).unwrap();
         assert_eq!(from, PartyId(1));
-        let NodeEvent::Stream {
-            header,
-            blocks: got,
-        } = event
-        else {
-            panic!("expected stream");
-        };
         assert_eq!(header.round, 2);
         assert_eq!(got, blocks);
     }
@@ -670,10 +603,7 @@ mod tests {
         assert_eq!(forwarded, 3);
         assert!(out_stream.unwrap().is_finished());
 
-        let (_, event) = c.recv_event::<Hello, Hello>().unwrap();
-        let NodeEvent::Stream { blocks: got, .. } = event else {
-            panic!("expected stream at the far end");
-        };
+        let (_, _, got) = recv_stream::<_, Hello>(&c).unwrap();
         assert_eq!(got, blocks);
     }
 
@@ -703,12 +633,14 @@ mod tests {
         let a = Node::new(hub.endpoint(PartyId(1)), 7);
         let b = Node::new(hub.endpoint(PartyId(2)), 7);
         a.send_stream(PartyId(2), &0u32, Vec::new()).unwrap();
-        let (_, event) = b.recv_event::<u32, u32>().unwrap();
-        let NodeEvent::Stream { header, blocks } = event else {
+        let (_, flow) = b
+            .recv_flow_timeout::<u32, u32>(Duration::from_secs(2))
+            .unwrap();
+        let NodeFlow::StreamStart { header, last } = flow else {
             panic!("expected stream");
         };
         assert_eq!(header, 0);
-        assert!(blocks.is_empty());
+        assert!(last, "an empty stream is its header alone");
     }
 
     #[test]
@@ -716,9 +648,11 @@ mod tests {
         let hub = InMemoryHub::new();
         let a = Node::new(hub.endpoint(PartyId(1)), 7);
         let b = Node::new(hub.endpoint(PartyId(2)), 7);
-        a.send_stream(PartyId(2), &1u32, vec![Bytes::from_static(b"x")])
-            .unwrap();
-        let err = b.recv_msg::<u32>().unwrap_err();
+        // Only the header goes out: the error must not wait for blocks.
+        a.begin_stream(PartyId(2), &1u32, false).unwrap();
+        let err = b
+            .recv_msg_timeout::<u32>(Duration::from_secs(2))
+            .unwrap_err();
         assert!(matches!(
             err,
             NodeError::Frame(FrameError::UnexpectedStream)
@@ -809,7 +743,7 @@ mod tests {
             .unwrap();
         a.transport().send(PartyId(2), header_frame).unwrap();
         a.transport().send(PartyId(2), block_frame).unwrap();
-        let err = b.recv_event::<u32, u32>().unwrap_err();
+        let err = recv_stream::<_, u32>(&b).unwrap_err();
         assert!(matches!(err, NodeError::Frame(_)), "{err}");
     }
 }
