@@ -1,12 +1,12 @@
-//! Packed, register-blocked compute kernels behind [`Matrix::matmul`],
+//! Register-blocked compute kernels behind [`Matrix::matmul`],
 //! [`Matrix::mul_transpose`] and [`Matrix::column_covariance`].
 //!
 //! Every kernel here is a *schedule* change, never a *semantics* change:
 //! the per-output-element floating-point accumulation order is pinned to
 //! the straightforward reference loops that shipped first ([`matmul_rows`],
 //! and the record-outer covariance loop kept in this module's tests), so
-//! results are **bit-identical** to those references at any tile size,
-//! packing layout, or thread count.
+//! results are **bit-identical** to those references at any tile size or
+//! thread count.
 //! That invariant is what the block-partition invariance of session
 //! outcomes and the optimizer's serial-vs-parallel equivalence rest on,
 //! and it is
@@ -21,27 +21,19 @@
 //! ```
 //!
 //! accumulated left-to-right from `0.0`. Register blocking changes *which*
-//! output elements are in flight at once (an `MR × NR` tile instead of
-//! one), and panel packing changes *where* `B`'s elements are read from
-//! (a contiguous `k`-major panel instead of strided rows) — but neither
-//! reorders the `k` walk of any single element, so every intermediate sum
-//! is the exact `f64` the reference produces. The zero-skip rule
-//! (`A[i][k] == 0.0` contributes nothing and is not added) is likewise
-//! applied per `(i, k)` in both paths.
+//! output elements are in flight at once (an `MR`-row tile instead of
+//! one) but never reorders the `k` walk of any single element, so every
+//! intermediate sum is the exact `f64` the reference produces. The
+//! zero-skip rule (`A[i][k] == 0.0` contributes nothing and is not added)
+//! is likewise applied per `(i, k)` in every kernel.
 //!
 //! # Layout
 //!
-//! * [`pack_b`] — copies the right factor into NR-wide column panels,
-//!   `k`-major inside each panel, so the microkernel's inner loop reads
-//!   one contiguous cache line per `k` step instead of `NR` strided rows.
-//! * [`matmul_packed_rows`] — the `MR × NR` (4 × 8) register-blocked
-//!   microkernel over packed panels; the accumulator tile lives in
-//!   registers across the whole `k` sweep, so the kernel does one load of
-//!   `A` and one contiguous lane group of `B` per `NR` multiply-adds
-//!   instead of the reference's load+store of `C` per multiply-add.
-//! * [`mul_transpose_rows`] — the same register blocking for `A·Bᵀ`,
-//!   where both operands are walked along contiguous rows (no packing
-//!   needed — row-major rows *are* the panels).
+//! * [`matmul_rows`] — the cache-blocked i-k-j product every `A·B` runs,
+//!   row-parallel on the [`crate::parallel`] splitter.
+//! * [`mul_transpose_rows`] — 4 × 4 register blocking for `A·Bᵀ`, where
+//!   both operands are walked along contiguous rows (row-major rows *are*
+//!   the panels, so nothing is packed).
 //! * [`column_covariance_packed`] — 4 × 4 tiles of the Gram/covariance
 //!   matrix accumulated in registers while streaming the `N` records
 //!   once; the reference walks `d²/2` strided columns per record.
@@ -50,28 +42,6 @@ use crate::matrix::Matrix;
 
 /// Register-tile height: output rows in flight per microkernel call.
 pub const MR: usize = 4;
-/// Register-tile width: output columns in flight per microkernel call
-/// (also the packed panel width). Eight lanes amortize the per-`(row, k)`
-/// zero-skip branch over 8 multiply-adds and give the auto-vectorizer two
-/// full 4-wide vectors per accumulator row.
-pub const NR: usize = 8;
-
-/// Flop floor below which packing the right factor costs more than the
-/// register-blocked kernel saves; small products stay on the reference
-/// loop (same bits either way).
-const PACK_MIN_FLOPS: usize = 1 << 13;
-
-/// Packed-path routing bounds. The register-blocked kernel wins where the
-/// reference's per-`(i, k)` setup cannot amortize over a long contiguous
-/// inner loop: many output rows streaming against a *narrow* right factor
-/// (record-block × small-rotation products, `N × d · d × d'`). With a wide
-/// right factor the reference's 512-wide inner loops already saturate the
-/// FP pipes and packing cannot beat them, so those shapes stay on
-/// [`matmul_rows`]. Both paths are bit-identical; this is routing, not
-/// semantics.
-const PACK_MIN_ROWS: usize = 128;
-const PACK_MAX_COLS: usize = 16;
-const PACK_MAX_INNER: usize = 32;
 
 /// Column-block width of the reference multiply: a `cols × 512` panel of
 /// the right factor (≤ 64 KiB for the dimensionalities this workspace
@@ -86,8 +56,8 @@ const MATMUL_COL_BLOCK: usize = 512;
 /// The i-k-j order keeps the inner loop sequential over both the output
 /// row and the rhs row; the j-blocking only re-orders *which columns* are
 /// touched when, never the per-element `k` accumulation order, so the
-/// result is bit-identical to the unblocked triple loop. Every faster
-/// matmul path in this module is pinned to this function.
+/// result is bit-identical to the unblocked triple loop. The transpose
+/// kernel is pinned to this function too.
 pub fn matmul_rows(lhs: &Matrix, rhs: &Matrix, row0: usize, out: &mut [f64]) {
     let n = rhs.cols();
     let rows = out.len() / n.max(1);
@@ -113,137 +83,6 @@ pub fn matmul_rows(lhs: &Matrix, rhs: &Matrix, row0: usize, out: &mut [f64]) {
     }
 }
 
-/// The right factor of a matmul, repacked into NR-wide column panels.
-///
-/// Panel `p` covers columns `p·NR .. min((p+1)·NR, n)`; inside a panel
-/// the layout is `k`-major (`panel[k·NR + jj] = B[k][p·NR + jj]`), zero
-/// padded to NR lanes on the ragged last panel. The microkernel therefore
-/// reads exactly one contiguous NR-word group per `k` step.
-pub struct PackedB {
-    panels: Vec<f64>,
-    k: usize,
-    n: usize,
-}
-
-impl PackedB {
-    /// Inner dimension `k` (rows of the packed factor).
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Output width `n` (columns of the packed factor).
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn panel(&self, p: usize) -> &[f64] {
-        &self.panels[p * self.k * NR..(p + 1) * self.k * NR]
-    }
-}
-
-/// Packs `rhs` into [`PackedB`] panels. One pass over `rhs`, done once
-/// per product and shared read-only by every worker thread.
-pub fn pack_b(rhs: &Matrix) -> PackedB {
-    let (k, n) = rhs.shape();
-    let n_panels = n.div_ceil(NR).max(1);
-    let mut panels = vec![0.0f64; n_panels * k * NR];
-    let src = rhs.as_slice();
-    for p in 0..n.div_ceil(NR) {
-        let j0 = p * NR;
-        let w = NR.min(n - j0);
-        let dst = &mut panels[p * k * NR..(p + 1) * k * NR];
-        for kk in 0..k {
-            dst[kk * NR..kk * NR + w].copy_from_slice(&src[kk * n + j0..kk * n + j0 + w]);
-        }
-    }
-    PackedB { panels, k, n }
-}
-
-/// `true` when a `m × k × n` product lands in the packed register-blocked
-/// kernel's win region — a tall row stream against a narrow right factor
-/// (see the routing-bound consts); both paths produce the same bits, so
-/// this is purely a performance heuristic.
-pub fn packing_pays(m: usize, k: usize, n: usize) -> bool {
-    m >= PACK_MIN_ROWS
-        && (NR..=PACK_MAX_COLS).contains(&n)
-        && k <= PACK_MAX_INNER
-        && m.saturating_mul(k).saturating_mul(n) >= PACK_MIN_FLOPS
-}
-
-/// Register-blocked microkernel: computes output rows
-/// `row0 .. row0 + out.len() / packed.n()` of `lhs * B` from the packed
-/// panels into the contiguous row-major slice `out`.
-///
-/// `MR`-row blocks run the `MR × NR` microkernel: the accumulator tile
-/// lives in registers across the whole `k` sweep, each `k` step reading
-/// one element per `A` row and one contiguous `NR`-lane group of the
-/// panel. Leftover rows fall back to a scalar per-element loop over the
-/// same panels. Both walk each output element's `k` range ascending with
-/// the `A[i][k] == 0.0` skip, so the result is **bit-identical** to
-/// [`matmul_rows`].
-pub fn matmul_packed_rows(lhs: &Matrix, packed: &PackedB, row0: usize, out: &mut [f64]) {
-    let n = packed.n;
-    let kdim = packed.k;
-    let rows = out.len() / n.max(1);
-    debug_assert_eq!(lhs.cols(), kdim, "packed panel inner dim mismatch");
-    let a = lhs.as_slice();
-    let lcols = lhs.cols();
-    let n_panels = n.div_ceil(NR);
-
-    let mut i = 0;
-    while i + MR <= rows {
-        let ar = [
-            &a[(row0 + i) * lcols..(row0 + i + 1) * lcols],
-            &a[(row0 + i + 1) * lcols..(row0 + i + 2) * lcols],
-            &a[(row0 + i + 2) * lcols..(row0 + i + 3) * lcols],
-            &a[(row0 + i + 3) * lcols..(row0 + i + 4) * lcols],
-        ];
-        for p in 0..n_panels {
-            let j0 = p * NR;
-            let w = NR.min(n - j0);
-            let bp = packed.panel(p);
-            let mut c = [[0.0f64; NR]; MR];
-            for (k, lane) in bp.chunks_exact(NR).enumerate() {
-                for (row, cr) in ar.iter().zip(c.iter_mut()) {
-                    let x = row[k];
-                    if x != 0.0 {
-                        for (cj, &bj) in cr.iter_mut().zip(lane) {
-                            *cj += x * bj;
-                        }
-                    }
-                }
-            }
-            for (ii, lane) in c.iter().enumerate() {
-                out[(i + ii) * n + j0..(i + ii) * n + j0 + w].copy_from_slice(&lane[..w]);
-            }
-        }
-        i += MR;
-    }
-
-    // Leftover rows (rows % MR): scalar per-element loop over the same
-    // panels — identical k walk, identical bits.
-    while i < rows {
-        let ar = &a[(row0 + i) * lcols..(row0 + i + 1) * lcols];
-        for p in 0..n_panels {
-            let j0 = p * NR;
-            let w = NR.min(n - j0);
-            let bp = packed.panel(p);
-            for jj in 0..w {
-                let mut acc = 0.0f64;
-                for (k, &x) in ar.iter().enumerate() {
-                    if x == 0.0 {
-                        continue;
-                    }
-                    acc += x * bp[k * NR + jj];
-                }
-                out[i * n + j0 + jj] = acc;
-            }
-        }
-        i += 1;
-    }
-}
-
 /// Register-blocked `A · Bᵀ`: computes output rows
 /// `row0 .. row0 + out.len() / rhs.rows()` of `lhs · rhsᵀ` into the
 /// contiguous row-major slice `out`.
@@ -256,8 +95,7 @@ pub fn matmul_packed_rows(lhs: &Matrix, packed: &PackedB, row0: usize, out: &mut
 /// `lhs.matmul(&rhs.transpose())`.
 pub fn mul_transpose_rows(lhs: &Matrix, rhs: &Matrix, row0: usize, out: &mut [f64]) {
     /// Column-tile width of the transpose kernel: `TNR` `rhs` rows are
-    /// streamed together per tile (independent of the packed panel width
-    /// [`NR`] — here the operands are already contiguous rows).
+    /// streamed together per tile.
     const TNR: usize = 4;
     let n = rhs.rows();
     let kdim = lhs.cols();
@@ -444,52 +282,10 @@ mod tests {
         })
     }
 
-    fn packed_product(a: &Matrix, b: &Matrix) -> Matrix {
-        let packed = pack_b(b);
-        let mut out = Matrix::zeros(a.rows(), b.cols());
-        matmul_packed_rows(a, &packed, 0, out.as_mut_slice());
-        out
-    }
-
     fn reference_product(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
         matmul_rows(a, b, 0, out.as_mut_slice());
         out
-    }
-
-    #[test]
-    fn packed_matches_reference_across_shapes() {
-        for &(m, k, n, z) in &[
-            (1usize, 1usize, 1usize, 0usize),
-            (4, 4, 4, 0),
-            (5, 3, 7, 2),
-            (8, 16, 130, 3),
-            (13, 9, 33, 1), // zero_every=1 → all-zero lhs
-            (3, 7, 2, 0),   // fewer rows than MR, fewer cols than NR
-            (17, 12, 257, 5),
-        ] {
-            let a = lcg_matrix(m, k, 0x5EED ^ (m as u64) << 8 ^ n as u64, z);
-            let b = lcg_matrix(k, n, 0xF00D ^ (k as u64) << 4 ^ n as u64, 0);
-            let fast = packed_product(&a, &b);
-            let slow = reference_product(&a, &b);
-            assert_eq!(
-                fast.as_slice(),
-                slow.as_slice(),
-                "m={m} k={k} n={n} zero_every={z}"
-            );
-        }
-    }
-
-    #[test]
-    fn packed_rows_offset_chunks_match() {
-        let a = lcg_matrix(11, 6, 0xABCD, 4);
-        let b = lcg_matrix(6, 37, 0x1234, 0);
-        let whole = reference_product(&a, &b);
-        let packed = pack_b(&b);
-        // Compute rows 3..11 as a standalone chunk, as a thread would.
-        let mut chunk = vec![0.0; 8 * 37];
-        matmul_packed_rows(&a, &packed, 3, &mut chunk);
-        assert_eq!(&whole.as_slice()[3 * 37..], &chunk[..]);
     }
 
     #[test]
@@ -553,22 +349,6 @@ mod tests {
             let fast = column_covariance_packed(&x);
             let slow = column_covariance_reference(&x);
             assert_eq!(fast.as_slice(), slow.as_slice(), "d={d} n={n}");
-        }
-    }
-
-    #[test]
-    fn pack_b_pads_ragged_panel_with_zeros() {
-        let b = lcg_matrix(3, NR + 3, 7, 0);
-        let packed = pack_b(&b);
-        assert_eq!(packed.k(), 3);
-        assert_eq!(packed.n(), NR + 3);
-        // Second panel holds columns NR..NR+3 in lanes 0..3, zeros after.
-        let p1 = packed.panel(1);
-        for k in 0..3 {
-            for jj in 0..3 {
-                assert_eq!(p1[k * NR + jj], b[(k, NR + jj)]);
-            }
-            assert!(p1[k * NR + 3..(k + 1) * NR].iter().all(|&v| v == 0.0));
         }
     }
 }

@@ -19,8 +19,9 @@
 //! * [`orthogonal`] — uniform (Haar) random orthogonal and rotation matrices.
 //! * [`randn`] — Box–Muller standard-normal sampling (the `rand` crate alone
 //!   does not provide Gaussians).
-//! * [`kernel`] — packed, register-blocked matmul / Gram / covariance
-//!   microkernels, each pinned bit-identical to a reference loop.
+//! * [`kernel`] — the blocked matmul and the register-blocked Gram /
+//!   covariance microkernels, each pinned bit-identical to a reference
+//!   loop.
 //! * [`parallel`] — the fixed thread-splitter behind the row-parallel
 //!   kernels (blocked matmul, block perturbation, distance sweeps).
 //! * [`view`] — borrowed [`MatrixView`] windows, the zero-copy currency of

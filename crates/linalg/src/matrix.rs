@@ -247,16 +247,13 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     ///
-    /// Large products pack the right factor into register-friendly panels
-    /// and run the 4×4 register-blocked microkernel
-    /// ([`crate::kernel::matmul_packed_rows`]), row-parallel on the
-    /// [`crate::parallel`] splitter. Every output element is still
-    /// accumulated over `k` in ascending order (zero left-factors
-    /// skipped), so the result is **bit-identical** to the pinned
-    /// reference loop [`crate::kernel::matmul_rows`] — and to the
-    /// straightforward serial triple loop — at any tile size or thread
-    /// count. That invariant is what the block-partition invariance of
-    /// session outcomes rests on, and `tests/kernel_equivalence.rs`
+    /// Runs the cache-blocked i-k-j loop [`crate::kernel::matmul_rows`],
+    /// row-parallel on the [`crate::parallel`] splitter for large
+    /// products. Every output element is accumulated over `k` in
+    /// ascending order (zero left-factors skipped), so the result is
+    /// **bit-identical** to the straightforward serial triple loop at any
+    /// thread count. That invariant is what the block-partition invariance
+    /// of session outcomes rests on, and `tests/kernel_equivalence.rs`
     /// property-tests it over shapes × worker counts.
     ///
     /// # Errors
@@ -317,14 +314,8 @@ impl Matrix {
             return Ok(());
         }
         let flops = self.rows.saturating_mul(self.cols).saturating_mul(rhs.cols);
-        let packed = if crate::kernel::packing_pays(self.rows, self.cols, rhs.cols) {
-            Some(crate::kernel::pack_b(rhs))
-        } else {
-            None
-        };
-        let run = |row0: usize, out_chunk: &mut [f64]| match &packed {
-            Some(p) => crate::kernel::matmul_packed_rows(self, p, row0, out_chunk),
-            None => crate::kernel::matmul_rows(self, rhs, row0, out_chunk),
+        let run = |row0: usize, out_chunk: &mut [f64]| {
+            crate::kernel::matmul_rows(self, rhs, row0, out_chunk);
         };
         if crate::parallel::worth_splitting_with(workers, flops) && self.rows > 1 {
             let rows_per = self.rows.div_ceil(workers.max(1));

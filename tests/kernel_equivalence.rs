@@ -1,12 +1,13 @@
-//! Property tests pinning every packed/fused compute kernel to its
+//! Property tests pinning every blocked/fused compute kernel to its
 //! reference implementation — **bit-for-bit**, not approximately.
 //!
 //! The kernels and their invariants:
 //!
-//! * packed register-blocked matmul ≡ [`kernel::matmul_rows`], for any
-//!   shape (including 1×1 and ragged edges), any zero density, and any
-//!   worker count — tiling and packing may only change *which* elements
-//!   are in flight, never an element's ascending-`k` accumulation order;
+//! * row-parallel matmul and the register-blocked `A·Bᵀ` ≡
+//!   [`kernel::matmul_rows`], for any shape (including 1×1, ragged edges
+//!   and tall narrow products), any zero density, and any worker count —
+//!   splitting and tiling may only change *which* elements are in flight,
+//!   never an element's ascending-`k` accumulation order;
 //! * bounded-heap top-`k` selection ≡ stable full sort + truncate, with
 //!   duplicate distances (the index tie rule), `k ≥ n`, and `k == 0`
 //!   rejected;
@@ -162,34 +163,9 @@ fn random_blocks(n: usize, max_block: usize, seed: u64) -> Vec<Range<usize>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The packed microkernel itself, for shapes the `packing_pays`
-    /// heuristic would never route there: edge handling (ragged rows and
-    /// panels, 1×1) must still be exact.
-    #[test]
-    fn packed_kernel_matches_reference_on_any_shape(
-        m in 1usize..24,
-        k in 1usize..24,
-        n in 1usize..24,
-        seed in 0u64..(1 << 16),
-        zero_every in 0usize..5,
-    ) {
-        let a = lcg_matrix(m, k, seed, zero_every);
-        let b = lcg_matrix(k, n, seed ^ 0xabcd, zero_every);
-
-        let mut reference = vec![0.0; m * n];
-        kernel::matmul_rows(&a, &b, 0, &mut reference);
-
-        let packed = kernel::pack_b(&b);
-        let mut fast = vec![0.0; m * n];
-        kernel::matmul_packed_rows(&a, &packed, 0, &mut fast);
-
-        prop_assert_eq!(bits(&reference), bits(&fast));
-    }
-
-    /// The public entry point: whatever path `matmul_with_workers` picks
-    /// (reference, packed, split across 1/2/4 workers), the bits match
-    /// the pinned reference. Shapes up to 40³ cross both the
-    /// `packing_pays` and the `worth_splitting` thresholds.
+    /// The public entry point: whether `matmul_with_workers` runs whole
+    /// or split across 1/2/4 workers, the bits match the pinned
+    /// reference. Shapes up to 40³ cross the `worth_splitting` threshold.
     #[test]
     fn matmul_is_bit_identical_across_paths_and_workers(
         m in 1usize..40,
@@ -212,20 +188,17 @@ proptest! {
         }
     }
 
-    /// Shapes inside the packed-routing region (`m ≥ 128`, narrow `n`,
-    /// small `k` — `packing_pays` true): the dispatcher takes the packed
-    /// kernel and the bits still match the reference.
+    /// Tall row streams against a narrow right factor (`m ≥ 128`,
+    /// `n ≤ 16`, `k ≤ 32`: record-block × small-rotation products) split
+    /// across workers and still match the reference bit for bit.
     #[test]
-    fn packed_dispatch_region_is_bit_identical(
+    fn tall_narrow_matmul_is_bit_identical(
         m in 128usize..200,
         k in 8usize..33,
         n in 8usize..17,
         seed in 0u64..(1 << 16),
         zero_every in 0usize..4,
     ) {
-        // Every shape in these ranges routes packed: m ≥ 128, n ∈ 8..=16,
-        // k ≤ 32, and m·k·n ≥ 128·8·8 clears the flop floor.
-        prop_assert!(kernel::packing_pays(m, k, n));
         let a = lcg_matrix(m, k, seed, zero_every);
         let b = lcg_matrix(k, n, seed ^ 0x1111, zero_every);
 
@@ -456,7 +429,7 @@ fn try_from_flat_reports_each_violation() {
 }
 
 /// The degenerate 1×1×1 product goes through every dispatch layer
-/// without touching the packed or split paths.
+/// without touching the split path.
 #[test]
 fn one_by_one_matmul_is_exact() {
     let a = Matrix::from_fn(1, 1, |_, _| 3.25);
