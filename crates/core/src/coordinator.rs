@@ -6,8 +6,8 @@
 //! hold every space adaptor, and an adaptor plus a dataset would let it
 //! rebase the data into a space whose parameters it knows, undoing the
 //! owner's perturbation. A dataset stream arriving here is a hard protocol
-//! error, detected from the stream header alone (the payload is never
-//! decoded).
+//! error, raised the moment its header lands: no block is ever received,
+//! let alone decoded.
 
 use crate::error::SapError;
 use crate::link::{self, FlowInbound};

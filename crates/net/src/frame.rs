@@ -602,6 +602,7 @@ impl Reassembler {
         let partial = self.pending.remove(&from);
         let last = frame.last;
         match (frame.kind, partial) {
+            // A message or a stream opens at seq 0.
             (FrameKind::Control, None) => {
                 check_continuity(frame.msg_id, 0, &frame)?;
                 if last {
@@ -643,11 +644,13 @@ impl Reassembler {
             (FrameKind::StreamHeader, None) => {
                 check_continuity(frame.msg_id, 0, &frame)?;
                 if !last {
-                    let state = Partial::Stream {
-                        msg_id: frame.msg_id,
-                        next_seq: 1,
-                    };
-                    self.pending.insert(from, state);
+                    self.pending.insert(
+                        from,
+                        Partial::Stream {
+                            msg_id: frame.msg_id,
+                            next_seq: 1,
+                        },
+                    );
                 }
                 Ok(Some(FlowItem::StreamHeader {
                     header: frame.payload,

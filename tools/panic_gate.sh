@@ -21,7 +21,7 @@
 # validated at spawn).
 set -euo pipefail
 
-LIMIT=26
+LIMIT=23
 
 cd "$(dirname "$0")/.."
 total=0
