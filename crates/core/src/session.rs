@@ -26,9 +26,10 @@ use sap_datasets::Dataset;
 use sap_net::node::Node;
 use sap_net::sim::{FaultConfig, FaultyTransport};
 use sap_net::transport::InMemoryHub;
+use sap_net::wire::{Wire, WireError};
 use sap_net::{PartyId, SessionId, Transport};
 use sap_perturb::Perturbation;
-use sap_privacy::optimize::OptimizerConfig;
+use sap_privacy::optimize::{OptimizerConfig, StagedBudget};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -124,6 +125,62 @@ impl SapConfig {
             Some(faults) => faults.validate().map_err(SapError::InvalidConfig),
             None => Ok(()),
         }
+    }
+}
+
+/// The config travels field by field in declaration order, the
+/// optimizer's fields inlined in theirs; `qos` is one `bool`, true for
+/// [`QosClass::Interactive`] (`docs/WIRE.md` §5.2).
+impl Wire for SapConfig {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let o = &self.optimizer;
+        self.noise_sigma.encode(out);
+        o.candidates.encode(out);
+        o.noise_sigma.encode(out);
+        o.known_points.encode(out);
+        o.eval_sample.encode(out);
+        o.use_ica.encode(out);
+        o.staged.enabled.encode(out);
+        o.staged.survivor_fraction.encode(out);
+        o.staged.min_survivors.encode(out);
+        o.threads.encode(out);
+        self.session_secret.encode(out);
+        self.seed.encode(out);
+        self.timeout.encode(out);
+        self.session_budget.encode(out);
+        self.block_rows.encode(out);
+        self.fault_config.encode(out);
+        (self.qos == QosClass::Interactive).encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(SapConfig {
+            noise_sigma: f64::decode(input)?,
+            optimizer: OptimizerConfig {
+                candidates: usize::decode(input)?,
+                noise_sigma: f64::decode(input)?,
+                known_points: usize::decode(input)?,
+                eval_sample: usize::decode(input)?,
+                use_ica: bool::decode(input)?,
+                staged: StagedBudget {
+                    enabled: bool::decode(input)?,
+                    survivor_fraction: f64::decode(input)?,
+                    min_survivors: usize::decode(input)?,
+                },
+                threads: Option::decode(input)?,
+            },
+            session_secret: u64::decode(input)?,
+            seed: u64::decode(input)?,
+            timeout: Duration::decode(input)?,
+            session_budget: Duration::decode(input)?,
+            block_rows: usize::decode(input)?,
+            fault_config: Option::decode(input)?,
+            qos: if bool::decode(input)? {
+                QosClass::Interactive
+            } else {
+                QosClass::Batch
+            },
+        })
     }
 }
 
@@ -628,6 +685,36 @@ mod tests {
     use super::*;
     use sap_datasets::partition::{partition, PartitionScheme};
     use sap_datasets::registry::UciDataset;
+
+    #[test]
+    fn config_roundtrips_exactly_over_the_wire() {
+        let mut cfg = SapConfig::quick_test();
+        cfg.qos = QosClass::Batch;
+        cfg.optimizer.threads = Some(3);
+        cfg.fault_config = Some(FaultConfig {
+            drop_prob: 0.25,
+            send_latency: Duration::from_micros(1500),
+            seed: 99,
+            ..FaultConfig::default()
+        });
+        let bytes = sap_net::wire::to_bytes(&cfg);
+        let back: SapConfig = sap_net::wire::from_bytes(&bytes).unwrap();
+        assert_eq!(back.noise_sigma, cfg.noise_sigma);
+        assert_eq!(back.optimizer.candidates, cfg.optimizer.candidates);
+        assert_eq!(back.optimizer.staged, cfg.optimizer.staged);
+        assert_eq!(back.optimizer.threads, cfg.optimizer.threads);
+        assert_eq!(back.session_secret, cfg.session_secret);
+        assert_eq!(back.seed, cfg.seed);
+        assert_eq!(back.timeout, cfg.timeout);
+        assert_eq!(back.session_budget, cfg.session_budget);
+        assert_eq!(back.block_rows, cfg.block_rows);
+        assert_eq!(back.qos, cfg.qos);
+        let (bf, cf) = (back.fault_config.unwrap(), cfg.fault_config.unwrap());
+        assert_eq!(bf.drop_prob, cf.drop_prob);
+        assert_eq!(bf.send_latency, cf.send_latency);
+        assert_eq!(bf.seed, cf.seed);
+        assert_eq!(sap_net::wire::to_bytes(&back), bytes);
+    }
 
     #[test]
     fn session_runs_end_to_end() {

@@ -8,16 +8,16 @@
 //!
 //! * **Placement** — session ids are minted fleet-unique (per-node
 //!   residue classes, [`sap_core::placement::IdMinter`]) and hashed
-//!   onto the ring; the successor node owns the session (Chord's
-//!   `successor(k)` rule). Every node computes the same owner from the
-//!   same membership view.
+//!   onto the ring; the first node at or after the id's point owns the
+//!   session. Every node computes the same owner from the same
+//!   membership view.
 //! * **Forwarding** — a client may submit through *any* node. A
 //!   gateway that does not own the session seals the registration for
-//!   the owner's inbox ([`wire`]) and sends it to its ring successor;
-//!   intermediate muxes relay the sealed frames **without decoding**
-//!   (the mux forwarding hook), and the owner admits the session and
-//!   acks back. Outcomes are then awaited cross-node via
-//!   [`Fleet::wait`].
+//!   the owner's inbox ([`wire`]) and sends it straight to the owner:
+//!   the inter-node lanes form a full mesh, so every control message
+//!   (`Register`, `Ack`, `Leave`) travels one hop and nothing relays it.
+//!   The owner admits the session and acks back. Outcomes are then
+//!   awaited cross-node via [`Fleet::wait`].
 //! * **Membership** — node heartbeats ride the PR 5 liveness plane
 //!   under [`SessionId::LIVENESS`] on the inter-node lanes. A silent
 //!   node is declared dead within the heartbeat budget; survivors drop
@@ -28,17 +28,15 @@
 //!   the new owners via
 //!   [`sap_server::SapServer::export_registrations`].
 //!
-//! The correctness core is test-first: the decentralized repair
-//! protocol the membership view abstracts is modeled in [`chord`] and
-//! property-checked against Zave's *How to Make Chord Correct*
-//! invariants by `tests/fleet_ring.rs`; `tests/fleet_sessions.rs` pins
-//! byte-identical [`SapOutcome`]s whether a session enters at its
-//! owner or at a forwarding node, and typed fail-fast on `kill -9`.
+//! `tests/fleet_ring.rs` property-tests the placement function;
+//! `tests/fleet_sessions.rs` pins byte-identical [`SapOutcome`]s whether
+//! a session enters at its owner or at another gateway, typed fail-fast
+//! on `kill -9`, and that registrations keep arriving while a dead node
+//! is still in the membership view.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod chord;
 pub mod ring;
 pub mod wire;
 
@@ -62,7 +60,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wire::FleetMsg;
 
-pub use wire::{inbox_node, inbox_session, MAX_NODES};
+pub use wire::{inbox_session, MAX_NODES};
 
 /// Fleet-level failures.
 #[derive(Debug)]
@@ -178,8 +176,8 @@ pub struct FleetMetrics {
     /// Registrations re-placed after their owner died, plus handoffs
     /// from graceful leavers.
     pub registrations_replaced: u64,
-    /// Sealed control frames relayed by intermediate nodes without
-    /// decoding (the mux forwarding hook).
+    /// Control frames relayed by an intermediate node. Always 0: every
+    /// control message goes straight to its destination node.
     pub frames_forwarded: u64,
 }
 
@@ -235,21 +233,33 @@ impl FleetNode {
         ((self.index as u64 + 1) << 40) | self.msg_ids.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Routes a control message toward `dest` via this node's ring
-    /// successor (intermediate nodes relay zero-decode).
+    /// Sends a control message straight to node `dest`'s inbox.
+    /// [`FleetError::NodeDown`] when `dest` is not alive.
     fn route_send(&self, shared: &Shared, dest: usize, msg: &FleetMsg) -> Result<(), FleetError> {
-        let hop = shared
-            .ring()
-            .next_hop(self.index, dest)
-            .ok_or(FleetError::NodeDown(dest))?;
-        wire::send_via(
-            &*self.inbox,
-            shared.secret,
-            PartyId(hop as u64),
-            dest,
-            self.next_msg_id(),
-            msg,
-        )
+        if !shared.alive.lock().contains(&dest) {
+            return Err(FleetError::NodeDown(dest));
+        }
+        wire::send_via(&*self.inbox, shared.secret, dest, self.next_msg_id(), msg)
+    }
+
+    /// Sends `owner` the registration of `session`, whose `Ack` goes
+    /// to `origin`.
+    fn register(
+        &self,
+        shared: &Shared,
+        owner: usize,
+        session: u64,
+        origin: usize,
+        locals: Vec<Dataset>,
+        config: SapConfig,
+    ) -> Result<(), FleetError> {
+        let msg = FleetMsg::Register {
+            session,
+            origin: origin as u64,
+            config: Box::new(config),
+            locals,
+        };
+        self.route_send(shared, owner, &msg)
     }
 }
 
@@ -268,7 +278,7 @@ pub struct Fleet {
 impl Fleet {
     /// Builds and starts a fleet: inter-node TCP lanes (full mesh, one
     /// per node), per-node servers over in-memory party meshes, node
-    /// liveness, inbox service threads, and the forwarding hooks.
+    /// liveness and inbox service threads.
     ///
     /// # Errors
     ///
@@ -309,22 +319,6 @@ impl Fleet {
                 config.liveness_misses,
                 budget.max(DEFAULT_CONNECT_WINDOW),
             );
-            // Forward frames for foreign inboxes one ring hop onward —
-            // the lane's reactor thread relays the sealed bytes as it
-            // reads them, never decoding them.
-            {
-                let shared = Arc::clone(&shared);
-                mux.set_forwarder(move |_from, session, _payload| {
-                    let dest = wire::inbox_node(session)?;
-                    if dest == j {
-                        return None;
-                    }
-                    shared
-                        .ring()
-                        .next_hop(j, dest)
-                        .map(|hop| PartyId(hop as u64))
-                });
-            }
             let inbox = Arc::new(
                 mux.open_session(wire::inbox_session(j))
                     .map_err(FleetError::Transport)?,
@@ -408,10 +402,10 @@ impl Fleet {
 
     /// Submits a session through a **chosen** gateway node. The gateway
     /// mints the id (from its residue class), hashes it onto the ring,
-    /// and either admits locally (it owns the session) or seals the
-    /// registration toward the owner — relayed by intermediate nodes —
-    /// and returns immediately; admission on a remote owner is
-    /// asynchronous, surfaced by [`Fleet::wait`].
+    /// and either admits locally (it owns the session) or sends the
+    /// sealed registration straight to the owner and returns
+    /// immediately; admission on a remote owner is asynchronous,
+    /// surfaced by [`Fleet::wait`].
     ///
     /// # Errors
     ///
@@ -448,13 +442,7 @@ impl Fleet {
                 config: config.clone(),
             },
         );
-        let msg = FleetMsg::Register {
-            session: id.0,
-            origin: gateway as u64,
-            config: wire::WireConfig::from_config(config),
-            locals,
-        };
-        node.route_send(&self.shared, owner, &msg)
+        node.register(&self.shared, owner, id.0, gateway, locals, config.clone())
             .inspect_err(|_| {
                 self.shared.pending.lock().remove(&id.0);
             })?;
@@ -640,13 +628,10 @@ impl Fleet {
                     config: reg.config.clone(),
                 },
             );
-            let msg = FleetMsg::Register {
-                session: reg.id.0,
-                origin: owner as u64,
-                config: wire::WireConfig::from_config(&reg.config),
-                locals: reg.locals,
-            };
-            if node.route_send(&self.shared, owner, &msg).is_ok() {
+            if node
+                .register(&self.shared, owner, reg.id.0, owner, reg.locals, reg.config)
+                .is_ok()
+            {
                 handed += 1;
                 self.shared.regs_replaced.fetch_add(1, Ordering::Relaxed);
             }
@@ -679,7 +664,6 @@ impl Fleet {
             m.sessions_started += s.sessions_started;
             m.sessions_completed += s.sessions_completed;
             m.sessions_failed += s.sessions_failed;
-            m.frames_forwarded += node.mux.metrics().frames_forwarded;
         }
         m
     }
@@ -711,11 +695,9 @@ impl Drop for Fleet {
 ///
 /// Reassembly is keyed by **message id**, not sender: control messages
 /// are fleet-unique by construction ([`FleetNode::next_msg_id`]), and
-/// keying on the sender would be wrong here twice over — two threads of
-/// one node (a gateway registering, the service thread acking) may
-/// interleave their messages' frames on the same lane, and relayed
-/// frames arrive tagged with the *relay* as sender, merging every
-/// origin routed through one hop. Per-message frame order is still
+/// two threads of one node (a gateway registering, the service thread
+/// acking) may interleave their messages' frames on the same lane, so
+/// keying on the sender would merge them. Per-message frame order is still
 /// guaranteed (one thread sends one message's frames back-to-back over
 /// FIFO lanes), so a sequence gap means an undeliverable message: its
 /// partial state is dropped, and the origin's pending-registration
@@ -776,7 +758,7 @@ fn handle_msg(node: &FleetNode, shared: &Shared, msg: FleetMsg) {
             locals,
         } => {
             let id = SessionId(session);
-            let result = node.server.submit_placed(id, locals, &config.to_config());
+            let result = node.server.submit_placed(id, locals, &config);
             let (accepted, reason) = match &result {
                 Ok(_) => (true, String::new()),
                 // A duplicate means this node already admitted the
@@ -827,7 +809,7 @@ fn ack_locally(shared: &Shared, session: u64, accepted: bool, reason: String) {
 }
 
 /// Liveness verdict on a peer node: repair membership and re-place the
-/// un-acked registrations this node originated toward the dead owner.
+/// un-acked registrations the dead node leaves behind.
 fn on_peer_down(node: &FleetNode, shared: &Shared, peer: PartyId) {
     let d = peer.0 as usize;
     let newly = shared.alive.lock().remove(&d);
@@ -839,64 +821,30 @@ fn on_peer_down(node: &FleetNode, shared: &Shared, peer: PartyId) {
     if graceful || !shared.dead.lock().contains(&d) {
         return;
     }
-    // Re-place registrations we sent to the dead owner and never got
-    // acked. They were never admitted anywhere, so re-running them on
-    // the new owner cannot double-execute.
+    // Two kinds of registration are re-placed, neither ever admitted
+    // anywhere, so re-running them on the new owner cannot
+    // double-execute:
+    // * those this node sent to the dead owner and never got acked;
+    // * those the dead node *originated* whose verdict never settled.
+    //   The dead node's ring successor adopts them — every survivor
+    //   computes the same adopter, so exactly one node takes them over.
+    //   An admitted registration was settled out of pending at the
+    //   verdict; a duplicate Register racing a slow original is absorbed
+    //   by the owner as `DuplicateSession`.
+    let ring = shared.ring();
+    let adopter = ring.owner_of_point(ring::node_point(d)) == Some(node.index);
     let orphans: Vec<(u64, Vec<Dataset>, SapConfig)> = {
         let pending = shared.pending.lock();
         pending
             .iter()
-            .filter(|(_, p)| p.owner == d && p.origin == node.index && p.rejected.is_none())
+            .filter(|(_, p)| {
+                p.rejected.is_none()
+                    && ((p.owner == d && p.origin == node.index) || (adopter && p.origin == d))
+            })
             .map(|(&s, p)| (s, p.locals.clone(), p.config.clone()))
             .collect()
     };
     for (session, locals, config) in orphans {
-        let id = SessionId(session);
-        let Some(owner) = shared.ring().owner_of(id) else {
-            continue;
-        };
-        if let Some(p) = shared.pending.lock().get_mut(&session) {
-            p.owner = owner;
-        }
-        if owner == node.index {
-            match node.server.submit_placed(id, locals, &config) {
-                Ok(_) | Err(ServerError::DuplicateSession(_)) => {
-                    shared.placements.lock().insert(session, node.index);
-                    shared.pending.lock().remove(&session);
-                }
-                Err(_) => {}
-            }
-        } else {
-            let msg = FleetMsg::Register {
-                session,
-                origin: node.index as u64,
-                config: wire::WireConfig::from_config(&config),
-                locals,
-            };
-            let _ = node.route_send(shared, owner, &msg);
-        }
-        shared.regs_replaced.fetch_add(1, Ordering::Relaxed);
-    }
-    // Registrations whose *origin* died before the owner's verdict
-    // settled are adopted by the dead node's ring successor — every
-    // survivor computes the same adopter, so exactly one node takes
-    // them over. An already-admitted registration was settled out of
-    // pending at the verdict, so nothing admitted is ever re-run; a
-    // duplicate Register racing a slow original is absorbed by the
-    // owner as `DuplicateSession`.
-    let ring = shared.ring();
-    if ring.owner_of_point(ring::node_point(d)) != Some(node.index) {
-        return;
-    }
-    let adopted: Vec<(u64, Vec<Dataset>, SapConfig)> = {
-        let pending = shared.pending.lock();
-        pending
-            .iter()
-            .filter(|(_, p)| p.origin == d && p.rejected.is_none())
-            .map(|(&s, p)| (s, p.locals.clone(), p.config.clone()))
-            .collect()
-    };
-    for (session, locals, config) in adopted {
         let id = SessionId(session);
         let Some(owner) = shared.ring().owner_of(id) else {
             continue;
@@ -914,13 +862,7 @@ fn on_peer_down(node: &FleetNode, shared: &Shared, peer: PartyId) {
                 Err(_) => {}
             }
         } else {
-            let msg = FleetMsg::Register {
-                session,
-                origin: node.index as u64,
-                config: wire::WireConfig::from_config(&config),
-                locals,
-            };
-            let _ = node.route_send(shared, owner, &msg);
+            let _ = node.register(shared, owner, session, node.index, locals, config);
         }
         shared.regs_replaced.fetch_add(1, Ordering::Relaxed);
     }

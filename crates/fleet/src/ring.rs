@@ -1,24 +1,21 @@
 //! The placement ring: which node owns which session.
 //!
-//! Placement follows Chord's `successor(k)` rule: node indices and
-//! session ids are hashed onto one 64-bit ring
+//! Placement is consistent hashing: node indices and session ids are
+//! hashed onto one 64-bit ring
 //! ([`sap_core::placement::ring_point`]), and a session is owned by the
 //! first node clockwise at-or-after its point. Every node computes the
 //! same owner from the same membership view, so ownership needs no
 //! coordination beyond membership itself.
 //!
-//! The fleet runtime holds a full membership view per node (all nodes
-//! share one process and one liveness plane), so [`HashRing`] is the
-//! *ideal* ring over the alive set. The decentralized repair protocol
-//! that makes such a view converge under churn is modeled and
-//! property-tested separately in [`crate::chord`]; its stabilized
-//! ownership coincides with this ring's (`tests/fleet_ring.rs` pins
-//! that agreement).
+//! Every fleet node holds the full membership view (all nodes share one
+//! process and one liveness plane) and a direct lane to every other
+//! node, so [`HashRing`] is the ring over the alive set and nothing is
+//! routed along it: it answers *who owns a session*, never *which hop
+//! comes next*.
 
 use sap_core::placement::{ring_point, session_point};
 use sap_net::SessionId;
 use std::collections::BTreeMap;
-use std::ops::Bound;
 
 /// Salt mixed into node indices before hashing, so a node's ring point
 /// never collides with the point of a session id equal to its index
@@ -58,13 +55,8 @@ impl HashRing {
         self.points.is_empty()
     }
 
-    /// Whether `node` is a member.
-    pub fn contains(&self, node: usize) -> bool {
-        self.points.get(&node_point(node)) == Some(&node)
-    }
-
     /// The owner of a ring point: the first member at-or-after it,
-    /// wrapping (Chord's `successor(k)`). `None` on an empty ring.
+    /// wrapping (the point's successor). `None` on an empty ring.
     pub fn owner_of_point(&self, point: u64) -> Option<usize> {
         self.points
             .range(point..)
@@ -76,35 +68,6 @@ impl HashRing {
     /// The owner of a session.
     pub fn owner_of(&self, id: SessionId) -> Option<usize> {
         self.owner_of_point(session_point(id))
-    }
-
-    /// The ring successor of a member (wrapping; the member itself on a
-    /// one-node ring). `None` when `node` is not a member.
-    pub fn successor(&self, node: usize) -> Option<usize> {
-        if !self.contains(node) {
-            return None;
-        }
-        let p = node_point(node);
-        self.points
-            .range((Bound::Excluded(p), Bound::Unbounded))
-            .next()
-            .or_else(|| self.points.iter().next())
-            .map(|(_, &n)| n)
-    }
-
-    /// Next hop when routing a frame from `from` toward `dest`:
-    /// successor hops walk the whole ring, so they reach every member
-    /// regardless of where the frame enters. A sender that is not (or
-    /// no longer) a member short-circuits straight to `dest`. `None`
-    /// when `dest` is not a member (the frame has nowhere to go).
-    pub fn next_hop(&self, from: usize, dest: usize) -> Option<usize> {
-        if !self.contains(dest) {
-            return None;
-        }
-        if from == dest || !self.contains(from) {
-            return Some(dest);
-        }
-        self.successor(from)
     }
 }
 
@@ -137,39 +100,5 @@ mod tests {
                 assert_ne!(after, 2);
             }
         }
-    }
-
-    #[test]
-    fn successor_hops_visit_every_member() {
-        let ring = HashRing::from_members(0..5);
-        let mut seen = vec![0usize];
-        let mut cur = 0;
-        for _ in 0..5 {
-            cur = ring.successor(cur).unwrap();
-            seen.push(cur);
-        }
-        assert_eq!(cur, 0, "five hops must wrap a five-node ring");
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn next_hop_reaches_dest() {
-        let ring = HashRing::from_members(0..6);
-        for from in 0..6 {
-            for dest in 0..6 {
-                let mut cur = from;
-                let mut hops = 0;
-                while cur != dest {
-                    cur = ring.next_hop(cur, dest).unwrap();
-                    hops += 1;
-                    assert!(hops <= 6, "routing loop {from}->{dest}");
-                }
-            }
-        }
-        // Non-members short-circuit; unknown destinations fail.
-        assert_eq!(ring.next_hop(99, 3), Some(3));
-        assert_eq!(ring.next_hop(0, 99), None);
     }
 }

@@ -9,7 +9,9 @@
 //! holds it (the reactor for TCP, the sender for the hub) and reaches its
 //! session queue in one hand-off; the mux runs no thread on the data
 //! path. Routing never opens an envelope: it costs one 8-byte read per
-//! frame, and no session key ever leaves its session.
+//! frame, and no session key ever leaves its session. Nor does it send:
+//! a frame is queued for a local session or dropped, so the reactor
+//! thread never waits on its own transport's send gate.
 //!
 //! # Queueing & backpressure
 //!
@@ -92,11 +94,6 @@ pub struct MuxMetrics, cells MetricCells {
     /// (including frames too short to carry an envelope), and every
     /// arrival after [`SessionMux::shutdown`].
     pub unknown_session_dropped: u64,
-    /// Inbound frames with no local route that a forwarding hook
-    /// ([`SessionMux::set_forwarder`]) relayed — still sealed, never
-    /// decoded — to another physical peer (a fleet's inter-node
-    /// forwarding path).
-    pub frames_forwarded: u64,
     /// Inbound frames shed because the owning session's queue stayed full
     /// past the stall budget.
     pub shed_frames: u64,
@@ -142,18 +139,12 @@ struct Liveness {
     down: HashSet<PartyId>,
 }
 
-/// The routing decision a forwarding hook returns for a frame with no
-/// local route: the physical peer to relay the (still sealed) bytes to,
-/// or `None` to drop it as unknown.
-pub type Forwarder = dyn Fn(PartyId, SessionId, &Bytes) -> Option<PartyId> + Send + Sync;
-
 struct MuxShared<T: Transport> {
     inner: T,
     /// [`Physical::retry_held`] of `inner`, for the consumers.
     retry_held: fn(&T) -> bool,
     routes: Mutex<HashMap<SessionId, Route>>,
     liveness: Mutex<Liveness>,
-    forwarder: Mutex<Option<Arc<Forwarder>>>,
     metrics: MetricCells,
     queue_depth: usize,
     next_generation: AtomicU64,
@@ -204,10 +195,7 @@ impl<T: Transport> MuxShared<T> {
         };
         let mut routes = self.routes.lock();
         let Some(route) = routes.get_mut(&session) else {
-            drop(routes);
-            if let Delivery::Frame(_, payload) = delivery {
-                self.forward(from, session, payload);
-            }
+            self.count(&self.metrics.unknown_session_dropped);
             return Offer::Taken;
         };
         match route.tx.try_send(delivery) {
@@ -229,22 +217,6 @@ impl<T: Transport> MuxShared<T> {
             }
         }
         Offer::Taken
-    }
-
-    /// Offers a frame with no local route to the forwarding hook, which
-    /// only picks the next physical hop: the sealed bytes are relayed
-    /// as-is, never decoded. A frame with no hop, or an unreachable one,
-    /// is counted unknown; the sender's liveness plane owns recovery.
-    fn forward(&self, from: PartyId, session: SessionId, payload: Bytes) {
-        let hook = self.forwarder.lock().clone();
-        let hop = hook
-            .and_then(|f| f(from, session, &payload))
-            .filter(|&hop| hop != self.inner.local_id());
-        if hop.is_some_and(|hop| self.inner.send(hop, payload).is_ok()) {
-            self.count(&self.metrics.frames_forwarded);
-        } else {
-            self.count(&self.metrics.unknown_session_dropped);
-        }
     }
 
     /// Declares a peer dead exactly once: counts it, records the silence
@@ -362,7 +334,6 @@ impl<T: Physical + 'static> SessionMux<T> {
             retry_held: T::retry_held,
             routes: Mutex::new(HashMap::new()),
             liveness: Mutex::default(),
-            forwarder: Mutex::new(None),
             metrics: MetricCells::default(),
             queue_depth,
             next_generation: AtomicU64::new(1),
@@ -433,27 +404,6 @@ impl<T: Transport + 'static> SessionMux<T> {
     /// A snapshot of the mux's traffic counters.
     pub fn metrics(&self) -> MuxMetrics {
         self.shared.metrics.snapshot()
-    }
-
-    /// Installs the forwarding hook consulted for inbound frames whose
-    /// session has no local route (replacing any previous hook).
-    ///
-    /// The hook sees `(from, session, sealed bytes)` and returns the
-    /// physical peer to relay the frame to — still sealed, never decoded
-    /// — or `None` to drop it as unknown. Returning the mux's own party
-    /// id also drops the frame (a self-hop would loop). The hook runs on
-    /// the thread that hands the frame over (the reactor thread, a hub
-    /// sender's, or one offering held frames again): keep it cheap (a ring
-    /// lookup), never block in it, and never call back into this mux.
-    ///
-    /// This is the fleet's inter-node forwarding path: a node that is
-    /// not a session's owner relays the session's frames one hop toward
-    /// the owner, Chord-style, and only the owner ever opens them.
-    pub fn set_forwarder(
-        &self,
-        hook: impl Fn(PartyId, SessionId, &Bytes) -> Option<PartyId> + Send + Sync + 'static,
-    ) {
-        *self.shared.forwarder.lock() = Some(Arc::new(hook));
     }
 
     /// Stops the mux: open sessions see `Disconnected`, later arrivals are
@@ -744,76 +694,6 @@ mod tests {
     }
 
     #[test]
-    fn forwarder_relays_unrouted_frames_without_decoding() {
-        use crate::crypto::ChannelKey;
-        use crate::frame::{open_frame, seal_frame, Frame, FrameKind};
-
-        let hub = InMemoryHub::new();
-        let a = hub.endpoint(PartyId(1));
-        let relay = SessionMux::new(hub.endpoint(PartyId(2)));
-        let owner = SessionMux::new(hub.endpoint(PartyId(3)));
-        let session = SessionId(77);
-
-        // The relay mux never opens session 77; its hook routes the
-        // frame one hop onward. Frames of other sessions stay unknown.
-        relay.set_forwarder(move |_, s, _| (s == session).then_some(PartyId(3)));
-        let owner_ep = owner.open_session(session).unwrap();
-
-        let key = ChannelKey::derive(9, 77, 77);
-        let sealed = seal_frame(
-            key,
-            1,
-            session,
-            &Frame {
-                kind: FrameKind::Control,
-                msg_id: 1,
-                seq: 0,
-                last: true,
-                payload: Bytes::from_static(b"fleet"),
-            },
-        );
-        a.send(PartyId(2), sealed.clone()).unwrap();
-
-        let (from, bytes) = owner_ep.recv_timeout(WAIT).unwrap();
-        // The physical sender is the relaying hop; the sealed bytes are
-        // untouched, so the owner opens them under the original key.
-        assert_eq!(from, PartyId(2));
-        assert_eq!(bytes, sealed);
-        let (s, frame) = open_frame(key, &bytes).unwrap();
-        assert_eq!(s, session);
-        assert_eq!(&frame.payload[..], b"fleet");
-        // The relay counts a forward only once its send returned, which
-        // can be after the owner already holds the frame.
-        let deadline = Instant::now() + WAIT;
-        while relay.metrics().frames_forwarded == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(relay.metrics().frames_forwarded, 1);
-        assert_eq!(relay.metrics().unknown_session_dropped, 0);
-
-        // A frame of a session the hook disowns is dropped as unknown.
-        let stray = seal_frame(
-            key,
-            2,
-            SessionId(78),
-            &Frame {
-                kind: FrameKind::Control,
-                msg_id: 2,
-                seq: 0,
-                last: true,
-                payload: Bytes::from_static(b"stray"),
-            },
-        );
-        a.send(PartyId(2), stray).unwrap();
-        let deadline = Instant::now() + WAIT;
-        while relay.metrics().unknown_session_dropped == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(relay.metrics().unknown_session_dropped, 1);
-        assert_eq!(relay.metrics().frames_forwarded, 1);
-    }
-
-    #[test]
     fn garbage_frame_aborts_only_the_session_it_claims() {
         let (m1, m2) = mux_pair();
         let a1 = node_for(&m1, SessionId(1), 7);
@@ -1027,46 +907,6 @@ mod tests {
         }
         assert_eq!(r.metrics().shed_frames, 0);
         assert_eq!(r.metrics().frames_routed, FRAMES);
-    }
-
-    #[test]
-    fn tcp_forwarding_past_the_gate_never_stalls_the_reactor() {
-        use crate::reactor::HIGH_WATER;
-        use std::net::TcpListener;
-        use std::os::unix::io::AsRawFd;
-
-        let mut mesh = tcp_mesh(2);
-        let relay_lane = mesh.pop().unwrap();
-        let a = mesh.pop().unwrap();
-        // Party 9 accepts a connection and never reads from it; a small
-        // receive buffer keeps the kernel from absorbing the backlog.
-        let deaf = TcpListener::bind("127.0.0.1:0").unwrap();
-        epoll::set_socket_buffers(deaf.as_raw_fd(), 4096, 4096).unwrap();
-        relay_lane.register_peer(PartyId(9), deaf.local_addr().unwrap());
-        // The accepted stream stays open inside the joined result.
-        let acceptor = std::thread::spawn(move || deaf.accept().map(|(stream, _)| stream));
-        let relay = SessionMux::new(relay_lane);
-        relay.set_forwarder(|_, s, _| (s == SessionId(77)).then_some(PartyId(9)));
-        let local = relay.open_session(SessionId(1)).unwrap();
-
-        // The relay's reactor forwards every frame of session 77 itself;
-        // past HIGH_WATER queued bytes toward the deaf peer, a send that
-        // waited on the gate would wait for its own thread forever.
-        const LEN: usize = 256 * 1024;
-        let frames = (HIGH_WATER + (8 << 20)) / LEN;
-        let sender = std::thread::spawn(move || {
-            for n in 0..frames as u64 {
-                a.send(PartyId(2), sealed(SessionId(77), n, LEN)).unwrap();
-            }
-            let tail = sealed(SessionId(1), 1, 16);
-            a.send(PartyId(2), tail.clone()).unwrap();
-            (a, tail)
-        });
-        let (from, got) = local.recv_timeout(WAIT).unwrap();
-        let (_a, tail) = sender.join().unwrap();
-        assert_eq!((from, got), (PartyId(1), tail));
-        assert_eq!(relay.metrics().frames_forwarded, frames as u64);
-        assert!(acceptor.join().unwrap().is_ok());
     }
 
     #[test]

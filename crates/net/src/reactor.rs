@@ -3,10 +3,9 @@
 //!
 //! A [`ReactorTransport`] multiplexes **all** connections of one endpoint
 //! onto a single reactor thread driven by the vendored readiness shim
-//! ([`epoll`]): edge-triggered `epoll(7)` on Linux, with a portable
-//! level-triggered `poll(2)` fallback selectable at runtime
-//! (`SAP_POLLER=poll`). A lane costs no thread of its own, so a thousand
-//! idle lanes cost one parked thread.
+//! ([`epoll`]): edge-triggered `epoll(7)` on Linux, level-triggered
+//! `poll(2)` on other unixes. A lane costs no thread of its own, so a
+//! thousand idle lanes cost one parked thread.
 //!
 //! # Byte protocol
 //!
@@ -48,10 +47,9 @@
 //! [`Transport::send`] is asynchronous up to [`HIGH_WATER`] queued bytes
 //! per peer, then blocks on a condvar until the reactor drains the queue
 //! — a slow peer stalls its sender as a blocking write would, without
-//! stalling any other lane. A send issued on the reactor thread itself (a
-//! mux forwarding a frame it just read) never waits, since only the
-//! reactor drains the gate; its bytes still count, but nothing bounds
-//! them: the queue toward a next hop that never reads keeps growing.
+//! stalling any other lane. Every send is bounded this way: no sink
+//! sends on the reactor thread, so nothing ever waits on the gate it
+//! would have to drain itself.
 //! [`Transport::send_liveness`] never blocks: over the high-water mark it
 //! drops the beat (the link is demonstrably active), and while a connect
 //! is pending it enqueues and returns.
@@ -1023,8 +1021,7 @@ impl ReactorTransport {
     }
 
     /// Binds on an ephemeral localhost port with an explicit readiness
-    /// backend — both backends stay testable on Linux without touching
-    /// the `SAP_POLLER` environment variable.
+    /// backend, so the poll(2) backend stays tested on Linux.
     ///
     /// # Errors
     ///
@@ -1039,8 +1036,7 @@ impl ReactorTransport {
     ///
     /// # Errors
     ///
-    /// Propagates socket/poller setup failures (including an unsupported
-    /// forced poll backend).
+    /// Propagates socket/poller setup failures.
     pub fn bind_addr(id: PartyId, addr: SocketAddr) -> io::Result<ReactorTransport> {
         Self::bind_inner(id, addr, None)
     }
@@ -1166,8 +1162,7 @@ impl Transport for ReactorTransport {
                 // one starts a fresh connect window.
                 return Err(error);
             }
-            // The reactor thread never waits on the gate it drains itself.
-            if gate.queued.get(&to).copied().unwrap_or(0) < HIGH_WATER || self.on_reactor_thread() {
+            if gate.queued.get(&to).copied().unwrap_or(0) < HIGH_WATER {
                 break;
             }
             gate = self.shared.gate_cv.wait(gate);

@@ -7,6 +7,7 @@
 //! conditions.
 
 use crate::transport::{PartyId, Transport, TransportError};
+use crate::wire::{Wire, WireError};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -41,6 +42,26 @@ impl Default for FaultConfig {
             send_latency: Duration::ZERO,
             seed: 0xFA17,
         }
+    }
+}
+
+impl Wire for FaultConfig {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.drop_prob.encode(out);
+        self.duplicate_prob.encode(out);
+        self.delay_prob.encode(out);
+        self.send_latency.encode(out);
+        self.seed.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(FaultConfig {
+            drop_prob: f64::decode(input)?,
+            duplicate_prob: f64::decode(input)?,
+            delay_prob: f64::decode(input)?,
+            send_latency: Duration::decode(input)?,
+            seed: u64::decode(input)?,
+        })
     }
 }
 

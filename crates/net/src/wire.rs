@@ -28,6 +28,7 @@
 //! | `bool` | 1 byte: `0x00` false, `0x01` true (other values reject) |
 //! | `u32`/`u64`/`usize` | LEB128 varint (values out of the type's range reject) |
 //! | `f64` | IEEE-754 bits, 8 bytes little-endian |
+//! | `Duration` | whole microseconds as a `u64` varint (saturating) |
 //! | `String` | varint byte length ‖ UTF-8 bytes |
 //! | `Option<T>` | 1 byte tag (`0x00` none / `0x01` some) ‖ value if some |
 //! | `Vec<T>` | varint element count ‖ elements |
@@ -75,6 +76,7 @@
 
 use crate::transport::{PartyId, SessionId};
 use std::fmt;
+use std::time::Duration;
 
 /// Errors produced by the wire codec.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -275,6 +277,16 @@ impl Wire for f64 {
     }
 }
 
+impl Wire for Duration {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_uvarint(out, u64::try_from(self.as_micros()).unwrap_or(u64::MAX));
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        read_uvarint(input).map(Duration::from_micros)
+    }
+}
+
 impl Wire for String {
     fn encode(&self, out: &mut Vec<u8>) {
         put_uvarint(out, self.len() as u64);
@@ -373,6 +385,8 @@ mod tests {
         roundtrip(usize::MAX);
         roundtrip(-0.123456789f64);
         roundtrip(f64::NEG_INFINITY);
+        roundtrip(Duration::from_micros(1500));
+        roundtrip(Duration::from_micros(u64::MAX));
         roundtrip(PartyId(3));
         roundtrip(SessionId(u64::MAX));
         roundtrip(String::from("hello, wire λ"));

@@ -8,11 +8,16 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sap_repro::core::messages::{decode_dataset, SapMessage, SlotTag};
+use sap_repro::core::runtime::QosClass;
+use sap_repro::core::session::SapConfig;
 use sap_repro::datasets::Dataset;
-use sap_repro::fleet::wire::{FleetMsg, WireConfig, WireFault};
+use sap_repro::fleet::wire::FleetMsg;
+use sap_repro::net::sim::FaultConfig;
 use sap_repro::net::wire::{from_bytes, put_uvarint, to_bytes, WireError};
 use sap_repro::net::PartyId;
 use sap_repro::perturb::{Perturbation, SpaceAdaptor};
+use sap_repro::privacy::{OptimizerConfig, StagedBudget};
+use std::time::Duration;
 
 fn random_dataset(rng: &mut StdRng, rows: usize, dim: usize) -> Dataset {
     let records: Vec<Vec<f64>> = (0..rows)
@@ -48,35 +53,47 @@ fn all_variants(seed: u64, dim: usize) -> Vec<SapMessage> {
 }
 
 /// One instance of every fleet control message from a seed: a random
-/// config (fault and thread override each present or absent) with one to
+/// config (fault and thread override each present or absent, durations
+/// at microsecond granularity, counts anywhere in `u64`) with one to
 /// three datasets of one dimension.
 fn fleet_variants(seed: u64) -> Vec<FleetMsg> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let fault = rng.random_bool(0.5).then(|| WireFault {
+    let micros = |rng: &mut StdRng| Duration::from_micros(rng.random_range(0..u64::MAX));
+    let fault_config = rng.random_bool(0.5).then(|| FaultConfig {
         drop_prob: rng.random_range(0.0..1.0),
         duplicate_prob: rng.random_range(0.0..1.0),
         delay_prob: rng.random_range(0.0..1.0),
-        send_latency_us: rng.random_range(0..1u64 << 40),
+        send_latency: micros(&mut rng),
         seed: rng.random_range(0..u64::MAX),
     });
-    let config = WireConfig {
+    let config = SapConfig {
         noise_sigma: rng.random_range(0.0..1.0),
-        candidates: rng.random_range(0..1u64 << 20),
-        opt_noise_sigma: rng.random_range(0.0..1.0),
-        known_points: rng.random_range(0..300),
-        eval_sample: rng.random_range(0..u64::MAX),
-        use_ica: rng.random_bool(0.5),
-        staged_enabled: rng.random_bool(0.5),
-        survivor_fraction: rng.random_range(0.0..1.0),
-        min_survivors: rng.random_range(0..64),
-        threads: rng.random_bool(0.5).then(|| rng.random_range(1..256)),
+        optimizer: OptimizerConfig {
+            candidates: rng.random_range(0..usize::MAX),
+            noise_sigma: rng.random_range(0.0..1.0),
+            known_points: rng.random_range(0..usize::MAX),
+            eval_sample: rng.random_range(0..usize::MAX),
+            use_ica: rng.random_bool(0.5),
+            staged: StagedBudget {
+                enabled: rng.random_bool(0.5),
+                survivor_fraction: rng.random_range(0.0..1.0),
+                min_survivors: rng.random_range(0..usize::MAX),
+            },
+            threads: rng
+                .random_bool(0.5)
+                .then(|| rng.random_range(0..usize::MAX)),
+        },
         session_secret: rng.random_range(0..u64::MAX),
         seed: rng.random_range(0..u64::MAX),
-        timeout_us: rng.random_range(0..u64::MAX),
-        session_budget_us: rng.random_range(0..u64::MAX),
-        block_rows: rng.random_range(1..1u64 << 16),
-        fault,
-        interactive: rng.random_bool(0.5),
+        timeout: micros(&mut rng),
+        session_budget: micros(&mut rng),
+        block_rows: rng.random_range(0..usize::MAX),
+        fault_config,
+        qos: if rng.random_bool(0.5) {
+            QosClass::Interactive
+        } else {
+            QosClass::Batch
+        },
     };
     let dim = rng.random_range(1..5);
     let locals = (0..rng.random_range(1..4))
@@ -89,7 +106,7 @@ fn fleet_variants(seed: u64) -> Vec<FleetMsg> {
         FleetMsg::Register {
             session: seed,
             origin: seed % 7,
-            config,
+            config: Box::new(config),
             locals,
         },
         FleetMsg::Ack {

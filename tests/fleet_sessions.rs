@@ -1,15 +1,17 @@
 //! End-to-end fleet sessions: parties may attach to **any** node — the
 //! outcome must be byte-identical whether the gateway owns the session
-//! or forwards its registration across the ring. A `kill -9`'d node
+//! or forwards its registration to the owner. A `kill -9`'d node
 //! must fail its sessions fast with the typed fleet error while
-//! siblings on surviving nodes complete untouched, and a graceful
-//! leaver must hand its unfinished sessions to the new owners.
+//! siblings on surviving nodes complete untouched, a graceful leaver
+//! must hand its unfinished sessions to the new owners, and a dead node
+//! must not swallow registrations meant for other nodes.
 
 use sap_repro::core::session::{run_session, SapConfig};
 use sap_repro::datasets::normalize::min_max_normalize;
 use sap_repro::datasets::partition::{partition, PartitionScheme};
 use sap_repro::datasets::registry::UciDataset;
 use sap_repro::datasets::Dataset;
+use sap_repro::fleet::ring::node_point;
 use sap_repro::fleet::{Fleet, FleetConfig, FleetError};
 use sap_repro::net::sim::FaultConfig;
 use sap_repro::server::ServerConfig;
@@ -45,8 +47,8 @@ fn quick_fleet(nodes: usize, k: usize) -> Fleet {
 const WAIT: Option<Duration> = Some(Duration::from_secs(300));
 
 /// The tentpole equivalence: sessions submitted through every gateway of
-/// a 3-node fleet — some owned by their gateway, some forwarded across
-/// the ring — all complete byte-identical to their solo-run equivalents.
+/// a 3-node fleet — some owned by their gateway, some forwarded to
+/// another node — all complete byte-identical to their solo-run equivalents.
 #[test]
 fn sessions_complete_identically_via_any_gateway() {
     let k = 3;
@@ -84,7 +86,7 @@ fn sessions_complete_identically_via_any_gateway() {
     // Placement is deterministic (fixed minters, fixed ring), and this
     // schedule exercises both paths.
     assert!(direct >= 1, "no session was owned by its gateway");
-    assert!(forwarded >= 1, "no session crossed the ring");
+    assert!(forwarded >= 1, "no session was forwarded");
 
     let m = fleet.metrics();
     assert_eq!(m.nodes_alive, 3);
@@ -243,4 +245,52 @@ fn graceful_leave_hands_sessions_over_and_all_complete() {
     // A graceful leave is not a death.
     assert_eq!(fleet.metrics().node_deaths_detected, 0);
     assert_eq!(fleet.metrics().registrations_replaced, handed as u64);
+}
+
+/// Registrations keep reaching their owners while a killed node is
+/// still in the membership view. Gateway 0's ring successor is killed
+/// and, before the survivors detect the death, six sessions enter
+/// through gateway 0. Those owned by the third node go straight to it
+/// rather than through the dead successor, those owned by the dead node
+/// are re-placed once its death is detected, and every one completes
+/// byte-identical to solo.
+#[test]
+fn registrations_bypass_a_dead_ring_successor() {
+    let k = 3;
+    let fleet = quick_fleet(3, k);
+
+    let mut order: Vec<usize> = (0..3).collect();
+    order.sort_by_key(|&j| node_point(j));
+    let at = order
+        .iter()
+        .position(|&j| j == 0)
+        .expect("gateway 0 is on the ring");
+    let successor = order[(at + 1) % 3];
+    let third = order[(at + 2) % 3];
+    fleet.kill(successor).expect("kill gateway 0's successor");
+
+    let ids: Vec<(u64, _)> = (0..6u64)
+        .map(|i| {
+            let seed = 1100 + i;
+            let id = fleet
+                .submit_via(0, session_locals(seed, k), &session_config(seed))
+                .expect("admit via gateway 0");
+            (seed, id)
+        })
+        .collect();
+    assert!(
+        ids.iter().any(|&(_, id)| fleet.owner_of(id) == Some(third)),
+        "no session is owned by node {third}, so none would have crossed node {successor}"
+    );
+
+    for &(seed, id) in &ids {
+        let outcome = fleet
+            .wait(id, WAIT)
+            .unwrap_or_else(|e| panic!("seed {seed}: session must complete, got: {e}"));
+        let solo = run_session(session_locals(seed, k), &session_config(seed)).expect("solo run");
+        assert_eq!(
+            outcome.unified, solo.unified,
+            "seed {seed}: outcome changed"
+        );
+    }
 }

@@ -12,7 +12,7 @@ use sap_repro::core::link::DataHeader;
 use sap_repro::core::messages::{SapMessage, SlotTag};
 use sap_repro::core::session::SapConfig;
 use sap_repro::datasets::Dataset;
-use sap_repro::fleet::wire::{FleetMsg, WireConfig};
+use sap_repro::fleet::wire::FleetMsg;
 use sap_repro::linalg::Matrix;
 use sap_repro::net::crypto::ChannelKey;
 use sap_repro::net::frame::{open_frame, seal_frame, Frame, FrameKind};
@@ -95,7 +95,7 @@ fn fleet_messages() -> Vec<(&'static str, FleetMsg)> {
             FleetMsg::Register {
                 session: 41,
                 origin: 1,
-                config: WireConfig::from_config(&config),
+                config: Box::new(config),
                 locals: vec![dataset()],
             },
         ),
