@@ -73,31 +73,6 @@ impl Model for KnnClassifier {
         }
         unreachable!("some neighbour has the winning class");
     }
-
-    /// Row-parallel brute-force sweep: each record's distance scan is
-    /// independent, so large blocks split across the
-    /// [`sap_linalg::parallel`] splitter with results identical to the
-    /// serial walk.
-    fn predict_block(&self, block: sap_linalg::MatrixView<'_>, out: &mut Vec<usize>) {
-        out.clear();
-        out.resize(block.rows(), 0);
-        let flops = block
-            .rows()
-            .saturating_mul(self.train.len())
-            .saturating_mul(block.cols());
-        if sap_linalg::parallel::worth_splitting(flops) && block.rows() > 1 {
-            let per = block.rows().div_ceil(sap_linalg::parallel::threads());
-            sap_linalg::parallel::for_each_chunk_mut(out, per, |chunk_idx, chunk| {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = self.predict(block.row(chunk_idx * per + i));
-                }
-            });
-        } else {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = self.predict(block.row(i));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -105,19 +80,6 @@ mod tests {
     use super::*;
     use sap_datasets::registry::UciDataset;
     use sap_datasets::split::stratified_split;
-    use sap_linalg::MatrixView;
-
-    #[test]
-    fn predict_block_matches_per_record_predict() {
-        let data = UciDataset::Iris.generate(3);
-        let knn = KnnClassifier::fit(&data, 5);
-        let flat: Vec<f64> = data.records().iter().flatten().copied().collect();
-        let block = MatrixView::new(data.len(), data.dim(), &flat);
-        let mut out = Vec::new();
-        knn.predict_block(block, &mut out);
-        let serial: Vec<usize> = data.records().iter().map(|r| knn.predict(r)).collect();
-        assert_eq!(out, serial);
-    }
 
     fn xor_corners() -> Dataset {
         Dataset::new(

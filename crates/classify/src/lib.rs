@@ -42,7 +42,6 @@ pub use perceptron::Perceptron;
 pub use svm::{Kernel, SvmClassifier, SvmConfig};
 
 use sap_datasets::Dataset;
-use sap_linalg::MatrixView;
 
 /// A trained classification model.
 pub trait Model {
@@ -52,18 +51,6 @@ pub trait Model {
     /// Predicts labels for every record of a dataset.
     fn predict_dataset(&self, data: &Dataset) -> Vec<usize> {
         data.records().iter().map(|r| self.predict(r)).collect()
-    }
-
-    /// Predicts labels for a record-major block (`n × d`, one record per
-    /// row) into the reusable `out` buffer — the streaming data plane's
-    /// inference entry point: row-blocks coming off the wire are scored
-    /// as they arrive, without ever assembling a [`Dataset`].
-    ///
-    /// The default walks the rows serially; distance-based models
-    /// override it with a row-parallel sweep.
-    fn predict_block(&self, block: MatrixView<'_>, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(block.iter_rows().map(|r| self.predict(r)));
     }
 
     /// Fraction of records of `data` classified correctly.

@@ -46,7 +46,7 @@ pub struct MinerOutput {
 struct OpenSlot {
     slot: SlotTag,
     adapted: bool,
-    pipeline: StreamPipeline<DatasetSink>,
+    pipeline: StreamPipeline,
 }
 
 /// A fully received stream's records, awaiting (or already in) the

@@ -1,15 +1,14 @@
-//! The streaming data plane: block sinks, block stages, and the stream
-//! monitor.
+//! The streaming data plane: block stages, the dataset sink, and the
+//! stream monitor.
 //!
 //! PR 1 made datasets travel as row-block *frames*; PR 2 multiplexed many
 //! sessions onto one mesh. Until this module, every role still buffered a
 //! complete stream before touching a single row — the transport was
 //! pipelined, the compute was not. The data plane closes that gap: row
 //! blocks coming off [`crate::link`] flow through a chain of
-//! [`BlockStage`]s into a [`BlockSink`] **as they arrive**, overlapping
-//! seal/unseal and TCP I/O with perturbation, space adaptation, and
-//! classification inside each session (and across sessions on the shared
-//! [`crate::runtime::ActorPool`]).
+//! [`BlockStage`]s into a [`DatasetSink`] **as they arrive**, overlapping
+//! seal/unseal and TCP I/O with space adaptation inside each session (and
+//! across sessions on the shared [`crate::runtime::ActorPool`]).
 //!
 //! ```text
 //!   wire block (Bytes) ──decode──► BlockBuf (reused scratch)
@@ -17,7 +16,7 @@
 //!        │                   BlockStage × N  (e.g. AdaptStage)
 //!        │                            │
 //!        ▼                            ▼
-//!   relay pump (zero-decode)     BlockSink  (DatasetSink, ClassifierSink)
+//!   relay pump (zero-decode)     DatasetSink
 //! ```
 //!
 //! Every kernel the stages call accumulates in the same element order as
@@ -29,9 +28,7 @@
 use crate::error::SapError;
 use crate::link::{DataHeader, MAX_BLOCK_BYTES};
 use bytes::Bytes;
-use sap_classify::Model;
 use sap_datasets::Dataset;
-use sap_linalg::MatrixView;
 use sap_perturb::SpaceAdaptor;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,8 +39,7 @@ use std::time::Duration;
 /// `values` holds the block **record-major** (`rows × dim`, one record
 /// per row — the wire layout's order), `labels` one class label per
 /// record. A pipeline owns one `BlockBuf` and refills it for every
-/// block, so steady-state streaming performs no per-block allocation;
-/// stages read the values through a zero-copy [`MatrixView`].
+/// block, so steady-state streaming performs no per-block allocation.
 #[derive(Debug, Default)]
 pub struct BlockBuf {
     rows: usize,
@@ -63,11 +59,6 @@ impl BlockBuf {
     /// Feature dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// The values as a zero-copy `rows × dim` view.
-    pub fn view(&self) -> MatrixView<'_> {
-        MatrixView::new(self.rows, self.dim, &self.values)
     }
 
     /// Decodes one wire block (`[rows:u32] [labels] [values]`, see
@@ -135,64 +126,34 @@ pub trait BlockStage: Send {
     fn process(&mut self, block: &mut BlockBuf) -> Result<(), SapError>;
 }
 
-/// A terminal consumer of a dataset's row-blocks.
-pub trait BlockSink: Send {
-    /// Called once, with the stream header, before any block.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SapError`] when the header is unacceptable.
-    fn start(&mut self, header: &DataHeader) -> Result<(), SapError> {
-        let _ = header;
-        Ok(())
-    }
-
-    /// Consumes one (decoded, staged) block.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SapError`] when the block violates the sink's invariants.
-    fn block(&mut self, block: &BlockBuf) -> Result<(), SapError>;
-
-    /// Called once after the final block.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SapError`] when the completed stream is invalid.
-    fn finish(&mut self) -> Result<(), SapError> {
-        Ok(())
-    }
-}
-
-/// Drives wire blocks through decode → stages → sink, enforcing the
-/// stream header's declared row count.
-pub struct StreamPipeline<S: BlockSink> {
+/// Drives wire blocks through decode → stages → [`DatasetSink`],
+/// enforcing the stream header's declared row count.
+pub struct StreamPipeline {
     header: DataHeader,
     stages: Vec<Box<dyn BlockStage>>,
-    sink: S,
+    sink: DatasetSink,
     buf: BlockBuf,
     seen_rows: usize,
 }
 
-impl<S: BlockSink> StreamPipeline<S> {
+impl StreamPipeline {
     /// Opens a pipeline for one stream.
     ///
     /// # Errors
     ///
     /// Returns [`SapError::Protocol`] on a degenerate header (zero rows
-    /// or dimensions) or when the sink
-    /// rejects the header.
+    /// or dimensions).
     pub fn open(
         header: DataHeader,
         stages: Vec<Box<dyn BlockStage>>,
-        mut sink: S,
+        mut sink: DatasetSink,
     ) -> Result<Self, SapError> {
         if header.rows == 0 || header.dim == 0 {
             return Err(SapError::Protocol(
                 "dataset stream with zero rows or dimensions".into(),
             ));
         }
-        sink.start(&header)?;
+        sink.start(&header);
         Ok(StreamPipeline {
             header,
             stages,
@@ -217,8 +178,8 @@ impl<S: BlockSink> StreamPipeline<S> {
     /// # Errors
     ///
     /// Returns [`SapError::Protocol`] on malformed blocks or when the
-    /// stream exceeds its declared row count, plus anything the stages or
-    /// sink reject.
+    /// stream exceeds its declared row count, plus anything the stages
+    /// reject.
     pub fn push(&mut self, bytes: &Bytes) -> Result<(), SapError> {
         let total = usize::try_from(self.header.rows)
             .map_err(|_| SapError::Protocol("row count overflows usize".into()))?;
@@ -236,7 +197,8 @@ impl<S: BlockSink> StreamPipeline<S> {
         for stage in &mut self.stages {
             stage.process(&mut self.buf)?;
         }
-        self.sink.block(&self.buf)
+        self.sink.block(&self.buf);
+        Ok(())
     }
 
     /// Closes the stream and returns the sink.
@@ -244,8 +206,8 @@ impl<S: BlockSink> StreamPipeline<S> {
     /// # Errors
     ///
     /// Returns [`SapError::Protocol`] when fewer rows arrived than the
-    /// header declared, plus anything the sink's finish rejects.
-    pub fn finish(mut self) -> Result<S, SapError> {
+    /// header declared.
+    pub fn finish(self) -> Result<DatasetSink, SapError> {
         let total = usize::try_from(self.header.rows)
             .map_err(|_| SapError::Protocol("row count overflows usize".into()))?;
         if self.seen_rows != total {
@@ -254,7 +216,6 @@ impl<S: BlockSink> StreamPipeline<S> {
                 self.seen_rows
             )));
         }
-        self.sink.finish()?;
         Ok(self.sink)
     }
 }
@@ -295,9 +256,9 @@ impl BlockStage for AdaptStage {
     }
 }
 
-/// A [`BlockSink`] accumulating blocks into one flat record-major buffer
-/// — the streaming replacement for collecting a monolithic [`Dataset`]
-/// (which it can still produce at the end).
+/// The pipeline's terminal consumer: it accumulates blocks into one flat
+/// record-major buffer — the streaming replacement for collecting a
+/// monolithic [`Dataset`] (which it can still produce at the end).
 #[derive(Debug, Default)]
 pub struct DatasetSink {
     dim: usize,
@@ -330,10 +291,8 @@ impl DatasetSink {
         Dataset::try_from_flat(self.values, self.labels, self.dim, self.num_classes)
             .map_err(|e| SapError::Protocol(format!("dataset stream: {e}")))
     }
-}
 
-impl BlockSink for DatasetSink {
-    fn start(&mut self, header: &DataHeader) -> Result<(), SapError> {
+    fn start(&mut self, header: &DataHeader) {
         self.dim = header.dim as usize;
         self.num_classes = header.num_classes as usize;
         // The declared row count is the peer's word: reserve at most one
@@ -342,69 +301,11 @@ impl BlockSink for DatasetSink {
         let rows = usize::try_from(header.rows).map_or(cap, |r| r.min(cap));
         self.values.reserve(rows * self.dim);
         self.labels.reserve(rows);
-        Ok(())
     }
 
-    fn block(&mut self, block: &BlockBuf) -> Result<(), SapError> {
+    fn block(&mut self, block: &BlockBuf) {
         self.values.extend_from_slice(&block.values);
         self.labels.extend_from_slice(&block.labels);
-        Ok(())
-    }
-}
-
-/// A [`BlockSink`] scoring each block against a trained classifier as it
-/// arrives — classification consuming row-blocks incrementally, without
-/// ever assembling a [`Dataset`].
-pub struct ClassifierSink<M: Model + Send> {
-    model: M,
-    predictions: Vec<usize>,
-    correct: u64,
-    total: u64,
-}
-
-impl<M: Model + Send> ClassifierSink<M> {
-    /// Wraps a trained model.
-    pub fn new(model: M) -> Self {
-        ClassifierSink {
-            model,
-            predictions: Vec::new(),
-            correct: 0,
-            total: 0,
-        }
-    }
-
-    /// Records scored so far.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Records whose predicted label matched the block's label.
-    pub fn correct(&self) -> u64 {
-        self.correct
-    }
-
-    /// Running accuracy over every block so far (0 when empty).
-    pub fn accuracy(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.correct as f64 / self.total as f64
-        }
-    }
-}
-
-impl<M: Model + Send> BlockSink for ClassifierSink<M> {
-    fn block(&mut self, block: &BlockBuf) -> Result<(), SapError> {
-        self.model
-            .predict_block(block.view(), &mut self.predictions);
-        self.total += block.rows() as u64;
-        self.correct += self
-            .predictions
-            .iter()
-            .zip(&block.labels)
-            .filter(|(p, l)| p == l)
-            .count() as u64;
-        Ok(())
     }
 }
 
@@ -524,7 +425,6 @@ mod tests {
     use super::*;
     use crate::link;
     use crate::messages::SlotTag;
-    use sap_classify::KnnClassifier;
     use sap_net::SessionId;
 
     fn dataset(rows: usize, dim: usize) -> Dataset {
@@ -602,24 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn classifier_sink_scores_blocks_incrementally() {
-        let train = dataset(60, 3);
-        let model = KnnClassifier::fit(&train, 3);
-        let test = dataset(31, 3);
-        let expected = model.accuracy(&test);
-
-        let (header, blocks) = wire_blocks(&test, 5);
-        let mut pipe =
-            StreamPipeline::open(header, Vec::new(), ClassifierSink::new(model)).unwrap();
-        for b in &blocks {
-            pipe.push(b).unwrap();
-        }
-        let sink = pipe.finish().unwrap();
-        assert_eq!(sink.total(), 31);
-        assert!((sink.accuracy() - expected).abs() < 1e-12);
-    }
-
-    #[test]
     fn pipeline_enforces_declared_rows() {
         let data = dataset(20, 2);
         let (mut header, blocks) = wire_blocks(&data, 8);
@@ -657,7 +539,7 @@ mod tests {
         // Valid.
         assert!(buf.decode(&block, 2, 2).is_ok());
         assert_eq!(buf.rows(), 4);
-        assert_eq!(buf.view().cols(), 2);
+        assert_eq!(buf.dim(), 2);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! A small fixed thread-splitter for row-parallel kernels.
 //!
 //! The streaming data plane's hot loops — cache-blocked matmul, block
-//! perturbation, adaptor application, distance/classify kernels — are all
-//! *row-parallel*: they write disjoint chunks of one output slice and read
-//! shared inputs. [`for_each_chunk_mut`] is the one splitting primitive
+//! perturbation, adaptor application — and the optimizer's candidate
+//! fan-out are all *row-parallel*: they write disjoint chunks of one
+//! output slice and read shared inputs. [`for_each_chunk_mut_with`] is
+//! the one splitting primitive
 //! they share: it carves the output into contiguous chunks, feeds the
 //! chunks through a work queue built on the `crossbeam` channel shim, and
 //! runs them on a small fixed set of scoped worker threads.
@@ -19,7 +20,7 @@
 //! # Sizing
 //!
 //! The splitter never spawns more workers than there are chunks, and
-//! callers guard small inputs with [`worth_splitting`] so tiny kernels
+//! callers guard small inputs with [`worth_splitting_with`] so tiny kernels
 //! stay on the calling thread. The worker count is
 //! `available_parallelism` capped at [`MAX_THREADS`], overridable with the
 //! `SAP_LINALG_THREADS` environment variable (`1` forces serial).
@@ -50,50 +51,26 @@ pub fn threads() -> usize {
 }
 
 /// `true` when a kernel of roughly `flops` floating-point operations is
-/// large enough to amortize spawning scoped workers. Below the threshold
-/// callers should run serially on their own thread.
-pub fn worth_splitting(flops: usize) -> bool {
-    worth_splitting_with(threads(), flops)
-}
-
-/// [`worth_splitting`] for an explicit worker count instead of the
-/// process-global [`threads`] setting — the guard used by kernels that
-/// accept a per-call worker override (e.g.
+/// large enough to amortize spawning `workers` scoped workers. Below the
+/// threshold callers should run serially on their own thread. Callers
+/// pass [`threads`], or a per-call override (e.g.
 /// [`crate::Matrix::matmul_with_workers`]).
 pub fn worth_splitting_with(workers: usize, flops: usize) -> bool {
     workers > 1 && flops >= 1 << 17
 }
 
 /// Splits `data` into contiguous chunks of `chunk_len` elements and runs
-/// `f(chunk_index, chunk)` for every chunk, in parallel when more than one
-/// worker is configured. The final chunk may be shorter.
+/// `f(chunk_index, chunk)` for every chunk, on up to `workers` threads
+/// (floored at 1, capped at the chunk count). The final chunk may be
+/// shorter.
 ///
 /// Chunks are distributed through a shared work queue (the crossbeam
 /// channel shim), so uneven chunks still balance across workers; because
 /// each invocation owns a disjoint `&mut` chunk, the result is identical
-/// to the serial loop.
-///
-/// # Panics
-///
-/// Panics when `chunk_len` is zero.
-pub fn for_each_chunk_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    for_each_chunk_mut_with(threads(), data, chunk_len, f);
-}
-
-/// [`for_each_chunk_mut`] with an explicit worker count instead of the
-/// process-global [`threads`] setting. `workers` is floored at 1 and
-/// capped at the chunk count; results are bit-identical to the serial
-/// loop for every worker count (each chunk's content depends only on its
-/// index and the shared inputs).
-///
-/// This is the entry point for callers that schedule *tasks* rather than
-/// slices — e.g. the privacy optimizer's candidate fan-out, which needs a
-/// per-run thread override for its serial-vs-parallel equivalence tests —
-/// while [`for_each_chunk_mut`] keeps serving the data-parallel kernels.
+/// to the serial loop for every worker count (each chunk's content
+/// depends only on its index and the shared inputs). Callers pass
+/// [`threads`], or a per-run override such as the privacy optimizer's
+/// thread setting.
 ///
 /// # Panics
 ///
@@ -142,7 +119,7 @@ mod tests {
     #[test]
     fn chunks_cover_everything_once() {
         let mut data = vec![0u64; 10_000];
-        for_each_chunk_mut(&mut data, 97, |idx, chunk| {
+        for_each_chunk_mut_with(threads(), &mut data, 97, |idx, chunk| {
             for (i, v) in chunk.iter_mut().enumerate() {
                 *v = (idx * 97 + i) as u64 + 1;
             }
@@ -162,7 +139,7 @@ mod tests {
                 *v = (x * 0.25).sin() + x.sqrt();
             }
         };
-        for_each_chunk_mut(&mut par, 64, kernel);
+        for_each_chunk_mut_with(threads(), &mut par, 64, kernel);
         for (idx, chunk) in ser.chunks_mut(64).enumerate() {
             kernel(idx, chunk);
         }
@@ -173,7 +150,7 @@ mod tests {
     fn every_chunk_runs_exactly_once() {
         let counter = AtomicUsize::new(0);
         let mut data = vec![0u8; 1000];
-        for_each_chunk_mut(&mut data, 10, |_, _| {
+        for_each_chunk_mut_with(threads(), &mut data, 10, |_, _| {
             counter.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(counter.load(Ordering::SeqCst), 100);
@@ -182,9 +159,11 @@ mod tests {
     #[test]
     fn empty_and_single_chunk_inputs() {
         let mut empty: Vec<u8> = Vec::new();
-        for_each_chunk_mut(&mut empty, 8, |_, _| panic!("no chunks expected"));
+        for_each_chunk_mut_with(threads(), &mut empty, 8, |_, _| {
+            panic!("no chunks expected")
+        });
         let mut one = vec![1u8; 3];
-        for_each_chunk_mut(&mut one, 8, |idx, chunk| {
+        for_each_chunk_mut_with(threads(), &mut one, 8, |idx, chunk| {
             assert_eq!(idx, 0);
             assert_eq!(chunk.len(), 3);
         });

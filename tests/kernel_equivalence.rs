@@ -165,7 +165,7 @@ proptest! {
 
     /// The public entry point: whether `matmul_with_workers` runs whole
     /// or split across 1/2/4 workers, the bits match the pinned
-    /// reference. Shapes up to 40³ cross the `worth_splitting` threshold.
+    /// reference. Shapes up to 40³ cross the `worth_splitting_with` threshold.
     #[test]
     fn matmul_is_bit_identical_across_paths_and_workers(
         m in 1usize..40,
