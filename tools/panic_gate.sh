@@ -10,8 +10,8 @@
 # never raise it. The fleet crate joined the gate at zero sites and
 # must stay there; classify joined at zero too (the kernel PR swept its
 # `partial_cmp(..).expect(..)` comparators to `f64::total_cmp` and its
-# argmax expects to safe defaults) — the streaming `ClassifierSink`
-# makes its predict path wire-reachable, so it must stay at zero.
+# argmax expects to safe defaults) — the mining service trains and
+# predicts on records that arrived over the wire, so it must stay at zero.
 #
 # Rationale (liveness overhaul PR): anything reachable from the wire must
 # surface as a typed TransportError/FrameError/SapError so one bad frame
