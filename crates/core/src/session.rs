@@ -29,7 +29,7 @@ use sap_net::transport::InMemoryHub;
 use sap_net::wire::{Wire, WireError};
 use sap_net::{PartyId, SessionId, Transport};
 use sap_perturb::Perturbation;
-use sap_privacy::optimize::{OptimizerConfig, StagedBudget};
+use sap_privacy::optimize::{OptimizerConfig, StagedBudget, MAX_CANDIDATES};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -109,7 +109,9 @@ impl SapConfig {
     }
 
     /// Checks the settings no session can run with: `block_rows` must be
-    /// positive and every fault probability a number within `[0, 1]`.
+    /// positive, `optimizer.candidates` at most
+    /// [`sap_privacy::optimize::MAX_CANDIDATES`], and every fault
+    /// probability a number within `[0, 1]`.
     /// Every spawn runs this before a role, an endpoint wrapper or a
     /// server route exists, so a bad client config fails its own
     /// submission instead of panicking a thread that holds shared state.
@@ -120,6 +122,12 @@ impl SapConfig {
     pub fn validate(&self) -> Result<(), SapError> {
         if self.block_rows == 0 {
             return Err(SapError::InvalidConfig("block_rows is 0".into()));
+        }
+        if self.optimizer.candidates > MAX_CANDIDATES {
+            return Err(SapError::InvalidConfig(format!(
+                "optimizer.candidates is {}, above {MAX_CANDIDATES}",
+                self.optimizer.candidates
+            )));
         }
         match &self.fault_config {
             Some(faults) => faults.validate().map_err(SapError::InvalidConfig),

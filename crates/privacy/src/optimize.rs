@@ -58,6 +58,11 @@ impl fmt::Display for OptimizeError {
 
 impl std::error::Error for OptimizeError {}
 
+/// The most candidates one optimizer run may draw (128× the default).
+/// `SapConfig::validate` in `sap-core` rejects larger client configs
+/// before a session starts: the engine allocates per candidate.
+pub const MAX_CANDIDATES: usize = 4096;
+
 /// The staged attack-schedule budget: how aggressively the engine prunes
 /// candidates on cheap attacks before the expensive reconstruction
 /// attacks run.

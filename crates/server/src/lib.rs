@@ -1182,6 +1182,41 @@ mod tests {
         assert!(server.wait(good, Some(Duration::from_secs(60))).is_ok());
     }
 
+    /// A candidate count the engine cannot allocate for fails the
+    /// submission with a typed config error before any role thread
+    /// exists, and the server keeps serving.
+    #[test]
+    fn oversized_candidate_count_is_rejected_at_submit() {
+        let server = SapServer::in_memory(ServerConfig::default()).unwrap();
+        let max = sap_privacy::optimize::MAX_CANDIDATES;
+        for candidates in [max + 1, 1 << 40] {
+            let bad_cfg = SapConfig {
+                optimizer: sap_privacy::OptimizerConfig {
+                    candidates,
+                    ..sap_privacy::OptimizerConfig::default()
+                },
+                ..quick()
+            };
+            let err = server.submit(locals(22), &bad_cfg).unwrap_err();
+            assert!(
+                matches!(err, ServerError::Session(SapError::InvalidConfig(_))),
+                "{err}"
+            );
+        }
+        assert_eq!(server.metrics().sessions_failed, 0);
+        let at_max = SapConfig {
+            optimizer: sap_privacy::OptimizerConfig {
+                candidates: max,
+                ..sap_privacy::OptimizerConfig::default()
+            },
+            ..quick()
+        };
+        assert!(at_max.validate().is_ok());
+
+        let good = server.submit(locals(23), &quick()).unwrap();
+        assert!(server.wait(good, Some(Duration::from_secs(60))).is_ok());
+    }
+
     #[test]
     fn too_many_parties_rejected() {
         let server = SapServer::in_memory(ServerConfig {
