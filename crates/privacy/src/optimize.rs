@@ -163,9 +163,12 @@ pub struct OptimizedPerturbation {
     /// Its minimum privacy guarantee under the attack suite.
     pub privacy_guarantee: f64,
     /// Guarantee of every candidate, in sample order (for Figure 2's
-    /// random-vs-optimized distributions). Under a staged run, pruned
-    /// candidates carry their cheap-stage score (an upper bound on their
-    /// full-suite guarantee); survivors carry the full-suite score.
+    /// random-vs-optimized distributions). Under a staged run, only the
+    /// survivors the ICA pass reached carry their full-suite score. A
+    /// pruned candidate carries its cheap-stage score, and a survivor the
+    /// pass skipped carries `min(cheap, PCA)`: both upper bounds on the
+    /// full-suite guarantee, the latter equal to it unless ICA would
+    /// have lowered it. With staging disabled every entry is full-suite.
     pub history: Vec<f64>,
 }
 

@@ -1,24 +1,22 @@
-//! The optimizer engine's contract: with pruning disabled, the parallel
-//! staged engine selects the **bit-identical** perturbation and guarantee
-//! as the plain serial loop — for any dataset, any worker count
-//! (`SAP_LINALG_THREADS` flows through the same parameter the explicit
-//! override sets), and any candidate count including 1. With pruning
-//! enabled, the selection never beats the unstaged optimum and never
-//! falls below the cheap-stage winner's full-suite score.
+//! The optimizer engine's staged contract and the cross-commit oracle.
+//! With pruning enabled, the selection never beats the unstaged optimum
+//! and never falls below the cheap-stage winner's full-suite score. (The
+//! unstaged contract — parallel engine ≡ plain serial loop, bit for bit,
+//! at any worker count — is pinned next to the loop it compares against,
+//! in `sap-privacy`'s engine unit tests.)
 //!
-//! The golden-digest tests at the bottom are the cross-commit oracle: the
-//! in-build comparisons above cannot see a change to a kernel both paths
-//! share, so the optimizer's results and the attack kernels' outputs on a
-//! fixed grid are hashed bit for bit against committed constants.
+//! The golden-digest tests are the cross-commit oracle: in-build
+//! comparisons cannot see a change to a kernel both paths share, so the
+//! optimizer's results and the attack kernels' outputs on a fixed grid
+//! are hashed bit for bit against committed constants.
 
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sap_repro::ica::fastica::{FastIca, FastIcaConfig};
 use sap_repro::ica::Whitener;
 use sap_repro::linalg::eigen::SymmetricEigen;
 use sap_repro::linalg::Matrix;
-use sap_repro::privacy::engine::{run, serial_reference, EngineOutcome};
+use sap_repro::privacy::engine::run;
 use sap_repro::privacy::optimize::{evaluate_perturbation, OptimizerConfig, StagedBudget};
 
 /// Non-Gaussian data with mixed skew/kurtosis so every attack in the
@@ -48,91 +46,6 @@ fn base_config(candidates: usize, use_ica: bool) -> OptimizerConfig {
         },
         threads: None,
     }
-}
-
-/// Bitwise comparison of two engine outcomes (timings excluded — they
-/// measure the schedule, not the result).
-fn assert_bit_identical(parallel: &EngineOutcome, serial: &EngineOutcome, label: &str) {
-    assert_eq!(
-        parallel.result.privacy_guarantee.to_bits(),
-        serial.result.privacy_guarantee.to_bits(),
-        "guarantee diverged: {label}"
-    );
-    assert_eq!(
-        parallel.result.perturbation, serial.result.perturbation,
-        "winning perturbation diverged: {label}"
-    );
-    assert_eq!(parallel.result.history.len(), serial.result.history.len());
-    for (i, (p, s)) in parallel
-        .result
-        .history
-        .iter()
-        .zip(&serial.result.history)
-        .enumerate()
-    {
-        assert_eq!(p.to_bits(), s.to_bits(), "history[{i}] diverged: {label}");
-    }
-    for (i, (p, s)) in parallel
-        .cheap_history
-        .iter()
-        .zip(&serial.cheap_history)
-        .enumerate()
-    {
-        assert_eq!(
-            p.to_bits(),
-            s.to_bits(),
-            "cheap_history[{i}] diverged: {label}"
-        );
-    }
-    assert_eq!(parallel.stats.ica_applied, serial.stats.ica_applied);
-}
-
-fn check_equivalence(seed: u64, dim: usize, records: usize, candidates: usize, use_ica: bool) {
-    let x = random_dataset(seed, dim, records);
-    let cfg = base_config(candidates, use_ica);
-    let serial = serial_reference(&x, &cfg, &mut StdRng::seed_from_u64(seed ^ 0x5EED))
-        .expect("serial reference");
-    for threads in [1usize, 2, 4] {
-        let cfg = OptimizerConfig {
-            threads: Some(threads),
-            ..cfg.clone()
-        };
-        let parallel =
-            run(&x, &cfg, &mut StdRng::seed_from_u64(seed ^ 0x5EED)).expect("parallel engine");
-        assert_eq!(parallel.stats.threads, threads);
-        assert_eq!(parallel.stats.pruned, 0, "pruning is disabled");
-        assert_bit_identical(
-            &parallel,
-            &serial,
-            &format!("seed={seed:#x} threads={threads} candidates={candidates} ica={use_ica}"),
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Random datasets × worker counts {1, 2, 4} × candidate counts
-    /// including 1: parallel engine ≡ serial loop, bit for bit.
-    #[test]
-    fn engine_matches_serial_loop(
-        seed in any::<u64>(),
-        dim in 2usize..5,
-        records in 20usize..160,
-        candidate_pick in 0usize..4,
-    ) {
-        // Candidate counts including the degenerate single-candidate run.
-        let candidates = [1usize, 2, 7, 16][candidate_pick];
-        check_equivalence(seed, dim, records, candidates, false);
-    }
-}
-
-/// The ICA-enabled expensive stage obeys the same contract (fewer cases —
-/// FastICA per candidate is the expensive path the engine exists to tame).
-#[test]
-fn engine_matches_serial_loop_with_ica() {
-    check_equivalence(0x1CA_5E55, 3, 120, 6, true);
-    check_equivalence(0x1CA_0001, 2, 90, 1, true);
 }
 
 /// Staged selection bounds: never above the unstaged optimum (it ranges
