@@ -141,7 +141,7 @@ fn assert_golden(got: &[(String, u64)], golden: &[(&str, u64)]) {
 /// `SAP_LINALG_THREADS`, so the same constants must hold at any setting.
 const GOLDEN_ENGINE: &[(&str, u64)] = &[
     ("d=4 ica=false", 0x943351d9f70969ae),
-    ("d=4 ica=true", 0xb1bdb92870bf45cd),
+    ("d=4 ica=true", 0xd676be5ca8fbe293),
     ("d=10 ica=false", 0x81fe0646ae767d47),
     ("d=10 ica=true", 0x81fe0646ae767d47),
     ("d=16 ica=false", 0xf70564b1c553f04b),
