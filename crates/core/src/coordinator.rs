@@ -58,7 +58,7 @@ pub fn run_coordinator<T: Transport>(
     let coord_pos = k - 1;
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xC00D);
 
-    // Provider duty: local optimization on own data, through the staged
+    // Provider duty: local optimization on own data, through the
     // parallel engine.
     let x = data.to_column_matrix();
     let engine_out = engine::run(&x, &config.optimizer, &mut rng)?;
@@ -181,7 +181,6 @@ pub fn run_coordinator<T: Transport>(
             rho_local,
             rho_unified,
             satisfaction,
-            optimizer_history: opt.history,
             optimizer: engine_out.stats,
         },
         target,

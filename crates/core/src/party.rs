@@ -55,7 +55,7 @@ pub fn run_provider<T: Transport>(
     let x = data.to_column_matrix();
     let mut rng = StdRng::seed_from_u64(config.seed ^ me.0.wrapping_mul(0x9E37_79B9_7F4A_7C15));
 
-    // Phase 1: local optimization through the staged, parallel engine.
+    // Phase 1: local optimization through the parallel engine.
     let engine_out = engine::run(&x, &config.optimizer, &mut rng)?;
     let opt = engine_out.result;
     let g_local = opt.perturbation.clone();
@@ -85,7 +85,6 @@ pub fn run_provider<T: Transport>(
         rho_local,
         rho_unified,
         satisfaction,
-        optimizer_history: opt.history,
         optimizer: engine_out.stats,
     })
 }
@@ -476,7 +475,7 @@ mod tests {
         assert_eq!(report.provider, PartyId(0));
         assert!(report.rho_local >= 0.0);
         assert!(report.satisfaction >= 0.0);
-        assert_eq!(report.optimizer_history.len(), config.optimizer.candidates);
+        assert_eq!(report.optimizer.candidates, config.optimizer.candidates);
     }
 
     #[test]

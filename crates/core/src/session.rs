@@ -29,7 +29,7 @@ use sap_net::transport::InMemoryHub;
 use sap_net::wire::{Wire, WireError};
 use sap_net::{PartyId, SessionId, Transport};
 use sap_perturb::Perturbation;
-use sap_privacy::optimize::{OptimizerConfig, StagedBudget, MAX_CANDIDATES};
+use sap_privacy::optimize::{OptimizerConfig, MAX_CANDIDATES};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -148,9 +148,6 @@ impl Wire for SapConfig {
         o.known_points.encode(out);
         o.eval_sample.encode(out);
         o.use_ica.encode(out);
-        o.staged.enabled.encode(out);
-        o.staged.survivor_fraction.encode(out);
-        o.staged.min_survivors.encode(out);
         o.threads.encode(out);
         self.session_secret.encode(out);
         self.seed.encode(out);
@@ -170,11 +167,6 @@ impl Wire for SapConfig {
                 known_points: usize::decode(input)?,
                 eval_sample: usize::decode(input)?,
                 use_ica: bool::decode(input)?,
-                staged: StagedBudget {
-                    enabled: bool::decode(input)?,
-                    survivor_fraction: f64::decode(input)?,
-                    min_survivors: usize::decode(input)?,
-                },
                 threads: Option::decode(input)?,
             },
             session_secret: u64::decode(input)?,
@@ -203,12 +195,9 @@ pub struct ProviderReport {
     pub rho_unified: f64,
     /// Satisfaction level `sᵢ = ρᵢᴳ / ρᵢ`.
     pub satisfaction: f64,
-    /// Privacy guarantee of every optimizer candidate (for Figure 2).
-    /// Under the staged schedule, pruned candidates carry cheap-stage
-    /// scores (see [`sap_privacy::optimize::OptimizedPerturbation::history`]).
-    pub optimizer_history: Vec<f64>,
     /// Per-stage telemetry of this provider's optimizer run (wall times,
-    /// candidates evaluated/pruned, ICA applications).
+    /// candidates drawn and never fully scored, evaluations per attack
+    /// level, ICA fits).
     pub optimizer: sap_privacy::EngineStats,
 }
 
@@ -244,11 +233,11 @@ pub struct SapOutcome {
 pub struct OptimizerSummary {
     /// Total optimizer wall time across the session's providers (seconds).
     pub wall_s: f64,
-    /// Candidates scored by the cheap stage, all providers.
+    /// Candidates drawn, each scored by the cheap attacks, all providers.
     pub candidates_evaluated: u64,
-    /// Candidates pruned before the expensive stage, all providers.
+    /// Candidates never fully scored, all providers.
     pub candidates_pruned: u64,
-    /// Survivors on which the ICA reconstruction applied, all providers.
+    /// ICA fits that produced an estimate, all providers.
     pub ica_applied: u64,
 }
 
@@ -274,10 +263,9 @@ impl SapOutcome {
     /// best **full-suite** guarantee the provider observed as the
     /// empirical bound `b̂`: `rho_local` is by construction the maximum
     /// full-suite score of the optimizer run, and `rho_unified` the
-    /// unified space's full-suite score. The per-candidate history is
-    /// deliberately *not* folded in — under the staged schedule pruned
-    /// candidates carry cheap-stage upper bounds that no full evaluation
-    /// ever measured, which would silently inflate `b̂`.
+    /// unified space's full-suite score. The optimizer's other
+    /// candidates are not folded in: most of them end with an upper bound
+    /// that no full evaluation measured, which would inflate `b̂`.
     /// Degenerate runs (all-zero guarantees) yield risk `1.0`.
     pub fn risk_summary(&self) -> Vec<f64> {
         let k = self.num_providers();
@@ -709,7 +697,6 @@ mod tests {
         let back: SapConfig = sap_net::wire::from_bytes(&bytes).unwrap();
         assert_eq!(back.noise_sigma, cfg.noise_sigma);
         assert_eq!(back.optimizer.candidates, cfg.optimizer.candidates);
-        assert_eq!(back.optimizer.staged, cfg.optimizer.staged);
         assert_eq!(back.optimizer.threads, cfg.optimizer.threads);
         assert_eq!(back.session_secret, cfg.session_secret);
         assert_eq!(back.seed, cfg.seed);

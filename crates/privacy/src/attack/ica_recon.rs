@@ -48,7 +48,7 @@ impl IcaReconstruction {
         knowledge.attr_stats.len() == perturbed.rows() && perturbed.cols() >= 8
     }
 
-    /// The attack with a caller-supplied whitener — the staged optimizer
+    /// The attack with a caller-supplied whitener — the optimizer
     /// engine's entry point, where one
     /// [`sap_ica::workspace::WhiteningWorkspace`] decomposition is shared
     /// across every candidate rotation and each candidate's whitener is

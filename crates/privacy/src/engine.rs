@@ -1,33 +1,26 @@
-//! The staged, parallel candidate-evaluation engine behind [`crate::optimize`].
+//! The exact, parallel candidate-evaluation engine behind [`crate::optimize`].
 //!
-//! The serial optimizer evaluated every candidate under the full attack
-//! suite, one after another, drawing all randomness from a single RNG
-//! stream — which made the expensive ICA reconstruction unaffordable in
-//! the inner loop and left the system shipping with its strongest
-//! attacker disabled. The engine restructures that loop into overlapping
-//! stages without changing what a candidate's score *means*:
+//! The paper's optimizer scores every candidate under the full attack
+//! suite and keeps the best. A score is a minimum over attacks, so every
+//! attack can only lower it, and any partial minimum bounds the full
+//! score from above. The engine uses those bounds to select the same
+//! winner, with the same guarantee bits, while most candidates meet only
+//! the cheap attacks:
 //!
 //! 1. **Shared precomputation** (once per run): the evaluation subsample,
 //!    the attacker-knowledge bundle, an independent reference subsample
 //!    for the known-sample attack, and — when ICA is enabled — one
 //!    [`WhiteningWorkspace`] eigendecomposition of the sample covariance
 //!    that every candidate's ICA whitener is minted from.
-//! 2. **Cheap stage** (all candidates, parallel): naive estimation,
-//!    distance inference, and the known-sample attack score every
-//!    candidate.
-//! 3. **Prune** (successive halving, [`crate::optimize::StagedBudget`]): the top-scoring
-//!    fraction survives; the rest keep their cheap score as an upper
-//!    bound.
-//! 4. **Expensive stage** (survivors only): pass 1 (parallel) folds the
-//!    PCA reconstruction into each survivor's score, `U = min(cheap,
-//!    PCA)`. Pass 2 fits the workspace-whitened ICA reconstruction in
-//!    order of `U`, only on survivors that can still win
-//!    (`select_with_bounds`); with staging disabled, pass 1 runs ICA
-//!    on every survivor instead.
-//! 5. **Select**: the survivor with the highest full-suite guarantee
-//!    wins (first index on ties). The cheap-stage winner always survives,
-//!    so the staged selection is never worse than fully evaluating only
-//!    the cheap winner.
+//! 2. **Level 0** (all candidates, parallel): naive estimation and
+//!    distance inference give every candidate its first bound.
+//! 3. **Best-first loop** (serial): take the candidate with the highest
+//!    bound (lower index on ties) and fold its next level of the attack
+//!    ladder into it, in cost order: (1) known-sample PCA, (2) PCA,
+//!    (3) workspace-whitened ICA. Stop when the top candidate has all
+//!    four levels. No other candidate's full score can exceed its bound,
+//!    and a bound equal to the winner's belongs to a higher index, so the
+//!    top candidate is the serial loop's first maximum.
 //!
 //! # Determinism
 //!
@@ -36,11 +29,10 @@
 //! seeds a fresh [`StdRng`] with `mix(run_seed, i)` (a SplitMix64-style
 //! finalizer). A candidate's perturbation, noise realization, and score
 //! therefore depend only on `(run_seed, i)` and the shared
-//! precomputation — never on thread count or scheduling (pass 2 runs
-//! serially). With pruning disabled, [`run`] is **bit-identical** to the
-//! plain serial loop its unit tests keep as the specification, for every
-//! worker count; enabling pruning changes only *which* candidates pay
-//! for the expensive stage, never the winner among the survivors.
+//! precomputation — never on thread count or scheduling (the loop runs
+//! on the calling thread). [`run`] selects the winner, with the same
+//! guarantee bits, that the plain serial full-suite loop its unit tests
+//! keep as the specification selects, at every config and worker count.
 
 use crate::attack::{
     Attack, AttackSuite, AttackerKnowledge, DistanceInference, IcaReconstruction,
@@ -55,32 +47,35 @@ use sap_linalg::{parallel, Matrix};
 use sap_perturb::GeometricPerturbation;
 use std::time::Instant;
 
+/// Levels of the attack ladder: (0) naive estimation + distance
+/// inference, (1) known-sample PCA, (2) PCA, (3) workspace ICA.
+pub const LEVELS: usize = 4;
+
 /// Per-stage telemetry of one engine run, surfaced through
 /// `ProviderReport`/`SapOutcome` in `sap-core` and aggregated into the
 /// server metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineStats {
-    /// Candidates drawn and scored by the cheap stage.
+    /// Candidates drawn, every one scored at level 0.
     pub candidates: usize,
-    /// Candidates that reached the expensive stage.
-    pub survivors: usize,
-    /// Candidates pruned after the cheap stage.
+    /// Candidates never fully scored: their bound already ruled them out.
     pub pruned: usize,
-    /// Survivors the ICA reconstruction ran on: all of them unstaged,
-    /// only those pass 2 reached when staged.
+    /// Candidates each ladder level ran on, level 0 first. Non-increasing;
+    /// the last entry counts the fully scored candidates, winner included.
+    pub evaluations: [usize; LEVELS],
+    /// Candidates the ICA reconstruction ran on (the last level, when ICA
+    /// is enabled).
     pub ica_fits: usize,
     /// Of those fits, the ones that produced an estimate (ICA can
     /// decline: divergence, too few records).
     pub ica_applied: usize,
-    /// Worker threads used for candidate evaluation.
+    /// Worker threads used for level 0.
     pub threads: usize,
-    /// Whether the two-stage schedule pruned anything.
-    pub staged: bool,
-    /// Whether the ICA attack was part of the expensive stage.
+    /// Whether the ICA attack was part of the ladder.
     pub ica: bool,
-    /// Wall time of the cheap stage (seconds).
+    /// Wall time of level 0 (seconds).
     pub cheap_stage_s: f64,
-    /// Wall time of the expensive stage (seconds).
+    /// Wall time of the best-first loop (seconds).
     pub expensive_stage_s: f64,
     /// Wall time of the whole run, shared precomputation included.
     pub total_s: f64,
@@ -89,16 +84,11 @@ pub struct EngineStats {
 /// Result of one engine run: the winning perturbation plus observability.
 #[derive(Debug, Clone)]
 pub struct EngineOutcome {
-    /// The selected perturbation, its full-suite guarantee, and the
-    /// per-candidate history (see
-    /// [`OptimizedPerturbation::history`] for staged semantics).
+    /// The selected perturbation and its full-suite guarantee.
     pub result: OptimizedPerturbation,
-    /// Every candidate's cheap-stage score, in candidate order.
-    pub cheap_history: Vec<f64>,
     /// Per-stage telemetry.
     pub stats: EngineStats,
 }
-
 /// Derives candidate `index`'s RNG seed from the run seed — a
 /// SplitMix64-style finalizer over `run_seed ⊕ (index · φ64)`, so
 /// neighboring candidates land in unrelated regions of the seed space.
@@ -117,7 +107,7 @@ struct RunContext {
     /// The known-sample adversary's knowledge, *derived once* from the
     /// reference subsample (the attack is PCA against estimated
     /// statistics; re-deriving marginals + covariance per candidate
-    /// would put an O(d²·m) recomputation inside the cheap stage).
+    /// would put an O(d²·m) recomputation inside ladder level 1).
     known_sample: Option<AttackerKnowledge>,
     pca: PcaReconstruction,
     ica: Option<(IcaReconstruction, WhiteningWorkspace)>,
@@ -195,8 +185,9 @@ fn shared_context<R: Rng + ?Sized>(
 }
 
 /// Rebuilds candidate `i` from its derived seed: the perturbation and the
-/// realized perturbed sample. Cheap relative to any attack, so stages
-/// regenerate instead of holding every candidate's matrix alive.
+/// realized perturbed sample. Cheap relative to any attack, so the engine
+/// regenerates a candidate for each level instead of holding its matrix
+/// alive.
 fn regenerate(
     ctx: &RunContext,
     config: &OptimizerConfig,
@@ -208,31 +199,40 @@ fn regenerate(
     (cand, y)
 }
 
-/// The cheap suite on one realized perturbed sample: naive + distance
-/// inference, plus the known-sample attack (PCA against the reference
-/// sample's precomputed estimated statistics).
-fn cheap_score(ctx: &RunContext, y: &Matrix) -> f64 {
-    let mut rho = ctx.cheap.privacy_guarantee(&ctx.sample, y, &ctx.knowledge);
-    if let Some(ks) = &ctx.known_sample {
-        if let Some(est) = ctx.pca.estimate(y, ks) {
-            rho = rho.min(minimum_privacy_guarantee(&ctx.sample, &est));
-        }
-    }
-    rho
+/// Ladder level 0, a candidate's first bound: naive estimation and
+/// distance inference on its realized perturbed sample.
+fn level0_score(ctx: &RunContext, y: &Matrix) -> f64 {
+    ctx.cheap.privacy_guarantee(&ctx.sample, y, &ctx.knowledge)
 }
 
-/// The PCA reconstruction folded into a cheap score: an upper bound on
-/// the full-suite score that only [`ica_tighten`] can lower.
-fn pca_bound(ctx: &RunContext, y: &Matrix, cheap_rho: f64) -> f64 {
-    match ctx.pca.estimate(y, &ctx.knowledge) {
-        Some(est) => cheap_rho.min(minimum_privacy_guarantee(&ctx.sample, &est)),
-        None => cheap_rho,
-    }
+/// Folds ladder level `level` (1 to 3) into `bound`, a candidate's
+/// minimum over the levels before it. Returns the new bound and, at
+/// level 3, the ICA fit's outcome: `None` when no fit ran (ICA
+/// disabled), else whether it produced an estimate.
+fn tighten(
+    ctx: &RunContext,
+    level: usize,
+    cand: &GeometricPerturbation,
+    y: &Matrix,
+    bound: f64,
+) -> (f64, Option<bool>) {
+    let estimate = match level {
+        // PCA against the reference sample's precomputed estimated
+        // statistics.
+        1 => ctx
+            .known_sample
+            .as_ref()
+            .and_then(|ks| ctx.pca.estimate(y, ks)),
+        2 => ctx.pca.estimate(y, &ctx.knowledge),
+        _ => return ica_tighten(ctx, cand, y, bound),
+    };
+    let rho = estimate.map_or(bound, |est| {
+        bound.min(minimum_privacy_guarantee(&ctx.sample, &est))
+    });
+    (rho, None)
 }
 
-/// The workspace-whitened ICA reconstruction folded into a survivor's
-/// [`pca_bound`]. Returns the score and the fit's outcome: `None` when
-/// no fit ran (ICA disabled), else whether it produced an estimate.
+/// The workspace-whitened ICA reconstruction folded into `bound`.
 fn ica_tighten(
     ctx: &RunContext,
     cand: &GeometricPerturbation,
@@ -260,47 +260,46 @@ fn ica_tighten(
     }
 }
 
-/// Pass 2's selection: the index of the highest tightened score, first
-/// index on ties, calling `tighten(j)` only on entries that can still
-/// win. Requires `tighten(j) <= bounds[j]` and no NaN bound (engine
-/// scores are minima folded from `+∞`, which NaN never enters).
+/// The best-first loop over the ladder. `level0[i]` is candidate `i`'s
+/// level-0 score; `fold(i, level, bound)` folds level `level` (1 to 3)
+/// into candidate `i`'s bound and must not raise it. Returns the index
+/// and full score of the first maximum of the full scores, or `None`
+/// when there are no candidates. Requires no NaN bound (scores are
+/// minima folded with `f64::min`, which keeps NaN out).
 ///
-/// Entries are visited by bound descending, index ascending, until one's
-/// bound is below the best score so far, or equal to it at a higher
-/// index: no later entry's score can exceed its bound, and on a tie its
-/// index is higher too, so none can win. The result is the first maximum
-/// of tightening every entry.
-fn select_with_bounds(bounds: &[f64], mut tighten: impl FnMut(usize) -> f64) -> usize {
-    // `+ 0.0` folds −0.0 into +0.0, so bounds that compare equal sort by
-    // index.
-    let mut order: Vec<usize> = (0..bounds.len()).collect();
-    order.sort_by(|&a, &b| {
-        (bounds[b] + 0.0)
-            .total_cmp(&(bounds[a] + 0.0))
-            .then(a.cmp(&b))
-    });
-    let beats = |score: f64, j: usize, (best_j, best): (usize, f64)| {
-        score > best || (score == best && j < best_j)
-    };
-    let mut best: Option<(usize, f64)> = None;
-    for j in order {
-        if best.is_some_and(|b| !beats(bounds[j], j, b)) {
-            break;
+/// Each step advances the candidate with the highest bound, lower index
+/// on ties, and the loop stops when that candidate is fully scored.
+/// Every other candidate's full score is at most its bound, which is
+/// below the winner's score or equal to it at a higher index.
+fn best_first(
+    level0: &[f64],
+    mut fold: impl FnMut(usize, usize, f64) -> f64,
+) -> Option<(usize, f64)> {
+    // (bound, next level) per candidate.
+    let mut state: Vec<(f64, usize)> = level0.iter().map(|&rho| (rho, 1)).collect();
+    loop {
+        // `+ 0.0` folds −0.0 into +0.0, so bounds that compare equal order
+        // by index. `max_by` keeps the last maximum, hence `b.cmp(&a)`.
+        let i = (0..state.len()).max_by(|&a, &b| {
+            (state[a].0 + 0.0)
+                .total_cmp(&(state[b].0 + 0.0))
+                .then(b.cmp(&a))
+        })?;
+        let (rho, level) = &mut state[i];
+        if *level == LEVELS {
+            return Some((i, *rho));
         }
-        let score = tighten(j);
-        if best.is_none_or(|b| beats(score, j, b)) {
-            best = Some((j, score));
-        }
+        *rho = fold(i, *level, *rho);
+        *level += 1;
     }
-    best.map_or(0, |(j, _)| j)
 }
 
 /// Scores **one** given perturbation under the engine's scoring model —
-/// the same shared precomputation, cheap suite, and expensive
-/// PCA/workspace-ICA stage a candidate would get. This is what the
-/// protocol actors use for the satisfaction ratio `sᵢ = ρᵢᴳ / ρᵢ`:
-/// numerator and denominator must come from the *same* attack model, or
-/// the ratio compares incomparable scores.
+/// the same shared precomputation and the whole attack ladder a
+/// candidate would get. This is what the protocol actors use for the
+/// satisfaction ratio `sᵢ = ρᵢᴳ / ρᵢ`: numerator and denominator must
+/// come from the *same* attack model, or the ratio compares incomparable
+/// scores.
 ///
 /// Degenerate inputs (empty dataset) score `+∞` — "no attack applies" —
 /// mirroring [`crate::attack::AttackSuite::privacy_guarantee`] on an
@@ -315,14 +314,15 @@ pub fn evaluate<R: Rng + ?Sized>(
         return f64::INFINITY;
     };
     let (y, _delta) = perturbation.perturb(&ctx.sample, rng);
-    let bound = pca_bound(&ctx, &y, cheap_score(&ctx, &y));
-    ica_tighten(&ctx, perturbation, &y, bound).0
+    (1..LEVELS).fold(level0_score(&ctx, &y), |bound, level| {
+        tighten(&ctx, level, perturbation, &y, bound).0
+    })
 }
 
-/// Runs the staged, parallel engine on a `d × N` dataset. Worker count
-/// comes from [`OptimizerConfig::threads`], defaulting to
+/// Runs the exact, parallel engine on a `d × N` dataset. Worker count
+/// for level 0 comes from [`OptimizerConfig::threads`], defaulting to
 /// [`sap_linalg::parallel::threads`] (the `SAP_LINALG_THREADS` override
-/// applies); the staged schedule from [`OptimizerConfig::staged`].
+/// applies).
 ///
 /// # Errors
 ///
@@ -338,74 +338,44 @@ pub fn run<R: Rng + ?Sized>(
     let n = config.candidates;
     let workers = config.threads.unwrap_or_else(parallel::threads).max(1);
 
-    // Stage 1: cheap attacks on every candidate. Each slot depends only
-    // on its index and the shared context, so any worker count produces
-    // the same bits.
+    // Level 0 on every candidate. Each slot depends only on its index and
+    // the shared context, so any worker count produces the same bits.
     let cheap_start = Instant::now();
-    let mut cheap = vec![0.0f64; n];
-    parallel::for_each_chunk_mut_with(workers, &mut cheap, 1, |i, slot| {
-        slot[0] = cheap_score(&ctx, &regenerate(&ctx, config, i).1);
+    let mut level0 = vec![0.0f64; n];
+    parallel::for_each_chunk_mut_with(workers, &mut level0, 1, |i, slot| {
+        slot[0] = level0_score(&ctx, &regenerate(&ctx, config, i).1);
     });
     let cheap_stage_s = cheap_start.elapsed().as_secs_f64();
 
-    // Prune: survivors are the top cheap scorers (ties resolved by lower
-    // index — a total, deterministic order), in candidate order.
-    let mut survivors: Vec<usize> = (0..n).collect();
-    survivors.sort_by(|&a, &b| cheap[b].total_cmp(&cheap[a]).then_with(|| a.cmp(&b)));
-    survivors.truncate(config.staged.survivors(n));
-    survivors.sort_unstable();
-
-    // Stage 2, pass 1 (parallel): each survivor's bound `min(cheap, PCA)`,
-    // tightened by ICA right away when unstaged.
-    let expensive_start = Instant::now();
-    let full_suite = !config.staged.enabled;
-    let mut full: Vec<(f64, Option<bool>)> = vec![(0.0, None); survivors.len()];
-    parallel::for_each_chunk_mut_with(workers, &mut full, 1, |j, slot| {
-        let i = survivors[j];
+    let loop_start = Instant::now();
+    let mut evaluations = [0; LEVELS];
+    evaluations[0] = n;
+    let mut ica_applied = 0;
+    let (best, privacy_guarantee) = best_first(&level0, |i, level, bound| {
+        evaluations[level] += 1;
         let (cand, y) = regenerate(&ctx, config, i);
-        let bound = pca_bound(&ctx, &y, cheap[i]);
-        slot[0] = if full_suite {
-            ica_tighten(&ctx, &cand, &y, bound)
-        } else {
-            (bound, None)
-        };
-    });
+        let (rho, fit) = tighten(&ctx, level, &cand, &y, bound);
+        ica_applied += usize::from(fit == Some(true));
+        rho
+    })
+    .ok_or(OptimizeError::NoCandidates)?;
+    let expensive_stage_s = loop_start.elapsed().as_secs_f64();
 
-    // Pass 2 and select: highest full-suite guarantee, first index on
-    // ties. Staged, ICA runs in bound order only on survivors that can
-    // still win; the others keep their bound.
-    let bounds: Vec<f64> = full.iter().map(|&(rho, _)| rho).collect();
-    let best_j = select_with_bounds(&bounds, |j| {
-        if !full_suite && ctx.ica.is_some() {
-            let (cand, y) = regenerate(&ctx, config, survivors[j]);
-            full[j] = ica_tighten(&ctx, &cand, &y, bounds[j]);
-        }
-        full[j].0
-    });
-    let expensive_stage_s = expensive_start.elapsed().as_secs_f64();
-
-    let mut history = cheap.clone();
-    for (&i, &(rho, _)) in survivors.iter().zip(&full) {
-        history[i] = rho;
-    }
-    let (perturbation, _) = regenerate(&ctx, config, survivors[best_j]);
-    let fits = || full.iter().filter_map(|&(_, fit)| fit);
+    let (perturbation, _) = regenerate(&ctx, config, best);
+    let fully_scored = evaluations[LEVELS - 1];
 
     Ok(EngineOutcome {
         result: OptimizedPerturbation {
             perturbation,
-            privacy_guarantee: full[best_j].0,
-            history,
+            privacy_guarantee,
         },
-        cheap_history: cheap,
         stats: EngineStats {
             candidates: n,
-            survivors: survivors.len(),
-            pruned: n - survivors.len(),
-            ica_fits: fits().count(),
-            ica_applied: fits().filter(|&applied| applied).count(),
+            pruned: n - fully_scored,
+            evaluations,
+            ica_fits: if ctx.ica.is_some() { fully_scored } else { 0 },
+            ica_applied,
             threads: workers,
-            staged: survivors.len() != n,
             ica: ctx.ica.is_some(),
             cheap_stage_s,
             expensive_stage_s,
@@ -417,58 +387,33 @@ pub fn run<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimize::StagedBudget;
     use proptest::prelude::*;
     use rand::RngExt;
 
     /// The specification the engine is tested against: a plain serial
     /// loop over the same per-candidate seed streams, every candidate
-    /// evaluated under the full suite, no pruning, no worker threads.
-    /// With [`StagedBudget::enabled`]` = false`, [`run`] must reproduce
-    /// this function's output bit for bit.
+    /// scored under the whole ladder, the first maximum kept. [`run`] must
+    /// select this function's winner with the same guarantee bits.
     fn serial_reference(
         x: &Matrix,
         config: &OptimizerConfig,
         rng: &mut StdRng,
-    ) -> Result<EngineOutcome, OptimizeError> {
+    ) -> Result<OptimizedPerturbation, OptimizeError> {
         let ctx = prepare(x, config, rng)?;
-        let n = config.candidates;
-
-        let mut cheap_history = Vec::with_capacity(n);
-        let mut history = Vec::with_capacity(n);
-        let (mut ica_fits, mut ica_applied) = (0, 0);
-        let mut best: Option<(usize, f64)> = None;
-        for i in 0..n {
+        let mut best: Option<(GeometricPerturbation, f64)> = None;
+        for i in 0..config.candidates {
             let (cand, y) = regenerate(&ctx, config, i);
-            let cheap_rho = cheap_score(&ctx, &y);
-            let (rho, fit) = ica_tighten(&ctx, &cand, &y, pca_bound(&ctx, &y, cheap_rho));
-            cheap_history.push(cheap_rho);
-            history.push(rho);
-            ica_fits += usize::from(fit.is_some());
-            ica_applied += usize::from(fit == Some(true));
-            if best.is_none_or(|(_, b)| rho > b) {
-                best = Some((i, rho));
+            let rho = (1..LEVELS).fold(level0_score(&ctx, &y), |bound, level| {
+                tighten(&ctx, level, &cand, &y, bound).0
+            });
+            if best.as_ref().is_none_or(|&(_, b)| rho > b) {
+                best = Some((cand, rho));
             }
         }
-        let (winner, privacy_guarantee) = best.expect("candidates > 0");
-        let (perturbation, _) = regenerate(&ctx, config, winner);
-
-        Ok(EngineOutcome {
-            result: OptimizedPerturbation {
-                perturbation,
-                privacy_guarantee,
-                history,
-            },
-            cheap_history,
-            stats: EngineStats {
-                candidates: n,
-                survivors: n,
-                ica_fits,
-                ica_applied,
-                threads: 1,
-                ica: ctx.ica.is_some(),
-                ..EngineStats::default()
-            },
+        let (perturbation, privacy_guarantee) = best.expect("candidates > 0");
+        Ok(OptimizedPerturbation {
+            perturbation,
+            privacy_guarantee,
         })
     }
 
@@ -477,27 +422,95 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         Matrix::from_fn(d, n, |r, _| {
             let u: f64 = rng.random_range(0.0001..1.0);
-            if r % 2 == 0 {
-                (-u.ln()) * 0.2 + 0.1 * r as f64
-            } else {
-                u * u + 0.05 * r as f64
+            match r % 3 {
+                0 => (-u.ln()) * 0.3,
+                1 => u * u + 0.1 * r as f64,
+                _ => u + 0.05 * r as f64,
             }
         })
     }
 
-    fn config(candidates: usize, use_ica: bool, staged: bool) -> OptimizerConfig {
+    /// Independent uniform attributes: FastICA's canonical case.
+    fn uniform_data(d: usize, n: usize, seed: u64) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Matrix::from_fn(d, n, |_, _| rng.random_range(0.0..1.0))
+    }
+
+    /// A two-component Gaussian mixture, the shape of the UCI stand-ins.
+    fn mixture_data(d: usize, n: usize, seed: u64) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut x = sap_linalg::randn_matrix(d, n, &mut rng);
+        for c in (0..n).step_by(3) {
+            for r in 0..d {
+                x[(r, c)] += 2.0 + r as f64;
+            }
+        }
+        x
+    }
+
+    fn config(candidates: usize, use_ica: bool) -> OptimizerConfig {
         OptimizerConfig {
             candidates,
             noise_sigma: 0.05,
             known_points: 4,
             eval_sample: 96,
             use_ica,
-            staged: StagedBudget {
-                enabled: staged,
-                survivor_fraction: 0.25,
-                min_survivors: 2,
-            },
             threads: None,
+        }
+    }
+
+    /// Runs the engine at 1, 2 and 4 workers and checks each run against
+    /// the serial loop: the same winner and guarantee bits, the same
+    /// schedule at every worker count, and a well-formed ladder count.
+    fn check_exact(x: &Matrix, candidates: usize, use_ica: bool, seed: u64) {
+        let cfg = config(candidates, use_ica);
+        let serial = serial_reference(x, &cfg, &mut StdRng::seed_from_u64(seed)).unwrap();
+        let mut first: Option<EngineStats> = None;
+        for threads in [1usize, 2, 4] {
+            let label =
+                format!("seed={seed:#x} candidates={candidates} ica={use_ica} threads={threads}");
+            let cfg = OptimizerConfig {
+                threads: Some(threads),
+                ..cfg.clone()
+            };
+            let out = run(x, &cfg, &mut StdRng::seed_from_u64(seed)).unwrap();
+            assert_eq!(
+                out.result.privacy_guarantee.to_bits(),
+                serial.privacy_guarantee.to_bits(),
+                "guarantee diverged: {label}"
+            );
+            assert_eq!(
+                out.result.perturbation, serial.perturbation,
+                "winner diverged: {label}"
+            );
+            let s = out.stats;
+            assert_eq!(s.threads, threads);
+            assert_eq!(s.evaluations[0], candidates, "{label} {s:?}");
+            assert!(
+                s.evaluations.windows(2).all(|w| w[0] >= w[1]),
+                "{label} {s:?}"
+            );
+            let fully_scored = s.evaluations[LEVELS - 1];
+            assert!(fully_scored >= 1, "{label} {s:?}");
+            if !s.ica {
+                // A last level that cannot lower a bound leaves the top
+                // candidate on top: only the winner reaches it.
+                assert_eq!(fully_scored, 1, "{label} {s:?}");
+            }
+            assert_eq!(s.pruned, candidates - fully_scored);
+            assert_eq!(s.ica_fits, if s.ica { fully_scored } else { 0 });
+            assert!(s.ica_applied <= s.ica_fits);
+            let schedule = EngineStats {
+                threads: 0,
+                cheap_stage_s: 0.0,
+                expensive_stage_s: 0.0,
+                total_s: 0.0,
+                ..s
+            };
+            match first {
+                None => first = Some(schedule),
+                Some(f) => assert_eq!(f, schedule, "schedule depends on workers: {label}"),
+            }
         }
     }
 
@@ -505,109 +518,48 @@ mod tests {
     fn parallel_matches_serial_reference_bitwise() {
         let x = skewed_data(4, 220, 1);
         for candidates in [1usize, 3, 9] {
-            for threads in [1usize, 2, 4] {
-                let cfg = OptimizerConfig {
-                    threads: Some(threads),
-                    ..config(candidates, false, false)
-                };
-                let serial = serial_reference(&x, &cfg, &mut StdRng::seed_from_u64(7)).unwrap();
-                let par = run(&x, &cfg, &mut StdRng::seed_from_u64(7)).unwrap();
-                assert_eq!(
-                    par.result.privacy_guarantee.to_bits(),
-                    serial.result.privacy_guarantee.to_bits(),
-                    "candidates={candidates} threads={threads}"
-                );
-                assert_eq!(par.result.history, serial.result.history);
-                assert_eq!(par.cheap_history, serial.cheap_history);
-                assert_eq!(par.result.perturbation, serial.result.perturbation);
-                assert_eq!(par.stats.ica_fits, serial.stats.ica_fits);
-                assert_eq!(par.stats.ica_applied, serial.stats.ica_applied);
-            }
+            check_exact(&x, candidates, false, 7);
         }
-    }
-
-    #[test]
-    fn staged_never_beats_unstaged_and_never_undershoots_cheap_winner() {
-        let x = skewed_data(3, 260, 2);
-        let unstaged = run(&x, &config(12, false, false), &mut StdRng::seed_from_u64(3)).unwrap();
-        let staged = run(&x, &config(12, false, true), &mut StdRng::seed_from_u64(3)).unwrap();
-        // Same run seed → same candidates; the staged maximum ranges over
-        // a subset of the unstaged one.
-        assert!(staged.result.privacy_guarantee <= unstaged.result.privacy_guarantee + 1e-15);
-
-        // Pruning to a single survivor selects exactly the cheap-stage
-        // winner; the default schedule keeps that candidate too, so its
-        // selection can only be better.
-        let cheap_winner_only = OptimizerConfig {
-            staged: StagedBudget {
-                enabled: true,
-                survivor_fraction: 0.0,
-                min_survivors: 1,
-            },
-            ..config(12, false, true)
-        };
-        let floor = run(&x, &cheap_winner_only, &mut StdRng::seed_from_u64(3)).unwrap();
-        assert_eq!(floor.stats.survivors, 1);
-        assert!(staged.result.privacy_guarantee >= floor.result.privacy_guarantee - 1e-15);
     }
 
     #[test]
     fn stats_reflect_the_schedule() {
         let x = skewed_data(3, 200, 4);
-        let out = run(&x, &config(16, false, true), &mut StdRng::seed_from_u64(5)).unwrap();
-        assert_eq!(out.stats.candidates, 16);
-        assert_eq!(out.stats.survivors, 4);
-        assert_eq!(out.stats.pruned, 12);
-        assert!(out.stats.staged);
-        assert!(!out.stats.ica);
-        assert!(out.stats.threads >= 1);
-        assert!(out.stats.total_s >= 0.0);
-        assert_eq!(out.result.history.len(), 16);
-        assert_eq!(out.cheap_history.len(), 16);
-        // Survivors' history entries are tightened, never loosened.
-        for (h, c) in out.result.history.iter().zip(&out.cheap_history) {
-            assert!(h <= &(c + 1e-15));
-        }
+        let out = run(&x, &config(16, false), &mut StdRng::seed_from_u64(5)).unwrap();
+        let s = out.stats;
+        assert_eq!(s.candidates, 16);
+        assert_eq!(s.evaluations[0], 16);
+        assert_eq!(s.evaluations[LEVELS - 1], 1);
+        assert_eq!(s.pruned, 15);
+        assert!(!s.ica);
+        assert_eq!((s.ica_fits, s.ica_applied), (0, 0));
+        assert!(s.threads >= 1);
+        assert!(s.total_s >= s.cheap_stage_s + s.expensive_stage_s);
     }
 
     #[test]
     fn ica_stage_applies_on_non_gaussian_data() {
-        // Independent uniform-ish attributes: FastICA's canonical case.
-        let mut rng = StdRng::seed_from_u64(6);
-        let x = Matrix::from_fn(2, 400, |_, _| rng.random_range(0.0..1.0));
-        let out = run(&x, &config(6, true, true), &mut StdRng::seed_from_u64(8)).unwrap();
+        let x = uniform_data(2, 400, 6);
+        let out = run(&x, &config(6, true), &mut StdRng::seed_from_u64(8)).unwrap();
         assert!(out.stats.ica);
         assert!(
             out.stats.ica_applied > 0,
-            "ICA should reconstruct at least one survivor: {:?}",
+            "ICA should reconstruct at least the winner: {:?}",
             out.stats
         );
-        // And the serial reference agrees bit-for-bit with pruning off.
-        let cfg = config(6, true, false);
-        let a = serial_reference(&x, &cfg, &mut StdRng::seed_from_u64(9)).unwrap();
-        let b = run(&x, &cfg, &mut StdRng::seed_from_u64(9)).unwrap();
-        assert_eq!(
-            a.result.privacy_guarantee.to_bits(),
-            b.result.privacy_guarantee.to_bits()
-        );
-        assert_eq!(a.result.history, b.result.history);
+        check_exact(&x, 6, true, 9);
     }
 
     #[test]
     fn rejects_malformed_inputs() {
         let x = skewed_data(2, 50, 10);
         assert_eq!(
-            run(&x, &config(0, false, true), &mut StdRng::seed_from_u64(1)).unwrap_err(),
+            run(&x, &config(0, false), &mut StdRng::seed_from_u64(1)).unwrap_err(),
             OptimizeError::NoCandidates
         );
         let empty = Matrix::zeros(3, 0);
         assert!(matches!(
-            run(
-                &empty,
-                &config(4, false, true),
-                &mut StdRng::seed_from_u64(1)
-            )
-            .unwrap_err(),
+            run(&empty, &config(4, false), &mut StdRng::seed_from_u64(1)).unwrap_err(),
             OptimizeError::EmptyDataset { rows: 3, cols: 0 }
         ));
     }
@@ -621,237 +573,87 @@ mod tests {
         assert_eq!(uniq.len(), s.len());
     }
 
-    /// Non-Gaussian data with mixed skew/kurtosis so every attack in the
-    /// suite (naive, distance, known-sample, PCA, ICA) has something to
-    /// bite.
-    fn random_dataset(seed: u64, dim: usize, records: usize) -> Matrix {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Matrix::from_fn(dim, records, |r, _| {
-            let u: f64 = rng.random_range(0.0001..1.0);
-            match r % 3 {
-                0 => (-u.ln()) * 0.3,
-                1 => u * u + 0.1 * r as f64,
-                _ => u + 0.05 * r as f64,
-            }
-        })
-    }
-
-    fn base_config(candidates: usize, use_ica: bool) -> OptimizerConfig {
-        OptimizerConfig {
-            candidates,
-            noise_sigma: 0.05,
-            known_points: 4,
-            eval_sample: 80,
-            use_ica,
-            staged: StagedBudget {
-                enabled: false,
-                ..StagedBudget::default()
-            },
-            threads: None,
-        }
-    }
-
-    /// Bitwise comparison of two engine outcomes (timings excluded — they
-    /// measure the schedule, not the result).
-    fn assert_bit_identical(parallel: &EngineOutcome, serial: &EngineOutcome, label: &str) {
-        assert_eq!(
-            parallel.result.privacy_guarantee.to_bits(),
-            serial.result.privacy_guarantee.to_bits(),
-            "guarantee diverged: {label}"
-        );
-        assert_eq!(
-            parallel.result.perturbation, serial.result.perturbation,
-            "winning perturbation diverged: {label}"
-        );
-        assert_eq!(parallel.result.history.len(), serial.result.history.len());
-        for (i, (p, s)) in parallel
-            .result
-            .history
-            .iter()
-            .zip(&serial.result.history)
-            .enumerate()
-        {
-            assert_eq!(p.to_bits(), s.to_bits(), "history[{i}] diverged: {label}");
-        }
-        for (i, (p, s)) in parallel
-            .cheap_history
-            .iter()
-            .zip(&serial.cheap_history)
-            .enumerate()
-        {
-            assert_eq!(
-                p.to_bits(),
-                s.to_bits(),
-                "cheap_history[{i}] diverged: {label}"
-            );
-        }
-        assert_eq!(parallel.stats.ica_fits, serial.stats.ica_fits);
-        assert_eq!(parallel.stats.ica_applied, serial.stats.ica_applied);
-    }
-
-    fn check_equivalence(seed: u64, dim: usize, records: usize, candidates: usize, use_ica: bool) {
-        let x = random_dataset(seed, dim, records);
-        let cfg = base_config(candidates, use_ica);
-        let serial = serial_reference(&x, &cfg, &mut StdRng::seed_from_u64(seed ^ 0x5EED))
-            .expect("serial reference");
-        for threads in [1usize, 2, 4] {
-            let cfg = OptimizerConfig {
-                threads: Some(threads),
-                ..cfg.clone()
-            };
-            let parallel =
-                run(&x, &cfg, &mut StdRng::seed_from_u64(seed ^ 0x5EED)).expect("parallel engine");
-            assert_eq!(parallel.stats.threads, threads);
-            assert_eq!(parallel.stats.pruned, 0, "pruning is disabled");
-            assert_bit_identical(
-                &parallel,
-                &serial,
-                &format!("seed={seed:#x} threads={threads} candidates={candidates} ica={use_ica}"),
-            );
-        }
-    }
-
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
+        #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Random datasets × worker counts {1, 2, 4} × candidate counts
-        /// including 1: parallel engine ≡ serial loop, bit for bit.
+        /// Skewed, uniform and Gaussian-mixture data × candidate counts
+        /// 1–16 × ICA on and off × worker counts {1, 2, 4}: the engine
+        /// selects the serial full-suite loop's winner, guarantee bits
+        /// included.
         #[test]
         fn engine_matches_serial_loop(
             seed in any::<u64>(),
+            kind in 0usize..3,
             dim in 2usize..5,
             records in 20usize..160,
-            candidate_pick in 0usize..4,
+            candidates in 1usize..=16,
+            use_ica in any::<bool>(),
         ) {
-            // Candidate counts including the degenerate single-candidate run.
-            let candidates = [1usize, 2, 7, 16][candidate_pick];
-            check_equivalence(seed, dim, records, candidates, false);
+            let x = match kind {
+                0 => skewed_data(dim, records, seed),
+                1 => uniform_data(dim, records, seed),
+                _ => mixture_data(dim, records, seed),
+            };
+            check_exact(&x, candidates, use_ica, seed ^ 0x5EED);
         }
     }
 
-    /// The ICA-enabled expensive stage obeys the same contract (fewer
-    /// cases — FastICA per candidate is the expensive path the engine
-    /// exists to tame).
+    /// Fixed ICA cases, one where the last level binds on several
+    /// candidates and the single-candidate run.
     #[test]
     fn engine_matches_serial_loop_with_ica() {
-        check_equivalence(0x1CA_5E55, 3, 120, 6, true);
-        check_equivalence(0x1CA_0001, 2, 90, 1, true);
+        check_exact(&skewed_data(3, 120, 0x1CA_5E55), 6, true, 0x1CA);
+        check_exact(&uniform_data(3, 150, 0x1CA_0002), 12, true, 0x1CB);
+        check_exact(&skewed_data(2, 90, 0x1CA_0001), 1, true, 0x1CC);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Pass 2's stop rule selects what tightening every entry and
-        /// taking the first maximum selects, on arbitrary bounds with
-        /// `tight ≤ bound`, and tightens no entry twice.
+        /// The best-first loop selects what folding every level into every
+        /// candidate and taking the first maximum selects, on arbitrary
+        /// level scores: ties, ±0 and +∞ ("no attack applied") included.
+        /// It folds each level at most once, in ladder order, and the
+        /// winner through every level.
         #[test]
         fn bounded_selection_matches_tightening_everything(
             seed in any::<u64>(),
             len in 1usize..12,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            // Few levels force ties among bounds, among tightened scores
-            // and between the two; ±0 and +∞ ("no attack applied") too.
-            let mut level = || match rng.random_range(0u32..7) {
+            // Few values force ties among bounds, among full scores and
+            // between the two.
+            let mut value = || match rng.random_range(0u32..7) {
                 0 => f64::INFINITY,
                 1 => -0.0,
                 2 => 0.0,
                 k => f64::from(k),
             };
-            let bounds: Vec<f64> = (0..len).map(|_| level()).collect();
-            let tight: Vec<f64> = bounds.iter().map(|&b| b.min(level())).collect();
+            let scores: Vec<[f64; LEVELS]> = (0..len).map(|_| [value(), value(), value(), value()]).collect();
+            let full: Vec<f64> = scores
+                .iter()
+                .map(|s| s[1..].iter().fold(s[0], |b, &v| b.min(v)))
+                .collect();
             let mut first_max = 0;
             for j in 1..len {
-                if tight[j] > tight[first_max] {
+                if full[j] > full[first_max] {
                     first_max = j;
                 }
             }
-            let mut visits = vec![0u32; len];
-            let got = select_with_bounds(&bounds, |j| {
-                visits[j] += 1;
-                tight[j]
+            let level0: Vec<f64> = scores.iter().map(|s| s[0]).collect();
+            let mut next_level = vec![1usize; len];
+            let got = best_first(&level0, |i, level, bound| {
+                assert_eq!(level, next_level[i], "candidate {i} folded out of order");
+                next_level[i] += 1;
+                bound.min(scores[i][level])
             });
-            prop_assert_eq!(got, first_max);
-            prop_assert!(visits.iter().all(|&v| v <= 1), "{visits:?}");
-            prop_assert_eq!(visits[got], 1);
+            prop_assert_eq!(got.map(|(i, rho)| (i, rho.to_bits())), Some((first_max, full[first_max].to_bits())));
+            prop_assert_eq!(next_level[first_max], LEVELS);
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// The staged schedule with nothing pruned against the unstaged
-        /// full suite, on data FastICA separates: the same winner and
-        /// guarantee bits at every worker count. A survivor pass 2 fitted
-        /// carries its full score; one it skipped carries its bound, never
-        /// below the full score. Pass 2 fits a prefix of the bound order.
-        #[test]
-        fn staged_bound_selects_what_the_full_suite_selects(
-            seed in any::<u64>(),
-            dim in 2usize..6,
-            skewed in any::<bool>(),
-            candidates in 2usize..9,
-        ) {
-            let x = if skewed {
-                random_dataset(seed, dim, 120)
-            } else {
-                let mut rng = StdRng::seed_from_u64(seed);
-                Matrix::from_fn(dim, 120, |_, _| rng.random_range(0.0..1.0))
-            };
-            let full_cfg = base_config(candidates, true);
-            let reference = run(&x, &full_cfg, &mut StdRng::seed_from_u64(seed)).unwrap();
-
-            // Pass 1's bounds, recomputed here to name the visit order.
-            let ctx = prepare(&x, &full_cfg, &mut StdRng::seed_from_u64(seed)).unwrap();
-            prop_assert!(ctx.ica.is_some());
-            let bounds: Vec<f64> = (0..candidates)
-                .map(|i| {
-                    let (_cand, y) = regenerate(&ctx, &full_cfg, i);
-                    pca_bound(&ctx, &y, reference.cheap_history[i])
-                })
-                .collect();
-            let mut order: Vec<usize> = (0..candidates).collect();
-            order.sort_by(|&a, &b| bounds[b].partial_cmp(&bounds[a]).unwrap().then(a.cmp(&b)));
-
-            let mut first: Option<EngineOutcome> = None;
-            for threads in [1usize, 2, 4] {
-                let cfg = OptimizerConfig {
-                    staged: StagedBudget {
-                        enabled: true,
-                        survivor_fraction: 1.0,
-                        min_survivors: candidates,
-                    },
-                    threads: Some(threads),
-                    ..full_cfg.clone()
-                };
-                let out = run(&x, &cfg, &mut StdRng::seed_from_u64(seed)).unwrap();
-                let stats = out.stats;
-                prop_assert_eq!(stats.survivors, candidates);
-                prop_assert!((1..=candidates).contains(&stats.ica_fits), "{stats:?}");
-                prop_assert!(stats.ica_applied <= stats.ica_fits, "{stats:?}");
-                prop_assert_eq!(
-                    out.result.privacy_guarantee.to_bits(),
-                    reference.result.privacy_guarantee.to_bits()
-                );
-                prop_assert_eq!(&out.result.perturbation, &reference.result.perturbation);
-                for (rank, &i) in order.iter().enumerate() {
-                    let (got, full) = (out.result.history[i], reference.result.history[i]);
-                    if rank < stats.ica_fits {
-                        prop_assert_eq!(got.to_bits(), full.to_bits());
-                    } else {
-                        prop_assert_eq!(got.to_bits(), bounds[i].to_bits());
-                        prop_assert!(got >= full, "history[{i}] {got} below {full}");
-                    }
-                }
-                match &first {
-                    None => first = Some(out),
-                    Some(f) => {
-                        prop_assert_eq!(&f.result.history, &out.result.history);
-                        prop_assert_eq!(f.stats.ica_fits, stats.ica_fits);
-                        prop_assert_eq!(f.stats.ica_applied, stats.ica_applied);
-                    }
-                }
-            }
-        }
+    #[test]
+    fn best_first_without_candidates_selects_nothing() {
+        assert_eq!(best_first(&[], |_, _, b| b), None);
     }
 }

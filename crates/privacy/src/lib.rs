@@ -14,11 +14,11 @@
 //!   rotations, score each under the attack suite, keep the best. This is
 //!   what produces the "optimized perturbations give higher privacy
 //!   guarantee" distribution of the brief's Figure 2.
-//! * [`engine`] — the staged, parallel candidate-evaluation engine beneath
-//!   the optimizer: deterministic per-candidate RNG streams, a cheap
-//!   attack stage over the whole field, successive-halving pruning, and
-//!   the expensive PCA/ICA stage on the survivors (which makes ICA
-//!   affordable enough to be on by default).
+//! * [`engine`] — the exact, parallel candidate-evaluation engine beneath
+//!   the optimizer: deterministic per-candidate RNG streams, the cheap
+//!   attacks on the whole field in parallel, then a best-first loop that
+//!   runs the expensive PCA/ICA attacks only on candidates that can still
+//!   win (which makes ICA affordable enough to be on by default).
 //! * [`risk`] — the multiparty risk model: source identifiability `πᵢ`,
 //!   satisfaction level `sᵢ`, risk of privacy breach (eq. 1), the SAP risk
 //!   (eq. 2), and the minimum-parties bound behind Figure 4.
@@ -41,5 +41,5 @@ pub mod risk;
 pub use attack::{Attack, AttackSuite, AttackerKnowledge};
 pub use engine::{EngineOutcome, EngineStats};
 pub use metric::{attribute_privacy, minimum_privacy_guarantee};
-pub use optimize::{OptimizeError, OptimizedPerturbation, OptimizerConfig, StagedBudget};
+pub use optimize::{OptimizeError, OptimizedPerturbation, OptimizerConfig};
 pub use risk::{min_parties, risk_of_breach, sap_risk, PrivacyProfile};

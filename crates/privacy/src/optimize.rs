@@ -11,13 +11,14 @@
 //! * the empirical bound `b̂ = max{ρ^(i)} over n rounds`,
 //! * the optimality rate `O = ρ̄ / b̂`.
 //!
-//! Since the staged-engine refactor, [`optimize`] is a thin wrapper over
-//! [`crate::engine::run`]: candidates are evaluated in parallel on
-//! deterministic per-candidate RNG streams, and a successive-halving
-//! schedule prunes the field on cheap attacks before the expensive
-//! PCA/ICA reconstructions run — which is what makes
-//! [`OptimizerConfig::use_ica`]` = true` the affordable default. See the
-//! engine module docs for the schedule and the determinism rules.
+//! [`optimize`] is a thin wrapper over [`crate::engine::run`]: candidates
+//! are drawn on deterministic per-candidate RNG streams, and a
+//! best-first loop runs the expensive PCA/ICA reconstructions only on
+//! candidates whose cheaper attacks leave them able to win — which is
+//! what makes [`OptimizerConfig::use_ica`]` = true` the affordable
+//! default. The winner is exactly the one scoring every candidate under
+//! every attack would keep. See the engine module docs for the loop and
+//! the determinism rules.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -63,56 +64,6 @@ impl std::error::Error for OptimizeError {}
 /// before a session starts: the engine allocates per candidate.
 pub const MAX_CANDIDATES: usize = 4096;
 
-/// The staged attack-schedule budget: how aggressively the engine prunes
-/// candidates on cheap attacks before the expensive reconstruction
-/// attacks run.
-///
-/// With staging enabled the engine scores every candidate under the
-/// cheap suite (naive, distance-inference, known-sample), keeps the
-/// top-scoring survivors, and only those pay for the PCA/ICA stage. The
-/// selected candidate's guarantee is always its **full-suite** guarantee;
-/// pruning can only cost optimality (a candidate whose cheap score
-/// undersold it), never correctness — and the cheap-stage winner is
-/// always among the survivors, so the staged selection is never worse
-/// than "evaluate only the cheap winner fully".
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StagedBudget {
-    /// Run the two-stage schedule. Disabled, every candidate gets the
-    /// full suite (the reference semantics the equivalence tests pin).
-    pub enabled: bool,
-    /// Fraction of the field that survives to the expensive stage
-    /// (successive halving with one rung; `0.25` keeps the top quarter).
-    pub survivor_fraction: f64,
-    /// Survivor floor: small fields are never pruned below this.
-    pub min_survivors: usize,
-}
-
-impl Default for StagedBudget {
-    fn default() -> Self {
-        StagedBudget {
-            enabled: true,
-            survivor_fraction: 0.25,
-            min_survivors: 4,
-        }
-    }
-}
-
-impl StagedBudget {
-    /// How many of `candidates` survive to the expensive stage. Floored
-    /// at one whenever there are candidates at all — a budget of zero
-    /// survivors (e.g. `min_survivors: 0` with a zero or non-finite
-    /// fraction, both reachable from a client-supplied config) must
-    /// never leave the engine without a winner to select.
-    pub fn survivors(&self, candidates: usize) -> usize {
-        if !self.enabled {
-            return candidates;
-        }
-        let frac = (candidates as f64 * self.survivor_fraction).ceil() as usize;
-        frac.max(self.min_survivors)
-            .clamp(1.min(candidates), candidates)
-    }
-}
-
 /// Configuration of the randomized optimizer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimizerConfig {
@@ -129,11 +80,9 @@ pub struct OptimizerConfig {
     /// loop cheap.
     pub eval_sample: usize,
     /// Include the (expensive) ICA attack in the evaluation suite.
-    /// Default `true` since the staged engine made it affordable.
+    /// Default `true`: the engine fits it only on candidates that can
+    /// still win.
     pub use_ica: bool,
-    /// The staged attack-schedule budget (cheap stage → prune →
-    /// expensive stage).
-    pub staged: StagedBudget,
     /// Worker-thread override for candidate evaluation. `None` (the
     /// default) uses [`sap_linalg::parallel::threads`], i.e. the machine's
     /// parallelism capped by `SAP_LINALG_THREADS`; `Some(1)` forces the
@@ -149,7 +98,6 @@ impl Default for OptimizerConfig {
             known_points: 6,
             eval_sample: 300,
             use_ica: true,
-            staged: StagedBudget::default(),
             threads: None,
         }
     }
@@ -160,16 +108,8 @@ impl Default for OptimizerConfig {
 pub struct OptimizedPerturbation {
     /// The winning perturbation.
     pub perturbation: GeometricPerturbation,
-    /// Its minimum privacy guarantee under the attack suite.
+    /// Its minimum privacy guarantee under the full attack suite.
     pub privacy_guarantee: f64,
-    /// Guarantee of every candidate, in sample order (for Figure 2's
-    /// random-vs-optimized distributions). Under a staged run, only the
-    /// survivors the ICA pass reached carry their full-suite score. A
-    /// pruned candidate carries its cheap-stage score, and a survivor the
-    /// pass skipped carries `min(cheap, PCA)`: both upper bounds on the
-    /// full-suite guarantee, the latter equal to it unless ICA would
-    /// have lowered it. With staging disabled every entry is full-suite.
-    pub history: Vec<f64>,
 }
 
 /// Scores one perturbation on (a subsample of) the data under the
@@ -187,9 +127,8 @@ pub fn evaluate_perturbation<R: Rng + ?Sized>(
 }
 
 /// Runs the randomized optimizer on a `d × N` dataset: draws
-/// `config.candidates` random perturbations, scores each under the staged
-/// attack schedule, keeps the one with the highest minimum privacy
-/// guarantee. This is [`crate::engine::run`] with the per-stage
+/// `config.candidates` random perturbations and keeps the one with the
+/// highest minimum privacy guarantee under the full attack suite. This is [`crate::engine::run`] with the per-stage
 /// telemetry dropped.
 ///
 /// # Errors
@@ -307,32 +246,27 @@ mod tests {
 
     #[test]
     fn optimized_at_least_matches_every_candidate() {
+        // Candidate `i` depends only on the run seed and `i`, and the run
+        // seed not on the candidate count: a run over the first `c`
+        // candidates keeps the best of them, so the guarantee can only
+        // grow with `c`, and the full run's is the best of all.
         let x = skewed_data(4, 300, 1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let opt = optimize(&x, &quick_config(), &mut rng).unwrap();
-        assert_eq!(opt.history.len(), 8);
-        let best_in_history = vecops::max(&opt.history);
-        // Pruned candidates report cheap-stage scores (upper bounds), so
-        // the winner matches the best *full* score, never exceeds the max.
-        assert!(opt.privacy_guarantee <= best_in_history + 1e-12);
-        assert!(opt.privacy_guarantee.is_finite());
-    }
-
-    #[test]
-    fn unstaged_winner_is_history_maximum() {
-        let x = skewed_data(4, 300, 1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let cfg = OptimizerConfig {
-            staged: StagedBudget {
-                enabled: false,
-                ..StagedBudget::default()
-            },
-            ..quick_config()
-        };
-        let opt = optimize(&x, &cfg, &mut rng).unwrap();
-        let best_in_history = vecops::max(&opt.history);
-        assert!((opt.privacy_guarantee - best_in_history).abs() < 1e-15);
-        assert!(opt.history.iter().all(|&h| h <= opt.privacy_guarantee));
+        let cfg = quick_config();
+        let guarantees: Vec<f64> = (1..=cfg.candidates)
+            .map(|candidates| {
+                let cfg = OptimizerConfig {
+                    candidates,
+                    ..cfg.clone()
+                };
+                let opt = optimize(&x, &cfg, &mut StdRng::seed_from_u64(2)).unwrap();
+                assert!(opt.privacy_guarantee.is_finite());
+                opt.privacy_guarantee
+            })
+            .collect();
+        assert!(
+            guarantees.windows(2).all(|w| w[0] <= w[1]),
+            "{guarantees:?}"
+        );
     }
 
     #[test]
@@ -427,32 +361,5 @@ mod tests {
             .unwrap_err(),
             OptimizeError::NoRounds
         );
-    }
-
-    #[test]
-    fn staged_budget_survivor_counts() {
-        let b = StagedBudget::default();
-        assert_eq!(b.survivors(32), 8);
-        assert_eq!(b.survivors(4), 4);
-        assert_eq!(b.survivors(1), 1);
-        assert_eq!(b.survivors(100), 25);
-        let off = StagedBudget {
-            enabled: false,
-            ..b
-        };
-        assert_eq!(off.survivors(32), 32);
-        // A malformed client budget can never yield zero survivors.
-        let degenerate = StagedBudget {
-            enabled: true,
-            survivor_fraction: 0.0,
-            min_survivors: 0,
-        };
-        assert_eq!(degenerate.survivors(8), 1);
-        assert_eq!(degenerate.survivors(0), 0);
-        let nan = StagedBudget {
-            survivor_fraction: f64::NAN,
-            ..degenerate
-        };
-        assert_eq!(nan.survivors(8), 1);
     }
 }

@@ -273,13 +273,13 @@ pub struct ServerMetrics {
     /// hidden under stream transfer time.
     pub overlap_ratio_avg: f64,
     /// Optimizer wall time summed over every provider of every completed
-    /// session (seconds) — the staged engine's per-run total.
+    /// session (seconds) — the engine's per-run total.
     pub optimizer_wall_s: f64,
-    /// Optimizer candidates scored by the cheap stage, summed over
-    /// completed sessions.
-    pub optimizer_candidates_evaluated: u64,
-    /// Optimizer candidates pruned before the expensive PCA/ICA stage,
+    /// Optimizer candidates drawn, each scored by the cheap attacks,
     /// summed over completed sessions.
+    pub optimizer_candidates_evaluated: u64,
+    /// Optimizer candidates never fully scored, summed over completed
+    /// sessions.
     pub optimizer_candidates_pruned: u64,
     /// Bytes sent through the lane muxes — all of them sealed envelope
     /// bytes (wire format v3).
@@ -1141,12 +1141,13 @@ mod tests {
         // Optimizer telemetry: 3 providers × 4 quick-test candidates.
         assert_eq!(m.optimizer_candidates_evaluated, 12, "{m:?}");
         assert!(m.optimizer_wall_s > 0.0, "{m:?}");
+        // Candidates not pruned are the ones fully scored.
         assert_eq!(
             m.optimizer_candidates_evaluated - m.optimizer_candidates_pruned,
             outcome
                 .reports
                 .iter()
-                .map(|r| r.optimizer.survivors as u64)
+                .map(|r| r.optimizer.evaluations[sap_privacy::engine::LEVELS - 1] as u64)
                 .sum::<u64>()
         );
     }

@@ -16,7 +16,7 @@ use sap_repro::net::sim::FaultConfig;
 use sap_repro::net::wire::{from_bytes, put_uvarint, to_bytes, WireError};
 use sap_repro::net::PartyId;
 use sap_repro::perturb::{Perturbation, SpaceAdaptor};
-use sap_repro::privacy::{OptimizerConfig, StagedBudget};
+use sap_repro::privacy::OptimizerConfig;
 use std::time::Duration;
 
 fn random_dataset(rng: &mut StdRng, rows: usize, dim: usize) -> Dataset {
@@ -74,11 +74,6 @@ fn fleet_variants(seed: u64) -> Vec<FleetMsg> {
             known_points: rng.random_range(0..usize::MAX),
             eval_sample: rng.random_range(0..usize::MAX),
             use_ica: rng.random_bool(0.5),
-            staged: StagedBudget {
-                enabled: rng.random_bool(0.5),
-                survivor_fraction: rng.random_range(0.0..1.0),
-                min_survivors: rng.random_range(0..usize::MAX),
-            },
             threads: rng
                 .random_bool(0.5)
                 .then(|| rng.random_range(0..usize::MAX)),

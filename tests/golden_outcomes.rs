@@ -8,10 +8,10 @@
 //! run and every input-determined field of each `SapOutcome` is hashed
 //! bit for bit: the unified records and labels, the target space, the
 //! forwarder of every slot, the relayed block count, identifiability,
-//! and per report the guarantees, satisfaction, optimizer history and
-//! the optimizer's candidate counts. Wall times, the worker-thread count
-//! and the streaming statistics measure the schedule, not the result, and
-//! are left out.
+//! and per report the guarantees, satisfaction and the optimizer's
+//! candidate counts. Wall times, the worker-thread count and the
+//! streaming statistics measure the schedule, not the result, and are
+//! left out.
 //!
 //! Every point runs on the in-memory hub; subsets also run over localhost
 //! TCP and through `SapServer`. The literals were recorded once and have
@@ -111,12 +111,10 @@ impl Point {
             qos: self.qos,
             ..SapConfig::quick_test()
         };
-        // One survivor of the cheap stage and a small evaluation sample
-        // keep the expensive ICA stage affordable in a debug build while
-        // still exercising pruning.
+        // A small evaluation sample keeps the ICA attack affordable in a
+        // debug build.
         config.optimizer.use_ica = self.ica;
         config.optimizer.eval_sample = 48;
-        config.optimizer.staged.min_survivors = 1;
         config
     }
 }
@@ -176,12 +174,10 @@ fn outcome_digest(o: &SapOutcome) -> u64 {
         h.word(r.rho_local.to_bits());
         h.word(r.rho_unified.to_bits());
         h.word(r.satisfaction.to_bits());
-        h.f64s(&r.optimizer_history);
         let s = &r.optimizer;
-        for count in [s.candidates, s.survivors, s.pruned, s.ica_applied] {
+        for count in [s.candidates, s.pruned, s.ica_applied] {
             h.word(count as u64);
         }
-        h.word(u64::from(s.staged));
         h.word(u64::from(s.ica));
     }
     h.0

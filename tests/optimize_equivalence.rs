@@ -1,9 +1,9 @@
-//! The optimizer engine's staged contract and the cross-commit oracle.
-//! With pruning enabled, the selection never beats the unstaged optimum
-//! and never falls below the cheap-stage winner's full-suite score. (The
-//! unstaged contract — parallel engine ≡ plain serial loop, bit for bit,
-//! at any worker count — is pinned next to the loop it compares against,
-//! in `sap-privacy`'s engine unit tests.)
+//! The optimizer's regression seeds and the cross-commit oracle. The
+//! engine's contract — the serial full-suite loop's winner and guarantee
+//! bits at any config and worker count — is pinned next to the loop it
+//! compares against, in `sap-privacy`'s engine unit tests. Here the
+//! engine must reach the recorded full-suite optimum on the stand-ins
+//! where a cheaper selection rule once missed it.
 //!
 //! The golden-digest tests are the cross-commit oracle: in-build
 //! comparisons cannot see a change to a kernel both paths share, so the
@@ -12,12 +12,14 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use sap_repro::datasets::normalize::min_max_normalize;
+use sap_repro::datasets::registry::UciDataset;
 use sap_repro::ica::fastica::{FastIca, FastIcaConfig};
 use sap_repro::ica::Whitener;
 use sap_repro::linalg::eigen::SymmetricEigen;
 use sap_repro::linalg::Matrix;
 use sap_repro::privacy::engine::run;
-use sap_repro::privacy::optimize::{evaluate_perturbation, OptimizerConfig, StagedBudget};
+use sap_repro::privacy::optimize::{evaluate_perturbation, random_baseline, OptimizerConfig};
 
 /// Non-Gaussian data with mixed skew/kurtosis so every attack in the
 /// suite (naive, distance, known-sample, PCA, ICA) has something to bite.
@@ -33,59 +35,47 @@ fn random_dataset(seed: u64, dim: usize, records: usize) -> Matrix {
     })
 }
 
-fn base_config(candidates: usize, use_ica: bool) -> OptimizerConfig {
-    OptimizerConfig {
-        candidates,
-        noise_sigma: 0.05,
-        known_points: 4,
-        eval_sample: 80,
-        use_ica,
-        staged: StagedBudget {
-            enabled: false,
-            ..StagedBudget::default()
-        },
-        threads: None,
-    }
-}
+/// Stand-ins where FastICA converges and binds, on which a survivor
+/// heuristic (the best of the top quarter by cheap score) gave up the
+/// optimum. Each entry is the dataset, its
+/// generator seed `s`, and the bits of the serial full-suite optimum
+/// with the optimizer RNG seeded at `77·s`.
+const REGRESSION_SEEDS: &[(UciDataset, u64, u64)] = &[
+    (UciDataset::Votes, 2, 0x3fe3_b0ff_c3a5_1587), // 0.6154 (heuristic: 0.1931)
+    (UciDataset::Votes, 3, 0x3fe4_c49e_aa37_0740), // 0.6490 (heuristic: 0.5653)
+    (UciDataset::Votes, 4, 0x3fe0_3fbe_a58b_959d), // 0.5078 (heuristic: 0.2535)
+    (UciDataset::Ecoli, 3, 0x3fdc_0634_36ab_967c), // 0.4379 (heuristic: 0.3858)
+];
 
-/// Staged selection bounds: never above the unstaged optimum (it ranges
-/// over a subset), never below the cheap-stage winner's full-suite score
-/// (the cheap winner always survives).
+/// The engine reaches the serial full-suite optimum on every seed, and on
+/// Votes s = 2 beats the mean of 8 random perturbations, which the
+/// heuristic's pick fell below (Figure 2's claim).
 #[test]
-fn staged_selection_is_bracketed() {
-    for seed in [1u64, 2, 3, 4] {
-        let x = random_dataset(seed, 3, 140);
-        let unstaged_cfg = base_config(12, false);
-        let staged_cfg = OptimizerConfig {
-            staged: StagedBudget {
-                enabled: true,
-                survivor_fraction: 0.25,
-                min_survivors: 2,
-            },
-            ..unstaged_cfg.clone()
-        };
-        let cheap_winner_cfg = OptimizerConfig {
-            staged: StagedBudget {
-                enabled: true,
-                survivor_fraction: 0.0,
-                min_survivors: 1,
-            },
-            ..unstaged_cfg.clone()
-        };
-        let rng = || StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9));
-        let unstaged = run(&x, &unstaged_cfg, &mut rng()).unwrap();
-        let staged = run(&x, &staged_cfg, &mut rng()).unwrap();
-        let floor = run(&x, &cheap_winner_cfg, &mut rng()).unwrap();
-        assert!(staged.stats.pruned > 0);
-        assert_eq!(floor.stats.survivors, 1);
-        assert!(
-            staged.result.privacy_guarantee <= unstaged.result.privacy_guarantee + 1e-15,
-            "seed {seed}: staged beat the unstaged optimum"
+fn optimizer_reaches_the_full_suite_optimum_on_regression_seeds() {
+    let cfg = OptimizerConfig::default();
+    for &(dataset, s, optimum) in REGRESSION_SEEDS {
+        let (data, _) = min_max_normalize(&dataset.generate(s));
+        let x = data.to_column_matrix();
+        let out = run(&x, &cfg, &mut StdRng::seed_from_u64(77 * s)).unwrap();
+        let rho = out.result.privacy_guarantee;
+        assert_eq!(
+            rho.to_bits(),
+            optimum,
+            "{} s={s}: {rho} is not the optimum {}",
+            dataset.name(),
+            f64::from_bits(optimum)
         );
-        assert!(
-            staged.result.privacy_guarantee >= floor.result.privacy_guarantee - 1e-15,
-            "seed {seed}: staged fell below the cheap-stage winner"
-        );
+        if (dataset, s) == (UciDataset::Votes, 2) {
+            let mut rng = StdRng::seed_from_u64(77 * s + 1);
+            let random_mean = (0..8)
+                .map(|_| random_baseline(&x, &cfg, &mut rng).1)
+                .sum::<f64>()
+                / 8.0;
+            assert!(
+                rho > random_mean,
+                "{rho} below the random mean {random_mean}"
+            );
+        }
     }
 }
 
@@ -160,7 +150,6 @@ fn engine_golden_digests() {
                 known_points: 4,
                 eval_sample: 96,
                 use_ica,
-                staged: StagedBudget::default(),
                 threads: None,
             };
             let out = run(&x, &cfg, &mut StdRng::seed_from_u64(dim as u64)).unwrap();
@@ -170,9 +159,9 @@ fn engine_golden_digests() {
 
             let mut h = Digest::new();
             h.word(out.result.privacy_guarantee.to_bits());
-            h.f64s(&out.result.history);
-            h.f64s(&out.cheap_history);
-            h.word(out.stats.survivors as u64);
+            for count in out.stats.evaluations {
+                h.word(count as u64);
+            }
             h.word(out.stats.ica_applied as u64);
             h.matrix(winner.base().rotation());
             h.f64s(winner.base().translation());

@@ -55,10 +55,10 @@ fn assert_outcomes_identical(a: &SapOutcome, b: &SapOutcome) {
             y.satisfaction.to_bits(),
             "satisfaction"
         );
-        assert_eq!(x.optimizer_history.len(), y.optimizer_history.len());
-        for (p, q) in x.optimizer_history.iter().zip(&y.optimizer_history) {
-            assert_eq!(p.to_bits(), q.to_bits(), "optimizer history");
-        }
+        assert_eq!(
+            x.optimizer.evaluations, y.optimizer.evaluations,
+            "optimizer schedule"
+        );
     }
 }
 
