@@ -126,16 +126,16 @@ fn assert_golden(got: &[(String, u64)], golden: &[(&str, u64)]) {
     }
 }
 
-/// Engine outcome and satisfaction score on a fixed grid, recorded before
-/// the attack kernels were last rewritten. Worker count comes from
+/// Engine outcome (guarantee, evaluations per ladder level, ICA estimates,
+/// winner) and satisfaction score on a fixed grid. Worker count comes from
 /// `SAP_LINALG_THREADS`, so the same constants must hold at any setting.
 const GOLDEN_ENGINE: &[(&str, u64)] = &[
-    ("d=4 ica=false", 0x943351d9f70969ae),
-    ("d=4 ica=true", 0xd676be5ca8fbe293),
-    ("d=10 ica=false", 0x81fe0646ae767d47),
-    ("d=10 ica=true", 0x81fe0646ae767d47),
-    ("d=16 ica=false", 0xf70564b1c553f04b),
-    ("d=16 ica=true", 0xf70564b1c553f04b),
+    ("d=4 ica=false", 0x7f3934c12de3e9d1),
+    ("d=4 ica=true", 0xb737c2d1eadbcc18),
+    ("d=10 ica=false", 0x8f2f2ba1ebf64063),
+    ("d=10 ica=true", 0x8f2f2ba1ebf64063),
+    ("d=16 ica=false", 0x8e31b58f557793e5),
+    ("d=16 ica=true", 0x8e31b58f557793e5),
 ];
 
 #[test]
