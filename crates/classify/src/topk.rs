@@ -15,9 +15,9 @@
 //! Candidates are ordered by `(total_cmp(dist), index)` — equal distances
 //! resolve to the **smaller index**, which is exactly what a stable sort
 //! over `(dist, index)` pairs produces when indices arrive in ascending
-//! order. [`select_k_smallest_reference`] is that stable sort, kept as
-//! the pinned spec; `tests/kernel_equivalence.rs` property-tests the two
-//! equal over duplicate-heavy inputs and every `k` (including `k ≥ n`).
+//! order. That stable sort is the pinned spec: this module's tests and
+//! `tests/kernel_equivalence.rs` check the two equal over duplicate-heavy
+//! inputs and every `k` (including `k ≥ n`).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -60,8 +60,8 @@ impl PartialOrd for Entry {
 ///
 /// One pass, O(n·log k) comparisons, O(k) memory. NaN values order after
 /// all finite values ([`f64::total_cmp`]) instead of panicking. The
-/// result is element-identical to [`select_k_smallest_reference`] —
-/// a stable sort of all pairs truncated to `k`.
+/// result is element-identical to a stable sort of all pairs by value,
+/// truncated to `k`.
 ///
 /// # Panics
 ///
@@ -89,31 +89,31 @@ pub fn select_k_smallest(values: impl IntoIterator<Item = f64>, k: usize) -> Vec
     kept.into_iter().map(|e| (e.dist, e.idx)).collect()
 }
 
-/// The pinned reference spec for [`select_k_smallest`]: enumerate all
-/// pairs, stable-sort by [`f64::total_cmp`] on the value, truncate to
-/// `k`.
-///
-/// # Panics
-///
-/// Panics when `k == 0`.
-pub fn select_k_smallest_reference(
-    values: impl IntoIterator<Item = f64>,
-    k: usize,
-) -> Vec<(f64, usize)> {
-    assert!(k >= 1, "top-k selection needs k >= 1");
-    let mut pairs: Vec<(f64, usize)> = values
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| (v, i))
-        .collect();
-    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-    pairs.truncate(k);
-    pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pinned reference spec for [`select_k_smallest`]: enumerate all
+    /// pairs, stable-sort by [`f64::total_cmp`] on the value, truncate to
+    /// `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k == 0`.
+    fn select_k_smallest_reference(
+        values: impl IntoIterator<Item = f64>,
+        k: usize,
+    ) -> Vec<(f64, usize)> {
+        assert!(k >= 1, "top-k selection needs k >= 1");
+        let mut pairs: Vec<(f64, usize)> = values
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| (v, i))
+            .collect();
+        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        pairs.truncate(k);
+        pairs
+    }
 
     #[test]
     fn selects_smallest_with_index_ties() {

@@ -23,7 +23,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sap_repro::classify::topk::{select_k_smallest, select_k_smallest_reference};
+use sap_repro::classify::topk::select_k_smallest;
 use sap_repro::core::messages::encode_dataset;
 use sap_repro::datasets::{Dataset, DatasetError};
 use sap_repro::linalg::orthogonal::random_orthogonal;
@@ -120,6 +120,15 @@ fn perturb_records_staged(
         *v += noise[feat * n + (cols.start + rec)];
     }
     out
+}
+
+/// The spec bounded-heap top-`k` is pinned to: every `(value, index)`
+/// pair, stable-sorted by [`f64::total_cmp`] on the value, truncated.
+fn stable_sort_top_k(values: &[f64], k: usize) -> Vec<(f64, usize)> {
+    let mut pairs: Vec<(f64, usize)> = values.iter().copied().zip(0..).collect();
+    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    pairs.truncate(k);
+    pairs
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -254,7 +263,7 @@ proptest! {
             .collect();
 
         let fast = select_k_smallest(values.iter().copied(), k);
-        let reference = select_k_smallest_reference(values.iter().copied(), k);
+        let reference = stable_sort_top_k(&values, k);
 
         prop_assert_eq!(fast.len(), reference.len());
         for (f, r) in fast.iter().zip(&reference) {
