@@ -59,7 +59,7 @@ pub fn run_coordinator<T: Transport>(
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xC00D);
 
     // Provider duty: local optimization on own data, through the
-    // parallel engine.
+    // exact engine.
     let x = data.to_column_matrix();
     let engine_out = engine::run(&x, &config.optimizer, &mut rng)?;
     let opt = engine_out.result;

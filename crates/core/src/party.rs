@@ -55,7 +55,7 @@ pub fn run_provider<T: Transport>(
     let x = data.to_column_matrix();
     let mut rng = StdRng::seed_from_u64(config.seed ^ me.0.wrapping_mul(0x9E37_79B9_7F4A_7C15));
 
-    // Phase 1: local optimization through the parallel engine.
+    // Phase 1: local optimization through the exact engine.
     let engine_out = engine::run(&x, &config.optimizer, &mut rng)?;
     let opt = engine_out.result;
     let g_local = opt.perturbation.clone();

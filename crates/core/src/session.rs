@@ -36,8 +36,9 @@ use std::time::Duration;
 /// Session-wide configuration.
 #[derive(Debug, Clone)]
 pub struct SapConfig {
-    /// Noise level σ of every provider's perturbation (the brief's *common
-    /// noise component* `Δ` policy).
+    /// Session-level noise σ. It travels in the config, but no role reads
+    /// it: each provider's σ is [`OptimizerConfig::noise_sigma`] in
+    /// `optimizer` (the brief's *common noise component* `Δ` policy).
     pub noise_sigma: f64,
     /// Settings for each provider's local randomized optimizer.
     pub optimizer: OptimizerConfig,
@@ -96,7 +97,6 @@ impl SapConfig {
                 known_points: 4,
                 eval_sample: 80,
                 use_ica: false,
-                ..OptimizerConfig::default()
             },
             session_secret: 42,
             seed: 7,
@@ -110,8 +110,9 @@ impl SapConfig {
 
     /// Checks the settings no session can run with: `block_rows` must be
     /// positive, `optimizer.candidates` at most
-    /// [`sap_privacy::optimize::MAX_CANDIDATES`], and every fault
-    /// probability a number within `[0, 1]`.
+    /// [`sap_privacy::optimize::MAX_CANDIDATES`], `optimizer.noise_sigma`
+    /// finite and non-negative, `optimizer.eval_sample` positive, and
+    /// every fault probability a number within `[0, 1]`.
     /// Every spawn runs this before a role, an endpoint wrapper or a
     /// server route exists, so a bad client config fails its own
     /// submission instead of panicking a thread that holds shared state.
@@ -128,6 +129,15 @@ impl SapConfig {
                 "optimizer.candidates is {}, above {MAX_CANDIDATES}",
                 self.optimizer.candidates
             )));
+        }
+        let sigma = self.optimizer.noise_sigma;
+        if !(sigma.is_finite() && sigma >= 0.0) {
+            return Err(SapError::InvalidConfig(format!(
+                "optimizer.noise_sigma is {sigma}, not a finite value >= 0"
+            )));
+        }
+        if self.optimizer.eval_sample == 0 {
+            return Err(SapError::InvalidConfig("optimizer.eval_sample is 0".into()));
         }
         match &self.fault_config {
             Some(faults) => faults.validate().map_err(SapError::InvalidConfig),
@@ -148,7 +158,6 @@ impl Wire for SapConfig {
         o.known_points.encode(out);
         o.eval_sample.encode(out);
         o.use_ica.encode(out);
-        o.threads.encode(out);
         self.session_secret.encode(out);
         self.seed.encode(out);
         self.timeout.encode(out);
@@ -167,7 +176,6 @@ impl Wire for SapConfig {
                 known_points: usize::decode(input)?,
                 eval_sample: usize::decode(input)?,
                 use_ica: bool::decode(input)?,
-                threads: Option::decode(input)?,
             },
             session_secret: u64::decode(input)?,
             seed: u64::decode(input)?,
@@ -686,7 +694,7 @@ mod tests {
     fn config_roundtrips_exactly_over_the_wire() {
         let mut cfg = SapConfig::quick_test();
         cfg.qos = QosClass::Batch;
-        cfg.optimizer.threads = Some(3);
+        cfg.optimizer.known_points = 5;
         cfg.fault_config = Some(FaultConfig {
             drop_prob: 0.25,
             send_latency: Duration::from_micros(1500),
@@ -696,8 +704,7 @@ mod tests {
         let bytes = sap_net::wire::to_bytes(&cfg);
         let back: SapConfig = sap_net::wire::from_bytes(&bytes).unwrap();
         assert_eq!(back.noise_sigma, cfg.noise_sigma);
-        assert_eq!(back.optimizer.candidates, cfg.optimizer.candidates);
-        assert_eq!(back.optimizer.threads, cfg.optimizer.threads);
+        assert_eq!(back.optimizer, cfg.optimizer);
         assert_eq!(back.session_secret, cfg.session_secret);
         assert_eq!(back.seed, cfg.seed);
         assert_eq!(back.timeout, cfg.timeout);
@@ -890,7 +897,19 @@ mod tests {
             }),
             ..SapConfig::quick_test()
         };
-        for (config, what) in [(zero_blocks, "block_rows"), (bad_faults, "drop_prob")] {
+        let bad = |edit: fn(&mut OptimizerConfig)| {
+            let mut config = SapConfig::quick_test();
+            edit(&mut config.optimizer);
+            config
+        };
+        for (config, what) in [
+            (zero_blocks, "block_rows"),
+            (bad_faults, "drop_prob"),
+            (bad(|o| o.noise_sigma = -1.0), "noise_sigma"),
+            (bad(|o| o.noise_sigma = f64::NAN), "noise_sigma"),
+            (bad(|o| o.noise_sigma = f64::INFINITY), "noise_sigma"),
+            (bad(|o| o.eval_sample = 0), "eval_sample"),
+        ] {
             match run_session(locals.clone(), &config) {
                 Err(SapError::InvalidConfig(why)) => assert!(why.contains(what), "{why}"),
                 other => panic!(

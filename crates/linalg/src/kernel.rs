@@ -5,12 +5,10 @@
 //! the per-output-element floating-point accumulation order is pinned to
 //! the straightforward reference loops that shipped first ([`matmul_rows`],
 //! and the record-outer covariance loop kept in this module's tests), so
-//! results are **bit-identical** to those references at any tile size or
-//! thread count.
+//! results are **bit-identical** to those references at any tile size.
 //! That invariant is what the block-partition invariance of session
-//! outcomes and the optimizer's serial-vs-parallel equivalence rest on,
-//! and it is
-//! property-tested in `tests/kernel_equivalence.rs`.
+//! outcomes rests on, and it is property-tested in
+//! `tests/kernel_equivalence.rs`.
 //!
 //! # The tiling invariant that preserves bit-identity
 //!
@@ -29,8 +27,7 @@
 //!
 //! # Layout
 //!
-//! * [`matmul_rows`] — the cache-blocked i-k-j product every `A·B` runs,
-//!   row-parallel on the [`crate::parallel`] splitter.
+//! * [`matmul_rows`] — the cache-blocked i-k-j product every `A·B` runs.
 //! * [`mul_transpose_rows`] — 4 × 4 register blocking for `A·Bᵀ`, where
 //!   both operands are walked along contiguous rows (row-major rows *are*
 //!   the panels, so nothing is packed).
@@ -49,25 +46,26 @@ pub const MR: usize = 4;
 /// once per output row.
 const MATMUL_COL_BLOCK: usize = 512;
 
-/// The pinned reference spec: computes output rows
-/// `row0 .. row0 + out.len() / rhs.cols()` of `lhs * rhs` into the
-/// contiguous row-major slice `out` with the cache-blocked i-k-j loop.
+/// The pinned reference spec: adds `lhs * rhs` into the contiguous
+/// row-major slice `out` (`lhs.rows() × rhs.cols()`, zeroed by the
+/// caller) with the cache-blocked i-k-j loop.
 ///
 /// The i-k-j order keeps the inner loop sequential over both the output
 /// row and the rhs row; the j-blocking only re-orders *which columns* are
 /// touched when, never the per-element `k` accumulation order, so the
 /// result is bit-identical to the unblocked triple loop. The transpose
 /// kernel is pinned to this function too.
-pub fn matmul_rows(lhs: &Matrix, rhs: &Matrix, row0: usize, out: &mut [f64]) {
+pub fn matmul_rows(lhs: &Matrix, rhs: &Matrix, out: &mut [f64]) {
     let n = rhs.cols();
-    let rows = out.len() / n.max(1);
+    let rows = lhs.rows();
+    debug_assert_eq!(out.len(), rows * n, "matmul output shape");
     let a = lhs.as_slice();
     let b = rhs.as_slice();
     let lcols = lhs.cols();
     for jb in (0..n).step_by(MATMUL_COL_BLOCK) {
         let je = (jb + MATMUL_COL_BLOCK).min(n);
         for i in 0..rows {
-            let a_row = &a[(row0 + i) * lcols..(row0 + i + 1) * lcols];
+            let a_row = &a[i * lcols..(i + 1) * lcols];
             let (out_start, out_end) = (i * n + jb, i * n + je);
             for (k, &x) in a_row.iter().enumerate() {
                 if x == 0.0 {
@@ -83,9 +81,8 @@ pub fn matmul_rows(lhs: &Matrix, rhs: &Matrix, row0: usize, out: &mut [f64]) {
     }
 }
 
-/// Register-blocked `A · Bᵀ`: computes output rows
-/// `row0 .. row0 + out.len() / rhs.rows()` of `lhs · rhsᵀ` into the
-/// contiguous row-major slice `out`.
+/// Register-blocked `A · Bᵀ`: writes `lhs · rhsᵀ` into the contiguous
+/// row-major slice `out` (`lhs.rows() × rhs.rows()`).
 ///
 /// Output element `(i, j)` is the dot product of `lhs` row `i` and `rhs`
 /// row `j` — both contiguous in row-major storage, so no packing is
@@ -93,24 +90,25 @@ pub fn matmul_rows(lhs: &Matrix, rhs: &Matrix, row0: usize, out: &mut [f64]) {
 /// tile. The `k` walk is ascending with the `lhs[i][k] == 0.0` skip,
 /// making the result **bit-identical** to
 /// `lhs.matmul(&rhs.transpose())`.
-pub fn mul_transpose_rows(lhs: &Matrix, rhs: &Matrix, row0: usize, out: &mut [f64]) {
+pub fn mul_transpose_rows(lhs: &Matrix, rhs: &Matrix, out: &mut [f64]) {
     /// Column-tile width of the transpose kernel: `TNR` `rhs` rows are
     /// streamed together per tile.
     const TNR: usize = 4;
     let n = rhs.rows();
     let kdim = lhs.cols();
     debug_assert_eq!(rhs.cols(), kdim, "mul_transpose inner dim mismatch");
-    let rows = out.len() / n.max(1);
+    let rows = lhs.rows();
+    debug_assert_eq!(out.len(), rows * n, "mul_transpose output shape");
     let a = lhs.as_slice();
     let b = rhs.as_slice();
 
     let mut i = 0;
     while i + MR <= rows {
         let arow = [
-            &a[(row0 + i) * kdim..(row0 + i + 1) * kdim],
-            &a[(row0 + i + 1) * kdim..(row0 + i + 2) * kdim],
-            &a[(row0 + i + 2) * kdim..(row0 + i + 3) * kdim],
-            &a[(row0 + i + 3) * kdim..(row0 + i + 4) * kdim],
+            &a[i * kdim..(i + 1) * kdim],
+            &a[(i + 1) * kdim..(i + 2) * kdim],
+            &a[(i + 2) * kdim..(i + 3) * kdim],
+            &a[(i + 3) * kdim..(i + 4) * kdim],
         ];
         let mut j = 0;
         while j + TNR <= n {
@@ -161,7 +159,7 @@ pub fn mul_transpose_rows(lhs: &Matrix, rhs: &Matrix, row0: usize, out: &mut [f6
     // Ragged rows: `TNR` dot products at a time as independent chains,
     // then plain dot products; same k walk.
     while i < rows {
-        let ar = &a[(row0 + i) * kdim..(row0 + i + 1) * kdim];
+        let ar = &a[i * kdim..(i + 1) * kdim];
         let mut j = 0;
         while j + TNR <= n {
             let mut c = [0.0f64; TNR];
@@ -284,7 +282,7 @@ mod tests {
 
     fn reference_product(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
-        matmul_rows(a, b, 0, out.as_mut_slice());
+        matmul_rows(a, b, out.as_mut_slice());
         out
     }
 
@@ -300,7 +298,7 @@ mod tests {
             let b = lcg_matrix(n, k, 0xBBB ^ n as u64, 0);
             let via_transpose = reference_product(&a, &b.transpose());
             let mut fast = Matrix::zeros(m, n);
-            mul_transpose_rows(&a, &b, 0, fast.as_mut_slice());
+            mul_transpose_rows(&a, &b, fast.as_mut_slice());
             assert_eq!(
                 fast.as_slice(),
                 via_transpose.as_slice(),

@@ -22,8 +22,6 @@
 //! * [`kernel`] — the blocked matmul and the register-blocked Gram /
 //!   covariance microkernels, each pinned bit-identical to a reference
 //!   loop.
-//! * [`parallel`] — the fixed thread-splitter behind the row-parallel
-//!   kernels (blocked matmul, block perturbation, distance sweeps).
 //! * [`view`] — borrowed [`MatrixView`] windows, the zero-copy currency of
 //!   the streaming data plane's block stages.
 //!
@@ -57,7 +55,6 @@ pub mod lu;
 pub mod matrix;
 pub mod norms;
 pub mod orthogonal;
-pub mod parallel;
 pub mod qr;
 pub mod rng;
 pub mod svd;

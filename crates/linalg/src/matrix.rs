@@ -247,59 +247,33 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     ///
-    /// Runs the cache-blocked i-k-j loop [`crate::kernel::matmul_rows`],
-    /// row-parallel on the [`crate::parallel`] splitter for large
-    /// products. Every output element is accumulated over `k` in
-    /// ascending order (zero left-factors skipped), so the result is
-    /// **bit-identical** to the straightforward serial triple loop at any
-    /// thread count. That invariant is what the block-partition invariance
-    /// of session outcomes rests on, and `tests/kernel_equivalence.rs`
-    /// property-tests it over shapes × worker counts.
+    /// Runs the cache-blocked i-k-j loop [`crate::kernel::matmul_rows`].
+    /// Every output element is accumulated over `k` in ascending order
+    /// (zero left-factors skipped), so the result is **bit-identical** to
+    /// the straightforward triple loop. That invariant is what the
+    /// block-partition invariance of session outcomes rests on, and
+    /// `tests/kernel_equivalence.rs` property-tests it over shapes.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] when the inner dimensions
     /// disagree.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.matmul_with_workers(rhs, crate::parallel::threads())
-    }
-
-    /// [`Matrix::matmul`] with an explicit worker count instead of the
-    /// process-global [`crate::parallel::threads`] setting.
-    ///
-    /// Results are bit-identical for every worker count; this exists so
-    /// equivalence tests can sweep worker counts within one process
-    /// (`SAP_LINALG_THREADS` latches once).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when the inner dimensions
-    /// disagree.
-    pub fn matmul_with_workers(&self, rhs: &Matrix, workers: usize) -> Result<Matrix> {
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.matmul_into_with_workers(rhs, &mut out, workers)?;
+        self.matmul_into(rhs, &mut out)?;
         Ok(out)
     }
 
     /// [`Matrix::matmul`] into a caller-owned `out` of shape
     /// `(self.rows(), rhs.cols())`, which is overwritten — the
     /// allocation-free form for loops that multiply the same shapes
-    /// repeatedly. Same kernels, same bits.
+    /// repeatedly. Same kernel, same bits.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] when the inner dimensions
     /// disagree or `out` has the wrong shape.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
-        self.matmul_into_with_workers(rhs, out, crate::parallel::threads())
-    }
-
-    fn matmul_into_with_workers(
-        &self,
-        rhs: &Matrix,
-        out: &mut Matrix,
-        workers: usize,
-    ) -> Result<()> {
         if self.cols != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
                 op: "matmul",
@@ -308,26 +282,9 @@ impl Matrix {
             });
         }
         check_output("matmul output", out, (self.rows, rhs.cols))?;
-        // The reference kernel accumulates into `out` from 0.0.
+        // The kernel accumulates into `out` from 0.0.
         out.data.fill(0.0);
-        if self.rows == 0 || rhs.cols == 0 {
-            return Ok(());
-        }
-        let flops = self.rows.saturating_mul(self.cols).saturating_mul(rhs.cols);
-        let run = |row0: usize, out_chunk: &mut [f64]| {
-            crate::kernel::matmul_rows(self, rhs, row0, out_chunk);
-        };
-        if crate::parallel::worth_splitting_with(workers, flops) && self.rows > 1 {
-            let rows_per = self.rows.div_ceil(workers.max(1));
-            crate::parallel::for_each_chunk_mut_with(
-                workers,
-                &mut out.data,
-                rows_per * rhs.cols,
-                |chunk_idx, out_chunk| run(chunk_idx * rows_per, out_chunk),
-            );
-        } else {
-            run(0, &mut out.data);
-        }
+        crate::kernel::matmul_rows(self, rhs, &mut out.data);
         Ok(())
     }
 
@@ -338,10 +295,9 @@ impl Matrix {
     /// `rhs` row `j` — both contiguous in row-major storage, which is why
     /// Gram-style products (ICA decorrelation/convergence overlaps, the
     /// SVD polar step) route here. Runs the 4×4 register-blocked kernel
-    /// ([`crate::kernel::mul_transpose_rows`]), row-parallel when large;
-    /// the `k` walk per output element is ascending with the zero skip on
-    /// the left factor, so the result is **bit-identical** to
-    /// `self.matmul(&rhs.transpose())`.
+    /// ([`crate::kernel::mul_transpose_rows`]); the `k` walk per output
+    /// element is ascending with the zero skip on the left factor, so the
+    /// result is **bit-identical** to `self.matmul(&rhs.transpose())`.
     ///
     /// # Errors
     ///
@@ -370,24 +326,7 @@ impl Matrix {
             });
         }
         check_output("mul_transpose output", out, (self.rows, rhs.rows))?;
-        if self.rows == 0 || rhs.rows == 0 {
-            return Ok(());
-        }
-        let flops = self.rows.saturating_mul(self.cols).saturating_mul(rhs.rows);
-        let workers = crate::parallel::threads();
-        if crate::parallel::worth_splitting_with(workers, flops) && self.rows > 1 {
-            let rows_per = self.rows.div_ceil(workers);
-            crate::parallel::for_each_chunk_mut_with(
-                workers,
-                &mut out.data,
-                rows_per * rhs.rows,
-                |chunk_idx, out_chunk| {
-                    crate::kernel::mul_transpose_rows(self, rhs, chunk_idx * rows_per, out_chunk);
-                },
-            );
-        } else {
-            crate::kernel::mul_transpose_rows(self, rhs, 0, &mut out.data);
-        }
+        crate::kernel::mul_transpose_rows(self, rhs, &mut out.data);
         Ok(())
     }
 
@@ -902,7 +841,7 @@ mod tests {
         assert_eq!(a, m22(2.0, 4.0, 6.0, 8.0));
     }
 
-    /// The blocked/parallel matmul must be bit-identical to the naive
+    /// The blocked matmul must be bit-identical to the naive
     /// i-k-j triple loop it replaced — the block-partition invariance of
     /// session outcomes depends on it.
     #[test]
@@ -914,8 +853,8 @@ mod tests {
             seed ^= seed << 17;
             (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
         };
-        // Wide enough to cross the parallel threshold and several column
-        // blocks; includes exact zeros to exercise the skip path.
+        // Wide enough to span several column blocks; includes exact zeros
+        // to exercise the skip path.
         let a = Matrix::from_fn(12, 12, |r, c| if (r + c) % 5 == 0 { 0.0 } else { next() });
         let b = Matrix::from_fn(12, 2000, |_, _| next());
         let fast = a.matmul(&b).unwrap();

@@ -1,4 +1,4 @@
-//! The exact, parallel candidate-evaluation engine behind [`crate::optimize`].
+//! The exact candidate-evaluation engine behind [`crate::optimize`].
 //!
 //! The paper's optimizer scores every candidate under the full attack
 //! suite and keeps the best. A score is a minimum over attacks, so every
@@ -12,9 +12,9 @@
 //!    for the known-sample attack, and — when ICA is enabled — one
 //!    [`WhiteningWorkspace`] eigendecomposition of the sample covariance
 //!    that every candidate's ICA whitener is minted from.
-//! 2. **Level 0** (all candidates, parallel): naive estimation and
-//!    distance inference give every candidate its first bound.
-//! 3. **Best-first loop** (serial): take the candidate with the highest
+//! 2. **Level 0** (all candidates): naive estimation and distance
+//!    inference give every candidate its first bound.
+//! 3. **Best-first loop**: take the candidate with the highest
 //!    bound (lower index on ties) and fold its next level of the attack
 //!    ladder into it, in cost order: (1) known-sample PCA, (2) PCA,
 //!    (3) workspace-whitened ICA. Stop when the top candidate has all
@@ -29,10 +29,11 @@
 //! seeds a fresh [`StdRng`] with `mix(run_seed, i)` (a SplitMix64-style
 //! finalizer). A candidate's perturbation, noise realization, and score
 //! therefore depend only on `(run_seed, i)` and the shared
-//! precomputation — never on thread count or scheduling (the loop runs
-//! on the calling thread). [`run`] selects the winner, with the same
-//! guarantee bits, that the plain serial full-suite loop its unit tests
-//! keep as the specification selects, at every config and worker count.
+//! precomputation, never on evaluation order. The whole run stays on the
+//! calling thread: a provider's optimizer is one session role, and the
+//! roles are what run in parallel. [`run`] selects the winner, with the
+//! same guarantee bits, that the plain serial full-suite loop its unit
+//! tests keep as the specification selects, at every config.
 
 use crate::attack::{
     Attack, AttackSuite, AttackerKnowledge, DistanceInference, IcaReconstruction,
@@ -43,7 +44,7 @@ use crate::optimize::{subsample_columns, OptimizeError, OptimizedPerturbation, O
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sap_ica::WhiteningWorkspace;
-use sap_linalg::{parallel, Matrix};
+use sap_linalg::Matrix;
 use sap_perturb::GeometricPerturbation;
 use std::time::Instant;
 
@@ -69,8 +70,6 @@ pub struct EngineStats {
     /// Of those fits, the ones that produced an estimate (ICA can
     /// decline: divergence, too few records).
     pub ica_applied: usize,
-    /// Worker threads used for level 0.
-    pub threads: usize,
     /// Whether the ICA attack was part of the ladder.
     pub ica: bool,
     /// Wall time of level 0 (seconds).
@@ -319,10 +318,7 @@ pub fn evaluate<R: Rng + ?Sized>(
     })
 }
 
-/// Runs the exact, parallel engine on a `d × N` dataset. Worker count
-/// for level 0 comes from [`OptimizerConfig::threads`], defaulting to
-/// [`sap_linalg::parallel::threads`] (the `SAP_LINALG_THREADS` override
-/// applies).
+/// Runs the exact engine on a `d × N` dataset.
 ///
 /// # Errors
 ///
@@ -336,15 +332,13 @@ pub fn run<R: Rng + ?Sized>(
     let run_start = Instant::now();
     let ctx = prepare(x, config, rng)?;
     let n = config.candidates;
-    let workers = config.threads.unwrap_or_else(parallel::threads).max(1);
 
-    // Level 0 on every candidate. Each slot depends only on its index and
-    // the shared context, so any worker count produces the same bits.
+    // Level 0 on every candidate. Each score depends only on its index
+    // and the shared context.
     let cheap_start = Instant::now();
-    let mut level0 = vec![0.0f64; n];
-    parallel::for_each_chunk_mut_with(workers, &mut level0, 1, |i, slot| {
-        slot[0] = level0_score(&ctx, &regenerate(&ctx, config, i).1);
-    });
+    let level0: Vec<f64> = (0..n)
+        .map(|i| level0_score(&ctx, &regenerate(&ctx, config, i).1))
+        .collect();
     let cheap_stage_s = cheap_start.elapsed().as_secs_f64();
 
     let loop_start = Instant::now();
@@ -375,7 +369,6 @@ pub fn run<R: Rng + ?Sized>(
             evaluations,
             ica_fits: if ctx.ica.is_some() { fully_scored } else { 0 },
             ica_applied,
-            threads: workers,
             ica: ctx.ica.is_some(),
             cheap_stage_s,
             expensive_stage_s,
@@ -455,63 +448,41 @@ mod tests {
             known_points: 4,
             eval_sample: 96,
             use_ica,
-            threads: None,
         }
     }
 
-    /// Runs the engine at 1, 2 and 4 workers and checks each run against
-    /// the serial loop: the same winner and guarantee bits, the same
-    /// schedule at every worker count, and a well-formed ladder count.
+    /// Runs the engine and checks it against the serial loop: the same
+    /// winner and guarantee bits, and a well-formed ladder count.
     fn check_exact(x: &Matrix, candidates: usize, use_ica: bool, seed: u64) {
         let cfg = config(candidates, use_ica);
+        let label = format!("seed={seed:#x} candidates={candidates} ica={use_ica}");
         let serial = serial_reference(x, &cfg, &mut StdRng::seed_from_u64(seed)).unwrap();
-        let mut first: Option<EngineStats> = None;
-        for threads in [1usize, 2, 4] {
-            let label =
-                format!("seed={seed:#x} candidates={candidates} ica={use_ica} threads={threads}");
-            let cfg = OptimizerConfig {
-                threads: Some(threads),
-                ..cfg.clone()
-            };
-            let out = run(x, &cfg, &mut StdRng::seed_from_u64(seed)).unwrap();
-            assert_eq!(
-                out.result.privacy_guarantee.to_bits(),
-                serial.privacy_guarantee.to_bits(),
-                "guarantee diverged: {label}"
-            );
-            assert_eq!(
-                out.result.perturbation, serial.perturbation,
-                "winner diverged: {label}"
-            );
-            let s = out.stats;
-            assert_eq!(s.threads, threads);
-            assert_eq!(s.evaluations[0], candidates, "{label} {s:?}");
-            assert!(
-                s.evaluations.windows(2).all(|w| w[0] >= w[1]),
-                "{label} {s:?}"
-            );
-            let fully_scored = s.evaluations[LEVELS - 1];
-            assert!(fully_scored >= 1, "{label} {s:?}");
-            if !s.ica {
-                // A last level that cannot lower a bound leaves the top
-                // candidate on top: only the winner reaches it.
-                assert_eq!(fully_scored, 1, "{label} {s:?}");
-            }
-            assert_eq!(s.pruned, candidates - fully_scored);
-            assert_eq!(s.ica_fits, if s.ica { fully_scored } else { 0 });
-            assert!(s.ica_applied <= s.ica_fits);
-            let schedule = EngineStats {
-                threads: 0,
-                cheap_stage_s: 0.0,
-                expensive_stage_s: 0.0,
-                total_s: 0.0,
-                ..s
-            };
-            match first {
-                None => first = Some(schedule),
-                Some(f) => assert_eq!(f, schedule, "schedule depends on workers: {label}"),
-            }
+        let out = run(x, &cfg, &mut StdRng::seed_from_u64(seed)).unwrap();
+        assert_eq!(
+            out.result.privacy_guarantee.to_bits(),
+            serial.privacy_guarantee.to_bits(),
+            "guarantee diverged: {label}"
+        );
+        assert_eq!(
+            out.result.perturbation, serial.perturbation,
+            "winner diverged: {label}"
+        );
+        let s = out.stats;
+        assert_eq!(s.evaluations[0], candidates, "{label} {s:?}");
+        assert!(
+            s.evaluations.windows(2).all(|w| w[0] >= w[1]),
+            "{label} {s:?}"
+        );
+        let fully_scored = s.evaluations[LEVELS - 1];
+        assert!(fully_scored >= 1, "{label} {s:?}");
+        if !s.ica {
+            // A last level that cannot lower a bound leaves the top
+            // candidate on top: only the winner reaches it.
+            assert_eq!(fully_scored, 1, "{label} {s:?}");
         }
+        assert_eq!(s.pruned, candidates - fully_scored);
+        assert_eq!(s.ica_fits, if s.ica { fully_scored } else { 0 });
+        assert!(s.ica_applied <= s.ica_fits);
     }
 
     #[test]
@@ -533,7 +504,6 @@ mod tests {
         assert_eq!(s.pruned, 15);
         assert!(!s.ica);
         assert_eq!((s.ica_fits, s.ica_applied), (0, 0));
-        assert!(s.threads >= 1);
         assert!(s.total_s >= s.cheap_stage_s + s.expensive_stage_s);
     }
 
@@ -577,9 +547,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// Skewed, uniform and Gaussian-mixture data × candidate counts
-        /// 1–16 × ICA on and off × worker counts {1, 2, 4}: the engine
-        /// selects the serial full-suite loop's winner, guarantee bits
-        /// included.
+        /// 1–16 × ICA on and off: the engine selects the serial
+        /// full-suite loop's winner, guarantee bits included.
         #[test]
         fn engine_matches_serial_loop(
             seed in any::<u64>(),

@@ -14,9 +14,9 @@
 //!   rotations, score each under the attack suite, keep the best. This is
 //!   what produces the "optimized perturbations give higher privacy
 //!   guarantee" distribution of the brief's Figure 2.
-//! * [`engine`] — the exact, parallel candidate-evaluation engine beneath
-//!   the optimizer: deterministic per-candidate RNG streams, the cheap
-//!   attacks on the whole field in parallel, then a best-first loop that
+//! * [`engine`] — the exact candidate-evaluation engine beneath the
+//!   optimizer: deterministic per-candidate RNG streams, the cheap
+//!   attacks on the whole field, then a best-first loop that
 //!   runs the expensive PCA/ICA attacks only on candidates that can still
 //!   win (which makes ICA affordable enough to be on by default).
 //! * [`risk`] — the multiparty risk model: source identifiability `πᵢ`,

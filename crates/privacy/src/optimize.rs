@@ -83,11 +83,6 @@ pub struct OptimizerConfig {
     /// Default `true`: the engine fits it only on candidates that can
     /// still win.
     pub use_ica: bool,
-    /// Worker-thread override for candidate evaluation. `None` (the
-    /// default) uses [`sap_linalg::parallel::threads`], i.e. the machine's
-    /// parallelism capped by `SAP_LINALG_THREADS`; `Some(1)` forces the
-    /// serial path. Results are bit-identical for every setting.
-    pub threads: Option<usize>,
 }
 
 impl Default for OptimizerConfig {
@@ -98,7 +93,6 @@ impl Default for OptimizerConfig {
             known_points: 6,
             eval_sample: 300,
             use_ica: true,
-            threads: None,
         }
     }
 }
@@ -240,7 +234,6 @@ mod tests {
             known_points: 4,
             eval_sample: 120,
             use_ica: false,
-            ..OptimizerConfig::default()
         }
     }
 

@@ -1183,19 +1183,44 @@ mod tests {
         assert!(server.wait(good, Some(Duration::from_secs(60))).is_ok());
     }
 
-    /// A candidate count the engine cannot allocate for fails the
+    /// A candidate count the engine cannot allocate for, a noise σ that is
+    /// negative or not finite, or an empty evaluation sample fails the
     /// submission with a typed config error before any role thread
     /// exists, and the server keeps serving.
     #[test]
     fn oversized_candidate_count_is_rejected_at_submit() {
         let server = SapServer::in_memory(ServerConfig::default()).unwrap();
         let max = sap_privacy::optimize::MAX_CANDIDATES;
-        for candidates in [max + 1, 1 << 40] {
+        let base = sap_privacy::OptimizerConfig::default;
+        let bad_optimizers = [
+            sap_privacy::OptimizerConfig {
+                candidates: max + 1,
+                ..base()
+            },
+            sap_privacy::OptimizerConfig {
+                candidates: 1 << 40,
+                ..base()
+            },
+            sap_privacy::OptimizerConfig {
+                noise_sigma: -1.0,
+                ..base()
+            },
+            sap_privacy::OptimizerConfig {
+                noise_sigma: f64::NAN,
+                ..base()
+            },
+            sap_privacy::OptimizerConfig {
+                noise_sigma: f64::INFINITY,
+                ..base()
+            },
+            sap_privacy::OptimizerConfig {
+                eval_sample: 0,
+                ..base()
+            },
+        ];
+        for optimizer in bad_optimizers {
             let bad_cfg = SapConfig {
-                optimizer: sap_privacy::OptimizerConfig {
-                    candidates,
-                    ..sap_privacy::OptimizerConfig::default()
-                },
+                optimizer,
                 ..quick()
             };
             let err = server.submit(locals(22), &bad_cfg).unwrap_err();

@@ -58,7 +58,6 @@ fn main() {
             known_points: 6,
             eval_sample: 300,
             use_ica: true,
-            ..OptimizerConfig::default()
         };
         let opt = optimize(&sample, &config, &mut rng).expect("valid optimizer config");
         println!(

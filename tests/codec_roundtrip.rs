@@ -74,9 +74,6 @@ fn fleet_variants(seed: u64) -> Vec<FleetMsg> {
             known_points: rng.random_range(0..usize::MAX),
             eval_sample: rng.random_range(0..usize::MAX),
             use_ica: rng.random_bool(0.5),
-            threads: rng
-                .random_bool(0.5)
-                .then(|| rng.random_range(0..usize::MAX)),
         },
         session_secret: rng.random_range(0..u64::MAX),
         seed: rng.random_range(0..u64::MAX),

@@ -9,9 +9,8 @@
 //! bit for bit: the unified records and labels, the target space, the
 //! forwarder of every slot, the relayed block count, identifiability,
 //! and per report the guarantees, satisfaction and the optimizer's
-//! candidate counts. Wall times, the worker-thread count and the
-//! streaming statistics measure the schedule, not the result, and are
-//! left out.
+//! candidate counts. Wall times and the streaming statistics measure the
+//! schedule, not the result, and are left out.
 //!
 //! Every point runs on the in-memory hub; subsets also run over localhost
 //! TCP and through `SapServer`. The literals were recorded once and have

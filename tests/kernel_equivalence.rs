@@ -3,11 +3,12 @@
 //!
 //! The kernels and their invariants:
 //!
-//! * row-parallel matmul and the register-blocked `A·Bᵀ` ≡
-//!   [`kernel::matmul_rows`], for any shape (including 1×1, ragged edges
-//!   and tall narrow products), any zero density, and any worker count —
-//!   splitting and tiling may only change *which* elements are in flight,
-//!   never an element's ascending-`k` accumulation order;
+//! * the blocked matmul ≡ the unblocked triple loop kept here as the
+//!   reference, and the register-blocked `A·Bᵀ` ≡ [`kernel::matmul_rows`],
+//!   for any shape (including 1×1, ragged edges and tall narrow
+//!   products) and any zero density — blocking and tiling may only
+//!   change *which* elements are in flight, never an element's
+//!   ascending-`k` accumulation order;
 //! * bounded-heap top-`k` selection ≡ stable full sort + truncate, with
 //!   duplicate distances (the index tie rule), `k ≥ n`, and `k == 0`
 //!   rejected;
@@ -131,6 +132,26 @@ fn stable_sort_top_k(values: &[f64], k: usize) -> Vec<(f64, usize)> {
     pairs
 }
 
+/// The spec the blocked matmul is pinned to: the unblocked i-k-j triple
+/// loop, each output element accumulated from `0.0` over ascending `k`,
+/// skipping zero left-factor entries.
+fn triple_loop(a: &Matrix, b: &Matrix) -> Vec<f64> {
+    let n = b.cols();
+    let mut out = vec![0.0; a.rows() * n];
+    for i in 0..a.rows() {
+        for k in 0..a.cols() {
+            let x = a[(i, k)];
+            if x == 0.0 {
+                continue;
+            }
+            for j in 0..n {
+                out[i * n + j] += x * b[(k, j)];
+            }
+        }
+    }
+    out
+}
+
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -172,9 +193,9 @@ fn random_blocks(n: usize, max_block: usize, seed: u64) -> Vec<Range<usize>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The public entry point: whether `matmul_with_workers` runs whole
-    /// or split across 1/2/4 workers, the bits match the pinned
-    /// reference. Shapes up to 40³ cross the `worth_splitting_with` threshold.
+    /// The public entry points: `matmul`, and `matmul_into` over a
+    /// buffer holding a previous product, match the triple loop bit for
+    /// bit at every shape up to 40³.
     #[test]
     fn matmul_is_bit_identical_across_paths_and_workers(
         m in 1usize..40,
@@ -186,20 +207,16 @@ proptest! {
         let a = lcg_matrix(m, k, seed, zero_every);
         let b = lcg_matrix(k, n, seed ^ 0x5a5a, zero_every);
 
-        let mut reference = vec![0.0; m * n];
-        kernel::matmul_rows(&a, &b, 0, &mut reference);
-
-        for workers in [1usize, 2, 4] {
-            let got = a.matmul_with_workers(&b, workers).expect("conforming shapes");
-            // workers ∈ {1, 2, 4} — worker count may change only the split, not the bits
-            let _ = workers;
-            prop_assert_eq!(bits(&reference), bits(got.as_slice()));
-        }
+        let reference = triple_loop(&a, &b);
+        let mut got = a.matmul(&b).expect("conforming shapes");
+        prop_assert_eq!(bits(&reference), bits(got.as_slice()));
+        a.matmul_into(&b, &mut got).expect("conforming shapes");
+        prop_assert_eq!(bits(&reference), bits(got.as_slice()));
     }
 
     /// Tall row streams against a narrow right factor (`m ≥ 128`,
-    /// `n ≤ 16`, `k ≤ 32`: record-block × small-rotation products) split
-    /// across workers and still match the reference bit for bit.
+    /// `n ≤ 16`, `k ≤ 32`: record-block × small-rotation products) match
+    /// the triple loop bit for bit.
     #[test]
     fn tall_narrow_matmul_is_bit_identical(
         m in 128usize..200,
@@ -211,13 +228,8 @@ proptest! {
         let a = lcg_matrix(m, k, seed, zero_every);
         let b = lcg_matrix(k, n, seed ^ 0x1111, zero_every);
 
-        let mut reference = vec![0.0; m * n];
-        kernel::matmul_rows(&a, &b, 0, &mut reference);
-
-        for workers in [1usize, 2, 4] {
-            let got = a.matmul_with_workers(&b, workers).expect("conforming shapes");
-            prop_assert_eq!(bits(&reference), bits(got.as_slice()));
-        }
+        let got = a.matmul(&b).expect("conforming shapes");
+        prop_assert_eq!(bits(&triple_loop(&a, &b)), bits(got.as_slice()));
     }
 
     /// Gram-style products: `A·Bᵀ` through the 4×4 transpose kernel
@@ -236,7 +248,7 @@ proptest! {
 
         let bt = b.transpose();
         let mut reference = vec![0.0; m * n];
-        kernel::matmul_rows(&a, &bt, 0, &mut reference);
+        kernel::matmul_rows(&a, &bt, &mut reference);
 
         let got = a.mul_transpose(&b).expect("conforming shapes");
         prop_assert_eq!(bits(&reference), bits(got.as_slice()));
@@ -437,16 +449,13 @@ fn try_from_flat_reports_each_violation() {
     }
 }
 
-/// The degenerate 1×1×1 product goes through every dispatch layer
-/// without touching the split path.
+/// The degenerate 1×1×1 product is exact.
 #[test]
 fn one_by_one_matmul_is_exact() {
     let a = Matrix::from_fn(1, 1, |_, _| 3.25);
     let b = Matrix::from_fn(1, 1, |_, _| -2.5);
-    for workers in [1usize, 2, 4] {
-        let got = a.matmul_with_workers(&b, workers).expect("1x1 product");
-        assert_eq!(got.as_slice(), &[3.25 * -2.5]);
-    }
+    let got = a.matmul(&b).expect("1x1 product");
+    assert_eq!(got.as_slice(), &[3.25 * -2.5]);
 }
 
 /// `k == 0` is a contract violation, not a silent empty result.

@@ -1,6 +1,6 @@
 //! The optimizer's regression seeds and the cross-commit oracle. The
 //! engine's contract — the serial full-suite loop's winner and guarantee
-//! bits at any config and worker count — is pinned next to the loop it
+//! bits at any config — is pinned next to the loop it
 //! compares against, in `sap-privacy`'s engine unit tests. Here the
 //! engine must reach the recorded full-suite optimum on the stand-ins
 //! where a cheaper selection rule once missed it.
@@ -127,8 +127,7 @@ fn assert_golden(got: &[(String, u64)], golden: &[(&str, u64)]) {
 }
 
 /// Engine outcome (guarantee, evaluations per ladder level, ICA estimates,
-/// winner) and satisfaction score on a fixed grid. Worker count comes from
-/// `SAP_LINALG_THREADS`, so the same constants must hold at any setting.
+/// winner) and satisfaction score on a fixed grid.
 const GOLDEN_ENGINE: &[(&str, u64)] = &[
     ("d=4 ica=false", 0x7f3934c12de3e9d1),
     ("d=4 ica=true", 0xb737c2d1eadbcc18),
@@ -150,7 +149,6 @@ fn engine_golden_digests() {
                 known_points: 4,
                 eval_sample: 96,
                 use_ica,
-                threads: None,
             };
             let out = run(&x, &cfg, &mut StdRng::seed_from_u64(dim as u64)).unwrap();
             let winner = &out.result.perturbation;
