@@ -31,13 +31,11 @@
 pub mod crossval;
 pub mod knn;
 pub mod metrics;
-pub mod naive_bayes;
 pub mod perceptron;
 pub mod svm;
 pub mod topk;
 
 pub use knn::KnnClassifier;
-pub use naive_bayes::GaussianNaiveBayes;
 pub use perceptron::Perceptron;
 pub use svm::{Kernel, SvmClassifier, SvmConfig};
 
