@@ -209,12 +209,14 @@ fn sealed_frame_matches_golden_bytes() {
 }
 
 /// One literal has changed since these were recorded: `FleetMsg::Register`,
-/// twice. Its config lost the `streaming` byte (a `01` after `block_rows`,
-/// `40`) when the buffered data plane was deleted, and later the optimizer's
-/// three staged-budget fields (`01` enabled, `000000000000d03f` survivor
-/// fraction 0.25, `04` minimum survivors, after `use_ica`, `00`) when the
-/// optimizer became exact. The fleet runs in one process, so no peer on
-/// another build ever reads the old layout.
+/// three times. Its config lost the `streaming` byte (a `01` after
+/// `block_rows`, `40`) when the buffered data plane was deleted, then the
+/// optimizer's three staged-budget fields (`01` enabled, `000000000000d03f`
+/// survivor fraction 0.25, `04` minimum survivors, after `use_ica`, `00`)
+/// when the optimizer became exact, and then `optimizer.threads` (a `00`
+/// for `None`, after `use_ica`) when the optimizer stopped spawning
+/// threads. The fleet runs in one process, so no peer on another build
+/// ever reads the old layout.
 ///
 /// Two literals were removed: `SapMessage::PerturbedData` (tag 1) and
 /// `SapMessage::RelayedData` (tag 2), which carried a whole dataset in one
@@ -227,7 +229,7 @@ const GOLDEN_WIRE: &[(&str, &str)] = &[
     ("SapMessage::Adaptor", "030202040000000000000000000000000000f03f000000000000f0bf000000000000000002000000000000f43f0000000000000440"),
     ("SapMessage::AdaptorTable", "0402010202040000000000000000000000000000f03f000000000000f0bf000000000000000002000000000000f43f0000000000000440ac020202040000000000000000000000000000f03f000000000000f0bf000000000000000002000000000000f43f0000000000000440"),
     ("SapMessage::MiningComplete", "059601"),
-    ("FleetMsg::Register", "0029019a9999999999a93f049a9999999999a93f045000002a0780ade204809c9c394001000000000000d03f00000000000000000000000000000000dc0b6301010202000000000000e03f000000000000f0bf020000000000000040000000000000d03f0200010202"),
+    ("FleetMsg::Register", "0029019a9999999999a93f049a9999999999a93f0450002a0780ade204809c9c394001000000000000d03f00000000000000000000000000000000dc0b6301010202000000000000e03f000000000000f0bf020000000000000040000000000000d03f0200010202"),
     ("FleetMsg::Ack", "0129000a6f7665726c6f61646564"),
     ("FleetMsg::Leave", "0203"),
     ("DataHeader", "b4240109c0b8021003"),
