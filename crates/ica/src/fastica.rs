@@ -154,11 +154,6 @@ impl FastIca {
         self.iterations
     }
 
-    /// Number of recovered components.
-    pub fn num_components(&self) -> usize {
-        self.w.rows()
-    }
-
     /// The orthogonal unmixing matrix in whitened space.
     pub fn unmixing(&self) -> &Matrix {
         &self.w

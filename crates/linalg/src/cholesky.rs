@@ -49,11 +49,6 @@ impl Cholesky {
         &self.l
     }
 
-    /// Consumes the factorization and returns `L`.
-    pub fn into_l(self) -> Matrix {
-        self.l
-    }
-
     /// Applies `L` to a vector: `L·z`.
     ///
     /// # Errors
