@@ -40,7 +40,7 @@
 pub mod ring;
 pub mod wire;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use ring::HashRing;
 use sap_core::session::{SapConfig, SapOutcome};
 use sap_core::SapError;
@@ -204,6 +204,9 @@ struct Shared {
     placements: Mutex<HashMap<u64, usize>>,
     /// session id → registration awaiting the owner's ack.
     pending: Mutex<HashMap<u64, Pending>>,
+    /// Signalled at every verdict; gateways wait on it (`submit_via`).
+    settled: Condvar,
+    verdict_wait: Duration,
     regs_forwarded: AtomicU64,
     regs_replaced: AtomicU64,
     deaths: AtomicU64,
@@ -294,6 +297,9 @@ impl Fleet {
         }
         let ids: Vec<PartyId> = (0..n).map(|j| PartyId(j as u64)).collect();
         let lanes = local_mesh(&ids).map_err(FleetError::Mesh)?;
+        // Node liveness is node-grained. Startup grace covers the mesh's
+        // connect window; steady-state detection is one heartbeat budget.
+        let budget = config.heartbeat_interval * config.liveness_misses.max(1);
         let shared = Arc::new(Shared {
             secret: config.fleet_secret,
             alive: Mutex::new((0..n).collect()),
@@ -301,6 +307,8 @@ impl Fleet {
             leaving: Mutex::new(BTreeSet::new()),
             placements: Mutex::new(HashMap::new()),
             pending: Mutex::new(HashMap::new()),
+            settled: Condvar::new(),
+            verdict_wait: budget,
             regs_forwarded: AtomicU64::new(0),
             regs_replaced: AtomicU64::new(0),
             deaths: AtomicU64::new(0),
@@ -309,10 +317,6 @@ impl Fleet {
         let mut services = Vec::with_capacity(n);
         for (j, lane) in lanes.into_iter().enumerate() {
             let mux = SessionMux::new(lane);
-            // Node liveness: the PR 5 plane, node-grained. Startup grace
-            // covers the mesh's connect window; steady-state detection
-            // is one heartbeat budget.
-            let budget = config.heartbeat_interval * config.liveness_misses.max(1);
             mux.start_liveness_with_grace(
                 ids.clone(),
                 config.heartbeat_interval,
@@ -403,9 +407,9 @@ impl Fleet {
     /// Submits a session through a **chosen** gateway node. The gateway
     /// mints the id (from its residue class), hashes it onto the ring,
     /// and either admits locally (it owns the session) or sends the
-    /// sealed registration straight to the owner and returns
-    /// immediately; admission on a remote owner is asynchronous,
-    /// surfaced by [`Fleet::wait`].
+    /// sealed registration straight to the owner and returns at its
+    /// verdict (one liveness budget at most), so no later session can
+    /// overtake it in the owner's queue. Rejections surface in [`Fleet::wait`].
     ///
     /// # Errors
     ///
@@ -447,6 +451,11 @@ impl Fleet {
                 self.shared.pending.lock().remove(&id.0);
             })?;
         self.shared.regs_forwarded.fetch_add(1, Ordering::Relaxed);
+        let give_up = Instant::now() + self.shared.verdict_wait;
+        let mut pending = self.shared.pending.lock();
+        while pending.get(&id.0).is_some_and(|p| p.rejected.is_none()) && Instant::now() < give_up {
+            pending = self.shared.settled.wait_until(pending, give_up);
+        }
         Ok(id)
     }
 
@@ -806,6 +815,7 @@ fn ack_locally(shared: &Shared, session: u64, accepted: bool, reason: String) {
     } else if let Some(p) = pending.get_mut(&session) {
         p.rejected = Some(reason);
     }
+    shared.settled.notify_all();
 }
 
 /// Liveness verdict on a peer node: repair membership and re-place the

@@ -3,8 +3,9 @@
 //! or forwards its registration to the owner. A `kill -9`'d node
 //! must fail its sessions fast with the typed fleet error while
 //! siblings on surviving nodes complete untouched, a graceful leaver
-//! must hand its unfinished sessions to the new owners, and a dead node
-//! must not swallow registrations meant for other nodes.
+//! must hand its unfinished sessions to the new owners, a dead node
+//! must not swallow registrations meant for other nodes, and an owner
+//! admits sessions in the order they were submitted.
 
 use sap_repro::core::session::{run_session, SapConfig};
 use sap_repro::datasets::normalize::min_max_normalize;
@@ -287,6 +288,41 @@ fn registrations_bypass_a_dead_ring_successor() {
         let outcome = fleet
             .wait(id, WAIT)
             .unwrap_or_else(|e| panic!("seed {seed}: session must complete, got: {e}"));
+        let solo = run_session(session_locals(seed, k), &session_config(seed)).expect("solo run");
+        assert_eq!(
+            outcome.unified, solo.unified,
+            "seed {seed}: outcome changed"
+        );
+    }
+}
+
+/// An owner admits sessions in submission order, whichever gateway they
+/// entered through. The first session enters through gateway 1 and is
+/// forwarded to node 0; the second is node 0's own, which node 0 admits
+/// at once. So the first submission must not return while its
+/// registration is still on the lane.
+#[test]
+fn owner_admits_in_submission_order_across_gateways() {
+    let k = 3;
+    let fleet = quick_fleet(2, k);
+
+    let first = fleet
+        .submit_via(1, session_locals(1300, k), &session_config(1300))
+        .expect("admit via gateway 1");
+    // Fixed minters, fixed ring: the first is forwarded to node 0.
+    assert_eq!(fleet.owner_of(first), Some(0), "first must be forwarded");
+    assert_eq!(
+        fleet.placement(first),
+        Some(0),
+        "a forwarded submission returned before its owner admitted it"
+    );
+    let second = fleet
+        .submit_via(0, session_locals(1301, k), &session_config(1301))
+        .expect("admit via gateway 0");
+    assert_eq!(fleet.owner_of(second), Some(0), "second must be local");
+
+    for (seed, id) in [(1300, first), (1301, second)] {
+        let outcome = fleet.wait(id, WAIT).expect("fleet session completes");
         let solo = run_session(session_locals(seed, k), &session_config(seed)).expect("solo run");
         assert_eq!(
             outcome.unified, solo.unified,
