@@ -39,8 +39,7 @@ pub enum SapError {
     },
     /// The session-wide wall-clock budget
     /// ([`crate::session::SapConfig::session_budget`]) ran out — the
-    /// cooperative replacement for being reclaimed by a server's
-    /// age-based GC sweep minutes later.
+    /// backstop that ends a session no other check ended.
     DeadlineExceeded {
         /// The protocol phase that exhausted the budget.
         phase: &'static str,

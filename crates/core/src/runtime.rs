@@ -22,11 +22,10 @@
 //!   fastest gang service time the pool has observed — a typed
 //!   [`SapError::AdmissionShed`] instead of burning workers on a session
 //!   that will die of `DeadlineExceeded` anyway.
-//! * **work stealing** across pool workers: admitted tasks land on
-//!   per-worker run queues (round-robin); a worker pops its own queue
-//!   first and steals from siblings when empty, so a finished role's
-//!   worker immediately picks up queued work instead of contending on one
-//!   global ready list.
+//! * **one FIFO ready queue**: admission appends a gang's tasks to it and
+//!   idle workers pop from its front under the state lock. Gang admission
+//!   keeps at least as many idle workers as ready tasks, so no task ever
+//!   waits behind a blocked role.
 //! * [`SessionHandle`] — one session's lifecycle: spawn (via
 //!   [`crate::session::spawn_session`]), [`SessionHandle::poll`],
 //!   [`SessionHandle::abort`], and [`SessionHandle::harvest`]. Role
@@ -48,7 +47,7 @@ use sap_net::{PartyId, SessionId};
 use sap_perturb::Perturbation;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -184,17 +183,13 @@ pub struct SchedStats {
     pub gangs_shed: u64,
     /// Batch gangs promoted to the interactive queue by aging.
     pub gangs_promoted: u64,
-    /// Tasks a worker stole from a sibling's run queue.
-    pub task_steals: u64,
     /// Tasks of gangs still queued for admission.
     pub queued_tasks: usize,
-    /// Tasks admitted and not yet finished (on a run queue or running).
+    /// Tasks admitted and not yet finished (ready or running).
     pub running_tasks: usize,
     /// Fastest gang service time observed — the optimistic bound
     /// deadline shedding compares budgets against.
     pub service_floor: Option<Duration>,
-    /// Exponentially weighted moving average of gang service times.
-    pub service_ewma: Option<Duration>,
 }
 
 struct QueuedGang {
@@ -222,8 +217,6 @@ struct SchedCounters {
     promoted: u64,
     /// Fastest observed gang service, µs; `u64::MAX` = nothing observed.
     service_floor_us: u64,
-    /// EWMA of gang service, µs; 0 = nothing observed.
-    service_ewma_us: f64,
 }
 
 impl SchedCounters {
@@ -240,23 +233,18 @@ impl SchedCounters {
         // shedding entirely — it already only triggers with evidence).
         let us = (service.as_micros().min(u64::MAX as u128) as u64).max(1);
         self.service_floor_us = self.service_floor_us.min(us);
-        self.service_ewma_us = if self.service_ewma_us == 0.0 {
-            us as f64
-        } else {
-            0.9 * self.service_ewma_us + 0.1 * us as f64
-        };
     }
 }
 
 struct PoolState {
     /// Admission queues, indexed by [`QosClass::index`].
     pending: [VecDeque<QueuedGang>; 2],
-    /// Tasks admitted but not yet finished (queued-on-a-worker or
-    /// running). The admission invariant `committed ≤ workers` guarantees
-    /// every admitted task gets a worker without preempting a gang-mate.
+    /// Admitted tasks no worker has picked up yet, in admission order.
+    ready: VecDeque<RunTask>,
+    /// Tasks admitted but not yet finished (ready or running). The
+    /// admission invariant `committed ≤ workers` guarantees every ready
+    /// task an idle worker, so none waits behind a blocked gang-mate.
     committed: usize,
-    /// Round-robin cursor distributing admitted tasks over worker queues.
-    next_worker: usize,
     sched: SchedCounters,
     shutdown: bool,
 }
@@ -291,13 +279,6 @@ struct PoolInner {
     state: Mutex<PoolState>,
     work_ready: Condvar,
     workers: usize,
-    /// Per-worker run queues: a worker pops its own front, steals from a
-    /// sibling's back when empty.
-    locals: Vec<Mutex<VecDeque<RunTask>>>,
-    /// Tasks sitting on run queues, not yet picked up — the "work
-    /// exists" signal idle workers check before sleeping.
-    ready_count: AtomicUsize,
-    steals: AtomicU64,
     cfg: SchedulerConfig,
 }
 
@@ -361,8 +342,8 @@ impl PoolInner {
         effects
     }
 
-    /// Commits one gang: distributes its tasks round-robin over the
-    /// worker run queues and wakes sleepers. Called under the state lock.
+    /// Commits one gang: appends its tasks to the ready queue and wakes
+    /// sleepers. Called under the state lock.
     fn admit(
         &self,
         state: &mut PoolState,
@@ -376,15 +357,12 @@ impl PoolInner {
             remaining: AtomicUsize::new(n),
             admitted_at: now,
         });
-        for task in queued.gang.tasks.drain(..) {
-            let worker = state.next_worker % self.workers;
-            state.next_worker = state.next_worker.wrapping_add(1);
-            self.locals[worker].lock().push_back(RunTask {
+        state
+            .ready
+            .extend(queued.gang.tasks.drain(..).map(|task| RunTask {
                 task,
                 gang: Arc::clone(&ctl),
-            });
-            self.ready_count.fetch_add(1, Ordering::SeqCst);
-        }
+            }));
         self.work_ready.notify_all();
         let waited = now.duration_since(queued.enqueued);
         queued
@@ -392,36 +370,6 @@ impl PoolInner {
             .on_admit
             .take()
             .map(|hook| PromoteEffect::Admit { hook, waited })
-    }
-
-    /// Fetches the next task for `worker`: own queue front first, then a
-    /// steal from a sibling's back. Never touches the pool state lock.
-    fn grab(&self, worker: usize) -> Option<RunTask> {
-        if let Some(task) = self.pop_local(worker) {
-            return Some(task);
-        }
-        for offset in 1..self.workers {
-            let victim = (worker + offset) % self.workers;
-            // try_lock: a contended sibling queue is being drained by its
-            // owner anyway; move on instead of serializing behind it.
-            if let Some(mut queue) = self.locals[victim].try_lock() {
-                if let Some(task) = queue.pop_back() {
-                    drop(queue);
-                    self.ready_count.fetch_sub(1, Ordering::SeqCst);
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                    return Some(task);
-                }
-            }
-        }
-        None
-    }
-
-    fn pop_local(&self, worker: usize) -> Option<RunTask> {
-        let task = self.locals[worker].lock().pop_front();
-        if task.is_some() {
-            self.ready_count.fetch_sub(1, Ordering::SeqCst);
-        }
-        task
     }
 }
 
@@ -484,16 +432,13 @@ impl ActorPool {
         let inner = Arc::new(PoolInner {
             state: Mutex::new(PoolState {
                 pending: [VecDeque::new(), VecDeque::new()],
+                ready: VecDeque::new(),
                 committed: 0,
-                next_worker: 0,
                 sched: SchedCounters::new(),
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
             workers,
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            ready_count: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
             cfg,
         });
         let handles = (0..workers)
@@ -501,7 +446,7 @@ impl ActorPool {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("sap-worker-{i}"))
-                    .spawn(move || worker_loop(&inner, i))
+                    .spawn(move || worker_loop(&inner))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -544,25 +489,6 @@ impl ActorPool {
         Ok(())
     }
 
-    /// Tasks of gangs still **queued for admission** (not yet started).
-    /// The former conflation with committed tasks is gone — running work
-    /// is [`ActorPool::running_tasks`].
-    pub fn queued_tasks(&self) -> usize {
-        let state = self.inner.state.lock();
-        state
-            .pending
-            .iter()
-            .flatten()
-            .map(|q| q.gang.tasks.len())
-            .sum()
-    }
-
-    /// Tasks admitted and not yet finished (on a worker's run queue or
-    /// executing).
-    pub fn running_tasks(&self) -> usize {
-        self.inner.state.lock().committed
-    }
-
     /// A snapshot of the scheduler's counters and gauges.
     pub fn stats(&self) -> SchedStats {
         let state = self.inner.state.lock();
@@ -570,7 +496,6 @@ impl ActorPool {
             gangs_admitted: state.sched.admitted,
             gangs_shed: state.sched.shed,
             gangs_promoted: state.sched.promoted,
-            task_steals: self.inner.steals.load(Ordering::Relaxed),
             queued_tasks: state
                 .pending
                 .iter()
@@ -580,67 +505,60 @@ impl ActorPool {
             running_tasks: state.committed,
             service_floor: (state.sched.service_floor_us != u64::MAX)
                 .then(|| Duration::from_micros(state.sched.service_floor_us)),
-            service_ewma: (state.sched.service_ewma_us > 0.0)
-                .then(|| Duration::from_micros(state.sched.service_ewma_us as u64)),
         }
     }
 }
 
 impl Drop for ActorPool {
     fn drop(&mut self) {
-        {
+        // Discarded tasks are dropped outside the lock: releasing a TCP
+        // transport touches sockets.
+        let discarded = {
             let mut state = self.inner.state.lock();
             state.shutdown = true;
-            for queue in &mut state.pending {
-                queue.clear();
-            }
             self.inner.work_ready.notify_all();
-        }
-        for local in &self.inner.locals {
-            local.lock().clear();
-        }
+            (
+                std::mem::take(&mut state.pending),
+                std::mem::take(&mut state.ready),
+            )
+        };
+        drop(discarded);
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-fn worker_loop(inner: &PoolInner, me: usize) {
+fn worker_loop(inner: &PoolInner) {
+    let mut state = inner.state.lock();
     loop {
-        let Some(run) = inner.grab(me) else {
-            // Nothing found: sleep until the admission path signals work.
-            // The ready-count check under the state lock closes the
-            // lost-wakeup window (pushes happen under the same lock).
-            let mut state = inner.state.lock();
-            loop {
-                if state.shutdown {
-                    return;
-                }
-                if inner.ready_count.load(Ordering::SeqCst) > 0 {
-                    break;
-                }
-                state = inner.work_ready.wait(state);
-            }
+        if state.shutdown {
+            return;
+        }
+        let Some(run) = state.ready.pop_front() else {
+            state = inner.work_ready.wait(state);
             continue;
         };
+        drop(state);
         (run.task)();
         // Last finisher of the gang records its service time — the
-        // sample feeding the admission shed bound and the EWMA.
+        // sample feeding the admission shed bound.
         let service = (run.gang.remaining.fetch_sub(1, Ordering::SeqCst) == 1)
             .then(|| run.gang.admitted_at.elapsed());
-        let effects = {
-            let mut state = inner.state.lock();
-            state.committed -= 1;
-            if let Some(service) = service {
-                state.sched.record_service(service);
-            }
-            if state.shutdown {
-                Vec::new()
-            } else {
-                inner.promote(&mut state)
-            }
-        };
-        run_effects(effects);
+        state = inner.state.lock();
+        state.committed -= 1;
+        if let Some(service) = service {
+            state.sched.record_service(service);
+        }
+        if state.shutdown {
+            return;
+        }
+        let effects = inner.promote(&mut state);
+        if !effects.is_empty() {
+            drop(state);
+            run_effects(effects);
+            state = inner.state.lock();
+        }
     }
 }
 
@@ -958,8 +876,8 @@ impl SessionHandle {
         if state.aborted {
             return Err(SapError::Aborted);
         }
-        if let Some(slot) = state.first_error_mut() {
-            return Err(slot.take().expect("found Some"));
+        if let Some(err) = state.first_error_mut().and_then(Option::take) {
+            return Err(err);
         }
         // All roles finished cleanly: assemble, preferring loud failure
         // over silent partial results (these are invariants, not inputs).
@@ -1080,8 +998,9 @@ mod tests {
         // While the first gang occupies both workers, the second waits.
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(second_ran.load(Ordering::SeqCst), 0);
-        assert_eq!(pool.queued_tasks(), 1, "second gang still pending");
-        assert_eq!(pool.running_tasks(), 2, "first gang occupies the pool");
+        let stats = pool.stats();
+        assert_eq!(stats.queued_tasks, 1, "second gang still pending");
+        assert_eq!(stats.running_tasks, 2, "first gang occupies the pool");
         release.wait();
         wait_for(&second_ran, 1);
         assert_eq!(second_ran.load(Ordering::SeqCst), 1);
@@ -1194,9 +1113,9 @@ mod tests {
 
     #[test]
     fn idle_worker_steals_from_a_busy_workers_queue() {
-        // Workers 0 and 1 take the first gang (round-robin); worker 0
-        // blocks. The second gang's task lands on worker 0's queue, so
-        // worker 1 — idle after its fast task — must steal it.
+        // The first gang holds both workers; one of them blocks. The
+        // second gang's task must run on the other worker, idle after its
+        // fast task, while the blocked one still waits.
         let pool = ActorPool::new(2);
         let release = Arc::new(std::sync::Barrier::new(2));
         let slow = Arc::new(AtomicUsize::new(0));
@@ -1220,19 +1139,18 @@ mod tests {
         }
         pool.submit(first).unwrap();
         wait_for(&fast, 1);
-        // Pool full (committed 2 of 2): this queues, then lands on worker
-        // 0's run queue when the fast task frees capacity.
+        // Pool full (committed 2 of 2): this queues, then enters the
+        // ready queue when the fast task frees capacity.
         pool.submit(gang_of(1, QosClass::Interactive, &stolen, || {}))
             .unwrap();
         wait_for(&stolen, 1);
         assert_eq!(
             stolen.load(Ordering::SeqCst),
             1,
-            "queued task must run while worker 0 is still blocked"
+            "queued task must run while the slow role still blocks"
         );
-        assert_eq!(slow.load(Ordering::SeqCst), 0, "worker 0 still blocked");
+        assert_eq!(slow.load(Ordering::SeqCst), 0, "slow role still blocked");
         release.wait();
         wait_for(&slow, 1);
-        assert!(pool.stats().task_steals >= 1, "{:?}", pool.stats());
     }
 }

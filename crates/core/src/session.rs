@@ -52,8 +52,7 @@ pub struct SapConfig {
     /// [`crate::liveness::Deadline`] threaded through all blocking
     /// receives). Generous by design — the per-receive `timeout` catches
     /// ordinary starvation long before this trips; the budget is the
-    /// cooperative backstop that replaces being reclaimed by a server's
-    /// age GC.
+    /// cooperative backstop that ends any session, on a server too.
     pub session_budget: Duration,
     /// Rows per dataset stream block (the chunking grain of the exchange).
     pub block_rows: usize,
@@ -407,9 +406,6 @@ fn validate_inputs(locals: &[Dataset], config: &SapConfig) -> Result<usize, SapE
 /// * [`SapError::InvalidConfig`] when [`SapConfig::validate`] fails.
 /// * Any role's protocol/timeout error, propagated.
 pub fn run_session(locals: Vec<Dataset>, config: &SapConfig) -> Result<SapOutcome, SapError> {
-    // The config is checked before the fault injector is built from it;
-    // the inputs once, by `spawn_session`.
-    config.validate()?;
     let k = locals.len();
     let hub = InMemoryHub::new();
     let providers: Vec<PartyId> = (0..k as u64).map(PartyId).collect();
@@ -417,24 +413,7 @@ pub fn run_session(locals: Vec<Dataset>, config: &SapConfig) -> Result<SapOutcom
     // Endpoints must be created before any thread starts sending.
     let endpoints: Vec<_> = providers.iter().map(|&p| hub.endpoint(p)).collect();
     let miner_endpoint = hub.endpoint(MINER_ID);
-
-    match config.fault_config {
-        None => run_session_over(locals, config, endpoints, miner_endpoint),
-        Some(faults) => {
-            // Same generic path, transports wrapped in the fault injector
-            // with a distinct deterministic stream per party.
-            let wrapped: Vec<_> = endpoints
-                .into_iter()
-                .enumerate()
-                .map(|(pos, endpoint)| {
-                    FaultyTransport::new(endpoint, faults.salted_for(pos as u64 + 1))
-                })
-                .collect();
-            let miner_wrapped =
-                FaultyTransport::new(miner_endpoint, faults.salted_for(FaultConfig::MINER_SALT));
-            run_session_over(locals, config, wrapped, miner_wrapped)
-        }
-    }
+    run_session_over(locals, config, endpoints, miner_endpoint)
 }
 
 /// Runs a complete SAP session over caller-supplied transports —
@@ -486,6 +465,11 @@ where
 /// [`sap_net::mux::SessionMux`] mesh, that is what isolates this
 /// session's frames from every sibling sharing the physical transports.
 ///
+/// A [`SapConfig::fault_config`] wraps each of the session's transports
+/// in a [`FaultyTransport`] with its own deterministic fault stream
+/// (providers salted by position + 1, the miner by
+/// [`FaultConfig::MINER_SALT`]); sibling sessions are untouched.
+///
 /// # Errors
 ///
 /// * [`SapError::TooFewProviders`] / [`SapError::InconsistentInputs`] /
@@ -504,6 +488,51 @@ where
     T: Transport + 'static,
 {
     let num_classes = validate_inputs(&locals, config)?;
+    match config.fault_config {
+        None => spawn_gang(
+            pool,
+            session,
+            locals,
+            num_classes,
+            config,
+            provider_transports,
+            miner_transport,
+        ),
+        Some(faults) => {
+            let wrapped = provider_transports
+                .into_iter()
+                .enumerate()
+                .map(|(pos, t)| FaultyTransport::new(t, faults.salted_for(pos as u64 + 1)))
+                .collect();
+            let miner_wrapped =
+                FaultyTransport::new(miner_transport, faults.salted_for(FaultConfig::MINER_SALT));
+            spawn_gang(
+                pool,
+                session,
+                locals,
+                num_classes,
+                config,
+                wrapped,
+                miner_wrapped,
+            )
+        }
+    }
+}
+
+/// The body of [`spawn_session`] once its inputs are checked and its
+/// transports wrapped.
+fn spawn_gang<T>(
+    pool: &ActorPool,
+    session: SessionId,
+    locals: Vec<Dataset>,
+    num_classes: usize,
+    config: &SapConfig,
+    provider_transports: Vec<T>,
+    miner_transport: T,
+) -> Result<SessionHandle, SapError>
+where
+    T: Transport + 'static,
+{
     let k = locals.len();
     if provider_transports.len() != k {
         return Err(SapError::InconsistentInputs(format!(

@@ -71,9 +71,10 @@ impl FaultConfig {
     pub const MINER_SALT: u64 = 0x31;
 
     /// Derives the per-endpoint fault stream for one session role: same
-    /// fault model, seed decorrelated by `salt`. Both the solo session
-    /// runner and the server wrap a session's endpoints through this one
-    /// helper, so a faulted session behaves identically in either.
+    /// fault model, seed decorrelated by `salt`. `sap_core`'s
+    /// `spawn_session` wraps every session's endpoints through this one
+    /// helper, so a faulted session behaves identically solo and on a
+    /// server.
     #[must_use]
     pub fn salted_for(&self, salt: u64) -> FaultConfig {
         FaultConfig {

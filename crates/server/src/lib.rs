@@ -12,10 +12,9 @@
 //! * a **fixed [`ActorPool`]** on which every session's roles run as a
 //!   gang — `N` concurrent sessions share the pool's workers instead of
 //!   spawning `N × (k + 1)` dedicated threads;
-//! * a **session registry** with create / lookup / reap: finished
-//!   sessions are garbage-collected after [`ServerConfig::reap_after`],
-//!   and sessions running past [`ServerConfig::max_session_age`] are
-//!   aborted by the same sweep (timeout-based GC);
+//! * a **session registry**: a session is registered at submit and
+//!   leaves it when [`SapServer::wait`] returns its verdict, stored
+//!   inputs included;
 //! * **admission control**: beyond
 //!   `max_concurrent + max_queued` live sessions, [`SapServer::submit`]
 //!   sheds with [`ServerError::Overloaded`] instead of queueing unboundedly;
@@ -23,13 +22,12 @@
 //!   [`sap_core::runtime::QosClass`] on their [`SapConfig`]; the pool
 //!   admits interactive gangs with strict priority over batch ones
 //!   (batch gangs age into the interactive queue instead of starving),
-//!   sheds queued sessions whose `session_budget` provably cannot be met
-//!   ([`SapError::AdmissionShed`]), and work-steals role tasks across
-//!   its workers;
+//!   and sheds queued sessions whose `session_budget` provably cannot be
+//!   met ([`SapError::AdmissionShed`]);
 //! * a **metrics surface** ([`ServerMetrics`]): sessions
 //!   started/completed/failed/aborted/rejected/shed, per-class
 //!   queue-wait and service-time histograms with p50/p99/p999
-//!   ([`SessionLatency`]), scheduler promotion/steal counters, relayed
+//!   ([`SessionLatency`]), the scheduler's promotion counter, relayed
 //!   row blocks, and the lane muxes' frame/byte counters (bytes sent are
 //!   sealed bytes — every payload on the wire is a sealed frame).
 //!
@@ -72,6 +70,7 @@ mod hist;
 
 pub use hist::{ClassLatency, LatencyHistogram, SessionLatency};
 
+use parking_lot::Mutex;
 use sap_core::placement::IdMinter;
 use sap_core::runtime::{
     ActorPool, QosClass, SchedulerConfig, SessionHandle, SessionStatus, SessionTimings,
@@ -80,14 +79,12 @@ use sap_core::session::{spawn_session, SapConfig, SapOutcome, MINER_ID};
 use sap_core::SapError;
 use sap_datasets::Dataset;
 use sap_net::mux::{MuxEndpoint, SessionMux};
-use sap_net::sim::FaultyTransport;
 use sap_net::tcp::local_mesh;
 use sap_net::transport::{Endpoint, Physical};
 use sap_net::{InMemoryHub, PartyId, ReactorTransport, SessionId, Transport, TransportError};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Server-level failures.
@@ -107,7 +104,8 @@ pub enum ServerError {
         /// Provider lanes available.
         max: usize,
     },
-    /// No session with that id exists (never created, or reaped).
+    /// No session with that id exists (never created, or its verdict was
+    /// already returned by [`SapServer::wait`]).
     UnknownSession(SessionId),
     /// The session itself failed (or its submission was invalid).
     Session(SapError),
@@ -181,16 +179,6 @@ pub struct ServerConfig {
     /// service `max_concurrent` sessions of `max_parties` providers:
     /// `(max_parties + 1) × max_concurrent`.
     pub worker_threads: usize,
-    /// How long a finished session's registry entry survives before
-    /// [`SapServer::reap`] removes it.
-    pub reap_after: Duration,
-    /// Running sessions older than this are aborted (and then reaped) by
-    /// the GC sweep. With the liveness layer this is a last-resort
-    /// backstop: peer deaths surface as typed
-    /// [`SapError::PeerFailure`]s within the heartbeat budget, and the
-    /// per-session [`sap_core::session::SapConfig::session_budget`]
-    /// unwinds overlong sessions cooperatively long before this sweeps.
-    pub max_session_age: Duration,
     /// Heartbeat interval of the lane liveness plane
     /// ([`sap_net::mux::SessionMux::start_liveness`]); `Duration::ZERO`
     /// disables lane heartbeats (peer deaths are then detected only when
@@ -223,8 +211,6 @@ impl Default for ServerConfig {
             max_concurrent: 8,
             max_queued: 16,
             worker_threads: 0,
-            reap_after: Duration::from_secs(60),
-            max_session_age: Duration::from_secs(300),
             heartbeat_interval: sap_net::mux::DEFAULT_HEARTBEAT_INTERVAL,
             liveness_misses: sap_net::mux::DEFAULT_LIVENESS_MISSES,
             retry_policy: RetryPolicy::default(),
@@ -245,8 +231,8 @@ impl ServerConfig {
     }
 }
 
-/// Aggregated server counters. Sessions are accounted when their end is
-/// first observed (by [`SapServer::wait`] or the reap sweep).
+/// Aggregated server counters. A session is accounted once, when
+/// [`SapServer::wait`] returns its verdict.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServerMetrics {
     /// Sessions admitted.
@@ -255,7 +241,7 @@ pub struct ServerMetrics {
     pub sessions_completed: u64,
     /// Sessions that ended in a protocol/transport error.
     pub sessions_failed: u64,
-    /// Sessions aborted (explicitly or by the age-based GC).
+    /// Sessions aborted by their owner.
     pub sessions_aborted: u64,
     /// Submissions shed by admission control.
     pub sessions_rejected: u64,
@@ -308,7 +294,8 @@ pub struct ServerMetrics {
     /// Batch gangs promoted to the interactive queue by aging (the
     /// pool's anti-starvation counter).
     pub gangs_promoted: u64,
-    /// Role tasks a pool worker stole from a sibling's run queue.
+    /// Always 0: the pool's workers share one ready queue, so there is no
+    /// work stealing left to count. Kept for readers of the field.
     pub task_steals: u64,
     /// Role tasks of sessions still queued for gang admission.
     pub pool_queued_tasks: usize,
@@ -316,7 +303,7 @@ pub struct ServerMetrics {
     pub pool_running_tasks: usize,
     /// Per-class queue-wait and service-time histograms with
     /// p50/p99/p999 extraction ([`SessionLatency`]). Samples are recorded
-    /// when a session's end is accounted.
+    /// when a session is accounted.
     pub latency_histogram: SessionLatency,
 }
 
@@ -345,13 +332,9 @@ struct SessionEntry {
     /// accounting can route its timings to the right histograms even
     /// after retries swap the handle.
     class: QosClass,
-    submitted: Instant,
-    finished_at: Option<Instant>,
-    accounted: bool,
-    /// The owner called [`SapServer::abort`] (or the age GC did): the
-    /// verdict outlives the current handle, so a peer-failure retry
-    /// racing the abort cannot resurrect the session under a fresh
-    /// handle the abort never saw.
+    /// The owner called [`SapServer::abort`]: the verdict outlives the
+    /// current handle, so a peer-failure retry racing the abort cannot
+    /// resurrect the session under a fresh handle the abort never saw.
     aborted: bool,
     /// Stored inputs for peer-failure retries (`None` when the policy is
     /// off — the server then never retains client datasets past spawn).
@@ -394,7 +377,7 @@ pub struct SapServer<T: Transport + 'static> {
     registry: Mutex<HashMap<SessionId, SessionEntry>>,
     ids: IdMinter,
     counters: Counters,
-    /// Per-class latency histograms (lock order: registry → latency).
+    /// Per-class latency histograms (never locked with the registry).
     latency: Mutex<SessionLatency>,
 }
 
@@ -422,7 +405,9 @@ impl SapServer<ReactorTransport> {
         let mut ids: Vec<PartyId> = (0..config.max_parties as u64).map(PartyId).collect();
         ids.push(MINER_ID);
         let mut mesh = local_mesh(&ids).map_err(ServerError::Mesh)?;
-        let miner = mesh.pop().expect("miner lane");
+        let miner = mesh.pop().ok_or_else(|| {
+            ServerError::Mesh(std::io::Error::other("local mesh has no miner lane"))
+        })?;
         Ok(Self::over_lanes(config, mesh, miner))
     }
 }
@@ -441,7 +426,7 @@ impl<T: Transport + 'static> SapServer<T> {
         // The lane liveness plane: every lane heartbeats every other lane
         // and watches for silence, so a dead party process is detected in
         // O(heartbeat budget) and every session that involved it fails
-        // with a typed PeerFailure instead of hanging until the age GC.
+        // with a typed PeerFailure instead of waiting out its budget.
         if !config.heartbeat_interval.is_zero() {
             let roster: Vec<PartyId> = lanes
                 .iter()
@@ -481,8 +466,10 @@ impl<T: Transport + 'static> SapServer<T> {
         self.pool.capacity()
     }
 
-    fn live_sessions(&self) -> usize {
-        let registry = self.registry.lock().expect("registry lock");
+    /// Registered sessions still queued or running. Entries leave at
+    /// their verdict, so the scan covers live sessions and the finished
+    /// ones nobody has waited for yet.
+    fn running(registry: &HashMap<SessionId, SessionEntry>) -> usize {
         registry
             .values()
             .filter(|e| matches!(e.handle.poll(), SessionStatus::Running { .. }))
@@ -572,16 +559,13 @@ impl<T: Transport + 'static> SapServer<T> {
         // The registry lock is held from the admission check through the
         // insert: concurrent submits must not both observe the same free
         // slot (check-then-act race).
-        let mut registry = self.registry.lock().expect("registry lock");
+        let mut registry = self.registry.lock();
         if let Some(id) = placed {
             if registry.contains_key(&id) {
                 return Err(ServerError::DuplicateSession(id));
             }
         }
-        let live = registry
-            .values()
-            .filter(|e| matches!(e.handle.poll(), SessionStatus::Running { .. }))
-            .count();
+        let live = Self::running(&registry);
         let limit = self.config.max_concurrent + self.config.max_queued;
         if live >= limit {
             self.counters.rejected.fetch_add(1, Ordering::Relaxed);
@@ -602,9 +586,6 @@ impl<T: Transport + 'static> SapServer<T> {
             SessionEntry {
                 handle,
                 class: session_config.qos,
-                submitted: Instant::now(),
-                finished_at: None,
-                accounted: false,
                 aborted: false,
                 retry,
             },
@@ -638,40 +619,16 @@ impl<T: Transport + 'static> SapServer<T> {
             }
         };
 
-        // A session with a fault model gets its endpoints wrapped in the
-        // injector; its siblings' traffic never passes through it.
-        let spawned = match session_config.fault_config {
-            None => spawn_session(
-                &self.pool,
-                id,
-                locals,
-                session_config,
-                endpoints,
-                miner_endpoint,
-            ),
-            Some(faults) => {
-                // Same per-position salting as run_session, via the shared
-                // helper — a faulted session draws the identical
-                // deterministic fault stream here and in a solo run.
-                let wrapped: Vec<_> = endpoints
-                    .into_iter()
-                    .enumerate()
-                    .map(|(pos, ep)| FaultyTransport::new(ep, faults.salted_for(pos as u64 + 1)))
-                    .collect();
-                let miner_wrapped = FaultyTransport::new(
-                    miner_endpoint,
-                    faults.salted_for(sap_net::sim::FaultConfig::MINER_SALT),
-                );
-                spawn_session(
-                    &self.pool,
-                    id,
-                    locals,
-                    session_config,
-                    wrapped,
-                    miner_wrapped,
-                )
-            }
-        };
+        // A session's fault model wraps only its own endpoints (inside
+        // spawn_session); its siblings' traffic never passes through it.
+        let spawned = spawn_session(
+            &self.pool,
+            id,
+            locals,
+            session_config,
+            endpoints,
+            miner_endpoint,
+        );
         let handle = match spawned {
             Ok(handle) => handle,
             Err(e) => {
@@ -707,7 +664,7 @@ impl<T: Transport + 'static> SapServer<T> {
     /// when the entry has no retries left (or retry is off).
     fn try_retry(&self, public_id: SessionId) -> bool {
         let (locals, cfg) = {
-            let mut registry = self.registry.lock().expect("registry lock");
+            let mut registry = self.registry.lock();
             let Some(entry) = registry.get_mut(&public_id) else {
                 return false;
             };
@@ -729,17 +686,15 @@ impl<T: Transport + 'static> SapServer<T> {
         match self.wire_session(wire_id, locals, &cfg) {
             Ok(handle) => {
                 let installed = {
-                    let mut registry = self.registry.lock().expect("registry lock");
+                    let mut registry = self.registry.lock();
                     match registry.get_mut(&public_id) {
                         Some(entry) if !entry.aborted => {
                             entry.handle = handle.clone();
-                            entry.finished_at = None;
-                            entry.accounted = false;
                             true
                         }
-                        // Aborted or reaped while the replacement
+                        // Aborted or exported while the replacement
                         // spawned: do not install a session the abort
-                        // (or the reaper) never saw.
+                        // (or the export) never saw.
                         _ => false,
                     }
                 };
@@ -764,12 +719,12 @@ impl<T: Transport + 'static> SapServer<T> {
     /// typed errors and its mux routes close); the importing node
     /// re-runs it from the stored inputs under the **same** client-facing
     /// id via [`SapServer::submit_placed`] — the same replay contract as
-    /// a peer-failure retry. Finished sessions keep their outcomes here;
+    /// a peer-failure retry. Finished sessions keep their verdicts here;
     /// unfinished sessions without stored inputs
     /// ([`RetryPolicy::max_retries`] = 0) cannot be handed off and are
     /// left running.
     pub fn export_registrations(&self) -> Vec<Registration> {
-        let mut registry = self.registry.lock().expect("registry lock");
+        let mut registry = self.registry.lock();
         let ids: Vec<SessionId> = registry
             .iter()
             .filter(|(_, e)| {
@@ -808,15 +763,18 @@ impl<T: Transport + 'static> SapServer<T> {
     ///
     /// [`ServerError::UnknownSession`] when the id is not registered.
     pub fn poll(&self, id: SessionId) -> Result<SessionStatus, ServerError> {
-        let registry = self.registry.lock().expect("registry lock");
+        let registry = self.registry.lock();
         registry
             .get(&id)
             .map(|e| e.handle.poll())
             .ok_or(ServerError::UnknownSession(id))
     }
 
-    /// Waits for a session and returns its outcome (once). `timeout`
-    /// `None` waits indefinitely.
+    /// Waits for a session and returns its verdict: the outcome or the
+    /// session's error. `timeout` `None` waits indefinitely. The session
+    /// leaves the registry with its verdict, stored inputs included, so
+    /// later calls on the id return [`ServerError::UnknownSession`]; a
+    /// harvest timeout is not a verdict and leaves the session running.
     ///
     /// Under a non-zero [`ServerConfig::retry_policy`], a session that
     /// dies of a [`SapError::PeerFailure`] is transparently re-run with
@@ -825,7 +783,8 @@ impl<T: Transport + 'static> SapServer<T> {
     ///
     /// # Errors
     ///
-    /// * [`ServerError::UnknownSession`] for unregistered (or reaped) ids.
+    /// * [`ServerError::UnknownSession`] for unregistered ids, including
+    ///   ids whose verdict an earlier call returned.
     /// * [`ServerError::Session`] carrying the session's own error, the
     ///   harvest timeout, or [`SapError::Aborted`].
     pub fn wait(
@@ -836,7 +795,7 @@ impl<T: Transport + 'static> SapServer<T> {
         let overall = timeout.map(|t| Instant::now() + t);
         loop {
             let handle = {
-                let registry = self.registry.lock().expect("registry lock");
+                let registry = self.registry.lock();
                 registry
                     .get(&id)
                     .map(|e| e.handle.clone())
@@ -846,7 +805,7 @@ impl<T: Transport + 'static> SapServer<T> {
             let result = handle.harvest(remaining);
             match &result {
                 // A harvest deadline is the caller's timeout, not the
-                // session's end — leave the entry unaccounted.
+                // session's end — leave the entry registered.
                 Err(SapError::Timeout {
                     phase: "session harvest",
                     ..
@@ -867,7 +826,7 @@ impl<T: Transport + 'static> SapServer<T> {
     /// [`ServerError::UnknownSession`] when the id is not registered.
     pub fn abort(&self, id: SessionId) -> Result<(), ServerError> {
         let handle = {
-            let mut registry = self.registry.lock().expect("registry lock");
+            let mut registry = self.registry.lock();
             let entry = registry
                 .get_mut(&id)
                 .ok_or(ServerError::UnknownSession(id))?;
@@ -878,17 +837,13 @@ impl<T: Transport + 'static> SapServer<T> {
         Ok(())
     }
 
+    /// Removes a session at its verdict and accounts it. Only the call
+    /// that removes the entry accounts, so each session counts once.
     fn finalize(&self, id: SessionId, result: &Result<SapOutcome, SapError>) {
-        let mut registry = self.registry.lock().expect("registry lock");
-        let Some(entry) = registry.get_mut(&id) else {
+        let Some(entry) = self.registry.lock().remove(&id) else {
             return;
         };
-        entry.finished_at.get_or_insert_with(Instant::now);
-        if entry.accounted {
-            return;
-        }
-        entry.accounted = true;
-        Self::record_latency(&self.latency, entry.class, entry.handle.timings());
+        self.record_latency(entry.class, entry.handle.timings());
         match result {
             Ok(outcome) => {
                 self.counters.completed.fetch_add(1, Ordering::Relaxed);
@@ -931,11 +886,11 @@ impl<T: Transport + 'static> SapServer<T> {
     /// Folds one accounted session's scheduler timings into the per-class
     /// histograms. Shed sessions contribute a queue-wait sample only —
     /// they never had a service phase.
-    fn record_latency(latency: &Mutex<SessionLatency>, class: QosClass, timings: SessionTimings) {
+    fn record_latency(&self, class: QosClass, timings: SessionTimings) {
         if timings.queue_wait.is_none() && timings.service.is_none() {
             return;
         }
-        let mut latency = latency.lock().expect("latency lock");
+        let mut latency = self.latency.lock();
         let class = latency.class_mut(class);
         if let Some(wait) = timings.queue_wait {
             class.queue_wait.record(wait);
@@ -945,80 +900,11 @@ impl<T: Transport + 'static> SapServer<T> {
         }
     }
 
-    /// The GC sweep: aborts running sessions older than
-    /// [`ServerConfig::max_session_age`], accounts finished-but-unwaited
-    /// sessions, and removes entries finished longer than
-    /// [`ServerConfig::reap_after`] ago. Returns the number of entries
-    /// removed. Call periodically (or before capacity decisions).
-    pub fn reap(&self) -> usize {
-        let now = Instant::now();
-        // Collect handles first and abort without the registry lock: an
-        // abort runs the session's hook, which takes every lane mux's
-        // routes lock, and disjoint lock scopes rule out a lock-order
-        // cycle with the routing threads.
-        let overdue: Vec<SessionHandle> = {
-            let mut registry = self.registry.lock().expect("registry lock");
-            registry
-                .values_mut()
-                .filter(|e| {
-                    matches!(e.handle.poll(), SessionStatus::Running { .. })
-                        && now.duration_since(e.submitted) > self.config.max_session_age
-                })
-                .map(|e| {
-                    // Recorded on the entry too, so a racing peer-failure
-                    // retry cannot resurrect the overdue session.
-                    e.aborted = true;
-                    e.handle.clone()
-                })
-                .collect()
-        };
-        for handle in &overdue {
-            handle.abort();
-        }
-
-        let mut registry = self.registry.lock().expect("registry lock");
-        let mut reaped = 0;
-        registry.retain(|_, entry| {
-            let status = entry.handle.poll();
-            if matches!(status, SessionStatus::Running { .. }) {
-                return true;
-            }
-            let finished_at = *entry.finished_at.get_or_insert(now);
-            if !entry.accounted {
-                entry.accounted = true;
-                Self::record_latency(&self.latency, entry.class, entry.handle.timings());
-                match status {
-                    SessionStatus::Complete => {
-                        // Completed but never harvested; count it (the
-                        // blocks metric needs the outcome, so it is only
-                        // summed for harvested sessions).
-                        self.counters.completed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    SessionStatus::Aborted => {
-                        self.counters.aborted.fetch_add(1, Ordering::Relaxed);
-                    }
-                    SessionStatus::Shed => {
-                        self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    _ => {
-                        self.counters.failed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            if now.duration_since(finished_at) >= self.config.reap_after {
-                reaped += 1;
-                false
-            } else {
-                true
-            }
-        });
-        reaped
-    }
-
     /// A snapshot of the server's metrics (session counters plus the lane
     /// muxes' traffic counters).
     pub fn metrics(&self) -> ServerMetrics {
         let sched = self.pool.stats();
+        let live_sessions = Self::running(&self.registry.lock());
         let mut bytes_sealed = 0;
         let mut frames_routed = 0;
         let mut unknown = 0;
@@ -1048,7 +934,7 @@ impl<T: Transport + 'static> SapServer<T> {
             sessions_failed: self.counters.failed.load(Ordering::Relaxed),
             sessions_aborted: self.counters.aborted.load(Ordering::Relaxed),
             sessions_rejected: self.counters.rejected.load(Ordering::Relaxed),
-            live_sessions: self.live_sessions(),
+            live_sessions,
             blocks_relayed: self.counters.blocks_relayed.load(Ordering::Relaxed),
             blocks_pipelined: self.counters.blocks_pipelined.load(Ordering::Relaxed),
             overlap_ratio_avg,
@@ -1072,10 +958,10 @@ impl<T: Transport + 'static> SapServer<T> {
             sessions_retried: self.counters.retried.load(Ordering::Relaxed),
             sessions_shed: self.counters.shed.load(Ordering::Relaxed),
             gangs_promoted: sched.gangs_promoted,
-            task_steals: sched.task_steals,
+            task_steals: 0,
             pool_queued_tasks: sched.queued_tasks,
             pool_running_tasks: sched.running_tasks,
-            latency_histogram: *self.latency.lock().expect("latency lock"),
+            latency_histogram: *self.latency.lock(),
         }
     }
 }
@@ -1085,7 +971,7 @@ impl<T: Transport + 'static> Drop for SapServer<T> {
         // Abort everything still running so pool workers unblock, then let
         // the pool's own Drop join them.
         let handles: Vec<SessionHandle> = {
-            let registry = self.registry.lock().expect("registry lock");
+            let registry = self.registry.lock();
             registry.values().map(|e| e.handle.clone()).collect()
         };
         for handle in handles {
@@ -1319,50 +1205,47 @@ mod tests {
     }
 
     #[test]
-    fn reap_gcs_finished_sessions() {
-        let server = SapServer::in_memory(ServerConfig {
-            reap_after: Duration::ZERO,
-            ..ServerConfig::default()
-        })
-        .unwrap();
+    fn harvested_session_leaves_the_registry() {
+        let server = SapServer::in_memory(ServerConfig::default()).unwrap();
         let id = server.submit(locals(5), &quick()).unwrap();
         server.wait(id, None).unwrap();
-        assert_eq!(server.reap(), 1);
         assert!(matches!(
             server.poll(id),
             Err(ServerError::UnknownSession(_))
         ));
-        // Unknown-session wait after reap.
+        // A second wait finds nothing to harvest.
         assert!(matches!(
             server.wait(id, None),
             Err(ServerError::UnknownSession(_))
         ));
     }
 
+    /// The session budget alone ends a session whose every frame is lost,
+    /// long before its protocol timeout.
     #[test]
-    fn age_gc_aborts_overdue_sessions() {
-        let server = SapServer::in_memory(ServerConfig {
-            max_session_age: Duration::ZERO,
-            ..ServerConfig::default()
-        })
-        .unwrap();
+    fn session_budget_ends_a_stuck_session() {
+        let server = SapServer::in_memory(ServerConfig::default()).unwrap();
         let stuck_cfg = SapConfig {
             fault_config: Some(sap_net::sim::FaultConfig {
                 drop_prob: 1.0,
                 ..Default::default()
             }),
             timeout: Duration::from_secs(120),
+            session_budget: Duration::from_millis(300),
             ..SapConfig::quick_test()
         };
+        let start = Instant::now();
         let id = server.submit(locals(6), &stuck_cfg).unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        // First sweep aborts; roles unwind via Disconnected, then a later
-        // sweep (or wait) observes the end.
-        server.reap();
         let err = server.wait(id, Some(Duration::from_secs(30))).unwrap_err();
         assert!(
-            matches!(err, ServerError::Session(SapError::Aborted)),
+            matches!(err, ServerError::Session(SapError::DeadlineExceeded { .. })),
             "{err}"
         );
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "the 300 ms budget must end the session, took {:?}",
+            start.elapsed()
+        );
+        assert_eq!(server.metrics().sessions_failed, 1);
     }
 }

@@ -5,7 +5,7 @@
 //! the sequence check (protocol abort) — never a wrong dataset. With the
 //! liveness layer, a peer that *dies* (rather than merely losing frames)
 //! fails its sessions with a typed `PeerFailure` within the detection
-//! budget instead of starving until a timeout or the server's age GC.
+//! budget instead of starving until a timeout or the session budget.
 
 use sap_repro::core::link;
 use sap_repro::core::liveness::Roster;
@@ -314,7 +314,7 @@ fn stranger_death_is_ignored_by_healthy_session() {
 
 /// Server-level recovery: a party process dying mid-session fails every
 /// session it belonged to with a typed `PeerFailure` within the
-/// detection budget (not the 300 s age GC), while sibling sessions that
+/// detection budget (not the 300 s session budget), while sibling sessions that
 /// never involved the dead party keep completing on the same server.
 #[test]
 fn server_peer_death_fails_fast_and_spares_siblings() {

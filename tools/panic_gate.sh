@@ -2,8 +2,8 @@
 # Panic-site ratchet for the wire-facing crates.
 #
 # Counts non-test `unwrap()` / `expect("…")` / `panic!(` sites in
-# crates/net + crates/core + crates/fleet + crates/classify source
-# (everything before each file's first `#[cfg(test)]`, excluding comment
+# crates/net + crates/core + crates/fleet + crates/classify +
+# crates/server source (everything before each file's first `#[cfg(test)]`, excluding comment
 # lines) and fails when the count exceeds the pinned ceiling. The ceiling
 # is hard-coded (no command-line override, as in size_gate.sh) and may
 # only go DOWN: when you remove panic sites, lower LIMIT in this file;
@@ -12,6 +12,9 @@
 # `partial_cmp(..).expect(..)` comparators to `f64::total_cmp` and its
 # argmax expects to safe defaults) — the mining service trains and
 # predicts on records that arrived over the wire, so it must stay at zero.
+# server joined at zero as well: its registry and latency locks are on
+# the no-poison shim, so a panic while one is held no longer fails every
+# later submit, and the miner-lane pop returns a typed mesh error.
 #
 # Rationale (liveness overhaul PR): anything reachable from the wire must
 # surface as a typed TransportError/FrameError/SapError so one bad frame
@@ -21,12 +24,13 @@
 # validated at spawn).
 set -euo pipefail
 
-LIMIT=23
+LIMIT=22
 
 cd "$(dirname "$0")/.."
 total=0
 worst=""
-for f in crates/net/src/*.rs crates/core/src/*.rs crates/fleet/src/*.rs crates/classify/src/*.rs; do
+for f in crates/net/src/*.rs crates/core/src/*.rs crates/fleet/src/*.rs crates/classify/src/*.rs \
+         crates/server/src/*.rs; do
   n=$(awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print}' "$f" \
       | grep -cE '\.unwrap\(\)|\.expect\("|panic!\(' || true)
   total=$((total + n))
@@ -36,7 +40,7 @@ for f in crates/net/src/*.rs crates/core/src/*.rs crates/fleet/src/*.rs crates/c
   fi
 done
 
-echo "non-test panic sites in crates/net + crates/core + crates/fleet + crates/classify: $total (limit $LIMIT)"
+echo "non-test panic sites in crates/net + crates/core + crates/fleet + crates/classify + crates/server: $total (limit $LIMIT)"
 echo "per file:$worst"
 if [ "$total" -gt "$LIMIT" ]; then
   echo "FAIL: panic-site count grew past the pinned ceiling." >&2
