@@ -276,7 +276,7 @@ mod tests {
             },
         );
 
-        link::send_dataset(&p0, PartyId(2), false, SlotTag(9), &tiny_dataset(), 8).unwrap();
+        link::tests::send_dataset(&p0, PartyId(2), false, SlotTag(9), &tiny_dataset(), 8).unwrap();
 
         let err = run_coordinator(&coord_node, &tiny_dataset(), &sc.ctx()).unwrap_err();
         assert!(

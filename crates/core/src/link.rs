@@ -117,51 +117,6 @@ pub enum FlowInbound {
     },
 }
 
-/// Streams an already perturbed dataset to `to` as row blocks. The
-/// roles send through [`send_perturbed_dataset`] and the relay's
-/// block-by-block forwarding; this whole-dataset form lets harnesses play
-/// a provider or a relay.
-///
-/// # Errors
-///
-/// Returns [`SapError::Messaging`] on transport failure.
-pub fn send_dataset<T: Transport>(
-    node: &Node<T>,
-    to: PartyId,
-    relay: bool,
-    slot: SlotTag,
-    data: &Dataset,
-    block_rows: usize,
-) -> Result<(), SapError> {
-    assert!(block_rows > 0, "block_rows must be positive");
-    let row_size = 4 + data.dim() * 8;
-    let block_rows = block_rows.min((MAX_BLOCK_BYTES / row_size).max(1));
-    let header = DataHeader {
-        session: node.session(),
-        relay,
-        slot,
-        rows: data.len() as u64,
-        dim: u32::try_from(data.dim())
-            .map_err(|_| SapError::Protocol("dimension overflows u32".into()))?,
-        num_classes: u32::try_from(data.num_classes())
-            .map_err(|_| SapError::Protocol("class count overflows u32".into()))?,
-    };
-    let n = data.len();
-    let mut stream = node
-        .begin_stream(to, &header, n == 0)
-        .map_err(SapError::from)?;
-    let mut start = 0;
-    while start < n {
-        let end = (start + block_rows).min(n);
-        node.stream_block_with(&mut stream, 4 + (end - start) * row_size, end == n, |out| {
-            encode_block_into(data, start, end, out);
-        })
-        .map_err(SapError::from)?;
-        start = end;
-    }
-    Ok(())
-}
-
 /// Receives the next delivery within `timeout`: stream headers and row
 /// blocks are delivered per frame, so a role can relay, decode, or adapt
 /// a block while the rest of its stream is still on the wire.
@@ -213,19 +168,20 @@ fn recv_governed<R>(
     phase: &'static str,
     mut attempt: impl FnMut(Duration) -> Result<R, SapError>,
 ) -> Result<R, SapError> {
-    let per_recv = Instant::now() + ctx.config.timeout;
+    // `None` (a timeout too long to represent) means no per-receive limit.
+    let per_recv = Instant::now().checked_add(ctx.config.timeout);
     loop {
         if ctx.deadline.is_cancelled() {
             return Err(SapError::Cancelled { phase });
         }
-        let now = Instant::now();
-        if now >= per_recv {
+        let left = per_recv.map_or(CANCEL_POLL, |d| d.saturating_duration_since(Instant::now()));
+        if left.is_zero() {
             return Err(SapError::Timeout {
                 waiting: who,
                 phase,
             });
         }
-        let mut slice = (per_recv - now).min(CANCEL_POLL);
+        let mut slice = left.min(CANCEL_POLL);
         if let Some(budget) = ctx.deadline.remaining() {
             if budget.is_zero() {
                 return Err(SapError::DeadlineExceeded { phase });
@@ -271,7 +227,8 @@ pub fn recv_flow_ctx<T: Transport>(
 ///
 /// The realized noise `delta` must be sampled up front for the whole
 /// matrix, so the bytes on the wire are **bit-identical** to perturbing
-/// the whole matrix and calling [`send_dataset`].
+/// the whole matrix and streaming it as one dataset (the test-only
+/// `send_dataset` helper).
 ///
 /// # Errors
 ///
@@ -345,7 +302,7 @@ fn encode_records_block_into(labels: &[usize], values: &[f64], out: &mut Vec<u8>
 
 /// Appends rows `start..end` of a dataset as one wire row block
 /// (`[rows: u32] [labels] [values]`, see `docs/WIRE.md` §4.1) to `out` —
-/// the sink [`send_dataset`] encodes each block through, straight into
+/// the sink a dataset stream encodes each block through, straight into
 /// the pooled sealed frame buffer.
 ///
 /// # Panics
@@ -409,6 +366,47 @@ pub(crate) mod tests {
             Node::new(hub.endpoint(PartyId(1)), 9),
             Node::new(hub.endpoint(PartyId(2)), 9),
         )
+    }
+
+    /// Streams an already perturbed dataset to `to` as row blocks, so a
+    /// role unit test can play a provider or a relay. The roles send
+    /// through [`send_perturbed_dataset`] and the relay's block-by-block
+    /// forwarding.
+    pub(crate) fn send_dataset<T: Transport>(
+        node: &Node<T>,
+        to: PartyId,
+        relay: bool,
+        slot: SlotTag,
+        data: &Dataset,
+        block_rows: usize,
+    ) -> Result<(), SapError> {
+        assert!(block_rows > 0, "block_rows must be positive");
+        let row_size = 4 + data.dim() * 8;
+        let block_rows = block_rows.min((MAX_BLOCK_BYTES / row_size).max(1));
+        let header = DataHeader {
+            session: node.session(),
+            relay,
+            slot,
+            rows: data.len() as u64,
+            dim: u32::try_from(data.dim())
+                .map_err(|_| SapError::Protocol("dimension overflows u32".into()))?,
+            num_classes: u32::try_from(data.num_classes())
+                .map_err(|_| SapError::Protocol("class count overflows u32".into()))?,
+        };
+        let n = data.len();
+        let mut stream = node
+            .begin_stream(to, &header, n == 0)
+            .map_err(SapError::from)?;
+        let mut start = 0;
+        while start < n {
+            let end = (start + block_rows).min(n);
+            node.stream_block_with(&mut stream, 4 + (end - start) * row_size, end == n, |out| {
+                encode_block_into(data, start, end, out);
+            })
+            .map_err(SapError::from)?;
+            start = end;
+        }
+        Ok(())
     }
 
     /// Receives one whole dataset stream through [`recv_flow`]: its

@@ -312,7 +312,7 @@ mod tests {
         let d2 = tiny_dataset(5.0);
         let y1 = g1.apply_clean(&d1.to_column_matrix());
         let y2 = g2.apply_clean(&d2.to_column_matrix());
-        link::send_dataset(
+        link::tests::send_dataset(
             &relay,
             PartyId(100),
             true,
@@ -321,7 +321,7 @@ mod tests {
             4,
         )
         .unwrap();
-        link::send_dataset(
+        link::tests::send_dataset(
             &relay,
             PartyId(100),
             true,
@@ -380,7 +380,7 @@ mod tests {
             (0..10).map(|i| vec![i as f64, 1.0, -1.0]).collect(),
             (0..10).map(|i| i % 2).collect(),
         );
-        link::send_dataset(
+        link::tests::send_dataset(
             &relay,
             PartyId(100),
             true,
@@ -389,7 +389,7 @@ mod tests {
             4,
         )
         .unwrap();
-        link::send_dataset(&relay, PartyId(100), true, SlotTag(2), &wide, 4).unwrap();
+        link::tests::send_dataset(&relay, PartyId(100), true, SlotTag(2), &wide, 4).unwrap();
         let adaptor = |d: usize, rng: &mut StdRng| {
             SpaceAdaptor::between(&Perturbation::random(d, rng), &Perturbation::random(d, rng))
                 .unwrap()
@@ -418,7 +418,7 @@ mod tests {
         let audit = AuditLog::new();
 
         for _ in 0..2 {
-            link::send_dataset(
+            link::tests::send_dataset(
                 &relay,
                 PartyId(100),
                 true,
@@ -440,7 +440,7 @@ mod tests {
         let coord = Node::new(hub.endpoint(PartyId(2)), 7);
         let audit = AuditLog::new();
 
-        link::send_dataset(
+        link::tests::send_dataset(
             &relay,
             PartyId(100),
             true,
@@ -475,7 +475,7 @@ mod tests {
         let miner_node = Node::new(hub.endpoint(PartyId(100)), 7);
         let sender = Node::new(hub.endpoint(PartyId(1)), 7);
         let audit = AuditLog::new();
-        link::send_dataset(
+        link::tests::send_dataset(
             &sender,
             PartyId(100),
             false,

@@ -448,7 +448,7 @@ mod tests {
         assert_ne!(perturbed.record(0), data.record(0));
 
         // Feed the provider one dataset stream to relay.
-        link::send_dataset(
+        link::tests::send_dataset(
             &receiver,
             PartyId(0),
             false,
@@ -618,7 +618,7 @@ mod tests {
         let peer = Node::new(hub.endpoint(PartyId(2)), 7);
         let sc = harness(quick_config());
 
-        link::send_dataset(&peer, PartyId(0), true, SlotTag(2), &tiny_dataset(), 8).unwrap();
+        link::tests::send_dataset(&peer, PartyId(0), true, SlotTag(2), &tiny_dataset(), 8).unwrap();
         let err = run_provider(&provider_node, &tiny_dataset(), &sc.ctx()).unwrap_err();
         assert!(err.to_string().contains("relayed-data"), "{err}");
     }

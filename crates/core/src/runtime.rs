@@ -825,7 +825,8 @@ impl SessionHandle {
     /// * [`SapError::Timeout`] when `timeout` elapsed first.
     /// * [`SapError::Protocol`] when already harvested.
     pub fn harvest(&self, timeout: Option<Duration>) -> Result<SapOutcome, SapError> {
-        let deadline = timeout.map(|t| Instant::now() + t);
+        // A timeout too long to represent waits without a limit.
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
         let mut state = self.shared.state.lock();
         while state.finished_roles < state.total_roles && !state.aborted && state.shed.is_none() {
             match deadline {

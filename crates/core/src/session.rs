@@ -765,6 +765,21 @@ mod tests {
     }
 
     #[test]
+    fn unbounded_receive_timeout_completes() {
+        // `validate` accepts any timeout; one too long to add to an
+        // `Instant` means "no per-receive limit", not a role panic.
+        let pooled = UciDataset::Iris.generate(1);
+        let locals = partition(&pooled, 3, PartitionScheme::Uniform, 2);
+        let config = SapConfig {
+            timeout: Duration::MAX,
+            ..SapConfig::quick_test()
+        };
+        config.validate().unwrap();
+        let outcome = run_session(locals, &config).unwrap();
+        assert_eq!(outcome.unified.len(), pooled.len());
+    }
+
+    #[test]
     fn audit_flow_invariants_hold() {
         let pooled = UciDataset::Iris.generate(2);
         let locals = partition(&pooled, 5, PartitionScheme::Uniform, 3);

@@ -47,7 +47,6 @@ use sap_core::SapError;
 use sap_datasets::Dataset;
 use sap_net::frame::open_frame_recycling;
 use sap_net::mux::{MuxEndpoint, SessionMux};
-use sap_net::reactor::DEFAULT_CONNECT_WINDOW;
 use sap_net::tcp::local_mesh;
 use sap_net::transport::Endpoint;
 use sap_net::{PartyId, ReactorTransport, SessionId, Transport, TransportError};
@@ -122,7 +121,11 @@ pub struct FleetConfig {
     pub server: ServerConfig,
     /// Secret sealing the fleet control plane ([`wire::inbox_key`]).
     pub fleet_secret: u64,
-    /// Node heartbeat interval on the inter-node liveness plane.
+    /// Node heartbeat interval on the inter-node liveness plane. The
+    /// node lanes are connected when the fleet is built, and every clock
+    /// starts then: a node silent for one budget
+    /// (`heartbeat_interval × liveness_misses`) from then is declared
+    /// dead.
     pub heartbeat_interval: Duration,
     /// Missed-interval budget before a silent node is declared dead.
     pub liveness_misses: u32,
@@ -297,8 +300,8 @@ impl Fleet {
         }
         let ids: Vec<PartyId> = (0..n).map(|j| PartyId(j as u64)).collect();
         let lanes = local_mesh(&ids).map_err(FleetError::Mesh)?;
-        // Node liveness is node-grained. Startup grace covers the mesh's
-        // connect window; steady-state detection is one heartbeat budget.
+        // Node liveness is node-grained: a silent node is declared dead
+        // after one heartbeat budget.
         let budget = config.heartbeat_interval * config.liveness_misses.max(1);
         let shared = Arc::new(Shared {
             secret: config.fleet_secret,
@@ -317,11 +320,10 @@ impl Fleet {
         let mut services = Vec::with_capacity(n);
         for (j, lane) in lanes.into_iter().enumerate() {
             let mux = SessionMux::new(lane);
-            mux.start_liveness_with_grace(
+            mux.start_liveness(
                 ids.clone(),
                 config.heartbeat_interval,
                 config.liveness_misses,
-                budget.max(DEFAULT_CONNECT_WINDOW),
             );
             let inbox = Arc::new(
                 mux.open_session(wire::inbox_session(j))
@@ -371,9 +373,9 @@ impl Fleet {
     }
 
     /// The node that admitted `id`, or `None` while its registration is
-    /// still un-acked (or the id is unknown). Unlike [`Fleet::owner_of`],
-    /// this is where the session actually runs, not where the ring would
-    /// put it.
+    /// still un-acked, after [`Fleet::wait`] returned its verdict, or for
+    /// an unknown id. Unlike [`Fleet::owner_of`], this is where the
+    /// session actually runs, not where the ring would put it.
     pub fn placement(&self, id: SessionId) -> Option<usize> {
         self.shared.placements.lock().get(&id.0).copied()
     }
@@ -467,15 +469,22 @@ impl Fleet {
     /// re-placed instead (see [`Fleet::kill`]); from then on this
     /// reports the re-run's own outcome, not `NodeDown`.
     ///
+    /// The verdict (the outcome or the session's own error) is returned
+    /// once: the session then leaves the fleet, and a later call returns
+    /// [`FleetError::UnknownSession`].
+    ///
     /// # Errors
     ///
+    /// * [`FleetError::UnknownSession`] — `id` was never placed, or its
+    ///   verdict was already returned.
     /// * [`FleetError::Rejected`] — the owner refused the registration.
     /// * [`FleetError::NodeDown`] — the owner (and, for un-acked
     ///   registrations, the origin) died.
     /// * [`FleetError::Timeout`] — `timeout` elapsed.
     /// * [`FleetError::Server`] — the session's own typed error.
     pub fn wait(&self, id: SessionId, timeout: Option<Duration>) -> Result<SapOutcome, FleetError> {
-        let deadline = timeout.map(|t| Instant::now() + t);
+        // A timeout too long to represent waits without a limit.
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
         let expired = |d: &Option<Instant>| d.is_some_and(|d| Instant::now() >= d);
         loop {
             // Un-acked registration: rejected, re-placeable, or doomed?
@@ -524,8 +533,8 @@ impl Fleet {
                     .min(Duration::from_millis(100)),
                 None => Duration::from_millis(100),
             };
-            match node.server.wait(id, Some(slice)) {
-                Ok(outcome) => return Ok(outcome),
+            let verdict = match node.server.wait(id, Some(slice)) {
+                Ok(outcome) => Ok(outcome),
                 Err(ServerError::Session(SapError::Timeout {
                     phase: "session harvest",
                     ..
@@ -533,6 +542,7 @@ impl Fleet {
                     if expired(&deadline) {
                         return Err(FleetError::Timeout(id));
                     }
+                    continue;
                 }
                 Err(ServerError::UnknownSession(_))
                 | Err(ServerError::Session(SapError::Aborted))
@@ -546,9 +556,14 @@ impl Fleet {
                         return Err(FleetError::Timeout(id));
                     }
                     std::thread::sleep(Duration::from_millis(5));
+                    continue;
                 }
-                Err(e) => return Err(FleetError::Server(e)),
-            }
+                Err(e) => Err(FleetError::Server(e)),
+            };
+            // The owner returned the session's verdict and dropped it:
+            // the placement goes too.
+            self.shared.placements.lock().remove(&id.0);
+            return verdict;
         }
     }
 

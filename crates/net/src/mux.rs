@@ -414,29 +414,17 @@ impl<T: Transport + 'static> SessionMux<T> {
         self.shared.routes.lock().clear();
     }
 
-    /// Starts peer-liveness tracking with the default startup grace of
-    /// one liveness budget (`interval × misses`) — right when every
-    /// watched peer is already up (an in-process server's lanes).
-    /// Deployments where peers may bind late (a TCP mesh coming up in
-    /// any order) should use [`SessionMux::start_liveness_with_grace`]
-    /// and pass at least the transport's connect window.
-    pub fn start_liveness(&self, watch: Vec<PartyId>, interval: Duration, misses: u32) {
-        self.start_liveness_with_grace(watch, interval, misses, interval * misses.max(1));
-    }
-
     /// Starts peer-liveness tracking on one thread: each `interval` it
     /// sends a heartbeat to every peer in `watch` and declares any
     /// watched peer dead after `misses` intervals of total silence (any
     /// inbound frame refreshes the clock, so heartbeats only matter on
-    /// idle links). A peer whose death the transport reports directly
+    /// idle links). Every clock starts now: watched peers are reachable
+    /// before liveness starts (a TCP mesh is connected when it is built),
+    /// so a peer silent for one budget from the start is declared dead
+    /// like any other. A peer whose death the transport reports directly
     /// (socket close, hub kill) is declared immediately; a peer whose
     /// heartbeat *sends* keep failing is declared after `misses`
-    /// consecutive failures (one failure can be a startup race).
-    ///
-    /// No watched peer is declared within `grace` of this call — peers of
-    /// a mesh starting up may bind later than this mux, and the grace
-    /// must cover that window (for TCP, at least the connect window) or
-    /// late binders get falsely declared dead.
+    /// consecutive failures.
     ///
     /// On a declared death every open session receives an in-band
     /// [`TransportError::PeerDown`]; see
@@ -444,31 +432,22 @@ impl<T: Transport + 'static> SessionMux<T> {
     /// for the observability side.
     ///
     /// Call at most once per mux, before traffic flows.
-    pub fn start_liveness_with_grace(
-        &self,
-        watch: Vec<PartyId>,
-        interval: Duration,
-        misses: u32,
-        grace: Duration,
-    ) {
+    pub fn start_liveness(&self, watch: Vec<PartyId>, interval: Duration, misses: u32) {
         assert!(!interval.is_zero(), "heartbeat interval must be positive");
         let me = self.shared.inner.local_id();
-        // Seeding the clocks `grace` into the future suppresses silence
-        // accounting until the mesh had time to come up (Instant::elapsed
-        // saturates to zero for future instants).
-        let seed = Instant::now() + grace.saturating_sub(interval * misses.max(1));
+        let now = Instant::now();
         {
             let mut liveness = self.shared.liveness.lock();
             // Never watch ourselves: nobody heartbeats us on our own
             // endpoint, so a self-entry would "detect" our own silence.
             for &peer in watch.iter().filter(|&&p| p != me) {
-                liveness.last_seen.entry(peer).or_insert(seed);
+                liveness.last_seen.entry(peer).or_insert(now);
             }
         }
         let shared = Arc::clone(&self.shared);
         let _ = std::thread::Builder::new()
             .name(format!("mux-liveness-{}", self.shared.inner.local_id()))
-            .spawn(move || liveness_loop(&shared, watch, interval, misses, grace));
+            .spawn(move || liveness_loop(&shared, watch, interval, misses));
     }
 }
 
@@ -477,13 +456,11 @@ fn liveness_loop<T: Transport>(
     watch: Vec<PartyId>,
     interval: Duration,
     misses: u32,
-    grace: Duration,
 ) {
     let me = shared.inner.local_id();
     let mut seq = 1u64;
     let mut gone: HashSet<PartyId> = HashSet::new();
     let mut consecutive_failures: HashMap<PartyId, u32> = HashMap::new();
-    let grace_end = Instant::now() + grace;
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
@@ -498,23 +475,18 @@ fn liveness_loop<T: Transport>(
             if peer == me || gone.contains(&peer) {
                 continue;
             }
-            // send_liveness, not send: the bounded-latency variant, so a
-            // dead peer's connect window cannot stall this loop long
-            // enough to starve beats to the healthy peers.
+            // send_liveness, not send: it never blocks, so one saturated
+            // peer cannot stall this loop long enough to starve beats to
+            // the healthy peers.
             match shared.inner.send_liveness(peer, encode_heartbeat(me, seq)) {
                 Ok(()) => {
                     consecutive_failures.remove(&peer);
                     shared.count(&shared.metrics.heartbeats_sent);
                 }
                 Err(_) => {
-                    // Unreachable from the send side. Failures inside the
-                    // startup grace are expected (the peer may not have
-                    // bound yet) and never counted; afterwards the same
-                    // `misses` budget the receive side uses decides when
-                    // it becomes a death report.
-                    if Instant::now() < grace_end {
-                        continue;
-                    }
+                    // Unreachable from the send side: the same `misses`
+                    // budget the receive side uses decides when it
+                    // becomes a death report.
                     let fails = consecutive_failures.entry(peer).or_insert(0);
                     *fails += 1;
                     if *fails >= misses.max(1) {

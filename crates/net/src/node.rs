@@ -417,7 +417,7 @@ impl<T: Transport> Node<T> {
         &self,
         timeout: Duration,
     ) -> Result<(PartyId, NodeFlow<M, H>), NodeError> {
-        let (from, item) = self.next_flow(Some(Instant::now() + timeout))?;
+        let (from, item) = self.next_flow(Instant::now().checked_add(timeout))?;
         let flow = match item {
             FlowItem::Message(bytes) => NodeFlow::Msg(wire::from_bytes(&bytes)?),
             FlowItem::StreamHeader { header, last } => NodeFlow::StreamStart {
@@ -453,7 +453,7 @@ impl<T: Transport> Node<T> {
     ///
     /// As [`Node::recv_msg`], plus [`TransportError::Timeout`].
     pub fn recv_msg_timeout<M: Wire>(&self, timeout: Duration) -> Result<(PartyId, M), NodeError> {
-        self.next_msg(Some(Instant::now() + timeout))
+        self.next_msg(Instant::now().checked_add(timeout))
     }
 }
 

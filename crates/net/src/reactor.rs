@@ -9,13 +9,13 @@
 //!
 //! # Byte protocol
 //!
-//! Each party binds a listener and knows its peers' addresses
-//! ([`ReactorTransport::register_peer`], or [`crate::tcp::local_mesh`]
-//! for a localhost mesh). Outgoing connections are opened lazily on first
-//! send and kept for the endpoint's lifetime; they are send-only, inbound
-//! connections receive-only. A connection opens with the sender's id
-//! (`u64` little-endian), then carries `[len: u32 LE][payload]` frames —
-//! the sealed frames of [`crate::frame`], so TCP only ever sees
+//! Endpoints come from [`crate::tcp::local_mesh`], which binds every
+//! party's listener and then opens every outbound connection before any
+//! send: the parties of a SAP exchange are all known up front. Outbound
+//! connections are kept for the endpoint's lifetime; they are send-only,
+//! inbound connections receive-only. A connection opens with the sender's
+//! id (`u64` little-endian), then carries `[len: u32 LE][payload]` frames
+//! — the sealed frames of [`crate::frame`], so TCP only ever sees
 //! ciphertext. A length over [`MAX_PAYLOAD`] kills the connection.
 //!
 //! # Structure
@@ -28,15 +28,9 @@
 //!   connection, and hands every arrival to the endpoint's
 //!   [`crate::transport::Sink`]. Other threads talk to it through a
 //!   command channel plus a pipe [`epoll::Waker`] — no socket is ever
-//!   touched off-thread.
-//! - Connects stay blocking, but in **transient** connector threads that
-//!   retry with exponential backoff (2 ms doubling to a 250 ms cap) until
-//!   the connect window closes, and then hand the socket to the reactor.
-//!   A pending connect is shared state:
-//!   regular sends extend its deadline, liveness probes ride it without
-//!   ever opening a second socket ([`Transport::send_liveness`] is
-//!   allocation- and connection-free while a connect or drain is already
-//!   in flight).
+//!   touched off-thread. The mesh builder's blocking connects complete
+//!   against the already-bound listeners' backlogs and hand each stream
+//!   to the reactor as an established connection.
 //! - Outbound frames queue in the connection's [`WriteMachine`] and leave
 //!   in coalesced `writev` batches (length prefix + payload + as many
 //!   queued frames as fit one vectored call). Write interest is armed
@@ -51,8 +45,7 @@
 //! sends on the reactor thread, so nothing ever waits on the gate it
 //! would have to drain itself.
 //! [`Transport::send_liveness`] never blocks: over the high-water mark it
-//! drops the beat (the link is demonstrably active), and while a connect
-//! is pending it enqueues and returns.
+//! drops the beat (the link is demonstrably active).
 //!
 //! Inbound, the reactor reads on whatever the sink says: frames it hands
 //! back are held (see [`crate::transport`]) and offered again on a 1 ms
@@ -60,13 +53,13 @@
 //!
 //! # Failure surface
 //!
-//! Failures are typed and surface through the sink: a connect that
-//! exhausts its window marks the peer failed (the next send consumes a
-//! [`TransportError::ConnectFailed`]) and posts an in-band `PeerDown`; an
-//! inbound peer's socket closing posts `PeerDown`; a peer claiming a
-//! frame over [`MAX_PAYLOAD`] gets its connection dropped and a typed
-//! [`TransportError::OversizeFrame`] surfaces to the receiver — the
-//! claimed length is **never allocated**.
+//! Failures are typed and surface through the sink: a peer's socket
+//! closing, in either direction, posts an in-band `PeerDown`; when the
+//! outbound connection is the one that died, the peer is marked down and
+//! every later send to it returns [`TransportError::PeerDown`] at once. A
+//! peer claiming a frame over [`MAX_PAYLOAD`] gets its connection dropped
+//! and a typed [`TransportError::OversizeFrame`] surfaces to the receiver
+//! — the claimed length is **never allocated**.
 
 use crate::pool;
 use crate::transport::{
@@ -76,36 +69,18 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use epoll::{BackendKind, Event, Interest, Poller, Waker};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Upper bound on one sealed payload (64 MiB) — a hard stop against
 /// corrupt or hostile length prefixes.
 pub const MAX_PAYLOAD: usize = 64 * 1024 * 1024;
-
-/// Default window over which a first send keeps retrying to reach a peer
-/// that has not bound yet (peers may come up in any order).
-pub const DEFAULT_CONNECT_WINDOW: Duration = Duration::from_secs(5);
-
-/// First backoff sleep of the connect retry schedule; doubles per attempt.
-const CONNECT_BACKOFF_FLOOR: Duration = Duration::from_millis(2);
-
-/// Backoff ceiling — retries never sleep longer than this between
-/// attempts, so a late-binding peer is noticed promptly even deep into
-/// the window.
-const CONNECT_BACKOFF_CAP: Duration = Duration::from_millis(250);
-
-/// Connect window for [`Transport::send_liveness`] heartbeat sends — far
-/// shorter than the regular window, so a dead (never-connected) peer
-/// cannot stall a heartbeat emitter long enough to starve beats to
-/// healthy peers.
-const HEARTBEAT_CONNECT_WINDOW: Duration = Duration::from_millis(100);
 
 /// Per-peer outbound queue bound, in payload bytes. A sender crossing it
 /// blocks until the reactor drains the peer's queue below the mark.
@@ -455,8 +430,6 @@ pub struct ReactorStats, cells StatCells {
     pub frames_out: u64,
     /// Frames fully parsed from sockets.
     pub frames_in: u64,
-    /// Outbound connects started (connector threads spawned).
-    pub connects_started: u64,
     /// Inbound connections accepted.
     pub accepted: u64,
     /// Connections dropped over an oversize length claim.
@@ -470,26 +443,41 @@ pub struct ReactorStats, cells StatCells {
 
 enum Cmd {
     Send { to: PartyId, payload: Bytes },
-    Liveness { to: PartyId, payload: Bytes },
     Connected { to: PartyId, stream: TcpStream },
-    ConnectFailed { to: PartyId, error: TransportError },
 }
 
 #[derive(Default)]
 struct Gate {
-    /// Payload bytes queued per peer (write queues + pending-connect
-    /// queues). Incremented by senders, decremented by the reactor.
+    /// Payload bytes queued per connected peer. Incremented by senders,
+    /// decremented by the reactor; a peer without an entry is unknown.
     queued: HashMap<PartyId, usize>,
-    /// One-shot failure latches: a failed connect parks its error here;
-    /// the next send to the peer consumes it (and may retry fresh).
-    failed: HashMap<PartyId, TransportError>,
+    /// Peers whose outbound connection died: sends to them fail at once.
+    down: HashSet<PartyId>,
+}
+
+impl Gate {
+    /// The bytes queued for `to`, or why nothing may be sent to it.
+    fn queued(&self, to: PartyId) -> Result<usize, TransportError> {
+        if self.down.contains(&to) {
+            return Err(TransportError::PeerDown(to));
+        }
+        self.queued
+            .get(&to)
+            .copied()
+            .ok_or(TransportError::UnknownParty(to))
+    }
+
+    fn release(&mut self, peer: PartyId, bytes: usize) {
+        if let Some(q) = self.queued.get_mut(&peer) {
+            *q = q.saturating_sub(bytes);
+        }
+    }
 }
 
 struct Shared {
     id: PartyId,
     local_addr: SocketAddr,
     backend: BackendKind,
-    peers: Mutex<HashMap<PartyId, SocketAddr>>,
     gate: Mutex<Gate>,
     gate_cv: Condvar,
     stats: StatCells,
@@ -497,7 +485,6 @@ struct Shared {
     /// True while the reactor thread is parked in (or committing to) its
     /// poller wait — see [`Shared::post`].
     sleeping: AtomicBool,
-    connect_window: Mutex<Duration>,
     cmd_tx: Sender<Cmd>,
     waker: Waker,
     inlet: Inlet,
@@ -521,41 +508,9 @@ impl Shared {
         if bytes == 0 {
             return;
         }
-        let mut gate = self.gate.lock();
-        if let Some(q) = gate.queued.get_mut(&peer) {
-            *q = q.saturating_sub(bytes);
-            if *q == 0 {
-                gate.queued.remove(&peer);
-            }
-        }
-        drop(gate);
+        self.gate.lock().release(peer, bytes);
         self.gate_cv.notify_all();
     }
-}
-
-/// A pending outbound connect, shared between the reactor (which queues
-/// frames against it and extends its deadline) and the transient
-/// connector thread (which reads the deadline each retry). This is what
-/// lets liveness probes and later sends *ride* an in-flight connect
-/// instead of opening competing sockets.
-struct ConnectCtl {
-    deadline: Mutex<Instant>,
-}
-
-struct ConnectJob {
-    ctl: Arc<ConnectCtl>,
-    queued: VecDeque<Bytes>,
-}
-
-enum PeerState {
-    Connecting(ConnectJob),
-    Up { token: usize },
-}
-
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum SendKind {
-    Data,
-    Liveness,
 }
 
 // ---------------------------------------------------------------------------
@@ -582,12 +537,6 @@ impl Conn {
             want_write: false,
         }
     }
-
-    /// The identified peer of an inbound connection — whose loss is a
-    /// liveness event.
-    fn inbound_peer(&self) -> Option<PartyId> {
-        self.peer.filter(|_| !self.outbound)
-    }
 }
 
 struct Reactor {
@@ -596,7 +545,8 @@ struct Reactor {
     listener: TcpListener,
     cmd_rx: Receiver<Cmd>,
     conns: HashMap<usize, Conn>,
-    peer_state: HashMap<PartyId, PeerState>,
+    /// The token of each live outbound connection, by peer.
+    outbound: HashMap<PartyId, usize>,
     next_token: usize,
     read_buf: Vec<u8>,
     events: Vec<Event>,
@@ -687,108 +637,39 @@ impl Reactor {
 
     fn handle_cmd(&mut self, cmd: Cmd) {
         match cmd {
-            Cmd::Send { to, payload } => self.dispatch(to, payload, SendKind::Data),
-            Cmd::Liveness { to, payload } => self.dispatch(to, payload, SendKind::Liveness),
+            Cmd::Send { to, payload } => self.dispatch(to, payload),
             Cmd::Connected { to, stream } => self.peer_connected(to, stream),
-            Cmd::ConnectFailed { to, error } => self.peer_connect_failed(to, error),
         }
     }
 
-    fn dispatch(&mut self, to: PartyId, payload: Bytes, kind: SendKind) {
-        match self.peer_state.get_mut(&to) {
-            Some(PeerState::Up { token }) => {
-                let token = *token;
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.wm.enqueue_frame(payload);
-                } else {
-                    // Connection died under us; release the accounting and
-                    // let the next send reconnect.
-                    self.peer_state.remove(&to);
-                    self.shared.release_queued(to, payload.len());
-                    return;
-                }
+    fn dispatch(&mut self, to: PartyId, payload: Bytes) {
+        if let Some(&token) = self.outbound.get(&to) {
+            if let Some(conn) = self.conns.get_mut(&token) {
+                conn.wm.enqueue_frame(payload);
                 self.dirty.push(token);
-            }
-            Some(PeerState::Connecting(job)) => {
-                job.queued.push_back(payload);
-                if kind == SendKind::Data {
-                    // A data send renews the connect effort; liveness
-                    // probes ride the pending connect without extending it
-                    // (and never open a second socket).
-                    let window = *self.shared.connect_window.lock();
-                    let mut deadline = job.ctl.deadline.lock();
-                    let renewed = Instant::now() + window;
-                    if renewed > *deadline {
-                        *deadline = renewed;
-                    }
-                }
-            }
-            None => {
-                let addr = {
-                    let peers = self.shared.peers.lock();
-                    peers.get(&to).copied()
-                };
-                let Some(addr) = addr else {
-                    // send() verified registration; a concurrent removal is
-                    // the only way here. Drop the frame, release the gate.
-                    self.shared.release_queued(to, payload.len());
-                    return;
-                };
-                let window = match kind {
-                    SendKind::Data => *self.shared.connect_window.lock(),
-                    SendKind::Liveness => HEARTBEAT_CONNECT_WINDOW,
-                };
-                let ctl = Arc::new(ConnectCtl {
-                    deadline: Mutex::new(Instant::now() + window),
-                });
-                self.peer_state.insert(
-                    to,
-                    PeerState::Connecting(ConnectJob {
-                        ctl: Arc::clone(&ctl),
-                        queued: VecDeque::from([payload]),
-                    }),
-                );
-                self.shared
-                    .stats
-                    .connects_started
-                    .fetch_add(1, Ordering::Relaxed);
-                spawn_connector(&self.shared, to, addr, ctl);
+                return;
             }
         }
+        // The connection died after this send passed the gate: drop the
+        // frame and release its bytes.
+        self.shared.release_queued(to, payload.len());
     }
 
     fn peer_connected(&mut self, to: PartyId, stream: TcpStream) {
         let token = self.alloc_token();
-        if self
+        let registered = self
             .poller
             .register(stream.as_raw_fd(), token, Interest::READ)
-            .is_err()
-        {
-            self.peer_connect_failed(to, TransportError::Disconnected);
-            return;
-        }
+            .is_ok();
         let mut conn = Conn::new(stream, Some(to), true);
         conn.wm.enqueue_ident(self.shared.id);
-        if let Some(PeerState::Connecting(mut job)) = self.peer_state.remove(&to) {
-            while let Some(payload) = job.queued.pop_front() {
-                conn.wm.enqueue_frame(payload);
-            }
-        }
         self.conns.insert(token, conn);
-        self.peer_state.insert(to, PeerState::Up { token });
-        self.flush_conn(token);
-    }
-
-    fn peer_connect_failed(&mut self, to: PartyId, error: TransportError) {
-        // Latched before the queued bytes are released, so a sender woken
-        // by the release reports the failure.
-        self.shared.gate.lock().failed.insert(to, error);
-        if let Some(PeerState::Connecting(job)) = self.peer_state.remove(&to) {
-            self.shared
-                .release_queued(to, job.queued.iter().map(Bytes::len).sum());
+        self.outbound.insert(to, token);
+        if registered {
+            self.flush_conn(token);
+        } else {
+            self.kill_conn(token, Some(Delivery::PeerDown(to)));
         }
-        self.shared.gate_cv.notify_all();
-        self.shared.inlet.offer(Delivery::PeerDown(to));
     }
 
     fn accept_ready(&mut self) {
@@ -841,10 +722,9 @@ impl Reactor {
             };
             match conn.stream.read(&mut self.read_buf) {
                 Ok(0) => {
-                    // EOF. An identified inbound peer's disappearance is a
-                    // liveness event; outbound conns just reset so the
-                    // next send reconnects.
-                    break Some(conn.inbound_peer().map(Delivery::PeerDown));
+                    // EOF: an identified peer's disappearance, on either
+                    // connection, is a liveness event.
+                    break Some(conn.peer.map(Delivery::PeerDown));
                 }
                 Ok(n) => {
                     if conn.outbound {
@@ -876,7 +756,7 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break None,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break Some(conn.inbound_peer().map(Delivery::PeerDown)),
+                Err(_) => break Some(conn.peer.map(Delivery::PeerDown)),
             }
         };
         if let Some(notify) = death {
@@ -916,84 +796,32 @@ impl Reactor {
                     self.shared.release_queued(peer, report.completed_payload);
                 }
             }
-            Err(_) => self.kill_conn(token, None),
+            Err(_) => {
+                let notify = conn.peer.map(Delivery::PeerDown);
+                self.kill_conn(token, notify);
+            }
         }
     }
 
+    /// Drops a connection. Losing an outbound one marks its peer down for
+    /// good: its queued bytes are released and every later send fails.
     fn kill_conn(&mut self, token: usize, notify: Option<Delivery>) {
         let Some(mut conn) = self.conns.remove(&token) else {
             return;
         };
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
         let abandoned = conn.wm.abandon();
-        if let Some(peer) = conn.peer {
-            if conn.outbound {
-                if matches!(self.peer_state.get(&peer), Some(PeerState::Up { token: t }) if *t == token)
-                {
-                    self.peer_state.remove(&peer);
-                }
-                self.shared.release_queued(peer, abandoned);
-            }
+        if let Some(peer) = conn.peer.filter(|_| conn.outbound) {
+            self.outbound.remove(&peer);
+            let mut gate = self.shared.gate.lock();
+            gate.down.insert(peer);
+            gate.release(peer, abandoned);
+            drop(gate);
+            self.shared.gate_cv.notify_all();
         }
         if let Some(delivery) = notify {
             self.shared.inlet.offer(delivery);
         }
-    }
-}
-
-fn spawn_connector(outer: &Arc<Shared>, to: PartyId, addr: SocketAddr, ctl: Arc<ConnectCtl>) {
-    let shared = Arc::clone(outer);
-    let spawned = std::thread::Builder::new()
-        .name(format!("tcp-connect-{}-{}", shared.id.0, to.0))
-        .spawn(move || {
-            let mut backoff = CONNECT_BACKOFF_FLOOR;
-            let mut attempts: u32 = 0;
-            loop {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                attempts += 1;
-                match TcpStream::connect(addr) {
-                    Ok(stream) => {
-                        let _ = stream.set_nodelay(true);
-                        let _ = epoll::set_socket_buffers(
-                            stream.as_raw_fd(),
-                            SOCK_BUF_BYTES,
-                            SOCK_BUF_BYTES,
-                        );
-                        if stream.set_nonblocking(true).is_err() {
-                            shared.post(Cmd::ConnectFailed {
-                                to,
-                                error: TransportError::Disconnected,
-                            });
-                        } else {
-                            shared.post(Cmd::Connected { to, stream });
-                        }
-                        return;
-                    }
-                    Err(_) => {
-                        // The deadline is shared, extendable state: sends
-                        // arriving while we retry push it out.
-                        let deadline = *ctl.deadline.lock();
-                        let now = Instant::now();
-                        if now >= deadline {
-                            shared.post(Cmd::ConnectFailed {
-                                to,
-                                error: TransportError::ConnectFailed { addr, attempts },
-                            });
-                            return;
-                        }
-                        std::thread::sleep(backoff.min(deadline - now));
-                        backoff = (backoff * 2).min(CONNECT_BACKOFF_CAP);
-                    }
-                }
-            }
-        });
-    if spawned.is_err() {
-        outer.post(Cmd::ConnectFailed {
-            to,
-            error: TransportError::ConnectFailed { addr, attempts: 0 },
-        });
     }
 }
 
@@ -1017,7 +845,7 @@ impl ReactorTransport {
     ///
     /// Propagates socket/poller setup failures.
     pub fn bind(id: PartyId) -> io::Result<ReactorTransport> {
-        Self::bind_addr(id, (std::net::Ipv4Addr::LOCALHOST, 0).into())
+        Self::bind_inner(id, None)
     }
 
     /// Binds on an ephemeral localhost port with an explicit readiness
@@ -1028,25 +856,11 @@ impl ReactorTransport {
     /// Propagates socket/poller setup failures (including requesting the
     /// epoll backend off Linux).
     pub fn bind_with_backend(id: PartyId, kind: BackendKind) -> io::Result<ReactorTransport> {
-        Self::bind_inner(id, (std::net::Ipv4Addr::LOCALHOST, 0).into(), Some(kind))
+        Self::bind_inner(id, Some(kind))
     }
 
-    /// Binds a listener on an explicit address and starts the reactor
-    /// thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket/poller setup failures.
-    pub fn bind_addr(id: PartyId, addr: SocketAddr) -> io::Result<ReactorTransport> {
-        Self::bind_inner(id, addr, None)
-    }
-
-    fn bind_inner(
-        id: PartyId,
-        addr: SocketAddr,
-        backend: Option<BackendKind>,
-    ) -> io::Result<ReactorTransport> {
-        let listener = TcpListener::bind(addr)?;
+    fn bind_inner(id: PartyId, backend: Option<BackendKind>) -> io::Result<ReactorTransport> {
+        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let mut poller = match backend {
@@ -1062,13 +876,11 @@ impl ReactorTransport {
             id,
             local_addr,
             backend,
-            peers: Mutex::new(HashMap::new()),
             gate: Mutex::new(Gate::default()),
             gate_cv: Condvar::new(),
             stats: StatCells::default(),
             shutdown: AtomicBool::new(false),
             sleeping: AtomicBool::new(false),
-            connect_window: Mutex::new(DEFAULT_CONNECT_WINDOW),
             cmd_tx,
             waker,
             inlet,
@@ -1083,7 +895,7 @@ impl ReactorTransport {
                     listener,
                     cmd_rx,
                     conns: HashMap::new(),
-                    peer_state: HashMap::new(),
+                    outbound: HashMap::new(),
                     next_token: FIRST_CONN_TOKEN,
                     read_buf: vec![0; READ_CHUNK],
                     events: Vec::new(),
@@ -1108,16 +920,19 @@ impl ReactorTransport {
         self.shared.backend
     }
 
-    /// Registers where a peer's listener lives. Connections are opened
-    /// lazily on first send.
-    pub fn register_peer(&self, id: PartyId, addr: SocketAddr) {
-        self.shared.peers.lock().insert(id, addr);
-    }
-
-    /// Overrides how long a first send retries an unreachable peer before
-    /// failing with [`TransportError::ConnectFailed`].
-    pub fn set_connect_window(&mut self, window: Duration) {
-        *self.shared.connect_window.lock() = window;
+    /// Opens the outbound connection to `peer`'s listener with one
+    /// blocking connect and hands it to the reactor, which sends the
+    /// ident preamble. The mesh builder calls this once per peer, before
+    /// the endpoint is handed out, so every send finds its connection.
+    pub(crate) fn connect(&self, peer: PartyId, addr: SocketAddr) -> io::Result<()> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        let _ = epoll::set_socket_buffers(stream.as_raw_fd(), SOCK_BUF_BYTES, SOCK_BUF_BYTES);
+        stream.set_nonblocking(true)?;
+        self.shared.post(Cmd::Connected { to: peer, stream });
+        // Known to senders only now, so their frames queue behind it.
+        self.shared.gate.lock().queued.insert(peer, 0);
+        Ok(())
     }
 
     /// A snapshot of the reactor's activity counters.
@@ -1125,15 +940,11 @@ impl ReactorTransport {
         self.shared.stats.snapshot()
     }
 
-    /// The checks every send makes before it touches the gate.
-    fn admit(&self, to: PartyId, payload: &Bytes) -> Result<(), TransportError> {
+    fn check_size(payload: &Bytes) -> Result<(), TransportError> {
         if payload.len() > MAX_PAYLOAD {
             return Err(TransportError::PayloadTooLarge {
                 size: payload.len(),
             });
-        }
-        if !self.shared.peers.lock().contains_key(&to) {
-            return Err(TransportError::UnknownParty(to));
         }
         Ok(())
     }
@@ -1151,18 +962,13 @@ impl Transport for ReactorTransport {
     }
 
     fn send(&self, to: PartyId, payload: Bytes) -> Result<(), TransportError> {
-        self.admit(to, &payload)?;
+        Self::check_size(&payload)?;
         let mut gate = self.shared.gate.lock();
         loop {
             if self.shared.shutdown.load(Ordering::Acquire) {
                 return Err(TransportError::Disconnected);
             }
-            if let Some(error) = gate.failed.remove(&to) {
-                // One-shot latch: this send reports the failure; the next
-                // one starts a fresh connect window.
-                return Err(error);
-            }
-            if gate.queued.get(&to).copied().unwrap_or(0) < HIGH_WATER {
+            if gate.queued(to)? < HIGH_WATER {
                 break;
             }
             gate = self.shared.gate_cv.wait(gate);
@@ -1174,24 +980,20 @@ impl Transport for ReactorTransport {
     }
 
     fn send_liveness(&self, to: PartyId, payload: Bytes) -> Result<(), TransportError> {
-        self.admit(to, &payload)?;
+        Self::check_size(&payload)?;
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(TransportError::Disconnected);
         }
         let mut gate = self.shared.gate.lock();
-        let failed = gate.failed.remove(&to);
-        if failed.is_none() && gate.queued.get(&to).copied().unwrap_or(0) >= HIGH_WATER {
+        if gate.queued(to)? >= HIGH_WATER {
             // The link is saturated with real traffic — the beat is
             // redundant and must not block.
             return Ok(());
         }
-        // A failed peer is reported (the liveness layer counts these) but
-        // still probed: this beat starts a fresh short-window connect in
-        // the background, so a peer that comes up late is found.
         *gate.queued.entry(to).or_insert(0) += payload.len();
         drop(gate);
-        self.shared.post(Cmd::Liveness { to, payload });
-        failed.map_or(Ok(()), Err)
+        self.shared.post(Cmd::Send { to, payload });
+        Ok(())
     }
 
     fn recv(&self) -> Result<(PartyId, Bytes), TransportError> {
@@ -1245,11 +1047,16 @@ mod tests {
     const WAIT: Duration = Duration::from_secs(10);
 
     fn pair() -> (ReactorTransport, ReactorTransport) {
-        let a = ReactorTransport::bind(PartyId(1)).expect("bind a");
-        let b = ReactorTransport::bind(PartyId(2)).expect("bind b");
-        a.register_peer(PartyId(2), b.local_addr());
-        b.register_peer(PartyId(1), a.local_addr());
-        (a, b)
+        pair_with(ReactorTransport::bind)
+    }
+
+    fn pair_with(
+        bind: impl Fn(PartyId) -> io::Result<ReactorTransport>,
+    ) -> (ReactorTransport, ReactorTransport) {
+        let mut it = crate::tcp::mesh_with(&[PartyId(1), PartyId(2)], bind)
+            .expect("mesh")
+            .into_iter();
+        (it.next().expect("a"), it.next().expect("b"))
     }
 
     // -- state-machine torture tests (satellite: partial reads/writes) --
@@ -1446,7 +1253,7 @@ mod tests {
         assert_eq!(&p2[..], b"two");
         let (from, p3) = a.recv_timeout(WAIT).expect("recv reply");
         assert_eq!((from, &p3[..]), (PartyId(2), &b"reply"[..]));
-        assert!(a.stats().connects_started >= 1);
+        assert!(a.stats().accepted >= 1);
         assert!(b.stats().accepted >= 1);
     }
 
@@ -1508,46 +1315,6 @@ mod tests {
     }
 
     #[test]
-    fn liveness_rides_pending_connect_instead_of_opening_new_sockets() {
-        // Port 1 sits below the kernel's ephemeral range, so no parallel
-        // test's `bind(":0")` can be handed it; nothing listens there.
-        let dead_addr: SocketAddr = "127.0.0.1:1".parse().expect("addr");
-        let mut a = ReactorTransport::bind(PartyId(1)).expect("bind");
-        a.set_connect_window(Duration::from_millis(400));
-        a.register_peer(PartyId(2), dead_addr);
-        // First send starts the (only) connect.
-        a.send(PartyId(2), Bytes::copy_from_slice(b"queued"))
-            .expect("first send queues");
-        // Liveness probes while the connect is pending must ride it.
-        for _ in 0..10 {
-            a.send_liveness(PartyId(2), Bytes::copy_from_slice(b"beat"))
-                .expect("beat rides pending connect");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(
-            a.stats().connects_started,
-            1,
-            "liveness must not open competing connections"
-        );
-        // The window expires: the failure surfaces in-band and then as a
-        // typed error on the next send.
-        match a.recv_timeout(WAIT) {
-            Err(TransportError::PeerDown(p)) => assert_eq!(p, PartyId(2)),
-            other => panic!("expected PeerDown, got {other:?}"),
-        }
-        let err = a
-            .send(PartyId(2), Bytes::copy_from_slice(b"after"))
-            .expect_err("failed connect surfaces");
-        match err {
-            TransportError::ConnectFailed { addr, attempts } => {
-                assert_eq!(addr, dead_addr);
-                assert!(attempts >= 1);
-            }
-            other => panic!("expected ConnectFailed, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn peer_socket_close_surfaces_peer_down() {
         let (a, b) = pair();
         a.send(PartyId(2), Bytes::copy_from_slice(b"hi"))
@@ -1581,11 +1348,8 @@ mod tests {
     fn forced_poll_backend_roundtrips() {
         // Constructed explicitly (not via env) so the test is race-free
         // under parallel execution.
-        let a = ReactorTransport::bind_with_backend(PartyId(1), BackendKind::Poll).expect("bind a");
-        let b = ReactorTransport::bind_with_backend(PartyId(2), BackendKind::Poll).expect("bind b");
+        let (a, b) = pair_with(|id| ReactorTransport::bind_with_backend(id, BackendKind::Poll));
         assert_eq!(a.poll_backend(), BackendKind::Poll);
-        a.register_peer(PartyId(2), b.local_addr());
-        b.register_peer(PartyId(1), a.local_addr());
         a.send(PartyId(2), Bytes::copy_from_slice(b"x"))
             .expect("send");
         let (_, p) = b.recv_timeout(WAIT).expect("recv");

@@ -1,10 +1,13 @@
 //! Localhost TCP meshes, and the trust model of the TCP lanes.
 //!
 //! [`local_mesh`] binds one [`ReactorTransport`] per party on an
-//! ephemeral localhost port and registers every peer's address with
-//! every endpoint — the TCP analogue of registering every party on an
-//! [`crate::transport::InMemoryHub`]. The byte protocol on the sockets is
-//! specified with the reactor ([`crate::reactor`]).
+//! ephemeral localhost port, then connects every endpoint to every
+//! listener — the TCP analogue of registering every party on an
+//! [`crate::transport::InMemoryHub`]. The connections are open when the
+//! mesh is returned: a SAP exchange runs between parties all known before
+//! it starts, so no peer binds late and no send waits for a connect. The
+//! byte protocol on the sockets is specified with the reactor
+//! ([`crate::reactor`]).
 //!
 //! # Identity model
 //!
@@ -33,30 +36,33 @@
 
 use crate::reactor::ReactorTransport;
 use crate::transport::{PartyId, Transport};
-use std::net::SocketAddr;
+use std::io;
 
 /// Builds a fully meshed set of TCP endpoints on localhost, one per party,
-/// with every peer address pre-registered.
+/// every outbound connection already open.
 ///
 /// # Errors
 ///
 /// Propagates socket errors.
-pub fn local_mesh(ids: &[PartyId]) -> std::io::Result<Vec<ReactorTransport>> {
-    let lanes: Vec<ReactorTransport> = ids
-        .iter()
-        .map(|&id| ReactorTransport::bind(id))
-        .collect::<std::io::Result<_>>()?;
-    let addrs: Vec<(PartyId, SocketAddr)> = lanes
-        .iter()
-        .map(|t| (t.local_id(), t.local_addr()))
-        .collect();
+pub fn local_mesh(ids: &[PartyId]) -> io::Result<Vec<ReactorTransport>> {
+    mesh_with(ids, ReactorTransport::bind)
+}
+
+/// [`local_mesh`] over endpoints made by `bind`: every listener is bound
+/// before the first connect, so each blocking connect completes against
+/// an already-bound backlog.
+pub(crate) fn mesh_with(
+    ids: &[PartyId],
+    bind: impl Fn(PartyId) -> io::Result<ReactorTransport>,
+) -> io::Result<Vec<ReactorTransport>> {
+    let lanes: Vec<ReactorTransport> = ids.iter().map(|&id| bind(id)).collect::<io::Result<_>>()?;
     for lane in &lanes {
-        for &(peer, addr) in &addrs {
-            // Self is registered too: the in-memory hub allows a party to
-            // send to itself (the SAP exchange plan may assign a provider
-            // as its own receiver), so the TCP mesh must as well — it
-            // simply loops through the local listener.
-            lane.register_peer(peer, addr);
+        for peer in &lanes {
+            // Self included: the in-memory hub allows a party to send to
+            // itself (the SAP exchange plan may assign a provider as its
+            // own receiver), so the TCP mesh must as well — it simply
+            // loops through the local listener.
+            lane.connect(peer.local_id(), peer.local_addr())?;
         }
     }
     Ok(lanes)
@@ -109,33 +115,29 @@ mod tests {
     }
 
     #[test]
-    fn unreachable_peer_fails_with_typed_connect_error() {
-        // Port 1 sits below the kernel's ephemeral range, so no parallel
-        // test's `bind(":0")` can be handed it; nothing listens there.
-        let dead_addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let mut t = ReactorTransport::bind(PartyId(1)).unwrap();
-        t.set_connect_window(Duration::from_millis(120));
-        t.register_peer(PartyId(2), dead_addr);
+    fn dropped_peer_fails_sends_at_once() {
+        let (a, b) = pair();
+        drop(b);
+        // The outbound connection sees the peer's close and marks it down:
+        // sends fail typed instead of queueing for a peer that is gone.
         let start = Instant::now();
-        // Sends are asynchronous: the first one queues behind the connect.
-        t.send(PartyId(2), Bytes::from_static(b"x")).unwrap();
-        // When the window closes the failure arrives in-band, and the next
-        // send reports it typed.
+        let err = loop {
+            match a.send(PartyId(2), Bytes::from_static(b"x")) {
+                Ok(()) if start.elapsed() < Duration::from_secs(1) => {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                other => break other.unwrap_err(),
+            }
+        };
+        assert_eq!(err, TransportError::PeerDown(PartyId(2)));
         assert_eq!(
-            t.recv_timeout(Duration::from_secs(5)).unwrap_err(),
+            a.send_liveness(PartyId(2), Bytes::from_static(b"beat")),
+            Err(TransportError::PeerDown(PartyId(2)))
+        );
+        // The death also arrives in-band.
+        assert_eq!(
+            a.recv_timeout(Duration::from_secs(5)).unwrap_err(),
             TransportError::PeerDown(PartyId(2))
         );
-        assert!(
-            start.elapsed() >= Duration::from_millis(100),
-            "the whole window was used"
-        );
-        let err = t.send(PartyId(2), Bytes::from_static(b"x")).unwrap_err();
-        let TransportError::ConnectFailed { addr, attempts } = err else {
-            panic!("expected ConnectFailed, got {err}");
-        };
-        assert_eq!(addr, dead_addr);
-        // Exponential backoff: a 120 ms window at 2/4/8/… ms sleeps makes
-        // several attempts.
-        assert!(attempts >= 2, "backoff retried ({attempts} attempts)");
     }
 }

@@ -18,7 +18,6 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -85,14 +84,6 @@ pub enum TransportError {
     /// instead of a generic starvation timeout. The error is *transient*:
     /// a receiver may keep receiving from other peers afterwards.
     PeerDown(PartyId),
-    /// Connecting to a peer's listener failed for the whole backoff
-    /// window — the peer never bound, or its process is gone.
-    ConnectFailed {
-        /// The address that refused every attempt.
-        addr: SocketAddr,
-        /// Connection attempts made before giving up.
-        attempts: u32,
-    },
     /// `recv_timeout` elapsed without a message.
     Timeout,
     /// The payload exceeds the transport's size limit (e.g. a stream
@@ -123,9 +114,6 @@ impl fmt::Display for TransportError {
             TransportError::DuplicateSession(s) => write!(f, "{s} opened twice on one mux"),
             TransportError::Disconnected => write!(f, "transport disconnected"),
             TransportError::PeerDown(p) => write!(f, "peer {p} is down"),
-            TransportError::ConnectFailed { addr, attempts } => {
-                write!(f, "connect to {addr} failed after {attempts} attempts")
-            }
             TransportError::Timeout => write!(f, "receive timed out"),
             TransportError::PayloadTooLarge { size } => {
                 write!(f, "payload of {size} bytes exceeds the transport limit")
@@ -159,18 +147,18 @@ pub trait Transport: Send + Sync {
     /// Returns [`TransportError::UnknownParty`] / `Disconnected`.
     fn send(&self, to: PartyId, payload: Bytes) -> Result<(), TransportError>;
 
-    /// Best-effort, **bounded-latency** send for liveness traffic
+    /// Best-effort, **never-blocking** send for liveness traffic
     /// (heartbeats). Defaults to [`Transport::send`]; transports whose
-    /// send can block for a long connect window (TCP retries a peer that
-    /// has not bound yet for seconds) must override this with a
-    /// short-window variant — a heartbeat emitter iterates its peers
-    /// sequentially, and one dead peer stalling the loop would starve
-    /// beats to healthy peers and falsely trip *their* watchdogs.
+    /// send can block on backpressure (TCP's per-peer high-water mark)
+    /// must override this to drop the beat instead — a heartbeat emitter
+    /// iterates its peers sequentially, and one slow peer stalling the
+    /// loop would starve beats to healthy peers and falsely trip *their*
+    /// watchdogs.
     ///
     /// # Errors
     ///
-    /// As [`Transport::send`]; failures here mean "unreachable right
-    /// now", which liveness layers should count, not instantly act on.
+    /// As [`Transport::send`]; liveness layers count failures here and
+    /// act on a run of them.
     fn send_liveness(&self, to: PartyId, payload: Bytes) -> Result<(), TransportError> {
         self.send(to, payload)
     }

@@ -182,7 +182,9 @@ pub struct ServerConfig {
     /// Heartbeat interval of the lane liveness plane
     /// ([`sap_net::mux::SessionMux::start_liveness`]); `Duration::ZERO`
     /// disables lane heartbeats (peer deaths are then detected only when
-    /// the transport reports them, e.g. a socket close).
+    /// the transport reports them, e.g. a socket close). The lanes are
+    /// connected when the server is built, and their liveness clocks
+    /// start then.
     pub heartbeat_interval: Duration,
     /// Missed-interval budget before a silent lane peer is declared dead;
     /// detection latency is at most `heartbeat_interval × liveness_misses`
@@ -433,19 +435,11 @@ impl<T: Transport + 'static> SapServer<T> {
                 .map(SessionMux::local_id)
                 .chain(std::iter::once(miner_lane.local_id()))
                 .collect();
-            // Startup grace at least the TCP connect window: lanes of a
-            // real mesh may bind in any order, and a late binder must
-            // not be declared dead before it had a chance to come up.
-            // Transport-reported deaths (socket close, hub kill) bypass
-            // the grace and are declared immediately.
-            let grace = (config.heartbeat_interval * config.liveness_misses.max(1))
-                .max(sap_net::reactor::DEFAULT_CONNECT_WINDOW);
             for lane in lanes.iter().chain(std::iter::once(&miner_lane)) {
-                lane.start_liveness_with_grace(
+                lane.start_liveness(
                     roster.clone(),
                     config.heartbeat_interval,
                     config.liveness_misses,
-                    grace,
                 );
             }
         }
@@ -792,7 +786,8 @@ impl<T: Transport + 'static> SapServer<T> {
         id: SessionId,
         timeout: Option<Duration>,
     ) -> Result<SapOutcome, ServerError> {
-        let overall = timeout.map(|t| Instant::now() + t);
+        // A timeout too long to represent waits without a limit.
+        let overall = timeout.and_then(|t| Instant::now().checked_add(t));
         loop {
             let handle = {
                 let registry = self.registry.lock();

@@ -14,10 +14,10 @@ use sap_repro::core::miner::run_miner;
 use sap_repro::core::session::{SapConfig, StandaloneCtx};
 use sap_repro::core::SapError;
 use sap_repro::datasets::Dataset;
-use sap_repro::net::node::Node;
+use sap_repro::net::node::{Node, NodeError};
 use sap_repro::net::sim::{FaultConfig, FaultyTransport};
 use sap_repro::net::transport::InMemoryHub;
-use sap_repro::net::PartyId;
+use sap_repro::net::{PartyId, Transport};
 use std::time::{Duration, Instant};
 
 fn quick(timeout_ms: u64) -> SapConfig {
@@ -34,6 +34,38 @@ fn miner_harness(config: SapConfig) -> StandaloneCtx {
         Roster::new(vec![PartyId(1), PartyId(5), PartyId(2)], PartyId(100)),
         config,
     )
+}
+
+/// Streams a dataset to `to` in `block_rows`-row blocks, playing a
+/// provider (`relay == false`) or a relay on the public stream API.
+fn send_dataset<T: Transport>(
+    node: &Node<T>,
+    to: PartyId,
+    relay: bool,
+    slot: SlotTag,
+    data: &Dataset,
+    block_rows: usize,
+) -> Result<(), NodeError> {
+    let header = link::DataHeader {
+        session: node.session(),
+        relay,
+        slot,
+        rows: data.len() as u64,
+        dim: data.dim() as u32,
+        num_classes: data.num_classes() as u32,
+    };
+    let n = data.len();
+    let mut stream = node.begin_stream(to, &header, n == 0)?;
+    for start in (0..n).step_by(block_rows) {
+        let end = (start + block_rows).min(n);
+        node.stream_block_with(
+            &mut stream,
+            4 + (end - start) * (4 + data.dim() * 8),
+            end == n,
+            |out| link::encode_block_into(data, start, end, out),
+        )?;
+    }
+    Ok(())
 }
 
 fn tiny_dataset() -> Dataset {
@@ -61,7 +93,7 @@ fn dropped_frames_time_out_cleanly() {
         ),
         42,
     );
-    link::send_dataset(&relay, PartyId(100), true, SlotTag(1), &tiny_dataset(), 8).unwrap();
+    send_dataset(&relay, PartyId(100), true, SlotTag(1), &tiny_dataset(), 8).unwrap();
     assert!(
         relay.transport().fault_counts().0 >= 2,
         "header and block frames were dropped"
@@ -82,7 +114,7 @@ fn duplicated_stream_detected_as_duplicate_slot() {
     let miner_node = Node::new(hub.endpoint(PartyId(100)), 42);
     let relay = Node::new(hub.endpoint(PartyId(1)), 42);
     for _ in 0..2 {
-        link::send_dataset(&relay, PartyId(100), true, SlotTag(9), &tiny_dataset(), 64).unwrap();
+        send_dataset(&relay, PartyId(100), true, SlotTag(9), &tiny_dataset(), 64).unwrap();
     }
 
     let sc = miner_harness(quick(300));
@@ -106,7 +138,7 @@ fn duplicated_frames_detected_as_framing_violation() {
         ),
         42,
     );
-    link::send_dataset(&relay, PartyId(100), true, SlotTag(9), &tiny_dataset(), 8).unwrap();
+    send_dataset(&relay, PartyId(100), true, SlotTag(9), &tiny_dataset(), 8).unwrap();
 
     let sc = miner_harness(quick(300));
     let err = run_miner(&miner_node, 1, &sc.ctx()).unwrap_err();
@@ -175,7 +207,7 @@ fn delayed_relays_still_unify() {
     let y2 = g2.apply_clean(&d1.to_column_matrix());
 
     for (slot, y) in [(SlotTag(1), &y1), (SlotTag(2), &y2)] {
-        link::send_dataset(
+        send_dataset(
             &relay,
             PartyId(100),
             true,
@@ -289,7 +321,7 @@ fn stranger_death_is_ignored_by_healthy_session() {
     // The stranger dies first; its PeerDown marker reaches the miner's
     // inbox ahead of the session traffic.
     hub.kill(PartyId(77));
-    link::send_dataset(
+    send_dataset(
         &relay,
         PartyId(100),
         true,

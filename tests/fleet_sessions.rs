@@ -330,3 +330,46 @@ fn owner_admits_in_submission_order_across_gateways() {
         );
     }
 }
+
+/// A waited session leaves the fleet: its placement goes with the
+/// verdict, whether the gateway forwarded it or ran it, and a second
+/// wait finds nothing to harvest.
+#[test]
+fn waited_session_leaves_the_fleet() {
+    let k = 3;
+    let fleet = quick_fleet(2, k);
+    for (gateway, seed) in [(1, 1400), (0, 1401)] {
+        let id = fleet
+            .submit_via(gateway, session_locals(seed, k), &session_config(seed))
+            .expect("admit");
+        fleet.wait(id, WAIT).expect("fleet session completes");
+        assert_eq!(fleet.placement(id), None, "seed {seed}: placement kept");
+        match fleet.wait(id, WAIT) {
+            Err(FleetError::UnknownSession(got)) => assert_eq!(got, id),
+            other => panic!("seed {seed}: second wait returned {other:?}"),
+        }
+    }
+}
+
+/// Liveness clocks start when the fleet is built: a node killed right
+/// away is dropped from the survivors' membership within one heartbeat
+/// budget and a scan.
+#[test]
+fn node_killed_at_start_leaves_membership_within_a_second() {
+    let fleet = Fleet::in_memory(FleetConfig {
+        heartbeat_interval: Duration::from_millis(50),
+        liveness_misses: 3,
+        ..FleetConfig::quick(3)
+    })
+    .expect("build fleet");
+    fleet.kill(2).expect("kill node 2");
+    let killed = Instant::now();
+    while fleet.alive().contains(&2) && killed.elapsed() < Duration::from_secs(1) {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(
+        !fleet.alive().contains(&2),
+        "killed node still alive after {:?}",
+        killed.elapsed()
+    );
+}
