@@ -15,18 +15,23 @@
 //!   gateway that does not own the session seals the registration for
 //!   the owner's inbox ([`wire`]) and sends it straight to the owner:
 //!   the inter-node lanes form a full mesh, so every control message
-//!   (`Register`, `Ack`, `Leave`) travels one hop and nothing relays it.
-//!   The owner admits the session and acks back. Outcomes are then
-//!   awaited cross-node via [`Fleet::wait`].
+//!   (`Register`, `Leave`) travels one hop and nothing relays it. The
+//!   owner admits the session and settles its registration record, which
+//!   every node shares. Outcomes are then awaited cross-node via
+//!   [`Fleet::wait`].
+//! * **Registration records** — the fleet keeps one record per session,
+//!   from submit to the verdict [`Fleet::wait`] returns: its owner, its
+//!   origin, whether the owner admitted it, and its inputs. That record
+//!   is the session's one stored copy of its inputs, and the only one a
+//!   re-placement or a handoff replays.
 //! * **Membership** — node heartbeats ride the PR 5 liveness plane
 //!   under [`SessionId::LIVENESS`] on the inter-node lanes. A silent
 //!   node is declared dead within the heartbeat budget; survivors drop
 //!   it from the ring (repair is recomputing the pure placement
 //!   function over the new view) and the origin re-places registrations
-//!   the dead owner never acknowledged. Graceful leavers broadcast
-//!   [`wire::FleetMsg::Leave`] and hand their unfinished sessions to
-//!   the new owners via
-//!   [`sap_server::SapServer::export_registrations`].
+//!   the dead owner never admitted. Graceful leavers broadcast
+//!   [`wire::FleetMsg::Leave`] and hand their running sessions to the
+//!   new owners, re-registering each from its record.
 //!
 //! `tests/fleet_ring.rs` property-tests the placement function;
 //! `tests/fleet_sessions.rs` pins byte-identical [`SapOutcome`]s whether
@@ -42,6 +47,7 @@ pub mod wire;
 
 use parking_lot::{Condvar, Mutex};
 use ring::HashRing;
+use sap_core::runtime::SessionStatus;
 use sap_core::session::{SapConfig, SapOutcome};
 use sap_core::SapError;
 use sap_datasets::Dataset;
@@ -50,7 +56,7 @@ use sap_net::mux::{MuxEndpoint, SessionMux};
 use sap_net::tcp::local_mesh;
 use sap_net::transport::Endpoint;
 use sap_net::{PartyId, ReactorTransport, SessionId, Transport, TransportError};
-use sap_server::{RetryPolicy, SapServer, ServerConfig, ServerError};
+use sap_server::{SapServer, ServerConfig, ServerError};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -115,9 +121,9 @@ pub struct FleetConfig {
     /// Node count (1 ≤ nodes ≤ [`MAX_NODES`]).
     pub nodes: usize,
     /// Per-node server template. `session_id_base` / `session_id_stride`
-    /// are overwritten per node (residue-class minting), and
-    /// `retry_policy.max_retries` is raised to at least 1 so every node
-    /// retains session inputs for ownership handoffs.
+    /// are overwritten per node (residue-class minting). The nodes'
+    /// servers keep no session inputs: the fleet's registration records
+    /// hold the copy a handoff replays.
     pub server: ServerConfig,
     /// Secret sealing the fleet control plane ([`wire::inbox_key`]).
     pub fleet_secret: u64,
@@ -184,13 +190,38 @@ pub struct FleetMetrics {
     pub frames_forwarded: u64,
 }
 
-/// An un-acknowledged registration the origin retains for re-placement.
-struct Pending {
+/// Where a session's registration stands with its owner.
+#[derive(Clone, PartialEq)]
+enum Admission {
+    /// Sent to the owner, no verdict yet: re-placeable if the owner dies.
+    Unacked,
+    /// The owner runs (or ran) the session.
+    Admitted,
+    /// The owner refused it, with the admission error rendered.
+    Rejected(String),
+}
+
+/// One session's registration, kept from submit until [`Fleet::wait`]
+/// returns its verdict: the session's one stored copy of its inputs.
+struct Registration {
+    /// The node the registration was last sent to (or admitted by).
     owner: usize,
+    /// The node that re-places the registration if the owner dies
+    /// before admitting it.
     origin: usize,
-    rejected: Option<String>,
+    admission: Admission,
     locals: Vec<Dataset>,
     config: SapConfig,
+}
+
+impl Registration {
+    fn message(&self, session: u64) -> FleetMsg {
+        FleetMsg::Register {
+            session,
+            config: Box::new(self.config.clone()),
+            locals: self.locals.clone(),
+        }
+    }
 }
 
 /// State shared by every node's service thread and the fleet handle.
@@ -203,11 +234,10 @@ struct Shared {
     /// Nodes mid- (or post-) graceful departure; their deaths are
     /// expected and their husks still serve harvested outcomes.
     leaving: Mutex<BTreeSet<usize>>,
-    /// session id → node that admitted it.
-    placements: Mutex<HashMap<u64, usize>>,
-    /// session id → registration awaiting the owner's ack.
-    pending: Mutex<HashMap<u64, Pending>>,
-    /// Signalled at every verdict; gateways wait on it (`submit_via`).
+    /// session id → its registration, from submit to its verdict.
+    sessions: Mutex<HashMap<u64, Registration>>,
+    /// Signalled at every admission verdict; gateways wait on it
+    /// (`submit_via`).
     settled: Condvar,
     verdict_wait: Duration,
     regs_forwarded: AtomicU64,
@@ -218,6 +248,16 @@ struct Shared {
 impl Shared {
     fn ring(&self) -> HashRing {
         HashRing::from_members(self.alive.lock().iter().copied())
+    }
+
+    /// Ids of the sessions whose registration matches `keep`.
+    fn sessions_where(&self, keep: impl Fn(&Registration) -> bool) -> Vec<u64> {
+        let sessions = self.sessions.lock();
+        sessions
+            .iter()
+            .filter(|(_, r)| keep(r))
+            .map(|(&s, _)| s)
+            .collect()
     }
 }
 
@@ -246,26 +286,6 @@ impl FleetNode {
             return Err(FleetError::NodeDown(dest));
         }
         wire::send_via(&*self.inbox, shared.secret, dest, self.next_msg_id(), msg)
-    }
-
-    /// Sends `owner` the registration of `session`, whose `Ack` goes
-    /// to `origin`.
-    fn register(
-        &self,
-        shared: &Shared,
-        owner: usize,
-        session: u64,
-        origin: usize,
-        locals: Vec<Dataset>,
-        config: SapConfig,
-    ) -> Result<(), FleetError> {
-        let msg = FleetMsg::Register {
-            session,
-            origin: origin as u64,
-            config: Box::new(config),
-            locals,
-        };
-        self.route_send(shared, owner, &msg)
     }
 }
 
@@ -308,8 +328,7 @@ impl Fleet {
             alive: Mutex::new((0..n).collect()),
             dead: Mutex::new(BTreeSet::new()),
             leaving: Mutex::new(BTreeSet::new()),
-            placements: Mutex::new(HashMap::new()),
-            pending: Mutex::new(HashMap::new()),
+            sessions: Mutex::new(HashMap::new()),
             settled: Condvar::new(),
             verdict_wait: budget,
             regs_forwarded: AtomicU64::new(0),
@@ -332,9 +351,6 @@ impl Fleet {
             let server_config = ServerConfig {
                 session_id_base: j as u64 + 1,
                 session_id_stride: n as u64,
-                retry_policy: RetryPolicy {
-                    max_retries: config.server.retry_policy.max_retries.max(1),
-                },
                 ..config.server.clone()
             };
             let server = Arc::new(SapServer::in_memory(server_config).map_err(FleetError::Server)?);
@@ -377,7 +393,9 @@ impl Fleet {
     /// an unknown id. Unlike [`Fleet::owner_of`], this is where the
     /// session actually runs, not where the ring would put it.
     pub fn placement(&self, id: SessionId) -> Option<usize> {
-        self.shared.placements.lock().get(&id.0).copied()
+        let sessions = self.shared.sessions.lock();
+        let r = sessions.get(&id.0)?;
+        (r.admission == Admission::Admitted).then_some(r.owner)
     }
 
     fn node(&self, j: usize) -> Option<Arc<FleetNode>> {
@@ -431,32 +449,44 @@ impl Fleet {
         }
         let id = node.server.mint_session_id();
         let owner = self.shared.ring().owner_of(id).ok_or(FleetError::NoNodes)?;
-        if owner == gateway {
+        let local = owner == gateway;
+        let record = Registration {
+            owner,
+            origin: gateway,
+            admission: if local {
+                Admission::Admitted
+            } else {
+                Admission::Unacked
+            },
+            locals,
+            config: config.clone(),
+        };
+        if local {
             node.server
-                .submit_placed(id, locals, config)
+                .submit_placed(id, record.locals.clone(), config)
                 .map_err(FleetError::Server)?;
-            self.shared.placements.lock().insert(id.0, gateway);
+            self.shared.sessions.lock().insert(id.0, record);
             return Ok(id);
         }
-        self.shared.pending.lock().insert(
-            id.0,
-            Pending {
-                owner,
-                origin: gateway,
-                rejected: None,
-                locals: locals.clone(),
-                config: config.clone(),
-            },
-        );
-        node.register(&self.shared, owner, id.0, gateway, locals, config.clone())
+        // The record goes in before the send: the owner settles it.
+        let msg = record.message(id.0);
+        self.shared.sessions.lock().insert(id.0, record);
+        node.route_send(&self.shared, owner, &msg)
             .inspect_err(|_| {
-                self.shared.pending.lock().remove(&id.0);
+                self.shared.sessions.lock().remove(&id.0);
             })?;
+        // The record is the session's one stored copy: free the sent one
+        // before the verdict wait.
+        drop(msg);
         self.shared.regs_forwarded.fetch_add(1, Ordering::Relaxed);
         let give_up = Instant::now() + self.shared.verdict_wait;
-        let mut pending = self.shared.pending.lock();
-        while pending.get(&id.0).is_some_and(|p| p.rejected.is_none()) && Instant::now() < give_up {
-            pending = self.shared.settled.wait_until(pending, give_up);
+        let mut sessions = self.shared.sessions.lock();
+        while sessions
+            .get(&id.0)
+            .is_some_and(|r| r.admission == Admission::Unacked)
+            && Instant::now() < give_up
+        {
+            sessions = self.shared.settled.wait_until(sessions, give_up);
         }
         Ok(id)
     }
@@ -487,35 +517,34 @@ impl Fleet {
         let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
         let expired = |d: &Option<Instant>| d.is_some_and(|d| Instant::now() >= d);
         loop {
-            // Un-acked registration: rejected, re-placeable, or doomed?
-            let pending_state = {
-                let pending = self.shared.pending.lock();
-                pending
-                    .get(&id.0)
-                    .map(|p| (p.owner, p.origin, p.rejected.clone()))
+            let (owner, origin, admission) = {
+                let sessions = self.shared.sessions.lock();
+                let r = sessions.get(&id.0).ok_or(FleetError::UnknownSession(id))?;
+                (r.owner, r.origin, r.admission.clone())
             };
-            if let Some((owner, origin, rejected)) = pending_state {
-                if let Some(reason) = rejected {
-                    self.shared.pending.lock().remove(&id.0);
+            match admission {
+                Admission::Rejected(reason) => {
+                    self.shared.sessions.lock().remove(&id.0);
                     return Err(FleetError::Rejected {
                         session: id,
                         reason,
                     });
                 }
-                let dead = self.shared.dead.lock();
-                if dead.contains(&owner) && dead.contains(&origin) {
-                    return Err(FleetError::NodeDown(owner));
+                // Un-acked: re-placeable, unless its origin died too.
+                Admission::Unacked => {
+                    let dead = self.shared.dead.lock();
+                    if dead.contains(&owner) && dead.contains(&origin) {
+                        return Err(FleetError::NodeDown(owner));
+                    }
+                    drop(dead);
+                    if expired(&deadline) {
+                        return Err(FleetError::Timeout(id));
+                    }
+                    std::thread::sleep(Duration::from_millis(5));
+                    continue;
                 }
-                drop(dead);
-                if expired(&deadline) {
-                    return Err(FleetError::Timeout(id));
-                }
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
+                Admission::Admitted => {}
             }
-            let Some(owner) = self.shared.placements.lock().get(&id.0).copied() else {
-                return Err(FleetError::UnknownSession(id));
-            };
             // A killed owner (slot gone without a graceful leave) fails
             // the session fast with the typed fleet error.
             if self.node(owner).is_none() && !self.shared.leaving.lock().contains(&owner) {
@@ -525,45 +554,41 @@ impl Fleet {
                 return Err(FleetError::NodeDown(owner));
             };
             // Wait in slices so ownership handoffs mid-wait are picked
-            // up from the fresh placement instead of blocking forever
-            // on the old node.
+            // up from the moved record instead of blocking forever on
+            // the old node.
             let slice = match deadline {
                 Some(d) => d
                     .saturating_duration_since(Instant::now())
                     .min(Duration::from_millis(100)),
                 None => Duration::from_millis(100),
             };
-            let verdict = match node.server.wait(id, Some(slice)) {
-                Ok(outcome) => Ok(outcome),
-                Err(ServerError::Session(SapError::Timeout {
-                    phase: "session harvest",
-                    ..
-                })) => {
-                    if expired(&deadline) {
-                        return Err(FleetError::Timeout(id));
-                    }
-                    continue;
+            let verdict = node.server.wait(id, Some(slice));
+            if let Err(ServerError::Session(SapError::Timeout {
+                phase: "session harvest",
+                ..
+            })) = verdict
+            {
+                if expired(&deadline) {
+                    return Err(FleetError::Timeout(id));
                 }
-                Err(ServerError::UnknownSession(_))
-                | Err(ServerError::Session(SapError::Aborted))
-                    if self.shared.leaving.lock().contains(&owner)
-                        && self.shared.placements.lock().get(&id.0) == Some(&owner) =>
-                {
-                    // Handoff in flight: the leaver aborted and exported
-                    // the session; the new owner will re-admit it under
-                    // the same id. Re-check placements shortly.
-                    if expired(&deadline) {
-                        return Err(FleetError::Timeout(id));
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                    continue;
-                }
-                Err(e) => Err(FleetError::Server(e)),
-            };
-            // The owner returned the session's verdict and dropped it:
-            // the placement goes too.
-            self.shared.placements.lock().remove(&id.0);
-            return verdict;
+                continue;
+            }
+            // The verdict stands only while the record still places the
+            // session at `owner`. A leaver moves the record before it
+            // aborts its copy, so an abort (or an unknown id) harvested
+            // here after a handoff is followed to the new owner.
+            let mut sessions = self.shared.sessions.lock();
+            let here = sessions
+                .get(&id.0)
+                .is_some_and(|r| r.owner == owner && r.admission == Admission::Admitted);
+            if here {
+                sessions.remove(&id.0);
+                return verdict.map_err(FleetError::Server);
+            }
+            drop(sessions);
+            if expired(&deadline) {
+                return Err(FleetError::Timeout(id));
+            }
         }
     }
 
@@ -589,14 +614,9 @@ impl Fleet {
                 .ok_or(FleetError::NodeDown(j))?
         };
         // The process is gone: every session it ran dies with it.
-        let owned: Vec<u64> = {
-            let placements = self.shared.placements.lock();
-            placements
-                .iter()
-                .filter(|&(_, &o)| o == j)
-                .map(|(&s, _)| s)
-                .collect()
-        };
+        let owned = self
+            .shared
+            .sessions_where(|r| r.owner == j && r.admission == Admission::Admitted);
         for s in owned {
             let _ = node.server.abort(SessionId(s));
         }
@@ -607,9 +627,12 @@ impl Fleet {
         Ok(())
     }
 
-    /// Graceful departure: announce, hand unfinished sessions to their
-    /// new owners (same client-facing ids, via the control plane), then
-    /// shut the node down. Returns the number of sessions handed off.
+    /// Graceful departure: announce, hand running sessions to their new
+    /// owners (same client-facing ids, re-registered from the fleet's
+    /// records over the control plane), then shut the node down. A
+    /// session that already finished keeps its verdict on the departed
+    /// node, where [`Fleet::wait`] still finds it. Returns the number of
+    /// sessions handed off.
     ///
     /// # Errors
     ///
@@ -633,29 +656,36 @@ impl Fleet {
         for &p in &peers {
             let _ = node.route_send(&self.shared, p, &FleetMsg::Leave { node: j as u64 });
         }
-        // Ownership handoff: every unfinished session with retained
-        // inputs re-registers on its new owner under the same id.
-        let regs = node.server.export_registrations();
+        // Ownership handoff: every running session re-registers on its
+        // new owner under the same id, from its record.
+        let owned = self
+            .shared
+            .sessions_where(|r| r.owner == j && r.admission == Admission::Admitted);
         let mut handed = 0;
-        for reg in regs {
-            self.shared.placements.lock().remove(&reg.id.0);
-            let Some(owner) = self.shared.ring().owner_of(reg.id) else {
+        for s in owned {
+            let id = SessionId(s);
+            if !matches!(node.server.poll(id), Ok(SessionStatus::Running { .. })) {
+                continue;
+            }
+            let Some(owner) = self.shared.ring().owner_of(id) else {
                 break;
             };
-            self.shared.pending.lock().insert(
-                reg.id.0,
-                Pending {
-                    owner,
-                    origin: owner,
-                    rejected: None,
-                    locals: reg.locals.clone(),
-                    config: reg.config.clone(),
-                },
-            );
-            if node
-                .register(&self.shared, owner, reg.id.0, owner, reg.locals, reg.config)
-                .is_ok()
-            {
+            // The record moves before the abort, so a concurrent
+            // `Fleet::wait` that harvests the abort follows it.
+            let msg = {
+                let mut sessions = self.shared.sessions.lock();
+                let Some(r) = sessions.get_mut(&s) else {
+                    continue;
+                };
+                r.owner = owner;
+                r.origin = owner;
+                r.admission = Admission::Unacked;
+                r.message(s)
+            };
+            // Abort, then harvest, so the leaver keeps nothing of it.
+            let _ = node.server.abort(id);
+            let _ = node.server.wait(id, Some(Duration::ZERO));
+            if node.route_send(&self.shared, owner, &msg).is_ok() {
                 handed += 1;
                 self.shared.regs_replaced.fetch_add(1, Ordering::Relaxed);
             }
@@ -714,8 +744,8 @@ impl Drop for Fleet {
 }
 
 /// One node's inbox service: receives sealed control frames, handles
-/// registrations/acks/leaves, and turns liveness verdicts into
-/// membership repair.
+/// registrations and leaves, and turns liveness verdicts into membership
+/// repair.
 ///
 /// Reassembly is keyed by **message id**, not sender: control messages
 /// are fleet-unique by construction ([`FleetNode::next_msg_id`]), and
@@ -724,8 +754,8 @@ impl Drop for Fleet {
 /// keying on the sender would merge them. Per-message frame order is still
 /// guaranteed (one thread sends one message's frames back-to-back over
 /// FIFO lanes), so a sequence gap means an undeliverable message: its
-/// partial state is dropped, and the origin's pending-registration
-/// machinery re-sends rather than this layer guessing.
+/// partial state is dropped, and the origin's un-acked registration
+/// record re-sends rather than this layer guessing.
 fn service_loop(node: &FleetNode, shared: &Shared) {
     let key = wire::inbox_key(shared.secret, node.index);
     let my_inbox = wire::inbox_session(node.index);
@@ -777,60 +807,33 @@ fn handle_msg(node: &FleetNode, shared: &Shared, msg: FleetMsg) {
     match msg {
         FleetMsg::Register {
             session,
-            origin,
             config,
             locals,
         } => {
-            let id = SessionId(session);
-            let result = node.server.submit_placed(id, locals, &config);
-            let (accepted, reason) = match &result {
-                Ok(_) => (true, String::new()),
+            let admission = match node
+                .server
+                .submit_placed(SessionId(session), locals, &config)
+            {
                 // A duplicate means this node already admitted the
-                // session (a re-placement raced a slow ack): report
-                // success, not failure.
-                Err(ServerError::DuplicateSession(_)) => (true, String::new()),
-                Err(e) => (false, e.to_string()),
+                // session (a re-placement raced a slow registration):
+                // that is success.
+                Ok(_) | Err(ServerError::DuplicateSession(_)) => Admission::Admitted,
+                Err(e) => Admission::Rejected(e.to_string()),
             };
-            if accepted {
-                shared.placements.lock().insert(session, node.index);
+            // The records are shared on one host, so the owner settles
+            // the origin's record itself, at the verdict: an origin that
+            // dies after sending can never strand an admitted session.
+            if let Some(r) = shared.sessions.lock().get_mut(&session) {
+                r.owner = node.index;
+                r.admission = admission;
             }
-            // The placement maps are shared on one host: settle the
-            // origin's pending entry here, at the verdict, so an origin
-            // that dies between Register and Ack can never strand an
-            // admitted session in pending. The cross-node Ack still
-            // travels — a remote origin's control plane learns the
-            // verdict the way a multi-host deployment would.
-            ack_locally(shared, session, accepted, reason.clone());
-            let origin = origin as usize;
-            if origin != node.index {
-                let ack = FleetMsg::Ack {
-                    session,
-                    accepted,
-                    reason,
-                };
-                let _ = node.route_send(shared, origin, &ack);
-            }
+            shared.settled.notify_all();
         }
-        FleetMsg::Ack {
-            session,
-            accepted,
-            reason,
-        } => ack_locally(shared, session, accepted, reason),
         FleetMsg::Leave { node: leaver } => {
             shared.leaving.lock().insert(leaver as usize);
             shared.alive.lock().remove(&(leaver as usize));
         }
     }
-}
-
-fn ack_locally(shared: &Shared, session: u64, accepted: bool, reason: String) {
-    let mut pending = shared.pending.lock();
-    if accepted {
-        pending.remove(&session);
-    } else if let Some(p) = pending.get_mut(&session) {
-        p.rejected = Some(reason);
-    }
-    shared.settled.notify_all();
 }
 
 /// Liveness verdict on a peer node: repair membership and re-place the
@@ -853,41 +856,32 @@ fn on_peer_down(node: &FleetNode, shared: &Shared, peer: PartyId) {
     // * those the dead node *originated* whose verdict never settled.
     //   The dead node's ring successor adopts them — every survivor
     //   computes the same adopter, so exactly one node takes them over.
-    //   An admitted registration was settled out of pending at the
-    //   verdict; a duplicate Register racing a slow original is absorbed
-    //   by the owner as `DuplicateSession`.
+    //   An admitted registration was settled at the verdict; a
+    //   duplicate Register racing a slow original is absorbed by the
+    //   owner as `DuplicateSession`.
     let ring = shared.ring();
     let adopter = ring.owner_of_point(ring::node_point(d)) == Some(node.index);
-    let orphans: Vec<(u64, Vec<Dataset>, SapConfig)> = {
-        let pending = shared.pending.lock();
-        pending
-            .iter()
-            .filter(|(_, p)| {
-                p.rejected.is_none()
-                    && ((p.owner == d && p.origin == node.index) || (adopter && p.origin == d))
-            })
-            .map(|(&s, p)| (s, p.locals.clone(), p.config.clone()))
-            .collect()
-    };
-    for (session, locals, config) in orphans {
-        let id = SessionId(session);
-        let Some(owner) = shared.ring().owner_of(id) else {
+    let orphans = shared.sessions_where(|r| {
+        r.admission == Admission::Unacked
+            && ((r.owner == d && r.origin == node.index) || (adopter && r.origin == d))
+    });
+    for session in orphans {
+        let Some(owner) = shared.ring().owner_of(SessionId(session)) else {
             continue;
         };
-        if let Some(p) = shared.pending.lock().get_mut(&session) {
-            p.owner = owner;
-            p.origin = node.index;
-        }
+        let msg = {
+            let mut sessions = shared.sessions.lock();
+            let Some(r) = sessions.get_mut(&session) else {
+                continue;
+            };
+            r.owner = owner;
+            r.origin = node.index;
+            r.message(session)
+        };
         if owner == node.index {
-            match node.server.submit_placed(id, locals, &config) {
-                Ok(_) | Err(ServerError::DuplicateSession(_)) => {
-                    shared.placements.lock().insert(session, node.index);
-                    shared.pending.lock().remove(&session);
-                }
-                Err(_) => {}
-            }
+            handle_msg(node, shared, msg);
         } else {
-            let _ = node.register(shared, owner, session, node.index, locals, config);
+            let _ = node.route_send(shared, owner, &msg);
         }
         shared.regs_replaced.fetch_add(1, Ordering::Relaxed);
     }

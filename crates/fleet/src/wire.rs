@@ -53,21 +53,10 @@ pub enum FleetMsg {
     Register {
         /// The client-facing session id, minted on the gateway.
         session: u64,
-        /// The gateway node that awaits the [`FleetMsg::Ack`].
-        origin: u64,
         /// Protocol settings (boxed: they dwarf the other variants).
         config: Box<SapConfig>,
         /// The providers' datasets.
         locals: Vec<Dataset>,
-    },
-    /// The owner's admission verdict, routed back to the origin.
-    Ack {
-        /// The session the verdict is for.
-        session: u64,
-        /// Whether [`sap_server::SapServer::submit_placed`] accepted.
-        accepted: bool,
-        /// The admission error, rendered, when refused.
-        reason: String,
     },
     /// A node announces graceful departure; receivers drop it from
     /// their membership view without marking it dead.
@@ -82,25 +71,13 @@ impl Wire for FleetMsg {
         match self {
             FleetMsg::Register {
                 session,
-                origin,
                 config,
                 locals,
             } => {
                 put_uvarint(out, 0);
                 session.encode(out);
-                origin.encode(out);
                 config.encode(out);
                 encode_seq(locals, out, encode_dataset);
-            }
-            FleetMsg::Ack {
-                session,
-                accepted,
-                reason,
-            } => {
-                put_uvarint(out, 1);
-                session.encode(out);
-                accepted.encode(out);
-                reason.encode(out);
             }
             FleetMsg::Leave { node } => {
                 put_uvarint(out, 2);
@@ -113,15 +90,11 @@ impl Wire for FleetMsg {
         Ok(match read_uvarint(input)? {
             0 => FleetMsg::Register {
                 session: u64::decode(input)?,
-                origin: u64::decode(input)?,
                 config: Box::new(SapConfig::decode(input)?),
                 locals: decode_seq(input, decode_dataset)?,
             },
-            1 => FleetMsg::Ack {
-                session: u64::decode(input)?,
-                accepted: bool::decode(input)?,
-                reason: String::decode(input)?,
-            },
+            // Tag 1 was the owner's `Ack`, retired: the owner settles the
+            // shared registration record itself.
             2 => FleetMsg::Leave {
                 node: u64::decode(input)?,
             },
@@ -178,11 +151,7 @@ mod tests {
         let hub = InMemoryHub::new();
         let sender = hub.try_endpoint(PartyId(0)).unwrap();
         let receiver = hub.try_endpoint(PartyId(1)).unwrap();
-        let msg = FleetMsg::Ack {
-            session: 41,
-            accepted: true,
-            reason: String::new(),
-        };
+        let msg = FleetMsg::Leave { node: 41 };
         send_via(&sender, 0xF1EE7, 1, 7, &msg).unwrap();
         let (from, sealed) = receiver.recv().unwrap();
         assert_eq!(from, PartyId(0));
@@ -193,14 +162,7 @@ mod tests {
             panic!("single-frame message must assemble");
         };
         let decoded: FleetMsg = wire::from_bytes(&bytes).unwrap();
-        assert!(matches!(
-            decoded,
-            FleetMsg::Ack {
-                session: 41,
-                accepted: true,
-                ..
-            }
-        ));
+        assert!(matches!(decoded, FleetMsg::Leave { node: 41 }));
         // The wrong inbox key must not open the frame.
         assert!(open_frame(inbox_key(0xF1EE7, 0), &sealed).is_err());
     }

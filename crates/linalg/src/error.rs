@@ -27,9 +27,6 @@ pub enum LinalgError {
     Singular,
     /// The matrix was expected to be symmetric but was not (within tolerance).
     NotSymmetric,
-    /// The matrix was expected to be positive definite (Cholesky) but a
-    /// non-positive pivot was encountered.
-    NotPositiveDefinite,
     /// An iterative algorithm failed to converge within its iteration budget.
     NoConvergence {
         /// Name of the algorithm that failed to converge.
@@ -60,9 +57,6 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::Singular => write!(f, "matrix is singular"),
             LinalgError::NotSymmetric => write!(f, "matrix is not symmetric"),
-            LinalgError::NotPositiveDefinite => {
-                write!(f, "matrix is not positive definite")
-            }
             LinalgError::NoConvergence {
                 algorithm,
                 iterations,
@@ -103,7 +97,6 @@ mod tests {
             LinalgError::NotSquare { shape: (1, 2) },
             LinalgError::Singular,
             LinalgError::NotSymmetric,
-            LinalgError::NotPositiveDefinite,
             LinalgError::NoConvergence {
                 algorithm: "jacobi",
                 iterations: 100,

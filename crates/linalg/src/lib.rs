@@ -15,15 +15,12 @@
 //! * [`eigen::SymmetricEigen`] — cyclic Jacobi eigendecomposition of
 //!   symmetric matrices (PCA, whitening).
 //! * [`svd::Svd`] — one-sided Jacobi singular value decomposition.
-//! * [`cholesky::Cholesky`] — for covariance factorization.
 //! * [`orthogonal`] — uniform (Haar) random orthogonal and rotation matrices.
 //! * [`randn`] — Box–Muller standard-normal sampling (the `rand` crate alone
 //!   does not provide Gaussians).
 //! * [`kernel`] — the blocked matmul and the register-blocked Gram /
 //!   covariance microkernels, each pinned bit-identical to a reference
 //!   loop.
-//! * [`view`] — borrowed [`MatrixView`] windows, the zero-copy currency of
-//!   the streaming data plane's block stages.
 //!
 //! # Conventions
 //!
@@ -47,7 +44,6 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod cholesky;
 pub mod eigen;
 pub mod error;
 pub mod kernel;
@@ -59,9 +55,7 @@ pub mod qr;
 pub mod rng;
 pub mod svd;
 pub mod vecops;
-pub mod view;
 
 pub use error::{LinalgError, Result};
 pub use matrix::Matrix;
 pub use rng::{randn, randn_matrix, randn_vec};
-pub use view::MatrixView;

@@ -107,8 +107,9 @@ pub struct MuxMetrics, cells MetricCells {
     /// was declared dead (≈ 0 for transport-notified deaths, ≈ the
     /// liveness budget for heartbeat-detected ones).
     pub peer_down_latency_us: u64,
-    /// Peers revived after a death verdict — they resumed sending, so
-    /// later sessions (and retries) run against them again.
+    /// Peers revived after a death verdict: a heartbeat suspicion that
+    /// cleared because the peer resumed sending, so later sessions run
+    /// against it again.
     pub peers_recovered: u64,
     /// Heartbeat frames this mux emitted.
     pub heartbeats_sent: u64,
@@ -273,11 +274,12 @@ impl<T: Transport> MuxShared<T> {
 
     /// Refreshes a watched peer's liveness clock (any inbound traffic
     /// counts — heartbeats only cover idle links). A frame from a peer in
-    /// the `down` set **revives** it: the death verdict is removed, so
-    /// sessions opened afterwards (e.g. peer-failure retries) run against
-    /// the recovered peer instead of failing on a stale verdict. Sessions
-    /// that already consumed the death keep their typed failure — revival
-    /// is forward-looking only.
+    /// the `down` set **revives** it: a missed-heartbeat verdict is a
+    /// suspicion, not a fact, and a peer that sends again was only slow.
+    /// The verdict is removed, so sessions opened afterwards run against
+    /// the recovered peer instead of failing on a stale suspicion.
+    /// Sessions that already consumed the death keep their typed
+    /// failure — revival is forward-looking only.
     fn heard_from(&self, peer: PartyId) {
         let mut liveness = self.liveness.lock();
         if liveness.down.remove(&peer) {
@@ -991,8 +993,8 @@ mod tests {
         }
         assert_eq!(m2.metrics().peers_recovered, 1);
 
-        // A session opened now (e.g. a peer-failure retry) runs against
-        // the recovered peer instead of failing on the stale verdict.
+        // A session opened now runs against the recovered peer instead
+        // of failing on the cleared suspicion.
         let late = m2.open_session(SessionId(5)).unwrap();
         assert_eq!(
             late.recv_timeout(Duration::from_millis(100)).unwrap_err(),

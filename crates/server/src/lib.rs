@@ -13,8 +13,11 @@
 //!   gang — `N` concurrent sessions share the pool's workers instead of
 //!   spawning `N × (k + 1)` dedicated threads;
 //! * a **session registry**: a session is registered at submit and
-//!   leaves it when [`SapServer::wait`] returns its verdict, stored
-//!   inputs included;
+//!   leaves it when [`SapServer::wait`] returns its verdict. The server
+//!   keeps no copy of a session's inputs: it runs each session once,
+//!   and a session whose peer dies fails with a typed
+//!   [`SapError::PeerFailure`] (re-running it elsewhere is the fleet's
+//!   job, `sap-fleet`);
 //! * **admission control**: beyond
 //!   `max_concurrent + max_queued` live sessions, [`SapServer::submit`]
 //!   sheds with [`ServerError::Overloaded`] instead of queueing unboundedly;
@@ -85,7 +88,7 @@ use sap_net::{InMemoryHub, PartyId, ReactorTransport, SessionId, Transport, Tran
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Server-level failures.
 #[derive(Debug)]
@@ -153,18 +156,6 @@ impl From<TransportError> for ServerError {
     }
 }
 
-/// What a server does when a session dies of a **peer failure** (a party
-/// process detected dead mid-session, [`SapError::PeerFailure`]): how
-/// many times [`SapServer::wait`] transparently re-runs the session with
-/// its stored inputs before surfacing the failure. Retries consume fresh
-/// wire session ids; the client-facing id never changes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Automatic re-runs per session (0 — the default — disables retry
-    /// and the per-session input retention it requires).
-    pub max_retries: u32,
-}
-
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -191,8 +182,6 @@ pub struct ServerConfig {
     /// plus one `heartbeat_interval` (the silence scan runs once per
     /// interval).
     pub liveness_misses: u32,
-    /// Recovery policy for sessions killed by a peer failure.
-    pub retry_policy: RetryPolicy,
     /// The shared pool's admission scheduler: QoS class queues with batch
     /// aging and deadline-aware shedding.
     pub scheduler: SchedulerConfig,
@@ -215,7 +204,6 @@ impl Default for ServerConfig {
             worker_threads: 0,
             heartbeat_interval: sap_net::mux::DEFAULT_HEARTBEAT_INTERVAL,
             liveness_misses: sap_net::mux::DEFAULT_LIVENESS_MISSES,
-            retry_policy: RetryPolicy::default(),
             scheduler: SchedulerConfig::default(),
             session_id_base: 1,
             session_id_stride: 1,
@@ -286,9 +274,6 @@ pub struct ServerMetrics {
     /// transport-notified deaths, ≈ the heartbeat budget for
     /// heartbeat-detected ones).
     pub peer_detection_latency_avg_s: f64,
-    /// Sessions transparently re-run after a peer failure under
-    /// [`ServerConfig::retry_policy`].
-    pub sessions_retried: u64,
     /// Sessions shed by deadline-aware admission while queued — their
     /// budget provably could not be met, so no role ever ran
     /// ([`SapError::AdmissionShed`]).
@@ -309,38 +294,11 @@ pub struct ServerMetrics {
     pub latency_histogram: SessionLatency,
 }
 
-struct RetryState {
-    locals: Vec<Dataset>,
-    config: SapConfig,
-    remaining: u32,
-}
-
-/// One session's stored registration, exported by
-/// [`SapServer::export_registrations`]: everything another node needs to
-/// re-run the session under its original client-facing id.
-#[derive(Debug)]
-pub struct Registration {
-    /// The client-facing session id (stable across the handoff).
-    pub id: SessionId,
-    /// The providers' datasets as submitted.
-    pub locals: Vec<Dataset>,
-    /// The session's protocol configuration.
-    pub config: SapConfig,
-}
-
 struct SessionEntry {
     handle: SessionHandle,
-    /// Scheduling class the session was submitted under — keyed here so
-    /// accounting can route its timings to the right histograms even
-    /// after retries swap the handle.
+    /// Scheduling class the session was submitted under, so accounting
+    /// routes its timings to the right histograms.
     class: QosClass,
-    /// The owner called [`SapServer::abort`]: the verdict outlives the
-    /// current handle, so a peer-failure retry racing the abort cannot
-    /// resurrect the session under a fresh handle the abort never saw.
-    aborted: bool,
-    /// Stored inputs for peer-failure retries (`None` when the policy is
-    /// off — the server then never retains client datasets past spawn).
-    retry: Option<RetryState>,
 }
 
 #[derive(Default)]
@@ -350,7 +308,6 @@ struct Counters {
     failed: AtomicU64,
     aborted: AtomicU64,
     rejected: AtomicU64,
-    retried: AtomicU64,
     shed: AtomicU64,
     blocks_relayed: AtomicU64,
     blocks_pipelined: AtomicU64,
@@ -524,9 +481,9 @@ impl<T: Transport + 'static> SapServer<T> {
 
     /// Mints the next session id from this server's minter **without**
     /// registering anything. The fleet's gateway path uses this: ids
-    /// minted here and ids this server mints internally (submissions,
-    /// retry wire ids) share one sequence, so a gateway-minted id can
-    /// never collide with the node's own.
+    /// minted here and ids [`SapServer::submit`] mints share one
+    /// sequence, so a gateway-minted id can never collide with the
+    /// node's own.
     pub fn mint_session_id(&self) -> SessionId {
         self.ids.mint()
     }
@@ -567,11 +524,6 @@ impl<T: Transport + 'static> SapServer<T> {
         }
 
         let id = placed.unwrap_or_else(|| self.ids.mint());
-        let retry = (self.config.retry_policy.max_retries > 0).then(|| RetryState {
-            locals: locals.clone(),
-            config: session_config.clone(),
-            remaining: self.config.retry_policy.max_retries,
-        });
         let handle = self.wire_session(id, locals, session_config)?;
 
         self.counters.started.fetch_add(1, Ordering::Relaxed);
@@ -580,8 +532,6 @@ impl<T: Transport + 'static> SapServer<T> {
             SessionEntry {
                 handle,
                 class: session_config.qos,
-                aborted: false,
-                retry,
             },
         );
         Ok(id)
@@ -589,8 +539,7 @@ impl<T: Transport + 'static> SapServer<T> {
 
     /// Opens mux routes for `id` on the first `locals.len()` lanes (plus
     /// the miner lane), spawns the session gang, and installs the abort
-    /// hook that tears those routes down. Shared by [`SapServer::submit`]
-    /// and peer-failure retries.
+    /// hook that tears those routes down.
     fn wire_session(
         &self,
         id: SessionId,
@@ -652,98 +601,6 @@ impl<T: Transport + 'static> SapServer<T> {
         Ok(handle)
     }
 
-    /// Consumes one retry of a peer-failed session: respawns it under a
-    /// fresh wire session id with the stored inputs, swapping the new
-    /// handle into the client-facing registry entry. Returns `false`
-    /// when the entry has no retries left (or retry is off).
-    fn try_retry(&self, public_id: SessionId) -> bool {
-        let (locals, cfg) = {
-            let mut registry = self.registry.lock();
-            let Some(entry) = registry.get_mut(&public_id) else {
-                return false;
-            };
-            if entry.aborted {
-                // The owner gave up on this session; a retry racing the
-                // abort must not resurrect it.
-                return false;
-            }
-            let Some(retry) = entry.retry.as_mut() else {
-                return false;
-            };
-            if retry.remaining == 0 {
-                return false;
-            }
-            retry.remaining -= 1;
-            (retry.locals.clone(), retry.config.clone())
-        };
-        let wire_id = self.ids.mint();
-        match self.wire_session(wire_id, locals, &cfg) {
-            Ok(handle) => {
-                let installed = {
-                    let mut registry = self.registry.lock();
-                    match registry.get_mut(&public_id) {
-                        Some(entry) if !entry.aborted => {
-                            entry.handle = handle.clone();
-                            true
-                        }
-                        // Aborted or exported while the replacement
-                        // spawned: do not install a session the abort
-                        // (or the export) never saw.
-                        _ => false,
-                    }
-                };
-                if installed {
-                    self.counters.retried.fetch_add(1, Ordering::Relaxed);
-                    true
-                } else {
-                    handle.abort();
-                    false
-                }
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Drains every unfinished session whose inputs the retry policy
-    /// retained, returning their registrations for re-placement on
-    /// another node — the export half of an ownership handoff when this
-    /// server's node leaves a fleet.
-    ///
-    /// Each exported session is aborted here (its roles unwind with
-    /// typed errors and its mux routes close); the importing node
-    /// re-runs it from the stored inputs under the **same** client-facing
-    /// id via [`SapServer::submit_placed`] — the same replay contract as
-    /// a peer-failure retry. Finished sessions keep their verdicts here;
-    /// unfinished sessions without stored inputs
-    /// ([`RetryPolicy::max_retries`] = 0) cannot be handed off and are
-    /// left running.
-    pub fn export_registrations(&self) -> Vec<Registration> {
-        let mut registry = self.registry.lock();
-        let ids: Vec<SessionId> = registry
-            .iter()
-            .filter(|(_, e)| {
-                e.retry.is_some() && matches!(e.handle.poll(), SessionStatus::Running { .. })
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        let mut exported = Vec::with_capacity(ids.len());
-        for id in ids {
-            let Some(entry) = registry.remove(&id) else {
-                continue;
-            };
-            entry.handle.abort();
-            let Some(retry) = entry.retry else {
-                continue;
-            };
-            exported.push(Registration {
-                id,
-                locals: retry.locals,
-                config: retry.config,
-            });
-        }
-        exported
-    }
-
     fn close_routes(&self, id: SessionId, k: usize) {
         for lane in &self.lanes[..k] {
             lane.close_session(id);
@@ -766,14 +623,10 @@ impl<T: Transport + 'static> SapServer<T> {
 
     /// Waits for a session and returns its verdict: the outcome or the
     /// session's error. `timeout` `None` waits indefinitely. The session
-    /// leaves the registry with its verdict, stored inputs included, so
-    /// later calls on the id return [`ServerError::UnknownSession`]; a
-    /// harvest timeout is not a verdict and leaves the session running.
-    ///
-    /// Under a non-zero [`ServerConfig::retry_policy`], a session that
-    /// dies of a [`SapError::PeerFailure`] is transparently re-run with
-    /// its stored inputs (up to the policy's budget) before the failure
-    /// is surfaced; the caller's `timeout` spans the retries.
+    /// leaves the registry with its verdict, so later calls on the id
+    /// return [`ServerError::UnknownSession`]; a harvest timeout is not a
+    /// verdict and leaves the session running. A session runs once: one
+    /// that dies of a [`SapError::PeerFailure`] returns that failure.
     ///
     /// # Errors
     ///
@@ -786,47 +639,40 @@ impl<T: Transport + 'static> SapServer<T> {
         id: SessionId,
         timeout: Option<Duration>,
     ) -> Result<SapOutcome, ServerError> {
-        // A timeout too long to represent waits without a limit.
-        let overall = timeout.and_then(|t| Instant::now().checked_add(t));
-        loop {
-            let handle = {
-                let registry = self.registry.lock();
-                registry
-                    .get(&id)
-                    .map(|e| e.handle.clone())
-                    .ok_or(ServerError::UnknownSession(id))?
-            };
-            let remaining = overall.map(|d| d.saturating_duration_since(Instant::now()));
-            let result = handle.harvest(remaining);
-            match &result {
-                // A harvest deadline is the caller's timeout, not the
-                // session's end — leave the entry registered.
-                Err(SapError::Timeout {
-                    phase: "session harvest",
-                    ..
-                }) => {}
-                Err(SapError::PeerFailure { .. }) if self.try_retry(id) => continue,
-                _ => self.finalize(id, &result),
-            }
-            return result.map_err(ServerError::Session);
+        let handle = {
+            let registry = self.registry.lock();
+            registry
+                .get(&id)
+                .map(|e| e.handle.clone())
+                .ok_or(ServerError::UnknownSession(id))?
+        };
+        let result = handle.harvest(timeout);
+        // A harvest deadline is the caller's timeout, not the session's
+        // end — leave the entry registered.
+        if !matches!(
+            result,
+            Err(SapError::Timeout {
+                phase: "session harvest",
+                ..
+            })
+        ) {
+            self.finalize(id, &result);
         }
+        result.map_err(ServerError::Session)
     }
 
-    /// Aborts a session (idempotent). The verdict is recorded on the
-    /// registry entry as well as the running handle, so a peer-failure
-    /// retry racing this call cannot resurrect the session.
+    /// Aborts a session (idempotent): the handle records the verdict.
     ///
     /// # Errors
     ///
     /// [`ServerError::UnknownSession`] when the id is not registered.
     pub fn abort(&self, id: SessionId) -> Result<(), ServerError> {
         let handle = {
-            let mut registry = self.registry.lock();
-            let entry = registry
-                .get_mut(&id)
-                .ok_or(ServerError::UnknownSession(id))?;
-            entry.aborted = true;
-            entry.handle.clone()
+            let registry = self.registry.lock();
+            registry
+                .get(&id)
+                .map(|e| e.handle.clone())
+                .ok_or(ServerError::UnknownSession(id))?
         };
         handle.abort();
         Ok(())
@@ -950,7 +796,6 @@ impl<T: Transport + 'static> SapServer<T> {
             } else {
                 down_latency_us as f64 / 1e6 / peers_down as f64
             },
-            sessions_retried: self.counters.retried.load(Ordering::Relaxed),
             sessions_shed: self.counters.shed.load(Ordering::Relaxed),
             gangs_promoted: sched.gangs_promoted,
             task_steals: 0,
@@ -984,6 +829,7 @@ mod tests {
     use super::*;
     use sap_datasets::partition::{partition, PartitionScheme};
     use sap_datasets::registry::UciDataset;
+    use std::time::Instant;
 
     fn quick() -> SapConfig {
         SapConfig {

@@ -415,54 +415,3 @@ fn server_peer_death_fails_fast_and_spares_siblings() {
     assert!(m.peer_failures_detected >= 1, "{m:?}");
     assert!(m.peer_detection_latency_avg_s < budget.as_secs_f64() * 2.0);
 }
-
-/// Peer-failure retry policy: the failed session is transparently
-/// re-run; when the dead party makes every retry hopeless, the retries
-/// are consumed and the failure surfaces (typed) instead of hanging.
-#[test]
-fn retry_policy_consumes_retries_on_peer_failure() {
-    use sap_repro::datasets::partition::{partition, PartitionScheme};
-    use sap_repro::datasets::registry::UciDataset;
-    use sap_repro::server::{RetryPolicy, SapServer, ServerConfig, ServerError};
-
-    let server_config = ServerConfig {
-        max_parties: 3,
-        retry_policy: RetryPolicy { max_retries: 1 },
-        ..ServerConfig::default()
-    };
-    let hub = InMemoryHub::new();
-    let lanes: Vec<_> = (0..3u64).map(|i| hub.endpoint(PartyId(i))).collect();
-    let miner = hub.endpoint(sap_repro::core::session::MINER_ID);
-    let server = SapServer::over_lanes(server_config, lanes, miner);
-
-    // A long enough receive timeout that only the typed peer failure can
-    // end the *first* run quickly; the retried run (frames still all
-    // dropped, its PeerDown already consumed) dies by this timeout.
-    let stuck_cfg = SapConfig {
-        fault_config: Some(FaultConfig {
-            drop_prob: 1.0,
-            ..FaultConfig::default()
-        }),
-        timeout: Duration::from_secs(5),
-        ..SapConfig::quick_test()
-    };
-    let pooled = UciDataset::Iris.generate(4);
-    let id = server
-        .submit(
-            partition(&pooled, 3, PartitionScheme::Uniform, 7),
-            &stuck_cfg,
-        )
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(100));
-    hub.kill(PartyId(1));
-
-    // The first run dies of PeerFailure; the retry is spawned against a
-    // permanently dead lane and fails too (with whatever the broken mesh
-    // reports) — but it was attempted, and the wait returns an error
-    // rather than hanging.
-    let err = server.wait(id, Some(Duration::from_secs(60))).unwrap_err();
-    assert!(matches!(err, ServerError::Session(_)), "{err}");
-    let m = server.metrics();
-    assert_eq!(m.sessions_retried, 1, "{m:?}");
-    assert!(m.peer_failures_detected >= 1, "{m:?}");
-}

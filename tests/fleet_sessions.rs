@@ -202,50 +202,69 @@ fn killed_node_fails_fast_and_spares_siblings() {
     assert_ne!(fleet.owner_of(doomed), Some(victim));
 }
 
-/// Graceful departure: a leaver hands its unfinished sessions to the
-/// new owners (same client-facing ids) and every session still
-/// completes byte-identical to solo.
+/// Graceful departure hands the leaver's running sessions to the new
+/// owner under the same ids. Node 0 leaves owning two sessions: one it
+/// admitted as its own gateway, and one gateway 1 forwarded to it. Each
+/// send sleeps, so both are still running when `leave` is called, and
+/// the new owner re-runs both from the fleet's registration records.
+/// Both complete byte-identical to solo.
 #[test]
 fn graceful_leave_hands_sessions_over_and_all_complete() {
     let k = 3;
     let fleet = quick_fleet(2, k);
+    let (leaver, survivor) = (0, 1);
 
-    // Slowed sessions (per-send latency) so some are still mid-flight
-    // when the node departs; latency never changes bytes, so solo
+    // Per-send latency keeps a session running for about 0.4 s, far
+    // longer than the leave takes; latency never changes bytes, so solo
     // equivalence still holds.
     let slow = |seed: u64| SapConfig {
         fault_config: Some(FaultConfig {
-            send_latency: Duration::from_millis(3),
+            send_latency: Duration::from_millis(40),
             ..FaultConfig::default()
         }),
         ..session_config(seed)
     };
-    let ids: Vec<(u64, _)> = (0..4u64)
-        .map(|i| {
-            let seed = 900 + i;
+    // Fixed minters, fixed ring: node 0 owns the first id of each
+    // gateway. A forwarded submission returns once its owner admitted it.
+    let sessions: Vec<(u64, _)> = [(leaver, 910u64), (survivor, 911)]
+        .into_iter()
+        .map(|(gateway, seed)| {
             let id = fleet
-                .submit(session_locals(seed, k), &slow(seed))
+                .submit_via(gateway, session_locals(seed, k), &slow(seed))
                 .expect("admit slow session");
+            assert_eq!(fleet.placement(id), Some(leaver), "seed {seed}");
             (seed, id)
         })
         .collect();
-    std::thread::sleep(Duration::from_millis(150));
 
-    let leaver = fleet.alive()[0];
+    // `leave` hands off only sessions still running on the leaver.
     let handed = fleet.leave(leaver).expect("graceful leave");
-    assert_eq!(fleet.alive(), vec![1 - leaver]);
+    assert_eq!(handed, 2, "both running sessions must be handed off");
+    assert_eq!(fleet.alive(), vec![survivor]);
 
-    for &(seed, id) in &ids {
+    for &(seed, id) in &sessions {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while fleet.placement(id) != Some(survivor) {
+            assert!(
+                Instant::now() < deadline,
+                "seed {seed}: the new owner never admitted the handed-off session"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    for &(seed, id) in &sessions {
         let outcome = fleet.wait(id, WAIT).expect("session survives the leave");
         let solo = run_session(session_locals(seed, k), &slow(seed)).expect("solo run completes");
         assert_eq!(
             outcome.unified, solo.unified,
             "seed {seed}: outcome must survive the ownership handoff"
         );
+        assert_eq!(outcome.forwarder_of_slot, solo.forwarder_of_slot);
     }
     // A graceful leave is not a death.
-    assert_eq!(fleet.metrics().node_deaths_detected, 0);
-    assert_eq!(fleet.metrics().registrations_replaced, handed as u64);
+    let m = fleet.metrics();
+    assert_eq!(m.node_deaths_detected, 0);
+    assert_eq!(m.registrations_replaced, 2);
 }
 
 /// Registrations keep reaching their owners while a killed node is
