@@ -94,17 +94,8 @@ fn fleet_messages() -> Vec<(&'static str, FleetMsg)> {
             "FleetMsg::Register",
             FleetMsg::Register {
                 session: 41,
-                origin: 1,
                 config: Box::new(config),
                 locals: vec![dataset()],
-            },
-        ),
-        (
-            "FleetMsg::Ack",
-            FleetMsg::Ack {
-                session: 41,
-                accepted: false,
-                reason: "overloaded".into(),
             },
         ),
         ("FleetMsg::Leave", FleetMsg::Leave { node: 3 }),
@@ -179,7 +170,7 @@ fn golden_bytes_decode_and_reencode() {
     let expected: Vec<SapMessage> = sap_messages().into_iter().map(|(_, m)| m).collect();
     assert_eq!(decoded, expected);
     assert_eq!(
-        wire::from_bytes::<DataHeader>(&unhex(GOLDEN_WIRE[7].1)).unwrap(),
+        wire::from_bytes::<DataHeader>(&unhex(GOLDEN_WIRE[6].1)).unwrap(),
         data_header()
     );
 }
@@ -209,28 +200,32 @@ fn sealed_frame_matches_golden_bytes() {
 }
 
 /// One literal has changed since these were recorded: `FleetMsg::Register`,
-/// three times. Its config lost the `streaming` byte (a `01` after
+/// four times. Its config lost the `streaming` byte (a `01` after
 /// `block_rows`, `40`) when the buffered data plane was deleted, then the
 /// optimizer's three staged-budget fields (`01` enabled, `000000000000d03f`
 /// survivor fraction 0.25, `04` minimum survivors, after `use_ica`, `00`)
 /// when the optimizer became exact, and then `optimizer.threads` (a `00`
 /// for `None`, after `use_ica`) when the optimizer stopped spawning
-/// threads. The fleet runs in one process, so no peer on another build
-/// ever reads the old layout.
+/// threads. Then the message lost its `origin` (a `01` after the session
+/// id, `29`) when the owner's `Ack` was deleted. The fleet runs in one process, so no
+/// peer on another build ever reads the old layout.
 ///
-/// Two literals were removed: `SapMessage::PerturbedData` (tag 1) and
+/// Three literals were removed: `SapMessage::PerturbedData` (tag 1) and
 /// `SapMessage::RelayedData` (tag 2), which carried a whole dataset in one
 /// message. No party ever sent them — datasets travel only as row-block
 /// streams behind a `DataHeader` — so the variants were deleted and their
-/// tags are reserved: a decoder now refuses them as unknown. Every other
-/// literal is unchanged, tags 0, 3, 4 and 5 included.
+/// tags are reserved: a decoder now refuses them as unknown. And
+/// `FleetMsg::Ack` (tag 1), the owner's admission verdict sent back to the
+/// gateway, which only repeated what the owner had already settled in the
+/// fleet's shared registration record; its tag is reserved too. Every
+/// other literal is unchanged, `SapMessage` tags 0, 3, 4 and 5 and
+/// `FleetMsg::Leave` (tag 2) included.
 const GOLDEN_WIRE: &[(&str, &str)] = &[
     ("SapMessage::Setup", "00020204000000000000f03f00000000000000000000000000000000000000000000f03f02000000000000f03f0000000000000040effdb6f50d0201"),
     ("SapMessage::Adaptor", "030202040000000000000000000000000000f03f000000000000f0bf000000000000000002000000000000f43f0000000000000440"),
     ("SapMessage::AdaptorTable", "0402010202040000000000000000000000000000f03f000000000000f0bf000000000000000002000000000000f43f0000000000000440ac020202040000000000000000000000000000f03f000000000000f0bf000000000000000002000000000000f43f0000000000000440"),
     ("SapMessage::MiningComplete", "059601"),
-    ("FleetMsg::Register", "0029019a9999999999a93f049a9999999999a93f0450002a0780ade204809c9c394001000000000000d03f00000000000000000000000000000000dc0b6301010202000000000000e03f000000000000f0bf020000000000000040000000000000d03f0200010202"),
-    ("FleetMsg::Ack", "0129000a6f7665726c6f61646564"),
+    ("FleetMsg::Register", "00299a9999999999a93f049a9999999999a93f0450002a0780ade204809c9c394001000000000000d03f00000000000000000000000000000000dc0b6301010202000000000000e03f000000000000f0bf020000000000000040000000000000d03f0200010202"),
     ("FleetMsg::Leave", "0203"),
     ("DataHeader", "b4240109c0b8021003"),
 ];
