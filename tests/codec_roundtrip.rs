@@ -361,7 +361,7 @@ fn retired_dataset_tags_are_refused() {
     }
 }
 
-/// Tag 1 was `FleetMsg::Ack`, the owner's admission verdict sent back to
+/// Fleet tag 1 was the `Ack`, the owner's admission verdict sent back to
 /// the gateway. The owner settles the fleet's shared registration record
 /// itself, so the Ack was deleted and its tag is reserved: a well-formed
 /// old Ack fails with the typed unknown-tag error.

@@ -215,7 +215,7 @@ fn sealed_frame_matches_golden_bytes() {
 /// message. No party ever sent them — datasets travel only as row-block
 /// streams behind a `DataHeader` — so the variants were deleted and their
 /// tags are reserved: a decoder now refuses them as unknown. And
-/// `FleetMsg::Ack` (tag 1), the owner's admission verdict sent back to the
+/// the fleet's `Ack` (tag 1), the owner's admission verdict sent back to the
 /// gateway, which only repeated what the owner had already settled in the
 /// fleet's shared registration record; its tag is reserved too. Every
 /// other literal is unchanged, `SapMessage` tags 0, 3, 4 and 5 and
