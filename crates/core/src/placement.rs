@@ -1,4 +1,5 @@
-//! Placement-aware session identifiers for a sharded fleet.
+//! Placement-aware session identifiers and session placement for a
+//! sharded fleet.
 //!
 //! One `SapServer` mints session ids from a private counter, so two
 //! servers in one fleet would both mint `SessionId(1)`. This module is
@@ -9,11 +10,16 @@
 //!   `n`-node fleet mints from a disjoint sequence with no
 //!   coordination — node `j` uses `base = j + 1`, `stride = n`.
 //! * [`ring_point`] is the stable 64-bit mixing function that maps a
-//!   minted id (or a node id) onto the placement ring. Every node
-//!   computes the same point for the same id, so "who owns session
-//!   `S`" is a pure function of the membership view — the successor
-//!   of [`session_point`]`(S)` on the ring, exactly Chord's
-//!   `successor(k)` ownership rule.
+//!   minted id ([`session_point`]) or a node index ([`node_point`]) to
+//!   a well-spread 64-bit point.
+//! * [`owner`] places a point on a node by rendezvous (highest random
+//!   weight) hashing (Thaler & Ravishankar, IEEE/ACM ToN 1998): every
+//!   member scores `ring_point(point ^ node_point(n))`, and the highest
+//!   score wins. "Who owns session `S`" is then a pure function of
+//!   `session_point(S)` and the membership view, so every node computes
+//!   the same owner with no coordination. Each node's share of the ids
+//!   is even in expectation, and removing a node moves only the ids it
+//!   owned.
 //!
 //! The top [`CONTROL_RANGE`] ids below [`SessionId::LIVENESS`] are
 //! reserved for fleet control planes (per-node inbox sessions); a
@@ -33,9 +39,9 @@ pub const CONTROL_RANGE: u64 = 4096;
 pub const CONTROL_BASE: u64 = u64::MAX - CONTROL_RANGE;
 
 /// The finalizer of `splitmix64` — a fast, well-mixed 64-bit
-/// permutation. Used for every ring placement so session ids (dense
+/// permutation. Used for every placement point so session ids (dense
 /// counters) and node indices (0, 1, 2, …) spread uniformly over the
-/// ring instead of clustering at the bottom.
+/// 64-bit space instead of clustering at the bottom.
 pub fn ring_point(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -43,9 +49,29 @@ pub fn ring_point(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A session's point on the placement ring.
+/// A session's placement point.
 pub fn session_point(id: SessionId) -> u64 {
     ring_point(id.0)
+}
+
+/// Salt mixed into node indices before hashing, so a node's point never
+/// equals the point of a session id equal to its index (both spaces are
+/// dense small integers).
+pub const NODE_SALT: u64 = 0x4E0D_E5A1_0000_0000;
+
+/// A fleet node's placement point.
+pub fn node_point(node: usize) -> u64 {
+    ring_point(node as u64 ^ NODE_SALT)
+}
+
+/// The member that owns `point`: the one with the highest rendezvous
+/// weight `ring_point(point ^ node_point(n))`, the lower index on a tie.
+/// `None` when there are no members. A session's owner is
+/// `owner(session_point(id), alive)`.
+pub fn owner(point: u64, members: impl IntoIterator<Item = usize>) -> Option<usize> {
+    members
+        .into_iter()
+        .max_by_key(|&n| (ring_point(point ^ node_point(n)), std::cmp::Reverse(n)))
 }
 
 /// Mints fleet-unique [`SessionId`]s from one residue class.
@@ -111,7 +137,7 @@ mod tests {
     fn ring_points_spread_dense_counters() {
         // Successive ids must land far apart: splitmix64's finalizer is
         // a permutation, so 10k dense inputs give 10k distinct points,
-        // and the low/high halves of the ring both get hit.
+        // and the low/high halves of the 64-bit space both get hit.
         let points: Vec<u64> = (1..=10_000u64).map(ring_point).collect();
         let distinct: HashSet<&u64> = points.iter().collect();
         assert_eq!(distinct.len(), points.len());

@@ -2,15 +2,17 @@
 //!
 //! One [`sap_server::SapServer`] tops out at a single process: one
 //! mesh, one pool, one registry. This crate scales the service *out*:
-//! a [`Fleet`] runs `N` server nodes, each owning an arc of a
-//! consistent-hash ring ([`ring::HashRing`]), connected by inter-node
-//! TCP lanes (the PR 6 reactor transport, v4 envelope unchanged).
+//! a [`Fleet`] runs `N` server nodes connected by inter-node TCP lanes
+//! (the reactor transport, v4 envelope unchanged).
 //!
 //! * **Placement** — session ids are minted fleet-unique (per-node
-//!   residue classes, [`sap_core::placement::IdMinter`]) and hashed
-//!   onto the ring; the first node at or after the id's point owns the
-//!   session. Every node computes the same owner from the same
-//!   membership view.
+//!   residue classes, [`sap_core::placement::IdMinter`]) and placed by
+//!   rendezvous (highest random weight) hashing (Thaler & Ravishankar,
+//!   IEEE/ACM ToN 1998; [`sap_core::placement::owner`]): the alive node
+//!   with the highest weight for the id owns the session. Every node
+//!   computes the same owner from the same membership view, each node
+//!   owns an even share of the ids in expectation, and a node's
+//!   departure moves only the sessions it owned.
 //! * **Forwarding** — a client may submit through *any* node. A
 //!   gateway that does not own the session seals the registration for
 //!   the owner's inbox ([`wire`]) and sends it straight to the owner:
@@ -27,7 +29,7 @@
 //! * **Membership** — node heartbeats ride the PR 5 liveness plane
 //!   under [`SessionId::LIVENESS`] on the inter-node lanes. A silent
 //!   node is declared dead within the heartbeat budget; survivors drop
-//!   it from the ring (repair is recomputing the pure placement
+//!   it from the alive set (repair is recomputing the pure placement
 //!   function over the new view) and the origin re-places registrations
 //!   the dead owner never admitted. Graceful leavers broadcast
 //!   [`wire::FleetMsg::Leave`] and hand their running sessions to the
@@ -42,11 +44,10 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod ring;
 pub mod wire;
 
 use parking_lot::{Condvar, Mutex};
-use ring::HashRing;
+use sap_core::placement::{self, node_point, session_point};
 use sap_core::runtime::SessionStatus;
 use sap_core::session::{SapConfig, SapOutcome};
 use sap_core::SapError;
@@ -166,20 +167,25 @@ impl FleetConfig {
     }
 }
 
-/// Aggregate fleet counters (summed over live nodes and husks of dead
-/// or departed ones).
+/// Fleet counters, taken from the registration records' transitions:
+/// each session id counts once, wherever it ran and however often it
+/// was handed off or re-placed.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FleetMetrics {
     /// Nodes currently alive.
     pub nodes_alive: usize,
     /// Node deaths detected by the liveness plane.
     pub node_deaths_detected: u64,
-    /// Sessions admitted, fleet-wide.
+    /// Sessions admitted, counted at their record's first admission.
     pub sessions_started: u64,
-    /// Sessions completed with an outcome, fleet-wide.
+    /// Sessions whose verdict [`Fleet::wait`] returned as an outcome.
     pub sessions_completed: u64,
-    /// Sessions that failed, fleet-wide.
+    /// Sessions whose verdict [`Fleet::wait`] returned as an error
+    /// (rejected, node down, or the session's own typed error).
     pub sessions_failed: u64,
+    /// Registration records held: sessions submitted whose verdict has
+    /// not been returned yet.
+    pub registrations_live: usize,
     /// Registrations sent to a remote owner over the control plane.
     pub registrations_forwarded: u64,
     /// Registrations re-placed after their owner died, plus handoffs
@@ -210,6 +216,8 @@ struct Registration {
     /// before admitting it.
     origin: usize,
     admission: Admission,
+    /// Whether some owner admitted it: counted in `sessions_started`.
+    started: bool,
     locals: Vec<Dataset>,
     config: SapConfig,
 }
@@ -240,14 +248,19 @@ struct Shared {
     /// (`submit_via`).
     settled: Condvar,
     verdict_wait: Duration,
+    started: AtomicU64,
+    completed: AtomicU64,
+    failed: AtomicU64,
     regs_forwarded: AtomicU64,
     regs_replaced: AtomicU64,
     deaths: AtomicU64,
 }
 
 impl Shared {
-    fn ring(&self) -> HashRing {
-        HashRing::from_members(self.alive.lock().iter().copied())
+    /// The alive node that owns `point`: [`placement::owner`] over the
+    /// current membership view.
+    fn owner_of_point(&self, point: u64) -> Option<usize> {
+        placement::owner(point, self.alive.lock().iter().copied())
     }
 
     /// Ids of the sessions whose registration matches `keep`.
@@ -290,7 +303,7 @@ impl FleetNode {
 }
 
 /// A sharded multi-node SAP service: N server nodes, one placement
-/// ring, one membership plane. See the crate docs for the moving parts.
+/// function, one membership plane. See the crate docs for the moving parts.
 pub struct Fleet {
     shared: Arc<Shared>,
     /// `nodes[j]` is `None` once node `j` was killed or left; its husk
@@ -331,6 +344,9 @@ impl Fleet {
             sessions: Mutex::new(HashMap::new()),
             settled: Condvar::new(),
             verdict_wait: budget,
+            started: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            failed: AtomicU64::new(0),
             regs_forwarded: AtomicU64::new(0),
             regs_replaced: AtomicU64::new(0),
             deaths: AtomicU64::new(0),
@@ -385,13 +401,13 @@ impl Fleet {
 
     /// The node owning `id` under the current membership view.
     pub fn owner_of(&self, id: SessionId) -> Option<usize> {
-        self.shared.ring().owner_of(id)
+        self.shared.owner_of_point(session_point(id))
     }
 
     /// The node that admitted `id`, or `None` while its registration is
     /// still un-acked, after [`Fleet::wait`] returned its verdict, or for
     /// an unknown id. Unlike [`Fleet::owner_of`], this is where the
-    /// session actually runs, not where the ring would put it.
+    /// session actually runs, not where placement would put it now.
     pub fn placement(&self, id: SessionId) -> Option<usize> {
         let sessions = self.shared.sessions.lock();
         let r = sessions.get(&id.0)?;
@@ -425,7 +441,7 @@ impl Fleet {
     }
 
     /// Submits a session through a **chosen** gateway node. The gateway
-    /// mints the id (from its residue class), hashes it onto the ring,
+    /// mints the id (from its residue class), computes its owner,
     /// and either admits locally (it owns the session) or sends the
     /// sealed registration straight to the owner and returns at its
     /// verdict (one liveness budget at most), so no later session can
@@ -434,7 +450,7 @@ impl Fleet {
     /// # Errors
     ///
     /// [`FleetError::NodeDown`] for a dead gateway, [`FleetError::NoNodes`]
-    /// on an empty ring, [`FleetError::Server`] for local admission
+    /// when no node is alive, [`FleetError::Server`] for local admission
     /// failures, [`FleetError::Transport`] for control-plane send
     /// failures.
     pub fn submit_via(
@@ -448,7 +464,10 @@ impl Fleet {
             return Err(FleetError::NodeDown(gateway));
         }
         let id = node.server.mint_session_id();
-        let owner = self.shared.ring().owner_of(id).ok_or(FleetError::NoNodes)?;
+        let owner = self
+            .shared
+            .owner_of_point(session_point(id))
+            .ok_or(FleetError::NoNodes)?;
         let local = owner == gateway;
         let record = Registration {
             owner,
@@ -458,6 +477,7 @@ impl Fleet {
             } else {
                 Admission::Unacked
             },
+            started: local,
             locals,
             config: config.clone(),
         };
@@ -466,6 +486,7 @@ impl Fleet {
                 .submit_placed(id, record.locals.clone(), config)
                 .map_err(FleetError::Server)?;
             self.shared.sessions.lock().insert(id.0, record);
+            self.shared.started.fetch_add(1, Ordering::Relaxed);
             return Ok(id);
         }
         // The record goes in before the send: the owner settles it.
@@ -499,9 +520,10 @@ impl Fleet {
     /// re-placed instead (see [`Fleet::kill`]); from then on this
     /// reports the re-run's own outcome, not `NodeDown`.
     ///
-    /// The verdict (the outcome or the session's own error) is returned
-    /// once: the session then leaves the fleet, and a later call returns
-    /// [`FleetError::UnknownSession`].
+    /// The verdict (the outcome, the session's own error, a rejection or
+    /// `NodeDown`) is returned once: the session then leaves the fleet,
+    /// and a later call returns [`FleetError::UnknownSession`]. A
+    /// [`FleetError::Timeout`] is not a verdict: the session stays.
     ///
     /// # Errors
     ///
@@ -522,70 +544,76 @@ impl Fleet {
                 let r = sessions.get(&id.0).ok_or(FleetError::UnknownSession(id))?;
                 (r.owner, r.origin, r.admission.clone())
             };
-            match admission {
-                Admission::Rejected(reason) => {
-                    self.shared.sessions.lock().remove(&id.0);
-                    return Err(FleetError::Rejected {
-                        session: id,
-                        reason,
-                    });
-                }
+            // `None`: no verdict yet.
+            let verdict = match &admission {
+                Admission::Rejected(reason) => Some(Err(FleetError::Rejected {
+                    session: id,
+                    reason: reason.clone(),
+                })),
                 // Un-acked: re-placeable, unless its origin died too.
                 Admission::Unacked => {
-                    let dead = self.shared.dead.lock();
-                    if dead.contains(&owner) && dead.contains(&origin) {
-                        return Err(FleetError::NodeDown(owner));
+                    let lost = {
+                        let dead = self.shared.dead.lock();
+                        dead.contains(&owner) && dead.contains(&origin)
+                    };
+                    if !lost {
+                        std::thread::sleep(Duration::from_millis(5));
                     }
-                    drop(dead);
-                    if expired(&deadline) {
-                        return Err(FleetError::Timeout(id));
+                    lost.then_some(Err(FleetError::NodeDown(owner)))
+                }
+                // A killed owner (slot gone without a graceful leave) fails
+                // the session fast with the typed fleet error.
+                Admission::Admitted
+                    if self.node(owner).is_none()
+                        && !self.shared.leaving.lock().contains(&owner) =>
+                {
+                    Some(Err(FleetError::NodeDown(owner)))
+                }
+                Admission::Admitted => match self.node_or_husk(owner) {
+                    // A leaver between giving up its slot and becoming a
+                    // husk: its records move, or its husk appears, shortly.
+                    None => {
+                        std::thread::sleep(Duration::from_millis(5));
+                        None
                     }
-                    std::thread::sleep(Duration::from_millis(5));
-                    continue;
-                }
-                Admission::Admitted => {}
-            }
-            // A killed owner (slot gone without a graceful leave) fails
-            // the session fast with the typed fleet error.
-            if self.node(owner).is_none() && !self.shared.leaving.lock().contains(&owner) {
-                return Err(FleetError::NodeDown(owner));
-            }
-            let Some(node) = self.node_or_husk(owner) else {
-                return Err(FleetError::NodeDown(owner));
+                    // Wait in slices so ownership handoffs mid-wait are
+                    // picked up from the moved record instead of blocking
+                    // forever on the old node.
+                    Some(node) => {
+                        let slice = deadline.map_or(Duration::from_millis(100), |d| {
+                            d.saturating_duration_since(Instant::now())
+                                .min(Duration::from_millis(100))
+                        });
+                        match node.server.wait(id, Some(slice)) {
+                            Err(ServerError::Session(SapError::Timeout {
+                                phase: "session harvest",
+                                ..
+                            })) => None,
+                            verdict => Some(verdict.map_err(FleetError::Server)),
+                        }
+                    }
+                },
             };
-            // Wait in slices so ownership handoffs mid-wait are picked
-            // up from the moved record instead of blocking forever on
-            // the old node.
-            let slice = match deadline {
-                Some(d) => d
-                    .saturating_duration_since(Instant::now())
-                    .min(Duration::from_millis(100)),
-                None => Duration::from_millis(100),
-            };
-            let verdict = node.server.wait(id, Some(slice));
-            if let Err(ServerError::Session(SapError::Timeout {
-                phase: "session harvest",
-                ..
-            })) = verdict
-            {
-                if expired(&deadline) {
-                    return Err(FleetError::Timeout(id));
+            // The verdict stands only while the record is unchanged. A
+            // leaver moves the record before it aborts its copy, so an
+            // abort (or an unknown id) harvested here after a handoff is
+            // followed to the new owner; an un-acked record an adopter
+            // re-placed meanwhile is followed to its re-run.
+            if let Some(verdict) = verdict {
+                let mut sessions = self.shared.sessions.lock();
+                let unchanged = sessions.get(&id.0).is_some_and(|r| {
+                    (r.owner, r.origin, &r.admission) == (owner, origin, &admission)
+                });
+                if unchanged {
+                    sessions.remove(&id.0);
+                    let counter = match verdict {
+                        Ok(_) => &self.shared.completed,
+                        Err(_) => &self.shared.failed,
+                    };
+                    counter.fetch_add(1, Ordering::Relaxed);
+                    return verdict;
                 }
-                continue;
             }
-            // The verdict stands only while the record still places the
-            // session at `owner`. A leaver moves the record before it
-            // aborts its copy, so an abort (or an unknown id) harvested
-            // here after a handoff is followed to the new owner.
-            let mut sessions = self.shared.sessions.lock();
-            let here = sessions
-                .get(&id.0)
-                .is_some_and(|r| r.owner == owner && r.admission == Admission::Admitted);
-            if here {
-                sessions.remove(&id.0);
-                return verdict.map_err(FleetError::Server);
-            }
-            drop(sessions);
             if expired(&deadline) {
                 return Err(FleetError::Timeout(id));
             }
@@ -667,7 +695,7 @@ impl Fleet {
             if !matches!(node.server.poll(id), Ok(SessionStatus::Running { .. })) {
                 continue;
             }
-            let Some(owner) = self.shared.ring().owner_of(id) else {
+            let Some(owner) = self.shared.owner_of_point(session_point(id)) else {
                 break;
             };
             // The record moves before the abort, so a concurrent
@@ -695,31 +723,20 @@ impl Fleet {
         Ok(handed)
     }
 
-    /// Aggregated fleet counters.
+    /// Fleet counters.
     pub fn metrics(&self) -> FleetMetrics {
-        let mut m = FleetMetrics {
+        let shared = &self.shared;
+        FleetMetrics {
             nodes_alive: self.alive().len(),
-            node_deaths_detected: self.shared.deaths.load(Ordering::Relaxed),
-            registrations_forwarded: self.shared.regs_forwarded.load(Ordering::Relaxed),
-            registrations_replaced: self.shared.regs_replaced.load(Ordering::Relaxed),
-            ..FleetMetrics::default()
-        };
-        let nodes: Vec<Arc<FleetNode>> = {
-            let live = self.nodes.lock();
-            let husks = self.husks.lock();
-            live.iter()
-                .flatten()
-                .cloned()
-                .chain(husks.values().cloned())
-                .collect()
-        };
-        for node in nodes {
-            let s = node.server.metrics();
-            m.sessions_started += s.sessions_started;
-            m.sessions_completed += s.sessions_completed;
-            m.sessions_failed += s.sessions_failed;
+            node_deaths_detected: shared.deaths.load(Ordering::Relaxed),
+            sessions_started: shared.started.load(Ordering::Relaxed),
+            sessions_completed: shared.completed.load(Ordering::Relaxed),
+            sessions_failed: shared.failed.load(Ordering::Relaxed),
+            registrations_live: shared.sessions.lock().len(),
+            registrations_forwarded: shared.regs_forwarded.load(Ordering::Relaxed),
+            registrations_replaced: shared.regs_replaced.load(Ordering::Relaxed),
+            frames_forwarded: 0,
         }
-        m
     }
 }
 
@@ -825,6 +842,10 @@ fn handle_msg(node: &FleetNode, shared: &Shared, msg: FleetMsg) {
             // dies after sending can never strand an admitted session.
             if let Some(r) = shared.sessions.lock().get_mut(&session) {
                 r.owner = node.index;
+                if admission == Admission::Admitted && !r.started {
+                    r.started = true;
+                    shared.started.fetch_add(1, Ordering::Relaxed);
+                }
                 r.admission = admission;
             }
             shared.settled.notify_all();
@@ -854,19 +875,19 @@ fn on_peer_down(node: &FleetNode, shared: &Shared, peer: PartyId) {
     // double-execute:
     // * those this node sent to the dead owner and never got acked;
     // * those the dead node *originated* whose verdict never settled.
-    //   The dead node's ring successor adopts them — every survivor
-    //   computes the same adopter, so exactly one node takes them over.
+    //   The owner of the dead node's own point adopts them — every
+    //   survivor computes the same adopter, so exactly one node takes
+    //   them over.
     //   An admitted registration was settled at the verdict; a
     //   duplicate Register racing a slow original is absorbed by the
     //   owner as `DuplicateSession`.
-    let ring = shared.ring();
-    let adopter = ring.owner_of_point(ring::node_point(d)) == Some(node.index);
+    let adopter = shared.owner_of_point(node_point(d)) == Some(node.index);
     let orphans = shared.sessions_where(|r| {
         r.admission == Admission::Unacked
             && ((r.owner == d && r.origin == node.index) || (adopter && r.origin == d))
     });
     for session in orphans {
-        let Some(owner) = shared.ring().owner_of(SessionId(session)) else {
+        let Some(owner) = shared.owner_of_point(session_point(SessionId(session))) else {
             continue;
         };
         let msg = {

@@ -452,8 +452,8 @@ impl<T: Transport + 'static> SapServer<T> {
     }
 
     /// [`SapServer::submit`] under a **caller-chosen** session id — the
-    /// fleet's placement path, where the id was minted (and hashed onto
-    /// the placement ring) before the owning node was even known. The
+    /// fleet's placement path, where the id was minted (and placed by
+    /// its hash) before the owning node was even known. The
     /// id must come from a fleet-unique minter
     /// ([`sap_core::placement::IdMinter`]); reserved ids and ids already
     /// registered here are refused.

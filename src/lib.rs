@@ -23,7 +23,7 @@
 //!   runtime.
 //! * [`server`] — the concurrent SAP service: session registry, admission
 //!   control, metrics.
-//! * [`fleet`] — the sharded multi-node service: hash-ring placement,
+//! * [`fleet`] — the sharded multi-node service: rendezvous-hashing placement,
 //!   node membership on the liveness plane, cross-node forwarding.
 //!
 //! ## One-minute tour

@@ -6,15 +6,19 @@
 //! must hand its unfinished sessions to the new owners, a dead node
 //! must not swallow registrations meant for other nodes, and an owner
 //! admits sessions in the order they were submitted.
+//!
+//! Placement decides which node owns an id, so a test that needs a
+//! session at a chosen owner computes it with [`Fleet::owner_of`] and
+//! never hard-codes it.
 
 use sap_repro::core::session::{run_session, SapConfig};
 use sap_repro::datasets::normalize::min_max_normalize;
 use sap_repro::datasets::partition::{partition, PartitionScheme};
 use sap_repro::datasets::registry::UciDataset;
 use sap_repro::datasets::Dataset;
-use sap_repro::fleet::ring::node_point;
 use sap_repro::fleet::{Fleet, FleetConfig, FleetError};
 use sap_repro::net::sim::FaultConfig;
+use sap_repro::net::SessionId;
 use sap_repro::server::ServerConfig;
 use std::time::{Duration, Instant};
 
@@ -47,6 +51,34 @@ fn quick_fleet(nodes: usize, k: usize) -> Fleet {
 
 const WAIT: Option<Duration> = Some(Duration::from_secs(300));
 
+/// The id that gateway `gateway` of a fresh `nodes`-node fleet mints for
+/// its `k`-th submission: node `j` mints `j + 1, j + 1 + nodes, …`
+/// (`IdMinter` residue classes).
+fn minted(gateway: usize, k: u64, nodes: usize) -> SessionId {
+    SessionId(gateway as u64 + 1 + k * nodes as u64)
+}
+
+/// How many ids gateway `gateway` of a fresh fleet mints before one
+/// that placement gives `owner`.
+fn ids_before_owned(fleet: &Fleet, gateway: usize, owner: usize) -> u64 {
+    let nodes = fleet.alive().len();
+    (0..64)
+        .find(|&k| fleet.owner_of(minted(gateway, k, nodes)) == Some(owner))
+        .expect("placement gives every node some of a gateway's ids")
+}
+
+/// Runs `count` filler sessions through `gateway`, each to its
+/// verdict, so that the gateway's next id is the one a test wants.
+fn run_fillers(fleet: &Fleet, gateway: usize, count: u64, k: usize) {
+    for i in 0..count {
+        let seed = 1500 + i;
+        let id = fleet
+            .submit_via(gateway, session_locals(seed, k), &session_config(seed))
+            .expect("admit filler");
+        fleet.wait(id, WAIT).expect("filler completes");
+    }
+}
+
 /// The tentpole equivalence: sessions submitted through every gateway of
 /// a 3-node fleet — some owned by their gateway, some forwarded to
 /// another node — all complete byte-identical to their solo-run equivalents.
@@ -55,19 +87,32 @@ fn sessions_complete_identically_via_any_gateway() {
     let k = 3;
     let fleet = quick_fleet(3, k);
 
+    // Round-robin over the gateways, at least twice round, until both
+    // paths have run: placement decides which ids their gateways own.
     let mut submissions = Vec::new();
-    for gateway in 0..3usize {
-        for i in 0..2u64 {
-            let seed = 100 + 10 * gateway as u64 + i;
+    let (mut direct, mut forwarded) = (0u32, 0u32);
+    'rounds: for round in 0..4u64 {
+        for gateway in 0..3usize {
+            if round >= 2 && direct >= 1 && forwarded >= 1 {
+                break 'rounds;
+            }
+            let seed = 100 + 10 * gateway as u64 + round;
             let id = fleet
                 .submit_via(gateway, session_locals(seed, k), &session_config(seed))
                 .expect("admit via gateway");
+            if fleet.owner_of(id) == Some(gateway) {
+                direct += 1;
+            } else {
+                forwarded += 1;
+            }
             submissions.push((gateway, seed, id));
         }
     }
+    // Placement is deterministic (fixed minters, fixed membership), and
+    // this schedule exercises both paths.
+    assert!(direct >= 1, "no session was owned by its gateway");
+    assert!(forwarded >= 1, "no session was forwarded");
 
-    let mut direct = 0u32;
-    let mut forwarded = 0u32;
     for &(gateway, seed, id) in &submissions {
         let outcome = fleet.wait(id, WAIT).expect("fleet session completes");
         let solo = run_session(session_locals(seed, k), &session_config(seed))
@@ -78,16 +123,7 @@ fn sessions_complete_identically_via_any_gateway() {
              byte-identical to solo, owner or not"
         );
         assert_eq!(outcome.forwarder_of_slot, solo.forwarder_of_slot);
-        if fleet.owner_of(id) == Some(gateway) {
-            direct += 1;
-        } else {
-            forwarded += 1;
-        }
     }
-    // Placement is deterministic (fixed minters, fixed ring), and this
-    // schedule exercises both paths.
-    assert!(direct >= 1, "no session was owned by its gateway");
-    assert!(forwarded >= 1, "no session was forwarded");
 
     let m = fleet.metrics();
     assert_eq!(m.nodes_alive, 3);
@@ -198,7 +234,7 @@ fn killed_node_fails_fast_and_spares_siblings() {
     }
     assert_eq!(fleet.alive().len(), 2);
     assert!(fleet.metrics().node_deaths_detected >= 1);
-    // The repaired ring re-homes the dead node's arc.
+    // Repaired placement re-homes the dead node's sessions.
     assert_ne!(fleet.owner_of(doomed), Some(victim));
 }
 
@@ -207,7 +243,8 @@ fn killed_node_fails_fast_and_spares_siblings() {
 /// admitted as its own gateway, and one gateway 1 forwarded to it. Each
 /// send sleeps, so both are still running when `leave` is called, and
 /// the new owner re-runs both from the fleet's registration records.
-/// Both complete byte-identical to solo.
+/// Both complete byte-identical to solo, and each id counts once in
+/// `sessions_started`, however often it was handed off.
 #[test]
 fn graceful_leave_hands_sessions_over_and_all_complete() {
     let k = 3;
@@ -224,14 +261,22 @@ fn graceful_leave_hands_sessions_over_and_all_complete() {
         }),
         ..session_config(seed)
     };
-    // Fixed minters, fixed ring: node 0 owns the first id of each
-    // gateway. A forwarded submission returns once its owner admitted it.
-    let sessions: Vec<(u64, _)> = [(leaver, 910u64), (survivor, 911)]
+    // Fillers run first, so that each gateway's next id is one that
+    // placement gives the leaver. A forwarded submission returns once its
+    // owner admitted it.
+    let gateways = [(leaver, 910u64), (survivor, 911)];
+    let skips = gateways.map(|(gateway, _)| ids_before_owned(&fleet, gateway, leaver));
+    for (&(gateway, _), &skip) in gateways.iter().zip(&skips) {
+        run_fillers(&fleet, gateway, skip, k);
+    }
+    let sessions: Vec<(u64, _)> = gateways
         .into_iter()
-        .map(|(gateway, seed)| {
+        .zip(skips)
+        .map(|((gateway, seed), skip)| {
             let id = fleet
                 .submit_via(gateway, session_locals(seed, k), &slow(seed))
                 .expect("admit slow session");
+            assert_eq!(id, minted(gateway, skip, 2), "seed {seed}");
             assert_eq!(fleet.placement(id), Some(leaver), "seed {seed}");
             (seed, id)
         })
@@ -265,29 +310,37 @@ fn graceful_leave_hands_sessions_over_and_all_complete() {
     let m = fleet.metrics();
     assert_eq!(m.node_deaths_detected, 0);
     assert_eq!(m.registrations_replaced, 2);
+    // Each id counts once: the fillers and the two sessions, not once
+    // more per handoff. No record outlives its verdict.
+    assert_eq!(m.sessions_started, skips.iter().sum::<u64>() + 2);
+    assert_eq!(m.registrations_live, 0);
 }
 
 /// Registrations keep reaching their owners while a killed node is
-/// still in the membership view. Gateway 0's ring successor is killed
+/// still in the membership view. A node other than gateway 0 is killed
 /// and, before the survivors detect the death, six sessions enter
 /// through gateway 0. Those owned by the third node go straight to it
-/// rather than through the dead successor, those owned by the dead node
-/// are re-placed once its death is detected, and every one completes
+/// rather than through the dead node, those owned by the dead node are
+/// re-placed once its death is detected, and every one completes
 /// byte-identical to solo.
 #[test]
 fn registrations_bypass_a_dead_ring_successor() {
     let k = 3;
     let fleet = quick_fleet(3, k);
 
-    let mut order: Vec<usize> = (0..3).collect();
-    order.sort_by_key(|&j| node_point(j));
-    let at = order
-        .iter()
-        .position(|&j| j == 0)
-        .expect("gateway 0 is on the ring");
-    let successor = order[(at + 1) % 3];
-    let third = order[(at + 2) % 3];
-    fleet.kill(successor).expect("kill gateway 0's successor");
+    // The third node is the one that owns more of gateway 0's next six
+    // ids; the other is killed. Only the dead node's ids move, so the
+    // third node owns the same ids before and after the death is seen.
+    let owned_of_six = |j: usize| {
+        (0..6)
+            .filter(|&i| fleet.owner_of(minted(0, i, 3)) == Some(j))
+            .count()
+    };
+    let third = (1..3).max_by_key(|&j| owned_of_six(j)).expect("two nodes");
+    let victim = 3 - third;
+    fleet
+        .kill(victim)
+        .expect("kill a node other than gateway 0");
 
     let ids: Vec<(u64, _)> = (0..6u64)
         .map(|i| {
@@ -300,7 +353,7 @@ fn registrations_bypass_a_dead_ring_successor() {
         .collect();
     assert!(
         ids.iter().any(|&(_, id)| fleet.owner_of(id) == Some(third)),
-        "no session is owned by node {third}, so none would have crossed node {successor}"
+        "no session is owned by node {third}, so none would have crossed node {victim}"
     );
 
     for &(seed, id) in &ids {
@@ -325,10 +378,15 @@ fn owner_admits_in_submission_order_across_gateways() {
     let k = 3;
     let fleet = quick_fleet(2, k);
 
+    // Fillers run first, so that both gateways' next ids are ones that
+    // placement gives node 0.
+    for gateway in [1, 0] {
+        let skip = ids_before_owned(&fleet, gateway, 0);
+        run_fillers(&fleet, gateway, skip, k);
+    }
     let first = fleet
         .submit_via(1, session_locals(1300, k), &session_config(1300))
         .expect("admit via gateway 1");
-    // Fixed minters, fixed ring: the first is forwarded to node 0.
     assert_eq!(fleet.owner_of(first), Some(0), "first must be forwarded");
     assert_eq!(
         fleet.placement(first),
@@ -368,6 +426,51 @@ fn waited_session_leaves_the_fleet() {
             other => panic!("seed {seed}: second wait returned {other:?}"),
         }
     }
+}
+
+/// `NodeDown` is a verdict too: the session of a killed owner leaves the
+/// fleet with it, and its record is not kept.
+#[test]
+fn node_down_verdict_leaves_the_fleet() {
+    let k = 3;
+    let fleet = quick_fleet(2, k);
+    // Total packet loss with a long protocol timeout: only the kill can
+    // end this session.
+    let doomed_config = SapConfig {
+        fault_config: Some(FaultConfig {
+            drop_prob: 1.0,
+            ..FaultConfig::default()
+        }),
+        timeout: Duration::from_secs(60),
+        ..session_config(1600)
+    };
+    let id = fleet
+        .submit_via(0, session_locals(1600, k), &doomed_config)
+        .expect("admit doomed session");
+    // A local submission is admitted at once, a forwarded one by the
+    // time `submit_via` returns; wait for it all the same.
+    let admit_deadline = Instant::now() + Duration::from_secs(5);
+    let victim = loop {
+        if let Some(owner) = fleet.placement(id) {
+            break owner;
+        }
+        assert!(Instant::now() < admit_deadline, "never admitted");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    fleet.kill(victim).expect("kill the owner");
+
+    match fleet.wait(id, WAIT) {
+        Err(FleetError::NodeDown(n)) => assert_eq!(n, victim),
+        other => panic!("first wait returned {other:?}"),
+    }
+    match fleet.wait(id, WAIT) {
+        Err(FleetError::UnknownSession(got)) => assert_eq!(got, id),
+        other => panic!("second wait returned {other:?}"),
+    }
+    assert_eq!(fleet.placement(id), None, "placement kept after NodeDown");
+    let m = fleet.metrics();
+    assert_eq!(m.registrations_live, 0);
+    assert_eq!((m.sessions_started, m.sessions_failed), (1, 1));
 }
 
 /// Liveness clocks start when the fleet is built: a node killed right
