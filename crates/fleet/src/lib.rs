@@ -233,6 +233,7 @@ impl Registration {
 }
 
 /// State shared by every node's service thread and the fleet handle.
+#[derive(Default)]
 struct Shared {
     secret: u64,
     alive: Mutex<BTreeSet<usize>>,
@@ -339,17 +340,8 @@ impl Fleet {
         let shared = Arc::new(Shared {
             secret: config.fleet_secret,
             alive: Mutex::new((0..n).collect()),
-            dead: Mutex::new(BTreeSet::new()),
-            leaving: Mutex::new(BTreeSet::new()),
-            sessions: Mutex::new(HashMap::new()),
-            settled: Condvar::new(),
             verdict_wait: budget,
-            started: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            regs_forwarded: AtomicU64::new(0),
-            regs_replaced: AtomicU64::new(0),
-            deaths: AtomicU64::new(0),
+            ..Shared::default()
         });
         let mut nodes = Vec::with_capacity(n);
         let mut services = Vec::with_capacity(n);
@@ -905,5 +897,54 @@ fn on_peer_down(node: &FleetNode, shared: &Shared, peer: PartyId) {
             let _ = node.route_send(shared, owner, &msg);
         }
         shared.regs_replaced.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Placement over the fleet's membership view: [`Shared::owner_of_point`]
+/// as the alive set changes. The ids' points lie on the 64-bit ring of
+/// [`placement::ring_point`].
+#[cfg(test)]
+mod ring {
+    mod tests {
+        use super::super::*;
+
+        fn four_alive() -> Shared {
+            Shared {
+                alive: Mutex::new((0..4).collect()),
+                ..Shared::default()
+            }
+        }
+
+        fn owner(shared: &Shared, raw: u64) -> Option<usize> {
+            shared.owner_of_point(session_point(SessionId(raw)))
+        }
+
+        #[test]
+        fn ownership_is_total_and_stable() {
+            let shared = four_alive();
+            for raw in 1..200u64 {
+                let owner_now = owner(&shared, raw).unwrap();
+                assert!(owner_now < 4);
+                // Same id, same owner, every time.
+                assert_eq!(owner(&shared, raw), Some(owner_now));
+            }
+        }
+
+        #[test]
+        fn removal_only_moves_the_removed_nodes_keys() {
+            let shared = four_alive();
+            let before: Vec<usize> = (1..500u64)
+                .map(|raw| owner(&shared, raw).unwrap())
+                .collect();
+            shared.alive.lock().remove(&2);
+            for (raw, before) in (1..500u64).zip(before) {
+                let after = owner(&shared, raw).unwrap();
+                if before != 2 {
+                    assert_eq!(before, after, "id {raw} moved without cause");
+                } else {
+                    assert_ne!(after, 2);
+                }
+            }
+        }
     }
 }

@@ -1,12 +1,13 @@
 //! Property tests for fleet placement ([`owner`], rendezvous hashing):
-//! the owner is a pure function of the id and the member set, a crash
-//! re-homes only the dead node's sessions, every survivor names the same
-//! alive adopter for a dead node, and each node owns an even share.
+//! the owner is the highest-weight member by a linear scan, a pure
+//! function of the id and the member set, a crash re-homes only the dead
+//! node's sessions, every survivor names the same alive adopter for a
+//! dead node, and each node owns an even share.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use sap_repro::core::placement::{node_point, owner, session_point};
+use sap_repro::core::placement::{node_point, owner, ring_point, session_point};
 use sap_repro::net::SessionId;
 
 proptest! {
@@ -30,6 +31,20 @@ proptest! {
         }
     }
 
+    /// For any member subset of `0..16` and any session id, the owner is
+    /// the linear scan's: the member with the highest weight
+    /// `ring_point(session_point(id) ^ node_point(n))`, the lower index
+    /// on a tie.
+    #[test]
+    fn ring_owner_matches_a_linear_scan(mask in any::<u16>(), seed in any::<u64>()) {
+        let members: Vec<usize> = (0..16).filter(|j| mask & (1 << j) != 0).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..64 {
+            let point = session_point(SessionId(rng.random_range(0..u64::MAX)));
+            prop_assert_eq!(owner(point, members.iter().copied()), scan_owner(&members, point));
+        }
+    }
+
     /// Crashing a node only re-homes the sessions it owned.
     #[test]
     fn crash_only_moves_the_dead_nodes_keys(seed in any::<u64>(), n in 3usize..=8) {
@@ -48,6 +63,19 @@ proptest! {
             }
         }
     }
+}
+
+/// The owner by a plain scan over `members` (ascending): a later member
+/// replaces the best so far only with a strictly higher weight.
+fn scan_owner(members: &[usize], point: u64) -> Option<usize> {
+    let mut best: Option<(usize, u64)> = None;
+    for &n in members {
+        let weight = ring_point(point ^ node_point(n));
+        if best.is_none_or(|(_, w)| weight > w) {
+            best = Some((n, weight));
+        }
+    }
+    best.map(|(n, _)| n)
 }
 
 /// The adopter of a dead node's un-acked registrations is the owner of
