@@ -12,10 +12,10 @@
 //!   "linear classifiers are rotation-invariant" claim refers to.
 //!
 //! All three implement the common [`Model`] trait so the protocol and
-//! benchmark code can treat them interchangeably. Evaluation helpers
-//! (accuracy, confusion matrices, cross-validation) live in [`metrics`] and
-//! [`crossval`]; the O(n·log k) bounded-heap selection kernel behind KNN's
-//! neighbour scan lives in [`topk`].
+//! benchmark code can treat them interchangeably. The evaluation helpers
+//! (accuracy and the paper's accuracy deviation) live in [`metrics`]; the
+//! O(n·log k) bounded-heap selection kernel behind KNN's neighbour scan
+//! lives in [`topk`].
 //!
 //! # Why these classifiers?
 //!
@@ -28,7 +28,6 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod crossval;
 pub mod knn;
 pub mod metrics;
 pub mod perceptron;

@@ -23,69 +23,6 @@ pub fn accuracy_deviation(perturbed: f64, baseline: f64) -> f64 {
     100.0 * (perturbed - baseline)
 }
 
-/// A `k × k` confusion matrix: `counts[t][p]` is the number of records of
-/// true class `t` predicted as `p`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    counts: Vec<Vec<usize>>,
-}
-
-impl ConfusionMatrix {
-    /// Builds the matrix from parallel prediction/truth slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics when lengths differ, inputs are empty, or a label is
-    /// `>= num_classes`.
-    pub fn new(predictions: &[usize], truth: &[usize], num_classes: usize) -> Self {
-        assert_eq!(predictions.len(), truth.len(), "length mismatch");
-        assert!(!truth.is_empty(), "empty evaluation set");
-        let mut counts = vec![vec![0usize; num_classes]; num_classes];
-        for (&p, &t) in predictions.iter().zip(truth) {
-            assert!(p < num_classes && t < num_classes, "label out of range");
-            counts[t][p] += 1;
-        }
-        ConfusionMatrix { counts }
-    }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Count of true class `t` predicted as `p`.
-    pub fn count(&self, t: usize, p: usize) -> usize {
-        self.counts[t][p]
-    }
-
-    /// Overall accuracy from the diagonal.
-    pub fn accuracy(&self) -> f64 {
-        let total: usize = self.counts.iter().map(|r| r.iter().sum::<usize>()).sum();
-        let diag: usize = (0..self.num_classes()).map(|i| self.counts[i][i]).sum();
-        diag as f64 / total as f64
-    }
-
-    /// Recall of class `t` (`None` when the class has no true records).
-    pub fn recall(&self, t: usize) -> Option<f64> {
-        let row: usize = self.counts[t].iter().sum();
-        if row == 0 {
-            None
-        } else {
-            Some(self.counts[t][t] as f64 / row as f64)
-        }
-    }
-
-    /// Precision of class `p` (`None` when nothing was predicted as `p`).
-    pub fn precision(&self, p: usize) -> Option<f64> {
-        let col: usize = (0..self.num_classes()).map(|t| self.counts[t][p]).sum();
-        if col == 0 {
-            None
-        } else {
-            Some(self.counts[p][p] as f64 / col as f64)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,40 +40,8 @@ mod tests {
     }
 
     #[test]
-    fn confusion_matrix_counts() {
-        let cm = ConfusionMatrix::new(&[0, 1, 1, 0], &[0, 1, 0, 0], 2);
-        assert_eq!(cm.count(0, 0), 2);
-        assert_eq!(cm.count(0, 1), 1);
-        assert_eq!(cm.count(1, 1), 1);
-        assert_eq!(cm.count(1, 0), 0);
-        assert!((cm.accuracy() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn recall_precision() {
-        let cm = ConfusionMatrix::new(&[0, 1, 1, 0], &[0, 1, 0, 0], 2);
-        assert!((cm.recall(0).unwrap() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(cm.recall(1), Some(1.0));
-        assert_eq!(cm.precision(0), Some(1.0));
-        assert!((cm.precision(1).unwrap() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn absent_class_is_none() {
-        let cm = ConfusionMatrix::new(&[0, 0], &[0, 0], 3);
-        assert_eq!(cm.recall(2), None);
-        assert_eq!(cm.precision(2), None);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
         let _ = accuracy(&[0], &[0, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "label out of range")]
-    fn out_of_range_label_panics() {
-        let _ = ConfusionMatrix::new(&[5], &[0], 2);
     }
 }

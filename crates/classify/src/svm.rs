@@ -164,16 +164,6 @@ impl SvmClassifier {
             fallback,
         }
     }
-
-    /// Number of binary machines in the ensemble.
-    pub fn num_machines(&self) -> usize {
-        self.machines.len()
-    }
-
-    /// Total number of support vectors across the ensemble.
-    pub fn num_support_vectors(&self) -> usize {
-        self.machines.iter().map(|m| m.support.len()).sum()
-    }
 }
 
 impl Model for SvmClassifier {
@@ -349,8 +339,8 @@ mod tests {
         let svm = SvmClassifier::fit(&data, &SvmConfig::default());
         let acc = svm.accuracy(&data);
         assert!(acc > 0.95, "separable accuracy {acc}");
-        assert_eq!(svm.num_machines(), 1);
-        assert!(svm.num_support_vectors() >= 2);
+        assert_eq!(svm.machines.len(), 1);
+        assert!(svm.machines[0].support.len() >= 2);
     }
 
     #[test]
@@ -404,7 +394,7 @@ mod tests {
         let data = UciDataset::Iris.generate(1);
         let tt = stratified_split(&data, 0.7, 3);
         let svm = SvmClassifier::fit(&tt.train, &SvmConfig::rbf_for_dim(data.dim()));
-        assert_eq!(svm.num_machines(), 3); // 3 choose 2
+        assert_eq!(svm.machines.len(), 3); // 3 choose 2
         let acc = svm.accuracy(&tt.test);
         assert!(acc > 0.85, "iris-like accuracy {acc}");
     }
@@ -413,7 +403,7 @@ mod tests {
     fn single_class_degenerates_gracefully() {
         let data = Dataset::with_num_classes(vec![vec![1.0], vec![2.0]], vec![1, 1], 3);
         let svm = SvmClassifier::fit(&data, &SvmConfig::default());
-        assert_eq!(svm.num_machines(), 0);
+        assert_eq!(svm.machines.len(), 0);
         assert_eq!(svm.predict(&[5.0]), 1);
     }
 

@@ -108,20 +108,6 @@ impl AuditLog {
             .any(|e| e.to == party && e.carries_parameters)
     }
 
-    /// The distinct senders from which `party` received messages of `kind`.
-    pub fn senders_of(&self, party: PartyId, kind: &str) -> Vec<PartyId> {
-        let mut v: Vec<PartyId> = self
-            .events
-            .lock()
-            .iter()
-            .filter(|e| e.to == party && e.kind == kind)
-            .map(|e| e.from)
-            .collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-
     /// Verifies SAP's core information-flow invariants for a finished
     /// session; returns a description of the first violation, if any.
     ///
@@ -176,10 +162,14 @@ mod tests {
         assert_eq!(log.len(), 1);
         assert!(log.party_saw_data(PartyId(2)));
         assert!(!log.party_saw_data(PartyId(1)));
-        assert_eq!(
-            log.senders_of(PartyId(2), "perturbed-data"),
-            vec![PartyId(1)]
-        );
+        let senders: Vec<PartyId> = log
+            .events
+            .lock()
+            .iter()
+            .filter(|e| e.to == PartyId(2) && e.kind == "perturbed-data")
+            .map(|e| e.from)
+            .collect();
+        assert_eq!(senders, vec![PartyId(1)]);
         log.record(
             PartyId(3),
             PartyId(1),

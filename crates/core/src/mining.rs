@@ -12,7 +12,6 @@
 //!   perturbation `G_t` and maps raw records into the unified space before
 //!   querying the service (the service never sees raw records).
 
-use crate::session::SapOutcome;
 use sap_classify::perceptron::{Perceptron, PerceptronConfig};
 use sap_classify::{KnnClassifier, Model, SvmClassifier, SvmConfig};
 use sap_datasets::Dataset;
@@ -38,7 +37,7 @@ pub struct MiningService {
 
 impl MiningService {
     /// Trains a model of `kind` on a unified dataset (typically
-    /// [`SapOutcome::unified`]).
+    /// [`crate::SapOutcome::unified`]).
     ///
     /// # Panics
     ///
@@ -58,11 +57,6 @@ impl MiningService {
             model,
             dim: unified.dim(),
         }
-    }
-
-    /// Convenience: trains directly from a session outcome.
-    pub fn from_outcome(outcome: &SapOutcome, kind: &ModelKind) -> Self {
-        Self::train(&outcome.unified, kind)
     }
 
     /// Feature dimensionality the service expects.
@@ -130,7 +124,7 @@ impl ClassificationClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{run_session, SapConfig};
+    use crate::session::{run_session, SapConfig, SapOutcome};
     use sap_datasets::normalize::min_max_normalize;
     use sap_datasets::partition::{partition, PartitionScheme};
     use sap_datasets::registry::UciDataset;
@@ -148,7 +142,7 @@ mod tests {
     #[test]
     fn end_to_end_query_flow_preserves_accuracy() {
         let (outcome, test, baseline) = outcome_and_test();
-        let service = MiningService::from_outcome(&outcome, &ModelKind::Knn(5));
+        let service = MiningService::train(&outcome.unified, &ModelKind::Knn(5));
         let client = ClassificationClient::new(outcome.target.clone());
         let acc = client.accuracy(&service, &test);
         assert!(
@@ -162,7 +156,7 @@ mod tests {
         let (outcome, test, _) = outcome_and_test();
         let client = ClassificationClient::new(outcome.target.clone());
         for kind in [ModelKind::Knn(3), ModelKind::SvmRbf, ModelKind::Perceptron] {
-            let service = MiningService::from_outcome(&outcome, &kind);
+            let service = MiningService::train(&outcome.unified, &kind);
             assert_eq!(service.dim(), test.dim());
             let pred = client.classify(&service, test.record(0));
             assert!(pred < test.num_classes());
@@ -189,7 +183,7 @@ mod tests {
     #[should_panic(expected = "dimensionality mismatch")]
     fn wrong_dim_query_panics() {
         let (outcome, _, _) = outcome_and_test();
-        let service = MiningService::from_outcome(&outcome, &ModelKind::Knn(3));
+        let service = MiningService::train(&outcome.unified, &ModelKind::Knn(3));
         let _ = service.classify_unified(&[0.0; 17]);
     }
 }

@@ -85,16 +85,6 @@ impl ExchangePlan {
         self.receiver_of.iter().filter(|&&r| r == receiver).count()
     }
 
-    /// Checks the structural invariants: the coordinator receives nothing
-    /// and every dataset has a receiver among the `k−1` others.
-    pub fn is_valid(&self) -> bool {
-        let k = self.k();
-        self.receiver_of
-            .iter()
-            .all(|&r| r < k && r != self.coordinator)
-            && self.incoming_count(self.coordinator) == 0
-    }
-
     /// The miner's-view source identifiability `1/(k−1)` this plan achieves.
     pub fn identifiability(&self) -> f64 {
         1.0 / (self.k() - 1) as f64
@@ -114,7 +104,13 @@ mod tests {
             for coord in 0..k {
                 for _ in 0..20 {
                     let plan = ExchangePlan::random(k, coord, &mut rng);
-                    assert!(plan.is_valid(), "invalid plan k={k} coord={coord}");
+                    // The coordinator receives nothing and every dataset
+                    // has a receiver among the `k−1` others.
+                    assert!(
+                        plan.receiver_of.iter().all(|&r| r < k && r != coord)
+                            && plan.incoming_count(coord) == 0,
+                        "invalid plan k={k} coord={coord}"
+                    );
                     assert_eq!(plan.k(), k);
                 }
             }

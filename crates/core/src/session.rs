@@ -249,11 +249,6 @@ pub struct OptimizerSummary {
 }
 
 impl SapOutcome {
-    /// Number of providers `k`.
-    pub fn num_providers(&self) -> usize {
-        self.reports.len()
-    }
-
     /// Aggregates every provider's optimizer telemetry.
     pub fn optimizer_summary(&self) -> OptimizerSummary {
         let mut s = OptimizerSummary::default();
@@ -264,29 +259,6 @@ impl SapOutcome {
             s.ica_applied += r.optimizer.ica_applied as u64;
         }
         s
-    }
-
-    /// Per-provider overall SAP risk (eq. 2 of the brief), using the
-    /// best **full-suite** guarantee the provider observed as the
-    /// empirical bound `b̂`: `rho_local` is by construction the maximum
-    /// full-suite score of the optimizer run, and `rho_unified` the
-    /// unified space's full-suite score. The optimizer's other
-    /// candidates are not folded in: most of them end with an upper bound
-    /// that no full evaluation measured, which would inflate `b̂`.
-    /// Degenerate runs (all-zero guarantees) yield risk `1.0`.
-    pub fn risk_summary(&self) -> Vec<f64> {
-        let k = self.num_providers();
-        self.reports
-            .iter()
-            .map(|r| {
-                let bound = r.rho_local.max(r.rho_unified);
-                if bound <= 1e-12 {
-                    1.0
-                } else {
-                    sap_privacy::risk::sap_risk(bound, r.rho_local, r.satisfaction, k)
-                }
-            })
-            .collect()
     }
 }
 
@@ -860,18 +832,6 @@ mod tests {
                 matches!(e, SapError::Protocol(_) | SapError::Timeout { .. }),
                 "unexpected failure mode: {e}"
             ),
-        }
-    }
-
-    #[test]
-    fn risk_summary_is_bounded_and_sized() {
-        let pooled = UciDataset::Iris.generate(7);
-        let locals = partition(&pooled, 4, PartitionScheme::Uniform, 8);
-        let outcome = run_session(locals, &SapConfig::quick_test()).unwrap();
-        let risks = outcome.risk_summary();
-        assert_eq!(risks.len(), outcome.num_providers());
-        for r in risks {
-            assert!((0.0..=1.0).contains(&r), "risk {r} out of [0,1]");
         }
     }
 

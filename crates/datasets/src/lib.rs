@@ -44,14 +44,12 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod csv;
 pub mod dataset;
 pub mod generator;
 pub mod normalize;
 pub mod partition;
 pub mod registry;
 pub mod split;
-pub mod stats;
 
 pub use dataset::{Dataset, DatasetError, Records};
 pub use registry::UciDataset;

@@ -69,27 +69,6 @@ impl Normalizer {
             .collect();
         Dataset::with_num_classes(records, data.labels().to_vec(), data.num_classes())
     }
-
-    /// Inverts the normalization of one record.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `record.len() != self.dim()`.
-    pub fn inverse_record(&self, record: &[f64]) -> Vec<f64> {
-        assert_eq!(record.len(), self.dim(), "record dim mismatch");
-        record
-            .iter()
-            .enumerate()
-            .map(|(j, &v)| {
-                let range = self.maxs[j] - self.mins[j];
-                if range > 0.0 {
-                    v * range + self.mins[j]
-                } else {
-                    self.mins[j]
-                }
-            })
-            .collect()
-    }
 }
 
 /// Fits on `data` and transforms it in one call.
@@ -137,16 +116,6 @@ mod tests {
         let t = n.transform_record(&[20.0, 40.0]);
         assert!((t[0] - 2.0).abs() < 1e-12);
         assert!((t[1] - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_roundtrips() {
-        let n = Normalizer::fit(&toy());
-        let rec = vec![7.0, 13.0];
-        let back = n.inverse_record(&n.transform_record(&rec));
-        for (a, b) in rec.iter().zip(&back) {
-            assert!((a - b).abs() < 1e-12);
-        }
     }
 
     #[test]

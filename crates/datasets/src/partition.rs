@@ -106,35 +106,35 @@ pub fn partition(data: &Dataset, k: usize, scheme: PartitionScheme, seed: u64) -
     parts
 }
 
-/// Measures how far a partition's local class distributions deviate from the
-/// pooled distribution: the mean total-variation distance across parts.
-/// `0` means perfectly uniform sampling; larger is more skewed.
-pub fn partition_skew(pooled: &Dataset, parts: &[Dataset]) -> f64 {
-    let n = pooled.len() as f64;
-    let global: Vec<f64> = pooled
-        .class_counts()
-        .iter()
-        .map(|&c| c as f64 / n)
-        .collect();
-    let mut total = 0.0;
-    for p in parts {
-        let pn = p.len() as f64;
-        let local: Vec<f64> = p.class_counts().iter().map(|&c| c as f64 / pn).collect();
-        let tv: f64 = global
-            .iter()
-            .zip(local.iter().chain(std::iter::repeat(&0.0)))
-            .map(|(g, l)| (g - l).abs())
-            .sum::<f64>()
-            / 2.0;
-        total += tv;
-    }
-    total / parts.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::UciDataset;
+
+    /// How far a partition's local class distributions deviate from the
+    /// pooled distribution: the mean total-variation distance across parts.
+    /// `0` means perfectly uniform sampling; larger is more skewed.
+    fn partition_skew(pooled: &Dataset, parts: &[Dataset]) -> f64 {
+        let n = pooled.len() as f64;
+        let global: Vec<f64> = pooled
+            .class_counts()
+            .iter()
+            .map(|&c| c as f64 / n)
+            .collect();
+        let mut total = 0.0;
+        for p in parts {
+            let pn = p.len() as f64;
+            let local: Vec<f64> = p.class_counts().iter().map(|&c| c as f64 / pn).collect();
+            let tv: f64 = global
+                .iter()
+                .zip(local.iter().chain(std::iter::repeat(&0.0)))
+                .map(|(g, l)| (g - l).abs())
+                .sum::<f64>()
+                / 2.0;
+            total += tv;
+        }
+        total / parts.len() as f64
+    }
 
     #[test]
     fn partition_is_exact_cover() {

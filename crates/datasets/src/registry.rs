@@ -82,14 +82,6 @@ impl UciDataset {
         }
     }
 
-    /// Parses a paper-style name (case-insensitive).
-    pub fn from_name(name: &str) -> Option<UciDataset> {
-        Self::ALL
-            .iter()
-            .copied()
-            .find(|d| d.name().eq_ignore_ascii_case(name))
-    }
-
     /// The mixture spec that generates this dataset's synthetic stand-in.
     pub fn spec(self) -> MixtureSpec {
         // (records, dim, weights, separation, binary)
@@ -180,15 +172,6 @@ mod tests {
         assert_eq!(UciDataset::Ecoli.spec().num_classes(), 8);
         assert_eq!(UciDataset::Shuttle.spec().num_classes(), 7);
         assert_eq!(UciDataset::Votes.spec().binary_features, 16);
-    }
-
-    #[test]
-    fn names_roundtrip() {
-        for ds in UciDataset::ALL {
-            assert_eq!(UciDataset::from_name(ds.name()), Some(ds));
-            assert_eq!(UciDataset::from_name(&ds.name().to_lowercase()), Some(ds));
-        }
-        assert_eq!(UciDataset::from_name("nope"), None);
     }
 
     #[test]

@@ -367,15 +367,6 @@ impl Matrix {
         self.zip_with(rhs, "sub", |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when shapes differ.
-    pub fn hadamard(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.zip_with(rhs, "hadamard", |a, b| a * b)
-    }
-
     fn zip_with(
         &self,
         rhs: &Matrix,
@@ -472,27 +463,6 @@ impl Matrix {
         Matrix::from_fn(row_range.len(), col_range.len(), |r, c| {
             self[(row_range.start + r, col_range.start + c)]
         })
-    }
-
-    /// Horizontally concatenates `self` and `rhs` (`[self | rhs]`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when row counts differ.
-    pub fn hconcat(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.rows != rhs.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "hconcat",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, self.cols + rhs.cols);
-        for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            out.row_mut(r)[self.cols..].copy_from_slice(rhs.row(r));
-        }
-        Ok(out)
     }
 
     /// Per-row means (length `rows`). For a `d × N` dataset this is the mean
@@ -739,7 +709,7 @@ mod tests {
     #[test]
     fn hadamard_and_map() {
         let a = m22(1.0, 2.0, 3.0, 4.0);
-        let sq = a.hadamard(&a).unwrap();
+        let sq = a.zip_with(&a, "hadamard", |x, y| x * y).unwrap();
         assert_eq!(sq, a.map(|x| x * x));
     }
 
@@ -779,16 +749,6 @@ mod tests {
         let a = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f64);
         let s = a.submatrix(1..3, 2..4);
         assert_eq!(s, Matrix::from_rows(&[vec![6.0, 7.0], vec![10.0, 11.0]]));
-    }
-
-    #[test]
-    fn hconcat_widths_add() {
-        let a = Matrix::zeros(2, 2);
-        let b = Matrix::identity(2);
-        let c = a.hconcat(&b).unwrap();
-        assert_eq!(c.shape(), (2, 4));
-        assert_eq!(c[(0, 2)], 1.0);
-        assert!(a.hconcat(&Matrix::zeros(3, 1)).is_err());
     }
 
     #[test]

@@ -2,35 +2,6 @@
 
 use crate::matrix::Matrix;
 
-/// Frobenius distance `‖A − B‖_F`.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn frobenius_distance(a: &Matrix, b: &Matrix) -> f64 {
-    assert_eq!(a.shape(), b.shape(), "frobenius_distance: shape mismatch");
-    a.as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(&x, &y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt()
-}
-
-/// Induced 1-norm (maximum absolute column sum).
-pub fn norm_1(a: &Matrix) -> f64 {
-    (0..a.cols())
-        .map(|c| (0..a.rows()).map(|r| a[(r, c)].abs()).sum::<f64>())
-        .fold(0.0_f64, f64::max)
-}
-
-/// Induced ∞-norm (maximum absolute row sum).
-pub fn norm_inf(a: &Matrix) -> f64 {
-    a.iter_rows()
-        .map(|row| row.iter().map(|x| x.abs()).sum::<f64>())
-        .fold(0.0_f64, f64::max)
-}
-
 /// Root-mean-square entry-wise difference; the "average per-cell error"
 /// the privacy metric normalizes.
 ///
@@ -54,21 +25,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frobenius_distance_basic() {
-        let a = Matrix::zeros(2, 2);
-        let b = Matrix::identity(2);
-        assert!((frobenius_distance(&a, &b) - 2.0_f64.sqrt()).abs() < 1e-12);
-        assert_eq!(frobenius_distance(&b, &b), 0.0);
-    }
-
-    #[test]
-    fn induced_norms_known() {
-        let a = Matrix::from_rows(&[vec![1.0, -2.0], vec![3.0, 4.0]]);
-        assert_eq!(norm_1(&a), 6.0); // col sums: 4, 6
-        assert_eq!(norm_inf(&a), 7.0); // row sums: 3, 7
-    }
-
-    #[test]
     fn rms_difference_scale() {
         let a = Matrix::zeros(2, 2);
         let b = Matrix::filled(2, 2, 2.0);
@@ -78,6 +34,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "shape mismatch")]
     fn shape_mismatch_panics() {
-        let _ = frobenius_distance(&Matrix::zeros(1, 2), &Matrix::zeros(2, 1));
+        let _ = rms_difference(&Matrix::zeros(1, 2), &Matrix::zeros(2, 1));
     }
 }

@@ -69,26 +69,6 @@ pub fn random_rotation<R: Rng + ?Sized>(d: usize, rng: &mut R) -> Matrix {
     q
 }
 
-/// Builds the Givens rotation of angle `theta` in the `(i, j)` coordinate
-/// plane of dimension `d`.
-///
-/// # Panics
-///
-/// Panics if `i == j` or either index is out of range.
-pub fn givens_rotation(d: usize, i: usize, j: usize, theta: f64) -> Matrix {
-    assert!(
-        i < d && j < d && i != j,
-        "invalid Givens plane ({i},{j}) in dim {d}"
-    );
-    let mut m = Matrix::identity(d);
-    let (c, s) = (theta.cos(), theta.sin());
-    m[(i, i)] = c;
-    m[(j, j)] = c;
-    m[(i, j)] = -s;
-    m[(j, i)] = s;
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,19 +135,6 @@ mod tests {
     fn zero_dimension_rejected() {
         let mut rng = StdRng::seed_from_u64(104);
         assert!(try_random_orthogonal(0, &mut rng).is_err());
-    }
-
-    #[test]
-    fn givens_is_rotation() {
-        let g = givens_rotation(4, 1, 3, 0.83);
-        assert!(g.is_orthogonal(1e-12));
-        assert!((lu::det(&g).unwrap() - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid Givens plane")]
-    fn givens_rejects_equal_indices() {
-        let _ = givens_rotation(3, 1, 1, 0.5);
     }
 
     #[test]

@@ -95,43 +95,6 @@ impl QrDecomposition {
     pub fn into_parts(self) -> (Matrix, Matrix) {
         (self.q, self.r)
     }
-
-    /// Solves the least-squares problem `min ‖A·x − b‖₂` for full-column-rank
-    /// `A` via back substitution on `R·x = Qᵀ·b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.len() != m`, and
-    /// [`LinalgError::Singular`] if `R` has a (numerically) zero diagonal.
-    pub fn solve_least_squares(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let (m, n) = self.r.shape();
-        if b.len() != m {
-            return Err(LinalgError::ShapeMismatch {
-                op: "solve_least_squares",
-                lhs: (m, n),
-                rhs: (b.len(), 1),
-            });
-        }
-        if n > m {
-            return Err(LinalgError::InvalidDimension {
-                reason: "least squares requires rows >= cols",
-            });
-        }
-        let qtb = self.q.transpose().matvec(b)?;
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut s = qtb[i];
-            for (j, &xj) in x.iter().enumerate().take(n).skip(i + 1) {
-                s -= self.r[(i, j)] * xj;
-            }
-            let d = self.r[(i, i)];
-            if d.abs() < 1e-12 {
-                return Err(LinalgError::Singular);
-            }
-            x[i] = s / d;
-        }
-        Ok(x)
-    }
 }
 
 #[cfg(test)]
@@ -178,42 +141,5 @@ mod tests {
     #[test]
     fn empty_matrix_rejected() {
         assert!(QrDecomposition::new(&Matrix::zeros(0, 0)).is_err());
-    }
-
-    #[test]
-    fn least_squares_exact_square_system() {
-        // x + y = 3; x - y = 1 -> x = 2, y = 1
-        let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, -1.0]]);
-        let qr = QrDecomposition::new(&a).unwrap();
-        let x = qr.solve_least_squares(&[3.0, 1.0]).unwrap();
-        assert!((x[0] - 2.0).abs() < 1e-10);
-        assert!((x[1] - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn least_squares_overdetermined_line_fit() {
-        // Fit y = a + b t through (0,1), (1,3), (2,5): exact a=1, b=2.
-        let a = Matrix::from_rows(&[vec![1.0, 0.0], vec![1.0, 1.0], vec![1.0, 2.0]]);
-        let qr = QrDecomposition::new(&a).unwrap();
-        let x = qr.solve_least_squares(&[1.0, 3.0, 5.0]).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-10);
-        assert!((x[1] - 2.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn least_squares_rejects_bad_rhs() {
-        let a = Matrix::identity(3);
-        let qr = QrDecomposition::new(&a).unwrap();
-        assert!(qr.solve_least_squares(&[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn singular_detected() {
-        let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![2.0, 2.0]]);
-        let qr = QrDecomposition::new(&a).unwrap();
-        assert!(matches!(
-            qr.solve_least_squares(&[1.0, 2.0]),
-            Err(LinalgError::Singular)
-        ));
     }
 }

@@ -74,9 +74,6 @@ pub const MIN_FRAME_HEADER_LEN: usize = 3;
 /// reserves before knowing the actual widths.
 pub const MAX_FRAME_HEADER_LEN: usize = 1 + MAX_UVARINT_LEN + 5;
 
-/// Sealing overhead per frame (session id + nonce + tag).
-pub const SEAL_OVERHEAD: usize = 24;
-
 /// Smallest valid sealed v4 frame: envelope overhead plus the minimum
 /// packed header.
 pub const MIN_SEALED_LEN: usize = 16 + MIN_FRAME_HEADER_LEN + 8;
@@ -677,12 +674,6 @@ impl Reassembler {
             (_, Some(_)) => Err(FrameError::Malformed("frame kind changed mid-message")),
         }
     }
-
-    /// Number of senders with an unfinished message or stream (for
-    /// diagnostics).
-    pub fn pending_senders(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 /// One delivery from [`Reassembler::feed`]: a whole control message, or
@@ -774,7 +765,7 @@ mod tests {
         // Maximal ids widen the varints to the documented maximum.
         let f = frame(FrameKind::StreamBlock, u64::MAX, u32::MAX, false, b"");
         let sealed = seal_frame(key(), 2, SessionId(1), &f);
-        assert_eq!(sealed.len(), SEAL_OVERHEAD + MAX_FRAME_HEADER_LEN);
+        assert_eq!(sealed.len(), 16 + MAX_FRAME_HEADER_LEN + 8);
         let (_, back) = open_frame(key(), &sealed).unwrap();
         assert_eq!(
             (back.msg_id, back.seq, back.last),
@@ -926,7 +917,7 @@ mod tests {
             panic!("expected message");
         };
         assert_eq!(&bytes[..], b"abcd");
-        assert_eq!(r.pending_senders(), 0);
+        assert_eq!(r.pending.len(), 0);
     }
 
     #[test]
@@ -947,7 +938,7 @@ mod tests {
         }
         let got: Vec<(&[u8], bool)> = got.iter().map(|(b, l)| (&b[..], *l)).collect();
         assert_eq!(got, [(&b"hdr"[..], false), (b"bk0", false), (b"bk1", true)]);
-        assert_eq!(r.pending_senders(), 0);
+        assert_eq!(r.pending.len(), 0);
     }
 
     #[test]
@@ -1037,7 +1028,7 @@ mod tests {
         assert_eq!(&block[..], b"b0");
         assert!(!last);
         // Continuity state is kept, but no blocks are buffered.
-        assert_eq!(r.pending_senders(), 1);
+        assert_eq!(r.pending.len(), 1);
         let Some(FlowItem::StreamBlock { last, .. }) = r
             .feed(from, frame(FrameKind::StreamBlock, 5, 2, true, b"b1"))
             .unwrap()
@@ -1045,7 +1036,7 @@ mod tests {
             panic!("expected final block");
         };
         assert!(last);
-        assert_eq!(r.pending_senders(), 0);
+        assert_eq!(r.pending.len(), 0);
     }
 
     #[test]
@@ -1093,7 +1084,7 @@ mod tests {
             panic!("expected header");
         };
         assert!(last);
-        assert_eq!(r.pending_senders(), 0);
+        assert_eq!(r.pending.len(), 0);
     }
 
     impl Reassembler {
@@ -1168,7 +1159,7 @@ mod tests {
                     Err(other) => proptest::prop_assert!(false, "unexpected error: {other}"),
                 }
                 proptest::prop_assert!(r.retained_bytes() <= control_bytes);
-                proptest::prop_assert!(r.pending_senders() <= 3);
+                proptest::prop_assert!(r.pending.len() <= 3);
             }
         }
 
@@ -1234,7 +1225,7 @@ mod tests {
                 proptest::prop_assert_eq!(r.retained_bytes(), in_flight.iter().sum::<usize>());
             }
             proptest::prop_assert_eq!(got, expected);
-            proptest::prop_assert_eq!(r.pending_senders(), 0);
+            proptest::prop_assert_eq!(r.pending.len(), 0);
         }
     }
 

@@ -398,11 +398,6 @@ impl<T: Transport + 'static> SessionMux<T> {
         self.shared.remove_route(session, None);
     }
 
-    /// Number of currently open sessions.
-    pub fn open_sessions(&self) -> usize {
-        self.shared.routes.lock().len()
-    }
-
     /// A snapshot of the mux's traffic counters.
     pub fn metrics(&self) -> MuxMetrics {
         self.shared.metrics.snapshot()
@@ -726,7 +721,7 @@ mod tests {
         let a1 = m1.open_session(SessionId(1)).unwrap();
         m1.close_session(SessionId(1));
         assert_eq!(a1.recv().unwrap_err(), TransportError::Disconnected);
-        assert_eq!(m1.open_sessions(), 0);
+        assert_eq!(m1.shared.routes.lock().len(), 0);
         // The id can be reopened after close.
         assert!(m1.open_session(SessionId(1)).is_ok());
     }
@@ -936,7 +931,7 @@ mod tests {
         // Declared exactly once, near-zero detection latency, and the
         // sessions stay open (the error is transient, not a disconnect).
         assert_eq!(m2.metrics().peers_down, 1);
-        assert_eq!(m2.open_sessions(), 2);
+        assert_eq!(m2.shared.routes.lock().len(), 2);
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl StreamHandle {
     pub fn to(&self) -> PartyId {
         self.to
     }
-
-    /// `true` once the final block (or an empty header) has been sent.
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
 }
 
 /// A party's typed messaging endpoint, generic over the transport.
@@ -138,7 +133,6 @@ pub struct Node<T: Transport> {
     session_secret: u64,
     session: SessionId,
     counter: AtomicU64,
-    chunk_size: usize,
     reassembler: Mutex<Reassembler>,
 }
 
@@ -160,7 +154,6 @@ impl<T: Transport> Node<T> {
             session_secret,
             session,
             counter: AtomicU64::new(1),
-            chunk_size: DEFAULT_CHUNK_SIZE,
             reassembler: Mutex::new(Reassembler::new()),
         }
     }
@@ -168,16 +161,6 @@ impl<T: Transport> Node<T> {
     /// The session this node's frames are stamped for.
     pub fn session(&self) -> SessionId {
         self.session
-    }
-
-    /// Overrides the maximum frame payload size (testing and tuning).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `chunk_size` is zero.
-    pub fn set_chunk_size(&mut self, chunk_size: usize) {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        self.chunk_size = chunk_size;
     }
 
     /// This node's party id.
@@ -230,14 +213,14 @@ impl<T: Transport> Node<T> {
     /// Returns [`NodeError::Transport`] on delivery failure.
     pub fn send_msg<M: Wire>(&self, to: PartyId, msg: &M) -> Result<(), NodeError> {
         let pool = pool::global();
-        let mut scratch = pool.acquire(self.chunk_size.min(DEFAULT_CHUNK_SIZE));
+        let mut scratch = pool.acquire(DEFAULT_CHUNK_SIZE);
         msg.encode(&mut scratch);
         let msg_id = self.next_id();
         let total = scratch.len();
         let mut seq: u32 = 0;
         let mut start = 0;
         loop {
-            let end = (start + self.chunk_size).min(total);
+            let end = (start + DEFAULT_CHUNK_SIZE).min(total);
             let last = end == total;
             let meta = FrameMeta {
                 kind: FrameKind::Control,
@@ -522,12 +505,12 @@ mod tests {
     #[test]
     fn large_message_chunks_and_reassembles() {
         let hub = InMemoryHub::new();
-        let mut a = Node::new(hub.endpoint(PartyId(1)), 7);
-        a.set_chunk_size(64); // force many chunks
+        let a = Node::new(hub.endpoint(PartyId(1)), 7);
         let b = Node::new(hub.endpoint(PartyId(2)), 7);
+        // 20 000 f64s = 160 000 bytes: three frames of DEFAULT_CHUNK_SIZE.
         let msg = Hello {
             round: 1,
-            body: (0..500).map(f64::from).collect(),
+            body: (0..20_000).map(f64::from).collect(),
         };
         a.send_msg(PartyId(2), &msg).unwrap();
         let (_, got): (PartyId, Hello) = b.recv_msg().unwrap();
@@ -601,7 +584,7 @@ mod tests {
             }
         }
         assert_eq!(forwarded, 3);
-        assert!(out_stream.unwrap().is_finished());
+        assert!(out_stream.unwrap().finished);
 
         let (_, _, got) = recv_stream::<_, Hello>(&c).unwrap();
         assert_eq!(got, blocks);

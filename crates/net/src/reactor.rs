@@ -3,9 +3,8 @@
 //!
 //! A [`ReactorTransport`] multiplexes **all** connections of one endpoint
 //! onto a single reactor thread driven by the vendored readiness shim
-//! ([`epoll`]): edge-triggered `epoll(7)` on Linux, level-triggered
-//! `poll(2)` on other unixes. A lane costs no thread of its own, so a
-//! thousand idle lanes cost one parked thread.
+//! ([`epoll`]), edge-triggered `epoll(7)`. A lane costs no thread of its
+//! own, so a thousand idle lanes cost one parked thread.
 //!
 //! # Byte protocol
 //!
@@ -67,7 +66,7 @@ use crate::transport::{
 };
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use epoll::{BackendKind, Event, Interest, Poller, Waker};
+use epoll::{Event, Interest, Poller, Waker};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -166,11 +165,6 @@ impl ReadMachine {
                 have: 0,
             },
         }
-    }
-
-    /// Whether the machine hit a protocol violation and stopped parsing.
-    pub fn is_dead(&self) -> bool {
-        matches!(self.state, ReadState::Dead)
     }
 
     /// Consumes `input`, appending completed [`ReadEvent`]s to `events`.
@@ -477,7 +471,6 @@ impl Gate {
 struct Shared {
     id: PartyId,
     local_addr: SocketAddr,
-    backend: BackendKind,
     gate: Mutex<Gate>,
     gate_cv: Condvar,
     stats: StatCells,
@@ -845,29 +838,10 @@ impl ReactorTransport {
     ///
     /// Propagates socket/poller setup failures.
     pub fn bind(id: PartyId) -> io::Result<ReactorTransport> {
-        Self::bind_inner(id, None)
-    }
-
-    /// Binds on an ephemeral localhost port with an explicit readiness
-    /// backend, so the poll(2) backend stays tested on Linux.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket/poller setup failures (including requesting the
-    /// epoll backend off Linux).
-    pub fn bind_with_backend(id: PartyId, kind: BackendKind) -> io::Result<ReactorTransport> {
-        Self::bind_inner(id, Some(kind))
-    }
-
-    fn bind_inner(id: PartyId, backend: Option<BackendKind>) -> io::Result<ReactorTransport> {
         let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let mut poller = match backend {
-            Some(kind) => Poller::with_backend(kind)?,
-            None => Poller::new()?,
-        };
-        let backend = poller.backend();
+        let mut poller = Poller::new()?;
         poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
         let waker = Waker::new(&mut poller, TOKEN_WAKER)?;
         let (cmd_tx, cmd_rx) = unbounded();
@@ -875,7 +849,6 @@ impl ReactorTransport {
         let shared = Arc::new(Shared {
             id,
             local_addr,
-            backend,
             gate: Mutex::new(Gate::default()),
             gate_cv: Condvar::new(),
             stats: StatCells::default(),
@@ -913,11 +886,6 @@ impl ReactorTransport {
     /// The address this endpoint's listener is bound to.
     pub fn local_addr(&self) -> SocketAddr {
         self.shared.local_addr
-    }
-
-    /// Which readiness backend the reactor runs on (epoll or poll).
-    pub fn poll_backend(&self) -> BackendKind {
-        self.shared.backend
     }
 
     /// Opens the outbound connection to `peer`'s listener with one
@@ -1035,7 +1003,6 @@ impl std::fmt::Debug for ReactorTransport {
         f.debug_struct("ReactorTransport")
             .field("id", &self.shared.id)
             .field("addr", &self.shared.local_addr)
-            .field("backend", &self.shared.backend.name())
             .finish()
     }
 }
@@ -1047,13 +1014,7 @@ mod tests {
     const WAIT: Duration = Duration::from_secs(10);
 
     fn pair() -> (ReactorTransport, ReactorTransport) {
-        pair_with(ReactorTransport::bind)
-    }
-
-    fn pair_with(
-        bind: impl Fn(PartyId) -> io::Result<ReactorTransport>,
-    ) -> (ReactorTransport, ReactorTransport) {
-        let mut it = crate::tcp::mesh_with(&[PartyId(1), PartyId(2)], bind)
+        let mut it = crate::tcp::local_mesh(&[PartyId(1), PartyId(2)])
             .expect("mesh")
             .into_iter();
         (it.next().expect("a"), it.next().expect("b"))
@@ -1086,7 +1047,7 @@ mod tests {
         for (i, p) in payloads.iter().enumerate() {
             assert_eq!(events[1 + i], ReadEvent::Frame(Bytes::copy_from_slice(p)));
         }
-        assert!(!rm.is_dead());
+        assert!(!matches!(rm.state, ReadState::Dead));
     }
 
     #[test]
@@ -1116,7 +1077,7 @@ mod tests {
         let mut events = Vec::new();
         let err = rm.feed(&stream, &mut events).expect_err("oversize");
         assert_eq!(err.claimed, MAX_PAYLOAD + 1);
-        assert!(rm.is_dead());
+        assert!(matches!(rm.state, ReadState::Dead));
         assert_eq!(events, vec![ReadEvent::Identified(PartyId(9))]);
         // Dead machines swallow further input without parsing.
         rm.feed(b"garbage", &mut events)
@@ -1342,17 +1303,5 @@ mod tests {
             "idle reactor woke {} times in 600ms",
             after - before
         );
-    }
-
-    #[test]
-    fn forced_poll_backend_roundtrips() {
-        // Constructed explicitly (not via env) so the test is race-free
-        // under parallel execution.
-        let (a, b) = pair_with(|id| ReactorTransport::bind_with_backend(id, BackendKind::Poll));
-        assert_eq!(a.poll_backend(), BackendKind::Poll);
-        a.send(PartyId(2), Bytes::copy_from_slice(b"x"))
-            .expect("send");
-        let (_, p) = b.recv_timeout(WAIT).expect("recv");
-        assert_eq!(&p[..], b"x");
     }
 }

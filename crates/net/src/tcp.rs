@@ -45,17 +45,12 @@ use std::io;
 ///
 /// Propagates socket errors.
 pub fn local_mesh(ids: &[PartyId]) -> io::Result<Vec<ReactorTransport>> {
-    mesh_with(ids, ReactorTransport::bind)
-}
-
-/// [`local_mesh`] over endpoints made by `bind`: every listener is bound
-/// before the first connect, so each blocking connect completes against
-/// an already-bound backlog.
-pub(crate) fn mesh_with(
-    ids: &[PartyId],
-    bind: impl Fn(PartyId) -> io::Result<ReactorTransport>,
-) -> io::Result<Vec<ReactorTransport>> {
-    let lanes: Vec<ReactorTransport> = ids.iter().map(|&id| bind(id)).collect::<io::Result<_>>()?;
+    // Every listener is bound before the first connect, so each blocking
+    // connect completes against an already-bound backlog.
+    let lanes: Vec<ReactorTransport> = ids
+        .iter()
+        .map(|&id| ReactorTransport::bind(id))
+        .collect::<io::Result<_>>()?;
     for lane in &lanes {
         for peer in &lanes {
             // Self included: the in-memory hub allows a party to send to

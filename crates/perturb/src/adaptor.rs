@@ -148,18 +148,6 @@ impl SpaceAdaptor {
         }
     }
 
-    /// The complementary noise `Δ_it = R_it·Δᵢ` for a realized source noise
-    /// matrix; provided for tests and privacy analysis (the protocol itself
-    /// never has access to `Δᵢ`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `delta.rows() != self.dim()`.
-    pub fn complementary_noise(&self, delta: &Matrix) -> Matrix {
-        assert_eq!(delta.rows(), self.dim(), "noise dimensionality mismatch");
-        self.rotation.matmul(delta).expect("dims checked")
-    }
-
     /// Composes adaptors: `other ∘ self`, i.e. first adapt by `self`
     /// (`i → t₁`), then by `other` (`t₁ → t₂`).
     ///
@@ -222,7 +210,7 @@ mod tests {
 
         let adaptor = SpaceAdaptor::between(gi.base(), &gt).unwrap();
         let yt = adaptor.apply(&yi);
-        let expected = &gt.apply_clean(&x) + &adaptor.complementary_noise(&delta);
+        let expected = &gt.apply_clean(&x) + &adaptor.rotation().matmul(&delta).unwrap();
         assert!(yt.approx_eq(&expected, 1e-8));
     }
 
@@ -235,7 +223,7 @@ mod tests {
         let gt = Perturbation::random(6, &mut rng);
         let adaptor = SpaceAdaptor::between(&gi, &gt).unwrap();
         let delta = randn_matrix(6, 100, &mut rng);
-        let comp = adaptor.complementary_noise(&delta);
+        let comp = adaptor.rotation().matmul(&delta).unwrap();
         assert!((comp.frobenius_norm() - delta.frobenius_norm()).abs() < 1e-8);
     }
 

@@ -116,26 +116,6 @@ impl GeometricPerturbation {
             }
         }
     }
-
-    /// Best-effort inversion without the noise realization:
-    /// `X̂ = R⁻¹(Y − Ψ)`. The residual is the rotated noise `R⁻¹Δ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `y.rows() != self.dim()`.
-    pub fn invert_affine(&self, y: &Matrix) -> Matrix {
-        self.base.invert_clean(y)
-    }
-
-    /// Exact inversion given the realized noise: `X = R⁻¹(Y − Ψ − Δ)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn invert_exact(&self, y: &Matrix, delta: &Matrix) -> Matrix {
-        let denoised = y - delta;
-        self.base.invert_clean(&denoised)
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +132,7 @@ mod tests {
         let x = randn_matrix(4, 30, &mut rng);
         let (y, delta) = g.perturb(&x, &mut rng);
         assert_eq!(delta, Matrix::zeros(4, 30));
-        assert!(g.invert_affine(&y).approx_eq(&x, 1e-9));
+        assert!(g.base.invert_clean(&y).approx_eq(&x, 1e-9));
     }
 
     #[test]
@@ -162,10 +142,12 @@ mod tests {
         let x = randn_matrix(4, 50, &mut rng);
         let (y, delta) = g.perturb(&x, &mut rng);
 
-        let exact = g.invert_exact(&y, &delta);
+        // Exact inversion given the realized noise: X = R⁻¹(Y − Ψ − Δ).
+        let exact = g.base.invert_clean(&(&y - &delta));
         assert!(exact.approx_eq(&x, 1e-9), "exact inversion fails");
 
-        let affine_only = g.invert_affine(&y);
+        // Without Δ, X̂ = R⁻¹(Y − Ψ) is off by the rotated noise R⁻¹Δ.
+        let affine_only = g.base.invert_clean(&y);
         let residual = norms::rms_difference(&affine_only, &x);
         assert!(
             (residual - 0.1).abs() < 0.03,
@@ -200,8 +182,8 @@ mod tests {
         let y2 = g2.perturb_with(&x, &delta);
         // Same data, same noise, different spaces: inverting each affine part
         // and subtracting the known noise recovers the same X.
-        let x1 = g1.invert_exact(&y1, &delta);
-        let x2 = g2.invert_exact(&y2, &delta);
+        let x1 = g1.base.invert_clean(&(&y1 - &delta));
+        let x2 = g2.base.invert_clean(&(&y2 - &delta));
         assert!(x1.approx_eq(&x2, 1e-9));
     }
 

@@ -2,7 +2,7 @@
 
 use rand::{Rng, RngExt};
 use sap_linalg::orthogonal::random_orthogonal;
-use sap_linalg::{lu, LinalgError, Matrix, Result};
+use sap_linalg::{LinalgError, Matrix, Result};
 
 /// A rotation + translation pair `(R, t)` defining the affine part of a
 /// geometric perturbation: `x ↦ R·x + t`.
@@ -102,11 +102,6 @@ impl Perturbation {
         &self.translation
     }
 
-    /// The translation as the paper's `d × N` matrix `Ψ = t·1ᵀ`.
-    pub fn translation_matrix(&self, n: usize) -> Matrix {
-        Matrix::from_fn(self.dim(), n, |r, _| self.translation[r])
-    }
-
     /// Applies the affine map to a `d × N` dataset: `R·X + Ψ` (no noise).
     ///
     /// # Panics
@@ -134,14 +129,6 @@ impl Perturbation {
             .transpose()
             .matmul(&shifted)
             .expect("shapes checked")
-    }
-
-    /// The inverse rotation `R⁻¹`. Computed via LU so it stays exact for a
-    /// rotation that is orthogonal only within [`Perturbation::new`]'s
-    /// tolerance; falls back to the transpose when inversion fails
-    /// numerically.
-    pub fn rotation_inverse(&self) -> Matrix {
-        lu::inverse(&self.rotation).unwrap_or_else(|_| self.rotation.transpose())
     }
 }
 
@@ -175,7 +162,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sap_linalg::randn_matrix;
+    use sap_linalg::{lu, randn_matrix};
 
     #[test]
     fn random_is_valid_and_deterministic() {
@@ -199,15 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn translation_matrix_broadcasts() {
-        let p = Perturbation::new(Matrix::identity(2), vec![0.5, -0.25]).unwrap();
-        let psi = p.translation_matrix(3);
-        assert_eq!(psi.shape(), (2, 3));
-        assert_eq!(psi[(0, 2)], 0.5);
-        assert_eq!(psi[(1, 0)], -0.25);
-    }
-
-    #[test]
     fn identity_is_noop() {
         let mut rng = StdRng::seed_from_u64(7);
         let x = randn_matrix(3, 10, &mut rng);
@@ -228,8 +206,9 @@ mod tests {
     fn rotation_inverse_matches_transpose() {
         let mut rng = StdRng::seed_from_u64(8);
         let p = Perturbation::random(6, &mut rng);
-        assert!(p
-            .rotation_inverse()
+        // `invert_clean` applies Rᵀ as R⁻¹; the LU inverse must agree.
+        assert!(lu::inverse(p.rotation())
+            .unwrap()
             .approx_eq(&p.rotation().transpose(), 1e-8));
     }
 
