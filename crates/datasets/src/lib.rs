@@ -25,7 +25,7 @@
 //! * [`normalize`] — min–max normalization to `[0, 1]` (the paper perturbs
 //!   *normalized* data).
 //! * [`partition`] — uniform and class-skewed splits into `k` providers.
-//! * [`split`] — train/test and k-fold helpers.
+//! * [`split`] — the stratified train/test split.
 //!
 //! # Example
 //!

@@ -1,4 +1,4 @@
-//! Train/test and k-fold splitting.
+//! Stratified train/test splitting.
 
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;
@@ -54,40 +54,6 @@ pub fn stratified_split(data: &Dataset, train_fraction: f64, seed: u64) -> Train
     }
 }
 
-/// Yields `k` cross-validation folds as `(train, test)` pairs. Records are
-/// shuffled once, then fold `i` tests on slice `i`.
-///
-/// # Panics
-///
-/// Panics when `k < 2` or `k > data.len()`.
-pub fn k_fold(data: &Dataset, k: usize, seed: u64) -> Vec<TrainTest> {
-    assert!(k >= 2, "k-fold needs k >= 2");
-    assert!(k <= data.len(), "more folds than records");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut order: Vec<usize> = (0..data.len()).collect();
-    order.shuffle(&mut rng);
-
-    let base = data.len() / k;
-    let extra = data.len() % k;
-    let mut folds = Vec::with_capacity(k);
-    let mut offset = 0;
-    for f in 0..k {
-        let size = base + usize::from(f < extra);
-        let test_idx: Vec<usize> = order[offset..offset + size].to_vec();
-        let train_idx: Vec<usize> = order[..offset]
-            .iter()
-            .chain(&order[offset + size..])
-            .copied()
-            .collect();
-        folds.push(TrainTest {
-            train: data.subset(&train_idx),
-            test: data.subset(&test_idx),
-        });
-        offset += size;
-    }
-    folds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,28 +92,9 @@ mod tests {
     }
 
     #[test]
-    fn k_fold_covers_everything_once() {
-        let data = UciDataset::Wine.generate(4);
-        let folds = k_fold(&data, 5, 2);
-        assert_eq!(folds.len(), 5);
-        let total_test: usize = folds.iter().map(|f| f.test.len()).sum();
-        assert_eq!(total_test, data.len());
-        for f in &folds {
-            assert_eq!(f.train.len() + f.test.len(), data.len());
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "in (0, 1)")]
     fn bad_fraction_panics() {
         let data = UciDataset::Iris.generate(5);
         let _ = stratified_split(&data, 1.5, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "k >= 2")]
-    fn one_fold_panics() {
-        let data = UciDataset::Iris.generate(6);
-        let _ = k_fold(&data, 1, 0);
     }
 }

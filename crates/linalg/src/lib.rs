@@ -10,8 +10,7 @@
 //! * [`Matrix`] — a row-major dense matrix with the usual arithmetic.
 //! * [`qr::QrDecomposition`] — Householder QR, used to sample random
 //!   orthogonal matrices.
-//! * [`lu::LuDecomposition`] — LU with partial pivoting: `solve`, `inverse`,
-//!   `det`.
+//! * [`lu::LuDecomposition`] — LU with partial pivoting, for `det`.
 //! * [`eigen::SymmetricEigen`] — cyclic Jacobi eigendecomposition of
 //!   symmetric matrices (PCA, whitening).
 //! * [`svd::Svd`] — one-sided Jacobi singular value decomposition.

@@ -1,9 +1,9 @@
 //! LU decomposition with partial pivoting.
 //!
-//! The space adaptor `R_it = R_t · Rᵢ⁻¹` needs matrix inverses; for
-//! orthogonal `Rᵢ` the transpose would do, but the protocol code treats
-//! inversion generically (the noise-carrying perturbations are not exactly
-//! orthogonal maps), so a robust general inverse lives here.
+//! Its one job is the determinant: [`crate::orthogonal::random_rotation`]
+//! reads the sign of `det` to turn a reflection into a rotation. The
+//! protocol never inverts a general matrix; rotations are inverted by
+//! their transpose.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
@@ -13,8 +13,6 @@ use crate::matrix::Matrix;
 pub struct LuDecomposition {
     /// Combined L (strict lower, implicit unit diagonal) and U (upper).
     lu: Matrix,
-    /// Row permutation: `perm[i]` is the original row now in position `i`.
-    perm: Vec<usize>,
     /// Sign of the permutation (+1.0 or −1.0), for the determinant.
     perm_sign: f64,
 }
@@ -42,7 +40,6 @@ impl LuDecomposition {
         }
         let scale = a.max_abs().max(1.0);
         let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
         let mut perm_sign = 1.0;
 
         for k in 0..n {
@@ -65,7 +62,6 @@ impl LuDecomposition {
                     lu[(k, j)] = lu[(p, j)];
                     lu[(p, j)] = tmp;
                 }
-                perm.swap(k, p);
                 perm_sign = -perm_sign;
             }
             let pivot = lu[(k, k)];
@@ -79,11 +75,7 @@ impl LuDecomposition {
             }
         }
 
-        Ok(LuDecomposition {
-            lu,
-            perm,
-            perm_sign,
-        })
+        Ok(LuDecomposition { lu, perm_sign })
     }
 
     /// Dimension of the factored matrix.
@@ -99,66 +91,6 @@ impl LuDecomposition {
         }
         d
     }
-
-    /// Solves `A·x = b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.len()` differs from the
-    /// matrix dimension.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "lu solve",
-                lhs: (n, n),
-                rhs: (b.len(), 1),
-            });
-        }
-        // Forward substitution with permuted b (L has unit diagonal).
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut s = b[self.perm[i]];
-            for (j, &yj) in y.iter().enumerate().take(i) {
-                s -= self.lu[(i, j)] * yj;
-            }
-            y[i] = s;
-        }
-        // Back substitution.
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut s = y[i];
-            for (j, &xj) in x.iter().enumerate().take(n).skip(i + 1) {
-                s -= self.lu[(i, j)] * xj;
-            }
-            x[i] = s / self.lu[(i, i)];
-        }
-        Ok(x)
-    }
-
-    /// Computes `A⁻¹` by solving against each unit vector.
-    pub fn inverse(&self) -> Matrix {
-        let n = self.dim();
-        let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for c in 0..n {
-            e[c] = 1.0;
-            let col = self.solve(&e).expect("length matches by construction");
-            inv.set_column(c, &col);
-            e[c] = 0.0;
-        }
-        inv
-    }
-}
-
-/// Convenience: inverse of a square matrix via LU.
-///
-/// # Errors
-///
-/// Propagates [`LinalgError::NotSquare`] / [`LinalgError::Singular`] from the
-/// factorization.
-pub fn inverse(a: &Matrix) -> Result<Matrix> {
-    Ok(LuDecomposition::new(a)?.inverse())
 }
 
 /// Convenience: determinant of a square matrix via LU. Singular matrices
@@ -175,44 +107,12 @@ pub fn det(a: &Matrix) -> Result<f64> {
     }
 }
 
-/// Convenience: solves `A·x = b` via LU.
-///
-/// # Errors
-///
-/// Propagates factorization and shape errors.
-pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    LuDecomposition::new(a)?.solve(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::randn_matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn solve_known_system() {
-        // 2x + y = 5; x + 3y = 10 -> x = 1, y = 3
-        let a = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 3.0]]);
-        let x = solve(&a, &[5.0, 10.0]).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-12);
-        assert!((x[1] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_times_matrix_is_identity() {
-        let mut rng = StdRng::seed_from_u64(9);
-        for n in [1, 2, 5, 10] {
-            let a = randn_matrix(n, n, &mut rng);
-            let inv = inverse(&a).unwrap();
-            assert!(
-                (&a * &inv).approx_eq(&Matrix::identity(n), 1e-8),
-                "A * A^-1 != I for n={n}"
-            );
-            assert!((&inv * &a).approx_eq(&Matrix::identity(n), 1e-8));
-        }
-    }
 
     #[test]
     fn det_of_triangular_is_diagonal_product() {
@@ -248,24 +148,6 @@ mod tests {
             LuDecomposition::new(&a),
             Err(LinalgError::NotSquare { .. })
         ));
-    }
-
-    #[test]
-    fn solve_rejects_wrong_length() {
-        let a = Matrix::identity(3);
-        let lu = LuDecomposition::new(&a).unwrap();
-        assert!(lu.solve(&[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn orthogonal_inverse_is_transpose() {
-        let theta = 1.1_f64;
-        let r = Matrix::from_rows(&[
-            vec![theta.cos(), -theta.sin()],
-            vec![theta.sin(), theta.cos()],
-        ]);
-        let inv = inverse(&r).unwrap();
-        assert!(inv.approx_eq(&r.transpose(), 1e-12));
     }
 
     #[test]

@@ -162,7 +162,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sap_linalg::{lu, randn_matrix};
+    use sap_linalg::randn_matrix;
 
     #[test]
     fn random_is_valid_and_deterministic() {
@@ -206,10 +206,9 @@ mod tests {
     fn rotation_inverse_matches_transpose() {
         let mut rng = StdRng::seed_from_u64(8);
         let p = Perturbation::random(6, &mut rng);
-        // `invert_clean` applies Rᵀ as R⁻¹; the LU inverse must agree.
-        assert!(lu::inverse(p.rotation())
-            .unwrap()
-            .approx_eq(&p.rotation().transpose(), 1e-8));
+        // `invert_clean` applies Rᵀ as R⁻¹, which holds when R·Rᵀ = I.
+        let r = p.rotation();
+        assert!((r * &r.transpose()).approx_eq(&Matrix::identity(6), 1e-8));
     }
 
     #[test]

@@ -33,7 +33,7 @@
 # validated at spawn).
 set -euo pipefail
 
-LIMIT=42
+LIMIT=41
 
 cd "$(dirname "$0")/.."
 total=0
