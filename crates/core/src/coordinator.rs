@@ -146,12 +146,15 @@ pub fn run_coordinator<T: Transport>(
     }
 
     // Map adaptors to slot tags and forward to the miner. The miner joins
-    // (slot → dataset) with (slot → adaptor) without learning owners.
-    let entries: Vec<(SlotTag, SpaceAdaptor)> = providers
+    // (slot → dataset) with (slot → adaptor) without learning owners: the
+    // table goes sorted by slot, since in provider order its positions
+    // would name each slot's owner.
+    let mut entries: Vec<(SlotTag, SpaceAdaptor)> = providers
         .iter()
         .enumerate()
         .map(|(pos, pid)| (slot_of[pos], adaptor_of[pid].clone()))
         .collect();
+    entries.sort_unstable_by_key(|(slot, _)| *slot);
     node.send_msg(miner, &SapMessage::AdaptorTable { entries })
         .map_err(SapError::from)?;
 
@@ -361,6 +364,63 @@ mod tests {
             matches!(&err, SapError::Protocol(what) if what.contains("dim 3")),
             "{err}"
         );
+    }
+
+    /// The adaptor table reaches the miner sorted by slot, so its order
+    /// says nothing about which provider owns which slot.
+    #[test]
+    fn adaptor_table_reaches_the_miner_sorted_by_slot() {
+        let providers: Vec<PartyId> = (0..5).map(PartyId).collect();
+        for seed in 1..=3 {
+            let hub = InMemoryHub::new();
+            let coord_node = Node::new(hub.endpoint(PartyId(4)), 7);
+            let miner = Node::new(hub.endpoint(PartyId(100)), 7);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let peers: Vec<_> = providers[..4]
+                .iter()
+                .map(|&p| Node::new(hub.endpoint(p), 7))
+                .collect();
+            for peer in &peers {
+                let adaptor = SpaceAdaptor::between(
+                    &Perturbation::random(2, &mut rng),
+                    &Perturbation::random(2, &mut rng),
+                )
+                .unwrap();
+                peer.send_msg(PartyId(4), &SapMessage::Adaptor { adaptor })
+                    .unwrap();
+            }
+            let sc = harness(
+                providers.clone(),
+                SapConfig {
+                    seed,
+                    timeout: Duration::from_secs(5),
+                    ..SapConfig::quick_test()
+                },
+            );
+            let table = std::thread::scope(|scope| {
+                let coordinator =
+                    scope.spawn(|| run_coordinator(&coord_node, &tiny_dataset(), &sc.ctx()));
+                let (from, table): (PartyId, SapMessage) = miner.recv_msg().unwrap();
+                assert_eq!(from, PartyId(4));
+                miner
+                    .send_msg(
+                        PartyId(4),
+                        &SapMessage::MiningComplete { unified_records: 0 },
+                    )
+                    .unwrap();
+                coordinator.join().unwrap().unwrap();
+                table
+            });
+            let SapMessage::AdaptorTable { entries } = table else {
+                panic!("expected the adaptor table");
+            };
+            let slots: Vec<SlotTag> = entries.iter().map(|(slot, _)| *slot).collect();
+            assert_eq!(slots.len(), 5);
+            assert!(
+                slots.windows(2).all(|w| w[0] < w[1]),
+                "seed {seed}: table in slot order {slots:?}"
+            );
+        }
     }
 
     #[test]

@@ -97,25 +97,7 @@ impl DataHeader {
 
 /// One inbound protocol delivery (see [`recv_flow`]): a control message,
 /// or one frame of a dataset stream, the moment it arrives.
-#[derive(Debug)]
-pub enum FlowInbound {
-    /// A control message.
-    Msg(SapMessage),
-    /// A dataset stream opened. `last` marks an empty stream.
-    StreamStart {
-        /// The validated stream header.
-        header: DataHeader,
-        /// `true` when no blocks follow.
-        last: bool,
-    },
-    /// One raw row block of the sender's current stream.
-    StreamBlock {
-        /// The raw block, exactly as sent.
-        bytes: Bytes,
-        /// `true` when this closes the stream.
-        last: bool,
-    },
-}
+pub type FlowInbound = NodeFlow<SapMessage, DataHeader>;
 
 /// Receives the next delivery within `timeout`: stream headers and row
 /// blocks are delivered per frame, so a role can relay, decode, or adapt
@@ -130,28 +112,22 @@ pub fn recv_flow<T: Transport>(
     node: &Node<T>,
     timeout: Duration,
 ) -> Result<(PartyId, FlowInbound), SapError> {
-    let (from, flow) = node
-        .recv_flow_timeout::<SapMessage, DataHeader>(timeout)
-        .map_err(SapError::from)?;
-    let inbound = match flow {
-        NodeFlow::Msg(msg) => FlowInbound::Msg(msg),
-        NodeFlow::StreamStart { header, last } => {
-            // The envelope already pinned the frames to this session; the
-            // header-level check catches a *sender bug* (a relay stamping
-            // someone else's stream into its own session) before a single
-            // row is decoded.
-            if header.session != node.session() {
-                return Err(SapError::Protocol(format!(
-                    "stream header for {} arrived in {}",
-                    header.session,
-                    node.session()
-                )));
-            }
-            FlowInbound::StreamStart { header, last }
+    let (from, flow): (PartyId, FlowInbound) =
+        node.recv_flow_timeout(timeout).map_err(SapError::from)?;
+    // The envelope already pinned the frames to this session; the
+    // header-level check catches a *sender bug* (a relay stamping
+    // someone else's stream into its own session) before a single row
+    // is decoded.
+    if let NodeFlow::StreamStart { header, .. } = &flow {
+        if header.session != node.session() {
+            return Err(SapError::Protocol(format!(
+                "stream header for {} arrived in {}",
+                header.session,
+                node.session()
+            )));
         }
-        NodeFlow::StreamBlock { block, last } => FlowInbound::StreamBlock { bytes: block, last },
-    };
-    Ok((from, inbound))
+    }
+    Ok((from, flow))
 }
 
 /// Runs one governed blocking receive under a role's liveness regime:
@@ -282,9 +258,9 @@ pub fn send_perturbed_dataset<T: Transport>(
     Ok(())
 }
 
-/// Appends one wire block from a record-major value buffer (`labels.len()
-/// × dim` values) to `out`. Byte-for-byte the layout of
-/// [`encode_block_into`].
+/// Appends one wire block (`[rows: u32] [labels] [values]`, see
+/// `docs/WIRE.md` §4.1) from a record-major value buffer (`labels.len()
+/// × dim` values) to `out` — the one row-block encoder.
 fn encode_records_block_into(labels: &[usize], values: &[f64], out: &mut Vec<u8>) {
     out.reserve(4 + labels.len() * 4 + values.len() * 8);
     out.extend_from_slice(
@@ -309,24 +285,12 @@ fn encode_records_block_into(labels: &[usize], values: &[f64], out: &mut Vec<u8>
 ///
 /// Panics when the range is out of bounds or a label exceeds `u32`.
 pub fn encode_block_into(data: &Dataset, start: usize, end: usize, out: &mut Vec<u8>) {
-    let rows = end - start;
     let dim = data.dim();
-    out.reserve(4 + rows * 4 + rows * dim * 8);
-    out.extend_from_slice(
-        &u32::try_from(rows)
-            .expect("block rows fit u32")
-            .to_le_bytes(),
+    encode_records_block_into(
+        &data.labels()[start..end],
+        &data.values()[start * dim..end * dim],
+        out,
     );
-    for i in start..end {
-        out.extend_from_slice(
-            &u32::try_from(data.label(i))
-                .expect("label fits u32")
-                .to_le_bytes(),
-        );
-    }
-    for &v in &data.values()[start * dim..end * dim] {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
 }
 
 /// Encodes rows `start..end` of a dataset as one standalone wire row
@@ -420,16 +384,22 @@ pub(crate) mod tests {
         timeout: Duration,
     ) -> (PartyId, DataHeader, Vec<Bytes>) {
         let (from, first) = recv_flow(node, timeout).unwrap();
-        let FlowInbound::StreamStart { header, mut last } = first else {
+        let FlowInbound::StreamStart {
+            header, mut last, ..
+        } = first
+        else {
             panic!("expected a stream header, got {first:?}");
         };
         let mut blocks = Vec::new();
         while !last {
             let (_, next) = recv_flow(node, timeout).unwrap();
-            let FlowInbound::StreamBlock { bytes, last: end } = next else {
+            let FlowInbound::StreamBlock {
+                block, last: end, ..
+            } = next
+            else {
                 panic!("expected a row block, got {next:?}");
             };
-            blocks.push(bytes);
+            blocks.push(block);
             last = end;
         }
         (from, header, blocks)
@@ -523,7 +493,7 @@ pub(crate) mod tests {
         let data = dataset(30, 3);
         send_dataset(&a, PartyId(2), false, SlotTag(9), &data, 10).unwrap();
         let (_, first) = recv_flow(&b, Duration::from_secs(2)).unwrap();
-        let FlowInbound::StreamStart { header, last } = first else {
+        let FlowInbound::StreamStart { header, last, .. } = first else {
             panic!("expected stream start");
         };
         assert!(!last);

@@ -6,7 +6,9 @@
 //! everything into one dataset in the unified target space. It never
 //! learns which provider owns which dataset — only which provider
 //! *forwarded* it, and the forwarding assignment is a secret random
-//! exchange, so each dataset's source identifiability is `1/(k−1)`.
+//! exchange, so each dataset's source identifiability is `1/(k−1)`. The
+//! adaptor table must arrive sorted by slot: in any other order its
+//! positions could name the owners.
 //!
 //! Each block is decoded into one flat record buffer per slot the moment
 //! it arrives, so the miner never holds a stream's raw blocks and its
@@ -83,7 +85,9 @@ pub fn run_miner<T: Transport>(
     let audit = ctx.audit;
     let monitor = ctx.monitor;
     let coordinator = ctx.roster.coordinator();
-    let mut open: HashMap<PartyId, OpenSlot> = HashMap::new();
+    // Open streams by `(forwarder, stream id)`: one relay may forward
+    // several streams at once.
+    let mut open: HashMap<(PartyId, u64), OpenSlot> = HashMap::new();
     let mut collected: BTreeMap<SlotTag, CollectedSlot> = BTreeMap::new();
     let mut adaptors: Option<Vec<(SlotTag, SpaceAdaptor)>> = None;
     // Every slot must share the first stream's dimensionality: the
@@ -104,6 +108,13 @@ pub fn run_miner<T: Transport>(
                                 "adaptor table from non-coordinator {from}"
                             )));
                         }
+                        // Sorted by slot, the table says nothing about
+                        // which provider owns which slot.
+                        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
+                            return Err(SapError::Protocol(
+                                "adaptor table not sorted by slot".into(),
+                            ));
+                        }
                         if adaptors.replace(entries).is_some() {
                             return Err(SapError::Protocol("duplicate adaptor table".into()));
                         }
@@ -116,7 +127,11 @@ pub fn run_miner<T: Transport>(
                     }
                 }
             }
-            FlowInbound::StreamStart { header, last } => {
+            FlowInbound::StreamStart {
+                stream,
+                header,
+                last,
+            } => {
                 audit.record_kind(from, me, header.kind(), true, false);
                 if !header.relay {
                     return Err(SapError::Protocol(
@@ -166,7 +181,7 @@ pub fn run_miner<T: Transport>(
                     )));
                 }
                 open.insert(
-                    from,
+                    (from, stream),
                     OpenSlot {
                         slot,
                         adapted,
@@ -174,18 +189,22 @@ pub fn run_miner<T: Transport>(
                     },
                 );
             }
-            FlowInbound::StreamBlock { bytes, last } => {
+            FlowInbound::StreamBlock {
+                stream,
+                block,
+                last,
+            } => {
                 // Decode (and possibly adapt) now, while the rest of the
                 // exchange is still on the wire — overlapped unless this
                 // is the session's final in-flight data.
                 let overlapped = !last || open.len() > 1;
-                let mut entry = open.remove(&from).ok_or_else(|| {
+                let mut entry = open.remove(&(from, stream)).ok_or_else(|| {
                     SapError::Protocol("stream block without an open stream".into())
                 })?;
                 monitor.block_received();
                 relayed_blocks += 1;
                 let t0 = Instant::now();
-                entry.pipeline.push(&bytes)?;
+                entry.pipeline.push(&block)?;
                 monitor.compute(t0.elapsed(), overlapped);
                 if last {
                     monitor.stream_closed();
@@ -199,7 +218,7 @@ pub fn run_miner<T: Transport>(
                         },
                     );
                 } else {
-                    open.insert(from, entry);
+                    open.insert((from, stream), entry);
                 }
             }
         }
@@ -454,6 +473,33 @@ mod tests {
             .unwrap();
         let err = run_miner(&miner_node, 1, &harness(quick_config(), &audit).ctx()).unwrap_err();
         assert!(err.to_string().contains("no adaptor"), "{err}");
+    }
+
+    /// A table that is not sorted by slot would tell the miner which
+    /// provider owns each slot: refused.
+    #[test]
+    fn unsorted_adaptor_table_rejected() {
+        let hub = InMemoryHub::new();
+        let miner_node = Node::new(hub.endpoint(PartyId(100)), 7);
+        let coord = Node::new(hub.endpoint(PartyId(2)), 7);
+        let audit = AuditLog::new();
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut adaptor = || {
+            SpaceAdaptor::between(
+                &Perturbation::random(2, &mut rng),
+                &Perturbation::random(2, &mut rng),
+            )
+            .unwrap()
+        };
+        let entries = vec![(SlotTag(9), adaptor()), (SlotTag(3), adaptor())];
+        coord
+            .send_msg(PartyId(100), &SapMessage::AdaptorTable { entries })
+            .unwrap();
+        let err = run_miner(&miner_node, 2, &harness(quick_config(), &audit).ctx()).unwrap_err();
+        assert!(
+            matches!(&err, SapError::Protocol(what) if what.contains("not sorted")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -32,7 +32,7 @@ use sap_net::{PartyId, Transport};
 use sap_perturb::{GeometricPerturbation, Perturbation, SpaceAdaptor};
 use sap_privacy::engine;
 use sap_privacy::optimize::evaluate_perturbation;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 /// Runs the provider role to completion. The [`RoleCtx`] carries the
 /// session's configuration, roster, observability, and liveness regime —
@@ -179,44 +179,41 @@ fn exchange<T: Transport>(
                     }
                 }
             }
-            FlowInbound::StreamStart { header, last } => {
+            FlowInbound::StreamStart {
+                stream,
+                header,
+                last,
+            } => {
                 audit.record_kind(from, me, header.kind(), true, false);
                 if header.relay {
                     return Err(SapError::Protocol(
                         "provider received a relayed-data stream".into(),
                     ));
                 }
-                pump.start(from, header, last)?;
+                pump.start(from, stream, header, last)?;
             }
-            FlowInbound::StreamBlock { bytes, last } => pump.block(from, bytes, last)?,
+            FlowInbound::StreamBlock {
+                stream,
+                block,
+                last,
+            } => pump.block(from, stream, block, last)?,
         }
     }
     Ok(setup.expect("loop exits only after setup").0)
 }
 
-/// State of one inbound stream waiting for (or buffered behind) the
-/// single outbound relay lane to the miner.
-struct PendingRelay {
-    header: DataHeader,
-    blocks: Vec<Bytes>,
-    done: bool,
-}
-
 /// Forwards inbound dataset streams to the miner block-by-block, while
-/// they are still arriving. One outbound stream per peer may be open at a
-/// time (receivers reassemble per sender), so when several inbound
-/// streams interleave, the first goes through *live* and the rest buffer
-/// until the lane frees — still overlapping their tails once promoted.
+/// they are still arriving: each inbound stream opens its own outbound
+/// stream to the miner the moment its header lands, and every block goes
+/// out the moment it arrives, however the inbound streams interleave.
 struct RelayPump<'n, T: Transport> {
     node: &'n Node<T>,
     miner: PartyId,
     monitor: &'n StreamMonitor,
-    /// The inbound sender whose blocks are being forwarded live, and the
-    /// open outbound stream carrying them.
-    live: Option<(PartyId, StreamHandle)>,
-    /// Senders whose streams wait for the lane, FIFO.
-    waiting: VecDeque<PartyId>,
-    pending: HashMap<PartyId, PendingRelay>,
+    /// The open outbound stream of each inbound `(sender, stream)`.
+    live: HashMap<(PartyId, u64), StreamHandle>,
+    /// Senders whose data stream has opened here.
+    senders: HashSet<PartyId>,
     relayed: u32,
 }
 
@@ -226,9 +223,8 @@ impl<'n, T: Transport> RelayPump<'n, T> {
             node,
             miner,
             monitor,
-            live: None,
-            waiting: VecDeque::new(),
-            pending: HashMap::new(),
+            live: HashMap::new(),
+            senders: HashSet::new(),
             relayed: 0,
         }
     }
@@ -238,26 +234,27 @@ impl<'n, T: Transport> RelayPump<'n, T> {
         self.relayed
     }
 
-    /// `true` when nothing is being forwarded or waiting.
+    /// `true` when no stream is being forwarded.
     fn idle(&self) -> bool {
-        self.live.is_none() && self.waiting.is_empty()
+        self.live.is_empty()
     }
 
-    /// An inbound stream opened at this provider.
-    fn start(&mut self, from: PartyId, header: DataHeader, last: bool) -> Result<(), SapError> {
+    /// An inbound stream opened at this provider: open its outbound
+    /// stream to the miner.
+    fn start(
+        &mut self,
+        from: PartyId,
+        stream: u64,
+        header: DataHeader,
+        last: bool,
+    ) -> Result<(), SapError> {
         self.monitor.stream_opened();
-        // A sender opening a new stream while its previous one is still
-        // queued or live would corrupt the pending buffer (the frame
-        // layer only rejects a new header *mid*-stream). Honest senders
-        // stream once; abort like the other protocol violations.
-        if self.pending.contains_key(&from)
-            || self
-                .live
-                .as_ref()
-                .is_some_and(|(sender, _)| *sender == from)
-        {
+        // Every owner's dataset is exchanged once, so an honest sender
+        // streams here at most once; abort like the other protocol
+        // violations.
+        if !self.senders.insert(from) {
             return Err(SapError::Protocol(format!(
-                "second data stream from {from} while its first is still relaying"
+                "second data stream from {from}"
             )));
         }
         if last {
@@ -269,89 +266,36 @@ impl<'n, T: Transport> RelayPump<'n, T> {
             relay: true,
             ..header
         };
-        if self.live.is_none() && self.waiting.is_empty() {
-            if last {
-                self.node.begin_stream(self.miner, &relay_header, true)?;
-                self.relayed += 1;
-            } else {
-                let handle = self.node.begin_stream(self.miner, &relay_header, false)?;
-                self.live = Some((from, handle));
-            }
+        let handle = self.node.begin_stream(self.miner, &relay_header, last)?;
+        if last {
+            self.relayed += 1;
         } else {
-            self.pending.insert(
-                from,
-                PendingRelay {
-                    header,
-                    blocks: Vec::new(),
-                    done: last,
-                },
-            );
-            self.waiting.push_back(from);
+            self.live.insert((from, stream), handle);
         }
         Ok(())
     }
 
-    /// One inbound block arrived; forward it live or buffer it.
-    fn block(&mut self, from: PartyId, bytes: Bytes, last: bool) -> Result<(), SapError> {
+    /// One inbound block arrived: forward it on its outbound stream.
+    fn block(
+        &mut self,
+        from: PartyId,
+        stream: u64,
+        block: Bytes,
+        last: bool,
+    ) -> Result<(), SapError> {
         self.monitor.block_received();
         if last {
             self.monitor.stream_closed();
         }
-        if let Some((sender, handle)) = self.live.as_mut() {
-            if *sender == from {
-                self.node.stream_block(handle, bytes, last)?;
-                self.monitor.block_pipelined();
-                if last {
-                    self.live = None;
-                    self.relayed += 1;
-                    self.drain_waiting()?;
-                }
-                return Ok(());
-            }
-        }
-        let pending = self
-            .pending
-            .get_mut(&from)
+        let handle = self
+            .live
+            .get_mut(&(from, stream))
             .ok_or_else(|| SapError::Protocol("stream block without an open stream".into()))?;
-        pending.blocks.push(bytes);
+        self.node.stream_block(handle, block, last)?;
+        self.monitor.block_pipelined();
         if last {
-            pending.done = true;
-        }
-        if self.live.is_none() {
-            self.drain_waiting()?;
-        }
-        Ok(())
-    }
-
-    /// Promotes waiting streams onto the free lane: complete ones are
-    /// sent whole; the first incomplete one is flushed and goes live for
-    /// the rest of its blocks.
-    fn drain_waiting(&mut self) -> Result<(), SapError> {
-        while self.live.is_none() {
-            let Some(front) = self.waiting.pop_front() else {
-                break;
-            };
-            let pending = self
-                .pending
-                .remove(&front)
-                .expect("waiting senders have pending state");
-            let relay_header = DataHeader {
-                relay: true,
-                ..pending.header
-            };
-            if pending.done {
-                self.node
-                    .send_stream(self.miner, &relay_header, pending.blocks)?;
-                self.relayed += 1;
-            } else {
-                let mut handle = self.node.begin_stream(self.miner, &relay_header, false)?;
-                for block in pending.blocks {
-                    // None of these is the stream's last block (the
-                    // stream is not done), so the lane stays open.
-                    self.node.stream_block(&mut handle, block, false)?;
-                }
-                self.live = Some((front, handle));
-            }
+            self.live.remove(&(from, stream));
+            self.relayed += 1;
         }
         Ok(())
     }
@@ -578,37 +522,139 @@ mod tests {
         );
     }
 
-    /// A sender opening a second stream while its first still waits for
-    /// the relay lane must abort with a protocol error — never corrupt
-    /// the pending buffer or panic the role.
+    /// A sender opening a second data stream must abort with a protocol
+    /// error — never open a second outbound stream or panic the role.
     #[test]
     fn relay_pump_rejects_second_stream_from_queued_sender() {
-        use sap_net::SessionId;
-
         let hub = InMemoryHub::new();
         let node = Node::new(hub.endpoint(PartyId(0)), 7);
         let _miner = hub.endpoint(PartyId(100));
         let monitor = StreamMonitor::new();
         let mut pump = RelayPump::new(&node, PartyId(100), &monitor);
-        let header = |slot| DataHeader {
-            session: SessionId::SOLO,
+        // Parties 1 and 2 both stream; party 2 finishes its stream.
+        pump.start(PartyId(1), 1, header(SlotTag(1)), false)
+            .unwrap();
+        pump.start(PartyId(2), 1, header(SlotTag(2)), false)
+            .unwrap();
+        pump.block(PartyId(2), 1, Bytes::from_static(b"\x01\x00\x00\x00"), true)
+            .unwrap();
+        // Party 2 opens another stream.
+        let err = pump
+            .start(PartyId(2), 2, header(SlotTag(3)), false)
+            .unwrap_err();
+        assert!(err.to_string().contains("second data stream"), "{err}");
+    }
+
+    fn header(slot: SlotTag) -> DataHeader {
+        DataHeader {
+            session: sap_net::SessionId::SOLO,
             relay: false,
             slot,
             rows: 8,
             dim: 2,
             num_classes: 2,
-        };
-        // Party 1's stream takes the lane; party 2 queues behind it and
-        // finishes its inbound stream while waiting.
-        pump.start(PartyId(1), header(SlotTag(1)), false).unwrap();
-        pump.start(PartyId(2), header(SlotTag(2)), false).unwrap();
-        pump.block(PartyId(2), Bytes::from_static(b"\x01\x00\x00\x00"), true)
-            .unwrap();
-        // Party 2 opens another stream while its first is still queued.
-        let err = pump
-            .start(PartyId(2), header(SlotTag(3)), false)
-            .unwrap_err();
-        assert!(err.to_string().contains("second data stream"), "{err}");
+        }
+    }
+
+    /// Two inbound streams whose blocks interleave one by one leave as two
+    /// outbound streams open at once: each block is forwarded the moment
+    /// it arrives, and the miner's node reassembles both streams
+    /// byte-identically.
+    #[test]
+    fn relay_pump_forwards_interleaved_streams_live() {
+        let hub = InMemoryHub::new();
+        let relay = Node::new(hub.endpoint(PartyId(0)), 7);
+        let senders = [
+            Node::new(hub.endpoint(PartyId(1)), 7),
+            Node::new(hub.endpoint(PartyId(2)), 7),
+        ];
+        let miner = Node::new(hub.endpoint(PartyId(100)), 7);
+        let monitor = StreamMonitor::new();
+        let mut pump = RelayPump::new(&relay, PartyId(100), &monitor);
+        let timeout = Duration::from_secs(2);
+        let block =
+            |sender: usize, i: u8| Bytes::from(vec![sender as u8 * 16 + i; 4 + usize::from(i)]);
+
+        let mut outbound: Vec<StreamHandle> = senders
+            .iter()
+            .enumerate()
+            .map(|(s, node)| {
+                node.begin_stream(PartyId(0), &header(SlotTag(s as u64 + 1)), false)
+                    .unwrap()
+            })
+            .collect();
+        for i in 0..3u8 {
+            for (s, node) in senders.iter().enumerate() {
+                node.stream_block(&mut outbound[s], block(s, i), i == 2)
+                    .unwrap();
+            }
+        }
+
+        // The miner's view of each forwarded stream, by its stream id.
+        let mut at_miner: HashMap<u64, (DataHeader, Vec<Bytes>, bool)> = HashMap::new();
+        for _ in 0..senders.len() * 4 {
+            match link::recv_flow(&relay, timeout).unwrap() {
+                (
+                    from,
+                    FlowInbound::StreamStart {
+                        stream,
+                        header,
+                        last,
+                    },
+                ) => {
+                    pump.start(from, stream, header, last).unwrap();
+                }
+                (
+                    from,
+                    FlowInbound::StreamBlock {
+                        stream,
+                        block,
+                        last,
+                    },
+                ) => {
+                    pump.block(from, stream, block, last).unwrap();
+                }
+                (_, other) => panic!("unexpected {other:?}"),
+            }
+            // Forwarded live: each inbound frame has already left.
+            let (from, flow) = link::recv_flow(&miner, timeout).unwrap();
+            assert_eq!(from, PartyId(0));
+            match flow {
+                FlowInbound::StreamStart {
+                    stream,
+                    header,
+                    last,
+                } => {
+                    assert!(at_miner
+                        .insert(stream, (header, Vec::new(), last))
+                        .is_none());
+                }
+                FlowInbound::StreamBlock {
+                    stream,
+                    block,
+                    last,
+                } => {
+                    let (_, blocks, done) = at_miner.get_mut(&stream).unwrap();
+                    assert!(!*done);
+                    blocks.push(block);
+                    *done = last;
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert!(pump.idle());
+        assert_eq!(pump.relayed(), 2);
+        let stats = monitor.snapshot();
+        assert_eq!((stats.blocks_streamed, stats.pipelined_blocks), (6, 6));
+        assert_eq!(stats.max_streams_in_flight, 2);
+
+        let mut forwarded: Vec<_> = at_miner.into_values().collect();
+        forwarded.sort_by_key(|(header, ..)| header.slot);
+        for (s, (header, blocks, done)) in forwarded.into_iter().enumerate() {
+            assert!(done && header.relay);
+            assert_eq!(header.slot, SlotTag(s as u64 + 1));
+            assert_eq!(blocks, (0..3).map(|i| block(s, i)).collect::<Vec<_>>());
+        }
     }
 
     #[test]

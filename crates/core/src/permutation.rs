@@ -37,23 +37,26 @@ impl ExchangePlan {
         assert!(coordinator < k, "coordinator index out of range");
 
         // τ: receiver position i receives from owner τ(i). Draw τ as a
-        // uniform permutation of owners.
+        // uniform permutation of owners, and the redirect target j
+        // uniformly among the non-coordinators.
         let mut owners: Vec<usize> = (0..k).collect();
         owners.shuffle(rng);
-        // receiver_of[owner] = position i with τ(i) = owner.
-        let mut receiver_of = vec![0usize; k];
-        for (receiver, &owner) in owners.iter().enumerate() {
-            receiver_of[owner] = receiver;
-        }
-        // Redirect the coordinator's receiving slot to a random
-        // non-coordinator j.
-        let coordinator_gets = owners[coordinator];
         let mut j = rng.random_range(0..k - 1);
         if j >= coordinator {
             j += 1;
         }
-        receiver_of[coordinator_gets] = j;
+        Self::from_draw(&owners, coordinator, j)
+    }
 
+    /// The plan of one draw: receiver `i` gets the dataset of `owners[i]`,
+    /// except that the coordinator's receiving slot is redirected to `j`.
+    fn from_draw(owners: &[usize], coordinator: usize, j: usize) -> Self {
+        // receiver_of[owner] = position i with τ(i) = owner.
+        let mut receiver_of = vec![0usize; owners.len()];
+        for (receiver, &owner) in owners.iter().enumerate() {
+            receiver_of[owner] = receiver;
+        }
+        receiver_of[owners[coordinator]] = j;
         ExchangePlan {
             receiver_of,
             coordinator,
@@ -85,7 +88,11 @@ impl ExchangePlan {
         self.receiver_of.iter().filter(|&&r| r == receiver).count()
     }
 
-    /// The miner's-view source identifiability `1/(k−1)` this plan achieves.
+    /// The miner's-view source identifiability `1/(k−1)`: a bound on the
+    /// probability that a miner which sees each slot's forwarder (the
+    /// adaptor table arrives sorted by slot tag) names the slot's owner.
+    /// The exact enumeration in this module's tests proves a
+    /// Bayes-optimal miner stays within it; its success is exactly `1/k`.
     pub fn identifiability(&self) -> f64 {
         1.0 / (self.k() - 1) as f64
     }
@@ -96,6 +103,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashMap;
 
     #[test]
     fn plan_is_valid_for_many_draws() {
@@ -157,6 +165,66 @@ mod tests {
         for (r, &c) in counts.iter().enumerate().take(k - 1) {
             let dev = (c as f64 - expected).abs() / expected;
             assert!(dev < 0.08, "receiver {r}: count {c} vs expected {expected}");
+        }
+    }
+
+    /// Every permutation of `0..k`.
+    fn permutations(k: usize) -> Vec<Vec<usize>> {
+        if k == 0 {
+            return vec![Vec::new()];
+        }
+        permutations(k - 1)
+            .into_iter()
+            .flat_map(|p| {
+                (0..k).map(move |i| {
+                    let mut q = p.clone();
+                    q.insert(i, k - 1);
+                    q
+                })
+            })
+            .collect()
+    }
+
+    /// Exact enumeration over every `(τ, j)` pair `random` can draw, each
+    /// equally likely. The miner gets the adaptor table sorted by random
+    /// slot tags, so a slot's position carries nothing; what it sees is
+    /// each slot's forwarder and, from all of them, how many slots each
+    /// provider forwarded. A Bayes-optimal miner names, for a slot, the
+    /// owner most likely given that view. Its success is at most
+    /// `identifiability()` — in fact exactly `1/k`.
+    #[test]
+    fn bayes_optimal_miner_names_the_owner_at_most_at_identifiability() {
+        for k in 3..=6 {
+            let coordinator = k - 1;
+            // (forwarder, slots forwarded by each provider) → owner counts.
+            let mut joint: HashMap<(usize, Vec<usize>), Vec<u64>> = HashMap::new();
+            let mut cases = 0u64;
+            for owners in permutations(k) {
+                for j in (0..k).filter(|&j| j != coordinator) {
+                    let plan = ExchangePlan::from_draw(&owners, coordinator, j);
+                    let forwarded: Vec<usize> = (0..k).map(|r| plan.incoming_count(r)).collect();
+                    for owner in 0..k {
+                        let view = (plan.receiver_of(owner), forwarded.clone());
+                        joint.entry(view).or_insert_with(|| vec![0; k])[owner] += 1;
+                        cases += 1;
+                    }
+                }
+            }
+            assert_eq!(
+                cases,
+                (1..=k as u64).product::<u64>() * (k as u64 - 1) * k as u64
+            );
+            let hits: u64 = joint
+                .values()
+                .filter_map(|owners| owners.iter().max())
+                .sum();
+            let plan = ExchangePlan::from_draw(&(0..k).collect::<Vec<_>>(), coordinator, 0);
+            let success = hits as f64 / cases as f64;
+            assert!(
+                success <= plan.identifiability() + 1e-12,
+                "k = {k}: miner names the owner with probability {success}"
+            );
+            assert_eq!(hits * k as u64, cases, "k = {k}: success is exactly 1/k");
         }
     }
 

@@ -215,7 +215,9 @@ pub struct SapOutcome {
     pub unified: Dataset,
     /// One report per provider, in provider order (coordinator last).
     pub reports: Vec<ProviderReport>,
-    /// Source identifiability from the miner's view, `1/(k−1)`.
+    /// Source identifiability from the miner's view, `1/(k−1)`: the bound
+    /// [`ExchangePlan::identifiability`](crate::permutation::ExchangePlan::identifiability)
+    /// documents.
     pub identifiability: f64,
     /// The audit ledger of every delivery (for information-flow checks).
     pub audit: AuditLog,

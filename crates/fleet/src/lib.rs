@@ -52,7 +52,7 @@ use sap_core::runtime::SessionStatus;
 use sap_core::session::{SapConfig, SapOutcome};
 use sap_core::SapError;
 use sap_datasets::Dataset;
-use sap_net::frame::open_frame_recycling;
+use sap_net::frame::{open_frame_recycling, FlowItem, Reassembler};
 use sap_net::mux::{MuxEndpoint, SessionMux};
 use sap_net::tcp::local_mesh;
 use sap_net::transport::Endpoint;
@@ -756,49 +756,31 @@ impl Drop for Fleet {
 /// registrations and leaves, and turns liveness verdicts into membership
 /// repair.
 ///
-/// Reassembly is keyed by **message id**, not sender: control messages
-/// are fleet-unique by construction ([`FleetNode::next_msg_id`]), and
-/// two threads of one node (a gateway registering, the service thread
-/// acking) may interleave their messages' frames on the same lane, so
-/// keying on the sender would merge them. Per-message frame order is still
-/// guaranteed (one thread sends one message's frames back-to-back over
-/// FIFO lanes), so a sequence gap means an undeliverable message: its
-/// partial state is dropped, and the origin's un-acked registration
-/// record re-sends rather than this layer guessing.
+/// Frames go through the same [`Reassembler`] as every session's, keyed
+/// by `(sender, msg_id)`: two threads of one node (a client submitting
+/// through it, its service thread re-placing a dead node's sessions) may
+/// interleave their messages' frames on the same lane, and each message
+/// has its own id ([`FleetNode::next_msg_id`]). Per-message frame order
+/// is still guaranteed (one thread sends one message's frames
+/// back-to-back over FIFO lanes), so a sequence gap means an
+/// undeliverable message: the reassembler drops its state, and the
+/// origin's un-acked registration record re-sends rather than this layer
+/// guessing.
 fn service_loop(node: &FleetNode, shared: &Shared) {
     let key = wire::inbox_key(shared.secret, node.index);
     let my_inbox = wire::inbox_session(node.index);
-    let mut partial: HashMap<u64, Vec<bytes::Bytes>> = HashMap::new();
+    let mut reassembler = Reassembler::new();
     loop {
         match node.inbox.recv_timeout(Duration::from_millis(50)) {
-            Ok((_from, sealed)) => {
+            Ok((from, sealed)) => {
                 let Ok((session, frame)) = open_frame_recycling(key, sealed) else {
                     continue;
                 };
                 if session != my_inbox {
                     continue;
                 }
-                let chunks = partial.entry(frame.msg_id).or_default();
-                if frame.seq as usize != chunks.len() {
-                    partial.remove(&frame.msg_id);
+                let Ok(Some(FlowItem::Message(bytes))) = reassembler.feed(from, frame) else {
                     continue;
-                }
-                chunks.push(frame.payload);
-                if !frame.last {
-                    continue;
-                }
-                let Some(chunks) = partial.remove(&frame.msg_id) else {
-                    continue;
-                };
-                let bytes = match chunks.as_slice() {
-                    [single] => single.clone(),
-                    many => {
-                        let mut joined = Vec::with_capacity(many.iter().map(|c| c.len()).sum());
-                        for c in many {
-                            joined.extend_from_slice(c);
-                        }
-                        bytes::Bytes::from(joined)
-                    }
                 };
                 let Ok(msg) = sap_net::wire::from_bytes::<FleetMsg>(&bytes) else {
                     continue;

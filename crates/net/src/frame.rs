@@ -553,19 +553,15 @@ pub fn split_message(msg_id: u64, encoded: Bytes, chunk_size: usize) -> Vec<Fram
 // Reassembly
 // ---------------------------------------------------------------------------
 
-/// Per-sender reassembly state: the message or stream a sender has open.
+/// Reassembly state of one open message or stream.
 enum Partial {
     /// A control message split over several frames: its chunks so far.
-    Message {
-        msg_id: u64,
-        next_seq: u32,
-        chunks: Vec<Bytes>,
-    },
+    Message { next_seq: u32, chunks: Vec<Bytes> },
     /// An open stream: continuity state only, never its blocks.
-    Stream { msg_id: u64, next_seq: u32 },
+    Stream { next_seq: u32 },
 }
 
-/// Per-sender reassembly of frames into deliveries.
+/// Reassembly of frames into deliveries, per `(sender, msg_id)`.
 ///
 /// Control messages are small and assemble whole. Stream headers and
 /// blocks come out per frame, the moment they arrive, so a receiver can
@@ -573,13 +569,14 @@ enum Partial {
 /// on the wire; for a stream only its continuity state is kept, never a
 /// payload byte.
 ///
-/// Transports deliver per-sender FIFO and a sender completes one message
-/// before starting the next, so state is keyed by sender alone; any
-/// interleaving or reordering within a sender is a hard error (SAP
-/// aborts rather than guessing).
+/// A sender may keep several messages and streams open at once and
+/// interleave their frames: a frame with a new `msg_id` at `seq` 0 opens
+/// another one. Transports deliver per-sender FIFO, so within one
+/// message a gap, a duplicate or a kind change is a hard error (SAP
+/// aborts rather than guessing) and drops that message's state.
 #[derive(Default)]
 pub struct Reassembler {
-    pending: HashMap<PartyId, Partial>,
+    pending: HashMap<(PartyId, u64), Partial>,
 }
 
 impl Reassembler {
@@ -596,82 +593,53 @@ impl Reassembler {
     /// Returns [`FrameError`] on sequence violations, kind mixing, or
     /// orphan blocks.
     pub fn feed(&mut self, from: PartyId, frame: Frame) -> Result<Option<FlowItem>, FrameError> {
-        let partial = self.pending.remove(&from);
-        let last = frame.last;
-        match (frame.kind, partial) {
-            // A message or a stream opens at seq 0.
-            (FrameKind::Control, None) => {
-                check_continuity(frame.msg_id, 0, &frame)?;
-                if last {
-                    return Ok(Some(FlowItem::Message(frame.payload)));
-                }
-                self.pending.insert(
-                    from,
-                    Partial::Message {
-                        msg_id: frame.msg_id,
-                        next_seq: 1,
-                        chunks: vec![frame.payload],
-                    },
-                );
-                Ok(None)
+        let key = (from, frame.msg_id);
+        // A message or a stream opens at seq 0.
+        let (next_seq, mut chunks) = match (frame.kind, self.pending.remove(&key)) {
+            (FrameKind::Control | FrameKind::StreamHeader, None) => (0, Vec::new()),
+            (FrameKind::Control, Some(Partial::Message { next_seq, chunks })) => (next_seq, chunks),
+            (FrameKind::StreamBlock, Some(Partial::Stream { next_seq })) => (next_seq, Vec::new()),
+            (FrameKind::StreamBlock, None) => return Err(FrameError::OrphanBlock),
+            (_, Some(_)) => return Err(FrameError::Malformed("frame kind changed mid-message")),
+        };
+        if frame.seq != next_seq {
+            return Err(FrameError::Sequence {
+                expected: next_seq,
+                got: frame.seq,
+            });
+        }
+        let (last, stream, next_seq) = (frame.last, frame.msg_id, next_seq + 1);
+        match frame.kind {
+            FrameKind::Control if last && chunks.is_empty() => {
+                Ok(Some(FlowItem::Message(frame.payload)))
             }
-            (
-                FrameKind::Control,
-                Some(Partial::Message {
-                    msg_id,
-                    next_seq,
-                    mut chunks,
-                }),
-            ) => {
-                check_continuity(msg_id, next_seq, &frame)?;
+            FrameKind::Control => {
                 chunks.push(frame.payload);
                 if last {
                     return Ok(Some(FlowItem::Message(join_chunks(&chunks))));
                 }
-                self.pending.insert(
-                    from,
-                    Partial::Message {
-                        msg_id,
-                        next_seq: next_seq + 1,
-                        chunks,
-                    },
-                );
+                self.pending
+                    .insert(key, Partial::Message { next_seq, chunks });
                 Ok(None)
             }
-            (FrameKind::StreamHeader, None) => {
-                check_continuity(frame.msg_id, 0, &frame)?;
+            kind => {
                 if !last {
-                    self.pending.insert(
-                        from,
-                        Partial::Stream {
-                            msg_id: frame.msg_id,
-                            next_seq: 1,
-                        },
-                    );
+                    self.pending.insert(key, Partial::Stream { next_seq });
                 }
-                Ok(Some(FlowItem::StreamHeader {
-                    header: frame.payload,
-                    last,
+                Ok(Some(if kind == FrameKind::StreamHeader {
+                    FlowItem::StreamHeader {
+                        stream,
+                        header: frame.payload,
+                        last,
+                    }
+                } else {
+                    FlowItem::StreamBlock {
+                        stream,
+                        block: frame.payload,
+                        last,
+                    }
                 }))
             }
-            (FrameKind::StreamBlock, Some(Partial::Stream { msg_id, next_seq })) => {
-                check_continuity(msg_id, next_seq, &frame)?;
-                if !last {
-                    self.pending.insert(
-                        from,
-                        Partial::Stream {
-                            msg_id,
-                            next_seq: next_seq + 1,
-                        },
-                    );
-                }
-                Ok(Some(FlowItem::StreamBlock {
-                    block: frame.payload,
-                    last,
-                }))
-            }
-            (FrameKind::StreamBlock, None) => Err(FrameError::OrphanBlock),
-            (_, Some(_)) => Err(FrameError::Malformed("frame kind changed mid-message")),
         }
     }
 }
@@ -686,6 +654,9 @@ pub enum FlowItem {
     /// A stream opened: the wire-encoded header. `last` marks an empty
     /// stream (no blocks follow).
     StreamHeader {
+        /// The stream's `msg_id`: it tells apart the streams one sender
+        /// has open.
+        stream: u64,
         /// Encoded stream header.
         header: Bytes,
         /// `true` when the stream carries no blocks.
@@ -693,24 +664,13 @@ pub enum FlowItem {
     },
     /// One raw stream block, delivered the moment it arrived.
     StreamBlock {
+        /// The `msg_id` of the stream this block belongs to.
+        stream: u64,
         /// The raw block payload, exactly as sent.
         block: Bytes,
         /// `true` when this is the stream's final block.
         last: bool,
     },
-}
-
-fn check_continuity(msg_id: u64, next_seq: u32, frame: &Frame) -> Result<(), FrameError> {
-    if frame.msg_id != msg_id {
-        return Err(FrameError::Malformed("message id changed mid-message"));
-    }
-    if frame.seq != next_seq {
-        return Err(FrameError::Sequence {
-            expected: next_seq,
-            got: frame.seq,
-        });
-    }
-    Ok(())
 }
 
 fn join_chunks(chunks: &[Bytes]) -> Bytes {
@@ -931,8 +891,8 @@ mod tests {
             (FrameKind::StreamBlock, 2, true, b"bk1"),
         ] {
             match r.feed(from, frame(kind, 5, seq, last, payload)).unwrap() {
-                Some(FlowItem::StreamHeader { header, last }) => got.push((header, last)),
-                Some(FlowItem::StreamBlock { block, last }) => got.push((block, last)),
+                Some(FlowItem::StreamHeader { header, last, .. }) => got.push((header, last)),
+                Some(FlowItem::StreamBlock { block, last, .. }) => got.push((block, last)),
                 other => panic!("expected a stream frame, got {other:?}"),
             }
         }
@@ -996,14 +956,18 @@ mod tests {
             FrameError::Malformed(_)
         ));
 
-        // Message id drift.
+        // Message id drift: a frame of an id that never opened at seq 0
+        // is a gap in that message, not a continuation of message 4.
         let mut r = Reassembler::new();
         r.feed(from, frame(FrameKind::Control, 4, 0, false, b"a"))
             .unwrap();
         assert!(matches!(
             r.feed(from, frame(FrameKind::Control, 5, 1, true, b"b"))
                 .unwrap_err(),
-            FrameError::Malformed(_)
+            FrameError::Sequence {
+                expected: 0,
+                got: 1
+            }
         ));
     }
 
@@ -1011,7 +975,7 @@ mod tests {
     fn feed_streaming_surfaces_blocks_immediately() {
         let mut r = Reassembler::new();
         let from = PartyId(3);
-        let Some(FlowItem::StreamHeader { header, last }) = r
+        let Some(FlowItem::StreamHeader { header, last, .. }) = r
             .feed(from, frame(FrameKind::StreamHeader, 5, 0, false, b"hdr"))
             .unwrap()
         else {
@@ -1019,7 +983,7 @@ mod tests {
         };
         assert_eq!(&header[..], b"hdr");
         assert!(!last);
-        let Some(FlowItem::StreamBlock { block, last }) = r
+        let Some(FlowItem::StreamBlock { block, last, .. }) = r
             .feed(from, frame(FrameKind::StreamBlock, 5, 1, false, b"b0"))
             .unwrap()
         else {
@@ -1118,8 +1082,8 @@ mod tests {
     fn delivery(item: FlowItem) -> (u8, Vec<u8>, bool) {
         match item {
             FlowItem::Message(bytes) => (0, bytes.to_vec(), true),
-            FlowItem::StreamHeader { header, last } => (1, header.to_vec(), last),
-            FlowItem::StreamBlock { block, last } => (2, block.to_vec(), last),
+            FlowItem::StreamHeader { header, last, .. } => (1, header.to_vec(), last),
+            FlowItem::StreamBlock { block, last, .. } => (2, block.to_vec(), last),
         }
     }
 
@@ -1128,8 +1092,9 @@ mod tests {
 
         /// Arbitrary frame sequences (any sender, kind, msg id, seq, last
         /// flag and payload) never panic the reassembler, every violation
-        /// is a typed framing error, and the only payload bytes it ever
-        /// holds are chunks of control messages — never a stream's.
+        /// is a typed framing error, the only payload bytes it ever holds
+        /// are chunks of control messages — never a stream's — and it
+        /// keeps at most one entry per `(sender, msg_id)` pair fed.
         #[test]
         fn arbitrary_frames_fail_typed_and_retain_no_stream_bytes(
             seed in proptest::prelude::any::<u64>(),
@@ -1139,6 +1104,7 @@ mod tests {
             let mut rng = Xorshift(seed | 1);
             let mut r = Reassembler::new();
             let mut control_bytes = 0;
+            let mut fed = std::collections::HashSet::new();
             for _ in 0..len {
                 let kind = match rng.below(3) {
                     0 if !streams_only => FrameKind::Control,
@@ -1151,6 +1117,7 @@ mod tests {
                 }
                 let from = PartyId(rng.below(3));
                 let (msg_id, seq, last) = (rng.below(3), rng.below(4) as u32, rng.below(2) == 0);
+                fed.insert((from, msg_id));
                 match r.feed(from, frame(kind, msg_id, seq, last, &payload)) {
                     Ok(_)
                     | Err(FrameError::Sequence { .. })
@@ -1159,29 +1126,33 @@ mod tests {
                     Err(other) => proptest::prop_assert!(false, "unexpected error: {other}"),
                 }
                 proptest::prop_assert!(r.retained_bytes() <= control_bytes);
-                proptest::prop_assert!(r.pending.len() <= 3);
+                proptest::prop_assert!(r.pending.len() <= fed.len());
             }
         }
 
-        /// Any interleaving of well-formed senders delivers exactly what
-        /// each sender sent, in its order: each control message whole,
-        /// each stream as its header then its blocks one by one. The
-        /// reassembler holds only the chunks of control messages still
-        /// in flight, and nothing once every sender is done.
+        /// Any interleaving of well-formed senders, each keeping several
+        /// messages and streams open at once, delivers exactly what was
+        /// sent, in each message's order: each control message whole,
+        /// each stream as its header then its blocks one by one, tagged
+        /// with its own `msg_id`. The reassembler holds only the chunks of
+        /// control messages still in flight, and nothing once every
+        /// sender is done.
         #[test]
         fn valid_interleavings_deliver_each_senders_frames_in_order(
             seed in proptest::prelude::any::<u64>(),
         ) {
             const SENDERS: usize = 3;
+            type Deliveries = Vec<(u8, Vec<u8>, bool)>;
             let mut rng = Xorshift(seed | 1);
-            let mut scripts: Vec<Vec<Frame>> = vec![Vec::new(); SENDERS];
-            let mut expected: Vec<Vec<(u8, Vec<u8>, bool)>> = vec![Vec::new(); SENDERS];
+            // scripts[sender][msg_id]: that message's frames, last first.
+            let mut scripts: Vec<Vec<Vec<Frame>>> = vec![Vec::new(); SENDERS];
+            let mut expected: Vec<Vec<Deliveries>> = vec![Vec::new(); SENDERS];
             for (sender, (script, want)) in scripts.iter_mut().zip(&mut expected).enumerate() {
                 for msg_id in 0..rng.below(5) {
                     let stream = rng.below(2) == 0;
                     // A message has 1–3 chunks; a stream a header and 0–3 blocks.
                     let frames = 1 + rng.below(if stream { 4 } else { 3 }) as u32;
-                    let mut joined = Vec::new();
+                    let (mut joined, mut message, mut deliveries) = (Vec::new(), Vec::new(), Vec::new());
                     for seq in 0..frames {
                         let len = rng.below(6) as usize;
                         let payload: Vec<u8> = (0..len)
@@ -1194,35 +1165,60 @@ mod tests {
                             (true, _) => FrameKind::StreamBlock,
                         };
                         if stream {
-                            want.push((if seq == 0 { 1 } else { 2 }, payload.clone(), last));
+                            deliveries.push((if seq == 0 { 1 } else { 2 }, payload.clone(), last));
                         } else {
                             joined.extend_from_slice(&payload);
                         }
-                        script.push(frame(kind, msg_id, seq, last, &payload));
+                        message.push(frame(kind, msg_id, seq, last, &payload));
                     }
                     if !stream {
-                        want.push((0, joined, true));
+                        deliveries.push((0, joined, true));
                     }
+                    message.reverse(); // pop() takes frames in send order
+                    script.push(message);
+                    want.push(deliveries);
                 }
-                script.reverse(); // pop() takes frames in send order
             }
 
             let mut r = Reassembler::new();
-            let mut got: Vec<Vec<(u8, Vec<u8>, bool)>> = vec![Vec::new(); SENDERS];
-            let mut in_flight = [0usize; SENDERS];
-            while scripts.iter().any(|s| !s.is_empty()) {
-                let live: Vec<usize> = (0..SENDERS).filter(|&s| !scripts[s].is_empty()).collect();
-                let sender = live[rng.below(live.len() as u64) as usize];
-                let next = scripts[sender].pop().expect("live sender has frames");
+            let mut got: Vec<Vec<Deliveries>> =
+                expected.iter().map(|msgs| vec![Vec::new(); msgs.len()]).collect();
+            let mut in_flight: Vec<Vec<usize>> =
+                expected.iter().map(|msgs| vec![0; msgs.len()]).collect();
+            let open = |scripts: &[Vec<Vec<Frame>>]| -> Vec<(usize, usize)> {
+                scripts
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(s, msgs)| {
+                        msgs.iter()
+                            .enumerate()
+                            .filter(|(_, frames)| !frames.is_empty())
+                            .map(move |(m, _)| (s, m))
+                    })
+                    .collect()
+            };
+            loop {
+                let live = open(&scripts);
+                if live.is_empty() {
+                    break;
+                }
+                // Any sender sends the next frame of any of its messages.
+                let (sender, msg) = live[rng.below(live.len() as u64) as usize];
+                let next = scripts[sender][msg].pop().expect("live message has frames");
                 if next.kind == FrameKind::Control {
-                    in_flight[sender] = if next.last { 0 } else { in_flight[sender] + next.payload.len() };
+                    let held = &mut in_flight[sender][msg];
+                    *held = if next.last { 0 } else { *held + next.payload.len() };
                 }
                 let item = r.feed(PartyId(sender as u64), next);
                 proptest::prop_assert!(item.is_ok(), "valid frame refused: {:?}", item);
                 if let Some(item) = item.unwrap() {
-                    got[sender].push(delivery(item));
+                    if let FlowItem::StreamHeader { stream, .. } | FlowItem::StreamBlock { stream, .. } = &item {
+                        proptest::prop_assert_eq!(*stream, msg as u64);
+                    }
+                    got[sender][msg].push(delivery(item));
                 }
-                proptest::prop_assert_eq!(r.retained_bytes(), in_flight.iter().sum::<usize>());
+                let held: usize = in_flight.iter().flatten().sum();
+                proptest::prop_assert_eq!(r.retained_bytes(), held);
             }
             proptest::prop_assert_eq!(got, expected);
             proptest::prop_assert_eq!(r.pending.len(), 0);

@@ -34,7 +34,7 @@
 //!   arrival to, and the in-memory hub.
 //! * [`reactor`] — the TCP transport, with the same contract as the hub:
 //!   one reactor thread multiplexing every lane over the vendored
-//!   epoll/poll shim, pooled frame buffers, and coalesced vectored writes.
+//!   `epoll(7)` shim, pooled frame buffers, and coalesced vectored writes.
 //! * [`tcp`] — [`tcp::local_mesh`] (a fully meshed set of localhost
 //!   reactor endpoints) and the trust model of the TCP lanes.
 //! * [`mux`] — [`mux::SessionMux`]: routes one physical endpoint's frames

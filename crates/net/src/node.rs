@@ -81,6 +81,9 @@ pub enum NodeFlow<M, H> {
     /// A stream opened. `last` is `true` for an empty stream — no blocks
     /// will follow.
     StreamStart {
+        /// The stream's id, unique per sender: the blocks that follow
+        /// carry it, so a sender may keep several streams open at once.
+        stream: u64,
         /// The decoded stream header.
         header: H,
         /// `true` when the stream carries no blocks.
@@ -88,6 +91,8 @@ pub enum NodeFlow<M, H> {
     },
     /// One raw stream block, in order, exactly as the sender produced it.
     StreamBlock {
+        /// The id of the stream this block belongs to.
+        stream: u64,
         /// The raw block payload.
         block: Bytes,
         /// `true` when this is the stream's final block.
@@ -98,10 +103,10 @@ pub enum NodeFlow<M, H> {
 /// An in-progress outbound stream opened with [`Node::begin_stream`].
 ///
 /// The handle tracks the frame sequence; feed it blocks with
-/// [`Node::stream_block`] and mark the final one with `last = true`. At
-/// most one stream per `(node, peer)` pair may be open at a time —
-/// receivers reassemble per sender, so interleaving two open streams to
-/// the same peer is a framing violation the peer will abort on.
+/// [`Node::stream_block`] and mark the final one with `last = true`.
+/// Every stream has its own message id and receivers reassemble per
+/// `(sender, msg_id)`, so a node may keep several streams to one peer
+/// open at once and interleave their blocks.
 #[derive(Debug)]
 pub struct StreamHandle {
     to: PartyId,
@@ -122,12 +127,14 @@ impl StreamHandle {
 /// # Threading contract
 ///
 /// A node belongs to **one logical owner** — each session role runs on
-/// its own thread with its own node. The `&self` API exists so a role
-/// can interleave sends and receives, not so multiple threads can share
-/// one node: concurrent `recv_*` calls could feed one message's frames
-/// into reassembly out of order, and concurrent sends to the same peer
-/// could interleave two messages' frames — both abort the session by
-/// design (framing violations are protocol violations).
+/// its own thread with its own node — and the `&self` API lets a role
+/// interleave sends and receives. Sends, to one peer or many, may run
+/// concurrently: each message and stream has its own message id, and the
+/// receiver reassembles per `(sender, msg_id)`, so interleaved frames of
+/// several messages are legal. Receives may not: concurrent `recv_*`
+/// calls could feed one message's frames into reassembly out of order,
+/// which aborts the session by design (framing violations are protocol
+/// violations).
 pub struct Node<T: Transport> {
     transport: T,
     session_secret: u64,
@@ -270,7 +277,7 @@ impl<T: Transport> Node<T> {
     ///
     /// This is the incremental counterpart of [`Node::send_stream`], used
     /// by the relay pump to forward blocks of a stream *while it is still
-    /// arriving*. Only one stream per peer may be open at a time (see
+    /// arriving*. Several streams to one peer may be open at once (see
     /// [`StreamHandle`]).
     ///
     /// # Errors
@@ -403,11 +410,24 @@ impl<T: Transport> Node<T> {
         let (from, item) = self.next_flow(Instant::now().checked_add(timeout))?;
         let flow = match item {
             FlowItem::Message(bytes) => NodeFlow::Msg(wire::from_bytes(&bytes)?),
-            FlowItem::StreamHeader { header, last } => NodeFlow::StreamStart {
+            FlowItem::StreamHeader {
+                stream,
+                header,
+                last,
+            } => NodeFlow::StreamStart {
+                stream,
                 header: wire::from_bytes(&header)?,
                 last,
             },
-            FlowItem::StreamBlock { block, last } => NodeFlow::StreamBlock { block, last },
+            FlowItem::StreamBlock {
+                stream,
+                block,
+                last,
+            } => NodeFlow::StreamBlock {
+                stream,
+                block,
+                last,
+            },
         };
         Ok((from, flow))
     }
@@ -472,13 +492,19 @@ mod tests {
     ) -> Result<(PartyId, H, Vec<Bytes>), NodeError> {
         let timeout = Duration::from_secs(2);
         let (from, first) = node.recv_flow_timeout::<u32, H>(timeout)?;
-        let NodeFlow::StreamStart { header, mut last } = first else {
+        let NodeFlow::StreamStart {
+            header, mut last, ..
+        } = first
+        else {
             panic!("expected a stream header");
         };
         let mut blocks = Vec::new();
         while !last {
             let (_, flow) = node.recv_flow_timeout::<u32, H>(timeout)?;
-            let NodeFlow::StreamBlock { block, last: end } = flow else {
+            let NodeFlow::StreamBlock {
+                block, last: end, ..
+            } = flow
+            else {
                 panic!("expected a stream block");
             };
             blocks.push(block);
@@ -567,11 +593,11 @@ mod tests {
                 .recv_flow_timeout::<Hello, Hello>(Duration::from_secs(2))
                 .unwrap();
             match flow {
-                NodeFlow::StreamStart { header, last } => {
+                NodeFlow::StreamStart { header, last, .. } => {
                     assert!(!last);
                     out_stream = Some(relay.begin_stream(PartyId(3), &header, false).unwrap());
                 }
-                NodeFlow::StreamBlock { block, last } => {
+                NodeFlow::StreamBlock { block, last, .. } => {
                     relay
                         .stream_block(out_stream.as_mut().unwrap(), block, last)
                         .unwrap();
@@ -619,7 +645,7 @@ mod tests {
         let (_, flow) = b
             .recv_flow_timeout::<u32, u32>(Duration::from_secs(2))
             .unwrap();
-        let NodeFlow::StreamStart { header, last } = flow else {
+        let NodeFlow::StreamStart { header, last, .. } = flow else {
             panic!("expected stream");
         };
         assert_eq!(header, 0);

@@ -33,7 +33,7 @@
 # validated at spawn).
 set -euo pipefail
 
-LIMIT=41
+LIMIT=38
 
 cd "$(dirname "$0")/.."
 total=0
