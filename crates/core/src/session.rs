@@ -493,6 +493,45 @@ where
     }
 }
 
+/// What every role of one session shares besides its transport.
+struct RoleEnv {
+    shared: Arc<SessionShared>,
+    roster: Roster,
+    config: SapConfig,
+}
+
+/// Queues one role on `gang`: a node over `transport`, the role's
+/// [`RoleCtx`] from `env` and the session's shared audit log, stream
+/// monitor and deadline, and `body`, which runs the role and records its
+/// result. `role` and `pid` are the gang position and party id
+/// [`SessionShared::run_role`] reports a failure under.
+fn push_role<T: Transport + 'static>(
+    gang: &mut Gang,
+    env: &Arc<RoleEnv>,
+    (role, pid, transport): (usize, PartyId, T),
+    body: impl FnOnce(&Node<T>, &RoleCtx<'_>, &SessionShared) -> Result<(), SapError> + Send + 'static,
+) {
+    let node = Node::for_session(transport, env.config.session_secret, env.shared.session);
+    let env = Arc::clone(env);
+    gang.push(move || {
+        let shared = &env.shared;
+        shared.run_role(role, pid, || {
+            let ctx = RoleCtx {
+                roster: &env.roster,
+                config: &env.config,
+                audit: &shared.audit,
+                monitor: &shared.monitor,
+                deadline: &shared.deadline,
+            };
+            body(&node, &ctx, shared)
+        });
+        // Park the transport until harvest: dropping it here would close
+        // live TCP sockets and make this role's graceful completion look
+        // like a peer death to its siblings.
+        shared.retain(Box::new(node));
+    });
+}
+
 /// The body of [`spawn_session`] once its inputs are checked and its
 /// transports wrapped.
 fn spawn_gang<T>(
@@ -518,14 +557,6 @@ where
         .iter()
         .map(Transport::local_id)
         .collect();
-    let coordinator = providers[k - 1];
-    let audit = AuditLog::new();
-    let monitor = StreamMonitor::new();
-    let roster = Arc::new(Roster::new(providers.clone(), MINER_ID));
-    // One deadline per session: budget from the config, cancelled the
-    // moment any role fails or the owner aborts, observed by every
-    // blocking receive of every role.
-    let deadline = Deadline::after(config.session_budget);
 
     let shared = Arc::new(SessionShared {
         state: Mutex::new(SessionCollect {
@@ -547,117 +578,57 @@ where
         session,
         num_classes,
         k,
-        audit: audit.clone(),
-        monitor: monitor.clone(),
-        deadline: deadline.clone(),
+        audit: AuditLog::new(),
+        monitor: StreamMonitor::new(),
+        // One deadline per session: budget from the config, cancelled the
+        // moment any role fails or the owner aborts, observed by every
+        // blocking receive of every role.
+        deadline: Deadline::after(config.session_budget),
         on_abort: Mutex::new(None),
     });
 
-    // Roles share the locals through `Arc` — the session runs k roles
-    // without cloning a single `Dataset`.
-    let locals: Vec<Arc<Dataset>> = locals.into_iter().map(Arc::new).collect();
-    let mut transports: Vec<Option<T>> = provider_transports.into_iter().map(Some).collect();
+    // Each role owns its provider's dataset: the session runs k roles
+    // without cloning a single `Dataset`. Providers come in position
+    // order, the coordinator (last provider) next, the miner last.
+    let env = Arc::new(RoleEnv {
+        shared: Arc::clone(&shared),
+        roster: Roster::new(providers.clone(), MINER_ID),
+        config: config.clone(),
+    });
     let mut gang = Gang::new(config.qos);
-
-    // Providers 0..k−1 (all but the coordinator).
-    for pos in 0..k - 1 {
-        let transport = transports[pos]
-            .take()
-            .ok_or_else(|| SapError::Protocol("endpoint consumed twice".into()))?;
-        let node = Node::for_session(transport, config.session_secret, session);
-        let data = Arc::clone(&locals[pos]);
-        let cfg = config.clone();
-        let audit = audit.clone();
-        let pid = providers[pos];
-        let shared = Arc::clone(&shared);
-        let monitor = monitor.clone();
-        let roster = Arc::clone(&roster);
-        let deadline = deadline.clone();
-        gang.push(move || {
-            shared.run_role(pos, pid, || {
-                let ctx = RoleCtx {
-                    roster: &roster,
-                    config: &cfg,
-                    audit: &audit,
-                    monitor: &monitor,
-                    deadline: &deadline,
-                };
-                let report = run_provider(&node, &data, &ctx)?;
+    let roles = provider_transports.into_iter().zip(locals).enumerate();
+    for (pos, (transport, data)) in roles {
+        let role = (pos, providers[pos], transport);
+        if pos < k - 1 {
+            push_role(&mut gang, &env, role, move |node, ctx, shared| {
+                let report = run_provider(node, &data, ctx)?;
                 shared.record(|s| s.reports[pos] = Some(report));
                 Ok(())
             });
-            // Park the transport until harvest: dropping it here would
-            // close live TCP sockets and make this role's graceful
-            // completion look like a peer death to its siblings.
-            shared.retain(Box::new(node));
-        });
-    }
-
-    // Coordinator (last provider).
-    {
-        let transport = transports[k - 1]
-            .take()
-            .ok_or_else(|| SapError::Protocol("coordinator endpoint consumed".into()))?;
-        let node = Node::for_session(transport, config.session_secret, session);
-        let data = Arc::clone(&locals[k - 1]);
-        let cfg = config.clone();
-        let audit = audit.clone();
-        let shared = Arc::clone(&shared);
-        let monitor = monitor.clone();
-        let roster = Arc::clone(&roster);
-        let deadline = deadline.clone();
-        gang.push(move || {
-            shared.run_role(k - 1, coordinator, || {
-                let ctx = RoleCtx {
-                    roster: &roster,
-                    config: &cfg,
-                    audit: &audit,
-                    monitor: &monitor,
-                    deadline: &deadline,
-                };
-                let (report, target) = run_coordinator(&node, &data, &ctx)?;
+        } else {
+            push_role(&mut gang, &env, role, move |node, ctx, shared| {
+                let (report, target) = run_coordinator(node, &data, ctx)?;
                 shared.record(|s| {
-                    s.reports[k - 1] = Some(report);
+                    s.reports[pos] = Some(report);
                     s.target = Some(target);
                 });
                 Ok(())
             });
-            shared.retain(Box::new(node));
-        });
+        }
     }
-
-    // Miner.
-    {
-        let node = Node::for_session(miner_transport, config.session_secret, session);
-        let cfg = config.clone();
-        let audit = audit.clone();
-        let shared = Arc::clone(&shared);
-        let monitor = monitor.clone();
-        let roster = Arc::clone(&roster);
-        let deadline = deadline.clone();
-        gang.push(move || {
-            shared.run_role(k, MINER_ID, || {
-                let ctx = RoleCtx {
-                    roster: &roster,
-                    config: &cfg,
-                    audit: &audit,
-                    monitor: &monitor,
-                    deadline: &deadline,
-                };
-                let out = run_miner(&node, k, &ctx)?;
-                shared.record(|s| s.miner = Some(out));
-                Ok(())
-            });
-            shared.retain(Box::new(node));
-        });
-    }
+    let miner = (k, MINER_ID, miner_transport);
+    push_role(&mut gang, &env, miner, move |node, ctx, shared| {
+        let out = run_miner(node, k, ctx)?;
+        shared.record(|s| s.miner = Some(out));
+        Ok(())
+    });
 
     // Scheduler wiring: the gang checks the session's own deadline at
     // admission time, reports its queue wait when admitted, and — if
     // shed — cancels the deadline, marks the session, and runs the
     // owner's abort hook so any transport routes opened for the session
     // are torn down even though no role ever ran.
-    gang.set_deadline(deadline.clone());
+    gang.set_deadline(shared.deadline.clone());
     {
         let shared = Arc::clone(&shared);
         gang.set_on_admit(move |waited| {

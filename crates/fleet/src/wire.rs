@@ -1,24 +1,13 @@
-//! The fleet control protocol: node inbox sessions, registration
-//! messages, and the sealed-frame helpers that carry them.
-//!
-//! Every fleet node owns one **inbox session** in the reserved
-//! [`CONTROL_BASE`] range of the session-id space, opened on its
-//! inter-node lane mux. A control message for node `D` is wire-encoded,
-//! chunked ([`split_message`]), sealed per frame (wire format v4,
-//! unchanged), stamped with `D`'s inbox session id, and sent straight
-//! to `D` over the fleet's full mesh; `D`'s mux routes it into the
-//! inbox like any other session's frame.
-//!
-//! There is one key per inbox (`derive(secret, inbox, inbox)`), not the
-//! v4 channel's per-direction key: every sender seals for the inbox the
-//! same way, so the inbox opens what any node sent with one key, and
-//! senders keep their nonces apart by embedding their node index in the
-//! message id ([`send_via`]).
-//!
-//! `Register` carries the session's [`SapConfig`] in
-//! its own wire encoding (durations at microsecond granularity), so the
-//! owner runs the session under exactly the settings the gateway
-//! accepted — the equivalence the fleet tests pin.
+//! The fleet control protocol. Every node owns one **inbox session** in
+//! the reserved [`CONTROL_BASE`] range, opened on its inter-node lane
+//! mux. A control message for node `D` is wire-encoded, chunked
+//! ([`split_message`]), sealed per frame (wire format v4) under `D`'s
+//! inbox key, and sent straight to `D`. There is one key per inbox
+//! (`derive(secret, inbox, inbox)`), not v4's per-direction key, so the
+//! inbox opens what any node sent; senders keep nonces apart by their
+//! node index in the message id ([`send_via`]). `Register` carries the
+//! session's [`SapConfig`] in its own wire encoding, so the owner runs
+//! it under exactly the settings the gateway accepted.
 
 use crate::FleetError;
 use bytes::Bytes;
@@ -58,8 +47,8 @@ pub enum FleetMsg {
         /// The providers' datasets.
         locals: Vec<Dataset>,
     },
-    /// A node announces graceful departure; receivers drop it from
-    /// their membership view without marking it dead.
+    /// A node announces graceful departure (it already left the
+    /// membership view, which is shared on one host).
     Leave {
         /// The departing node.
         node: u64,
