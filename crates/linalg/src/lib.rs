@@ -57,4 +57,4 @@ pub mod vecops;
 
 pub use error::{LinalgError, Result};
 pub use matrix::Matrix;
-pub use rng::{randn, randn_matrix, randn_vec};
+pub use rng::{randn, randn_fill, randn_matrix, randn_vec};

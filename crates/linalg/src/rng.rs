@@ -22,14 +22,43 @@ pub fn randn<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
+/// Fills `out` with i.i.d. standard normals: bit for bit the values of
+/// calling [`randn`] per entry, leaving `rng` in the same state. Fills of
+/// 64 or more run in batches of 256: phase 1 draws the `(u, v)` pairs and
+/// keeps accepted ones by advancing the index without a branch, phase 2
+/// computes `u·√(−2 ln s / s)` in independent iterations, so the `ln`s
+/// overlap instead of waiting behind the rejection loop.
+pub fn randn_fill<R: Rng + ?Sized>(out: &mut [f64], rng: &mut R) {
+    if out.len() < 64 {
+        return out.iter_mut().for_each(|x| *x = randn(rng));
+    }
+    let (mut us, mut ss) = ([0.0f64; 256], [0.0f64; 256]);
+    for chunk in out.chunks_mut(256) {
+        let mut k = 0;
+        while k < chunk.len() {
+            let (u, v): (f64, f64) = (rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0));
+            let s = u * u + v * v;
+            (us[k], ss[k]) = (u, s);
+            k += (s > 0.0 && s < 1.0) as usize;
+        }
+        for ((x, &u), &s) in chunk.iter_mut().zip(&us).zip(&ss) {
+            *x = u * (-2.0 * s.ln() / s).sqrt();
+        }
+    }
+}
+
 /// Draws `n` i.i.d. standard normal samples.
 pub fn randn_vec<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<f64> {
-    (0..n).map(|_| randn(rng)).collect()
+    let mut out = vec![0.0; n];
+    randn_fill(&mut out, rng);
+    out
 }
 
 /// Draws a `rows × cols` matrix of i.i.d. standard normal entries.
 pub fn randn_matrix<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> Matrix {
-    Matrix::from_fn(rows, cols, |_, _| randn(rng))
+    let mut m = Matrix::zeros(rows, cols);
+    randn_fill(m.as_mut_slice(), rng);
+    m
 }
 
 #[cfg(test)]
@@ -68,6 +97,40 @@ mod tests {
         let b = randn_matrix(3, 5, &mut b_rng);
         assert_eq!(a.shape(), (3, 5));
         assert_eq!(a, b, "same seed must give same matrix");
+    }
+
+    /// The batched fill is the scalar loop, bit for bit: every value and
+    /// the generator's state afterwards, across the scalar cut-off and the
+    /// batch boundaries, over more than 10⁶ draws and four seeds.
+    #[test]
+    fn fill_is_bit_identical_to_the_scalar_loop() {
+        use rand::Rng;
+        let lens = [0usize, 1, 63, 64, 255, 256, 257, 10_007];
+        let mut draws = 0;
+        for seed in [0u64, 1, 42, 0xDEAD_BEEF] {
+            let (mut batched, mut scalar) =
+                (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for round in 0..32 {
+                for &len in &lens {
+                    let mut got = vec![f64::NAN; len];
+                    randn_fill(&mut got, &mut batched);
+                    let want: Vec<f64> = (0..len).map(|_| randn(&mut scalar)).collect();
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "seed {seed}, round {round}, len {len}"
+                    );
+                    draws += len;
+                }
+            }
+            assert_eq!(
+                batched.next_u64(),
+                scalar.next_u64(),
+                "seed {seed}: generator state"
+            );
+        }
+        assert!(draws >= 1_000_000, "{draws} draws");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! inference attacks) for model accuracy — swept in the ablation benches.
 
 use rand::Rng;
-use sap_linalg::{randn, Matrix};
+use sap_linalg::{randn_matrix, Matrix};
 
 /// Specification of the i.i.d. noise component.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,7 +42,9 @@ impl NoiseSpec {
         if self.is_none() {
             Matrix::zeros(d, n)
         } else {
-            Matrix::from_fn(d, n, |_, _| self.sigma * randn(rng))
+            let mut delta = randn_matrix(d, n, rng);
+            delta *= self.sigma;
+            delta
         }
     }
 }
