@@ -105,6 +105,7 @@ pub fn run_coordinator<T: Transport>(
     link::send_perturbed_dataset(
         node,
         providers[plan.receiver_of(coord_pos)],
+        miner,
         slot_of[coord_pos],
         &g_local,
         &x,

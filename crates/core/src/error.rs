@@ -1,5 +1,6 @@
 //! Protocol-level errors.
 
+use sap_net::frame::FrameError;
 use sap_net::node::NodeError;
 use sap_net::PartyId;
 use sap_privacy::optimize::OptimizeError;
@@ -157,7 +158,9 @@ impl From<NodeError> for SapError {
         match e {
             // Framing violations (duplicate/reordered/orphan frames) are
             // protocol violations: SAP has no retransmission and must
-            // abort loudly rather than guess.
+            // abort loudly rather than guess. A frame or block that fails
+            // to open keeps its type: tampering, not a sender's bug.
+            NodeError::Frame(FrameError::Crypto(_)) => SapError::Messaging(e),
             NodeError::Frame(frame) => SapError::Protocol(format!("framing violation: {frame}")),
             other => SapError::Messaging(other),
         }
@@ -165,12 +168,6 @@ impl From<NodeError> for SapError {
 }
 
 impl SapError {
-    // `or_timeout` (the old per-call-site starvation rewriter) is gone:
-    // every blocking role receive now goes through the governed path
-    // (`crate::link::recv_flow_ctx`), which owns the Timeout/PeerDown
-    // conversions *and* the roster filtering a bare rewriter could not
-    // apply.
-
     /// Whether this error is a *cascade* — a consequence of another
     /// role's failure rather than a root cause. Harvest skips cascades
     /// when picking the error to report for a failed session.

@@ -4,11 +4,11 @@
 //! Datasets travel only as *streams*: a [`DataHeader`] followed by
 //! length-prefixed row blocks, so neither sender nor receiver ever
 //! materializes one monolithic serialized dataset — and the anonymizing
-//! relay hop forwards the sealed row blocks **without decoding them**,
-//! which is both faster and closer to the paper's "unchanged payload"
-//! relay semantics. There is one receive, [`recv_flow`]: it hands over
-//! each control message whole and each stream header and row block the
-//! moment it arrives.
+//! relay hop forwards each row block, sealed once by its owner toward the
+//! miner, **without opening it**: faster, and the paper's "unchanged
+//! payload" relay semantics. There is one receive, [`recv_flow`]: it
+//! hands over each control message whole and each stream header and row
+//! block the moment it arrives.
 //!
 //! # Row-block layout
 //!
@@ -197,9 +197,9 @@ pub fn recv_flow_ctx<T: Transport>(
 
 /// Streams a dataset to `to`, perturbing it **one block at a time**: each
 /// row-block of `x` (a `d × N` column matrix) is pushed through
-/// `G(X) = R·X + Ψ + Δ` into a reused scratch buffer, encoded, and handed
-/// to the transport before the next block's math starts — the send-side
-/// compute/I-O overlap of the streaming data plane.
+/// `G(X) = R·X + Ψ + Δ` into a reused scratch buffer, encoded, sealed
+/// once toward `miner` (tagged `slot`) and sent before the next block's
+/// math starts — the send-side compute/I-O overlap of the data plane.
 ///
 /// The realized noise `delta` must be sampled up front for the whole
 /// matrix, so the bytes on the wire are **bit-identical** to perturbing
@@ -218,6 +218,7 @@ pub fn recv_flow_ctx<T: Transport>(
 pub fn send_perturbed_dataset<T: Transport>(
     node: &Node<T>,
     to: PartyId,
+    miner: PartyId,
     slot: SlotTag,
     g: &GeometricPerturbation,
     x: &sap_linalg::Matrix,
@@ -244,12 +245,14 @@ pub fn send_perturbed_dataset<T: Transport>(
     let mut stream = node
         .begin_stream(to, &header, n == 0)
         .map_err(SapError::from)?;
+    let seal = node.seal_toward(miner, slot.0);
     let mut scratch: Vec<f64> = Vec::new();
     let mut start = 0;
     while start < n {
         let end = (start + block_rows).min(n);
         g.perturb_records_into(x, delta, start..end, &mut scratch);
-        node.stream_block_with(&mut stream, 4 + (end - start) * row_size, end == n, |out| {
+        let size = 4 + (end - start) * row_size;
+        node.stream_block_with(&mut stream, seal, size, end == n, |out| {
             encode_records_block_into(&labels[start..end], &scratch, out);
         })
         .map_err(SapError::from)?;
@@ -321,6 +324,9 @@ pub(crate) mod tests {
         Dataset::new(records, labels)
     }
 
+    /// The miner every unit-test stream is sealed toward.
+    pub(crate) const TEST_MINER: PartyId = PartyId(100);
+
     fn pair() -> (
         Node<sap_net::transport::Endpoint>,
         Node<sap_net::transport::Endpoint>,
@@ -332,10 +338,10 @@ pub(crate) mod tests {
         )
     }
 
-    /// Streams an already perturbed dataset to `to` as row blocks, so a
-    /// role unit test can play a provider or a relay. The roles send
-    /// through [`send_perturbed_dataset`] and the relay's block-by-block
-    /// forwarding.
+    /// Streams an already perturbed dataset to `to` as row blocks sealed
+    /// toward [`TEST_MINER`], so a role unit test can play a provider or a
+    /// relay. The roles send through [`send_perturbed_dataset`] and the
+    /// relay's block-by-block forwarding.
     pub(crate) fn send_dataset<T: Transport>(
         node: &Node<T>,
         to: PartyId,
@@ -361,10 +367,12 @@ pub(crate) mod tests {
         let mut stream = node
             .begin_stream(to, &header, n == 0)
             .map_err(SapError::from)?;
+        let seal = node.seal_toward(TEST_MINER, slot.0);
         let mut start = 0;
         while start < n {
             let end = (start + block_rows).min(n);
-            node.stream_block_with(&mut stream, 4 + (end - start) * row_size, end == n, |out| {
+            let size = 4 + (end - start) * row_size;
+            node.stream_block_with(&mut stream, seal, size, end == n, |out| {
                 encode_block_into(data, start, end, out);
             })
             .map_err(SapError::from)?;
@@ -374,7 +382,8 @@ pub(crate) mod tests {
     }
 
     /// Receives one whole dataset stream through [`recv_flow`]: its
-    /// sender, header and raw row blocks, in order.
+    /// sender, header and row blocks, in order, each opened as the
+    /// [`TEST_MINER`] opens it.
     ///
     /// # Panics
     ///
@@ -399,7 +408,8 @@ pub(crate) mod tests {
             else {
                 panic!("expected a row block, got {next:?}");
             };
-            blocks.push(block);
+            let seal = node.seal_toward(TEST_MINER, header.slot.0);
+            blocks.push(node.open_block(block, seal).unwrap());
             last = end;
         }
         (from, header, blocks)
@@ -432,18 +442,31 @@ pub(crate) mod tests {
     fn relay_preserves_payload_without_decode() {
         let (a, b) = pair();
         let hub2 = InMemoryHub::new();
-        let b2 = Node::new(hub2.endpoint(PartyId(2)), 11);
-        let miner = Node::new(hub2.endpoint(PartyId(100)), 11);
+        let b2 = Node::new(hub2.endpoint(PartyId(2)), 9);
+        let miner = Node::new(hub2.endpoint(PartyId(100)), 9);
 
         let data = dataset(40, 3);
         send_dataset(&a, PartyId(2), false, SlotTag(8), &data, 8).unwrap();
-        let (_, header, blocks) = recv_stream(&b, Duration::from_secs(2));
+        let (_, first) = recv_flow(&b, Duration::from_secs(2)).unwrap();
+        let FlowInbound::StreamStart { header, .. } = first else {
+            panic!("expected a stream header");
+        };
         let header = DataHeader {
             relay: true,
             ..header
         };
-        b2.send_stream(PartyId(100), &header, blocks.iter().cloned())
-            .unwrap();
+        let mut out = b2.begin_stream(TEST_MINER, &header, false).unwrap();
+        loop {
+            let (_, FlowInbound::StreamBlock { block, last, .. }) =
+                recv_flow(&b, Duration::from_secs(2)).unwrap()
+            else {
+                panic!("expected a row block");
+            };
+            b2.forward_block(&mut out, block, last).unwrap();
+            if last {
+                break;
+            }
+        }
         let (_, relayed, relayed_blocks) = recv_stream(&miner, Duration::from_secs(2));
         assert_eq!(relayed.kind(), "relayed-data");
         assert_eq!(relayed.slot, SlotTag(8));
@@ -472,6 +495,7 @@ pub(crate) mod tests {
         send_perturbed_dataset(
             &a2,
             PartyId(2),
+            TEST_MINER,
             SlotTag(3),
             &g,
             &x,

@@ -10,12 +10,14 @@
 //! adaptor table must arrive sorted by slot: in any other order its
 //! positions could name the owners.
 //!
-//! Each block is decoded into one flat record buffer per slot the moment
-//! it arrives, so the miner never holds a stream's raw blocks and its
-//! decoded records side by side. At unification every slot is written,
-//! in slot order, into **one** unified buffer sized once, and each slot's
-//! buffer is freed as soon as it is consumed; that buffer becomes the
-//! session outcome's dataset without another copy.
+//! Each block, sealed once by its owner under the miner's data key (one
+//! key for every owner), is opened and decoded into one flat record
+//! buffer per slot the moment it arrives, so the miner never holds a
+//! stream's raw blocks and its decoded records side by side. At
+//! unification every slot is written, in slot order, into **one** unified
+//! buffer sized once, and each slot's buffer is freed as soon as it is
+//! consumed; that buffer becomes the session outcome's dataset without
+//! another copy.
 
 use crate::error::SapError;
 use crate::link::{self, FlowInbound};
@@ -203,8 +205,9 @@ pub fn run_miner<T: Transport>(
                 })?;
                 monitor.block_received();
                 relayed_blocks += 1;
+                let rows = node.open_block(block, node.seal_toward(me, entry.slot.0))?;
                 let t0 = Instant::now();
-                entry.pipeline.push(&block)?;
+                entry.pipeline.push(&rows)?;
                 monitor.compute(t0.elapsed(), overlapped);
                 if last {
                     monitor.stream_closed();

@@ -10,7 +10,7 @@
 //! 3. perturbs its data with `Gᵢ` and streams it to the assigned receiver
 //!    as row blocks,
 //! 4. relays every dataset stream it receives to the miner **without
-//!    decoding it** (the anonymizing hop forwards sealed row blocks),
+//!    opening it** (its owner sealed each row block toward the miner),
 //! 5. sends its space adaptor `A_it` to the coordinator,
 //! 6. evaluates its satisfaction `sᵢ = ρᵢᴳ / ρᵢ` locally.
 //!
@@ -22,11 +22,11 @@ use crate::link::{self, DataHeader, FlowInbound};
 use crate::messages::{SapMessage, SlotTag};
 use crate::session::{ProviderReport, RoleCtx};
 use crate::stream::StreamMonitor;
-use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sap_datasets::Dataset;
 use sap_linalg::Matrix;
+use sap_net::frame::SealedBlock;
 use sap_net::node::{Node, StreamHandle};
 use sap_net::{PartyId, Transport};
 use sap_perturb::{GeometricPerturbation, Perturbation, SpaceAdaptor};
@@ -121,6 +121,7 @@ fn exchange<T: Transport>(
                 link::send_perturbed_dataset(
                     node,
                     *send_data_to,
+                    miner,
                     *slot,
                     g_local,
                     x,
@@ -205,7 +206,7 @@ fn exchange<T: Transport>(
 /// Forwards inbound dataset streams to the miner block-by-block, while
 /// they are still arriving: each inbound stream opens its own outbound
 /// stream to the miner the moment its header lands, and every block goes
-/// out the moment it arrives, however the inbound streams interleave.
+/// out, unopened, the moment it arrives, however the streams interleave.
 struct RelayPump<'n, T: Transport> {
     node: &'n Node<T>,
     miner: PartyId,
@@ -280,7 +281,7 @@ impl<'n, T: Transport> RelayPump<'n, T> {
         &mut self,
         from: PartyId,
         stream: u64,
-        block: Bytes,
+        block: SealedBlock,
         last: bool,
     ) -> Result<(), SapError> {
         self.monitor.block_received();
@@ -291,7 +292,7 @@ impl<'n, T: Transport> RelayPump<'n, T> {
             .live
             .get_mut(&(from, stream))
             .ok_or_else(|| SapError::Protocol("stream block without an open stream".into()))?;
-        self.node.stream_block(handle, block, last)?;
+        self.node.forward_block(handle, block, last)?;
         self.monitor.block_pipelined();
         if last {
             self.live.remove(&(from, stream));
@@ -528,16 +529,44 @@ mod tests {
     fn relay_pump_rejects_second_stream_from_queued_sender() {
         let hub = InMemoryHub::new();
         let node = Node::new(hub.endpoint(PartyId(0)), 7);
+        let sender = Node::new(hub.endpoint(PartyId(2)), 7);
         let _miner = hub.endpoint(PartyId(100));
         let monitor = StreamMonitor::new();
         let mut pump = RelayPump::new(&node, PartyId(100), &monitor);
         // Parties 1 and 2 both stream; party 2 finishes its stream.
         pump.start(PartyId(1), 1, header(SlotTag(1)), false)
             .unwrap();
-        pump.start(PartyId(2), 1, header(SlotTag(2)), false)
+        let mut out = sender
+            .begin_stream(PartyId(0), &header(SlotTag(2)), false)
             .unwrap();
-        pump.block(PartyId(2), 1, Bytes::from_static(b"\x01\x00\x00\x00"), true)
+        let seal = sender.seal_toward(PartyId(100), 2);
+        sender
+            .stream_block_with(&mut out, seal, 4, true, |o| {
+                o.extend_from_slice(&[1, 0, 0, 0])
+            })
             .unwrap();
+        for _ in 0..2 {
+            match link::recv_flow(&node, Duration::from_secs(2)).unwrap() {
+                (
+                    from,
+                    FlowInbound::StreamStart {
+                        stream,
+                        header,
+                        last,
+                    },
+                ) => pump.start(from, stream, header, last).unwrap(),
+                (
+                    from,
+                    FlowInbound::StreamBlock {
+                        stream,
+                        block,
+                        last,
+                    },
+                ) => pump.block(from, stream, block, last).unwrap(),
+                (_, other) => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(pump.relayed(), 1);
         // Party 2 opens another stream.
         let err = pump
             .start(PartyId(2), 2, header(SlotTag(3)), false)
@@ -572,8 +601,7 @@ mod tests {
         let monitor = StreamMonitor::new();
         let mut pump = RelayPump::new(&relay, PartyId(100), &monitor);
         let timeout = Duration::from_secs(2);
-        let block =
-            |sender: usize, i: u8| Bytes::from(vec![sender as u8 * 16 + i; 4 + usize::from(i)]);
+        let block = |sender: usize, i: u8| vec![sender as u8 * 16 + i; 4 + usize::from(i)];
 
         let mut outbound: Vec<StreamHandle> = senders
             .iter()
@@ -585,13 +613,16 @@ mod tests {
             .collect();
         for i in 0..3u8 {
             for (s, node) in senders.iter().enumerate() {
-                node.stream_block(&mut outbound[s], block(s, i), i == 2)
-                    .unwrap();
+                let seal = node.seal_toward(PartyId(100), s as u64 + 1);
+                node.stream_block_with(&mut outbound[s], seal, 8, i == 2, |out| {
+                    out.extend_from_slice(&block(s, i))
+                })
+                .unwrap();
             }
         }
 
         // The miner's view of each forwarded stream, by its stream id.
-        let mut at_miner: HashMap<u64, (DataHeader, Vec<Bytes>, bool)> = HashMap::new();
+        let mut at_miner: HashMap<u64, (DataHeader, Vec<Vec<u8>>, bool)> = HashMap::new();
         for _ in 0..senders.len() * 4 {
             match link::recv_flow(&relay, timeout).unwrap() {
                 (
@@ -634,9 +665,10 @@ mod tests {
                     block,
                     last,
                 } => {
-                    let (_, blocks, done) = at_miner.get_mut(&stream).unwrap();
+                    let (header, blocks, done) = at_miner.get_mut(&stream).unwrap();
                     assert!(!*done);
-                    blocks.push(block);
+                    let seal = miner.seal_toward(PartyId(100), header.slot.0);
+                    blocks.push(miner.open_block(block, seal).unwrap().to_vec());
                     *done = last;
                 }
                 other => panic!("unexpected {other:?}"),

@@ -1,22 +1,19 @@
 //! The streaming data plane: block stages, the dataset sink, and the
 //! stream monitor.
 //!
-//! PR 1 made datasets travel as row-block *frames*; PR 2 multiplexed many
-//! sessions onto one mesh. Until this module, every role still buffered a
-//! complete stream before touching a single row — the transport was
-//! pipelined, the compute was not. The data plane closes that gap: row
-//! blocks coming off [`crate::link`] flow through a chain of
+//! Row blocks coming off [`crate::link`] flow through a chain of
 //! [`BlockStage`]s into a [`DatasetSink`] **as they arrive**, overlapping
-//! seal/unseal and TCP I/O with space adaptation inside each session (and
-//! across sessions on the shared [`crate::runtime::ActorPool`]).
+//! decode and space adaptation with the rest of the stream's I/O inside
+//! each session (and across sessions on the shared
+//! [`crate::runtime::ActorPool`]).
 //!
 //! ```text
-//!   wire block (Bytes) ──decode──► BlockBuf (reused scratch)
+//!   opened block       ──decode──► BlockBuf (reused scratch)
 //!        │                            │
 //!        │                   BlockStage × N  (e.g. AdaptStage)
 //!        │                            │
 //!        ▼                            ▼
-//!   relay pump (zero-decode)     DatasetSink
+//!   relay pump (never opened)    DatasetSink
 //! ```
 //!
 //! Every kernel the stages call accumulates in the same element order as

@@ -25,7 +25,7 @@ use sap_core::runtime::SessionStatus;
 use sap_core::session::{SapConfig, SapOutcome};
 use sap_core::SapError;
 use sap_datasets::Dataset;
-use sap_net::frame::{open_frame_recycling, FlowItem, Reassembler};
+use sap_net::frame::{open_frame, FlowItem, Reassembler};
 use sap_net::mux::{MuxEndpoint, SessionMux};
 use sap_net::tcp::local_mesh;
 use sap_net::transport::Endpoint;
@@ -191,15 +191,8 @@ impl FleetNode {
         ((self.index as u64 + 1) << 40) | self.msg_ids.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Sends a control message to node `dest`'s inbox, if it is alive.
-    fn route_send(&self, shared: &Shared, dest: usize, msg: &FleetMsg) -> Result<(), FleetError> {
-        if !shared.records.lock().alive().contains(&dest) {
-            return Err(FleetError::NodeDown(dest));
-        }
-        wire::send_via(&self.inbox, shared.secret, dest, self.next_msg_id(), msg)
-    }
-
-    /// Hands a registration to this node's server or its owner's inbox.
+    /// Hands a registration to this node's server or, if it is alive, its
+    /// owner's inbox.
     fn deliver(&self, shared: &Shared, reg: Register, inputs: Inputs) -> Result<(), FleetError> {
         let sent = if reg.to == self.index {
             match self
@@ -212,14 +205,16 @@ impl FleetNode {
                     Ok(())
                 }
             }
+        } else if !shared.records.lock().alive().contains(&reg.to) {
+            Err(FleetError::NodeDown(reg.to))
         } else {
             let (session, locals, config) = (reg.id, inputs.0, Box::new(inputs.1));
-            let msg = FleetMsg::Register {
+            let msg = FleetMsg {
                 session,
                 config,
                 locals,
             };
-            self.route_send(shared, reg.to, &msg)
+            wire::send_via(&self.inbox, shared.secret, reg.to, self.next_msg_id(), &msg)
         };
         let ok = sent.is_ok();
         shared.apply(Event::Sent { reg, ok });
@@ -450,8 +445,8 @@ impl Fleet {
         Ok(())
     }
 
-    /// Graceful departure: announce, hand running sessions to their new
-    /// owners under the same ids, and shut down; finished ones stay where
+    /// Graceful departure: leave the shared membership view, hand running
+    /// sessions to their new owners under the same ids, and shut down; finished ones stay where
     /// [`Fleet::wait`] finds them. Returns the number handed off.
     ///
     /// # Errors
@@ -470,9 +465,6 @@ impl Fleet {
             return Err(e);
         }
         let node = &self.nodes[j];
-        for p in fx.leaves {
-            let _ = node.route_send(&self.shared, p, &FleetMsg::Leave { node: j as u64 });
-        }
         // Abort, then harvest, so the leaver keeps nothing of them.
         for id in fx.aborts.into_iter().map(SessionId) {
             let _ = node.server.abort(id);
@@ -514,15 +506,14 @@ fn service_loop(node: &FleetNode, shared: &Shared) {
     loop {
         match node.inbox.recv_timeout(Duration::from_millis(50)) {
             Ok((from, sealed)) => {
-                let frame = match open_frame_recycling(key, sealed) {
+                let frame = match open_frame(key, &sealed) {
                     Ok((session, frame)) if session == my_inbox => frame,
                     _ => continue,
                 };
-                let Ok(Some(FlowItem::Message(bytes))) = reassembler.feed(from, frame) else {
+                let Ok(Some(FlowItem::Msg(bytes))) = reassembler.feed(from, frame) else {
                     continue;
                 };
-                // A `Leave` needs nothing: the leaver left the shared view.
-                if let Ok(FleetMsg::Register {
+                if let Ok(FleetMsg {
                     session,
                     config,
                     locals,

@@ -86,13 +86,12 @@ pub(crate) enum Reply {
     Pending,
 }
 
-/// What the caller of [`Records::apply`] must do, in this order: send
-/// the leaver's `Leave` to `leaves`, abort `aborts` on the killed node
-/// (or abort and harvest them on the leaver), and hand `registers` on.
+/// What the caller of [`Records::apply`] must do, in this order: abort
+/// `aborts` on the killed node (or abort and harvest them on the leaver),
+/// and hand `registers` on.
 #[derive(Debug, Default)]
 pub(crate) struct Effects<I> {
     pub(crate) reply: Reply,
-    pub(crate) leaves: Vec<usize>,
     pub(crate) aborts: Vec<u64>,
     pub(crate) registers: Vec<(Register, I)>,
 }
@@ -277,7 +276,6 @@ impl<I: Clone + Default> Records<I> {
         }
         self.leaving.insert(node);
         self.alive.remove(&node);
-        fx.leaves = self.alive.iter().copied().collect();
         let owned = |r: &Record<I>| r.owner == node || r.origin == node;
         for id in self.ids_where(|r| r.admission == Admission::Unacked && owned(r)) {
             self.place(id, node, true, fx);

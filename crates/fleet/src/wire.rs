@@ -35,59 +35,37 @@ pub fn inbox_key(fleet_secret: u64, node: usize) -> ChannelKey {
     ChannelKey::derive(fleet_secret, id, id)
 }
 
-/// A fleet control message, carried sealed on node inbox sessions.
+/// The fleet's one control message, carried sealed on node inbox
+/// sessions: register (or re-place) a session on its owning node. It
+/// travels behind variant tag 0; tags 1 (the owner's `Ack`: the owner
+/// settles the shared registration record itself) and 2 (the leaver's
+/// `Leave`: no receiver acted on it) are retired.
 #[derive(Debug, Clone)]
-pub enum FleetMsg {
-    /// Register (or re-place) a session on its owning node.
-    Register {
-        /// The client-facing session id, minted on the gateway.
-        session: u64,
-        /// Protocol settings (boxed: they dwarf the other variants).
-        config: Box<SapConfig>,
-        /// The providers' datasets.
-        locals: Vec<Dataset>,
-    },
-    /// A node announces graceful departure (it already left the
-    /// membership view, which is shared on one host).
-    Leave {
-        /// The departing node.
-        node: u64,
-    },
+pub struct FleetMsg {
+    /// The client-facing session id, minted on the gateway.
+    pub session: u64,
+    /// Protocol settings (boxed: they dwarf the other fields).
+    pub config: Box<SapConfig>,
+    /// The providers' datasets.
+    pub locals: Vec<Dataset>,
 }
 
 impl Wire for FleetMsg {
     fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            FleetMsg::Register {
-                session,
-                config,
-                locals,
-            } => {
-                put_uvarint(out, 0);
-                session.encode(out);
-                config.encode(out);
-                encode_seq(locals, out, encode_dataset);
-            }
-            FleetMsg::Leave { node } => {
-                put_uvarint(out, 2);
-                node.encode(out);
-            }
-        }
+        put_uvarint(out, 0);
+        self.session.encode(out);
+        self.config.encode(out);
+        encode_seq(&self.locals, out, encode_dataset);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match read_uvarint(input)? {
-            0 => FleetMsg::Register {
-                session: u64::decode(input)?,
-                config: Box::new(SapConfig::decode(input)?),
-                locals: decode_seq(input, decode_dataset)?,
-            },
-            // Tag 1 was the owner's `Ack`, retired: the owner settles the
-            // shared registration record itself.
-            2 => FleetMsg::Leave {
-                node: u64::decode(input)?,
-            },
-            _ => return Err(WireError::InvalidEncoding("FleetMsg variant tag")),
+        if read_uvarint(input)? != 0 {
+            return Err(WireError::InvalidEncoding("FleetMsg variant tag"));
+        }
+        Ok(FleetMsg {
+            session: u64::decode(input)?,
+            config: Box::new(SapConfig::decode(input)?),
+            locals: decode_seq(input, decode_dataset)?,
         })
     }
 }
@@ -140,18 +118,22 @@ mod tests {
         let hub = InMemoryHub::new();
         let sender = hub.try_endpoint(PartyId(0)).unwrap();
         let receiver = hub.try_endpoint(PartyId(1)).unwrap();
-        let msg = FleetMsg::Leave { node: 41 };
+        let msg = FleetMsg {
+            session: 41,
+            config: Box::new(SapConfig::quick_test()),
+            locals: Vec::new(),
+        };
         send_via(&sender, 0xF1EE7, 1, 7, &msg).unwrap();
         let (from, sealed) = receiver.recv().unwrap();
         assert_eq!(from, PartyId(0));
         let (session, frame) = open_frame(inbox_key(0xF1EE7, 1), &sealed).unwrap();
         assert_eq!(session, inbox_session(1));
         let mut asm = Reassembler::new();
-        let Ok(Some(FlowItem::Message(bytes))) = asm.feed(from, frame) else {
+        let Ok(Some(FlowItem::Msg(bytes))) = asm.feed(from, frame) else {
             panic!("single-frame message must assemble");
         };
         let decoded: FleetMsg = wire::from_bytes(&bytes).unwrap();
-        assert!(matches!(decoded, FleetMsg::Leave { node: 41 }));
+        assert_eq!(decoded.session, 41);
         // The wrong inbox key must not open the frame.
         assert!(open_frame(inbox_key(0xF1EE7, 0), &sealed).is_err());
     }

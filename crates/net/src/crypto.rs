@@ -3,8 +3,8 @@
 //! The brief assumes "encryption is applied before data is transmitted on
 //! the network" and treats it as a black box. The sealed frame envelope in
 //! [`crate::frame`] models that black box; this module holds what it is
-//! keyed with — per-direction [`ChannelKey`]s derived from a session
-//! secret — and the [`CryptoError`] it reports.
+//! keyed with — per-direction hop keys and per-destination data keys, all
+//! derived from a session secret — and the [`CryptoError`] it reports.
 //!
 //! # Security disclaimer
 //!
@@ -12,6 +12,11 @@
 //! honest seal/open interface, sealed payloads are not readable by the hub,
 //! and tampering is detectable in tests. A production deployment would use
 //! an AEAD (e.g. AES-GCM or ChaCha20-Poly1305) behind the same interface.
+//!
+//! Every key derives from the one `session_secret` every party of a
+//! session holds, so a relay *could* derive the data key of the blocks it
+//! forwards: that it never opens them is a property of the code path,
+//! not of the cryptography.
 
 /// A symmetric channel key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,6 +29,12 @@ impl ChannelKey {
         ChannelKey(splitmix(
             session_secret ^ from.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ to.rotate_left(17),
         ))
+    }
+
+    /// The session data key toward `dest`: every owner seals its blocks
+    /// under it, end to end, so the key that opens a block names no owner.
+    pub fn toward(session_secret: u64, dest: u64) -> Self {
+        ChannelKey::derive(session_secret, 0xDA7A_0000_0000_0000, dest) // no party's id
     }
 }
 
@@ -62,5 +73,14 @@ mod tests {
     fn key_derivation_is_directional() {
         assert_ne!(ChannelKey::derive(9, 1, 2), ChannelKey::derive(9, 2, 1));
         assert_eq!(ChannelKey::derive(9, 1, 2), ChannelKey::derive(9, 1, 2));
+    }
+
+    #[test]
+    fn data_key_names_the_destination_only() {
+        assert_eq!(ChannelKey::toward(9, 100), ChannelKey::toward(9, 100));
+        assert_ne!(ChannelKey::toward(9, 100), ChannelKey::toward(9, 101));
+        for from in 0..8 {
+            assert_ne!(ChannelKey::toward(9, 100), ChannelKey::derive(9, from, 100));
+        }
     }
 }

@@ -1,17 +1,11 @@
 //! Chunked streaming frames — the unit every transport actually carries.
 //!
-//! A logical message no longer travels as one monolithic payload. The
-//! sender splits it into frames of bounded size; large dataset transfers
-//! are shipped as a *stream*: one header frame followed by row-block
-//! frames that the receiver can process (or relay) without ever holding
-//! one giant allocation. Chunks of a single encoded message are zero-copy
-//! [`Bytes`] slices of one buffer on the send side, and stream blocks stay
-//! separate `Bytes` end to end on the receive side.
+//! A message travels as frames of bounded size; a dataset as a *stream*:
+//! one header frame followed by row-block frames that the receiver can
+//! process (or relay) without ever holding one giant allocation. The byte
+//! layouts are specified, with tables, in `docs/WIRE.md`.
 //!
 //! # Frame layout (plaintext, before sealing) — wire v4
-//!
-//! The v4 frame header is varint-packed: 3 bytes for typical frames
-//! instead of v3's fixed 14.
 //!
 //! ```text
 //! offset  size   field
@@ -26,9 +20,7 @@
 //! # Sealed envelope (v4)
 //!
 //! Each frame is sealed independently under the per-direction channel
-//! key. The outer byte positions are **unchanged from v3** — only the
-//! ciphertext's inner header packing differs — so key-less session
-//! peeking and heartbeats work identically across both:
+//! key:
 //!
 //! ```text
 //! offset  size  field
@@ -46,16 +38,30 @@
 //! different session id fails to open — one session's frames can never be
 //! replayed into another, even when two sessions share a session secret.
 //!
-//! v4 supersedes v3 (fixed 14-byte frame header) which superseded the v2
-//! envelope (`nonce ‖ ciphertext ‖ tag`, no session field); the formats
-//! are not interchangeable. The v4 keystream runs splitmix64 in
-//! **counter mode** — every 8-byte word is derived independently from
-//! the (key, nonce, index) triple, so the XOR pipeline has no serial
-//! dependency chain and vectorizes — and the keyed tag absorbs
-//! 32-byte blocks into four independent accumulator lanes folded once
-//! at the end. Word-at-a-time processing keeps sealing off the critical
-//! path on dataset-sized payloads. Same disclaimer as [`crate::crypto`]:
+//! The keystream runs splitmix64 in **counter mode** — every 8-byte word
+//! is derived independently from the (key, nonce, index) triple, so the
+//! XOR pipeline has no serial dependency chain and vectorizes — and the
+//! keyed tag absorbs 32-byte blocks into four independent accumulator
+//! lanes folded once at the end. Same disclaimer as [`crate::crypto`]:
 //! **this models link encryption, it is not real cryptography.**
+//!
+//! # Block frames
+//!
+//! A stream block travels in a *block frame* (nonce bit 63 set): its
+//! payload is sealed once, end to end, under a [`BlockSeal`] (for a
+//! dataset, the miner's data key), and only a fixed-width header per hop,
+//! which a relay rewrites in place ([`SealedBlock::forward`]) without
+//! reading the payload:
+//!
+//! ```text
+//! 0   8   session id (plaintext, authenticated)
+//! 8   8   hop nonce, bit 63 set
+//! 16  16  hop header under the hop key: flags (kind 2, bit 7 LAST),
+//!         3 zero bytes, seq (u32 LE), msg_id (u64 LE)
+//! 32  8   hop tag over the hop header and the data tag
+//! 40  …   payload under the data key, nonce (session, tag, seq)
+//! −8  8   data tag over the payload
+//! ```
 
 use crate::crypto::{ChannelKey, CryptoError};
 use crate::pool;
@@ -87,26 +93,27 @@ const FLAG_LAST: u8 = 0x80;
 /// Bits 2–6 of the packed header's first byte: reserved, must be zero.
 const RESERVED_BITS: u8 = 0x7C;
 
-/// Frame classification.
+/// Bit 63 of a sealed frame's nonce: the frame is a block frame.
+const BLOCK_FRAME: u64 = 1 << 63;
+
+/// Offset of a block frame's payload, after its hop header and hop tag.
+pub const BLOCK_PAYLOAD_AT: usize = 40;
+
+/// Smallest block frame: an empty payload and its data tag.
+const MIN_BLOCK_FRAME_LEN: usize = BLOCK_PAYLOAD_AT + 8;
+
+/// Frame classification; the discriminant is the header's kind bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
     /// A chunk of an ordinary wire-encoded message.
-    Control,
+    Control = 0,
     /// The wire-encoded header that opens a stream.
-    StreamHeader,
-    /// One raw block of stream payload.
-    StreamBlock,
+    StreamHeader = 1,
+    /// One block of stream payload, in a block frame.
+    StreamBlock = 2,
 }
 
 impl FrameKind {
-    fn to_byte(self) -> u8 {
-        match self {
-            FrameKind::Control => 0,
-            FrameKind::StreamHeader => 1,
-            FrameKind::StreamBlock => 2,
-        }
-    }
-
     fn from_byte(b: u8) -> Result<Self, FrameError> {
         match b {
             0 => Ok(FrameKind::Control),
@@ -191,7 +198,7 @@ impl From<CryptoError> for FrameError {
 }
 
 // ---------------------------------------------------------------------------
-// Sealed envelope v2: word-wise keystream + word-wise keyed tag.
+// Sealed envelope: word-wise keystream + word-wise keyed tag.
 // ---------------------------------------------------------------------------
 
 fn splitmix(mut x: u64) -> u64 {
@@ -203,11 +210,16 @@ fn splitmix(mut x: u64) -> u64 {
 
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// The little-endian word at `at`; callers keep `at + 8` in bounds.
+fn word_at(bytes: &[u8], at: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(word)
+}
+
 /// Keystream word `i` of the stream seeded by `base` — splitmix64 in
-/// counter mode. Unlike a chained xorshift state, every word is computed
-/// independently of its neighbours, so the CPU overlaps several words at
-/// once (and the compiler is free to vectorize the seal loop); the serial
-/// state update was the single hottest dependency chain on the data path.
+/// counter mode: every word is independent of its neighbours, so the CPU
+/// overlaps several at once and the seal loop vectorizes.
 #[inline]
 fn ks_word(base: u64, i: u64) -> u64 {
     splitmix(base.wrapping_add(i.wrapping_mul(GOLDEN)))
@@ -280,11 +292,7 @@ fn envelope_tweak(session: SessionId, nonce: u64) -> u64 {
 /// zero-decode demultiplexing hook used by [`crate::mux::SessionMux`].
 /// Returns `None` when the buffer is too short to be a sealed frame.
 pub fn peek_session(sealed: &[u8]) -> Option<SessionId> {
-    if sealed.len() < MIN_SEALED_LEN {
-        return None;
-    }
-    let raw: [u8; 8] = sealed[..8].try_into().ok()?;
-    Some(SessionId(u64::from_le_bytes(raw)))
+    (sealed.len() >= MIN_SEALED_LEN).then(|| SessionId(word_at(sealed, 0)))
 }
 
 // ---------------------------------------------------------------------------
@@ -328,13 +336,7 @@ pub fn decode_heartbeat(buf: &[u8]) -> Option<(PartyId, u64)> {
     if buf.len() != HEARTBEAT_LEN || peek_session(buf) != Some(SessionId::LIVENESS) {
         return None;
     }
-    let magic = u64::from_le_bytes(buf[8..16].try_into().ok()?);
-    if magic != HEARTBEAT_MAGIC {
-        return None;
-    }
-    let from = PartyId(u64::from_le_bytes(buf[16..24].try_into().ok()?));
-    let seq = u64::from_le_bytes(buf[24..32].try_into().ok()?);
-    Some((from, seq))
+    (word_at(buf, 8) == HEARTBEAT_MAGIC).then(|| (PartyId(word_at(buf, 16)), word_at(buf, 24)))
 }
 
 /// Header fields of a frame about to be sealed, without its payload —
@@ -351,22 +353,10 @@ pub struct FrameMeta {
     pub last: bool,
 }
 
-impl FrameMeta {
-    /// The header of an existing frame.
-    pub fn of(frame: &Frame) -> FrameMeta {
-        FrameMeta {
-            kind: frame.kind,
-            msg_id: frame.msg_id,
-            seq: frame.seq,
-            last: frame.last,
-        }
-    }
-}
-
 /// Appends the packed v4 frame header: flags/kind byte, varint msg_id,
 /// varint seq.
 fn put_header(out: &mut Vec<u8>, meta: FrameMeta) {
-    let first = meta.kind.to_byte() | if meta.last { FLAG_LAST } else { 0 };
+    let first = meta.kind as u8 | if meta.last { FLAG_LAST } else { 0 };
     out.push(first);
     put_uvarint(out, meta.msg_id);
     put_uvarint(out, u64::from(meta.seq));
@@ -407,15 +397,16 @@ fn parse_header(plain: &[u8]) -> Result<(FrameMeta, usize), FrameError> {
 /// The output buffer comes from (and eventually returns to) the global
 /// [`pool`].
 pub fn seal_frame(key: ChannelKey, nonce: u64, session: SessionId, frame: &Frame) -> Bytes {
+    let meta = FrameMeta {
+        kind: frame.kind,
+        msg_id: frame.msg_id,
+        seq: frame.seq,
+        last: frame.last,
+    };
     let payload = &frame.payload;
-    seal_frame_with(
-        key,
-        nonce,
-        session,
-        FrameMeta::of(frame),
-        payload.len(),
-        |out| out.extend_from_slice(payload),
-    )
+    seal_frame_with(key, nonce, session, meta, payload.len(), |out| {
+        out.extend_from_slice(payload)
+    })
 }
 
 /// Seals a frame whose payload is produced **directly into the sealed
@@ -445,10 +436,11 @@ pub fn seal_frame_with(
 }
 
 /// Opens a sealed frame, returning the session it was stamped for along
-/// with the frame. `sealed` is copied into one pooled buffer, which is
-/// then decrypted in place by the same code as
-/// [`open_frame_recycling`]; the payload is a zero-copy slice of it. The
-/// caller decides whether the session matches its own (see
+/// with the frame. The tag is checked on `sealed` itself; only a frame
+/// that verifies is copied, into one pooled buffer, and decrypted there,
+/// and the payload is a zero-copy slice of that buffer. (Row blocks, the
+/// bulk of the traffic, travel in block frames and are never copied
+/// here.) The caller decides whether the session matches its own (see
 /// [`FrameError::SessionMismatch`]).
 ///
 /// # Errors
@@ -457,75 +449,27 @@ pub fn seal_frame_with(
 /// * [`FrameError::Malformed`] on a bad kind byte, reserved header bits,
 ///   or an overflowing varint.
 pub fn open_frame(key: ChannelKey, sealed: &[u8]) -> Result<(SessionId, Frame), FrameError> {
-    let mut copy = pool::global().acquire(sealed.len());
-    copy.extend_from_slice(sealed);
-    open_frame_owned(key, copy)
-}
-
-/// [`open_frame`], but consuming the sealed transport buffer — the
-/// receive-path counterpart of [`seal_frame_with`]'s acquire. When this
-/// was the buffer's last reference it is decrypted **in place**: no
-/// second allocation, no plaintext copy, and the same buffer is handed
-/// onward as the frame payload. When other references pin the buffer it
-/// is opened through [`open_frame`]'s copy and recycled into the global
-/// pool.
-///
-/// # Errors
-///
-/// As [`open_frame`].
-pub fn open_frame_recycling(
-    key: ChannelKey,
-    sealed: Bytes,
-) -> Result<(SessionId, Frame), FrameError> {
-    match sealed.try_into_vec() {
-        Ok(vec) => open_frame_owned(key, vec),
-        Err(sealed) => {
-            let result = open_frame(key, &sealed);
-            pool::global().recycle(sealed);
-            result
-        }
-    }
-}
-
-/// The one open path: verify the tag, decrypt in place, parse the
-/// header and slice the payload out of the very buffer that was opened.
-/// On error the buffer is recycled into the global pool.
-fn open_frame_owned(
-    key: ChannelKey,
-    mut sealed: Vec<u8>,
-) -> Result<(SessionId, Frame), FrameError> {
     if sealed.len() < MIN_SEALED_LEN {
-        pool::global().recycle_vec(sealed);
         return Err(CryptoError::Truncated.into());
     }
-    let session = SessionId(u64::from_le_bytes(sealed[..8].try_into().expect("8 bytes")));
-    let nonce = u64::from_le_bytes(sealed[8..16].try_into().expect("8 bytes"));
-    let tweak = envelope_tweak(session, nonce);
-    let body_end = sealed.len() - 8;
-    let expected_tag = u64::from_le_bytes(sealed[body_end..].try_into().expect("8 bytes"));
-    if word_mac(key.0, tweak, &sealed[16..body_end]) != expected_tag {
-        pool::global().recycle_vec(sealed);
+    let session = SessionId(word_at(sealed, 0));
+    let tweak = envelope_tweak(session, word_at(sealed, 8));
+    let end = sealed.len() - 8;
+    if word_mac(key.0, tweak, &sealed[16..end]) != word_at(sealed, end) {
         return Err(CryptoError::BadTag.into());
     }
-    keystream_xor(key.0, tweak, &mut sealed[16..body_end]);
-    let (meta, header_len) = match parse_header(&sealed[16..body_end]) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            pool::global().recycle_vec(sealed);
-            return Err(e);
-        }
+    let mut plain = pool::global().acquire(end - 16);
+    plain.extend_from_slice(&sealed[16..end]);
+    keystream_xor(key.0, tweak, &mut plain);
+    let (meta, header_len) = parse_header(&plain)?;
+    let frame = Frame {
+        kind: meta.kind,
+        msg_id: meta.msg_id,
+        seq: meta.seq,
+        last: meta.last,
+        payload: Bytes::from(plain).slice(header_len..),
     };
-    let payload = Bytes::from(sealed).slice(16 + header_len..body_end);
-    Ok((
-        session,
-        Frame {
-            kind: meta.kind,
-            msg_id: meta.msg_id,
-            seq: meta.seq,
-            last: meta.last,
-            payload,
-        },
-    ))
+    Ok((session, frame))
 }
 
 /// Splits an encoded message into control frames whose payloads are
@@ -547,6 +491,161 @@ pub fn split_message(msg_id: u64, encoded: Bytes, chunk_size: usize) -> Vec<Fram
             }
         })
         .collect()
+}
+
+/// The key and tag a stream's blocks are sealed under, end to end. A
+/// block's payload nonce is `(session, tag, seq)`: streams sealed under
+/// one key need distinct tags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockSeal {
+    /// The data key (for a dataset, the miner's: [`ChannelKey::toward`]).
+    pub key: ChannelKey,
+    /// Tells apart the streams sealed under `key` (for a dataset, its slot).
+    pub tag: u64,
+}
+
+fn block_tweak(session: SessionId, tag: u64, seq: u32) -> u64 {
+    envelope_tweak(
+        session,
+        splitmix(tag ^ 0xB10C_7A60_0000_0000) ^ u64::from(seq),
+    )
+}
+
+/// `true` when `sealed` is flagged as a block frame (unauthenticated).
+pub(crate) fn is_block_frame(sealed: &[u8]) -> bool {
+    sealed.len() >= 16 && word_at(sealed, 8) & BLOCK_FRAME != 0
+}
+
+/// The hop tag, over the hop header and the data tag of a frame at least
+/// [`MIN_BLOCK_FRAME_LEN`] long.
+fn hop_mac(hop: ChannelKey, tweak: u64, frame: &[u8]) -> u64 {
+    let mut covered = [0u8; 24];
+    covered[..16].copy_from_slice(&frame[16..32]);
+    covered[16..].copy_from_slice(&frame[frame.len() - 8..]);
+    word_mac(hop.0, tweak, &covered)
+}
+
+/// Writes bytes 0..40 of a block frame, the only bytes a hop writes.
+fn seal_hop(hop: ChannelKey, nonce: u64, session: SessionId, meta: FrameMeta, frame: &mut [u8]) {
+    let nonce = nonce | BLOCK_FRAME;
+    let tweak = envelope_tweak(session, nonce);
+    frame[..8].copy_from_slice(&session.0.to_le_bytes());
+    frame[8..16].copy_from_slice(&nonce.to_le_bytes());
+    frame[16] = FrameKind::StreamBlock as u8 | if meta.last { FLAG_LAST } else { 0 };
+    frame[17..20].fill(0);
+    frame[20..24].copy_from_slice(&meta.seq.to_le_bytes());
+    frame[24..32].copy_from_slice(&meta.msg_id.to_le_bytes());
+    keystream_xor(hop.0, tweak, &mut frame[16..32]);
+    let tag = hop_mac(hop, tweak, frame);
+    frame[32..40].copy_from_slice(&tag.to_le_bytes());
+}
+
+/// Seals a block frame: the payload, written in place by `write_payload`,
+/// once under `seal`, then the hop header under `hop`.
+pub fn seal_block_with(
+    hop: ChannelKey,
+    nonce: u64,
+    session: SessionId,
+    meta: FrameMeta,
+    seal: BlockSeal,
+    size_hint: usize,
+    write_payload: impl FnOnce(&mut Vec<u8>),
+) -> Bytes {
+    let mut out = pool::global().acquire(MIN_BLOCK_FRAME_LEN + size_hint);
+    out.resize(BLOCK_PAYLOAD_AT, 0);
+    write_payload(&mut out);
+    let tweak = block_tweak(session, seal.tag, meta.seq);
+    keystream_xor(seal.key.0, tweak, &mut out[BLOCK_PAYLOAD_AT..]);
+    let tag = word_mac(seal.key.0, tweak, &out[BLOCK_PAYLOAD_AT..]);
+    out.extend_from_slice(&tag.to_le_bytes());
+    seal_hop(hop, nonce, session, meta, &mut out);
+    Bytes::from(out)
+}
+
+/// Opens the hop header of a block frame under `hop`, and nothing else;
+/// the frame's payload is the whole, untouched block frame.
+///
+/// # Errors
+///
+/// [`FrameError::Crypto`] on truncation or a bad hop tag, and
+/// [`FrameError::Malformed`] on reserved bits or another kind.
+pub fn open_block_frame(hop: ChannelKey, sealed: Bytes) -> Result<(SessionId, Frame), FrameError> {
+    if sealed.len() < MIN_BLOCK_FRAME_LEN {
+        return Err(CryptoError::Truncated.into());
+    }
+    let session = SessionId(word_at(&sealed, 0));
+    let tweak = envelope_tweak(session, word_at(&sealed, 8));
+    if hop_mac(hop, tweak, &sealed) != word_at(&sealed, 32) {
+        return Err(CryptoError::BadTag.into());
+    }
+    let mut header = [0u8; 16];
+    header.copy_from_slice(&sealed[16..32]);
+    keystream_xor(hop.0, tweak, &mut header);
+    if header[0] & !FLAG_LAST != FrameKind::StreamBlock as u8 || header[1..4] != [0; 3] {
+        return Err(FrameError::Malformed("block frame header"));
+    }
+    let frame = Frame {
+        kind: FrameKind::StreamBlock,
+        msg_id: word_at(&header, 8),
+        seq: u32::from_le_bytes([header[4], header[5], header[6], header[7]]),
+        last: header[0] & FLAG_LAST != 0,
+        payload: sealed,
+    };
+    Ok((session, frame))
+}
+
+/// A stream block as it arrived: its hop header checked, its payload
+/// still sealed end to end. A relay [`forward`](Self::forward)s it, its
+/// destination [`open`](Self::open)s it.
+#[derive(Debug, Clone)]
+pub struct SealedBlock {
+    frame: Bytes,
+    seq: u32,
+}
+
+impl SealedBlock {
+    /// The buffer, to change in place: copied only if shared.
+    fn into_owned(self) -> Result<Vec<u8>, FrameError> {
+        if self.frame.len() < MIN_BLOCK_FRAME_LEN {
+            return Err(CryptoError::Truncated.into());
+        }
+        Ok(self
+            .frame
+            .try_into_vec()
+            .unwrap_or_else(|shared| shared.to_vec()))
+    }
+
+    /// Opens the payload under `seal` in `session`, in place.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::Crypto`] unless the block was sealed under `seal` in
+    /// `session` at its seq and no byte of it changed.
+    pub fn open(self, session: SessionId, seal: BlockSeal) -> Result<Bytes, FrameError> {
+        let tweak = block_tweak(session, seal.tag, self.seq);
+        let mut frame = self.into_owned()?;
+        let end = frame.len() - 8;
+        if word_mac(seal.key.0, tweak, &frame[BLOCK_PAYLOAD_AT..end]) != word_at(&frame, end) {
+            return Err(CryptoError::BadTag.into());
+        }
+        keystream_xor(seal.key.0, tweak, &mut frame[BLOCK_PAYLOAD_AT..end]);
+        Ok(Bytes::from(frame).slice(BLOCK_PAYLOAD_AT..end))
+    }
+
+    /// Rewrites the hop header, in place, for the next hop; the payload is
+    /// neither read nor written. Fails only on a frame too short to be a
+    /// block frame ([`FrameError::Crypto`]).
+    pub fn forward(
+        self,
+        hop: ChannelKey,
+        nonce: u64,
+        session: SessionId,
+        meta: FrameMeta,
+    ) -> Result<Bytes, FrameError> {
+        let mut frame = self.into_owned()?;
+        seal_hop(hop, nonce, session, meta, &mut frame);
+        Ok(Bytes::from(frame))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -610,13 +709,11 @@ impl Reassembler {
         }
         let (last, stream, next_seq) = (frame.last, frame.msg_id, next_seq + 1);
         match frame.kind {
-            FrameKind::Control if last && chunks.is_empty() => {
-                Ok(Some(FlowItem::Message(frame.payload)))
-            }
+            FrameKind::Control if last && chunks.is_empty() => Ok(Some(Flow::Msg(frame.payload))),
             FrameKind::Control => {
                 chunks.push(frame.payload);
                 if last {
-                    return Ok(Some(FlowItem::Message(join_chunks(&chunks))));
+                    return Ok(Some(Flow::Msg(join_chunks(&chunks))));
                 }
                 self.pending
                     .insert(key, Partial::Message { next_seq, chunks });
@@ -627,15 +724,18 @@ impl Reassembler {
                     self.pending.insert(key, Partial::Stream { next_seq });
                 }
                 Ok(Some(if kind == FrameKind::StreamHeader {
-                    FlowItem::StreamHeader {
+                    Flow::StreamStart {
                         stream,
                         header: frame.payload,
                         last,
                     }
                 } else {
-                    FlowItem::StreamBlock {
+                    Flow::StreamBlock {
                         stream,
-                        block: frame.payload,
+                        block: SealedBlock {
+                            frame: frame.payload,
+                            seq: frame.seq,
+                        },
                         last,
                     }
                 }))
@@ -644,34 +744,38 @@ impl Reassembler {
     }
 }
 
-/// One delivery from [`Reassembler::feed`]: a whole control message, or
-/// one frame of a stream.
+/// One delivery: a whole control message, or one frame of a stream, the
+/// moment it lands — the granularity the streaming data plane overlaps
+/// compute and I/O at. [`Reassembler::feed`] yields it undecoded
+/// ([`FlowItem`]); a [`crate::Node`] decodes the message and the header.
 #[derive(Debug)]
-pub enum FlowItem {
-    /// A fully assembled control message (control frames are small and
-    /// coalesce).
-    Message(Bytes),
-    /// A stream opened: the wire-encoded header. `last` marks an empty
-    /// stream (no blocks follow).
-    StreamHeader {
-        /// The stream's `msg_id`: it tells apart the streams one sender
-        /// has open.
+pub enum Flow<M, H> {
+    /// A fully assembled message (control frames are small and coalesce).
+    Msg(M),
+    /// A stream opened. `last` is `true` for an empty stream — no blocks
+    /// will follow.
+    StreamStart {
+        /// The stream's id, unique per sender: the blocks that follow
+        /// carry it, so a sender may keep several streams open at once.
         stream: u64,
-        /// Encoded stream header.
-        header: Bytes,
+        /// The stream header.
+        header: H,
         /// `true` when the stream carries no blocks.
         last: bool,
     },
-    /// One raw stream block, delivered the moment it arrived.
+    /// One stream block, in order, its payload still sealed end to end.
     StreamBlock {
-        /// The `msg_id` of the stream this block belongs to.
+        /// The id of the stream this block belongs to.
         stream: u64,
-        /// The raw block payload, exactly as sent.
-        block: Bytes,
+        /// The block: forward it or open it.
+        block: SealedBlock,
         /// `true` when this is the stream's final block.
         last: bool,
     },
 }
+
+/// A [`Flow`] as the reassembler yields it: message and header encoded.
+pub type FlowItem = Flow<Bytes, Bytes>;
 
 fn join_chunks(chunks: &[Bytes]) -> Bytes {
     let total: usize = chunks.iter().map(Bytes::len).sum();
@@ -771,7 +875,7 @@ mod tests {
         );
         assert_eq!(&sealed[..], &reference[..]);
 
-        let (session, back) = open_frame_recycling(key(), sealed).unwrap();
+        let (session, back) = open_frame(key(), &sealed).unwrap();
         assert_eq!(session, SessionId(2));
         assert_eq!(&back.payload[..], payload);
     }
@@ -873,7 +977,7 @@ mod tests {
             .feed(from, frame(FrameKind::Control, 9, 1, true, b"cd"))
             .unwrap()
             .unwrap();
-        let FlowItem::Message(bytes) = out else {
+        let Flow::Msg(bytes) = out else {
             panic!("expected message");
         };
         assert_eq!(&bytes[..], b"abcd");
@@ -891,8 +995,8 @@ mod tests {
             (FrameKind::StreamBlock, 2, true, b"bk1"),
         ] {
             match r.feed(from, frame(kind, 5, seq, last, payload)).unwrap() {
-                Some(FlowItem::StreamHeader { header, last, .. }) => got.push((header, last)),
-                Some(FlowItem::StreamBlock { block, last, .. }) => got.push((block, last)),
+                Some(Flow::StreamStart { header, last, .. }) => got.push((header, last)),
+                Some(Flow::StreamBlock { block, last, .. }) => got.push((block.frame, last)),
                 other => panic!("expected a stream frame, got {other:?}"),
             }
         }
@@ -975,7 +1079,7 @@ mod tests {
     fn feed_streaming_surfaces_blocks_immediately() {
         let mut r = Reassembler::new();
         let from = PartyId(3);
-        let Some(FlowItem::StreamHeader { header, last, .. }) = r
+        let Some(Flow::StreamStart { header, last, .. }) = r
             .feed(from, frame(FrameKind::StreamHeader, 5, 0, false, b"hdr"))
             .unwrap()
         else {
@@ -983,17 +1087,17 @@ mod tests {
         };
         assert_eq!(&header[..], b"hdr");
         assert!(!last);
-        let Some(FlowItem::StreamBlock { block, last, .. }) = r
+        let Some(Flow::StreamBlock { block, last, .. }) = r
             .feed(from, frame(FrameKind::StreamBlock, 5, 1, false, b"b0"))
             .unwrap()
         else {
             panic!("expected immediate block");
         };
-        assert_eq!(&block[..], b"b0");
+        assert_eq!(&block.frame[..], b"b0");
         assert!(!last);
         // Continuity state is kept, but no blocks are buffered.
         assert_eq!(r.pending.len(), 1);
-        let Some(FlowItem::StreamBlock { last, .. }) = r
+        let Some(Flow::StreamBlock { last, .. }) = r
             .feed(from, frame(FrameKind::StreamBlock, 5, 2, true, b"b1"))
             .unwrap()
         else {
@@ -1033,7 +1137,7 @@ mod tests {
             .feed(from, frame(FrameKind::Control, 9, 0, false, b"ab"))
             .unwrap()
             .is_none());
-        let Some(FlowItem::Message(bytes)) = r
+        let Some(Flow::Msg(bytes)) = r
             .feed(from, frame(FrameKind::Control, 9, 1, true, b"cd"))
             .unwrap()
         else {
@@ -1041,7 +1145,7 @@ mod tests {
         };
         assert_eq!(&bytes[..], b"abcd");
         // An empty stream is just its header, marked last.
-        let Some(FlowItem::StreamHeader { last, .. }) = r
+        let Some(Flow::StreamStart { last, .. }) = r
             .feed(from, frame(FrameKind::StreamHeader, 10, 0, true, b"h"))
             .unwrap()
         else {
@@ -1081,14 +1185,129 @@ mod tests {
     /// last)` with kind 0 = message, 1 = stream header, 2 = stream block.
     fn delivery(item: FlowItem) -> (u8, Vec<u8>, bool) {
         match item {
-            FlowItem::Message(bytes) => (0, bytes.to_vec(), true),
-            FlowItem::StreamHeader { header, last, .. } => (1, header.to_vec(), last),
-            FlowItem::StreamBlock { block, last, .. } => (2, block.to_vec(), last),
+            Flow::Msg(bytes) => (0, bytes.to_vec(), true),
+            Flow::StreamStart { header, last, .. } => (1, header.to_vec(), last),
+            Flow::StreamBlock { block, last, .. } => (2, block.frame.to_vec(), last),
+        }
+    }
+
+    fn block_seal() -> BlockSeal {
+        BlockSeal {
+            key: ChannelKey::toward(77, 100),
+            tag: 0x51_07,
+        }
+    }
+
+    /// A block frame of `payload` at `seq`, sealed for the test seal.
+    fn block_frame(payload: &[u8], seq: u32) -> Bytes {
+        let meta = FrameMeta {
+            kind: FrameKind::StreamBlock,
+            msg_id: 4,
+            seq,
+            last: false,
+        };
+        seal_block_with(
+            key(),
+            9,
+            SessionId(3),
+            meta,
+            block_seal(),
+            payload.len(),
+            |out| out.extend_from_slice(payload),
+        )
+    }
+
+    #[test]
+    fn block_frame_roundtrip_and_forward_keep_the_payload_bytes() {
+        for len in [0usize, 1, 7, 8, 9, 64, 4096] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 13) as u8).collect();
+            let sealed = block_frame(&payload, 2);
+            assert_eq!(sealed.len(), MIN_BLOCK_FRAME_LEN + len);
+            assert!(is_block_frame(&sealed));
+            let (session, frame) = open_block_frame(key(), sealed.clone()).unwrap();
+            assert_eq!((session, frame.msg_id, frame.seq), (SessionId(3), 4, 2));
+            let block = SealedBlock {
+                frame: frame.payload,
+                seq: frame.seq,
+            };
+            let next = ChannelKey::derive(77, 2, 100);
+            let meta = FrameMeta {
+                kind: FrameKind::StreamBlock,
+                msg_id: 8,
+                seq: 2,
+                last: true,
+            };
+            let forwarded = block.forward(next, 5, session, meta).unwrap();
+            assert_eq!(forwarded[BLOCK_PAYLOAD_AT..], sealed[BLOCK_PAYLOAD_AT..]);
+            assert!(open_block_frame(key(), forwarded.clone()).is_err());
+            let (_, frame) = open_block_frame(next, forwarded).unwrap();
+            assert_eq!((frame.msg_id, frame.seq, frame.last), (8, 2, true));
+            let block = SealedBlock {
+                frame: frame.payload,
+                seq: frame.seq,
+            };
+            assert_eq!(
+                &block.open(session, block_seal()).unwrap()[..],
+                &payload[..]
+            );
         }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The relay's hop parse and the miner's open are total on any
+        /// bytes — arbitrary, or a valid block frame with a bit flipped,
+        /// cut short or extended: a typed error and no panic, output no
+        /// longer than the input, and no changed frame ever opens.
+        #[test]
+        fn block_frame_parse_and_open_are_total(
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..160,
+            mutate in proptest::prelude::any::<bool>(),
+        ) {
+            let mut rng = Xorshift(seed | 1);
+            let original = block_frame(&vec![0x3C; len / 2], 1).to_vec();
+            let bytes: Vec<u8> = if mutate {
+                let mut frame = original.clone();
+                match rng.below(3) {
+                    0 => {
+                        let i = rng.below(frame.len() as u64) as usize;
+                        frame[i] ^= 1 << rng.below(8);
+                    }
+                    1 => frame.truncate(rng.below(frame.len() as u64) as usize),
+                    _ => frame.extend((0..len % 9).map(|i| i as u8)),
+                }
+                frame
+            } else {
+                (0..len).map(|_| rng.below(256) as u8).collect()
+            };
+            let (n, changed) = (bytes.len(), bytes != original);
+            match open_block_frame(key(), Bytes::from(bytes)) {
+                Err(FrameError::Crypto(_) | FrameError::Malformed(_)) => {}
+                Err(other) => proptest::prop_assert!(false, "unexpected error: {other}"),
+                Ok((session, frame)) => {
+                    proptest::prop_assert_eq!(frame.payload.len(), n);
+                    let block = SealedBlock { frame: frame.payload, seq: frame.seq };
+                    match block.clone().open(session, block_seal()) {
+                        Ok(plain) => {
+                            proptest::prop_assert!(!changed, "a changed frame opened");
+                            proptest::prop_assert!(plain.len() <= n);
+                        }
+                        Err(FrameError::Crypto(_)) => {}
+                        Err(other) => proptest::prop_assert!(false, "unexpected error: {other}"),
+                    }
+                    let meta = FrameMeta {
+                        kind: FrameKind::StreamBlock,
+                        msg_id: 1,
+                        seq: 1,
+                        last: true,
+                    };
+                    let forwarded = block.forward(key(), 2, session, meta).unwrap();
+                    proptest::prop_assert_eq!(forwarded.len(), n);
+                }
+            }
+        }
 
         /// Arbitrary frame sequences (any sender, kind, msg id, seq, last
         /// flag and payload) never panic the reassembler, every violation
@@ -1212,7 +1431,7 @@ mod tests {
                 let item = r.feed(PartyId(sender as u64), next);
                 proptest::prop_assert!(item.is_ok(), "valid frame refused: {:?}", item);
                 if let Some(item) = item.unwrap() {
-                    if let FlowItem::StreamHeader { stream, .. } | FlowItem::StreamBlock { stream, .. } = &item {
+                    if let Flow::StreamStart { stream, .. } | Flow::StreamBlock { stream, .. } = &item {
                         proptest::prop_assert_eq!(*stream, msg as u64);
                     }
                     got[sender][msg].push(delivery(item));

@@ -10,40 +10,22 @@
 //! ```text
 //!   protocol actors (sap-core)          — generic over Transport
 //!        │ typed messages / streams
-//!   [`node`]   Node<T>                  — typed send/recv, stream relay,
-//!        │ wire-encoded bytes             session-stamped envelopes
+//!   [`node`]   Node<T>                  — typed send/recv; blocks sealed
+//!        │ wire-encoded bytes             once, forwarded unopened
 //!   [`wire`]   varint binary format     — the one serialization
 //!        │ encoded message
 //!   [`frame`]  chunked sealed frames    — bounded chunks, per-frame seal,
-//!        │ sealed v4 frames (Bytes)       authenticated SessionId stamp
+//!        │ sealed v4 frames (Bytes)       block frames, SessionId stamp
 //!   [`mux`]    SessionMux               — many sessions, one physical mesh
 //!        │ session-routed frames
 //!   [`transport`] / [`reactor`] / [`sim`] — in-memory hub, TCP, fault inject
 //! ```
 //!
-//! * [`wire`] — the compact varint binary format every message travels
-//!   in (spec in the module docs).
-//! * [`frame`] — chunked streaming frames with a per-frame sealed
-//!   envelope; datasets travel as row-block streams, never one giant
-//!   allocation.
-//! * [`crypto`] — per-direction channel keys and the envelope's error
-//!   type. **Not real cryptography**, and neither is the frame envelope;
-//!   they model the interface.
-//! * [`transport`] — the [`transport::Transport`] trait, the
-//!   [`transport::Sink`] a [`transport::Physical`] endpoint hands every
-//!   arrival to, and the in-memory hub.
-//! * [`reactor`] — the TCP transport, with the same contract as the hub:
-//!   one reactor thread multiplexing every lane over the vendored
-//!   `epoll(7)` shim, pooled frame buffers, and coalesced vectored writes.
-//! * [`tcp`] — [`tcp::local_mesh`] (a fully meshed set of localhost
-//!   reactor endpoints) and the trust model of the TCP lanes.
-//! * [`mux`] — [`mux::SessionMux`]: routes one physical endpoint's frames
-//!   into per-session bounded queues on the receiving thread, keyed by
-//!   the v4 envelope's authenticated session stamp; no thread of its own.
-//! * [`sim`] — a fault-injecting transport decorator (drops, duplicates,
-//!   reordering, link latency) for failure-injection tests and benches.
-//! * [`node`] — typed convenience layer: send/receive wire values over
-//!   sealed frames, plus zero-decode stream relays.
+//! Beside the layers: [`crypto`] holds the hop and data keys (**not real
+//! cryptography**, and neither is the frame envelope: they model the
+//! interface), [`pool`] the reused frame buffers, and [`tcp`] the
+//! localhost mesh builder and the trust model of its lanes. Each module's
+//! docs say the rest.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

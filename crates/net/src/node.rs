@@ -1,27 +1,24 @@
 //! Typed, sealed, frame-based messaging on top of a [`Transport`].
 //!
 //! A [`Node`] owns a transport endpoint and the session secret. Every
-//! outgoing message is [`crate::wire`]-encoded once into a pooled scratch
-//! buffer (see [`crate::pool`]), split into bounded
-//! [`crate::frame`] chunks, and each chunk sealed **directly into a
-//! pooled envelope buffer** under the per-direction channel key. Large
-//! payloads can instead travel as *streams* — a typed header plus raw
-//! blocks — via [`Node::send_stream`]; receivers get the header and each
-//! block back exactly as sent, one frame at a time
-//! ([`Node::recv_flow_timeout`]), so a relay can forward a block without
-//! decoding it while the rest of its stream is still on the wire (the
-//! SAP anonymizing hop does exactly that). Sink-capable producers can skip
-//! the intermediate block allocation entirely with
-//! [`Node::stream_block_with`].
+//! outgoing message is [`crate::wire`]-encoded, split into bounded
+//! [`crate::frame`] chunks, and each chunk sealed under the per-direction
+//! channel key. Large payloads travel as *streams*: a typed header plus
+//! blocks, each sealed once, end to end ([`Node::stream_block_with`]).
+//! Receivers get each frame as it lands ([`Node::recv_flow_timeout`]); a
+//! relay passes a block on unopened ([`Node::forward_block`]) while the
+//! rest of its stream is still on the wire, and its destination opens it
+//! ([`Node::open_block`]).
 //!
 //! This is the layer the protocol actors in `sap-core` talk to; they are
 //! generic over the transport.
 
 use crate::crypto::ChannelKey;
+pub use crate::frame::Flow as NodeFlow;
 use crate::frame::{
-    self, FlowItem, Frame, FrameError, FrameKind, FrameMeta, Reassembler, DEFAULT_CHUNK_SIZE,
+    self, BlockSeal, Flow, FlowItem, Frame, FrameError, FrameKind, FrameMeta, Reassembler,
+    SealedBlock, DEFAULT_CHUNK_SIZE,
 };
-use crate::pool;
 use crate::transport::{PartyId, SessionId, Transport, TransportError};
 use crate::wire::{self, Wire, WireError};
 use bytes::Bytes;
@@ -70,40 +67,10 @@ impl From<WireError> for NodeError {
     }
 }
 
-/// One inbound delivery (see [`Node::recv_flow_timeout`]): a whole
-/// message, or one frame of a stream. The header and each block surface
-/// the moment they land — the granularity the streaming data plane
-/// overlaps compute and I/O at.
-#[derive(Debug)]
-pub enum NodeFlow<M, H> {
-    /// An ordinary (fully assembled) message.
-    Msg(M),
-    /// A stream opened. `last` is `true` for an empty stream — no blocks
-    /// will follow.
-    StreamStart {
-        /// The stream's id, unique per sender: the blocks that follow
-        /// carry it, so a sender may keep several streams open at once.
-        stream: u64,
-        /// The decoded stream header.
-        header: H,
-        /// `true` when the stream carries no blocks.
-        last: bool,
-    },
-    /// One raw stream block, in order, exactly as the sender produced it.
-    StreamBlock {
-        /// The id of the stream this block belongs to.
-        stream: u64,
-        /// The raw block payload.
-        block: Bytes,
-        /// `true` when this is the stream's final block.
-        last: bool,
-    },
-}
-
 /// An in-progress outbound stream opened with [`Node::begin_stream`].
 ///
-/// The handle tracks the frame sequence; feed it blocks with
-/// [`Node::stream_block`] and mark the final one with `last = true`.
+/// The handle tracks the frame sequence; feed it blocks and mark the
+/// final one with `last = true`.
 /// Every stream has its own message id and receivers reassemble per
 /// `(sender, msg_id)`, so a node may keep several streams to one peer
 /// open at once and interleave their blocks.
@@ -116,9 +83,19 @@ pub struct StreamHandle {
 }
 
 impl StreamHandle {
-    /// The peer this stream is addressed to.
-    pub fn to(&self) -> PartyId {
-        self.to
+    fn next_block(&self, last: bool) -> FrameMeta {
+        assert!(!self.finished, "stream already finished");
+        FrameMeta {
+            kind: FrameKind::StreamBlock,
+            msg_id: self.msg_id,
+            seq: self.next_seq,
+            last,
+        }
+    }
+
+    fn sent(&mut self, last: bool) {
+        self.next_seq += 1;
+        self.finished = last;
     }
 }
 
@@ -188,71 +165,24 @@ impl<T: Transport> Node<T> {
         self.counter.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Seals one frame, generating its payload straight into the pooled
-    /// sealed buffer, and hands it to the transport.
-    fn seal_and_send(
-        &self,
-        to: PartyId,
-        meta: FrameMeta,
-        size_hint: usize,
-        write_payload: impl FnOnce(&mut Vec<u8>),
-    ) -> Result<(), NodeError> {
-        let sealed = frame::seal_frame_with(
-            self.send_key(to),
-            self.next_id(),
-            self.session,
-            meta,
-            size_hint,
-            write_payload,
-        );
-        self.transport.send(to, sealed)?;
-        Ok(())
-    }
-
-    /// Encodes, chunks, seals, and sends a message.
-    ///
-    /// The message is wire-encoded once into a pooled scratch buffer and
-    /// each chunk is sealed directly into a pooled envelope buffer — no
-    /// per-frame allocation on the steady-state path.
+    /// Encodes, chunks ([`frame::split_message`]), seals, and sends a
+    /// message.
     ///
     /// # Errors
     ///
     /// Returns [`NodeError::Transport`] on delivery failure.
     pub fn send_msg<M: Wire>(&self, to: PartyId, msg: &M) -> Result<(), NodeError> {
-        let pool = pool::global();
-        let mut scratch = pool.acquire(DEFAULT_CHUNK_SIZE);
-        msg.encode(&mut scratch);
-        let msg_id = self.next_id();
-        let total = scratch.len();
-        let mut seq: u32 = 0;
-        let mut start = 0;
-        loop {
-            let end = (start + DEFAULT_CHUNK_SIZE).min(total);
-            let last = end == total;
-            let meta = FrameMeta {
-                kind: FrameKind::Control,
-                msg_id,
-                seq,
-                last,
-            };
-            let chunk = &scratch[start..end];
-            let sent = self.seal_and_send(to, meta, chunk.len(), |out| {
-                out.extend_from_slice(chunk);
-            });
-            if last || sent.is_err() {
-                pool.recycle_vec(scratch);
-                return sent;
-            }
-            start = end;
-            seq += 1;
+        let encoded = Bytes::from(wire::to_bytes(msg));
+        for chunk in frame::split_message(self.next_id(), encoded, DEFAULT_CHUNK_SIZE) {
+            let sealed = frame::seal_frame(self.send_key(to), self.next_id(), self.session, &chunk);
+            self.transport.send(to, sealed)?;
         }
+        Ok(())
     }
 
-    /// Sends a stream: a typed header frame followed by raw blocks, each
-    /// block one sealed frame. Blocks are sent as the iterator yields
-    /// them — the whole payload never exists as one allocation here, and
-    /// a lazy iterator overlaps producing each block with transmitting
-    /// the previous one.
+    /// Sends a stream: a typed header frame followed by blocks, sent as
+    /// the iterator yields them. The blocks are sealed for `to` alone: the
+    /// pair's channel key, tagged with the stream id, opens them.
     ///
     /// # Errors
     ///
@@ -264,21 +194,22 @@ impl<T: Transport> Node<T> {
     {
         let mut blocks = blocks.into_iter().peekable();
         let mut stream = self.begin_stream(to, header, blocks.peek().is_none())?;
+        let seal = BlockSeal {
+            key: self.send_key(to),
+            tag: stream.msg_id,
+        };
         while let Some(block) = blocks.next() {
             let last = blocks.peek().is_none();
-            self.stream_block(&mut stream, block, last)?;
+            self.stream_block_with(&mut stream, seal, block.len(), last, |out| {
+                out.extend_from_slice(&block);
+            })?;
         }
         Ok(())
     }
 
-    /// Opens an outbound stream by sending its header frame; blocks
-    /// follow via [`Node::stream_block`]. `empty` marks a stream with no
-    /// blocks (the header frame is then also the last frame).
-    ///
-    /// This is the incremental counterpart of [`Node::send_stream`], used
-    /// by the relay pump to forward blocks of a stream *while it is still
-    /// arriving*. Several streams to one peer may be open at once (see
-    /// [`StreamHandle`]).
+    /// Opens an outbound stream by sending its header frame. `empty` marks
+    /// a stream with no blocks (the header frame is then also the last).
+    /// Several streams to one peer may be open at once.
     ///
     /// # Errors
     ///
@@ -296,7 +227,15 @@ impl<T: Transport> Node<T> {
             seq: 0,
             last: empty,
         };
-        self.seal_and_send(to, meta, 256, |out| header.encode(out))?;
+        let sealed = frame::seal_frame_with(
+            self.send_key(to),
+            self.next_id(),
+            self.session,
+            meta,
+            256,
+            |out| header.encode(out),
+        );
+        self.transport.send(to, sealed)?;
         Ok(StreamHandle {
             to,
             msg_id,
@@ -305,32 +244,18 @@ impl<T: Transport> Node<T> {
         })
     }
 
-    /// Sends one block on an open stream; `last` closes it.
-    ///
-    /// # Errors
-    ///
-    /// As [`Node::send_msg`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the stream is already finished.
-    pub fn stream_block(
-        &self,
-        stream: &mut StreamHandle,
-        block: Bytes,
-        last: bool,
-    ) -> Result<(), NodeError> {
-        self.stream_block_with(stream, block.len(), last, |out| {
-            out.extend_from_slice(&block);
-        })
+    /// The seal of blocks bound for `dest`, whoever sends them: its
+    /// session data key and `tag`.
+    pub fn seal_toward(&self, dest: PartyId, tag: u64) -> BlockSeal {
+        BlockSeal {
+            key: ChannelKey::toward(self.session_secret, dest.0),
+            tag,
+        }
     }
 
-    /// Sends one block on an open stream, generating its payload
-    /// **directly into the pooled sealed buffer**: `write_payload` (a
-    /// wire encoder, a row-block encoder, …) appends the block's bytes to
-    /// the buffer the transport will hand to the socket, so the block
-    /// never exists as a separate allocation. `size_hint` pre-sizes the
-    /// buffer (a loose estimate is fine); `last` closes the stream.
+    /// Sends one block on an open stream, sealed once under `seal`:
+    /// `write_payload` appends its bytes straight to the pooled buffer the
+    /// transport sends. `size_hint` pre-sizes it; `last` closes the stream.
     ///
     /// # Errors
     ///
@@ -342,6 +267,7 @@ impl<T: Transport> Node<T> {
     pub fn stream_block_with<F>(
         &self,
         stream: &mut StreamHandle,
+        seal: BlockSeal,
         size_hint: usize,
         last: bool,
         write_payload: F,
@@ -349,17 +275,47 @@ impl<T: Transport> Node<T> {
     where
         F: FnOnce(&mut Vec<u8>),
     {
-        assert!(!stream.finished, "stream already finished");
-        let meta = FrameMeta {
-            kind: FrameKind::StreamBlock,
-            msg_id: stream.msg_id,
-            seq: stream.next_seq,
-            last,
-        };
-        self.seal_and_send(stream.to, meta, size_hint, write_payload)?;
-        stream.next_seq += 1;
-        stream.finished = last;
+        let meta = stream.next_block(last);
+        let sealed = frame::seal_block_with(
+            self.send_key(stream.to),
+            self.next_id(),
+            self.session,
+            meta,
+            seal,
+            size_hint,
+            write_payload,
+        );
+        self.transport.send(stream.to, sealed)?;
+        stream.sent(last);
         Ok(())
+    }
+
+    /// Forwards a block that arrived here on an open stream: its hop
+    /// header is rewritten in place and the payload left sealed.
+    ///
+    /// # Errors and panics
+    ///
+    /// As [`Node::stream_block_with`].
+    pub fn forward_block(
+        &self,
+        stream: &mut StreamHandle,
+        block: SealedBlock,
+        last: bool,
+    ) -> Result<(), NodeError> {
+        let meta = stream.next_block(last);
+        let frame = block.forward(self.send_key(stream.to), self.next_id(), self.session, meta)?;
+        self.transport.send(stream.to, frame)?;
+        stream.sent(last);
+        Ok(())
+    }
+
+    /// Opens a block that reached its destination, in place.
+    ///
+    /// # Errors
+    ///
+    /// As [`SealedBlock::open`].
+    pub fn open_block(&self, block: SealedBlock, seal: BlockSeal) -> Result<Bytes, NodeError> {
+        Ok(block.open(self.session, seal)?)
     }
 
     fn recv_open_frame(&self, deadline: Option<Instant>) -> Result<(PartyId, Frame), NodeError> {
@@ -373,7 +329,16 @@ impl<T: Transport> Node<T> {
             }
         };
         let key = ChannelKey::derive(self.session_secret, from.0, self.id().0);
-        let (frame_session, frame) = frame::open_frame_recycling(key, sealed)?;
+        let (frame_session, frame) = if frame::is_block_frame(&sealed) {
+            frame::open_block_frame(key, sealed)?
+        } else {
+            match frame::open_frame(key, &sealed)? {
+                (_, frame) if frame.kind == FrameKind::StreamBlock => {
+                    return Err(FrameError::Malformed("stream block outside a block frame").into())
+                }
+                opened => opened,
+            }
+        };
         if frame_session != self.session {
             return Err(FrameError::SessionMismatch {
                 expected: self.session,
@@ -409,21 +374,21 @@ impl<T: Transport> Node<T> {
     ) -> Result<(PartyId, NodeFlow<M, H>), NodeError> {
         let (from, item) = self.next_flow(Instant::now().checked_add(timeout))?;
         let flow = match item {
-            FlowItem::Message(bytes) => NodeFlow::Msg(wire::from_bytes(&bytes)?),
-            FlowItem::StreamHeader {
+            Flow::Msg(bytes) => Flow::Msg(wire::from_bytes(&bytes)?),
+            Flow::StreamStart {
                 stream,
                 header,
                 last,
-            } => NodeFlow::StreamStart {
+            } => Flow::StreamStart {
                 stream,
                 header: wire::from_bytes(&header)?,
                 last,
             },
-            FlowItem::StreamBlock {
+            Flow::StreamBlock {
                 stream,
                 block,
                 last,
-            } => NodeFlow::StreamBlock {
+            } => Flow::StreamBlock {
                 stream,
                 block,
                 last,
@@ -434,7 +399,7 @@ impl<T: Transport> Node<T> {
 
     fn next_msg<M: Wire>(&self, deadline: Option<Instant>) -> Result<(PartyId, M), NodeError> {
         match self.next_flow(deadline)? {
-            (from, FlowItem::Message(bytes)) => Ok((from, wire::from_bytes(&bytes)?)),
+            (from, Flow::Msg(bytes)) => Ok((from, wire::from_bytes(&bytes)?)),
             _ => Err(FrameError::UnexpectedStream.into()),
         }
     }
@@ -486,18 +451,26 @@ mod tests {
     }
 
     /// Receives one whole stream through the per-frame receive: its
-    /// header and every block, in order.
+    /// header and every block, in order, each opened under `seal`, or
+    /// under the seal of a direct stream from its sender when `None`.
     fn recv_stream<T: Transport, H: Wire>(
         node: &Node<T>,
+        seal: Option<BlockSeal>,
     ) -> Result<(PartyId, H, Vec<Bytes>), NodeError> {
         let timeout = Duration::from_secs(2);
         let (from, first) = node.recv_flow_timeout::<u32, H>(timeout)?;
         let NodeFlow::StreamStart {
-            header, mut last, ..
+            stream,
+            header,
+            mut last,
         } = first
         else {
             panic!("expected a stream header");
         };
+        let seal = seal.unwrap_or(BlockSeal {
+            key: ChannelKey::derive(node.session_secret, from.0, node.id().0),
+            tag: stream,
+        });
         let mut blocks = Vec::new();
         while !last {
             let (_, flow) = node.recv_flow_timeout::<u32, H>(timeout)?;
@@ -507,7 +480,7 @@ mod tests {
             else {
                 panic!("expected a stream block");
             };
-            blocks.push(block);
+            blocks.push(node.open_block(block, seal)?);
             last = end;
         }
         Ok((from, header, blocks))
@@ -560,7 +533,7 @@ mod tests {
             blocks.clone(),
         )
         .unwrap();
-        let (from, header, got) = recv_stream::<_, Hello>(&b).unwrap();
+        let (from, header, got) = recv_stream::<_, Hello>(&b, None).unwrap();
         assert_eq!(from, PartyId(1));
         assert_eq!(header.round, 2);
         assert_eq!(got, blocks);
@@ -569,22 +542,25 @@ mod tests {
     #[test]
     fn flow_receive_interleaves_with_sending() {
         // The core of the streaming data plane: a relay can receive block
-        // i, forward it, and only then receive block i+1 — no buffering of
-        // the whole stream anywhere.
+        // i, forward it unopened, and only then receive block i+1 — no
+        // buffering of the whole stream anywhere.
         let hub = InMemoryHub::new();
         let a = Node::new(hub.endpoint(PartyId(1)), 7);
         let relay = Node::new(hub.endpoint(PartyId(2)), 7);
         let c = Node::new(hub.endpoint(PartyId(3)), 7);
         let blocks: Vec<Bytes> = (0..3u8).map(|i| Bytes::from(vec![i; 8])).collect();
-        a.send_stream(
-            PartyId(2),
-            &Hello {
-                round: 1,
-                body: vec![],
-            },
-            blocks.clone(),
-        )
-        .unwrap();
+        let header = Hello {
+            round: 1,
+            body: vec![],
+        };
+        let mut stream = a.begin_stream(PartyId(2), &header, false).unwrap();
+        for (i, block) in blocks.iter().enumerate() {
+            let seal = a.seal_toward(PartyId(3), 5);
+            a.stream_block_with(&mut stream, seal, 8, i == 2, |out| {
+                out.extend_from_slice(block)
+            })
+            .unwrap();
+        }
 
         let mut out_stream = None;
         let mut forwarded = 0;
@@ -599,7 +575,7 @@ mod tests {
                 }
                 NodeFlow::StreamBlock { block, last, .. } => {
                     relay
-                        .stream_block(out_stream.as_mut().unwrap(), block, last)
+                        .forward_block(out_stream.as_mut().unwrap(), block, last)
                         .unwrap();
                     forwarded += 1;
                     if last {
@@ -612,8 +588,66 @@ mod tests {
         assert_eq!(forwarded, 3);
         assert!(out_stream.unwrap().finished);
 
-        let (_, _, got) = recv_stream::<_, Hello>(&c).unwrap();
+        let (_, _, got) = recv_stream::<_, Hello>(&c, Some(c.seal_toward(c.id(), 5))).unwrap();
         assert_eq!(got, blocks);
+    }
+
+    #[test]
+    fn block_opens_only_under_its_own_seal() {
+        let hub = InMemoryHub::new();
+        let a = Node::new(hub.endpoint(PartyId(1)), 7);
+        let b = Node::new(hub.endpoint(PartyId(2)), 7);
+        let mut stream = a.begin_stream(PartyId(2), &0u32, false).unwrap();
+        a.stream_block_with(&mut stream, a.seal_toward(PartyId(2), 9), 4, true, |out| {
+            out.extend_from_slice(b"rows")
+        })
+        .unwrap();
+        b.recv_flow_timeout::<u32, u32>(Duration::from_secs(2))
+            .unwrap();
+        let (_, NodeFlow::StreamBlock { block, .. }) = b
+            .recv_flow_timeout::<u32, u32>(Duration::from_secs(2))
+            .unwrap()
+        else {
+            panic!("expected a block");
+        };
+        for wrong in [b.seal_toward(PartyId(2), 8), b.seal_toward(PartyId(3), 9)] {
+            let err = b.open_block(block.clone(), wrong).unwrap_err();
+            assert!(
+                matches!(err, NodeError::Frame(FrameError::Crypto(_))),
+                "{err}"
+            );
+        }
+        let rows = b.open_block(block, b.seal_toward(PartyId(2), 9)).unwrap();
+        assert_eq!(&rows[..], b"rows");
+    }
+
+    #[test]
+    fn plain_stream_block_frame_is_refused() {
+        // A stream block sealed in the control envelope bypasses the
+        // end-to-end seal: the receiver refuses it as malformed.
+        let hub = InMemoryHub::new();
+        let a = Node::new(hub.endpoint(PartyId(1)), 7);
+        let b = Node::new(hub.endpoint(PartyId(2)), 7);
+        a.begin_stream(PartyId(2), &0u32, false).unwrap();
+        let meta = FrameMeta {
+            kind: FrameKind::StreamBlock,
+            msg_id: 1,
+            seq: 1,
+            last: true,
+        };
+        let sealed = frame::seal_frame_with(a.send_key(PartyId(2)), 9, a.session, meta, 4, |out| {
+            out.extend_from_slice(b"rows")
+        });
+        a.transport.send(PartyId(2), sealed).unwrap();
+        b.recv_flow_timeout::<u32, u32>(Duration::from_secs(2))
+            .unwrap();
+        let err = b
+            .recv_flow_timeout::<u32, u32>(Duration::from_secs(2))
+            .unwrap_err();
+        assert!(
+            matches!(err, NodeError::Frame(FrameError::Malformed(_))),
+            "{err}"
+        );
     }
 
     #[test]
@@ -752,7 +786,7 @@ mod tests {
             .unwrap();
         a.transport().send(PartyId(2), header_frame).unwrap();
         a.transport().send(PartyId(2), block_frame).unwrap();
-        let err = recv_stream::<_, u32>(&b).unwrap_err();
+        let err = recv_stream::<_, u32>(&b, None).unwrap_err();
         assert!(matches!(err, NodeError::Frame(_)), "{err}");
     }
 }

@@ -1,13 +1,10 @@
 //! Pooled reusable frame buffers.
 //!
-//! Every sealed frame used to be a fresh `Vec<u8>` on the send path and
-//! another on the receive path — at streaming rates that is two
-//! allocator round-trips per ~60 KiB frame. The [`BufferPool`] breaks
-//! that churn: the seal path *acquires* a cleared buffer, encodes the
-//! envelope straight into it, freezes it into [`Bytes`] for the
-//! transport, and once the last reference drops (after the socket write,
-//! or after [`open_frame`](crate::frame::open_frame) on the receive
-//! side) the allocation is *recycled* back onto a shelf instead of freed.
+//! The [`BufferPool`] keeps ~60 KiB frame buffers off the allocator: the
+//! seal path *acquires* a cleared buffer, encodes the envelope straight
+//! into it, freezes it into [`Bytes`] for the transport, and once the
+//! socket write drops the last reference the allocation is *recycled*
+//! back onto a shelf instead of freed.
 //!
 //! Recycling piggybacks on the vendored `Bytes` shim: a buffer can only
 //! be reclaimed when the caller holds the sole reference and the view
@@ -19,7 +16,6 @@
 //! Shelves are bucketed by capacity class and bounded (count and byte
 //! capacity) so a burst of giant frames cannot pin unbounded memory.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use bytes::Bytes;
@@ -38,30 +34,11 @@ const CLASS_CAPS: [usize; 4] = [
 /// Per-class shelf depth. Deepest for the hot chunk class.
 const CLASS_DEPTH: [usize; 4] = [64, 64, 16, 4];
 
-/// A bounded, capacity-classed shelf of reusable byte buffers.
-///
-/// Most code uses the process-wide [`global`] pool; benches and tests
-/// construct private ones to read isolated [`PoolStats`].
+/// A bounded, capacity-classed shelf of reusable byte buffers. Most code
+/// uses the process-wide [`global`] pool.
+#[derive(Debug)]
 pub struct BufferPool {
     shelves: [Mutex<Vec<Vec<u8>>>; 4],
-    hits: AtomicU64,
-    misses: AtomicU64,
-    recycled: AtomicU64,
-    rejected: AtomicU64,
-}
-
-/// Counters describing pool effectiveness (monotonic since pool birth).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Acquisitions served from a shelf (no allocation).
-    pub hits: u64,
-    /// Acquisitions that had to allocate fresh.
-    pub misses: u64,
-    /// Buffers returned to a shelf.
-    pub recycled: u64,
-    /// Returns dropped because the shelf was full, the buffer was
-    /// oversized, or the `Bytes` was still shared.
-    pub rejected: u64,
 }
 
 impl BufferPool {
@@ -74,10 +51,6 @@ impl BufferPool {
                 Mutex::new(Vec::new()),
                 Mutex::new(Vec::new()),
             ],
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            recycled: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
         }
     }
 
@@ -98,29 +71,21 @@ impl BufferPool {
                     if v.capacity() < min_capacity {
                         v.reserve(min_capacity);
                     }
-                    self.hits.fetch_add(1, Ordering::Relaxed);
                     return v;
                 }
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         Vec::with_capacity(min_capacity)
     }
 
     /// Returns a buffer's allocation to the pool (contents discarded).
     pub fn recycle_vec(&self, v: Vec<u8>) {
-        let Some(class) = Self::class_of(v.capacity()) else {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        let mut shelf = self.shelves[class].lock();
-        if shelf.len() >= CLASS_DEPTH[class] {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return;
+        if let Some(class) = Self::class_of(v.capacity()) {
+            let mut shelf = self.shelves[class].lock();
+            if shelf.len() < CLASS_DEPTH[class] {
+                shelf.push(v);
+            }
         }
-        shelf.push(v);
-        drop(shelf);
-        self.recycled.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Attempts to reclaim a frozen frame buffer. Succeeds only when
@@ -128,40 +93,13 @@ impl BufferPool {
     /// sliced handles are dropped normally. Returns whether the
     /// allocation was recovered.
     pub fn recycle(&self, frame: Bytes) -> bool {
-        match frame.try_into_vec() {
-            Ok(v) => {
-                self.recycle_vec(v);
-                true
-            }
-            Err(_) => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            recycled: self.recycled.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-        }
+        frame.try_into_vec().map(|v| self.recycle_vec(v)).is_ok()
     }
 }
 
 impl Default for BufferPool {
     fn default() -> Self {
         BufferPool::new()
-    }
-}
-
-impl std::fmt::Debug for BufferPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BufferPool")
-            .field("stats", &self.stats())
-            .finish_non_exhaustive()
     }
 }
 
@@ -187,8 +125,7 @@ mod tests {
         let b = pool.acquire(512);
         assert!(b.is_empty(), "recycled buffers come back cleared");
         assert_eq!(b.capacity(), cap);
-        let s = pool.stats();
-        assert_eq!((s.hits, s.misses, s.recycled), (1, 1, 1));
+        assert!(pool.shelves.iter().all(|shelf| shelf.lock().is_empty()));
     }
 
     #[test]
@@ -198,8 +135,7 @@ mod tests {
         let clone = frozen.clone();
         assert!(!pool.recycle(frozen));
         assert!(pool.recycle(clone));
-        let s = pool.stats();
-        assert_eq!((s.recycled, s.rejected), (1, 1));
+        assert_eq!(pool.shelves[0].lock().len(), 1);
     }
 
     #[test]
@@ -208,16 +144,14 @@ mod tests {
         for _ in 0..CLASS_DEPTH[0] + 5 {
             pool.recycle_vec(Vec::with_capacity(128));
         }
-        assert_eq!(pool.stats().rejected, 5);
-        assert_eq!(pool.stats().recycled, CLASS_DEPTH[0] as u64);
+        assert_eq!(pool.shelves[0].lock().len(), CLASS_DEPTH[0]);
     }
 
     #[test]
     fn oversized_buffers_are_dropped() {
         let pool = BufferPool::new();
         pool.recycle_vec(Vec::with_capacity(64 * 1024 * 1024));
-        assert_eq!(pool.stats().recycled, 0);
-        assert_eq!(pool.stats().rejected, 1);
+        assert!(pool.shelves.iter().all(|shelf| shelf.lock().is_empty()));
     }
 
     #[test]
@@ -227,7 +161,7 @@ mod tests {
         pool.recycle_vec(Vec::with_capacity(80 * 1024));
         // A 60 KiB ask must skip the 2 KiB shelf and hit the 96 KiB one.
         let v = pool.acquire(60 * 1024);
-        assert!(v.capacity() >= 60 * 1024);
-        assert_eq!(pool.stats().hits, 1);
+        assert!(v.capacity() >= 80 * 1024);
+        assert_eq!(pool.shelves[0].lock().len(), 1);
     }
 }

@@ -36,8 +36,9 @@ fn miner_harness(config: SapConfig) -> StandaloneCtx {
     )
 }
 
-/// Streams a dataset to `to` in `block_rows`-row blocks, playing a
-/// provider (`relay == false`) or a relay on the public stream API.
+/// Streams a dataset to `to` in `block_rows`-row blocks sealed toward the
+/// miner (party 100), playing a provider (`relay == false`) or a relay on
+/// the public stream API.
 fn send_dataset<T: Transport>(
     node: &Node<T>,
     to: PartyId,
@@ -60,6 +61,7 @@ fn send_dataset<T: Transport>(
         let end = (start + block_rows).min(n);
         node.stream_block_with(
             &mut stream,
+            node.seal_toward(PartyId(100), slot.0),
             4 + (end - start) * (4 + data.dim() * 8),
             end == n,
             |out| link::encode_block_into(data, start, end, out),
@@ -178,6 +180,65 @@ fn corrupted_frame_fails_crypto_not_parsing() {
     );
 }
 
+/// A flipped ciphertext byte in a forwarded block passes the relay, which
+/// checks only the block's hop header and never opens its payload, and
+/// fails at the miner, which does, as a sealed-frame failure.
+#[test]
+fn flipped_byte_in_forwarded_block_fails_at_the_miner_not_the_relay() {
+    use sap_repro::net::crypto::CryptoError;
+    use sap_repro::net::frame::{FrameError, BLOCK_PAYLOAD_AT};
+
+    // The owner's frames, with one payload byte of the first block flipped.
+    let hub = InMemoryHub::new();
+    let owner = Node::new(hub.endpoint(PartyId(5)), 42);
+    let tap = hub.endpoint(PartyId(1));
+    send_dataset(&owner, PartyId(1), false, SlotTag(4), &tiny_dataset(), 8).unwrap();
+    let mut frames = Vec::new();
+    while let Ok((_, frame)) = tap.recv_timeout(Duration::from_millis(50)) {
+        frames.push(frame.to_vec());
+    }
+    assert_eq!(frames.len(), 3, "a header and two blocks");
+    frames[1][BLOCK_PAYLOAD_AT + 3] ^= 0x10;
+
+    // The relay takes every frame and forwards both blocks.
+    let hub = InMemoryHub::new();
+    let wire = hub.endpoint(PartyId(5));
+    let relay = Node::new(hub.endpoint(PartyId(1)), 42);
+    let miner_node = Node::new(hub.endpoint(PartyId(100)), 42);
+    for frame in frames {
+        wire.send(PartyId(1), frame.into()).unwrap();
+    }
+    let timeout = Duration::from_secs(2);
+    let (_, link::FlowInbound::StreamStart { header, .. }) =
+        link::recv_flow(&relay, timeout).unwrap()
+    else {
+        panic!("expected the stream header");
+    };
+    let relayed = link::DataHeader {
+        relay: true,
+        ..header
+    };
+    let mut out = relay.begin_stream(PartyId(100), &relayed, false).unwrap();
+    for _ in 0..2 {
+        let (_, link::FlowInbound::StreamBlock { block, last, .. }) =
+            link::recv_flow(&relay, timeout).unwrap()
+        else {
+            panic!("expected a row block");
+        };
+        relay.forward_block(&mut out, block, last).unwrap();
+    }
+
+    let sc = miner_harness(quick(300));
+    let err = run_miner(&miner_node, 1, &sc.ctx()).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SapError::Messaging(NodeError::Frame(FrameError::Crypto(CryptoError::BadTag)))
+        ),
+        "{err}"
+    );
+}
+
 /// Pairwise delay shifts frames but preserves order once flushed: streams
 /// reassemble and the miner keys everything by slot, so nothing breaks.
 #[test]
@@ -262,12 +323,11 @@ fn peer_death_mid_stream_fails_typed_and_fast() {
     };
     let mut stream = relay.begin_stream(PartyId(100), &header, false).unwrap();
     for start in [0usize, 4] {
+        let seal = relay.seal_toward(PartyId(100), 3);
         relay
-            .stream_block(
-                &mut stream,
-                link::encode_block(&data, start, start + 4),
-                false,
-            )
+            .stream_block_with(&mut stream, seal, 40, false, |out| {
+                link::encode_block_into(&data, start, start + 4, out)
+            })
             .unwrap();
     }
 

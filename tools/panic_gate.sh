@@ -33,7 +33,7 @@
 # validated at spawn).
 set -euo pipefail
 
-LIMIT=38
+LIMIT=35
 
 cd "$(dirname "$0")/.."
 total=0
