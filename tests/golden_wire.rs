@@ -1,6 +1,7 @@
 //! Golden wire bytes: the `wire` encoding of every `SapMessage` variant,
 //! every fleet control message and the dataset stream header, plus one
-//! sealed frame under a fixed key and nonce, pinned as hex literals.
+//! sealed frame and one block frame (a row block sealed end to end)
+//! under fixed keys and nonces, pinned as hex literals.
 //!
 //! The outcome corpus (`golden_outcomes.rs`) shows that sessions compute
 //! the same results; these literals show that parties of different
@@ -8,6 +9,7 @@
 //! every one of them. The literals have no update switch: a PR that
 //! changes one must say why.
 
+use sap_repro::core::link::encode_block;
 use sap_repro::core::link::DataHeader;
 use sap_repro::core::messages::{SapMessage, SlotTag};
 use sap_repro::core::session::SapConfig;
@@ -15,7 +17,10 @@ use sap_repro::datasets::Dataset;
 use sap_repro::fleet::wire::FleetMsg;
 use sap_repro::linalg::Matrix;
 use sap_repro::net::crypto::ChannelKey;
-use sap_repro::net::frame::{open_frame, seal_frame, Frame, FrameKind};
+use sap_repro::net::frame::{
+    open_block_frame, open_frame, seal_block_with, seal_frame, BlockSeal, FlowItem, Frame,
+    FrameKind, FrameMeta, Reassembler,
+};
 use sap_repro::net::sim::FaultConfig;
 use sap_repro::net::{wire, PartyId, SessionId};
 use sap_repro::perturb::{Perturbation, SpaceAdaptor};
@@ -89,17 +94,14 @@ fn fleet_messages() -> Vec<(&'static str, FleetMsg)> {
         }),
         ..SapConfig::quick_test()
     };
-    vec![
-        (
-            "FleetMsg::Register",
-            FleetMsg::Register {
-                session: 41,
-                config: Box::new(config),
-                locals: vec![dataset()],
-            },
-        ),
-        ("FleetMsg::Leave", FleetMsg::Leave { node: 3 }),
-    ]
+    vec![(
+        "FleetMsg::Register",
+        FleetMsg {
+            session: 41,
+            config: Box::new(config),
+            locals: vec![dataset()],
+        },
+    )]
 }
 
 fn data_header() -> DataHeader {
@@ -170,7 +172,7 @@ fn golden_bytes_decode_and_reencode() {
     let expected: Vec<SapMessage> = sap_messages().into_iter().map(|(_, m)| m).collect();
     assert_eq!(decoded, expected);
     assert_eq!(
-        wire::from_bytes::<DataHeader>(&unhex(GOLDEN_WIRE[6].1)).unwrap(),
+        wire::from_bytes::<DataHeader>(&unhex(GOLDEN_WIRE[5].1)).unwrap(),
         data_header()
     );
 }
@@ -199,6 +201,53 @@ fn sealed_frame_matches_golden_bytes() {
     assert_eq!(opened.payload, frame.payload);
 }
 
+/// A row block travels in a block frame: its payload sealed once under
+/// the miner's data key with the nonce `(session, slot, seq)`, and a
+/// 16-byte hop header sealed under the hop key. This literal pins both
+/// layers; before block frames existed a row block travelled in the
+/// sealed frame above, re-sealed at every hop.
+#[test]
+fn sealed_block_frame_matches_golden_bytes() {
+    let (secret, session) = (0x005E_C2E7, SessionId(42));
+    let hop = ChannelKey::derive(secret, 1, 2);
+    let seal = BlockSeal {
+        key: ChannelKey::toward(secret, 100),
+        tag: 0xDEAD_BEEF,
+    };
+    let meta = FrameMeta {
+        kind: FrameKind::StreamBlock,
+        msg_id: 3,
+        seq: 1,
+        last: true,
+    };
+    let block = encode_block(&dataset(), 0, 2);
+    let sealed = seal_block_with(hop, 7, session, meta, seal, block.len(), |out| {
+        out.extend_from_slice(&block)
+    });
+    assert_table(&[("sealed block frame", hex(&sealed))], GOLDEN_SEALED_BLOCK);
+
+    let (opened_session, frame) = open_block_frame(hop, sealed).expect("hop header opens");
+    assert_eq!(opened_session, session);
+    assert_eq!(
+        (frame.kind, frame.msg_id, frame.seq, frame.last),
+        (meta.kind, meta.msg_id, meta.seq, meta.last)
+    );
+    let mut reassembler = Reassembler::new();
+    let header = Frame {
+        kind: FrameKind::StreamHeader,
+        msg_id: 3,
+        seq: 0,
+        last: false,
+        payload: Default::default(),
+    };
+    reassembler.feed(PartyId(1), header).expect("stream opens");
+    let Ok(Some(FlowItem::StreamBlock { block: sealed, .. })) = reassembler.feed(PartyId(1), frame)
+    else {
+        panic!("the block frame continues its stream");
+    };
+    assert_eq!(sealed.open(session, seal).expect("payload opens"), block);
+}
+
 /// One literal has changed since these were recorded: `FleetMsg::Register`,
 /// four times. Its config lost the `streaming` byte (a `01` after
 /// `block_rows`, `40`) when the buffered data plane was deleted, then the
@@ -217,20 +266,26 @@ fn sealed_frame_matches_golden_bytes() {
 /// tags are reserved: a decoder now refuses them as unknown. And
 /// the fleet's `Ack` (tag 1), the owner's admission verdict sent back to the
 /// gateway, which only repeated what the owner had already settled in the
-/// fleet's shared registration record; its tag is reserved too. Every
-/// other literal is unchanged, `SapMessage` tags 0, 3, 4 and 5 and
-/// `FleetMsg::Leave` (tag 2) included.
+/// fleet's shared registration record; its tag is reserved too. Then
+/// `FleetMsg::Leave` (tag 2, `0203`), a leaver's announcement that no
+/// receiver acted on (the membership view is shared on one host); its tag
+/// is reserved as well. Every other literal is unchanged, `SapMessage`
+/// tags 0, 3, 4 and 5 included.
 const GOLDEN_WIRE: &[(&str, &str)] = &[
     ("SapMessage::Setup", "00020204000000000000f03f00000000000000000000000000000000000000000000f03f02000000000000f03f0000000000000040effdb6f50d0201"),
     ("SapMessage::Adaptor", "030202040000000000000000000000000000f03f000000000000f0bf000000000000000002000000000000f43f0000000000000440"),
     ("SapMessage::AdaptorTable", "0402010202040000000000000000000000000000f03f000000000000f0bf000000000000000002000000000000f43f0000000000000440ac020202040000000000000000000000000000f03f000000000000f0bf000000000000000002000000000000f43f0000000000000440"),
     ("SapMessage::MiningComplete", "059601"),
     ("FleetMsg::Register", "00299a9999999999a93f049a9999999999a93f0450002a0780ade204809c9c394001000000000000d03f00000000000000000000000000000000dc0b6301010202000000000000e03f000000000000f0bf020000000000000040000000000000d03f0200010202"),
-    ("FleetMsg::Leave", "0203"),
     ("DataHeader", "b4240109c0b8021003"),
 ];
 
 const GOLDEN_SEALED: &[(&str, &str)] = &[(
     "sealed frame",
     "2a000000000000000700000000000000cdd271b9ae968831d3c25f3fc42b",
+)];
+
+const GOLDEN_SEALED_BLOCK: &[(&str, &str)] = &[(
+    "sealed block frame",
+    "2a0000000000000007000000000000809393361fe8a28b3a57a2651cd167d5d61b96f8db0e54faa6bc6c0b7864a726629a4fbe22adb2e92a352ad2ed3c5231916040030997d8b0969508f6ed7c319de2856a9e2196dfb8cc628837a8",
 )];
