@@ -23,7 +23,7 @@ use crate::error::SapError;
 use crate::link::{self, FlowInbound};
 use crate::messages::{SapMessage, SlotTag};
 use crate::session::RoleCtx;
-use crate::stream::{AdaptStage, BlockStage, DatasetSink, StreamPipeline};
+use crate::stream::{DatasetSink, StreamPipeline};
 use sap_datasets::Dataset;
 use sap_net::node::Node;
 use sap_net::{PartyId, Transport};
@@ -44,21 +44,17 @@ pub struct MinerOutput {
     pub relayed_blocks: u64,
 }
 
-/// An inbound stream being decoded as it arrives: its slot, whether an
-/// [`AdaptStage`] is already adapting its blocks in flight, and the
+/// An inbound stream being decoded as it arrives: its slot and the
 /// pipeline accumulating the records.
 struct OpenSlot {
     slot: SlotTag,
-    adapted: bool,
     pipeline: StreamPipeline,
 }
 
-/// A fully received stream's records, awaiting (or already in) the
-/// unified space.
+/// A fully received stream's records, awaiting the unified space.
 struct CollectedSlot {
     forwarder: PartyId,
     sink: DatasetSink,
-    adapted: bool,
 }
 
 /// Runs the miner role to completion, collecting `expected_datasets`
@@ -67,11 +63,10 @@ struct CollectedSlot {
 /// session's liveness regime.
 ///
 /// Each relayed row block is decoded the moment it arrives (overlapping
-/// unseal + decode with the exchange still in flight), and — when the
-/// adaptor table got there first — re-based into the target space *in
-/// flight* through an [`AdaptStage`]. Streams whose adaptor arrives later
-/// are adapted at unification with the identical record-major kernel, so
-/// both orderings produce the same bytes.
+/// unseal + decode with the exchange still in flight). Every slot is
+/// re-based into the target space once, at unification, through its
+/// adaptor straight into the unified buffer — whether the adaptor table
+/// arrived before the streams or after them.
 ///
 /// # Errors
 ///
@@ -152,27 +147,8 @@ pub fn run_miner<T: Transport>(
                     )));
                 }
                 num_classes = num_classes.max(header.num_classes);
-                // If the adaptor table already arrived, adapt this
-                // stream's blocks in flight.
-                let adaptor = adaptors
-                    .as_ref()
-                    .and_then(|entries| entries.iter().find(|(s, _)| *s == slot))
-                    .map(|(_, a)| a.clone());
-                let mut stages: Vec<Box<dyn BlockStage>> = Vec::new();
-                let mut adapted = false;
-                if let Some(adaptor) = adaptor {
-                    if adaptor.dim() != header.dim as usize {
-                        return Err(SapError::Protocol(format!(
-                            "adaptor dim {} != data dim {} for slot {slot:?}",
-                            adaptor.dim(),
-                            header.dim
-                        )));
-                    }
-                    stages.push(Box::new(AdaptStage::new(adaptor)));
-                    adapted = true;
-                }
                 monitor.stream_opened();
-                let pipeline = StreamPipeline::open(header, stages, DatasetSink::new())?;
+                let pipeline = StreamPipeline::open(header, Vec::new(), DatasetSink::new())?;
                 if last {
                     // The header declared ≥ 1 row (open() rejects zero)
                     // but the stream closed with no blocks.
@@ -182,23 +158,16 @@ pub fn run_miner<T: Transport>(
                         pipeline.header().rows
                     )));
                 }
-                open.insert(
-                    (from, stream),
-                    OpenSlot {
-                        slot,
-                        adapted,
-                        pipeline,
-                    },
-                );
+                open.insert((from, stream), OpenSlot { slot, pipeline });
             }
             FlowInbound::StreamBlock {
                 stream,
                 block,
                 last,
             } => {
-                // Decode (and possibly adapt) now, while the rest of the
-                // exchange is still on the wire — overlapped unless this
-                // is the session's final in-flight data.
+                // Decode now, while the rest of the exchange is still on
+                // the wire — overlapped unless this is the session's final
+                // in-flight data.
                 let overlapped = !last || open.len() > 1;
                 let mut entry = open.remove(&(from, stream)).ok_or_else(|| {
                     SapError::Protocol("stream block without an open stream".into())
@@ -217,7 +186,6 @@ pub fn run_miner<T: Transport>(
                         CollectedSlot {
                             forwarder: from,
                             sink,
-                            adapted: entry.adapted,
                         },
                     );
                 } else {
@@ -228,10 +196,9 @@ pub fn run_miner<T: Transport>(
     }
     let adaptors = adaptors.expect("loop exits only when set");
 
-    // Unify in deterministic slot order into one buffer sized once:
-    // slots adapted in flight are appended as they are, the rest are
-    // adapted straight into their place with the identical kernel. Each
-    // slot's buffer is dropped the moment it has been consumed.
+    // Unify in deterministic slot order into one buffer sized once: each
+    // slot is adapted straight into its place, and its buffer is dropped
+    // the moment it has been consumed.
     let dim = dim.unwrap_or(0) as usize;
     let adaptor_of: HashMap<SlotTag, &SpaceAdaptor> =
         adaptors.iter().map(|(s, a)| (*s, a)).collect();
@@ -251,12 +218,8 @@ pub fn run_miner<T: Transport>(
         }
         let t0 = Instant::now();
         let start = values.len();
-        if entry.adapted {
-            values.extend_from_slice(&entry.sink.values);
-        } else {
-            values.resize(start + entry.sink.values.len(), 0.0);
-            adaptor.adapt_records(&entry.sink.values, &mut values[start..]);
-        }
+        values.resize(start + entry.sink.values.len(), 0.0);
+        adaptor.adapt_records(&entry.sink.values, &mut values[start..]);
         labels.extend_from_slice(&entry.sink.labels);
         monitor.compute(t0.elapsed(), false);
         forwarder_of_slot.push((slot, entry.forwarder));
@@ -385,6 +348,65 @@ mod tests {
                 unified_records: 20
             }
         ));
+    }
+
+    /// Runs the miner on `slots` streams relayed by parties 1 and 5, with
+    /// the adaptor table sent before every stream or after all of them.
+    fn unify_in_order(slots: usize, block_rows: usize, table_first: bool) -> MinerOutput {
+        let hub = InMemoryHub::new();
+        let miner_node = Node::new(hub.endpoint(PartyId(100)), 7);
+        let relays = [
+            Node::new(hub.endpoint(PartyId(1)), 7),
+            Node::new(hub.endpoint(PartyId(5)), 7),
+        ];
+        let coord = Node::new(hub.endpoint(PartyId(2)), 7);
+        let audit = AuditLog::new();
+        let mut rng = StdRng::seed_from_u64(11);
+        let target = Perturbation::random(2, &mut rng);
+        let mut entries = Vec::new();
+        let mut streams = Vec::new();
+        for s in 0..slots {
+            let g = Perturbation::random(2, &mut rng);
+            let d = tiny_dataset(3.0 * s as f64);
+            let y = g.apply_clean(&d.to_column_matrix());
+            let slot = SlotTag(s as u64 + 1);
+            entries.push((slot, SpaceAdaptor::between(&g, &target).unwrap()));
+            streams.push((
+                slot,
+                Dataset::from_column_matrix(&y, d.labels().to_vec(), 2),
+            ));
+        }
+        let table = SapMessage::AdaptorTable { entries };
+        if table_first {
+            coord.send_msg(PartyId(100), &table).unwrap();
+        }
+        for (i, (slot, data)) in streams.iter().enumerate() {
+            let relay = &relays[i % relays.len()];
+            link::tests::send_dataset(relay, PartyId(100), true, *slot, data, block_rows).unwrap();
+        }
+        if !table_first {
+            coord.send_msg(PartyId(100), &table).unwrap();
+        }
+        run_miner(&miner_node, slots, &harness(quick_config(), &audit).ctx()).unwrap()
+    }
+
+    /// An adaptor table that beats every stream and one that trails them
+    /// all unify to the same bytes.
+    #[test]
+    fn table_order_does_not_change_unified_bytes() {
+        for slots in [2, 3] {
+            for block_rows in [1, 4] {
+                let first = unify_in_order(slots, block_rows, true);
+                let last = unify_in_order(slots, block_rows, false);
+                let bits = |d: &Dataset| d.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(first.unified.len(), 10 * slots);
+                assert_eq!(bits(&first.unified), bits(&last.unified), "{slots} slots");
+                assert_eq!(first.unified.labels(), last.unified.labels());
+                assert_eq!(first.unified.num_classes(), last.unified.num_classes());
+                assert_eq!(first.forwarder_of_slot, last.forwarder_of_slot);
+                assert_eq!(first.relayed_blocks, last.relayed_blocks);
+            }
+        }
     }
 
     /// Relayed slots that disagree on `dim` fail the miner with a typed
