@@ -25,20 +25,20 @@ use sap_core::runtime::SessionStatus;
 use sap_core::session::{SapConfig, SapOutcome};
 use sap_core::SapError;
 use sap_datasets::Dataset;
-use sap_net::frame::{open_frame, FlowItem, Reassembler};
 use sap_net::mux::{MuxEndpoint, SessionMux};
+use sap_net::node::{Node, NodeError};
 use sap_net::tcp::local_mesh;
 use sap_net::transport::Endpoint;
-use sap_net::{PartyId, ReactorTransport, SessionId, Transport, TransportError};
+use sap_net::{PartyId, ReactorTransport, SessionId, TransportError};
 use sap_server::{SapServer, ServerConfig, ServerError};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wire::FleetMsg;
 
-pub use wire::{inbox_session, MAX_NODES};
+pub use wire::MAX_NODES;
 
 /// Fleet-level failures.
 #[derive(Debug)]
@@ -96,7 +96,8 @@ pub struct FleetConfig {
     /// Per-node server template; `session_id_base` / `session_id_stride`
     /// are overwritten per node (residue-class minting).
     pub server: ServerConfig,
-    /// Secret sealing the fleet control plane ([`wire::inbox_key`]).
+    /// Secret sealing the fleet control plane: nodes derive their
+    /// per-direction channel keys on the [`wire::CONTROL`] session from it.
     pub fleet_secret: u64,
     /// Node heartbeat interval: a node silent for `heartbeat_interval ×
     /// liveness_misses` from the fleet's build on is declared dead.
@@ -160,7 +161,6 @@ struct Inputs(Vec<Dataset>, SapConfig);
 
 /// State shared by every node's service thread and the fleet handle.
 struct Shared {
-    secret: u64,
     verdict_wait: Duration,
     /// Changed only by [`Records::apply`]: each transition is atomic.
     records: Mutex<Records<Inputs>>,
@@ -176,23 +176,18 @@ impl Shared {
     }
 }
 
-/// One fleet node: a SAP server plus its inter-node lane mux and inbox.
+/// One fleet node: a SAP server plus its inter-node lane mux and the
+/// control session on it.
 struct FleetNode {
     index: usize,
     server: SapServer<Endpoint>,
     mux: SessionMux<ReactorTransport>,
-    inbox: MuxEndpoint<ReactorTransport>,
-    msg_ids: AtomicU64,
+    control: Node<MuxEndpoint<ReactorTransport>>,
 }
 
 impl FleetNode {
-    /// A fleet-unique message id (it seeds nonces): node index, counter.
-    fn next_msg_id(&self) -> u64 {
-        ((self.index as u64 + 1) << 40) | self.msg_ids.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Hands a registration to this node's server or, if it is alive, its
-    /// owner's inbox.
+    /// Hands a registration to this node's server or, if it is alive,
+    /// sends it to its owner.
     fn deliver(&self, shared: &Shared, reg: Register, inputs: Inputs) -> Result<(), FleetError> {
         let sent = if reg.to == self.index {
             match self
@@ -214,7 +209,12 @@ impl FleetNode {
                 config,
                 locals,
             };
-            wire::send_via(&self.inbox, shared.secret, reg.to, self.next_msg_id(), &msg)
+            let to = PartyId(reg.to as u64);
+            self.control.send_msg(to, &msg).map_err(|e| match e {
+                NodeError::Transport(e) => FleetError::Transport(e),
+                // A send fails only in the transport.
+                _ => FleetError::Transport(TransportError::Disconnected),
+            })
         };
         let ok = sent.is_ok();
         shared.apply(Event::Sent { reg, ok });
@@ -259,7 +259,6 @@ impl Fleet {
         let lanes = local_mesh(&ids).map_err(FleetError::Mesh)?;
         let (beat, misses) = (config.heartbeat_interval, config.liveness_misses);
         let shared = Arc::new(Shared {
-            secret: config.fleet_secret,
             verdict_wait: beat * misses.max(1),
             records: Mutex::new(Records::new(n)),
             settled: Condvar::new(),
@@ -269,9 +268,10 @@ impl Fleet {
         for (j, lane) in lanes.into_iter().enumerate() {
             let mux = SessionMux::new(lane);
             mux.start_liveness(ids.clone(), beat, misses);
-            let inbox = mux
-                .open_session(wire::inbox_session(j))
+            let endpoint = mux
+                .open_session(wire::CONTROL)
                 .map_err(FleetError::Transport)?;
+            let control = Node::for_session(endpoint, config.fleet_secret, wire::CONTROL);
             let server_config = ServerConfig {
                 session_id_base: j as u64 + 1,
                 session_id_stride: n as u64,
@@ -282,8 +282,7 @@ impl Fleet {
                 index: j,
                 server,
                 mux,
-                inbox,
-                msg_ids: AtomicU64::new(1),
+                control,
             });
             let (node2, shared2) = (Arc::clone(&node), Arc::clone(&shared));
             let handle = std::thread::Builder::new()
@@ -495,44 +494,32 @@ impl Drop for Fleet {
     }
 }
 
-/// One node's inbox service: admits registrations and turns liveness
-/// verdicts into events. Frames reassemble per `(sender, msg_id)`, so two
-/// threads of one node may interleave messages on a lane; a gap drops
-/// that message.
+/// One node's control service, the control session's one receiver:
+/// admits registrations and turns liveness verdicts into events. A frame
+/// or codec error drops only that message.
 fn service_loop(node: &FleetNode, shared: &Shared) {
-    let key = wire::inbox_key(shared.secret, node.index);
-    let my_inbox = wire::inbox_session(node.index);
-    let mut reassembler = Reassembler::new();
     loop {
-        match node.inbox.recv_timeout(Duration::from_millis(50)) {
-            Ok((from, sealed)) => {
-                let frame = match open_frame(key, &sealed) {
-                    Ok((session, frame)) if session == my_inbox => frame,
-                    _ => continue,
-                };
-                let Ok(Some(FlowItem::Msg(bytes))) = reassembler.feed(from, frame) else {
-                    continue;
-                };
-                if let Ok(FleetMsg {
+        match node.control.recv_msg_timeout(Duration::from_millis(50)) {
+            Ok((_, msg)) => {
+                let FleetMsg {
                     session,
                     config,
                     locals,
-                }) = sap_net::wire::from_bytes::<FleetMsg>(&bytes)
-                {
-                    let server = &node.server;
-                    let verdict = server.submit_placed(SessionId(session), locals, &config);
-                    node.settle(shared, session, verdict);
-                }
+                } = msg;
+                let verdict = node
+                    .server
+                    .submit_placed(SessionId(session), locals, &config);
+                node.settle(shared, session, verdict);
             }
-            Err(TransportError::PeerDown(peer)) => {
+            Err(NodeError::Transport(TransportError::PeerDown(peer))) => {
                 let (observer, dead) = (node.index, peer.0 as usize);
                 let fx = shared.apply(Event::PeerDown { observer, dead });
                 for (reg, inputs) in fx.registers {
                     let _ = node.deliver(shared, reg, inputs);
                 }
             }
-            Err(TransportError::Timeout) => {}
-            Err(_) => return, // mux shut down
+            Err(NodeError::Transport(TransportError::Disconnected)) => return, // mux shut down
+            Err(_) => {}
         }
     }
 }
@@ -771,5 +758,84 @@ mod refinement {
              {kills} kills, {leaves} leaves, {:?}",
             started.elapsed()
         );
+    }
+}
+
+/// The control session's one receiver drops what it cannot open or decode
+/// and keeps serving.
+#[cfg(test)]
+mod control {
+    use super::*;
+    use bytes::Bytes;
+    use sap_datasets::normalize::min_max_normalize;
+    use sap_datasets::partition::{partition, PartitionScheme};
+    use sap_datasets::registry::UciDataset;
+    use sap_net::wire::{Wire, WireError};
+    use sap_net::Transport;
+
+    /// A message body sent byte for byte as given.
+    struct Raw(Vec<u8>);
+
+    impl Wire for Raw {
+        fn encode(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.0);
+        }
+
+        fn decode(_: &mut &[u8]) -> Result<Self, WireError> {
+            Err(WireError::InvalidEncoding("send-only"))
+        }
+    }
+
+    #[test]
+    fn garbage_and_truncated_register_do_not_stop_later_registrations() {
+        let fleet = Fleet::in_memory(FleetConfig {
+            server: ServerConfig {
+                max_parties: 3,
+                max_concurrent: 8,
+                ..ServerConfig::default()
+            },
+            ..FleetConfig::quick(2)
+        })
+        .expect("build fleet");
+        let config = SapConfig {
+            timeout: Duration::from_secs(120),
+            ..SapConfig::quick_test()
+        };
+        let (pooled, _) = min_max_normalize(&UciDataset::Iris.generate(3));
+        let locals = partition(&pooled, 3, PartitionScheme::Uniform, 3);
+        let gateway = &fleet.nodes[0].control;
+
+        // A frame stamped for the control session that no key opens.
+        let mut garbage = wire::CONTROL.0.to_le_bytes().to_vec();
+        garbage.extend_from_slice(&[0xA5; 48]);
+        gateway
+            .transport()
+            .send(PartyId(1), Bytes::from(garbage))
+            .unwrap();
+        // A well-sealed `Register` whose body is cut in half.
+        let register = FleetMsg {
+            session: 1 << 40,
+            config: Box::new(config.clone()),
+            locals: locals.clone(),
+        };
+        let mut body = sap_net::wire::to_bytes(&register);
+        body.truncate(body.len() / 2);
+        gateway.send_msg(PartyId(1), &Raw(body)).unwrap();
+
+        // Node 0 sends node 1 the registrations it owns after both.
+        let mut forwarded = 0;
+        for _ in 0..32 {
+            let id = fleet.submit_via(0, locals.clone(), &config).unwrap();
+            if fleet.owner_of(id) == Some(1) {
+                assert_eq!(fleet.placement(id), Some(1), "{id} not admitted");
+                forwarded += 1;
+            }
+            fleet.wait(id, Some(Duration::from_secs(120))).unwrap();
+            if forwarded == 2 {
+                break;
+            }
+        }
+        assert_eq!(forwarded, 2);
+        assert_eq!(fleet.metrics().registrations_forwarded, 2);
     }
 }
