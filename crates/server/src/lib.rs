@@ -81,7 +81,7 @@ use sap_core::runtime::{
 use sap_core::session::{spawn_session, SapConfig, SapOutcome, MINER_ID};
 use sap_core::SapError;
 use sap_datasets::Dataset;
-use sap_net::mux::{MuxEndpoint, SessionMux};
+use sap_net::mux::SessionMux;
 use sap_net::tcp::local_mesh;
 use sap_net::transport::{Endpoint, Physical};
 use sap_net::{InMemoryHub, PartyId, ReactorTransport, SessionId, Transport, TransportError};
@@ -539,7 +539,11 @@ impl<T: Transport + 'static> SapServer<T> {
 
     /// Opens mux routes for `id` on the first `locals.len()` lanes (plus
     /// the miner lane), spawns the session gang, and installs the abort
-    /// hook that tears those routes down.
+    /// hook that wakes its blocked roles.
+    ///
+    /// Each route lives exactly as long as its `MuxEndpoint`: a failed
+    /// open or spawn drops the endpoints with its error, and a gang shed
+    /// by the pool (even during this submit) drops them with its tasks.
     fn wire_session(
         &self,
         id: SessionId,
@@ -547,38 +551,22 @@ impl<T: Transport + 'static> SapServer<T> {
         session_config: &SapConfig,
     ) -> Result<SessionHandle, ServerError> {
         let k = locals.len();
-        let open_all = || -> Result<(Vec<MuxEndpoint<T>>, MuxEndpoint<T>), TransportError> {
-            let mut endpoints = Vec::with_capacity(k);
-            for lane in &self.lanes[..k] {
-                endpoints.push(lane.open_session(id)?);
-            }
-            Ok((endpoints, self.miner_lane.open_session(id)?))
-        };
-        let (endpoints, miner_endpoint) = match open_all() {
-            Ok(pair) => pair,
-            Err(e) => {
-                self.close_routes(id, k);
-                return Err(e.into());
-            }
-        };
+        let mut endpoints = Vec::with_capacity(k);
+        for lane in &self.lanes[..k] {
+            endpoints.push(lane.open_session(id)?);
+        }
+        let miner_endpoint = self.miner_lane.open_session(id)?;
 
         // A session's fault model wraps only its own endpoints (inside
         // spawn_session); its siblings' traffic never passes through it.
-        let spawned = spawn_session(
+        let handle = spawn_session(
             &self.pool,
             id,
             locals,
             session_config,
             endpoints,
             miner_endpoint,
-        );
-        let handle = match spawned {
-            Ok(handle) => handle,
-            Err(e) => {
-                self.close_routes(id, k);
-                return Err(e.into());
-            }
-        };
+        )?;
 
         // Aborting the session closes its mux routes so blocked roles
         // disconnect immediately instead of waiting out their timeouts.
@@ -592,20 +580,7 @@ impl<T: Transport + 'static> SapServer<T> {
                 miner_lane.close_session(id);
             });
         }
-        // Deadline-aware admission may have shed the gang during the
-        // submit, before the abort hook above existed — the shed callback
-        // then found no hook to run, so close the routes here.
-        if matches!(handle.poll(), SessionStatus::Shed) {
-            self.close_routes(id, k);
-        }
         Ok(handle)
-    }
-
-    fn close_routes(&self, id: SessionId, k: usize) {
-        for lane in &self.lanes[..k] {
-            lane.close_session(id);
-        }
-        self.miner_lane.close_session(id);
     }
 
     /// Non-blocking status lookup.
@@ -1059,6 +1034,47 @@ mod tests {
             server.wait(id, None),
             Err(ServerError::UnknownSession(_))
         ));
+    }
+
+    /// A spawn that fails after the routes opened leaves no route behind:
+    /// the id is free again at once.
+    #[test]
+    fn failed_spawn_leaves_the_id_free() {
+        let server = SapServer::in_memory(ServerConfig::default()).unwrap();
+        let id = SessionId(77);
+        let mut two = locals(7);
+        two.truncate(2);
+        let err = server.submit_placed(id, two, &quick()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ServerError::Session(SapError::TooFewProviders { got: 2 })
+            ),
+            "{err}"
+        );
+        server.submit_placed(id, locals(7), &quick()).unwrap();
+        server.wait(id, Some(Duration::from_secs(60))).unwrap();
+    }
+
+    /// A gang the pool sheds during its own submit leaves no route behind
+    /// once its verdict is returned.
+    #[test]
+    fn shed_at_submit_leaves_the_id_free() {
+        let server = SapServer::in_memory(ServerConfig::default()).unwrap();
+        let id = SessionId(78);
+        let hopeless = SapConfig {
+            session_budget: Duration::ZERO,
+            ..quick()
+        };
+        server.submit_placed(id, locals(8), &hopeless).unwrap();
+        let err = server.wait(id, Some(Duration::from_secs(60))).unwrap_err();
+        assert!(
+            matches!(err, ServerError::Session(SapError::AdmissionShed { .. })),
+            "{err}"
+        );
+        server.submit_placed(id, locals(8), &quick()).unwrap();
+        server.wait(id, Some(Duration::from_secs(60))).unwrap();
+        assert_eq!(server.metrics().sessions_shed, 1);
     }
 
     /// The session budget alone ends a session whose every frame is lost,
