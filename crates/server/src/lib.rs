@@ -75,9 +75,7 @@ pub use hist::{ClassLatency, LatencyHistogram, SessionLatency};
 
 use parking_lot::Mutex;
 use sap_core::placement::IdMinter;
-use sap_core::runtime::{
-    ActorPool, QosClass, SchedulerConfig, SessionHandle, SessionStatus, SessionTimings,
-};
+use sap_core::runtime::{ActorPool, QosClass, SchedulerConfig, SessionHandle, SessionStatus};
 use sap_core::session::{spawn_session, SapConfig, SapOutcome, MINER_ID};
 use sap_core::SapError;
 use sap_datasets::Dataset;
@@ -87,7 +85,6 @@ use sap_net::transport::{Endpoint, Physical};
 use sap_net::{InMemoryHub, PartyId, ReactorTransport, SessionId, Transport, TransportError};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Server-level failures.
@@ -301,24 +298,58 @@ struct SessionEntry {
     class: QosClass,
 }
 
+/// The registered sessions and the server's tally, under one lock: a
+/// session leaves the map and is accounted in one critical section, and
+/// a metrics read sees one consistent snapshot.
 #[derive(Default)]
-struct Counters {
-    started: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    aborted: AtomicU64,
-    rejected: AtomicU64,
-    shed: AtomicU64,
-    blocks_relayed: AtomicU64,
-    blocks_pipelined: AtomicU64,
-    /// Sum of per-session overlap ratios in micro-units (ratio × 1e6),
-    /// over `overlap_sessions` — keeps the aggregate lock-free.
-    overlap_micros_sum: AtomicU64,
-    overlap_sessions: AtomicU64,
-    /// Optimizer wall time in microseconds (lock-free f64 aggregation).
-    optimizer_wall_micros: AtomicU64,
-    optimizer_candidates: AtomicU64,
-    optimizer_pruned: AtomicU64,
+struct Registry {
+    sessions: HashMap<SessionId, SessionEntry>,
+    /// The session counters and latency histograms; `metrics()` fills in
+    /// the lane, pool and averaged fields of a copy.
+    tally: ServerMetrics,
+    /// Sum of the completed sessions' overlap ratios.
+    overlap_sum: f64,
+}
+
+impl Registry {
+    /// Registered sessions still queued or running. Entries leave at
+    /// their verdict, so the scan covers live sessions and the finished
+    /// ones nobody has waited for yet.
+    fn running(&self) -> usize {
+        self.sessions
+            .values()
+            .filter(|e| matches!(e.handle.poll(), SessionStatus::Running { .. }))
+            .count()
+    }
+
+    /// Accounts a session removed at its verdict. Shed sessions add a
+    /// queue-wait sample only: they never had a service phase.
+    fn account(&mut self, entry: &SessionEntry, result: &Result<SapOutcome, SapError>) {
+        let timings = entry.handle.timings();
+        let latency = self.tally.latency_histogram.class_mut(entry.class);
+        if let Some(wait) = timings.queue_wait {
+            latency.queue_wait.record(wait);
+        }
+        if let Some(service) = timings.service {
+            latency.service.record(service);
+        }
+        let tally = &mut self.tally;
+        match result {
+            Ok(outcome) => {
+                tally.sessions_completed += 1;
+                tally.blocks_relayed += outcome.relayed_blocks;
+                tally.blocks_pipelined += outcome.stream.pipelined_blocks;
+                self.overlap_sum += outcome.stream.overlap_ratio();
+                let opt = outcome.optimizer_summary();
+                tally.optimizer_wall_s += opt.wall_s;
+                tally.optimizer_candidates_evaluated += opt.candidates_evaluated;
+                tally.optimizer_candidates_pruned += opt.candidates_pruned;
+            }
+            Err(SapError::Aborted) => tally.sessions_aborted += 1,
+            Err(SapError::AdmissionShed { .. }) => tally.sessions_shed += 1,
+            Err(_) => tally.sessions_failed += 1,
+        }
+    }
 }
 
 /// A multi-session SAP service over a shared physical mesh.
@@ -333,11 +364,8 @@ pub struct SapServer<T: Transport + 'static> {
     /// `lanes[i]` carries provider position `i` of every session.
     lanes: Vec<SessionMux<T>>,
     miner_lane: SessionMux<T>,
-    registry: Mutex<HashMap<SessionId, SessionEntry>>,
+    registry: Mutex<Registry>,
     ids: IdMinter,
-    counters: Counters,
-    /// Per-class latency histograms (never locked with the registry).
-    latency: Mutex<SessionLatency>,
 }
 
 impl SapServer<Endpoint> {
@@ -404,10 +432,8 @@ impl<T: Transport + 'static> SapServer<T> {
             pool,
             lanes,
             miner_lane,
-            registry: Mutex::new(HashMap::new()),
+            registry: Mutex::new(Registry::default()),
             ids: IdMinter::new(config.session_id_base, config.session_id_stride),
-            counters: Counters::default(),
-            latency: Mutex::new(SessionLatency::default()),
             config,
         }
     }
@@ -415,16 +441,6 @@ impl<T: Transport + 'static> SapServer<T> {
     /// The shared pool's worker count.
     pub fn pool_capacity(&self) -> usize {
         self.pool.capacity()
-    }
-
-    /// Registered sessions still queued or running. Entries leave at
-    /// their verdict, so the scan covers live sessions and the finished
-    /// ones nobody has waited for yet.
-    fn running(registry: &HashMap<SessionId, SessionEntry>) -> usize {
-        registry
-            .values()
-            .filter(|e| matches!(e.handle.poll(), SessionStatus::Running { .. }))
-            .count()
     }
 
     /// Submits a session: `locals[i]` is provider `i`'s private dataset
@@ -512,22 +528,22 @@ impl<T: Transport + 'static> SapServer<T> {
         // slot (check-then-act race).
         let mut registry = self.registry.lock();
         if let Some(id) = placed {
-            if registry.contains_key(&id) {
+            if registry.sessions.contains_key(&id) {
                 return Err(ServerError::DuplicateSession(id));
             }
         }
-        let live = Self::running(&registry);
+        let live = registry.running();
         let limit = self.config.max_concurrent + self.config.max_queued;
         if live >= limit {
-            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+            registry.tally.sessions_rejected += 1;
             return Err(ServerError::Overloaded { live, limit });
         }
 
         let id = placed.unwrap_or_else(|| self.ids.mint());
         let handle = self.wire_session(id, locals, session_config)?;
 
-        self.counters.started.fetch_add(1, Ordering::Relaxed);
-        registry.insert(
+        registry.tally.sessions_started += 1;
+        registry.sessions.insert(
             id,
             SessionEntry {
                 handle,
@@ -591,6 +607,7 @@ impl<T: Transport + 'static> SapServer<T> {
     pub fn poll(&self, id: SessionId) -> Result<SessionStatus, ServerError> {
         let registry = self.registry.lock();
         registry
+            .sessions
             .get(&id)
             .map(|e| e.handle.poll())
             .ok_or(ServerError::UnknownSession(id))
@@ -617,6 +634,7 @@ impl<T: Transport + 'static> SapServer<T> {
         let handle = {
             let registry = self.registry.lock();
             registry
+                .sessions
                 .get(&id)
                 .map(|e| e.handle.clone())
                 .ok_or(ServerError::UnknownSession(id))?
@@ -645,6 +663,7 @@ impl<T: Transport + 'static> SapServer<T> {
         let handle = {
             let registry = self.registry.lock();
             registry
+                .sessions
                 .get(&id)
                 .map(|e| e.handle.clone())
                 .ok_or(ServerError::UnknownSession(id))?
@@ -653,66 +672,13 @@ impl<T: Transport + 'static> SapServer<T> {
         Ok(())
     }
 
-    /// Removes a session at its verdict and accounts it. Only the call
-    /// that removes the entry accounts, so each session counts once.
+    /// Removes a session at its verdict and accounts it, in one critical
+    /// section. Only the call that removes the entry accounts, so each
+    /// session counts once.
     fn finalize(&self, id: SessionId, result: &Result<SapOutcome, SapError>) {
-        let Some(entry) = self.registry.lock().remove(&id) else {
-            return;
-        };
-        self.record_latency(entry.class, entry.handle.timings());
-        match result {
-            Ok(outcome) => {
-                self.counters.completed.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .blocks_relayed
-                    .fetch_add(outcome.relayed_blocks, Ordering::Relaxed);
-                self.counters
-                    .blocks_pipelined
-                    .fetch_add(outcome.stream.pipelined_blocks, Ordering::Relaxed);
-                let micros = (outcome.stream.overlap_ratio() * 1e6) as u64;
-                self.counters
-                    .overlap_micros_sum
-                    .fetch_add(micros, Ordering::Relaxed);
-                self.counters
-                    .overlap_sessions
-                    .fetch_add(1, Ordering::Relaxed);
-                let opt = outcome.optimizer_summary();
-                self.counters
-                    .optimizer_wall_micros
-                    .fetch_add((opt.wall_s * 1e6) as u64, Ordering::Relaxed);
-                self.counters
-                    .optimizer_candidates
-                    .fetch_add(opt.candidates_evaluated, Ordering::Relaxed);
-                self.counters
-                    .optimizer_pruned
-                    .fetch_add(opt.candidates_pruned, Ordering::Relaxed);
-            }
-            Err(SapError::Aborted) => {
-                self.counters.aborted.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(SapError::AdmissionShed { .. }) => {
-                self.counters.shed.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.counters.failed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Folds one accounted session's scheduler timings into the per-class
-    /// histograms. Shed sessions contribute a queue-wait sample only —
-    /// they never had a service phase.
-    fn record_latency(&self, class: QosClass, timings: SessionTimings) {
-        if timings.queue_wait.is_none() && timings.service.is_none() {
-            return;
-        }
-        let mut latency = self.latency.lock();
-        let class = latency.class_mut(class);
-        if let Some(wait) = timings.queue_wait {
-            class.queue_wait.record(wait);
-        }
-        if let Some(service) = timings.service {
-            class.service.record(service);
+        let mut registry = self.registry.lock();
+        if let Some(entry) = registry.sessions.remove(&id) {
+            registry.account(&entry, result);
         }
     }
 
@@ -720,64 +686,34 @@ impl<T: Transport + 'static> SapServer<T> {
     /// muxes' traffic counters).
     pub fn metrics(&self) -> ServerMetrics {
         let sched = self.pool.stats();
-        let live_sessions = Self::running(&self.registry.lock());
-        let mut bytes_sealed = 0;
-        let mut frames_routed = 0;
-        let mut unknown = 0;
-        let mut shed = 0;
-        let mut peers_down = 0;
+        let (mut m, overlap_sum) = {
+            let registry = self.registry.lock();
+            let mut tally = registry.tally;
+            tally.live_sessions = registry.running();
+            (tally, registry.overlap_sum)
+        };
+        // The tally leaves the lane fields at zero.
         let mut down_latency_us = 0;
         for lane in self.lanes.iter().chain(std::iter::once(&self.miner_lane)) {
-            let m = lane.metrics();
-            bytes_sealed += m.bytes_sent;
-            frames_routed += m.frames_routed;
-            unknown += m.unknown_session_dropped;
-            shed += m.shed_frames;
-            peers_down += m.peers_down;
-            down_latency_us += m.peer_down_latency_us;
+            let lane = lane.metrics();
+            m.bytes_sealed += lane.bytes_sent;
+            m.frames_routed += lane.frames_routed;
+            m.unknown_session_dropped += lane.unknown_session_dropped;
+            m.shed_frames += lane.shed_frames;
+            m.peer_failures_detected += lane.peers_down;
+            down_latency_us += lane.peer_down_latency_us;
         }
-        let overlap_sessions = self.counters.overlap_sessions.load(Ordering::Relaxed);
-        let overlap_ratio_avg = if overlap_sessions == 0 {
-            0.0
-        } else {
-            self.counters.overlap_micros_sum.load(Ordering::Relaxed) as f64
-                / 1e6
-                / overlap_sessions as f64
-        };
-        ServerMetrics {
-            sessions_started: self.counters.started.load(Ordering::Relaxed),
-            sessions_completed: self.counters.completed.load(Ordering::Relaxed),
-            sessions_failed: self.counters.failed.load(Ordering::Relaxed),
-            sessions_aborted: self.counters.aborted.load(Ordering::Relaxed),
-            sessions_rejected: self.counters.rejected.load(Ordering::Relaxed),
-            live_sessions,
-            blocks_relayed: self.counters.blocks_relayed.load(Ordering::Relaxed),
-            blocks_pipelined: self.counters.blocks_pipelined.load(Ordering::Relaxed),
-            overlap_ratio_avg,
-            optimizer_wall_s: self.counters.optimizer_wall_micros.load(Ordering::Relaxed) as f64
-                / 1e6,
-            optimizer_candidates_evaluated: self
-                .counters
-                .optimizer_candidates
-                .load(Ordering::Relaxed),
-            optimizer_candidates_pruned: self.counters.optimizer_pruned.load(Ordering::Relaxed),
-            bytes_sealed,
-            frames_routed,
-            unknown_session_dropped: unknown,
-            shed_frames: shed,
-            peer_failures_detected: peers_down,
-            peer_detection_latency_avg_s: if peers_down == 0 {
-                0.0
-            } else {
-                down_latency_us as f64 / 1e6 / peers_down as f64
-            },
-            sessions_shed: self.counters.shed.load(Ordering::Relaxed),
-            gangs_promoted: sched.gangs_promoted,
-            task_steals: 0,
-            pool_queued_tasks: sched.queued_tasks,
-            pool_running_tasks: sched.running_tasks,
-            latency_histogram: *self.latency.lock(),
+        if m.sessions_completed > 0 {
+            m.overlap_ratio_avg = overlap_sum / m.sessions_completed as f64;
         }
+        if m.peer_failures_detected > 0 {
+            m.peer_detection_latency_avg_s =
+                down_latency_us as f64 / 1e6 / m.peer_failures_detected as f64;
+        }
+        m.gangs_promoted = sched.gangs_promoted;
+        m.pool_queued_tasks = sched.queued_tasks;
+        m.pool_running_tasks = sched.running_tasks;
+        m
     }
 }
 
@@ -787,7 +723,11 @@ impl<T: Transport + 'static> Drop for SapServer<T> {
         // the pool's own Drop join them.
         let handles: Vec<SessionHandle> = {
             let registry = self.registry.lock();
-            registry.values().map(|e| e.handle.clone()).collect()
+            registry
+                .sessions
+                .values()
+                .map(|e| e.handle.clone())
+                .collect()
         };
         for handle in handles {
             handle.abort();
