@@ -65,7 +65,6 @@ use crate::transport::{
     Delivery, Inbox, Inlet, PartyId, Physical, Sink, Transport, TransportError, RETRY_TICK,
 };
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use epoll::{Event, Interest, Poller, Waker};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -73,6 +72,7 @@ use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -552,7 +552,7 @@ struct Reactor {
 impl Reactor {
     fn run(mut self) {
         loop {
-            while let Some(cmd) = self.cmd_rx.try_recv() {
+            while let Ok(cmd) = self.cmd_rx.try_recv() {
                 self.handle_cmd(cmd);
             }
             self.flush_dirty();
@@ -566,7 +566,7 @@ impl Reactor {
             // `sleeping` and writes the waker pipe. Either way no command
             // waits out a full poll timeout.
             self.shared.sleeping.store(true, Ordering::SeqCst);
-            if let Some(cmd) = self.cmd_rx.try_recv() {
+            if let Ok(cmd) = self.cmd_rx.try_recv() {
                 self.shared.sleeping.store(false, Ordering::SeqCst);
                 self.handle_cmd(cmd);
                 continue;
@@ -844,7 +844,7 @@ impl ReactorTransport {
         let mut poller = Poller::new()?;
         poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
         let waker = Waker::new(&mut poller, TOKEN_WAKER)?;
-        let (cmd_tx, cmd_rx) = unbounded();
+        let (cmd_tx, cmd_rx) = channel();
         let (inlet, inbox) = Inlet::new();
         let shared = Arc::new(Shared {
             id,

@@ -14,10 +14,10 @@
 //! exchange a sender is often the very consumer it would wait for.
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -278,7 +278,7 @@ pub(crate) struct Inbox(Mutex<Receiver<Delivery>>);
 
 impl Inlet {
     pub(crate) fn new() -> (Inlet, Inbox) {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let sink: Arc<dyn Sink> = Arc::new(tx);
         let inlet = Inlet {
             sink: RwLock::new(Some(sink)),
@@ -353,7 +353,7 @@ impl Inlet {
     pub(crate) fn install(&self, sink: Arc<dyn Sink>, inbox: &Inbox) {
         let mut slot = self.sink.write();
         // Earlier arrivals go first: held, in order, for the retry.
-        while let Some(delivery) = inbox.0.lock().try_recv() {
+        while let Ok(delivery) = inbox.0.lock().try_recv() {
             held_from(&mut self.held.lock(), delivery.source()).push_back(delivery);
         }
         match slot.as_mut() {
