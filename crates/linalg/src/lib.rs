@@ -9,8 +9,8 @@
 //!
 //! * [`Matrix`] — a row-major dense matrix with the usual arithmetic.
 //! * [`qr::QrDecomposition`] — Householder QR, used to sample random
-//!   orthogonal matrices.
-//! * [`lu::LuDecomposition`] — LU with partial pivoting, for `det`.
+//!   orthogonal matrices; its reflection count gives the sign of
+//!   `det(Q)`, which is how a random rotation is told from a reflection.
 //! * [`eigen::SymmetricEigen`] — cyclic Jacobi eigendecomposition of
 //!   symmetric matrices (PCA, whitening).
 //! * [`svd::Svd`] — one-sided Jacobi singular value decomposition.
@@ -46,7 +46,6 @@
 pub mod eigen;
 pub mod error;
 pub mod kernel;
-pub mod lu;
 pub mod matrix;
 pub mod norms;
 pub mod orthogonal;

@@ -9,7 +9,6 @@
 //! groups*, 2007).
 
 use crate::error::{LinalgError, Result};
-use crate::lu;
 use crate::matrix::Matrix;
 use crate::qr::QrDecomposition;
 use crate::rng::randn_matrix;
@@ -21,7 +20,7 @@ use rand::Rng;
 ///
 /// Panics if `d == 0`.
 pub fn random_orthogonal<R: Rng + ?Sized>(d: usize, rng: &mut R) -> Matrix {
-    try_random_orthogonal(d, rng).expect("d must be positive")
+    haar(d, rng).0
 }
 
 /// Fallible form of [`random_orthogonal`].
@@ -30,23 +29,7 @@ pub fn random_orthogonal<R: Rng + ?Sized>(d: usize, rng: &mut R) -> Matrix {
 ///
 /// Returns [`LinalgError::InvalidDimension`] when `d == 0`.
 pub fn try_random_orthogonal<R: Rng + ?Sized>(d: usize, rng: &mut R) -> Result<Matrix> {
-    if d == 0 {
-        return Err(LinalgError::InvalidDimension {
-            reason: "orthogonal matrix dimension must be positive",
-        });
-    }
-    let g = randn_matrix(d, d, rng);
-    let (mut q, r) = QrDecomposition::new(&g)?.into_parts();
-    // Sign correction: make the factorization unique (R with positive
-    // diagonal) so Q is Haar distributed.
-    for c in 0..d {
-        if r[(c, c)] < 0.0 {
-            for row in 0..d {
-                q[(row, c)] = -q[(row, c)];
-            }
-        }
-    }
-    Ok(q)
+    try_haar(d, rng).map(|(q, _)| q)
 }
 
 /// Samples a Haar-distributed random **rotation** (determinant `+1`,
@@ -59,9 +42,8 @@ pub fn try_random_orthogonal<R: Rng + ?Sized>(d: usize, rng: &mut R) -> Result<M
 ///
 /// Panics if `d == 0`.
 pub fn random_rotation<R: Rng + ?Sized>(d: usize, rng: &mut R) -> Matrix {
-    let mut q = random_orthogonal(d, rng);
-    let det = lu::det(&q).expect("square by construction");
-    if det < 0.0 {
+    let (mut q, reflection) = haar(d, rng);
+    if reflection {
         for row in 0..d {
             q[(row, 0)] = -q[(row, 0)];
         }
@@ -69,9 +51,41 @@ pub fn random_rotation<R: Rng + ?Sized>(d: usize, rng: &mut R) -> Matrix {
     q
 }
 
+/// [`try_haar`] for a dimension known to be positive.
+fn haar<R: Rng + ?Sized>(d: usize, rng: &mut R) -> (Matrix, bool) {
+    try_haar(d, rng).expect("d must be positive")
+}
+
+/// A Haar draw from `O(d)` and whether it is a reflection (`det = −1`):
+/// the parity of the QR's Householder reflections and of the columns the
+/// sign correction negates.
+fn try_haar<R: Rng + ?Sized>(d: usize, rng: &mut R) -> Result<(Matrix, bool)> {
+    if d == 0 {
+        return Err(LinalgError::InvalidDimension {
+            reason: "orthogonal matrix dimension must be positive",
+        });
+    }
+    let g = randn_matrix(d, d, rng);
+    let qr = QrDecomposition::new(&g)?;
+    let mut flips = qr.reflections();
+    let (mut q, r) = qr.into_parts();
+    // Sign correction: make the factorization unique (R with positive
+    // diagonal) so Q is Haar distributed.
+    for c in 0..d {
+        if r[(c, c)] < 0.0 {
+            flips += 1;
+            for row in 0..d {
+                q[(row, c)] = -q[(row, c)];
+            }
+        }
+    }
+    Ok((q, flips % 2 == 1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qr::tests::cofactor_det;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -90,10 +104,66 @@ mod tests {
         for d in [2, 3, 4, 7] {
             for _ in 0..5 {
                 let r = random_rotation(d, &mut rng);
-                let det = lu::det(&r).unwrap();
+                let det = cofactor_det(&r);
                 assert!((det - 1.0).abs() < 1e-8, "det {det} != 1 at d={d}");
                 assert!(r.is_orthogonal(1e-9));
             }
+        }
+    }
+
+    /// The reflection flag is the sign of the draw's determinant.
+    #[test]
+    fn haar_flags_exactly_the_reflections() {
+        let mut rng = StdRng::seed_from_u64(105);
+        for d in 1..=5 {
+            for _ in 0..40 {
+                let (q, reflection) = try_haar(d, &mut rng).unwrap();
+                assert_eq!(cofactor_det(&q) < 0.0, reflection, "d={d}");
+            }
+        }
+    }
+
+    /// FNV-1a over the bits of every entry, row-major.
+    fn digest(m: &Matrix) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for i in 0..m.rows() {
+            for j in 0..m.cols() {
+                for b in m[(i, j)].to_bits().to_le_bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// `random_rotation` draws the same bits as when the sign of `det(Q)`
+    /// came from an LU factorization (digests recorded then).
+    #[test]
+    fn random_rotation_bits_are_pinned() {
+        const RECORDED: [(usize, u64, u64); 18] = [
+            (1, 1, 0xaab1_6932_29ba_1db8),
+            (1, 2, 0xaab1_6932_29ba_1db8),
+            (1, 3, 0xaab1_6932_29ba_1db8),
+            (2, 1, 0x7501_90f0_aaac_3f1f),
+            (2, 2, 0xa0c8_4b1b_be4a_1aac),
+            (2, 3, 0x33b3_f52f_ab8b_735d),
+            (3, 1, 0xcfdd_0508_5438_d4ad),
+            (3, 2, 0x54d8_8c2f_6386_4def),
+            (3, 3, 0x3a4c_8735_52cb_3b5e),
+            (4, 1, 0x1a08_f6f3_5184_fa30),
+            (4, 2, 0xbc51_e938_9fb7_f5b9),
+            (4, 3, 0x0685_4eab_128e_fa1c),
+            (10, 1, 0xaebb_df02_4315_3182),
+            (10, 2, 0x9c4b_83b8_da73_17ef),
+            (10, 3, 0x125b_0b4e_0cd4_e521),
+            (16, 1, 0xe71c_f620_21c3_9fc7),
+            (16, 2, 0xfa6a_0490_e2aa_62b6),
+            (16, 3, 0x9f1b_dd9f_8b09_707b),
+        ];
+        for (d, seed, want) in RECORDED {
+            let r = random_rotation(d, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(digest(&r), want, "d={d} seed {seed}");
         }
     }
 

@@ -13,6 +13,7 @@ use crate::matrix::Matrix;
 pub struct QrDecomposition {
     q: Matrix,
     r: Matrix,
+    reflections: usize,
 }
 
 impl QrDecomposition {
@@ -30,6 +31,7 @@ impl QrDecomposition {
         }
         let mut r = a.clone();
         let mut q = Matrix::identity(m);
+        let mut reflections = 0;
 
         for k in 0..n.min(m.saturating_sub(1)) {
             // Householder vector for column k below the diagonal.
@@ -51,6 +53,7 @@ impl QrDecomposition {
             if vnorm_sq == 0.0 {
                 continue;
             }
+            reflections += 1;
 
             // Apply H = I - 2 v vᵀ / (vᵀv) to R (rows k..m).
             for j in k..n {
@@ -78,7 +81,7 @@ impl QrDecomposition {
             }
         }
 
-        Ok(QrDecomposition { q, r })
+        Ok(QrDecomposition { q, r, reflections })
     }
 
     /// The orthogonal factor `Q` (`m × m`).
@@ -91,6 +94,13 @@ impl QrDecomposition {
         &self.r
     }
 
+    /// Householder reflections applied to build `Q` (a column with nothing
+    /// to reflect is skipped): each has determinant −1, so
+    /// `det(Q) = (−1)^reflections`.
+    pub fn reflections(&self) -> usize {
+        self.reflections
+    }
+
     /// Consumes the decomposition and returns `(Q, R)`.
     pub fn into_parts(self) -> (Matrix, Matrix) {
         (self.q, self.r)
@@ -98,11 +108,90 @@ impl QrDecomposition {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::rng::randn_matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `det(a)` by Laplace expansion along the first row: exact in sign,
+    /// `d!` terms, an oracle for small matrices only.
+    pub(crate) fn cofactor_det(a: &Matrix) -> f64 {
+        let d = a.rows();
+        if d == 1 {
+            return a[(0, 0)];
+        }
+        (0..d)
+            .map(|c| {
+                let minor = Matrix::from_rows(
+                    &(1..d)
+                        .map(|i| (0..d).filter(|&j| j != c).map(|j| a[(i, j)]).collect())
+                        .collect::<Vec<Vec<f64>>>(),
+                );
+                let sign = if c.is_multiple_of(2) { 1.0 } else { -1.0 };
+                sign * a[(0, c)] * cofactor_det(&minor)
+            })
+            .sum()
+    }
+
+    /// `det(a) = det(Q) · det(R)`, with `det(Q)` from the reflection
+    /// count and `det(R)` the product of its diagonal.
+    fn qr_det(a: &Matrix) -> f64 {
+        let qr = QrDecomposition::new(a).unwrap();
+        let sign = (-1f64).powi(qr.reflections() as i32);
+        sign * (0..a.rows()).map(|i| qr.r()[(i, i)]).product::<f64>()
+    }
+
+    /// The reflection count's parity is the sign of `det(Q)`, for dense
+    /// matrices and for ones with a column the loop skips.
+    #[test]
+    fn reflection_parity_is_the_sign_of_det_q() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for d in 1..=5 {
+            for draw in 0..40u32 {
+                let mut a = randn_matrix(d, d, &mut rng);
+                if draw.is_multiple_of(4) {
+                    // A zero first column: nothing to reflect there.
+                    for i in 0..d {
+                        a[(i, 0)] = 0.0;
+                    }
+                }
+                let qr = QrDecomposition::new(&a).unwrap();
+                let det_q = cofactor_det(qr.q());
+                assert!((det_q.abs() - 1.0).abs() < 1e-9, "d={d}: det(Q) = {det_q}");
+                let odd = qr.reflections() % 2 == 1;
+                assert_eq!(det_q < 0.0, odd, "d={d} draw {draw}");
+            }
+        }
+    }
+
+    #[test]
+    fn det_of_triangular_is_diagonal_product() {
+        let a = Matrix::from_rows(&[
+            vec![2.0, 5.0, 1.0],
+            vec![0.0, 3.0, 7.0],
+            vec![0.0, 0.0, -4.0],
+        ]);
+        assert!((qr_det(&a) - (-24.0)).abs() < 1e-10);
+    }
+
+    #[test]
+    fn det_sign_tracks_row_swap() {
+        // Permutation matrix swapping two rows has det -1.
+        let p = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
+        assert!((qr_det(&p) + 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn det_of_random_product_multiplies() {
+        let mut rng = StdRng::seed_from_u64(20);
+        let a = randn_matrix(4, 4, &mut rng);
+        let b = randn_matrix(4, 4, &mut rng);
+        let da = qr_det(&a);
+        let db = qr_det(&b);
+        let dab = qr_det(&(&a * &b));
+        assert!((dab - da * db).abs() < 1e-8 * dab.abs().max(1.0));
+    }
 
     #[test]
     fn reconstructs_input() {
