@@ -22,7 +22,7 @@
 //!   owned.
 //!
 //! The top [`CONTROL_RANGE`] ids below [`SessionId::LIVENESS`] are
-//! reserved for fleet control planes (per-node inbox sessions); a
+//! reserved for fleet control planes (the fleet's control session); a
 //! minter never emits them, and `SessionId::SOLO` / `LIVENESS` keep
 //! their pre-fleet meanings.
 
@@ -30,7 +30,7 @@ use sap_net::SessionId;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of ids immediately below [`SessionId::LIVENESS`] reserved for
-/// fleet control sessions (node inboxes and future control planes).
+/// fleet control sessions (the fleet's, and future control planes).
 /// [`IdMinter`] never mints an id at or above
 /// `SessionId::LIVENESS.0 - CONTROL_RANGE`.
 pub const CONTROL_RANGE: u64 = 4096;

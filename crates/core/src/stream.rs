@@ -3,9 +3,11 @@
 //!
 //! Row blocks coming off [`crate::link`] flow through a chain of
 //! [`BlockStage`]s into a [`DatasetSink`] **as they arrive**, overlapping
-//! decode and space adaptation with the rest of the stream's I/O inside
-//! each session (and across sessions on the shared
-//! [`crate::runtime::ActorPool`]).
+//! decode with the rest of the stream's I/O inside each session (and
+//! across sessions on the shared [`crate::runtime::ActorPool`]). The
+//! miner runs the chain with no stage and adapts each slot once, at
+//! unification; [`AdaptStage`] adapts block by block for a pipeline
+//! replayed outside a session.
 //!
 //! ```text
 //!   opened block       ──decode──► BlockBuf (reused scratch)

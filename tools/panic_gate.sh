@@ -15,9 +15,10 @@
 # `partial_cmp(..).expect(..)` comparators to `f64::total_cmp` and its
 # argmax expects to safe defaults) — the mining service trains and
 # predicts on records that arrived over the wire, so it must stay at zero.
-# server joined at zero as well: its registry and latency locks are on
-# the no-poison shim, so a panic while one is held no longer fails every
-# later submit, and the miner-lane pop returns a typed mesh error.
+# server joined at zero as well: its registry lock (which also guards
+# the tally) is on the no-poison shim, so a panic while it is held no
+# longer fails every later submit, and the miner-lane pop returns a
+# typed mesh error.
 # privacy and ica joined at zero and must stay there: both run the
 # optimizer and attack configs a client sends with its session.
 # perturb, linalg and datasets joined with the sites they already had
@@ -33,7 +34,7 @@
 # validated at spawn).
 set -euo pipefail
 
-LIMIT=35
+LIMIT=34
 
 cd "$(dirname "$0")/.."
 total=0
