@@ -500,12 +500,14 @@ impl Drop for Fleet {
 fn service_loop(node: &FleetNode, shared: &Shared) {
     loop {
         match node.control.recv_msg_timeout(Duration::from_millis(50)) {
-            Ok((_, msg)) => {
-                let FleetMsg {
+            Ok((
+                _,
+                FleetMsg {
                     session,
                     config,
                     locals,
-                } = msg;
+                },
+            )) => {
                 let verdict = node
                     .server
                     .submit_placed(SessionId(session), locals, &config);

@@ -111,18 +111,6 @@ mod tests {
         }
     }
 
-    /// The reflection flag is the sign of the draw's determinant.
-    #[test]
-    fn haar_flags_exactly_the_reflections() {
-        let mut rng = StdRng::seed_from_u64(105);
-        for d in 1..=5 {
-            for _ in 0..40 {
-                let (q, reflection) = try_haar(d, &mut rng).unwrap();
-                assert_eq!(cofactor_det(&q) < 0.0, reflection, "d={d}");
-            }
-        }
-    }
-
     /// FNV-1a over the bits of every entry, row-major.
     fn digest(m: &Matrix) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
