@@ -499,19 +499,14 @@ impl Drop for Fleet {
 /// or codec error drops only that message.
 fn service_loop(node: &FleetNode, shared: &Shared) {
     loop {
-        match node.control.recv_msg_timeout(Duration::from_millis(50)) {
-            Ok((
-                _,
-                FleetMsg {
-                    session,
-                    config,
-                    locals,
-                },
-            )) => {
-                let verdict = node
-                    .server
-                    .submit_placed(SessionId(session), locals, &config);
-                node.settle(shared, session, verdict);
+        match node
+            .control
+            .recv_msg_timeout::<FleetMsg>(Duration::from_millis(50))
+        {
+            Ok((_, msg)) => {
+                let id = SessionId(msg.session);
+                let verdict = node.server.submit_placed(id, msg.locals, &msg.config);
+                node.settle(shared, msg.session, verdict);
             }
             Err(NodeError::Transport(TransportError::PeerDown(peer))) => {
                 let (observer, dead) = (node.index, peer.0 as usize);
