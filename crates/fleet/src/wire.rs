@@ -3,7 +3,7 @@
 //! range) on its inter-node lane mux and talks on it through a
 //! [`sap_net::node::Node`] keyed by the fleet secret: a control message
 //! for node `D` is wire-encoded, chunked, sealed per frame under the
-//! sender → `D` channel key (wire format v4) and sent straight to `D`,
+//! sender → `D` channel key (wire format v5) and sent straight to `D`,
 //! like any session's message. `Register` carries the session's
 //! [`SapConfig`] in its own wire encoding, so the owner runs it under
 //! exactly the settings the gateway accepted.

@@ -5,30 +5,30 @@
 //! process (or relay) without ever holding one giant allocation. The byte
 //! layouts are specified, with tables, in `docs/WIRE.md`.
 //!
-//! # Frame layout (plaintext, before sealing) — wire v4
+//! # Sealed frame — wire v5
 //!
-//! ```text
-//! offset  size   field
-//! 0       1      bits 0–1: kind (0 = CONTROL, 1 = STREAM_HEADER,
-//!                2 = STREAM_BLOCK); bits 2–6: reserved, must be zero;
-//!                bit 7: LAST frame of the message
-//! 1       1–10   msg_id (LEB128 varint) — unique per sender
-//! …       1–5    seq (LEB128 varint) — 0-based frame index
-//! …       …      payload
-//! ```
-//!
-//! # Sealed envelope (v4)
-//!
-//! Each frame is sealed independently under the per-direction channel
-//! key:
+//! Every frame, whatever its kind, is sealed in one layout: a fixed-width
+//! hop header, sealed per hop under the pair's channel key, and a payload
+//! sealed once, end to end, under a [`BlockSeal`]:
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     session id (u64 LE) — plaintext, authenticated
-//! 8       8     nonce (u64 LE)
-//! 16      …     ciphertext (packed frame header ‖ payload)
-//! len−8   8     tag (u64 LE)
+//! 8       8     hop nonce (u64 LE), bit 63 set
+//! 16      16    hop header under the hop key: flags (bits 0–1 kind:
+//!               0 = CONTROL, 1 = STREAM_HEADER, 2 = STREAM_BLOCK;
+//!               bits 2–6 zero; bit 7 LAST), 3 zero bytes, seq (u32 LE),
+//!               msg_id (u64 LE)
+//! 32      8     hop tag over the hop header and the data tag
+//! 40      …     payload under the seal's key, nonce (session, tag, seq)
+//! len−8   8     data tag over the payload
 //! ```
+//!
+//! A control chunk or a stream header is sealed under the pair's channel
+//! key with its `msg_id` as the tag ([`seal_frame`]), as a direct
+//! stream's blocks are. A dataset's blocks are sealed under the miner's
+//! data key and their slot, so a relay rewrites bytes 0..40 in place
+//! ([`SealedBlock::forward`]) without reading the payload.
 //!
 //! The session id travels **in the clear** so a [`crate::mux::SessionMux`]
 //! can demultiplex a shared physical mesh into per-session virtual
@@ -44,63 +44,33 @@
 //! keyed tag absorbs 32-byte blocks into four independent accumulator
 //! lanes folded once at the end. Same disclaimer as [`crate::crypto`]:
 //! **this models link encryption, it is not real cryptography.**
-//!
-//! # Block frames
-//!
-//! A stream block travels in a *block frame* (nonce bit 63 set): its
-//! payload is sealed once, end to end, under a [`BlockSeal`] (for a
-//! dataset, the miner's data key), and only a fixed-width header per hop,
-//! which a relay rewrites in place ([`SealedBlock::forward`]) without
-//! reading the payload:
-//!
-//! ```text
-//! 0   8   session id (plaintext, authenticated)
-//! 8   8   hop nonce, bit 63 set
-//! 16  16  hop header under the hop key: flags (kind 2, bit 7 LAST),
-//!         3 zero bytes, seq (u32 LE), msg_id (u64 LE)
-//! 32  8   hop tag over the hop header and the data tag
-//! 40  …   payload under the data key, nonce (session, tag, seq)
-//! −8  8   data tag over the payload
-//! ```
 
 use crate::crypto::{ChannelKey, CryptoError};
 use crate::pool;
 use crate::transport::{PartyId, SessionId};
-use crate::wire::{put_uvarint, read_uvarint, MAX_UVARINT_LEN};
 use bytes::Bytes;
 use std::collections::HashMap;
 use std::fmt;
 
-/// Smallest possible packed v4 frame header (flags/kind byte + 1-byte
-/// msg_id varint + 1-byte seq varint).
-pub const MIN_FRAME_HEADER_LEN: usize = 3;
+/// Offset of a sealed frame's payload, after its hop header and hop tag.
+pub const BLOCK_PAYLOAD_AT: usize = 40;
 
-/// Largest possible packed v4 frame header (flags/kind byte + 10-byte
-/// msg_id varint + 5-byte seq varint) — the capacity the seal path
-/// reserves before knowing the actual widths.
-pub const MAX_FRAME_HEADER_LEN: usize = 1 + MAX_UVARINT_LEN + 5;
-
-/// Smallest valid sealed v4 frame: envelope overhead plus the minimum
-/// packed header.
-pub const MIN_SEALED_LEN: usize = 16 + MIN_FRAME_HEADER_LEN + 8;
+/// Smallest valid sealed frame: an empty payload and its data tag.
+pub const MIN_SEALED_LEN: usize = BLOCK_PAYLOAD_AT + 8;
 
 /// Default maximum payload bytes per frame.
 pub const DEFAULT_CHUNK_SIZE: usize = 60 * 1024;
 
-/// Bit 7 of the packed header's first byte: last frame of the message.
+/// Bit 7 of the hop header's flags byte: last frame of the message.
 const FLAG_LAST: u8 = 0x80;
 
-/// Bits 2–6 of the packed header's first byte: reserved, must be zero.
+/// Bits 2–6 of the hop header's flags byte: reserved, must be zero.
 const RESERVED_BITS: u8 = 0x7C;
 
-/// Bit 63 of a sealed frame's nonce: the frame is a block frame.
-const BLOCK_FRAME: u64 = 1 << 63;
-
-/// Offset of a block frame's payload, after its hop header and hop tag.
-pub const BLOCK_PAYLOAD_AT: usize = 40;
-
-/// Smallest block frame: an empty payload and its data tag.
-const MIN_BLOCK_FRAME_LEN: usize = BLOCK_PAYLOAD_AT + 8;
+/// Bit 63 of a sealed frame's nonce, set on every frame. It marked a
+/// block frame while wire v4 sealed control frames apart; kept, so a row
+/// block's bytes are those of v4.
+const NONCE_BIT: u64 = 1 << 63;
 
 /// Frame classification; the discriminant is the header's kind bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,7 +79,7 @@ pub enum FrameKind {
     Control = 0,
     /// The wire-encoded header that opens a stream.
     StreamHeader = 1,
-    /// One block of stream payload, in a block frame.
+    /// One block of stream payload, sealed end to end.
     StreamBlock = 2,
 }
 
@@ -288,9 +258,11 @@ fn envelope_tweak(session: SessionId, nonce: u64) -> u64 {
     nonce ^ splitmix(session.0 ^ 0x5E55_1014_0000_00D3)
 }
 
-/// Reads the session id off a sealed v4 frame without opening it — the
+/// Reads the session id off a sealed frame without opening it — the
 /// zero-decode demultiplexing hook used by [`crate::mux::SessionMux`].
-/// Returns `None` when the buffer is too short to be a sealed frame.
+/// Returns `None` when the buffer is shorter than [`MIN_SEALED_LEN`], so
+/// it cannot be a sealed frame (a heartbeat is shorter: see
+/// [`decode_heartbeat`]).
 pub fn peek_session(sealed: &[u8]) -> Option<SessionId> {
     (sealed.len() >= MIN_SEALED_LEN).then(|| SessionId(word_at(sealed, 0)))
 }
@@ -304,9 +276,9 @@ pub fn peek_session(sealed: &[u8]) -> Option<SessionId> {
 const HEARTBEAT_MAGIC: u64 = 0x4C49_5645_4245_3454; // "LIVEBE4T"
 
 /// Size of a heartbeat frame. Fixed at 38 bytes — the v3 minimum sealed
-/// size, kept verbatim across the v4 header repack so the liveness plane
-/// is byte-compatible — and comfortably above [`MIN_SEALED_LEN`], so
-/// [`peek_session`] reads its stamp like any other frame's.
+/// size, kept verbatim since so the liveness plane is byte-compatible —
+/// and below [`MIN_SEALED_LEN`], so no heartbeat is ever taken for a
+/// sealed frame: a mux checks for one before it peeks a session.
 pub const HEARTBEAT_LEN: usize = 38;
 
 /// Encodes a liveness heartbeat from `from` with a monotone `seq`.
@@ -333,14 +305,14 @@ pub fn encode_heartbeat(from: PartyId, seq: u64) -> Bytes {
 /// Decodes a heartbeat frame, returning the claimed sender and sequence
 /// number, or `None` when the buffer is not a heartbeat.
 pub fn decode_heartbeat(buf: &[u8]) -> Option<(PartyId, u64)> {
-    if buf.len() != HEARTBEAT_LEN || peek_session(buf) != Some(SessionId::LIVENESS) {
-        return None;
-    }
-    (word_at(buf, 8) == HEARTBEAT_MAGIC).then(|| (PartyId(word_at(buf, 16)), word_at(buf, 24)))
+    (buf.len() == HEARTBEAT_LEN
+        && word_at(buf, 0) == SessionId::LIVENESS.0
+        && word_at(buf, 8) == HEARTBEAT_MAGIC)
+        .then(|| (PartyId(word_at(buf, 16)), word_at(buf, 24)))
 }
 
-/// Header fields of a frame about to be sealed, without its payload —
-/// the input to [`seal_frame_with`], whose payload is generated in place.
+/// Header fields of a frame, without its payload: the input to
+/// [`seal_block_with`], whose payload is generated in place.
 #[derive(Debug, Clone, Copy)]
 pub struct FrameMeta {
     /// Frame classification.
@@ -353,49 +325,22 @@ pub struct FrameMeta {
     pub last: bool,
 }
 
-/// Appends the packed v4 frame header: flags/kind byte, varint msg_id,
-/// varint seq.
-fn put_header(out: &mut Vec<u8>, meta: FrameMeta) {
-    let first = meta.kind as u8 | if meta.last { FLAG_LAST } else { 0 };
-    out.push(first);
-    put_uvarint(out, meta.msg_id);
-    put_uvarint(out, u64::from(meta.seq));
-}
-
-/// Parses the packed v4 frame header off the front of a decrypted body,
-/// returning the header fields and the header's byte length.
-fn parse_header(plain: &[u8]) -> Result<(FrameMeta, usize), FrameError> {
-    let Some(&first) = plain.first() else {
-        return Err(FrameError::Malformed("empty frame body"));
-    };
-    if first & RESERVED_BITS != 0 {
-        return Err(FrameError::Malformed("reserved header bits set"));
+impl FrameMeta {
+    fn carrying(self, payload: Bytes) -> Frame {
+        Frame {
+            kind: self.kind,
+            msg_id: self.msg_id,
+            seq: self.seq,
+            last: self.last,
+            payload,
+        }
     }
-    let kind = FrameKind::from_byte(first & 0x03)?;
-    let last = first & FLAG_LAST != 0;
-    let mut rest = &plain[1..];
-    let unread = rest.len();
-    let msg_id = read_uvarint(&mut rest).map_err(|_| FrameError::Malformed("msg id varint"))?;
-    let seq = read_uvarint(&mut rest)
-        .ok()
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or(FrameError::Malformed("seq varint"))?;
-    let header_len = 1 + (unread - rest.len());
-    Ok((
-        FrameMeta {
-            kind,
-            msg_id,
-            seq,
-            last,
-        },
-        header_len,
-    ))
 }
 
-/// Seals one frame under the channel key for `session`: header and payload
-/// are encrypted together; layout `session ‖ nonce ‖ ciphertext ‖ tag`.
-/// The output buffer comes from (and eventually returns to) the global
-/// [`pool`].
+/// Seals one frame under the channel key for `session`: the payload under
+/// `key` with the frame's `msg_id` as the tag, as a direct stream's
+/// blocks are sealed, then the hop header. The output buffer comes from
+/// (and eventually returns to) the global [`pool`].
 pub fn seal_frame(key: ChannelKey, nonce: u64, session: SessionId, frame: &Frame) -> Bytes {
     let meta = FrameMeta {
         kind: frame.kind,
@@ -403,73 +348,33 @@ pub fn seal_frame(key: ChannelKey, nonce: u64, session: SessionId, frame: &Frame
         seq: frame.seq,
         last: frame.last,
     };
+    let seal = BlockSeal {
+        key,
+        tag: frame.msg_id,
+    };
     let payload = &frame.payload;
-    seal_frame_with(key, nonce, session, meta, payload.len(), |out| {
+    seal_block_with(key, nonce, session, meta, seal, payload.len(), |out| {
         out.extend_from_slice(payload)
     })
 }
 
-/// Seals a frame whose payload is produced **directly into the sealed
-/// buffer**: acquires a pooled buffer, writes the envelope prefix and
-/// packed header, calls `write_payload` to append the payload bytes (a
-/// wire encoder, a row-block encoder, …), then encrypts in place and tags.
-/// This is the zero-intermediate-copy path: payload bytes are only ever
-/// written once, into the buffer the transport will hand to the socket.
-pub fn seal_frame_with(
-    key: ChannelKey,
-    nonce: u64,
-    session: SessionId,
-    meta: FrameMeta,
-    size_hint: usize,
-    write_payload: impl FnOnce(&mut Vec<u8>),
-) -> Bytes {
-    let mut out = pool::global().acquire(16 + MAX_FRAME_HEADER_LEN + size_hint + 8);
-    out.extend_from_slice(&session.0.to_le_bytes());
-    out.extend_from_slice(&nonce.to_le_bytes());
-    put_header(&mut out, meta);
-    write_payload(&mut out);
-    let tweak = envelope_tweak(session, nonce);
-    keystream_xor(key.0, tweak, &mut out[16..]);
-    let tag = word_mac(key.0, tweak, &out[16..]);
-    out.extend_from_slice(&tag.to_le_bytes());
-    Bytes::from(out)
-}
-
-/// Opens a sealed frame, returning the session it was stamped for along
-/// with the frame. The tag is checked on `sealed` itself; only a frame
-/// that verifies is copied, into one pooled buffer, and decrypted there,
-/// and the payload is a zero-copy slice of that buffer. (Row blocks, the
-/// bulk of the traffic, travel in block frames and are never copied
-/// here.) The caller decides whether the session matches its own (see
+/// Opens a frame sealed by [`seal_frame`], of any kind, from a borrowed
+/// buffer, returning the session it was stamped for along with the frame.
+/// The hop header is checked on `sealed` itself; only a frame that
+/// verifies is copied, into one pooled buffer, and its payload opened
+/// there, so the payload is a zero-copy slice of that buffer. The caller
+/// decides whether the session matches its own (see
 /// [`FrameError::SessionMismatch`]).
 ///
 /// # Errors
 ///
-/// * [`FrameError::Crypto`] on truncation or tag mismatch.
-/// * [`FrameError::Malformed`] on a bad kind byte, reserved header bits,
-///   or an overflowing varint.
+/// As [`open_block_frame`].
 pub fn open_frame(key: ChannelKey, sealed: &[u8]) -> Result<(SessionId, Frame), FrameError> {
-    if sealed.len() < MIN_SEALED_LEN {
-        return Err(CryptoError::Truncated.into());
-    }
-    let session = SessionId(word_at(sealed, 0));
-    let tweak = envelope_tweak(session, word_at(sealed, 8));
-    let end = sealed.len() - 8;
-    if word_mac(key.0, tweak, &sealed[16..end]) != word_at(sealed, end) {
-        return Err(CryptoError::BadTag.into());
-    }
-    let mut plain = pool::global().acquire(end - 16);
-    plain.extend_from_slice(&sealed[16..end]);
-    keystream_xor(key.0, tweak, &mut plain);
-    let (meta, header_len) = parse_header(&plain)?;
-    let frame = Frame {
-        kind: meta.kind,
-        msg_id: meta.msg_id,
-        seq: meta.seq,
-        last: meta.last,
-        payload: Bytes::from(plain).slice(header_len..),
-    };
-    Ok((session, frame))
+    let (session, meta) = open_hop(key, sealed)?;
+    let mut frame = pool::global().acquire(sealed.len());
+    frame.extend_from_slice(sealed);
+    let payload = open_direct(key, session, meta, Bytes::from(frame))?;
+    Ok((session, meta.carrying(payload)))
 }
 
 /// Splits an encoded message into control frames whose payloads are
@@ -493,14 +398,16 @@ pub fn split_message(msg_id: u64, encoded: Bytes, chunk_size: usize) -> Vec<Fram
         .collect()
 }
 
-/// The key and tag a stream's blocks are sealed under, end to end. A
-/// block's payload nonce is `(session, tag, seq)`: streams sealed under
-/// one key need distinct tags.
+/// The key and tag a frame's payload is sealed under, end to end. A
+/// payload's nonce is `(session, tag, seq)`: streams and messages sealed
+/// under one key need distinct tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockSeal {
-    /// The data key (for a dataset, the miner's: [`ChannelKey::toward`]).
+    /// The data key (for a dataset, the miner's: [`ChannelKey::toward`];
+    /// for anything else, the pair's channel key).
     pub key: ChannelKey,
-    /// Tells apart the streams sealed under `key` (for a dataset, its slot).
+    /// Tells apart what is sealed under `key` (for a dataset, its slot;
+    /// for anything else, its `msg_id`).
     pub tag: u64,
 }
 
@@ -511,13 +418,8 @@ fn block_tweak(session: SessionId, tag: u64, seq: u32) -> u64 {
     )
 }
 
-/// `true` when `sealed` is flagged as a block frame (unauthenticated).
-pub(crate) fn is_block_frame(sealed: &[u8]) -> bool {
-    sealed.len() >= 16 && word_at(sealed, 8) & BLOCK_FRAME != 0
-}
-
 /// The hop tag, over the hop header and the data tag of a frame at least
-/// [`MIN_BLOCK_FRAME_LEN`] long.
+/// [`MIN_SEALED_LEN`] long.
 fn hop_mac(hop: ChannelKey, tweak: u64, frame: &[u8]) -> u64 {
     let mut covered = [0u8; 24];
     covered[..16].copy_from_slice(&frame[16..32]);
@@ -525,13 +427,13 @@ fn hop_mac(hop: ChannelKey, tweak: u64, frame: &[u8]) -> u64 {
     word_mac(hop.0, tweak, &covered)
 }
 
-/// Writes bytes 0..40 of a block frame, the only bytes a hop writes.
+/// Writes bytes 0..40 of a sealed frame, the only bytes a hop writes.
 fn seal_hop(hop: ChannelKey, nonce: u64, session: SessionId, meta: FrameMeta, frame: &mut [u8]) {
-    let nonce = nonce | BLOCK_FRAME;
+    let nonce = nonce | NONCE_BIT;
     let tweak = envelope_tweak(session, nonce);
     frame[..8].copy_from_slice(&session.0.to_le_bytes());
     frame[8..16].copy_from_slice(&nonce.to_le_bytes());
-    frame[16] = FrameKind::StreamBlock as u8 | if meta.last { FLAG_LAST } else { 0 };
+    frame[16] = meta.kind as u8 | if meta.last { FLAG_LAST } else { 0 };
     frame[17..20].fill(0);
     frame[20..24].copy_from_slice(&meta.seq.to_le_bytes());
     frame[24..32].copy_from_slice(&meta.msg_id.to_le_bytes());
@@ -540,8 +442,34 @@ fn seal_hop(hop: ChannelKey, nonce: u64, session: SessionId, meta: FrameMeta, fr
     frame[32..40].copy_from_slice(&tag.to_le_bytes());
 }
 
-/// Seals a block frame: the payload, written in place by `write_payload`,
-/// once under `seal`, then the hop header under `hop`.
+/// Checks the hop tag of a sealed frame under `hop` and parses its hop
+/// header; the payload is not read.
+fn open_hop(hop: ChannelKey, sealed: &[u8]) -> Result<(SessionId, FrameMeta), FrameError> {
+    if sealed.len() < MIN_SEALED_LEN {
+        return Err(CryptoError::Truncated.into());
+    }
+    let session = SessionId(word_at(sealed, 0));
+    let tweak = envelope_tweak(session, word_at(sealed, 8));
+    if hop_mac(hop, tweak, sealed) != word_at(sealed, 32) {
+        return Err(CryptoError::BadTag.into());
+    }
+    let mut header = [0u8; 16];
+    header.copy_from_slice(&sealed[16..32]);
+    keystream_xor(hop.0, tweak, &mut header);
+    if header[0] & RESERVED_BITS != 0 || header[1..4] != [0; 3] {
+        return Err(FrameError::Malformed("reserved header bits set"));
+    }
+    let meta = FrameMeta {
+        kind: FrameKind::from_byte(header[0] & 0x03)?,
+        msg_id: word_at(&header, 8),
+        seq: u32::from_le_bytes([header[4], header[5], header[6], header[7]]),
+        last: header[0] & FLAG_LAST != 0,
+    };
+    Ok((session, meta))
+}
+
+/// Seals a frame: the payload, written in place by `write_payload`, once
+/// under `seal`, then the hop header under `hop`.
 pub fn seal_block_with(
     hop: ChannelKey,
     nonce: u64,
@@ -551,7 +479,7 @@ pub fn seal_block_with(
     size_hint: usize,
     write_payload: impl FnOnce(&mut Vec<u8>),
 ) -> Bytes {
-    let mut out = pool::global().acquire(MIN_BLOCK_FRAME_LEN + size_hint);
+    let mut out = pool::global().acquire(MIN_SEALED_LEN + size_hint);
     out.resize(BLOCK_PAYLOAD_AT, 0);
     write_payload(&mut out);
     let tweak = block_tweak(session, seal.tag, meta.seq);
@@ -562,36 +490,42 @@ pub fn seal_block_with(
     Bytes::from(out)
 }
 
-/// Opens the hop header of a block frame under `hop`, and nothing else;
-/// the frame's payload is the whole, untouched block frame.
+/// Opens a frame as a node receives it: its hop header under `hop`, then,
+/// for a control chunk or a stream header, its payload in place under
+/// `hop` and the frame's `msg_id`. A stream block's payload stays sealed
+/// end to end: its frame's payload is the whole, untouched frame, for a
+/// [`SealedBlock`].
 ///
 /// # Errors
 ///
-/// [`FrameError::Crypto`] on truncation or a bad hop tag, and
-/// [`FrameError::Malformed`] on reserved bits or another kind.
+/// [`FrameError::Crypto`] on truncation or a bad tag, and
+/// [`FrameError::Malformed`] on kind 3 or reserved header bits.
 pub fn open_block_frame(hop: ChannelKey, sealed: Bytes) -> Result<(SessionId, Frame), FrameError> {
-    if sealed.len() < MIN_BLOCK_FRAME_LEN {
-        return Err(CryptoError::Truncated.into());
-    }
-    let session = SessionId(word_at(&sealed, 0));
-    let tweak = envelope_tweak(session, word_at(&sealed, 8));
-    if hop_mac(hop, tweak, &sealed) != word_at(&sealed, 32) {
-        return Err(CryptoError::BadTag.into());
-    }
-    let mut header = [0u8; 16];
-    header.copy_from_slice(&sealed[16..32]);
-    keystream_xor(hop.0, tweak, &mut header);
-    if header[0] & !FLAG_LAST != FrameKind::StreamBlock as u8 || header[1..4] != [0; 3] {
-        return Err(FrameError::Malformed("block frame header"));
-    }
-    let frame = Frame {
-        kind: FrameKind::StreamBlock,
-        msg_id: word_at(&header, 8),
-        seq: u32::from_le_bytes([header[4], header[5], header[6], header[7]]),
-        last: header[0] & FLAG_LAST != 0,
-        payload: sealed,
+    let (session, meta) = open_hop(hop, &sealed)?;
+    let payload = match meta.kind {
+        FrameKind::StreamBlock => sealed,
+        FrameKind::Control | FrameKind::StreamHeader => open_direct(hop, session, meta, sealed)?,
     };
-    Ok((session, frame))
+    Ok((session, meta.carrying(payload)))
+}
+
+/// Opens, in place, the payload of a frame whose hop header opened as
+/// `meta`: under the hop key with the frame's `msg_id` as the tag.
+fn open_direct(
+    hop: ChannelKey,
+    session: SessionId,
+    meta: FrameMeta,
+    frame: Bytes,
+) -> Result<Bytes, FrameError> {
+    let seal = BlockSeal {
+        key: hop,
+        tag: meta.msg_id,
+    };
+    SealedBlock {
+        frame,
+        seq: meta.seq,
+    }
+    .open(session, seal)
 }
 
 /// A stream block as it arrived: its hop header checked, its payload
@@ -606,7 +540,7 @@ pub struct SealedBlock {
 impl SealedBlock {
     /// The buffer, to change in place: copied only if shared.
     fn into_owned(self) -> Result<Vec<u8>, FrameError> {
-        if self.frame.len() < MIN_BLOCK_FRAME_LEN {
+        if self.frame.len() < MIN_SEALED_LEN {
             return Err(CryptoError::Truncated.into());
         }
         Ok(self
@@ -634,7 +568,7 @@ impl SealedBlock {
 
     /// Rewrites the hop header, in place, for the next hop; the payload is
     /// neither read nor written. Fails only on a frame too short to be a
-    /// block frame ([`FrameError::Crypto`]).
+    /// sealed frame ([`FrameError::Crypto`]).
     pub fn forward(
         self,
         hop: ChannelKey,
@@ -821,63 +755,98 @@ mod tests {
     }
 
     #[test]
-    fn packed_header_sizes() {
-        // Small ids: 3-byte header, so an empty frame is MIN_SEALED_LEN.
+    fn block_frame_carries_max_msg_id_and_seq() {
+        // The hop header is fixed-width: an empty frame is MIN_SEALED_LEN
+        // whatever its ids, and the widest ids round-trip.
         let f = frame(FrameKind::Control, 1, 0, true, b"");
-        let sealed = seal_frame(key(), 1, SessionId(1), &f);
-        assert_eq!(sealed.len(), MIN_SEALED_LEN);
-        // Maximal ids widen the varints to the documented maximum.
-        let f = frame(FrameKind::StreamBlock, u64::MAX, u32::MAX, false, b"");
-        let sealed = seal_frame(key(), 2, SessionId(1), &f);
-        assert_eq!(sealed.len(), 16 + MAX_FRAME_HEADER_LEN + 8);
-        let (_, back) = open_frame(key(), &sealed).unwrap();
-        assert_eq!(
-            (back.msg_id, back.seq, back.last),
-            (u64::MAX, u32::MAX, false)
-        );
+        assert_eq!(seal_frame(key(), 1, SessionId(1), &f).len(), MIN_SEALED_LEN);
+        for kind in [FrameKind::Control, FrameKind::StreamHeader] {
+            let f = frame(kind, u64::MAX, u32::MAX, false, b"");
+            let sealed = seal_frame(key(), 2, SessionId(1), &f);
+            assert_eq!(sealed.len(), MIN_SEALED_LEN);
+            let (_, back) = open_frame(key(), &sealed).unwrap();
+            let (_, opened) = open_block_frame(key(), sealed).unwrap();
+            for back in [back, opened] {
+                assert_eq!(
+                    (back.kind, back.msg_id, back.seq, back.last),
+                    (kind, u64::MAX, u32::MAX, false)
+                );
+            }
+        }
+    }
+
+    /// Rewrites the hop header of a frame sealed under `key()` with
+    /// `change`, under a valid hop tag.
+    fn reheader(sealed: &[u8], change: impl FnOnce(&mut [u8; 16])) -> Bytes {
+        let mut frame = sealed.to_vec();
+        let tweak = envelope_tweak(SessionId(word_at(&frame, 0)), word_at(&frame, 8));
+        let mut header = [0u8; 16];
+        header.copy_from_slice(&frame[16..32]);
+        keystream_xor(key().0, tweak, &mut header);
+        change(&mut header);
+        keystream_xor(key().0, tweak, &mut header);
+        frame[16..32].copy_from_slice(&header);
+        let tag = hop_mac(key(), tweak, &frame);
+        frame[32..40].copy_from_slice(&tag.to_le_bytes());
+        Bytes::from(frame)
     }
 
     #[test]
-    fn parse_header_rejects_reserved_bits_and_bad_kind() {
-        assert!(matches!(
-            parse_header(&[0x04, 0, 0]),
-            Err(FrameError::Malformed("reserved header bits set"))
-        ));
-        assert!(matches!(
-            parse_header(&[0x03, 0, 0]),
-            Err(FrameError::Malformed("unknown frame kind"))
-        ));
-        assert!(matches!(parse_header(&[]), Err(FrameError::Malformed(_))));
-        // Truncated msg_id varint.
-        assert!(matches!(
-            parse_header(&[0x00, 0x80]),
-            Err(FrameError::Malformed("msg id varint"))
-        ));
-    }
-
-    #[test]
-    fn seal_frame_with_matches_copy_path_and_recycles() {
-        let payload = b"generated directly into the sealed buffer";
-        let meta = FrameMeta {
-            kind: FrameKind::StreamBlock,
-            msg_id: 9,
-            seq: 1,
-            last: false,
-        };
-        let sealed = seal_frame_with(key(), 4, SessionId(2), meta, payload.len(), |out| {
-            out.extend_from_slice(payload)
-        });
-        let reference = seal_frame(
+    fn open_block_frame_rejects_kind_3_and_reserved_bits() {
+        let sealed = seal_frame(
             key(),
-            4,
-            SessionId(2),
-            &frame(FrameKind::StreamBlock, 9, 1, false, payload),
+            3,
+            SessionId(5),
+            &frame(FrameKind::Control, 2, 0, true, b"x"),
         );
-        assert_eq!(&sealed[..], &reference[..]);
+        // The rewrite itself keeps a frame valid.
+        assert!(open_block_frame(key(), reheader(&sealed, |_| {})).is_ok());
+        let mut changes: Vec<Box<dyn FnOnce(&mut [u8; 16])>> =
+            vec![Box::new(|h: &mut [u8; 16]| h[0] |= 0x03)];
+        for bit in 2..7 {
+            changes.push(Box::new(move |h: &mut [u8; 16]| h[0] |= 1 << bit));
+        }
+        for byte in 1..4 {
+            changes.push(Box::new(move |h: &mut [u8; 16]| h[byte] = 1));
+        }
+        for change in changes {
+            let bad = reheader(&sealed, change);
+            assert!(matches!(
+                open_frame(key(), &bad),
+                Err(FrameError::Malformed(_))
+            ));
+            assert!(matches!(
+                open_block_frame(key(), bad),
+                Err(FrameError::Malformed(_))
+            ));
+        }
+    }
 
-        let (session, back) = open_frame(key(), &sealed).unwrap();
-        assert_eq!(session, SessionId(2));
-        assert_eq!(&back.payload[..], payload);
+    #[test]
+    fn seal_frame_is_the_direct_stream_block_frame() {
+        let payload = b"sealed as a direct stream's blocks are";
+        for kind in [
+            FrameKind::Control,
+            FrameKind::StreamHeader,
+            FrameKind::StreamBlock,
+        ] {
+            let meta = FrameMeta {
+                kind,
+                msg_id: 9,
+                seq: 1,
+                last: false,
+            };
+            let seal = BlockSeal { key: key(), tag: 9 };
+            let direct =
+                seal_block_with(key(), 4, SessionId(2), meta, seal, payload.len(), |out| {
+                    out.extend_from_slice(payload)
+                });
+            let sealed = seal_frame(key(), 4, SessionId(2), &frame(kind, 9, 1, false, payload));
+            assert_eq!(&sealed[..], &direct[..]);
+            let (session, back) = open_frame(key(), &sealed).unwrap();
+            assert_eq!(session, SessionId(2));
+            assert_eq!(&back.payload[..], payload);
+        }
     }
 
     #[test]
@@ -1222,8 +1191,7 @@ mod tests {
         for len in [0usize, 1, 7, 8, 9, 64, 4096] {
             let payload: Vec<u8> = (0..len).map(|i| (i * 13) as u8).collect();
             let sealed = block_frame(&payload, 2);
-            assert_eq!(sealed.len(), MIN_BLOCK_FRAME_LEN + len);
-            assert!(is_block_frame(&sealed));
+            assert_eq!(sealed.len(), MIN_SEALED_LEN + len);
             let (session, frame) = open_block_frame(key(), sealed.clone()).unwrap();
             assert_eq!((session, frame.msg_id, frame.seq), (SessionId(3), 4, 2));
             let block = SealedBlock {
@@ -1256,18 +1224,27 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// The relay's hop parse and the miner's open are total on any
-        /// bytes — arbitrary, or a valid block frame with a bit flipped,
-        /// cut short or extended: a typed error and no panic, output no
-        /// longer than the input, and no changed frame ever opens.
+        /// The one parse and every open are total on any bytes —
+        /// arbitrary, or a valid frame of any kind with a bit flipped, cut
+        /// short or extended: a typed error and no panic, output no longer
+        /// than the input, and no changed frame ever opens. A stream block
+        /// is sealed under the miner's seal, a control chunk or stream
+        /// header under the hop key and its `msg_id`.
         #[test]
         fn block_frame_parse_and_open_are_total(
             seed in proptest::prelude::any::<u64>(),
             len in 0usize..160,
+            kind in 0u8..3,
             mutate in proptest::prelude::any::<bool>(),
         ) {
             let mut rng = Xorshift(seed | 1);
-            let original = block_frame(&vec![0x3C; len / 2], 1).to_vec();
+            let kind = FrameKind::from_byte(kind).unwrap();
+            let payload = vec![0x3C; len / 2];
+            let original = match kind {
+                FrameKind::StreamBlock => block_frame(&payload, 1),
+                _ => seal_frame(key(), 9, SessionId(3), &frame(kind, 4, 1, false, &payload)),
+            }
+            .to_vec();
             let bytes: Vec<u8> = if mutate {
                 let mut frame = original.clone();
                 match rng.below(3) {
@@ -1283,9 +1260,21 @@ mod tests {
                 (0..len).map(|_| rng.below(256) as u8).collect()
             };
             let (n, changed) = (bytes.len(), bytes != original);
+            match open_frame(key(), &bytes) {
+                Ok((_, frame)) => {
+                    proptest::prop_assert!(!changed, "a changed frame opened");
+                    proptest::prop_assert!(frame.payload.len() <= n);
+                }
+                Err(FrameError::Crypto(_) | FrameError::Malformed(_)) => {}
+                Err(other) => proptest::prop_assert!(false, "unexpected error: {other}"),
+            }
             match open_block_frame(key(), Bytes::from(bytes)) {
                 Err(FrameError::Crypto(_) | FrameError::Malformed(_)) => {}
                 Err(other) => proptest::prop_assert!(false, "unexpected error: {other}"),
+                Ok((_, frame)) if frame.kind != FrameKind::StreamBlock => {
+                    proptest::prop_assert!(!changed, "a changed frame opened");
+                    proptest::prop_assert!(frame.payload.len() <= n);
+                }
                 Ok((session, frame)) => {
                     proptest::prop_assert_eq!(frame.payload.len(), n);
                     let block = SealedBlock { frame: frame.payload, seq: frame.seq };
@@ -1448,7 +1437,8 @@ mod tests {
     fn heartbeat_roundtrip_and_rejection() {
         let hb = encode_heartbeat(PartyId(7), 42);
         assert_eq!(hb.len(), HEARTBEAT_LEN);
-        assert_eq!(peek_session(&hb), Some(SessionId::LIVENESS));
+        // Below the sealed floor: a mux checks for a heartbeat first.
+        assert_eq!(peek_session(&hb), None);
         assert_eq!(decode_heartbeat(&hb), Some((PartyId(7), 42)));
         // Wrong magic, wrong length, and ordinary sealed frames all reject.
         let mut bad = hb.to_vec();

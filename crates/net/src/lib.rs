@@ -14,8 +14,9 @@
 //!        │ wire-encoded bytes             once, forwarded unopened
 //!   [`wire`]   varint binary format     — the one serialization
 //!        │ encoded message
-//!   [`frame`]  chunked sealed frames    — bounded chunks, per-frame seal,
-//!        │ sealed v4 frames (Bytes)       block frames, SessionId stamp
+//!   [`frame`]  chunked sealed frames    — bounded chunks, one layout:
+//!        │ sealed v5 frames (Bytes)       hop header per hop, payload
+//!        │                                sealed once, SessionId stamp
 //!   [`mux`]    SessionMux               — many sessions, one physical mesh
 //!        │ session-routed frames
 //!   [`transport`] / [`reactor`] / [`sim`] — in-memory hub, TCP, fault inject

@@ -663,6 +663,30 @@ mod tests {
     }
 
     #[test]
+    fn frame_below_the_sealed_floor_is_dropped_as_unknown() {
+        use crate::frame::{encode_heartbeat, MIN_SEALED_LEN};
+        let (m1, m2) = mux_pair();
+        let a1 = node_for(&m1, SessionId(1), 7);
+        let b1 = node_for(&m2, SessionId(1), 7);
+
+        // Stamped for the live session, one byte short of a sealed frame.
+        let mut short = vec![0u8; MIN_SEALED_LEN - 1];
+        short[..8].copy_from_slice(&1u64.to_le_bytes());
+        a1.transport().send(PartyId(2), Bytes::from(short)).unwrap();
+        a1.transport()
+            .send(PartyId(2), encode_heartbeat(PartyId(1), 1))
+            .unwrap();
+        a1.send_msg(PartyId(2), &3u32).unwrap();
+        let (_, got): (PartyId, u32) = b1.recv_msg_timeout(WAIT).unwrap();
+        assert_eq!(got, 3);
+        let metrics = m2.metrics();
+        assert_eq!(
+            (metrics.unknown_session_dropped, metrics.heartbeats_seen),
+            (1, 1)
+        );
+    }
+
+    #[test]
     fn garbage_frame_aborts_only_the_session_it_claims() {
         let (m1, m2) = mux_pair();
         let a1 = node_for(&m1, SessionId(1), 7);
@@ -671,7 +695,7 @@ mod tests {
         let b2 = node_for(&m2, SessionId(2), 7);
 
         // Hand-craft a garbage frame claiming session 1: long enough to be
-        // a v3 envelope, sealed under no valid key.
+        // a sealed frame, sealed under no valid key.
         let mut garbage = vec![0u8; 48];
         garbage[..8].copy_from_slice(&1u64.to_le_bytes());
         a1.transport()

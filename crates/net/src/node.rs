@@ -227,14 +227,12 @@ impl<T: Transport> Node<T> {
             seq: 0,
             last: empty,
         };
-        let sealed = frame::seal_frame_with(
-            self.send_key(to),
-            self.next_id(),
-            self.session,
-            meta,
-            256,
-            |out| header.encode(out),
-        );
+        let key = self.send_key(to);
+        let seal = BlockSeal { key, tag: msg_id };
+        let sealed =
+            frame::seal_block_with(key, self.next_id(), self.session, meta, seal, 256, |out| {
+                header.encode(out)
+            });
         self.transport.send(to, sealed)?;
         Ok(StreamHandle {
             to,
@@ -329,16 +327,7 @@ impl<T: Transport> Node<T> {
             }
         };
         let key = ChannelKey::derive(self.session_secret, from.0, self.id().0);
-        let (frame_session, frame) = if frame::is_block_frame(&sealed) {
-            frame::open_block_frame(key, sealed)?
-        } else {
-            match frame::open_frame(key, &sealed)? {
-                (_, frame) if frame.kind == FrameKind::StreamBlock => {
-                    return Err(FrameError::Malformed("stream block outside a block frame").into())
-                }
-                opened => opened,
-            }
-        };
+        let (frame_session, frame) = frame::open_block_frame(key, sealed)?;
         if frame_session != self.session {
             return Err(FrameError::SessionMismatch {
                 expected: self.session,
@@ -622,30 +611,36 @@ mod tests {
     }
 
     #[test]
-    fn plain_stream_block_frame_is_refused() {
-        // A stream block sealed in the control envelope bypasses the
-        // end-to-end seal: the receiver refuses it as malformed.
+    fn hop_sealed_stream_block_fails_the_end_to_end_seal() {
+        // A stream block sealed under the hop key, as a control chunk is,
+        // arrives still sealed and does not open under the seal toward
+        // its destination.
         let hub = InMemoryHub::new();
         let a = Node::new(hub.endpoint(PartyId(1)), 7);
         let b = Node::new(hub.endpoint(PartyId(2)), 7);
-        a.begin_stream(PartyId(2), &0u32, false).unwrap();
-        let meta = FrameMeta {
+        let stream = a.begin_stream(PartyId(2), &0u32, false).unwrap();
+        let block = Frame {
             kind: FrameKind::StreamBlock,
-            msg_id: 1,
+            msg_id: stream.msg_id,
             seq: 1,
             last: true,
+            payload: Bytes::from_static(b"rows"),
         };
-        let sealed = frame::seal_frame_with(a.send_key(PartyId(2)), 9, a.session, meta, 4, |out| {
-            out.extend_from_slice(b"rows")
-        });
+        let sealed = frame::seal_frame(a.send_key(PartyId(2)), 9, a.session, &block);
         a.transport.send(PartyId(2), sealed).unwrap();
         b.recv_flow_timeout::<u32, u32>(Duration::from_secs(2))
             .unwrap();
-        let err = b
+        let (_, NodeFlow::StreamBlock { block, .. }) = b
             .recv_flow_timeout::<u32, u32>(Duration::from_secs(2))
+            .unwrap()
+        else {
+            panic!("expected a block");
+        };
+        let err = b
+            .open_block(block, b.seal_toward(PartyId(2), stream.msg_id))
             .unwrap_err();
         assert!(
-            matches!(err, NodeError::Frame(FrameError::Malformed(_))),
+            matches!(err, NodeError::Frame(FrameError::Crypto(_))),
             "{err}"
         );
     }

@@ -9,14 +9,14 @@
 //! are written by hand, field by field, so the layout of each message is
 //! exactly what its impl says; `docs/WIRE.md` §5 tables it per type.
 //!
-//! # Wire format specification (value encoding v2, wire v4)
+//! # Wire format specification (value encoding v2, wire v5)
 //!
 //! This module specifies the *value encoding* (how a value becomes
-//! bytes). The *envelope* those bytes travel in — chunked frames sealed
-//! per direction, **wire format v4**: `session ‖ nonce ‖ ciphertext ‖
-//! tag`, with the authenticated [`crate::transport::SessionId`] stamp
-//! that multiplexes many sessions over one mesh — is specified in
-//! [`crate::frame`]'s module docs.
+//! bytes). The *frame* those bytes travel in — **wire format v5**, one
+//! layout for every chunk: the authenticated
+//! [`crate::transport::SessionId`] stamp that multiplexes many sessions
+//! over one mesh, a fixed hop header sealed per direction, and the
+//! payload sealed once — is specified in [`crate::frame`]'s module docs.
 //!
 //! The format is non-self-describing: nothing is aligned, padded or
 //! tagged with a type; values are concatenated in field/element order.
