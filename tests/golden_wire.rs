@@ -280,9 +280,18 @@ const GOLDEN_WIRE: &[(&str, &str)] = &[
     ("DataHeader", "b4240109c0b8021003"),
 ];
 
+/// One re-recording: wire v5 seals a control frame in the block frame's
+/// layout, so this literal went from the v4 frame
+/// `2a000000000000000700000000000000cdd271b9ae968831d3c25f3fc42b` (30
+/// bytes: stamp, nonce, a 3-byte varint header and the 3-byte
+/// `MiningComplete` under one keystream, tag) to 51 bytes: stamp, nonce
+/// with bit 63 set, the 16-byte hop header and its tag, the payload
+/// sealed under the same channel key with `msg_id` 3 as the tag, and its
+/// data tag. The payload (`059601`) and every input are unchanged. No
+/// build of v4 reads the new bytes, nor v5 the old.
 const GOLDEN_SEALED: &[(&str, &str)] = &[(
     "sealed frame",
-    "2a000000000000000700000000000000cdd271b9ae968831d3c25f3fc42b",
+    "2a0000000000000007000000000000809193361fe9a28b3a57a2651cd167d5d6e829e368481e99a0522621199681613206f28a",
 )];
 
 const GOLDEN_SEALED_BLOCK: &[(&str, &str)] = &[(
