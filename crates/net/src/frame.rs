@@ -801,16 +801,12 @@ mod tests {
         );
         // The rewrite itself keeps a frame valid.
         assert!(open_block_frame(key(), reheader(&sealed, |_| {})).is_ok());
-        let mut changes: Vec<Box<dyn FnOnce(&mut [u8; 16])>> =
-            vec![Box::new(|h: &mut [u8; 16]| h[0] |= 0x03)];
-        for bit in 2..7 {
-            changes.push(Box::new(move |h: &mut [u8; 16]| h[0] |= 1 << bit));
-        }
-        for byte in 1..4 {
-            changes.push(Box::new(move |h: &mut [u8; 16]| h[byte] = 1));
-        }
-        for change in changes {
-            let bad = reheader(&sealed, change);
+        // Kind 3, each reserved bit of the flags byte, each reserved byte.
+        let kind_3 = [(0, 0x03)];
+        let bits = (2..7).map(|bit| (0, 1u8 << bit));
+        let bytes = (1..4).map(|byte| (byte, 1));
+        for (at, set) in kind_3.into_iter().chain(bits).chain(bytes) {
+            let bad = reheader(&sealed, |header| header[at] |= set);
             assert!(matches!(
                 open_frame(key(), &bad),
                 Err(FrameError::Malformed(_))
